@@ -213,53 +213,10 @@ def _scan_row_payload(row):
             "mu_mn": render.value_csv(row.mu_mn), "rho": render.value_csv(row.rho)}
 
 
-def _scan_pair_worker(packed):
-    set_s, psi_s, trunc_s, window_s, m, n, coprime = packed
-    dset = parse_set(set_s)
-    psi = parse_psi(psi_s, trunc_s)
-    cfg = WindowConfig.for_window(parse_window(window_s), dset.base)
-    from .layers import PairRow, classify_pair_case
-    lm = build_layer(dset, psi, m, cfg, coprime)
-    ln_ = build_layer(dset, psi, n, cfg, coprime)
-    mm, mn = layer_measure(lm), layer_measure(ln_)
-    if mm.hi == 0 or mn.hi == 0:
-        return (m, n, None)
-    inter = pairwise_measure(lm, ln_)
-    from .digitsets import measure_union
-    mu_b = measure_union(dset, [cfg.window.pair()])
-    from .enclosures import iv_div, iv_scale
-    rho = iv_scale(iv_div((inter.lo, inter.hi), (mm.lo * mn.lo, mm.hi * mn.hi)), mu_b)
-    return (m, n, PairRow(m=m, n=n, case=classify_pair_case(dset, psi, m, n),
-                          mu_m=mm, mu_n=mn, mu_mn=inter, rho=rho))
-
-
 def cmd_quasi_scan(args, dset):
     cfg = _window_cfg(args, dset)
-    psi = _psi_of(args)
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        pairs = [(args.set, args.psi, args.trunc, args.window, m, n, args.coprime)
-                 for m in range(args.mmin, args.nmax)
-                 for n in range(m + 1, args.nmax + 1)]
-        rows = []
-        skipped = []
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for m, n, row in pool.map(_scan_pair_worker, pairs):
-                if row is None:
-                    skipped.append((m, n))
-                else:
-                    rows.append(row)
-        from .digitsets import measure_union
-        from .layers import ScanReport
-        mu_b = measure_union(dset, [cfg.window.pair()])
-        c_emp = None
-        if rows:
-            c_emp = (max(r.rho[0] for r in rows), max(r.rho[1] for r in rows))
-        rep = ScanReport(window_measure=mu_b, rows=tuple(rows),
-                         skipped=tuple(skipped), c_empirical=c_emp)
-    else:
-        rep = quasi_independence_scan(dset, psi, cfg, args.nmax, args.mmin,
-                                      args.coprime)
+    rep = quasi_independence_scan(dset, _psi_of(args), cfg, args.nmax, args.mmin,
+                                  args.coprime, workers=args.workers)
     results = {
         "window_measure": render.rational_json(rep.window_measure),
         "pairs": [_scan_row_payload(r) for r in rep.rows],
@@ -354,16 +311,28 @@ def cmd_xi_build(args, dset):
     return results, rows, ["s", "exponent", "p", "q"]
 
 
+def _cf_reaching(x, depth: int, q: int):
+    """The certified expansion of x to `depth` quotients, re-expanded at
+    twice the depth for as long as every quotient asked for is certified
+    and the last convergent's denominator is still below q."""
+    cf = continued_fraction_expand(x, depth)
+    while cf.certified_depth == depth and cf.convergents[-1][1] < q:
+        depth *= 2
+        cf = continued_fraction_expand(x, depth)
+    return cf
+
+
 def cmd_xi_verify(args, dset):
     x = build_xi(args)
     reports, s_min = truncation_reports(x)
     depth = args.depth or x.exponent(x.terms)
     verdict = membership(x, dset, depth)
-    cf = continued_fraction_expand(x, args.cf_depth)
-    legendre = []
-    for s in range(1, x.terms):
-        p, q = x.truncation(s)
-        legendre.append({"s": s, "verdict": legendre_is_convergent(p, q, x, cf)})
+    truncations = [x.truncation(s) for s in range(1, x.terms)]
+    # a Legendre-certified truncation must be found among the convergents,
+    # so the expansion has to reach the largest denominator checked
+    cf = _cf_reaching(x, args.cf_depth, truncations[-1][1])
+    legendre = [{"s": s, "verdict": legendre_is_convergent(p, q, x, cf)}
+                for s, (p, q) in enumerate(truncations, start=1)]
     rows = []
     for rep in reports:
         rows.append({
@@ -618,14 +587,18 @@ def run_command(argv: list[str]) -> tuple[str, Optional[str]]:
     """Returns (report text, output path or None)."""
     argv = _apply_config_file(argv)
     args = build_parser().parse_args(argv)
-    if args.precision_budget is not None:
-        if args.precision_budget < 1:
-            raise InputError("precision budget must be >= 1")
-        enclosures.MAX_REFINE_STEPS = args.precision_budget
+    if args.precision_budget is not None and args.precision_budget < 1:
+        raise InputError("precision budget must be >= 1")
     dset = parse_set(args.set)
-    start = time.monotonic()
-    results, rows, fields = COMMANDS[args.command](args, dset)
-    elapsed_ms = int((time.monotonic() - start) * 1000)
+    saved_steps = enclosures.MAX_REFINE_STEPS
+    try:
+        if args.precision_budget is not None:
+            enclosures.MAX_REFINE_STEPS = args.precision_budget
+        start = time.monotonic()
+        results, rows, fields = COMMANDS[args.command](args, dset)
+        elapsed_ms = int((time.monotonic() - start) * 1000)
+    finally:
+        enclosures.MAX_REFINE_STEPS = saved_steps
     if args.output == "csv":
         return render.dump_csv(rows, fields), args.out
     echo = {k: (v if isinstance(v, (int, bool, float)) or v is None else str(v))

@@ -3,23 +3,27 @@
 The measure is normalized so the whole set has mass 1; every level-n
 basic interval (the closed interval over an allowed n-digit prefix)
 then carries mass (#digits)^-n.  `cantor_cdf` evaluates the cumulative
-distribution exactly for any rational, walking the base-b digit stream
-and closing eventual cycles with a geometric-series identity, so the
-measure of any rational interval is an exact Fraction.
+distribution exactly for any rational r/q on integers alone: the
+remainder r stays an integer mod q and the mass below x accumulates as
+an integer over a power of #digits.  The digit stream of r/q is periodic
+after a pre-period s read off from q (the number of times gcd(q, b) can
+be divided out), so the cycle closes the first time the remainder
+returns to its value at step s, with a geometric-series identity.  The
+measure of any rational interval is therefore an exact Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .enclosures import LogRatioSource, RealEnclosure
 from .errors import InputError, ResourceBudgetError
-from .intervals import Pair, RatInterval, merge_pairs, total_length
-from . import intervals
+from .intervals import Pair, RatInterval, clip_union, merge_pairs
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -111,9 +115,14 @@ class MissingDigitSet:
                 return False
         return True
 
-    @property
+    @cached_property
     def _digitset(self) -> frozenset:
         return frozenset(self.digits)
+
+    @cached_property
+    def _below(self) -> tuple[int, ...]:
+        """Number of allowed digits strictly below each digit 0..b-1."""
+        return tuple(sum(1 for j in self.digits if j < d) for d in range(self.base))
 
     def allowed_prefixes(self, level: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
         """Sorted integer prefixes of the level-n basic intervals."""
@@ -305,40 +314,47 @@ class CantorMeasureValue:
 def cantor_cdf(dset: MissingDigitSet, x: Fraction) -> Fraction:
     """mu([0, x]) exactly, for rational x.
 
-    Walks the digit stream of x; each digit d contributes the mass of
-    the allowed cells strictly below d at that level.  Rational
-    remainders eventually repeat, and a repeat closes to an exact
-    geometric sum.
+    Walks the digit stream of x = r/q with the remainder r kept as an
+    integer mod q; each digit d adds the mass of the allowed cells
+    strictly below d at that level, accumulated as the integer A over
+    m^k (m = #digits, k digits read).  Dividing gcd(q, b) out of q until
+    it is 1 counts the pre-period s: from step s on the remainders are
+    purely periodic.  When r first returns to its step-s value, k = s + L
+    and the tail repeats the same L digits forever, which sums to
+    (A - A_s) / (m^s (m^L - 1)).  A stream that terminates or reads a
+    disallowed digit ends at A / m^k.
     """
     if x <= 0:
         return _ZERO
     if x >= 1:
         return _ONE
     b, m = dset.base, dset.digit_count
-    allowed = dset._digitset
-    below = [sum(1 for j in dset.digits if j < d) for d in range(b)]
-    acc = _ZERO
-    weight = _ONE
-    seen: dict[Fraction, tuple[Fraction, Fraction]] = {}
-    rem = x
-    while True:
-        if rem == 0:
-            return acc
-        prev = seen.get(rem)
-        if prev is not None:
-            acc0, w0 = prev
-            # acc_final = acc0 + w0*G and = acc + w*G for the same tail G
-            ratio = weight / w0
-            return acc0 + (acc - acc0) / (1 - ratio)
-        seen[rem] = (acc, weight)
-        rem *= b
-        d = rem.__floor__()
-        rem -= d
-        if below[d]:
-            acc += weight * Fraction(below[d], m)
+    below, allowed = dset._below, dset._digitset
+    r, q = x.numerator, x.denominator
+    s, rest = 0, q
+    g = gcd(rest, b)
+    while g > 1:
+        rest //= g
+        s += 1
+        g = gcd(rest, b)
+    acc = 0
+    for k in range(1, s + 1):
+        d, r = divmod(r * b, q)
+        acc = acc * m + below[d]
         if d not in allowed:
-            return acc
-        weight /= m
+            return Fraction(acc, m ** k)
+    if r == 0:
+        return Fraction(acc, m ** s)
+    r_s, acc_s = r, acc
+    period = 0
+    while True:
+        d, r = divmod(r * b, q)
+        acc = acc * m + below[d]
+        period += 1
+        if d not in allowed:
+            return Fraction(acc, m ** (s + period))
+        if r == r_s:
+            return Fraction(acc - acc_s, m ** s * (m ** period - 1))
 
 
 def measure_pair(dset: MissingDigitSet, lo: Fraction, hi: Fraction) -> Fraction:
@@ -363,5 +379,5 @@ def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool
     bn = dset.base ** n
     r = Fraction(1, bn)
     balls = [(Fraction(p, bn) - r, Fraction(p, bn) + r) for p in range(bn + 1)]
-    clipped = intervals.clip_union(merge_pairs(balls), window.pair())
+    clipped = clip_union(merge_pairs(balls), window.pair())
     return measure_union(dset, clipped) == measure_pair(dset, window.lo, window.hi)

@@ -9,23 +9,24 @@ bounds.
 Exponents are carried symbolically as c * gamma^k where gamma is the
 set's similarity exponent log(#digits)/log(base).  That keeps the
 cancellations exact: b^(n*gamma) is exactly (#digits)^n, which is what
-makes the headline层 identities integer-checkable.
+makes the headline layer identities integer-checkable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from functools import partial
+from typing import Mapping, Optional, Union
 
-from .digitsets import (CantorMeasureValue, MissingDigitSet, enumerate_centers,
-                        center_count, measure_union)
+from . import enclosures
+from .digitsets import (CantorMeasureValue, MissingDigitSet, cantor_cdf,
+                        enumerate_centers, center_count, measure_union)
 from .enclosures import (Iv, LogRatioSource, RealEnclosure, iv_add, iv_div,
-                         iv_exact, iv_is_exact, iv_mul, iv_scale, rational_pow)
+                         iv_exact, iv_is_exact, iv_mul, iv_scale, ln_interval,
+                         pow_interval, rational_pow)
 from .errors import HypothesisViolation, InputError, PrecisionError
 from .intervals import Pair, RatInterval, intersect_unions, merge_pairs
-from . import intervals
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -65,13 +66,7 @@ class Scalar:
         if exact is not None:
             return iv_exact(self.coef * exact ** self.gexp)
         enc = dset.exponent_enclosure().refined_to(Fraction(1, 1 << bits))
-        g = enc.as_iv()
-        powed = g
-        for _ in range(abs(self.gexp) - 1):
-            powed = iv_mul(powed, g)
-        if self.gexp < 0:
-            powed = iv_div(iv_exact(_ONE), powed)
-        return iv_scale(powed, self.coef)
+        return self._iv_from_gamma(self.coef, self.gexp, enc.as_iv())
 
     @staticmethod
     def _iv_from_gamma(coef: Fraction, gexp: int, g: Iv) -> Iv:
@@ -133,7 +128,6 @@ class Scalar:
             return rational_pow(Fraction(dset.digit_count), self.coef, bits)
         # rare: go through an enclosure exponent
         expo = self.value_iv(dset, bits)
-        from .enclosures import pow_interval
         return pow_interval(iv_exact(b), expo, bits)
 
 
@@ -224,7 +218,6 @@ def psi_value(psi: ApproxFunction, dset: MissingDigitSet, n: int,
             if exact is None:
                 raise InputError("irrational log-exponent is not supported")
             u = Scalar(u.coef * exact ** u.gexp)
-        from .enclosures import ln_interval, pow_interval
         logr = iv_scale(ln_interval(Fraction(dset.base), bits + 16), Fraction(n))
         val = iv_mul(power_part, pow_interval(logr, iv_exact(-u.coef), bits))
     else:
@@ -276,12 +269,10 @@ def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
                 raise InputError("f(power_log psi) needs a rational combined log exponent")
             su = Scalar(su.coef * exact ** su.gexp)
         power_part = sa.scale(Fraction(-n)).evaluate_base_power(dset, bits)
-        from .enclosures import ln_interval, pow_interval
         logr = iv_scale(ln_interval(Fraction(dset.base), bits + 16), Fraction(n))
         return iv_mul(power_part, pow_interval(logr, iv_exact(-su.coef), bits))
     # generic: evaluate psi then apply the power
     val = psi_value(psi, dset, n, bits)
-    from .enclosures import pow_interval
     return pow_interval(val, s.value_iv(dset, bits), bits)
 
 
@@ -312,9 +303,24 @@ class WindowConfig:
         return WindowConfig.for_window(RatInterval.unit(), base)
 
 
+def _ball_pairs(centers, window: RatInterval, radius: Fraction) -> list[Pair]:
+    out = []
+    for c in centers:
+        lo, hi = max(c - radius, window.lo), min(c + radius, window.hi)
+        if lo <= hi:
+            out.append((lo, hi))
+    return out
+
+
 @dataclass(frozen=True)
 class Layer:
-    """The finite union of psi-balls at one level, clipped to the window."""
+    """The finite union of psi-balls at one level, clipped to the window.
+
+    `union_lo` and `union_hi` are the merged ball unions at the inner and
+    the outer radius (the same union when the radius is exact), and `cdf`
+    maps each of their endpoints to its `cantor_cdf` value.  They are
+    built once with the layer; every measure below only looks them up.
+    """
 
     n: int
     dset: MissingDigitSet
@@ -323,15 +329,12 @@ class Layer:
     radius: Iv
     centers: tuple[Fraction, ...]
     disjoint: bool
+    union_lo: tuple[Pair, ...] = field(compare=False, repr=False)
+    union_hi: tuple[Pair, ...] = field(compare=False, repr=False)
+    cdf: Mapping[Fraction, Fraction] = field(compare=False, repr=False)
 
     def ball_pairs(self, radius: Fraction) -> list[Pair]:
-        w_lo, w_hi = self.window.lo, self.window.hi
-        out = []
-        for c in self.centers:
-            lo, hi = max(c - radius, w_lo), min(c + radius, w_hi)
-            if lo <= hi:
-                out.append((lo, hi))
-        return out
+        return _ball_pairs(self.centers, self.window, radius)
 
     def union_pairs(self, radius: Optional[Fraction] = None) -> list[Pair]:
         r = radius if radius is not None else self.radius[0]
@@ -354,29 +357,42 @@ def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
         if c + radius[1] >= w_lo and c - radius[1] <= w_hi:
             centers.append(c)
     disjoint = radius[1] < Fraction(1, 2 * bn)
+    union_lo = tuple(merge_pairs(_ball_pairs(centers, cfg.window, radius[0])))
+    union_hi = (union_lo if iv_is_exact(radius) else
+                tuple(merge_pairs(_ball_pairs(centers, cfg.window, radius[1]))))
+    ends = dict.fromkeys(x for pair in union_lo + union_hi for x in pair)
+    cdf = {x: cantor_cdf(dset, x) for x in ends}
     return Layer(n=n, dset=dset, window=cfg.window, coprime=coprime,
-                 radius=radius, centers=tuple(centers), disjoint=disjoint)
+                 radius=radius, centers=tuple(centers), disjoint=disjoint,
+                 union_lo=union_lo, union_hi=union_hi, cdf=cdf)
+
+
+def _table_measure(union, cdf: Mapping[Fraction, Fraction]) -> Fraction:
+    """Measure of a merged union all of whose endpoints are keys of `cdf`."""
+    return sum((cdf[hi] - cdf[lo] for lo, hi in union), _ZERO)
 
 
 def layer_measure(layer: Layer) -> CantorMeasureValue:
     """Exact measure of the ball union (bounds when the radius is inexact)."""
-    lo_m = measure_union(layer.dset, layer.union_pairs(layer.radius[0]))
+    lo_m = _table_measure(layer.union_lo, layer.cdf)
     if iv_is_exact(layer.radius):
         return CantorMeasureValue(lo_m, lo_m)
-    hi_m = measure_union(layer.dset, layer.union_pairs(layer.radius[1]))
-    return CantorMeasureValue(lo_m, hi_m)
+    return CantorMeasureValue(lo_m, _table_measure(layer.union_hi, layer.cdf))
 
 
 def pairwise_measure(layer_m: Layer, layer_n: Layer) -> CantorMeasureValue:
-    """Exact measure of the intersection of two layers over one window."""
+    """Exact measure of the intersection of two layers over one window.
+
+    Every endpoint of the intersection of two merged unions is an
+    endpoint of one of them, so the two layers' tables cover it.
+    """
     if layer_m.dset != layer_n.dset or layer_m.window != layer_n.window:
         raise InputError("layers must share their set and window")
-    lo = measure_union(layer_m.dset, intersect_unions(
-        layer_m.union_pairs(layer_m.radius[0]), layer_n.union_pairs(layer_n.radius[0])))
+    cdf = {**layer_n.cdf, **layer_m.cdf}
+    lo = _table_measure(intersect_unions(layer_m.union_lo, layer_n.union_lo), cdf)
     if iv_is_exact(layer_m.radius) and iv_is_exact(layer_n.radius):
         return CantorMeasureValue(lo, lo)
-    hi = measure_union(layer_m.dset, intersect_unions(
-        layer_m.union_pairs(layer_m.radius[1]), layer_n.union_pairs(layer_n.radius[1])))
+    hi = _table_measure(intersect_unions(layer_m.union_hi, layer_n.union_hi), cdf)
     return CantorMeasureValue(lo, hi)
 
 
@@ -391,7 +407,6 @@ def layer_comparator(dset: MissingDigitSet, psi: ApproxFunction, n: int,
             return iv_scale(val, window_measure)
     val = psi_value(psi, dset, n, bits)
     scaled = iv_scale(val, Fraction(dset.base) ** n)
-    from .enclosures import pow_interval
     g = dset.exponent_enclosure().refined_to(Fraction(1, 1 << bits))
     powed = pow_interval(scaled, g.as_iv(), bits)
     return iv_scale(powed, window_measure)
@@ -438,15 +453,45 @@ def classify_pair_case(dset: MissingDigitSet, psi: ApproxFunction,
     raise PrecisionError(f"case split undecided for pair ({m},{n})")
 
 
+def _layer_at(dset: MissingDigitSet, psi: ApproxFunction, cfg: WindowConfig,
+              coprime: bool, n: int) -> Layer:
+    # the pool pickles this function by name; the public build_layer may be
+    # rebound to an unpicklable wrapper (perfbench/trace_op.py does so)
+    return build_layer(dset, psi, n, cfg, coprime)
+
+
+def _set_refine_cap(steps: int) -> None:
+    enclosures.MAX_REFINE_STEPS = steps
+
+
 def quasi_independence_scan(dset: MissingDigitSet, psi: ApproxFunction,
                             cfg: WindowConfig, n_max: int, m_min: int = 1,
-                            coprime: bool = True) -> ScanReport:
-    """Exact pairwise ratios rho = mu(A_m ∩ A_n) mu(B) / (mu(A_m) mu(A_n))."""
+                            coprime: bool = True, workers: int = 1) -> ScanReport:
+    """Exact pairwise ratios rho = mu(A_m ∩ A_n) mu(B) / (mu(A_m) mu(A_n)).
+
+    With workers > 1 the layers, tables included, are built in that many
+    processes; the pairs then only look up the layers' tables.
+    """
     if n_max <= m_min:
         raise InputError("need m_min < n_max")
     mu_b = measure_union(dset, [cfg.window.pair()])
-    layers = {k: build_layer(dset, psi, k, cfg, coprime)
-              for k in range(m_min, n_max + 1)}
+    levels = range(m_min, n_max + 1)
+    build = partial(_layer_at, dset, psi, cfg, coprime)
+    if workers > 1:
+        # imported only here: concurrent.futures.process takes about 24 ms
+        # to import, which every serial call would otherwise pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # spawned workers start from a fresh import, so they are handed
+        # the refinement cap in force here
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_set_refine_cap,
+                                 initargs=(enclosures.MAX_REFINE_STEPS,)) as pool:
+            built = list(pool.map(build, levels))
+    else:
+        built = list(map(build, levels))
+    layers = dict(zip(levels, built))
     measures = {k: layer_measure(v) for k, v in layers.items()}
     rows = []
     skipped = []
@@ -602,8 +647,9 @@ def borel_cantelli_ratio(dset: MissingDigitSet, psi: ApproxFunction,
             den_lo += 2 * inter.lo
             den_hi += 2 * inter.hi
     ratio = iv_div((num_lo * num_lo, num_hi * num_hi), (den_lo, den_hi))
-    union = measure_union(dset, merge_pairs(
-        [p for l in layers for p in l.ball_pairs(l.radius[1])]))
+    # the union's endpoints are endpoints of the layers' outer unions
+    cdf = {x: v for l in layers for x, v in l.cdf.items()}
+    union = _table_measure(merge_pairs([p for l in layers for p in l.union_hi]), cdf)
     return BorelCantelliReport(q=q, ratio=ratio, union_measure=union,
                                layer_measures=tuple(measures))
 

@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from cantorapprox import enclosures
 from cantorapprox.cli import main, run_command
 
 # one fast fixture configuration per subcommand
@@ -105,6 +106,36 @@ def test_workers_match_sequential():
     par, _ = run_command(["quasi-scan", "--psi", "pow:2", "--nmax", "5",
                           "--workers", "2"])
     assert (json.loads(seq)["results"] == json.loads(par)["results"])
+
+
+@pytest.mark.parametrize("tau", ["3", "5/2"])
+def test_xi_verify_reaches_the_last_truncation(tau):
+    # the default --cf-depth 60 stops short of the convergent of the
+    # sixth truncation; the expansion is deepened until it reaches it
+    text, _ = run_command(["xi-verify", "--tau", tau, "--terms", "7"])
+    res = json.loads(text)["results"]
+    assert [r["s"] for r in res["legendre"]] == [1, 2, 3, 4, 5, 6]
+    assert res["legendre"][-1]["verdict"] == "yes"
+    assert res["cf_certified_depth"] > 60
+
+
+def test_xi_verify_keeps_a_sufficient_depth():
+    text, _ = run_command(["xi-verify", "--tau", "3", "--terms", "5"])
+    assert json.loads(text)["results"]["cf_certified_depth"] == 60
+
+
+def test_precision_budget_does_not_leak():
+    default = enclosures.MAX_REFINE_STEPS
+    argv = ["cf", "--x", "gamma", "--depth", "30"]
+    budgeted, _ = run_command(argv + ["--precision-budget", "1"])
+    later, _ = run_command(argv)
+    assert enclosures.MAX_REFINE_STEPS == default
+    assert (json.loads(budgeted)["results"]["certified_depth"]
+            < json.loads(later)["results"]["certified_depth"] == 30)
+    # a command that fails restores the cap too
+    assert main(["quasi-scan", "--psi", "pow:2", "--nmax", "1",
+                 "--precision-budget", "2"]) == 2
+    assert enclosures.MAX_REFINE_STEPS == default
 
 
 def test_config_file_and_override(tmp_path):

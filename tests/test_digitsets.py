@@ -10,7 +10,7 @@ from cantorapprox import (InputError, MissingDigitSet, RatInterval, RealEnclosur
                           enumerate_centers, full_cover_check, measure_union,
                           membership)
 
-from oracles import oracle_measure
+from oracles import oracle_cdf, oracle_measure
 
 K = MissingDigitSet.middle_thirds()
 
@@ -131,6 +131,49 @@ def test_self_similarity(a, b, digit):
     inner = cantor_measure(K, RatInterval.make(lo, hi)).value
     outer = cantor_measure(K, RatInterval.make(3 * lo - digit, 3 * hi - digit)).value
     assert inner == outer / 2
+
+
+PRIMES = [p for p in range(2, 10_000) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+CDF_SETS = (K, MissingDigitSet(4, (0, 3)), MissingDigitSet(5, (0, 2, 3)))
+
+
+def _block(digits, base: int) -> int:
+    v = 0
+    for d in digits:
+        v = v * base + d
+    return v
+
+
+@st.composite
+def set_and_point(draw):
+    """A set and a rational whose denominator is a power of its base, a
+    prime below 10^4 (digit cycles as long as the base's order mod p),
+    or both multiplied; or a point of the set whose expansion is a
+    pre-period and a period of up to 60 allowed digits, which is the
+    only kind of point whose cycle the CDF has to close."""
+    dset = draw(st.sampled_from(CDF_SETS))
+    b = dset.base
+    kind = draw(st.sampled_from(("power", "prime", "product", "in-set")))
+    if kind == "in-set":
+        allowed = st.sampled_from(dset.digits)
+        pre = draw(st.lists(allowed, max_size=6))
+        size = draw(st.integers(min_value=1, max_value=60))
+        period = draw(st.lists(allowed, min_size=size, max_size=size))
+        cycle = b ** len(period) - 1
+        return dset, F(_block(pre, b) * cycle + _block(period, b), b ** len(pre) * cycle)
+    den = 1
+    if kind != "prime":
+        den *= b ** draw(st.integers(min_value=1, max_value=8))
+    if kind != "power":
+        den *= draw(st.sampled_from(PRIMES))
+    return dset, F(draw(st.integers(min_value=0, max_value=den)), den)
+
+
+@given(set_and_point())
+@settings(max_examples=200, deadline=None)
+def test_cdf_matches_block_oracle(case):
+    dset, x = case
+    assert cantor_cdf(dset, x) == oracle_cdf(dset, x, level=3)
 
 
 @given(small_rat, small_rat)

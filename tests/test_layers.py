@@ -11,6 +11,8 @@ from cantorapprox import (ApproxFunction, DimensionFunction, HypothesisViolation
                           layer_measure, natural_cover_tail, pairwise_measure,
                           quasi_independence_scan, series_classify, series_term,
                           truncate_psi)
+from cantorapprox.digitsets import cantor_cdf, measure_union
+from cantorapprox.intervals import intersect_unions
 from cantorapprox.layers import classify_pair_case, psi_value
 from cantorapprox.enclosures import iv_div
 
@@ -262,7 +264,6 @@ def test_irrational_radius_bounds_mode():
     # bounds may collapse when the measure is radius-insensitive on the
     # enclosure; they must stay ordered and bracket the inner-radius value
     assert mu.lo <= mu.hi
-    from cantorapprox.digitsets import measure_union
     assert mu.lo == measure_union(K, layer.union_pairs(layer.radius[0]))
 
 
@@ -276,3 +277,31 @@ def test_pairwise_symmetric_bound(m, n):
     ln_ = build_layer(K, PSI2, n, CFG, True)
     inter = pairwise_measure(lm, ln_).value
     assert inter <= min(layer_measure(lm).value, layer_measure(ln_).value)
+
+
+@pytest.mark.parametrize("psi", [PSI2, ApproxFunction.power(F(3, 2))],
+                         ids=["pow:2", "pow:3/2"])
+def test_layer_tables_match_fresh_union_measures(psi):
+    cfg = WindowConfig.for_window(RatInterval.make(F(1, 7), F(5, 6)), 3)
+    layers = [build_layer(K, psi, n, cfg, coprime) for n in range(1, 6)
+              for coprime in (True, False)]
+    for layer in layers:
+        assert list(layer.union_lo) == layer.union_pairs(layer.radius[0])
+        assert list(layer.union_hi) == layer.union_pairs(layer.radius[1])
+        assert all(v == cantor_cdf(K, x) for x, v in layer.cdf.items())
+        mu = layer_measure(layer)
+        assert mu.lo == measure_union(K, layer.union_pairs(layer.radius[0]))
+        assert mu.hi == measure_union(K, layer.union_pairs(layer.radius[1]))
+    for lm in layers:
+        for ln_ in layers:
+            inter = pairwise_measure(lm, ln_)
+            assert [inter.lo, inter.hi] == [
+                measure_union(K, intersect_unions(lm.union_pairs(lm.radius[i]),
+                                                  ln_.union_pairs(ln_.radius[i])))
+                for i in (0, 1)]
+
+
+def test_scan_workers_match_serial():
+    psi = ApproxFunction.power(F(3, 2))
+    serial = quasi_independence_scan(K, psi, CFG, 6)
+    assert quasi_independence_scan(K, psi, CFG, 6, workers=2) == serial
