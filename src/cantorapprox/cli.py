@@ -216,7 +216,7 @@ def _scan_row_payload(row):
 def cmd_quasi_scan(args, dset):
     cfg = _window_cfg(args, dset)
     rep = quasi_independence_scan(dset, _psi_of(args), cfg, args.nmax, args.mmin,
-                                  args.coprime, workers=args.workers)
+                                  args.coprime)
     results = {
         "window_measure": render.rational_json(rep.window_measure),
         "pairs": [_scan_row_payload(r) for r in rep.rows],
@@ -311,26 +311,21 @@ def cmd_xi_build(args, dset):
     return results, rows, ["s", "exponent", "p", "q"]
 
 
-def _cf_reaching(x, depth: int, q: int):
-    """The certified expansion of x to `depth` quotients, re-expanded at
-    twice the depth for as long as every quotient asked for is certified
-    and the last convergent's denominator is still below q."""
-    cf = continued_fraction_expand(x, depth)
-    while cf.certified_depth == depth and cf.convergents[-1][1] < q:
-        depth *= 2
-        cf = continued_fraction_expand(x, depth)
-    return cf
-
-
 def cmd_xi_verify(args, dset):
     x = build_xi(args)
     reports, s_min = truncation_reports(x)
     depth = args.depth or x.exponent(x.terms)
     verdict = membership(x, dset, depth)
+    cf_depth = args.cf_depth
+    cf = continued_fraction_expand(x, cf_depth)
     truncations = [x.truncation(s) for s in range(1, x.terms)]
-    # a Legendre-certified truncation must be found among the convergents,
-    # so the expansion has to reach the largest denominator checked
-    cf = _cf_reaching(x, args.cf_depth, truncations[-1][1])
+    # a truncation certified by Legendre's bound must be among the
+    # convergents: double the expansion depth until they all are, or until
+    # the expansion stops short of the depth asked for
+    certified = {pq for pq in truncations if legendre_is_convergent(*pq, x) == "yes"}
+    while cf.certified_depth == cf_depth and not certified <= set(cf.convergents):
+        cf_depth *= 2
+        cf = continued_fraction_expand(x, cf_depth)
     legendre = [{"s": s, "verdict": legendre_is_convergent(p, q, x, cf)}
                 for s, (p, q) in enumerate(truncations, start=1)]
     rows = []
@@ -446,7 +441,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--output", choices=("json", "csv"), default="json")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; every command runs serially")
     p.add_argument("--precision-budget", type=int, default=None,
                    help="override the enclosure refinement step cap")
     p.add_argument("--timing", action="store_true",
@@ -527,7 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_xi(p)
     p.add_argument("--depth", type=int, default=None,
                    help="membership depth (default: the last exponent)")
-    p.add_argument("--cf-depth", type=int, default=60)
+    p.add_argument("--cf-depth", type=int, default=60,
+                   help="continued-fraction depth, doubled while a Legendre-"
+                        "certified truncation is not among the convergents")
 
     p = sub("cf")
     _add_xi(p)

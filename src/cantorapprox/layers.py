@@ -14,12 +14,11 @@ makes the headline layer identities integer-checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
-from . import enclosures
 from .digitsets import (CantorMeasureValue, MissingDigitSet, cantor_cdf,
                         enumerate_centers, center_count, measure_union)
 from .enclosures import (Iv, LogRatioSource, RealEnclosure, iv_add, iv_div,
@@ -303,23 +302,14 @@ class WindowConfig:
         return WindowConfig.for_window(RatInterval.unit(), base)
 
 
-def _ball_pairs(centers, window: RatInterval, radius: Fraction) -> list[Pair]:
-    out = []
-    for c in centers:
-        lo, hi = max(c - radius, window.lo), min(c + radius, window.hi)
-        if lo <= hi:
-            out.append((lo, hi))
-    return out
-
-
 @dataclass(frozen=True)
 class Layer:
     """The finite union of psi-balls at one level, clipped to the window.
 
     `union_lo` and `union_hi` are the merged ball unions at the inner and
     the outer radius (the same union when the radius is exact), and `cdf`
-    maps each of their endpoints to its `cantor_cdf` value.  They are
-    built once with the layer; every measure below only looks them up.
+    maps each of their endpoints to its `cantor_cdf` value.  Each is
+    computed once, on first use; every measure below only looks them up.
     """
 
     n: int
@@ -329,16 +319,34 @@ class Layer:
     radius: Iv
     centers: tuple[Fraction, ...]
     disjoint: bool
-    union_lo: tuple[Pair, ...] = field(compare=False, repr=False)
-    union_hi: tuple[Pair, ...] = field(compare=False, repr=False)
-    cdf: Mapping[Fraction, Fraction] = field(compare=False, repr=False)
 
     def ball_pairs(self, radius: Fraction) -> list[Pair]:
-        return _ball_pairs(self.centers, self.window, radius)
+        w_lo, w_hi = self.window.lo, self.window.hi
+        out = []
+        for c in self.centers:
+            lo, hi = max(c - radius, w_lo), min(c + radius, w_hi)
+            if lo <= hi:
+                out.append((lo, hi))
+        return out
 
     def union_pairs(self, radius: Optional[Fraction] = None) -> list[Pair]:
         r = radius if radius is not None else self.radius[0]
         return merge_pairs(self.ball_pairs(r))
+
+    @cached_property
+    def union_lo(self) -> tuple[Pair, ...]:
+        return tuple(self.union_pairs(self.radius[0]))
+
+    @cached_property
+    def union_hi(self) -> tuple[Pair, ...]:
+        if iv_is_exact(self.radius):
+            return self.union_lo
+        return tuple(self.union_pairs(self.radius[1]))
+
+    @cached_property
+    def cdf(self) -> Mapping[Fraction, Fraction]:
+        ends = dict.fromkeys(x for pair in self.union_lo + self.union_hi for x in pair)
+        return {x: cantor_cdf(self.dset, x) for x in ends}
 
 
 def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
@@ -357,14 +365,8 @@ def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
         if c + radius[1] >= w_lo and c - radius[1] <= w_hi:
             centers.append(c)
     disjoint = radius[1] < Fraction(1, 2 * bn)
-    union_lo = tuple(merge_pairs(_ball_pairs(centers, cfg.window, radius[0])))
-    union_hi = (union_lo if iv_is_exact(radius) else
-                tuple(merge_pairs(_ball_pairs(centers, cfg.window, radius[1]))))
-    ends = dict.fromkeys(x for pair in union_lo + union_hi for x in pair)
-    cdf = {x: cantor_cdf(dset, x) for x in ends}
     return Layer(n=n, dset=dset, window=cfg.window, coprime=coprime,
-                 radius=radius, centers=tuple(centers), disjoint=disjoint,
-                 union_lo=union_lo, union_hi=union_hi, cdf=cdf)
+                 radius=radius, centers=tuple(centers), disjoint=disjoint)
 
 
 def _table_measure(union, cdf: Mapping[Fraction, Fraction]) -> Fraction:
@@ -453,45 +455,18 @@ def classify_pair_case(dset: MissingDigitSet, psi: ApproxFunction,
     raise PrecisionError(f"case split undecided for pair ({m},{n})")
 
 
-def _layer_at(dset: MissingDigitSet, psi: ApproxFunction, cfg: WindowConfig,
-              coprime: bool, n: int) -> Layer:
-    # the pool pickles this function by name; the public build_layer may be
-    # rebound to an unpicklable wrapper (perfbench/trace_op.py does so)
-    return build_layer(dset, psi, n, cfg, coprime)
-
-
-def _set_refine_cap(steps: int) -> None:
-    enclosures.MAX_REFINE_STEPS = steps
-
-
 def quasi_independence_scan(dset: MissingDigitSet, psi: ApproxFunction,
                             cfg: WindowConfig, n_max: int, m_min: int = 1,
-                            coprime: bool = True, workers: int = 1) -> ScanReport:
+                            coprime: bool = True) -> ScanReport:
     """Exact pairwise ratios rho = mu(A_m ∩ A_n) mu(B) / (mu(A_m) mu(A_n)).
 
-    With workers > 1 the layers, tables included, are built in that many
-    processes; the pairs then only look up the layers' tables.
+    Each layer is built once; the pairs only look up the layers' tables.
     """
     if n_max <= m_min:
         raise InputError("need m_min < n_max")
     mu_b = measure_union(dset, [cfg.window.pair()])
-    levels = range(m_min, n_max + 1)
-    build = partial(_layer_at, dset, psi, cfg, coprime)
-    if workers > 1:
-        # imported only here: concurrent.futures.process takes about 24 ms
-        # to import, which every serial call would otherwise pay
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # spawned workers start from a fresh import, so they are handed
-        # the refinement cap in force here
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=_set_refine_cap,
-                                 initargs=(enclosures.MAX_REFINE_STEPS,)) as pool:
-            built = list(pool.map(build, levels))
-    else:
-        built = list(map(build, levels))
-    layers = dict(zip(levels, built))
+    layers = {k: build_layer(dset, psi, k, cfg, coprime)
+              for k in range(m_min, n_max + 1)}
     measures = {k: layer_measure(v) for k, v in layers.items()}
     rows = []
     skipped = []
