@@ -19,8 +19,7 @@ from .contfrac import (cf_prefix_interval, continued_fraction_expand,
                        irrationality_exponent_estimate, legendre_is_convergent,
                        prefix_interval_disjoint_from)
 from .digitsets import MissingDigitSet, cantor_measure, full_cover_check, membership
-from .enclosures import (AffineSource, RealEnclosure, SqrtSource,
-                         golden_ratio_source)
+from .enclosures import RealEnclosure, SqrtSource, golden_ratio_source
 from .errors import InputError, PrecisionError, ResourceBudgetError
 from .intervals import RatInterval
 from .layers import (ApproxFunction, DimensionFunction, Scalar, WindowConfig,

@@ -226,7 +226,7 @@ def cf_prefix_interval(quotients: Sequence[int]) -> PrefixInterval:
 
 
 def prefix_interval_disjoint_from(pi: PrefixInterval, dset: MissingDigitSet,
-                                  depth: int, budget: int = None) -> bool:
+                                  depth: int, budget: Optional[int] = None) -> bool:
     """True when the prefix interval misses every level-depth basic interval."""
     if depth < 1:
         raise InputError("depth must be >= 1")

@@ -1,10 +1,14 @@
 """Exact rationals and directed-rounded real enclosures.
 
 Certified values are either `fractions.Fraction` (exact) or two-sided
-rational enclosures [lo, hi] that provably contain the true real.  All
-endpoint arithmetic is exact; the only approximation ever made is an
-explicit series/root truncation with an explicit tail bound, so every
-enclosure is sound by construction.  Binary floating point is never used
+rational enclosures [lo, hi] that provably contain the true real.  The
+only approximation ever made is an explicit series/root truncation with
+an explicit tail bound, so every enclosure is sound by construction.
+Endpoint arithmetic is exact, with one exception: `ln_interval` sums its
+series in fixed-point integers rounded down in one pass and up in the
+other, and returns that result only when both passes round to the same
+output endpoints; otherwise it uses the exact `Fraction` sum.  Either
+way it returns the same enclosure.  Binary floating point is never used
 here.
 
 A `RealEnclosure` couples the current [lo, hi] with a refinable source.
@@ -191,6 +195,56 @@ def _ln2_interval(bits: int) -> Iv:
     return cached
 
 
+# Guard bits of the fixed-point ln series.  Its rounding error is a few
+# units of 2^-(bits+_GUARD) per term, so with 64 guard bits an output
+# endpoint is undecided only when the exact one lies within about
+# 2^-(bits+40) of the 2^-bits grid.
+_GUARD = 64
+
+
+def _scaled_floor_ceil(x: Fraction, shift: int) -> tuple[int, int]:
+    """floor and ceil of x * 2^shift."""
+    n = x.numerator << shift
+    return n // x.denominator, -(-n // x.denominator)
+
+
+def _ln_fixed(num: int, den: int, e: int, ln2: Iv, terms: int, bits: int,
+              guard: int) -> Optional[Iv]:
+    """The enclosure `ln_interval` rounds to the 2^-bits grid, or None if undecided.
+
+    With z = num/den in [0, 1/3), T the first `terms` atanh(z) terms and
+    tail their geometric tail bound, the exact path rounds
+    [2 T + e ln2_lo, 2 (T + tail) + e ln2_hi] outward.  Here the same sums
+    run on integers scaled by 2^(bits+guard), once with every step rounded
+    down and once rounded up, which brackets each endpoint between two
+    integers.  If both integers of a bracket round to the same grid point,
+    that point is the exact path's endpoint.
+    """
+    w = bits + guard
+    one = 1 << w
+    z_lo, z_hi = (num << w) // den, -(-(num << w) // den)
+    zsq_lo, zsq_hi = z_lo * z_lo >> w, -(-(z_hi * z_hi) >> w)
+    t_lo = t_hi = 0
+    p_lo, p_hi = z_lo, z_hi  # z^(2k+1)
+    for k in range(terms):
+        t_lo += p_lo // (2 * k + 1)
+        t_hi -= -p_hi // (2 * k + 1)
+        p_lo = p_lo * zsq_lo >> w
+        p_hi = -(-(p_hi * zsq_hi) >> w)
+    d = 2 * terms + 1
+    tail_lo = (p_lo << w) // (d * (one - zsq_lo))
+    tail_hi = -(-(p_hi << w) // (d * (one - zsq_hi)))
+    a_lo, a_hi = _scaled_floor_ceil(ln2[0] * e, w)
+    b_lo, b_hi = _scaled_floor_ceil(ln2[1] * e, w)
+    lo = (2 * t_lo + a_lo) >> guard
+    hi = -(-(2 * (t_hi + tail_hi) + b_hi) >> guard)
+    if ((2 * t_hi + a_hi) >> guard != lo
+            or -(-(2 * (t_lo + tail_lo) + b_lo) >> guard) != hi):
+        return None
+    g = 1 << bits
+    return (Fraction(lo, g), Fraction(hi, g))
+
+
 def ln_interval(x: Fraction, bits: int) -> Iv:
     """Enclosure of ln(x) with width <= 2^-bits (x > 0)."""
     if x <= 0:
@@ -205,12 +259,18 @@ def ln_interval(x: Fraction, bits: int) -> Iv:
     if y >= 2:  # guard against off-by-one from the integer estimate
         y /= 2
         e += 1
-    z = (y - 1) / (y + 1)  # in [0, 1/3)
     work = bits + 8
     terms = work // 3 + 4
+    ln2 = _ln2_interval(work) if e else iv_exact(_ZERO)
+    fast = _ln_fixed(y.numerator - y.denominator, y.numerator + y.denominator,
+                     e, ln2, terms, bits, _GUARD)
+    if fast is not None:
+        return fast
+    # an exact endpoint on (or extremely near) the grid: sum exactly
+    z = (y - 1) / (y + 1)  # in [0, 1/3)
     res = iv_scale(_atanh_interval(z, terms), Fraction(2))
     if e:
-        res = iv_add(res, iv_scale(_ln2_interval(work), Fraction(e)))
+        res = iv_add(res, iv_scale(ln2, Fraction(e)))
     return _round_out(res, bits)
 
 

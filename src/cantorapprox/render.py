@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from .digitsets import CantorMeasureValue
-from .enclosures import Iv
 
 DECIMAL_SIG_DIGITS = 15
 

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .digitsets import IN, OUT, MembershipResult, MissingDigitSet
 from .enclosures import (Iv, Real, RealEnclosure, as_enclosure, floor_power,
-                         iv_exact, rational_pow, sqrt_interval, SqrtSource)
+                         rational_pow)
 from .errors import InputError, PrecisionError
 
 _ONE = Fraction(1)

@@ -7,10 +7,18 @@ from hypothesis import strategies as st
 from cantorapprox import (AffineSource, InputError, LogRatioSource, PrecisionError,
                           RealEnclosure, SqrtSource, UndecidableFloorError,
                           canonicalize_rational, enclose_real, floor_power, iroot)
-from cantorapprox.enclosures import (_exp_point, iv_mul, ln_interval,
+from cantorapprox import enclosures
+from cantorapprox.enclosures import (_atanh_interval, _exp_point, _ln2_interval, _ln_fixed,
+                                     _round_out, iv_add, iv_mul, iv_scale, ln_interval,
                                      nthroot_interval, rational_pow)
 
 from oracles import gamma_cmp
+
+try:
+    import mpmath
+except ImportError:  # mpmath is a test extra
+    mpmath = None
+needs_mpmath = pytest.mark.skipif(mpmath is None, reason="needs mpmath")
 
 big = st.integers(min_value=-(2 ** 90), max_value=2 ** 90)
 nonzero = big.filter(lambda v: v != 0)
@@ -131,6 +139,143 @@ def test_ln_interval_sound(x):
     elo = _exp_point(lo, 64)
     ehi = _exp_point(hi, 64)
     assert elo[0] <= x <= ehi[1]
+
+
+def _exact_ln_interval(x: F, bits: int):
+    """ln_interval summed in exact Fractions: the reference for the fixed-point path."""
+    if x == 1:
+        return (F(0), F(0))
+    if x < 1:
+        lo, hi = _exact_ln_interval(1 / x, bits)
+        return (-hi, -lo)
+    e = (x.numerator // x.denominator).bit_length() - 1
+    y = x / (1 << e)
+    if y >= 2:
+        y /= 2
+        e += 1
+    z = (y - 1) / (y + 1)
+    work = bits + 8
+    terms = work // 3 + 4
+    res = iv_scale(_atanh_interval(z, terms), F(2))
+    if e:
+        res = iv_add(res, iv_scale(_ln2_interval(work), F(e)))
+    return _round_out(res, bits)
+
+
+ln_args = st.one_of(
+    st.fractions(min_value=F(1, 10 ** 6), max_value=F(1), max_denominator=10 ** 6),
+    st.builds(lambda k, s: 1 + F(s, k), st.integers(min_value=2, max_value=2 ** 200),
+              st.sampled_from([-1, 1])),
+    st.builds(lambda k: F(2) ** k, st.integers(min_value=-300, max_value=300)),
+    st.fractions(min_value=F(1, 1000), max_value=F(10 ** 6), max_denominator=10 ** 9),
+)
+ln_bits = st.integers(min_value=32, max_value=256)
+# the exact reference takes up to ~0.6 s on 5000-bit arguments at 48 bits
+big_ints = st.integers(min_value=2 ** 999, max_value=2 ** 5000)
+big_bits = st.integers(min_value=32, max_value=48)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ln_args, ln_bits)
+def test_ln_fixed_point_matches_exact(x, bits):
+    assert ln_interval(x, bits) == _exact_ln_interval(x, bits)
+
+
+@settings(max_examples=8, deadline=None)
+@given(big_ints, big_bits, st.booleans())
+def test_ln_fixed_point_matches_exact_on_large_integers(n, bits, invert):
+    x = 1 / F(n) if invert else F(n)
+    assert ln_interval(x, bits) == _exact_ln_interval(x, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=0, max_value=F(1, 3), max_denominator=2 ** 80).filter(
+           lambda z: z < F(1, 3)),
+       st.integers(min_value=0, max_value=60),
+       st.tuples(*[st.fractions(min_value=0, max_value=F(1, 16), max_denominator=2 ** 40)] * 2),
+       st.integers(min_value=1, max_value=12), st.integers(min_value=8, max_value=64))
+def test_ln_fixed_is_the_exact_rounding_for_any_term_count(z, e, widen, terms, bits):
+    # few terms and a wide ln 2 enclosure make every summand able to move the result
+    ln2 = (F(693, 1000) - widen[0], F(693, 1000) + widen[1])
+    unrounded = iv_add(iv_scale(_atanh_interval(z, terms), F(2)), iv_scale(ln2, F(e)))
+    got = _ln_fixed(z.numerator, z.denominator, e, ln2, terms, bits, 64)
+    if got is None:
+        # undecided only if an exact endpoint is within 2^-56 grid steps of the grid;
+        # the rounding error is below 2^8 units of 2^-(bits+64) for 12 terms
+        offsets = [v * 2 ** bits - (v * 2 ** bits).__floor__() for v in unrounded]
+        assert any(min(t, 1 - t) < F(1, 2 ** 56) for t in offsets)
+    else:
+        assert got == _round_out(unrounded, bits)
+
+
+def test_ln_exact_fallback_when_rounding_undecided(monkeypatch):
+    bits = 40
+    terms = (bits + 8) // 3 + 4
+    undecided = 0
+    for k in range(1, 40):
+        y = 1 + F(k, 41)
+        for guard in (0, 1):
+            got = _ln_fixed(y.numerator - y.denominator, y.numerator + y.denominator, 0,
+                            (F(0), F(0)), terms, bits, guard)
+            if got is None:
+                undecided += 1
+            else:  # a decided result is the exact one at any guard
+                assert got == _exact_ln_interval(y, bits)
+    assert undecided > 0
+    monkeypatch.setattr(enclosures, "_GUARD", 0)
+    for x in (F(3), F(10, 7), F(1, 3), F(2 ** 40 + 1), F(3) ** 700, F(2) ** 50):
+        assert ln_interval(x, bits) == _exact_ln_interval(x, bits)
+
+
+def _mp_fraction(raw) -> F:
+    sign, man, exp, _ = raw
+    v = F(man) * F(2) ** exp
+    return -v if sign else v
+
+
+def _mp_interval(f, prec: int):
+    """mpmath's interval for f(iv) at `prec` bits, as a pair of Fractions."""
+    saved = mpmath.iv.prec
+    mpmath.iv.prec = prec
+    try:
+        lo, hi = f(mpmath.iv)._mpi_
+    finally:
+        mpmath.iv.prec = saved
+    return _mp_fraction(lo), _mp_fraction(hi)
+
+
+def _mp_ln(iv, x: F):
+    return iv.log(iv.mpf(x.numerator) / iv.mpf(x.denominator))
+
+
+def _size(*xs: F) -> int:
+    return sum(x.numerator.bit_length() + x.denominator.bit_length() for x in xs)
+
+
+@needs_mpmath
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ln_args, big_ints.map(F)), ln_bits)
+def test_ln_interval_contains_mpmath_log(x, bits):
+    lo, hi = ln_interval(x, bits)
+    # twice the precision, and enough to hold x exactly
+    mlo, mhi = _mp_interval(lambda iv: _mp_ln(iv, x), 2 * bits + _size(x))
+    assert lo <= mlo <= mhi <= hi
+
+
+log_ratio_args = st.one_of(st.integers(min_value=2, max_value=2 ** 5000).map(F),
+                           st.fractions(min_value=F(1, 10 ** 6), max_value=F(10 ** 6),
+                                        max_denominator=10 ** 6).filter(lambda v: v != 1))
+
+
+@needs_mpmath
+@settings(max_examples=60, deadline=None)
+@given(log_ratio_args, log_ratio_args, st.integers(min_value=0, max_value=2))
+def test_log_ratio_source_contains_mpmath_ratio(num, den, level):
+    lo, hi = LogRatioSource(num, den).interval(level)
+    bits = enclosures.BASE_BITS << level
+    mlo, mhi = _mp_interval(lambda iv: _mp_ln(iv, num) / _mp_ln(iv, den),
+                            2 * bits + _size(num, den))
+    assert lo <= mlo <= mhi <= hi
 
 
 @given(st.integers(min_value=2, max_value=50), st.integers(min_value=2, max_value=9),
