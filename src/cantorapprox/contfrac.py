@@ -24,6 +24,8 @@ from .intervals import RatInterval
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+RATIO_BITS = 48  # width 2^-RATIO_BITS of each log q_{k+1} / log q_k enclosure
+
 
 @dataclass(frozen=True)
 class ContinuedFraction:
@@ -38,9 +40,6 @@ class ContinuedFraction:
     @property
     def certified_depth(self) -> int:
         return len(self.quotients)
-
-    def convergent_fractions(self) -> list[Fraction]:
-        return [Fraction(p, q) for p, q in self.convergents]
 
 
 def convergents_from_quotients(quotients: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -158,18 +157,13 @@ class ExponentEstimate:
     window: int
     min_denominator: int
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 def irrationality_exponent_estimate(cf: ContinuedFraction,
-                                    min_denominator: int = 2,
-                                    ratio_bits: int = 48) -> ExponentEstimate:
+                                    min_denominator: int = 2) -> ExponentEstimate:
     if len(cf.convergents) < 3:
         raise InputError("need at least 3 convergents")
     floor_q = max(2, min_denominator)
-    width = Fraction(1, 1 << ratio_bits)
+    width = Fraction(1, 1 << RATIO_BITS)
     ratios: list[tuple[Iv, tuple[int, int]]] = []
     for (_, q0), (_, q1) in zip(cf.convergents, cf.convergents[1:]):
         if q0 < floor_q:
@@ -226,13 +220,18 @@ def cf_prefix_interval(quotients: Sequence[int]) -> PrefixInterval:
 
 
 def prefix_interval_disjoint_from(pi: PrefixInterval, dset: MissingDigitSet,
-                                  depth: int, budget: Optional[int] = None) -> bool:
-    """True when the prefix interval misses every level-depth basic interval."""
+                                  depth: int) -> bool:
+    """True when the prefix interval misses every level-depth basic interval.
+
+    Only the cells [k, k+1]/b^depth that meet [lo, hi] are visited:
+    ceil(lo b^depth) - 1 <= k <= floor(hi b^depth).
+    """
     if depth < 1:
         raise InputError("depth must be >= 1")
-    kwargs = {} if budget is None else {"budget": budget}
     scale = dset.base ** depth
-    for k in dset.allowed_prefixes(depth, **kwargs):
+    first = -((-pi.lo * scale).__floor__()) - 1
+    last = (pi.hi * scale).__floor__()
+    for k in dset.allowed_prefixes(depth, first, last):
         cell_lo, cell_hi = Fraction(k, scale), Fraction(k + 1, scale)
         lo = max(pi.lo, cell_lo)
         hi = min(pi.hi, cell_hi)

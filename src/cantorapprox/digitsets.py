@@ -10,11 +10,18 @@ after a pre-period s read off from q (the number of times gcd(q, b) can
 be divided out), so the cycle closes the first time the remainder
 returns to its value at step s, with a geometric-series identity.  The
 measure of any rational interval is therefore an exact Fraction.
+
+Every enumeration of level-n basic intervals (cylinders) goes through
+`MissingDigitSet.allowed_prefixes`, which descends one digit at a time
+and keeps only the prefixes whose cylinders can still meet the target
+range of cells.  It refuses, with ResourceBudgetError, to return more
+than ENUM_BUDGET cells, and it detects that early.  The b-adic centers
+p/b^n in the set are read off the allowed prefixes: p/b^n ends in 0s
+after the digits of p, or in (b-1)s after the digits of p - 1.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +35,8 @@ from .intervals import Pair, RatInterval, clip_union, merge_pairs
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-DEFAULT_ENUM_BUDGET = 1 << 22
+ENUM_BUDGET = 1 << 22  # most cells one enumeration may return
+ENCLOSURE_CELL_BUDGET = 1 << 16  # most cells `_enclosure_status` inspects per level
 
 
 def _mult_dependent_exponent(count: int, base: int) -> Optional[Fraction]:
@@ -124,18 +132,29 @@ class MissingDigitSet:
         """Number of allowed digits strictly below each digit 0..b-1."""
         return tuple(sum(1 for j in self.digits if j < d) for d in range(self.base))
 
-    def allowed_prefixes(self, level: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
-        """Sorted integer prefixes of the level-n basic intervals."""
-        if self.digit_count ** level > budget:
-            raise ResourceBudgetError(
-                f"{self.digit_count}^{level} basic intervals exceed budget {budget}")
-        out = []
-        for combo in itertools.product(self.digits, repeat=level):
-            v = 0
-            for d in combo:
-                v = v * self.base + d
-            out.append(v)
-        out.sort()
+    def allowed_prefixes(self, level: int, first: int = 0,
+                         last: Optional[int] = None) -> list[int]:
+        """Sorted prefixes p of the level-n basic intervals with first <= p <= last.
+
+        Descends one digit at a time, keeping a prefix only while its
+        block of level-n cells still meets [first, last].  Every kept
+        prefix but the two outermost has its whole block inside, so
+        (kept - 2) * m^(levels left) cells are certain to come back.
+        """
+        b, m = self.base, self.digit_count
+        if last is None:
+            last = b ** level - 1
+        out = [0]
+        block = b ** level
+        for left in range(level - 1, -1, -1):
+            block //= b
+            out = [v for v in (p * b + d for p in out for d in self.digits)
+                   if v * block <= last and (v + 1) * block > first]
+            certain = len(out) if left == 0 else (len(out) - 2) * m ** left
+            if certain > ENUM_BUDGET:
+                raise ResourceBudgetError(
+                    f"more than {ENUM_BUDGET} level-{level} basic intervals "
+                    f"in cells {first}..{last}")
         return out
 
 
@@ -201,7 +220,7 @@ def _rational_in_set(dset: MissingDigitSet, x: Fraction) -> bool:
 
 
 def _enclosure_status(dset: MissingDigitSet, lo: Fraction, hi: Fraction,
-                      depth: int, cell_budget: int = 1 << 16) -> MembershipResult:
+                      depth: int) -> MembershipResult:
     """Shared verdict of all points of [lo, hi] at the given level, if any.
 
     Width-zero enclosures never reach here (they take the exact rational
@@ -215,7 +234,7 @@ def _enclosure_status(dset: MissingDigitSet, lo: Fraction, hi: Fraction,
         if lo * scale == k_start and k_start > 0:
             k_start -= 1  # cell touching lo from the left
         k_end = min((hi * scale).__floor__(), scale - 1)
-        if k_end - k_start + 1 > cell_budget:
+        if k_end - k_start + 1 > ENCLOSURE_CELL_BUDGET:
             return MembershipResult("undetermined", level)
         any_allowed = False
         interior_bad = False
@@ -250,35 +269,30 @@ def membership(x, dset: MissingDigitSet, depth: int = 1) -> MembershipResult:
     return IN if _rational_in_set(dset, x) else OUT
 
 
-def enumerate_centers(dset: MissingDigitSet, n: int, coprime: bool,
-                      budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
+def enumerate_centers(dset: MissingDigitSet, n: int, coprime: bool) -> list[int]:
     """Sorted p with p/b^n in the set (optionally with gcd(p, b^n) = 1).
 
-    Every such b-adic rational is an endpoint of some allowed level-n
-    basic interval, so candidates are the cylinder endpoints, verified
-    by the exact membership test.
+    p/b^n has the expansions "digits of p, then 0s" and, for p >= 1,
+    "digits of p - 1, then (b-1)s".  So it lies in the set exactly when
+    p is an allowed level-n prefix and 0 is a digit, or p - 1 is one and
+    b - 1 is a digit.  The allowed prefixes count toward ENUM_BUDGET.
     """
     if n < 1:
         raise InputError("level must be >= 1")
-    bn = dset.base ** n
-    candidates: set[int] = set()
-    for p in dset.allowed_prefixes(n, budget):
-        candidates.add(p)
-        candidates.add(p + 1)
-    out = []
-    for p in sorted(candidates):
-        if coprime and gcd(p, dset.base) != 1:
-            continue
-        if _rational_in_set(dset, Fraction(p, bn)):
-            out.append(p)
-    return out
+    prefixes = dset.allowed_prefixes(n)
+    centers: set[int] = set()
+    if 0 in dset._digitset:
+        centers.update(prefixes)
+    if dset.base - 1 in dset._digitset:
+        centers.update(p + 1 for p in prefixes)
+    return sorted(p for p in centers if not coprime or gcd(p, dset.base) == 1)
 
 
-def center_count(dset: MissingDigitSet, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
+def center_count(dset: MissingDigitSet, n: int) -> int:
     """#{0 <= p <= b^n : p/b^n in K}; closed form for non-adjacent digit sets."""
     if dset.non_adjacent and 0 in dset.digits and dset.base - 1 in dset.digits:
         return 2 * dset.digit_count ** n
-    return len(enumerate_centers(dset, n, coprime=False, budget=budget))
+    return len(enumerate_centers(dset, n, coprime=False))
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +387,16 @@ def cantor_measure(dset: MissingDigitSet, iv: RatInterval) -> CantorMeasureValue
 
 
 def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool:
-    """Whether the radius-b^-n balls around all p/b^n cover the window in measure."""
+    """Whether the radius-b^-n balls around all p/b^n cover the window in measure.
+
+    Only the balls that meet the window are built: p/b^n within b^-n of it.
+    """
     if n < 1:
         raise InputError("level must be >= 1")
     bn = dset.base ** n
     r = Fraction(1, bn)
-    balls = [(Fraction(p, bn) - r, Fraction(p, bn) + r) for p in range(bn + 1)]
+    first = max(-((-window.lo * bn).__floor__()) - 1, 0)  # ceil(lo b^n) - 1
+    last = min((window.hi * bn).__floor__() + 1, bn)
+    balls = [(Fraction(p, bn) - r, Fraction(p, bn) + r) for p in range(first, last + 1)]
     clipped = clip_union(merge_pairs(balls), window.pair())
     return measure_union(dset, clipped) == measure_pair(dset, window.lo, window.hi)

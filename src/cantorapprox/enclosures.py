@@ -133,14 +133,6 @@ def iv_scale(a: Iv, q: Fraction) -> Iv:
     return (a[1] * q, a[0] * q)
 
 
-def iv_width(a: Iv) -> Fraction:
-    return a[1] - a[0]
-
-
-def iv_contains(a: Iv, x: Fraction) -> bool:
-    return a[0] <= x <= a[1]
-
-
 def _round_out(a: Iv, bits: int) -> Iv:
     """Round endpoints outward onto the 2^-bits dyadic grid (keeps sizes tame)."""
     g = 1 << bits
@@ -471,12 +463,6 @@ class RealEnclosure:
     def as_iv(self) -> Iv:
         return (self.lo, self.hi)
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
     def refine(self) -> "RealEnclosure":
         if self.source is None:
             return self
@@ -502,15 +488,6 @@ class RealEnclosure:
         if self.source is None:
             return RealEnclosure(lo, hi)
         return RealEnclosure(lo, hi, AffineSource(self.source, mul=q), self.level)
-
-    def add_rational(self, q) -> "RealEnclosure":
-        q = Fraction(q)
-        src = None
-        if self.source is not None:
-            src = (AffineSource(self.source.base, self.source.mul, self.source.add + q)
-                   if isinstance(self.source, AffineSource)
-                   else AffineSource(self.source, add=q))
-        return RealEnclosure(self.lo + q, self.hi + q, src, self.level)
 
     def cmp_rational(self, x) -> int:
         """-1/0/+1 comparison against a rational, refining until decided.

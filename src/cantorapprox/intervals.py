@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 
@@ -39,14 +39,6 @@ class RatInterval:
         return RatInterval(max(lo, _ZERO), min(hi, _ONE))
 
     @staticmethod
-    def clip(lo, hi) -> Optional["RatInterval"]:
-        """[lo, hi] intersected with [0,1]; None if the result is empty."""
-        lo, hi = max(Fraction(lo), _ZERO), min(Fraction(hi), _ONE)
-        if lo > hi:
-            return None
-        return RatInterval(lo, hi)
-
-    @staticmethod
     def unit() -> "RatInterval":
         return RatInterval(_ZERO, _ONE)
 
@@ -58,21 +50,8 @@ class RatInterval:
     def radius(self) -> Fraction:
         return self.length / 2
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def pair(self) -> Pair:
         return (self.lo, self.hi)
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    def intersect(self, other: "RatInterval") -> Optional["RatInterval"]:
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return RatInterval(lo, hi)
 
 
 def merge_pairs(pairs: Iterable[Pair]) -> list[Pair]:

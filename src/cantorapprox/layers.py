@@ -31,6 +31,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 VALUE_BITS = 96  # working precision for inexact term values
+RADIUS_BITS = 128  # precision of the box-counting radius b^(-tau n)
 
 
 # ---------------------------------------------------------------------------
@@ -86,16 +87,9 @@ class Scalar:
         so values with different gamma powers are never equal.
         """
         if self.gexp == other.gexp or self.coef == 0 or other.coef == 0:
+            # gamma^k > 0, so the sign is that of the coefficient difference
             a, b = self.coef, other.coef
-            if (self.gexp == other.gexp or
-                    (self.coef == 0 and other.gexp == 0) or
-                    (other.coef == 0 and self.gexp == 0) or
-                    (self.coef == 0 and other.coef == 0)):
-                return (a > b) - (a < b)
-            # comparing against zero: sign(coef) since gamma^m > 0
-            if other.coef == 0:
-                return 1 if self.coef > 0 else -1
-            return -1 if other.coef > 0 else 1
+            return (a > b) - (a < b)
         exact = dset.exponent_fraction
         if exact is not None:
             a = self.coef * exact ** self.gexp
@@ -350,17 +344,16 @@ class Layer:
 
 
 def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
-                cfg: WindowConfig, coprime: bool, budget: int = None) -> Layer:
+                cfg: WindowConfig, coprime: bool) -> Layer:
     if n < 1:
         raise InputError("level must be >= 1")
-    kwargs = {} if budget is None else {"budget": budget}
     radius = psi_value(psi, dset, n, VALUE_BITS)
     if radius[0] <= 0:
         raise InputError("psi must be positive on the evaluation grid")
     bn = dset.base ** n
     w_lo, w_hi = cfg.window.lo, cfg.window.hi
     centers = []
-    for p in enumerate_centers(dset, n, coprime, **kwargs):
+    for p in enumerate_centers(dset, n, coprime):
         c = Fraction(p, bn)
         if c + radius[1] >= w_lo and c - radius[1] <= w_hi:
             centers.append(c)
@@ -651,19 +644,17 @@ class BoxDimensionEstimate:
 
 
 def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
-                           coprime: bool, budget: int = None,
-                           bits: int = 128) -> BoxDimensionEstimate:
+                           coprime: bool) -> BoxDimensionEstimate:
     tau = Fraction(tau)
     if tau < 1:
         raise InputError("need tau >= 1")
     level = -((-tau * n).__floor__())  # ceil(tau*n)
-    kwargs = {} if budget is None else {"budget": budget}
     b = dset.base
     bn = b ** n
     scale = b ** level  # counting grid
-    radius = rational_pow(Fraction(b), -tau * n, bits)
+    radius = rational_pow(Fraction(b), -tau * n, RADIUS_BITS)
     hit: set[int] = set()
-    for p in enumerate_centers(dset, n, coprime, **kwargs):
+    for p in enumerate_centers(dset, n, coprime):
         # cells [k, k+1]/scale meeting [c-r, c+r]: k in [c*scale - r*scale - 1, c*scale + r*scale]
         c_scaled = p * (scale // bn)
         k_lo_iv = (c_scaled - radius[1] * scale, c_scaled - radius[0] * scale)

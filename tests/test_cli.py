@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -165,6 +166,20 @@ def test_exit_code_validation_error(capsys):
 def test_exit_code_resource_error(capsys):
     # level 30 would enumerate 2^30 cylinders: over the enumeration budget
     assert main(["dim-estimate", "--tau", "2", "--n", "30"]) == 3
+
+
+def test_deep_cf_interval_over_wide_range_fails_fast(capsys):
+    # [1, ...] is (1/2, 1]: 2^29 cells at level 30 meet it
+    start = time.perf_counter()
+    assert main(["cf-interval", "--quotients", "1", "--depth", "30"]) == 3
+    assert time.perf_counter() - start < 1.0
+
+
+def test_deep_cf_interval_over_narrow_range_answers():
+    # [1, 1, ...] is [1/2, 2/3): only the cells near 1/2 and 2/3 are visited
+    assert main(["cf-interval", "--quotients", "1,1", "--depth", "30"]) == 0
+    text, _ = run_command(["cf-interval", "--quotients", "1,1", "--depth", "30"])
+    assert json.loads(text)["results"]["disjoint_from_set"] is True
 
 
 def test_unknown_subcommand_exits_2():

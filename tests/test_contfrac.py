@@ -247,3 +247,43 @@ def test_prefix_interval_contains_its_numbers(quotients):
     # extending the prefix stays inside
     ext = cf_prefix_interval(list(quotients) + [2])
     assert pi.lo <= ext.lo and ext.hi <= pi.hi
+
+
+def _disjoint_by_full_scan(pi, dset, depth):
+    """The prefix-interval check scanning every allowed level-depth cell."""
+    scale = dset.base ** depth
+    for k in dset.allowed_prefixes(depth):
+        cell_lo, cell_hi = F(k, scale), F(k + 1, scale)
+        lo = max(pi.lo, cell_lo)
+        hi = min(pi.hi, cell_hi)
+        if lo > hi:
+            continue
+        if lo < hi:
+            return False
+        if lo == pi.lo and not pi.lo_closed:
+            continue
+        if lo == pi.hi and not pi.hi_closed:
+            continue
+        return False
+    return True
+
+
+@given(st.sampled_from([MissingDigitSet(3, (0, 2)), MissingDigitSet(4, (0, 3)),
+                        MissingDigitSet(5, (0, 2, 3))]),
+       st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=10))
+@settings(max_examples=80, deadline=None)
+def test_prefix_interval_disjoint_matches_full_scan(dset, quotients, depth):
+    pi = cf_prefix_interval(quotients)
+    assert (prefix_interval_disjoint_from(pi, dset, depth)
+            == _disjoint_by_full_scan(pi, dset, depth))
+
+
+def test_prefix_interval_touching_endpoints_match_full_scan():
+    # prefix intervals with an endpoint on a cell boundary, open and closed
+    for dset in (K, MissingDigitSet(4, (0, 3))):
+        for quotients in ([1], [2], [3], [1, 1], [1, 2], [2, 1], [1, 3], [3, 1]):
+            pi = cf_prefix_interval(quotients)
+            for depth in range(1, 8):
+                assert (prefix_interval_disjoint_from(pi, dset, depth)
+                        == _disjoint_by_full_scan(pi, dset, depth)), (quotients, depth)

@@ -1,14 +1,20 @@
+import itertools
 import random
 from fractions import Fraction as F
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorapprox import (InputError, MissingDigitSet, RatInterval, RealEnclosure,
-                          cantor_cdf, cantor_measure, center_count,
-                          enumerate_centers, full_cover_check, measure_union,
-                          membership)
+                          ResourceBudgetError, cantor_cdf, cantor_measure,
+                          center_count, enumerate_centers, full_cover_check,
+                          measure_union, membership)
+from cantorapprox import digitsets
+from cantorapprox.digitsets import _rational_in_set, measure_pair
+from cantorapprox.intervals import clip_union, merge_pairs
 
 from oracles import oracle_cdf, oracle_measure
 
@@ -218,3 +224,125 @@ def test_full_cover(n):
 
 def test_full_cover_subwindow():
     assert full_cover_check(K, 3, RatInterval.make(F(2, 9), F(4, 9)))
+
+
+# ---------------------------------------------------------------------------
+# cylinder enumeration
+# ---------------------------------------------------------------------------
+
+BENCH_SETS = [MissingDigitSet(3, (0, 2)), MissingDigitSet(4, (0, 3)),
+              MissingDigitSet(5, (0, 2, 3))]
+
+
+@st.composite
+def cell_range(draw):
+    """A benchmark set, a level and a cell range that may overhang [0, b^level)."""
+    dset = draw(st.sampled_from(BENCH_SETS))
+    level = draw(st.integers(min_value=1, max_value=6))
+    top = dset.base ** level
+    first = draw(st.integers(min_value=-2, max_value=top + 1))
+    last = draw(st.integers(min_value=first - 2, max_value=top + 1))
+    return dset, level, first, last
+
+
+def _brute_prefixes(dset, level, first, last):
+    top = dset.base ** level
+    return [k for k in range(max(first, 0), min(last, top - 1) + 1)
+            if dset.prefix_allowed(k, level)]
+
+
+@given(cell_range())
+@settings(max_examples=150, deadline=None)
+def test_allowed_prefixes_match_brute_force(case):
+    dset, level, first, last = case
+    assert dset.allowed_prefixes(level, first, last) == _brute_prefixes(
+        dset, level, first, last)
+
+
+@pytest.mark.parametrize("dset", BENCH_SETS, ids=str)
+def test_allowed_prefixes_default_range_is_every_cylinder(dset):
+    for level in range(1, 6):
+        want = [k for k in range(dset.base ** level) if dset.prefix_allowed(k, level)]
+        assert dset.allowed_prefixes(level) == want
+        assert len(want) == dset.digit_count ** level
+
+
+@given(cell_range(), st.integers(min_value=-40, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_enumeration_budget_is_exact(case, offset):
+    dset, level, first, last = case
+    want = _brute_prefixes(dset, level, first, last)
+    budget = max(0, len(want) + offset)
+    with mock.patch.object(digitsets, "ENUM_BUDGET", budget):
+        if len(want) > budget:
+            with pytest.raises(ResourceBudgetError):
+                dset.allowed_prefixes(level, first, last)
+        else:
+            assert dset.allowed_prefixes(level, first, last) == want
+
+
+@pytest.mark.parametrize("dset", BENCH_SETS, ids=str)
+def test_enumeration_budget_is_exact_at_the_boundary(dset):
+    # every cell range at levels 1-3, with the budget at the count and one below
+    for level in range(1, 4):
+        top = dset.base ** level
+        for first in range(-1, top + 1):
+            for last in range(first, top + 1):
+                want = _brute_prefixes(dset, level, first, last)
+                with mock.patch.object(digitsets, "ENUM_BUDGET", len(want)):
+                    assert dset.allowed_prefixes(level, first, last) == want
+                if want:
+                    with mock.patch.object(digitsets, "ENUM_BUDGET", len(want) - 1):
+                        with pytest.raises(ResourceBudgetError):
+                            dset.allowed_prefixes(level, first, last)
+
+
+def test_enumeration_budget_full_range_condition():
+    # over the full range the rule is m^level > ENUM_BUDGET
+    level = digitsets.ENUM_BUDGET.bit_length() - 1  # 2^level == ENUM_BUDGET
+    with pytest.raises(ResourceBudgetError):
+        K.allowed_prefixes(level + 1)
+    with mock.patch.object(digitsets, "ENUM_BUDGET", 2 ** 10):
+        assert len(K.allowed_prefixes(10)) == 2 ** 10
+        with pytest.raises(ResourceBudgetError):
+            K.allowed_prefixes(11)
+
+
+def _centers_by_membership(dset, n, coprime):
+    """Cylinder endpoints verified one by one with the exact membership test."""
+    bn = dset.base ** n
+    candidates = set()
+    for p in dset.allowed_prefixes(n):
+        candidates.add(p)
+        candidates.add(p + 1)
+    return [p for p in sorted(candidates)
+            if not (coprime and gcd(p, dset.base) != 1)
+            and _rational_in_set(dset, F(p, bn))]
+
+
+def test_enumerate_centers_matches_membership_for_every_small_digit_set():
+    for base in range(3, 8):
+        for size in range(2, base):
+            for digits in itertools.combinations(range(base), size):
+                dset = MissingDigitSet(base, digits)
+                for n in range(1, 4):
+                    for coprime in (False, True):
+                        assert (enumerate_centers(dset, n, coprime)
+                                == _centers_by_membership(dset, n, coprime)), (dset, n)
+
+
+def _full_cover_all_balls(dset, n, window):
+    """The cover check with every one of the b^n + 1 balls built."""
+    bn = dset.base ** n
+    r = F(1, bn)
+    balls = [(F(p, bn) - r, F(p, bn) + r) for p in range(bn + 1)]
+    clipped = clip_union(merge_pairs(balls), window.pair())
+    return measure_union(dset, clipped) == measure_pair(dset, window.lo, window.hi)
+
+
+@given(st.sampled_from(BENCH_SETS), st.integers(min_value=1, max_value=5),
+       small_rat, small_rat)
+@settings(max_examples=120, deadline=None)
+def test_full_cover_matches_all_balls(dset, n, a, b):
+    window = RatInterval.make(min(a, b), max(a, b))
+    assert full_cover_check(dset, n, window) == _full_cover_all_balls(dset, n, window)

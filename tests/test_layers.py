@@ -297,3 +297,26 @@ def test_layer_tables_match_fresh_union_measures(psi):
                                                   ln_.union_pairs(ln_.radius[i])))
                 for i in (0, 1)]
 
+
+
+def _compare_before(x: Scalar, y: Scalar, dset: MissingDigitSet) -> int:
+    """Scalar.compare with its former case split for equal powers or a zero."""
+    if x.gexp == y.gexp or x.coef == 0 or y.coef == 0:
+        a, b = x.coef, y.coef
+        if (x.gexp == y.gexp or (x.coef == 0 and y.gexp == 0)
+                or (y.coef == 0 and x.gexp == 0) or (x.coef == 0 and y.coef == 0)):
+            return (a > b) - (a < b)
+        if y.coef == 0:
+            return 1 if x.coef > 0 else -1
+        return -1 if y.coef > 0 else 1
+    return x.compare(y, dset)
+
+
+@pytest.mark.parametrize("dset", [MissingDigitSet(3, (0, 2)), MissingDigitSet(4, (0, 3)),
+                                  MissingDigitSet(5, (0, 2, 3))], ids=str)
+def test_scalar_compare_grid(dset):
+    scalars = [Scalar(F(c), g) for c in (-2, F(-1, 2), 0, F(1, 3), 1)
+               for g in (-1, 0, 1, 2)]
+    for x in scalars:
+        for y in scalars:
+            assert x.compare(y, dset) == _compare_before(x, y, dset), (x, y)
