@@ -12,23 +12,20 @@ import argparse
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import calibration, enclosures, render
-from .contfrac import (cf_prefix_interval, continued_fraction_expand,
-                       irrationality_exponent_estimate, legendre_is_convergent,
-                       prefix_interval_disjoint_from)
 from .digitsets import MissingDigitSet, cantor_measure, full_cover_check, membership
 from .enclosures import RealEnclosure, SqrtSource, golden_ratio_source
 from .errors import InputError, PrecisionError, ResourceBudgetError
 from .intervals import RatInterval
-from .layers import (ApproxFunction, DimensionFunction, Scalar, WindowConfig,
-                     borel_cantelli_ratio, box_dimension_estimate, build_layer,
-                     layer_comparator, layer_measure, natural_cover_tail,
-                     pairwise_measure, quasi_independence_scan, series_classify,
-                     truncate_psi)
-from .sparse import (FactorialRule, PowerRule, SparseDigitNumber,
-                     build_sparse_number, truncation_reports)
+
+# Only what every command needs is imported above.  The layer,
+# continued-fraction and sparse-number families import their module in
+# the functions that use it, so a call loads only the code it runs.
+if TYPE_CHECKING:
+    from .layers import ApproxFunction, DimensionFunction, Scalar, WindowConfig
+    from .sparse import FactorialRule, PowerRule, SparseDigitNumber
 
 SCHEMA_VERSION = "1"
 
@@ -46,6 +43,7 @@ def parse_fraction(text: str) -> Fraction:
 
 def parse_scalar(text: str) -> Scalar:
     """rational | gamma | C*gamma | gamma/C | C/gamma."""
+    from .layers import Scalar
     t = text.strip()
     if t == "gamma":
         return Scalar(Fraction(1), 1)
@@ -83,6 +81,7 @@ def parse_table(text: str) -> dict[int, Fraction]:
 
 
 def parse_psi(text: str, trunc: Optional[str]) -> ApproxFunction:
+    from .layers import ApproxFunction, truncate_psi
     kind, _, arg = text.partition(":")
     if kind == "pow":
         sc = parse_scalar(arg)
@@ -102,6 +101,7 @@ def parse_psi(text: str, trunc: Optional[str]) -> ApproxFunction:
 
 
 def parse_f(text: str, table_witness: bool = True) -> DimensionFunction:
+    from .layers import DimensionFunction
     kind, _, arg = text.partition(":")
     if kind == "pow":
         sc = parse_scalar(arg)
@@ -112,6 +112,7 @@ def parse_f(text: str, table_witness: bool = True) -> DimensionFunction:
 
 
 def build_rule(args) -> PowerRule | FactorialRule:
+    from .sparse import FactorialRule, PowerRule
     if args.rule == "factorial":
         return FactorialRule()
     tau = parse_fraction(args.tau)
@@ -120,6 +121,7 @@ def build_rule(args) -> PowerRule | FactorialRule:
 
 
 def build_xi(args) -> SparseDigitNumber:
+    from .sparse import build_sparse_number
     return build_sparse_number(args.base_override or 3, args.coeff, build_rule(args),
                                args.terms)
 
@@ -148,6 +150,7 @@ def _psi_of(args) -> ApproxFunction:
 
 
 def _window_cfg(args, dset) -> WindowConfig:
+    from .layers import WindowConfig
     return WindowConfig.for_window(parse_window(args.window), dset.base)
 
 
@@ -163,6 +166,7 @@ def cmd_measure(args, dset):
 
 
 def cmd_layer(args, dset):
+    from .layers import build_layer, layer_comparator, layer_measure
     cfg = _window_cfg(args, dset)
     layer = build_layer(dset, _psi_of(args), args.n, cfg, args.coprime)
     mv = layer_measure(layer)
@@ -189,6 +193,7 @@ def cmd_layer(args, dset):
 
 
 def cmd_pairwise(args, dset):
+    from .layers import build_layer, layer_measure, pairwise_measure
     cfg = _window_cfg(args, dset)
     psi = _psi_of(args)
     lm = build_layer(dset, psi, args.m, cfg, args.coprime)
@@ -213,6 +218,7 @@ def _scan_row_payload(row):
 
 
 def cmd_quasi_scan(args, dset):
+    from .layers import quasi_independence_scan
     cfg = _window_cfg(args, dset)
     rep = quasi_independence_scan(dset, _psi_of(args), cfg, args.nmax, args.mmin,
                                   args.coprime)
@@ -227,6 +233,7 @@ def cmd_quasi_scan(args, dset):
 
 
 def cmd_series(args, dset):
+    from .layers import series_classify
     psi = _psi_of(args)
     f = parse_f(args.f)
     sv = series_classify(dset, psi, f, args.nmax)
@@ -247,6 +254,7 @@ def cmd_series(args, dset):
 
 
 def cmd_tail(args, dset):
+    from .layers import natural_cover_tail
     tail = natural_cover_tail(dset, _psi_of(args), parse_f(args.f), args.n0, args.nmax)
     results = {"n0": tail.n0, "n_max": tail.n_max,
                "value": render.value_json(tail.value),
@@ -258,6 +266,7 @@ def cmd_tail(args, dset):
 
 
 def cmd_bc_ratio(args, dset):
+    from .layers import borel_cantelli_ratio
     cfg = _window_cfg(args, dset)
     rep = borel_cantelli_ratio(dset, _psi_of(args), cfg, args.q, args.coprime)
     results = {"Q": rep.q, "ratio": render.value_json(rep.ratio),
@@ -269,6 +278,7 @@ def cmd_bc_ratio(args, dset):
 
 
 def cmd_dim_estimate(args, dset):
+    from .layers import box_dimension_estimate
     est = box_dimension_estimate(dset, parse_fraction(args.tau), args.n, args.coprime)
     results = {"n": est.n, "level": est.level, "count": est.count,
                "coprime": est.coprime, "estimate": render.value_json(est.estimate)}
@@ -311,6 +321,8 @@ def cmd_xi_build(args, dset):
 
 
 def cmd_xi_verify(args, dset):
+    from .contfrac import continued_fraction_expand, legendre_is_convergent
+    from .sparse import truncation_reports
     x = build_xi(args)
     reports, s_min = truncation_reports(x)
     depth = args.depth or x.exponent(x.terms)
@@ -348,6 +360,7 @@ def cmd_xi_verify(args, dset):
 
 
 def cmd_cf(args, dset):
+    from .contfrac import continued_fraction_expand
     x = parse_x(args)
     cf = continued_fraction_expand(x, args.depth)
     printable = [pq for pq in cf.convergents if pq[1].bit_length() <= RENDER_INT_BITS]
@@ -365,6 +378,7 @@ def cmd_cf(args, dset):
 
 
 def cmd_exponent(args, dset):
+    from .contfrac import continued_fraction_expand, irrationality_exponent_estimate
     x = parse_x(args)
     cf = continued_fraction_expand(x, args.depth)
     est = irrationality_exponent_estimate(cf, args.min_q)
@@ -381,6 +395,7 @@ def cmd_exponent(args, dset):
 
 
 def cmd_cf_interval(args, dset):
+    from .contfrac import cf_prefix_interval, prefix_interval_disjoint_from
     quotients = [int(a) for a in args.quotients.split(",")]
     pi = cf_prefix_interval(quotients)
     disjoint = prefix_interval_disjoint_from(pi, dset, args.depth)

@@ -10,7 +10,6 @@ wrong-quotient-from-rounding failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Union
@@ -20,6 +19,7 @@ from .enclosures import (Iv, LogRatioSource, RealEnclosure, as_enclosure,
                          iv_abs, iv_sub, iv_exact)
 from .errors import InputError, PrecisionError
 from .intervals import RatInterval
+from .records import Record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -27,8 +27,7 @@ _ONE = Fraction(1)
 RATIO_BITS = 48  # width 2^-RATIO_BITS of each log q_{k+1} / log q_k enclosure
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Record):
     """Quotients a_1..a_N of a number in (0,1) (a_0 = 0 implicit) plus the
     convergents (p_k, q_k) from the standard recurrence."""
 
@@ -140,8 +139,7 @@ def legendre_is_convergent(p: int, q: int, x: Union[Fraction, RealEnclosure],
         enc = enc.refine()  # PrecisionError at the cap
 
 
-@dataclass(frozen=True)
-class ExponentEstimate:
+class ExponentEstimate(Record):
     """Finite-window estimate 1 + max(log q_{k+1} / log q_k) of the
     approximation order, as a certified enclosure.
 
@@ -186,8 +184,7 @@ def irrationality_exponent_estimate(cf: ContinuedFraction,
 # prefix intervals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrefixInterval:
+class PrefixInterval(Record):
     """All x in (0,1) whose continued fraction starts with the given quotients.
 
     One endpoint (the final convergent itself) is included, the other

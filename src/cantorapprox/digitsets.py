@@ -22,7 +22,6 @@ after the digits of p, or in (b-1)s after the digits of p - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -31,6 +30,7 @@ from typing import Optional, Sequence
 from .enclosures import LogRatioSource, RealEnclosure
 from .errors import InputError, ResourceBudgetError
 from .intervals import Pair, RatInterval, clip_union, merge_pairs
+from .records import Record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -62,8 +62,7 @@ def _mult_dependent_exponent(count: int, base: int) -> Optional[Fraction]:
     return None
 
 
-@dataclass(frozen=True)
-class MissingDigitSet:
+class MissingDigitSet(Record):
     """Reals in [0,1] admitting a base-b expansion using only the given digits."""
 
     base: int
@@ -158,8 +157,7 @@ class MissingDigitSet:
         return out
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(Record):
     kind: str  # "in" | "out" | "undetermined"
     depth: Optional[int] = None
 
@@ -269,17 +267,21 @@ def membership(x, dset: MissingDigitSet, depth: int = 1) -> MembershipResult:
     return IN if _rational_in_set(dset, x) else OUT
 
 
-def enumerate_centers(dset: MissingDigitSet, n: int, coprime: bool) -> list[int]:
-    """Sorted p with p/b^n in the set (optionally with gcd(p, b^n) = 1).
+def enumerate_centers(dset: MissingDigitSet, n: int, coprime: bool, first: int = 0,
+                      last: Optional[int] = None) -> list[int]:
+    """Sorted p with p/b^n in the set (optionally with gcd(p, b^n) = 1),
+    read off the allowed level-n prefixes in [first, last].
 
     p/b^n has the expansions "digits of p, then 0s" and, for p >= 1,
     "digits of p - 1, then (b-1)s".  So it lies in the set exactly when
     p is an allowed level-n prefix and 0 is a digit, or p - 1 is one and
-    b - 1 is a digit.  The allowed prefixes count toward ENUM_BUDGET.
+    b - 1 is a digit.  Every center with first < p <= last is returned;
+    first and last + 1 may be too.  The allowed prefixes count toward
+    ENUM_BUDGET.
     """
     if n < 1:
         raise InputError("level must be >= 1")
-    prefixes = dset.allowed_prefixes(n)
+    prefixes = dset.allowed_prefixes(n, first, last)
     centers: set[int] = set()
     if 0 in dset._digitset:
         centers.update(prefixes)
@@ -299,8 +301,7 @@ def center_count(dset: MissingDigitSet, n: int) -> int:
 # exact measure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CantorMeasureValue:
+class CantorMeasureValue(Record):
     """Measure of a set; exact when lo == hi, else certified two-sided bounds."""
 
     lo: Fraction

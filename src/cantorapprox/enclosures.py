@@ -19,12 +19,12 @@ guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Protocol, Union
 
 from .errors import InputError, PrecisionError, UndecidableFloorError
+from .records import Record
 
 # Interval = (lo, hi) pair of Fractions with lo <= hi.
 Iv = tuple[Fraction, Fraction]
@@ -238,7 +238,13 @@ def _ln_fixed(num: int, den: int, e: int, ln2: Iv, terms: int, bits: int,
 
 
 def ln_interval(x: Fraction, bits: int) -> Iv:
-    """Enclosure of ln(x) with width <= 2^-bits (x > 0)."""
+    """Enclosure of ln(x) with endpoints on the 2^-bits grid (x > 0).
+
+    The exact enclosure is narrower than 2^-bits while |log2 x| < 2^15,
+    but rounding it outward can straddle a grid point, so the result is
+    at most two grid steps, 2^(1-bits), wide.  Callers ask for guard bits
+    beyond the width they need.
+    """
     if x <= 0:
         raise InputError("log of a non-positive value")
     if x == 1:
@@ -381,8 +387,7 @@ def _level_bits(level: int) -> int:
     return BASE_BITS << level
 
 
-@dataclass(frozen=True)
-class SqrtSource:
+class SqrtSource(Record):
     """sqrt(radicand) for a non-negative rational radicand."""
 
     radicand: Fraction
@@ -391,8 +396,7 @@ class SqrtSource:
         return sqrt_interval(self.radicand, _level_bits(level))
 
 
-@dataclass(frozen=True)
-class LogRatioSource:
+class LogRatioSource(Record):
     """log(num)/log(den) for positive rationals, den != 1."""
 
     num: Fraction
@@ -412,8 +416,7 @@ class LogRatioSource:
                                  ln_interval(self.den, bits + 8)), bits)
 
 
-@dataclass(frozen=True)
-class AffineSource:
+class AffineSource(Record):
     """add + mul * base, the only compound form the constants here need."""
 
     base: "EnclosureSource"
@@ -425,8 +428,7 @@ class AffineSource:
         return (lo + self.add, hi + self.add)
 
 
-@dataclass(frozen=True)
-class RealEnclosure:
+class RealEnclosure(Record):
     """A rational interval certified to contain one real number.
 
     `source is None` marks an exact rational (lo == hi).  `refine()`

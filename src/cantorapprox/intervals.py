@@ -8,11 +8,11 @@ that merely touch is always measure-safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
+from .records import Record
 
 Pair = tuple[Fraction, Fraction]
 
@@ -20,8 +20,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class RatInterval:
+class RatInterval(Record):
     """Closed interval [lo, hi] with 0 <= lo <= hi <= 1."""
 
     lo: Fraction

@@ -14,7 +14,6 @@ makes the headline layer identities integer-checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Union
@@ -26,6 +25,7 @@ from .enclosures import (Iv, LogRatioSource, RealEnclosure, iv_add, iv_div,
                          pow_interval, rational_pow)
 from .errors import HypothesisViolation, InputError, PrecisionError
 from .intervals import Pair, RatInterval, intersect_unions, merge_pairs
+from .records import Record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -38,8 +38,7 @@ RADIUS_BITS = 128  # precision of the box-counting radius b^(-tau n)
 # scalars of the form coef * gamma^gexp
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(Record):
     """coef * gamma^gexp, gamma being the ambient set's similarity exponent."""
 
     coef: Fraction
@@ -142,23 +141,20 @@ def scalar_plus(a: Scalar, b: Scalar) -> Union[Scalar, None]:
 # approximation and dimension functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(Record):
     """psi(r) = r^-exponent."""
 
     exponent: Scalar
 
 
-@dataclass(frozen=True)
-class PowerLogLaw:
+class PowerLogLaw(Record):
     """psi(r) = r^-power * (log r)^-log_exponent (natural log)."""
 
     power: Scalar
     log_exponent: Scalar
 
 
-@dataclass(frozen=True)
-class TableValues:
+class TableValues(Record):
     """Explicit values at the evaluation grid points b^n, keyed by n."""
 
     values: Mapping[int, Fraction]
@@ -167,8 +163,7 @@ class TableValues:
 PsiKind = Union[PowerLaw, PowerLogLaw, TableValues]
 
 
-@dataclass(frozen=True)
-class ApproxFunction:
+class ApproxFunction(Record):
     kind: PsiKind
     truncation: Optional[Fraction] = None  # Psi(r) = min(truncation/r, psi(r))
 
@@ -221,8 +216,7 @@ def psi_value(psi: ApproxFunction, dset: MissingDigitSet, n: int,
     return val
 
 
-@dataclass(frozen=True)
-class DimensionFunction:
+class DimensionFunction(Record):
     """f(r) = r^s or a table on the evaluation grid; must come with a witness
     that r^-gamma f(r) is monotonic there."""
 
@@ -273,8 +267,7 @@ def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
 # window configuration and layers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WindowConfig:
+class WindowConfig(Record):
     """A window B plus the level t0 below which balls outgrow the window."""
 
     window: RatInterval
@@ -296,8 +289,7 @@ class WindowConfig:
         return WindowConfig.for_window(RatInterval.unit(), base)
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(Record):
     """The finite union of psi-balls at one level, clipped to the window.
 
     `union_lo` and `union_hi` are the merged ball unions at the inner and
@@ -352,8 +344,13 @@ def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
         raise InputError("psi must be positive on the evaluation grid")
     bn = dset.base ** n
     w_lo, w_hi = cfg.window.lo, cfg.window.hi
+    # the centers that can pass the test below lie in [ceil(lo), floor(hi)]
+    # with lo, hi = (w_lo - r, w_hi + r) * b^n, so only their prefixes and
+    # the prefix just below are enumerated
+    first = max(-((radius[1] - w_lo) * bn).__floor__() - 1, 0)
+    last = min(((w_hi + radius[1]) * bn).__floor__(), bn - 1)
     centers = []
-    for p in enumerate_centers(dset, n, coprime):
+    for p in enumerate_centers(dset, n, coprime, first, last):
         c = Fraction(p, bn)
         if c + radius[1] >= w_lo and c - radius[1] <= w_hi:
             centers.append(c)
@@ -411,8 +408,7 @@ def layer_comparator(dset: MissingDigitSet, psi: ApproxFunction, n: int,
 # quasi-independence scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairRow:
+class PairRow(Record):
     m: int
     n: int
     case: str  # "i" (forced empty) or "ii"
@@ -422,8 +418,7 @@ class PairRow:
     rho: Iv
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     window_measure: Fraction
     rows: tuple[PairRow, ...]
     skipped: tuple[tuple[int, int], ...]  # pairs with a null layer
@@ -485,8 +480,7 @@ def quasi_independence_scan(dset: MissingDigitSet, psi: ApproxFunction,
 # series dichotomy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesVerdict:
+class SeriesVerdict(Record):
     partial_sums: tuple[Iv, ...]  # S_1 .. S_N
     verdict: str       # "convergent" | "divergent" | "undetermined"
     prediction: str    # "measure_zero" | "measure_full" | "not_applicable"
@@ -557,8 +551,7 @@ def series_classify(dset: MissingDigitSet, psi: ApproxFunction,
                          prediction=_PREDICTION[verdict])
 
 
-@dataclass(frozen=True)
-class NaturalCoverTail:
+class NaturalCoverTail(Record):
     n0: int
     n_max: int
     value: Iv
@@ -587,8 +580,7 @@ def natural_cover_tail(dset: MissingDigitSet, psi: ApproxFunction,
 # Borel-Cantelli second-moment ratio
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BorelCantelliReport:
+class BorelCantelliReport(Record):
     q: int
     ratio: Iv
     union_measure: Fraction
@@ -626,8 +618,7 @@ def borel_cantelli_ratio(dset: MissingDigitSet, psi: ApproxFunction,
 # covering-exponent estimate at a single level
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoxDimensionEstimate:
+class BoxDimensionEstimate(Record):
     """Covering exponent of one finite-stage layer.
 
     This reports log(#covering intervals)/log(b^L) for the single layer

@@ -10,7 +10,6 @@ terms grow doubly-exponentially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
@@ -19,6 +18,7 @@ from .digitsets import IN, OUT, MembershipResult, MissingDigitSet
 from .enclosures import (Iv, Real, RealEnclosure, as_enclosure, floor_power,
                          rational_pow)
 from .errors import InputError, PrecisionError
+from .records import Record
 
 _ONE = Fraction(1)
 
@@ -26,8 +26,7 @@ _ONE = Fraction(1)
 MAX_TRUNCATION_BITS = 2_000_000
 
 
-@dataclass(frozen=True)
-class PowerRule:
+class PowerRule(Record):
     """e_n = floor(lam * tau^n)."""
 
     tau: Real
@@ -43,8 +42,7 @@ class PowerRule:
         return floor_power(self.lam, self.tau, n)
 
 
-@dataclass(frozen=True)
-class FactorialRule:
+class FactorialRule(Record):
     """e_n = n!."""
 
     def exponent(self, n: int) -> int:
@@ -185,8 +183,7 @@ def build_sparse_number(base: int, coefficient: int, rule: ExponentRule,
 # per-truncation verification report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(Record):
     s: int
     coprime_ok: bool
     denominator_growth_ok: Optional[bool]  # (1/b) q_s^tau < q_{s+1} < b^tau q_s^tau

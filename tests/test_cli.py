@@ -182,6 +182,16 @@ def test_deep_cf_interval_over_narrow_range_answers():
     assert json.loads(text)["results"]["disjoint_from_set"] is True
 
 
+def test_layer_over_a_narrow_window_answers(capsys):
+    # the 3^14 level-14 cylinders exceed the enumeration budget; only those
+    # near [0, 1/1000] are enumerated
+    argv = ["layer", "--set", "5:0,2,3", "--psi", "pow:2", "--n", "14",
+            "--window", "0:1/1000"]
+    assert main(argv) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["ball_count"] == len(results["centers"]) > 0
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -331,6 +331,17 @@ def test_enumerate_centers_matches_membership_for_every_small_digit_set():
                                 == _centers_by_membership(dset, n, coprime)), (dset, n)
 
 
+@given(cell_range(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_enumerate_centers_in_a_prefix_range(case, coprime):
+    dset, level, first, last = case
+    every = enumerate_centers(dset, level, coprime)
+    got = enumerate_centers(dset, level, coprime, first, last)
+    assert got == sorted(got) and set(got) <= set(every)
+    assert {p for p in every if first < p <= last} <= set(got)
+    assert all(first <= p <= last + 1 for p in got)
+
+
 def _full_cover_all_balls(dset, n, window):
     """The cover check with every one of the b^n + 1 balls built."""
     bn = dset.base ** n

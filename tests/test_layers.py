@@ -1,19 +1,20 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantorapprox import (ApproxFunction, DimensionFunction, HypothesisViolation,
                           InputError, MissingDigitSet, RatInterval, Scalar,
                           WindowConfig, borel_cantelli_ratio,
-                          box_dimension_estimate, build_layer, layer_comparator,
+                          box_dimension_estimate, build_layer, enumerate_centers,
+                          layer_comparator,
                           layer_measure, natural_cover_tail, pairwise_measure,
                           quasi_independence_scan, series_classify, series_term,
                           truncate_psi)
 from cantorapprox.digitsets import measure_union
 from cantorapprox.intervals import intersect_unions
-from cantorapprox.layers import classify_pair_case, psi_value
+from cantorapprox.layers import VALUE_BITS, classify_pair_case, psi_value
 from cantorapprox.enclosures import iv_div
 
 from oracles import power_series_converges
@@ -56,6 +57,32 @@ def test_layer_window_clipping():
     cfg = WindowConfig.for_window(RatInterval.make(F(0), F(1, 2)), 3)
     layer = build_layer(K, PSI2, 2, cfg, coprime=True)
     assert layer.centers == (F(1, 9), F(2, 9))
+
+
+def _centers_from_every_center(dset, psi, n, cfg, coprime):
+    """build_layer's centers with every center of the level enumerated first."""
+    radius = psi_value(psi, dset, n, VALUE_BITS)
+    bn = dset.base ** n
+    w_lo, w_hi = cfg.window.lo, cfg.window.hi
+    return tuple(F(p, bn) for p in enumerate_centers(dset, n, coprime)
+                 if F(p, bn) + radius[1] >= w_lo and F(p, bn) - radius[1] <= w_hi)
+
+
+unit_rat = st.builds(lambda num, den: F(num % (den + 1), den),
+                     st.integers(min_value=0, max_value=10 ** 4),
+                     st.integers(min_value=1, max_value=10 ** 4))
+
+
+@given(st.sampled_from([K, MissingDigitSet(4, (0, 3)), MissingDigitSet(5, (0, 2, 3))]),
+       st.sampled_from([PSI2, ApproxFunction.power(F(3, 2)), ApproxFunction.power(1),
+                        truncate_psi(ApproxFunction.power(F(1, 2)), F(1, 2))]),
+       st.integers(min_value=1, max_value=6), unit_rat, unit_rat, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_layer_centers_match_every_center_filtered(dset, psi, n, a, b, coprime):
+    assume(a != b)
+    cfg = WindowConfig.for_window(RatInterval.make(min(a, b), max(a, b)), dset.base)
+    layer = build_layer(dset, psi, n, cfg, coprime)
+    assert layer.centers == _centers_from_every_center(dset, psi, n, cfg, coprime)
 
 
 def test_layer_measure_examples():
