@@ -20,7 +20,7 @@ _EXPORTS = {
                   "full_cover_check", "measure_union", "membership"),
     "enclosures": ("AffineSource", "LogRatioSource", "RealEnclosure", "SqrtSource",
                    "canonicalize_rational", "enclose_real", "floor_power",
-                   "golden_ratio_source", "iroot", "exact_order_threshold_source"),
+                   "golden_ratio_source", "iroot"),
     "errors": ("HypothesisViolation", "InputError", "PrecisionError",
                "ResourceBudgetError", "UndecidableFloorError"),
     "intervals": ("RatInterval",),

@@ -20,8 +20,3 @@ MU_RATIO_ENVELOPE = {
     Fraction(2): (Fraction(1), Fraction(1)),
     Fraction(3): (Fraction(1), Fraction(1)),
 }
-
-CALIBRATION_GRID = {
-    "c_fix_scan": "tau in {2,3}, pairs 1 <= m < n <= 10, unit window, coprime",
-    "envelope_scan": "tau in {3/2, 2, 3}, levels t0 < n <= 12, unit window, coprime",
-}

@@ -142,7 +142,7 @@ def parse_x(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (results, csv_rows, csv_fields)
+# subcommand implementations: each returns (results, csv_rows)
 # ---------------------------------------------------------------------------
 
 def _psi_of(args) -> ApproxFunction:
@@ -162,7 +162,7 @@ def cmd_measure(args, dset):
                "measure": render.value_json(mv)}
     rows = [{"lo": render.rat_str(iv.lo), "hi": render.rat_str(iv.hi),
              "measure": render.value_csv(mv), "approx_lossy": render.lossy_float(mv.lo)}]
-    return results, rows, ["lo", "hi", "measure", "approx_lossy"]
+    return results, rows
 
 
 def cmd_layer(args, dset):
@@ -188,8 +188,7 @@ def cmd_layer(args, dset):
              "measure": render.value_csv(mv),
              "comparator": render.value_csv(comp),
              "approx_lossy": render.lossy_float(mv.lo)}]
-    return results, rows, ["n", "ball_count", "radius", "measure", "comparator",
-                           "approx_lossy"]
+    return results, rows
 
 
 def cmd_pairwise(args, dset):
@@ -208,7 +207,7 @@ def cmd_pairwise(args, dset):
              "mu_n": render.value_csv(layer_measure(ln_)),
              "mu_mn": render.value_csv(inter),
              "approx_lossy": render.lossy_float(inter.lo)}]
-    return results, rows, ["m", "n", "mu_m", "mu_n", "mu_mn", "approx_lossy"]
+    return results, rows
 
 
 def _scan_row_payload(row):
@@ -229,7 +228,7 @@ def cmd_quasi_scan(args, dset):
         "c_empirical": render.value_json(rep.c_empirical) if rep.c_empirical else None,
     }
     rows = [_scan_row_payload(r) for r in rep.rows]
-    return results, rows, ["m", "n", "case", "mu_m", "mu_n", "mu_mn", "rho"]
+    return results, rows
 
 
 def cmd_series(args, dset):
@@ -250,7 +249,7 @@ def cmd_series(args, dset):
     rows = [{"N": i + 1, "partial_sum": render.value_csv(s),
              "approx_lossy": render.lossy_float(s[0])}
             for i, s in enumerate(sv.partial_sums)]
-    return results, rows, ["N", "partial_sum", "approx_lossy"]
+    return results, rows
 
 
 def cmd_tail(args, dset):
@@ -262,7 +261,7 @@ def cmd_tail(args, dset):
     rows = [{"n0": tail.n0, "n_max": tail.n_max,
              "value": render.value_csv(tail.value),
              "series_verdict": tail.series_verdict}]
-    return results, rows, ["n0", "n_max", "value", "series_verdict"]
+    return results, rows
 
 
 def cmd_bc_ratio(args, dset):
@@ -274,7 +273,7 @@ def cmd_bc_ratio(args, dset):
                "layer_measures": [render.value_json(m) for m in rep.layer_measures]}
     rows = [{"Q": rep.q, "ratio": render.value_csv(rep.ratio),
              "union_measure": render.rat_str(rep.union_measure)}]
-    return results, rows, ["Q", "ratio", "union_measure"]
+    return results, rows
 
 
 def cmd_dim_estimate(args, dset):
@@ -285,7 +284,7 @@ def cmd_dim_estimate(args, dset):
     rows = [{"n": est.n, "level": est.level, "count": est.count,
              "estimate": render.value_csv(est.estimate),
              "approx_lossy": render.lossy_float(est.estimate[0])}]
-    return results, rows, ["n", "level", "count", "estimate", "approx_lossy"]
+    return results, rows
 
 
 # integers beyond this bit size are summarized, not printed (int->str is
@@ -317,7 +316,7 @@ def cmd_xi_build(args, dset):
     }
     rows = [{"s": s, "exponent": x.exponent(s), "p": p, "q": q}
             for s, p, q in truncs]
-    return results, rows, ["s", "exponent", "p", "q"]
+    return results, rows
 
 
 def cmd_xi_verify(args, dset):
@@ -355,8 +354,7 @@ def cmd_xi_verify(args, dset):
         "legendre": legendre,
         "cf_certified_depth": cf.certified_depth,
     }
-    return results, rows, ["s", "coprime_ok", "denominator_growth_ok",
-                           "gap_bounds_ok", "power_bounds_ok", "passes"]
+    return results, rows
 
 
 def cmd_cf(args, dset):
@@ -374,7 +372,7 @@ def cmd_cf(args, dset):
     }
     rows = [{"k": i + 1, "a": a, "p": p, "q": q}
             for i, (a, (p, q)) in enumerate(zip(cf.quotients, printable))]
-    return results, rows, ["k", "a", "p", "q"]
+    return results, rows
 
 
 def cmd_exponent(args, dset):
@@ -391,7 +389,7 @@ def cmd_exponent(args, dset):
     }
     rows = [{"estimate": render.value_csv((est.lo, est.hi)),
              "window": est.window, "min_denominator": est.min_denominator}]
-    return results, rows, ["estimate", "window", "min_denominator"]
+    return results, rows
 
 
 def cmd_cf_interval(args, dset):
@@ -413,8 +411,7 @@ def cmd_cf_interval(args, dset):
              "lo": render.rat_str(pi.lo), "hi": render.rat_str(pi.hi),
              "lo_closed": pi.lo_closed, "hi_closed": pi.hi_closed,
              "disjoint_from_set": disjoint}]
-    return results, rows, ["quotients", "lo", "hi", "lo_closed", "hi_closed",
-                           "disjoint_from_set"]
+    return results, rows
 
 
 def cmd_full_cover(args, dset):
@@ -425,7 +422,7 @@ def cmd_full_cover(args, dset):
                "full_cover": ok}
     rows = [{"n": args.n, "lo": render.rat_str(window.lo),
              "hi": render.rat_str(window.hi), "full_cover": ok}]
-    return results, rows, ["n", "lo", "hi", "full_cover"]
+    return results, rows
 
 
 COMMANDS = {
@@ -607,12 +604,12 @@ def run_command(argv: list[str]) -> tuple[str, Optional[str]]:
         if args.precision_budget is not None:
             enclosures.MAX_REFINE_STEPS = args.precision_budget
         start = time.monotonic()
-        results, rows, fields = COMMANDS[args.command](args, dset)
+        results, rows = COMMANDS[args.command](args, dset)
         elapsed_ms = int((time.monotonic() - start) * 1000)
     finally:
         enclosures.MAX_REFINE_STEPS = saved_steps
     if args.output == "csv":
-        return render.dump_csv(rows, fields), args.out
+        return render.dump_csv(rows), args.out
     echo = {k: (v if isinstance(v, (int, bool, float)) or v is None else str(v))
             for k, v in sorted(vars(args).items())
             if k not in ("config", "out", "output", "timing")}

@@ -18,7 +18,6 @@ from .digitsets import MissingDigitSet
 from .enclosures import (Iv, LogRatioSource, RealEnclosure, as_enclosure,
                          iv_abs, iv_sub, iv_exact)
 from .errors import InputError, PrecisionError
-from .intervals import RatInterval
 from .records import Record
 
 _ZERO = Fraction(0)
@@ -197,9 +196,6 @@ class PrefixInterval(Record):
     hi: Fraction
     lo_closed: bool
     hi_closed: bool
-
-    def as_interval(self) -> RatInterval:
-        return RatInterval.make(self.lo, self.hi)
 
 
 def cf_prefix_interval(quotients: Sequence[int]) -> PrefixInterval:

@@ -15,9 +15,11 @@ Every enumeration of level-n basic intervals (cylinders) goes through
 `MissingDigitSet.allowed_prefixes`, which descends one digit at a time
 and keeps only the prefixes whose cylinders can still meet the target
 range of cells.  It refuses, with ResourceBudgetError, to return more
-than ENUM_BUDGET cells, and it detects that early.  The b-adic centers
-p/b^n in the set are read off the allowed prefixes: p/b^n ends in 0s
-after the digits of p, or in (b-1)s after the digits of p - 1.
+than ENUM_BUDGET cells, and it detects that early.  The one exception is
+`box_dimension_estimate`, which tests the few cells around each ball
+with `prefix_allowed`.  The b-adic centers p/b^n in the set are read off
+the allowed prefixes: p/b^n ends in 0s after the digits of p, or in
+(b-1)s after the digits of p - 1.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 ENUM_BUDGET = 1 << 22  # most cells one enumeration may return
-ENCLOSURE_CELL_BUDGET = 1 << 16  # most cells `_enclosure_status` inspects per level
 
 
 def _mult_dependent_exponent(count: int, base: int) -> Optional[Fraction]:
@@ -107,14 +108,6 @@ class MissingDigitSet(Record):
         """base**(k * exponent) collapses exactly to digit_count**k."""
         return Fraction(self.digit_count) ** k
 
-    def digits_of(self, p: int, n: int) -> list[int]:
-        """The n base-b digits of the integer p < base**n, most significant first."""
-        out = []
-        for _ in range(n):
-            p, d = divmod(p, self.base)
-            out.append(d)
-        return out[::-1]
-
     def prefix_allowed(self, p: int, n: int) -> bool:
         for _ in range(n):
             p, d = divmod(p, self.base)
@@ -174,47 +167,38 @@ IN = MembershipResult("in")
 OUT = MembershipResult("out")
 
 
-def _badic_digit_length(q: int, b: int) -> Optional[int]:
-    """Smallest n with q | b^n, or None when no power of b works."""
-    n = 0
-    while q > 1:
-        g = gcd(q, b)
-        if g == 1:
-            return None
-        q //= g
-        n += 1
-    return n
+def _preperiod(q: int, b: int) -> tuple[int, int]:
+    """(s, rest): rest = q / gcd(q, b^s) is coprime to b for the least such s, so
+    the digits of r/q repeat from the (s+1)-th on; r/q is b-adic iff rest == 1."""
+    s, rest = 0, q
+    g = gcd(rest, b)
+    while g > 1:
+        rest //= g
+        s += 1
+        g = gcd(rest, b)
+    return s, rest
 
 
-def _rational_in_set(dset: MissingDigitSet, x: Fraction) -> bool:
-    """Exact membership for any rational in [0,1] via its digit stream(s).
-
-    A b-adic rational has two expansions (terminating and repeating
-    base-1); it belongs to the set when either stays inside the digit
-    alphabet.  Other rationals have one eventually periodic expansion.
-    """
+def _rational_status(dset: MissingDigitSet, x: Fraction) -> MembershipResult:
+    """Membership of x in [0,1]: a b-adic x = p/b^s by the rule of
+    `enumerate_centers`, any other by its pre-period and first period."""
     b, allowed = dset.base, dset._digitset
-    if x == 0:
-        return 0 in allowed
-    if x == 1:
-        return b - 1 in allowed
-    n = _badic_digit_length(x.denominator, b)
-    if n is not None:
-        digits = dset.digits_of(x.numerator * (b ** n // x.denominator), n)
-        term_ok = all(d in allowed for d in digits) and 0 in allowed
-        alt_ok = (all(d in allowed for d in digits[:-1])
-                  and (digits[-1] - 1) in allowed and (b - 1) in allowed)
-        return term_ok or alt_ok
-    rem = x
-    seen = set()
-    while rem not in seen:
-        seen.add(rem)
-        rem *= b
-        d = rem.__floor__()
-        rem -= d
+    r, q = x.numerator, x.denominator
+    s, rest = _preperiod(q, b)
+    if rest == 1:
+        p = r * (b ** s // q)
+        then_0s = 0 in allowed and p < b ** s and dset.prefix_allowed(p, s)
+        then_top = b - 1 in allowed and p > 0 and dset.prefix_allowed(p - 1, s)
+        return IN if then_0s or then_top else OUT
+    r_s = r * pow(b, s, q) % q  # the remainder after the pre-period
+    k = 0
+    while True:
+        d, r = divmod(r * b, q)
+        k += 1
         if d not in allowed:
-            return False
-    return True  # full cycle scanned without a bad digit
+            return OUT
+        if k > s and r == r_s:
+            return IN
 
 
 def _enclosure_status(dset: MissingDigitSet, lo: Fraction, hi: Fraction,
@@ -223,27 +207,20 @@ def _enclosure_status(dset: MissingDigitSet, lo: Fraction, hi: Fraction,
 
     Width-zero enclosures never reach here (they take the exact rational
     path), so a point failing to be covered always shows up as a
-    positive-length overlap with a removed cell.
+    positive-length overlap with a removed cell: one of the cells a..e.
     """
     scale = 1
     for level in range(1, depth + 1):
         scale *= dset.base
-        k_start = (lo * scale).__floor__()
-        if lo * scale == k_start and k_start > 0:
-            k_start -= 1  # cell touching lo from the left
-        k_end = min((hi * scale).__floor__(), scale - 1)
-        if k_end - k_start + 1 > ENCLOSURE_CELL_BUDGET:
-            return MembershipResult("undetermined", level)
-        any_allowed = False
-        interior_bad = False
-        for k in range(k_start, k_end + 1):
-            if dset.prefix_allowed(k, level):
-                any_allowed = True
-            elif max(lo, Fraction(k, scale)) < min(hi, Fraction(k + 1, scale)):
-                interior_bad = True
-        if not any_allowed:
+        a, lo_rem = divmod(lo.numerator * scale, lo.denominator)  # floor(lo * scale)
+        f, hi_rem = divmod(hi.numerator * scale, hi.denominator)  # floor(hi * scale)
+        e = f if hi_rem else f - 1                                # ceil(hi * scale) - 1
+        first = a - 1 if lo_rem == 0 and a > 0 else a
+        cells = dset.allowed_prefixes(level, first, min(f, scale - 1))
+        if not cells:
             return OUT
-        if interior_bad:
+        inside = len(cells) - (cells[0] < a) - (cells[-1] > e)
+        if inside < e - a + 1:
             return MembershipResult("undetermined", level)
     return IN
 
@@ -264,7 +241,7 @@ def membership(x, dset: MissingDigitSet, depth: int = 1) -> MembershipResult:
     x = Fraction(x)
     if x < 0 or x > 1:
         return OUT
-    return IN if _rational_in_set(dset, x) else OUT
+    return _rational_status(dset, x)
 
 
 def enumerate_centers(dset: MissingDigitSet, n: int, coprime: bool, first: int = 0,
@@ -311,10 +288,6 @@ class CantorMeasureValue(Record):
         if not (_ZERO <= self.lo <= self.hi <= _ONE):
             raise InputError("measure bounds outside [0,1]")
 
-    @staticmethod
-    def exact_value(v: Fraction) -> "CantorMeasureValue":
-        return CantorMeasureValue(v, v)
-
     @property
     def exact(self) -> bool:
         return self.lo == self.hi
@@ -346,12 +319,7 @@ def cantor_cdf(dset: MissingDigitSet, x: Fraction) -> Fraction:
     b, m = dset.base, dset.digit_count
     below, allowed = dset._below, dset._digitset
     r, q = x.numerator, x.denominator
-    s, rest = 0, q
-    g = gcd(rest, b)
-    while g > 1:
-        rest //= g
-        s += 1
-        g = gcd(rest, b)
+    s, _ = _preperiod(q, b)
     acc = 0
     for k in range(1, s + 1):
         d, r = divmod(r * b, q)
@@ -384,20 +352,21 @@ def measure_union(dset: MissingDigitSet, pairs: Sequence[Pair]) -> Fraction:
 
 def cantor_measure(dset: MissingDigitSet, iv: RatInterval) -> CantorMeasureValue:
     """Exact normalized measure of a closed rational interval."""
-    return CantorMeasureValue.exact_value(measure_pair(dset, iv.lo, iv.hi))
+    v = measure_pair(dset, iv.lo, iv.hi)
+    return CantorMeasureValue(v, v)
 
 
 def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool:
-    """Whether the radius-b^-n balls around all p/b^n cover the window in measure.
-
-    Only the balls that meet the window are built: p/b^n within b^-n of it.
-    """
+    """Whether the radius-b^-n balls around the centers p/b^n in the set
+    cover the window in measure.  Only the centers within b^-n of the
+    window are enumerated, from the prefixes ceil(lo b^n) - 2 .. floor(hi b^n) + 1."""
     if n < 1:
         raise InputError("level must be >= 1")
     bn = dset.base ** n
     r = Fraction(1, bn)
-    first = max(-((-window.lo * bn).__floor__()) - 1, 0)  # ceil(lo b^n) - 1
+    first = max(-((-window.lo * bn).__floor__()) - 2, 0)  # ceil(lo b^n) - 2
     last = min((window.hi * bn).__floor__() + 1, bn)
-    balls = [(Fraction(p, bn) - r, Fraction(p, bn) + r) for p in range(first, last + 1)]
+    balls = [(Fraction(p, bn) - r, Fraction(p, bn) + r)
+             for p in enumerate_centers(dset, n, False, first, last)]
     clipped = clip_union(merge_pairs(balls), window.pair())
     return measure_union(dset, clipped) == measure_pair(dset, window.lo, window.hi)

@@ -20,6 +20,7 @@ guessing.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from typing import Optional, Protocol, Union
 
@@ -149,16 +150,7 @@ def sqrt_interval(x: Fraction, bits: int) -> Iv:
     """Enclosure of sqrt(x) with width <= 2^-bits (x >= 0)."""
     if x < 0:
         raise InputError("sqrt of a negative value")
-    if x == 0:
-        return iv_exact(_ZERO)
-    p, q = x.numerator, x.denominator
-    # sqrt(p/q) = sqrt(p*q)/q
-    scaled = p * q << (2 * bits)
-    r = isqrt(scaled)
-    den = q << bits
-    if r * r == scaled:
-        return iv_exact(Fraction(r, den))
-    return (Fraction(r, den), Fraction(r + 1, den))
+    return nthroot_interval(x, 2, bits)
 
 
 def _atanh_interval(z: Fraction, terms: int) -> Iv:
@@ -174,17 +166,11 @@ def _atanh_interval(z: Fraction, terms: int) -> Iv:
     return (total, total + tail)
 
 
-_LN2_CACHE: dict[int, Iv] = {}
-
-
+@cache
 def _ln2_interval(bits: int) -> Iv:
-    cached = _LN2_CACHE.get(bits)
-    if cached is None:
-        # ln 2 = 2 atanh(1/3); terms shrink by 9x so ~bits/3 terms suffice
-        terms = bits // 3 + 4
-        cached = _round_out(iv_scale(_atanh_interval(Fraction(1, 3), terms), Fraction(2)), bits + 8)
-        _LN2_CACHE[bits] = cached
-    return cached
+    # ln 2 = 2 atanh(1/3); terms shrink by 9x so ~bits/3 terms suffice
+    terms = bits // 3 + 4
+    return _round_out(iv_scale(_atanh_interval(Fraction(1, 3), terms), Fraction(2)), bits + 8)
 
 
 # Guard bits of the fixed-point ln series.  Its rounding error is a few
@@ -272,22 +258,16 @@ def ln_interval(x: Fraction, bits: int) -> Iv:
     return _round_out(res, bits)
 
 
-_E_CACHE: dict[int, Iv] = {}
-
-
+@cache
 def _e_interval(bits: int) -> Iv:
-    cached = _E_CACHE.get(bits)
-    if cached is None:
-        total = _ONE
-        term = _ONE
-        k = 1
-        while term.denominator.bit_length() < bits + 8:
-            term /= k
-            total += term
-            k += 1
-        cached = _round_out((total, total + 2 * term / k), bits + 8)
-        _E_CACHE[bits] = cached
-    return cached
+    total = _ONE
+    term = _ONE
+    k = 1
+    while term.denominator.bit_length() < bits + 8:
+        term /= k
+        total += term
+        k += 1
+    return _round_out((total, total + 2 * term / k), bits + 8)
 
 
 def _exp_point(x: Fraction, bits: int) -> Iv:
@@ -450,9 +430,9 @@ class RealEnclosure(Record):
         return RealEnclosure(v, v)
 
     @staticmethod
-    def from_source(source: EnclosureSource, level: int = 0) -> "RealEnclosure":
-        lo, hi = source.interval(level)
-        return RealEnclosure(lo, hi, source, level)
+    def from_source(source: EnclosureSource) -> "RealEnclosure":
+        lo, hi = source.interval(0)
+        return RealEnclosure(lo, hi, source)
 
     @property
     def is_exact(self) -> bool:
@@ -483,13 +463,6 @@ class RealEnclosure(Record):
                     f"cannot reach width {width_target} within {MAX_REFINE_STEPS} refinement steps")
             enc = enc.refine()
         return enc
-
-    def mul_rational(self, q) -> "RealEnclosure":
-        q = Fraction(q)
-        lo, hi = iv_scale(self.as_iv(), q)
-        if self.source is None:
-            return RealEnclosure(lo, hi)
-        return RealEnclosure(lo, hi, AffineSource(self.source, mul=q), self.level)
 
     def cmp_rational(self, x) -> int:
         """-1/0/+1 comparison against a rational, refining until decided.
@@ -559,8 +532,3 @@ def floor_power(lam: Real, tau: Real, n: int) -> int:
 def golden_ratio_source() -> AffineSource:
     """(sqrt(5) - 1)/2."""
     return AffineSource(SqrtSource(Fraction(5)), mul=Fraction(1, 2), add=Fraction(-1, 2))
-
-
-def exact_order_threshold_source() -> AffineSource:
-    """(sqrt(5) + 3)/2, the boundary between the two explicit-number regimes."""
-    return AffineSource(SqrtSource(Fraction(5)), mul=Fraction(1, 2), add=Fraction(3, 2))

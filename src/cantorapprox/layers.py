@@ -21,8 +21,8 @@ from typing import Mapping, Optional, Union
 from .digitsets import (CantorMeasureValue, MissingDigitSet, cantor_cdf,
                         enumerate_centers, center_count, measure_union)
 from .enclosures import (Iv, LogRatioSource, RealEnclosure, iv_add, iv_div,
-                         iv_exact, iv_is_exact, iv_mul, iv_scale, ln_interval,
-                         pow_interval, rational_pow)
+                         iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
+                         ln_interval, pow_interval, rational_pow)
 from .errors import HypothesisViolation, InputError, PrecisionError
 from .intervals import Pair, RatInterval, intersect_unions, merge_pairs
 from .records import Record
@@ -58,25 +58,18 @@ class Scalar(Record):
     def scale(self, q: Fraction) -> "Scalar":
         return Scalar(self.coef * q, self.gexp)
 
-    def value_iv(self, dset: MissingDigitSet, bits: int = VALUE_BITS) -> Iv:
+    def at(self, gamma: Iv) -> Iv:
+        """coef * gamma^gexp over an enclosure of gamma (gamma > 0)."""
+        return iv_scale(iv_intpow(gamma, self.gexp), self.coef)
+
+    def value_iv(self, dset: MissingDigitSet) -> Iv:
         if self.is_rational:
             return iv_exact(self.coef)
         exact = dset.exponent_fraction
         if exact is not None:
             return iv_exact(self.coef * exact ** self.gexp)
-        enc = dset.exponent_enclosure().refined_to(Fraction(1, 1 << bits))
-        return self._iv_from_gamma(self.coef, self.gexp, enc.as_iv())
-
-    @staticmethod
-    def _iv_from_gamma(coef: Fraction, gexp: int, g: Iv) -> Iv:
-        if coef == 0 or gexp == 0:
-            return iv_exact(coef)
-        powed = g
-        for _ in range(abs(gexp) - 1):
-            powed = iv_mul(powed, g)
-        if gexp < 0:
-            powed = iv_div(iv_exact(_ONE), powed)
-        return iv_scale(powed, coef)
+        return self.at(dset.exponent_enclosure().refined_to(
+            Fraction(1, 1 << VALUE_BITS)).as_iv())
 
     def compare(self, other: "Scalar", dset: MissingDigitSet) -> int:
         """Exact -1/0/+1 of self - other.
@@ -97,30 +90,28 @@ class Scalar(Record):
         enc = dset.exponent_enclosure()
         while True:
             g = enc.as_iv()
-            a = self._iv_from_gamma(self.coef, self.gexp, g)
-            b = self._iv_from_gamma(other.coef, other.gexp, g)
+            a, b = self.at(g), other.at(g)
             if a[1] < b[0]:
                 return -1
             if a[0] > b[1]:
                 return 1
             enc = enc.refine()
 
-    def evaluate_base_power(self, dset: MissingDigitSet, bits: int = VALUE_BITS) -> Iv:
+    def evaluate_base_power(self, dset: MissingDigitSet) -> Iv:
         """Enclosure (exact when possible) of base**self."""
         b = Fraction(dset.base)
         if self.coef == 0:
             return iv_exact(_ONE)
         if self.gexp == 0:
-            return rational_pow(b, self.coef, bits)
+            return rational_pow(b, self.coef, VALUE_BITS)
         exact = dset.exponent_fraction
         if exact is not None:
-            return rational_pow(b, self.coef * exact ** self.gexp, bits)
+            return rational_pow(b, self.coef * exact ** self.gexp, VALUE_BITS)
         if self.gexp == 1:
             # b^(c*gamma) = (#digits)^c exactly
-            return rational_pow(Fraction(dset.digit_count), self.coef, bits)
+            return rational_pow(Fraction(dset.digit_count), self.coef, VALUE_BITS)
         # rare: go through an enclosure exponent
-        expo = self.value_iv(dset, bits)
-        return pow_interval(iv_exact(b), expo, bits)
+        return pow_interval(iv_exact(b), self.value_iv(dset), VALUE_BITS)
 
 
 GAMMA = Scalar(_ONE, 1)
@@ -188,8 +179,21 @@ def truncate_psi(psi: ApproxFunction, c) -> ApproxFunction:
     return ApproxFunction(psi.kind, c)
 
 
-def psi_value(psi: ApproxFunction, dset: MissingDigitSet, n: int,
-              bits: int = VALUE_BITS) -> Iv:
+def _powlog_value(power: Scalar, log_exponent: Scalar, dset: MissingDigitSet,
+                  n: int, irrational_message: str) -> Iv:
+    """r^-power * (log r)^-log_exponent at r = b^n; a gamma power in the
+    log exponent needs a rational gamma, else InputError(irrational_message)."""
+    if log_exponent.gexp != 0:
+        exact = dset.exponent_fraction
+        if exact is None:
+            raise InputError(irrational_message)
+        log_exponent = Scalar(log_exponent.coef * exact ** log_exponent.gexp)
+    power_part = power.scale(Fraction(-n)).evaluate_base_power(dset)
+    logr = iv_scale(ln_interval(Fraction(dset.base), VALUE_BITS + 16), Fraction(n))
+    return iv_mul(power_part, pow_interval(logr, iv_exact(-log_exponent.coef), VALUE_BITS))
+
+
+def psi_value(psi: ApproxFunction, dset: MissingDigitSet, n: int) -> Iv:
     """Enclosure (exact when representable) of psi(b^n), truncation applied."""
     kind = psi.kind
     if isinstance(kind, TableValues):
@@ -197,17 +201,10 @@ def psi_value(psi: ApproxFunction, dset: MissingDigitSet, n: int,
             raise InputError(f"psi table has no value at level {n}")
         val = iv_exact(Fraction(kind.values[n]))
     elif isinstance(kind, PowerLaw):
-        val = kind.exponent.scale(Fraction(-n)).evaluate_base_power(dset, bits)
+        val = kind.exponent.scale(Fraction(-n)).evaluate_base_power(dset)
     elif isinstance(kind, PowerLogLaw):
-        power_part = kind.power.scale(Fraction(-n)).evaluate_base_power(dset, bits)
-        u = kind.log_exponent
-        if u.gexp != 0:
-            exact = dset.exponent_fraction
-            if exact is None:
-                raise InputError("irrational log-exponent is not supported")
-            u = Scalar(u.coef * exact ** u.gexp)
-        logr = iv_scale(ln_interval(Fraction(dset.base), bits + 16), Fraction(n))
-        val = iv_mul(power_part, pow_interval(logr, iv_exact(-u.coef), bits))
+        val = _powlog_value(kind.power, kind.log_exponent, dset, n,
+                            "irrational log-exponent is not supported")
     else:
         raise InputError(f"unknown psi kind {kind!r}")
     if psi.truncation is not None:
@@ -236,7 +233,7 @@ class DimensionFunction(Record):
 
 
 def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
-             n: int, bits: int = VALUE_BITS) -> Iv:
+             n: int) -> Iv:
     """Enclosure of f(psi(b^n)), exploiting exact exponent algebra when possible."""
     if isinstance(f.kind, TableValues):
         if n not in f.kind.values:
@@ -246,21 +243,12 @@ def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
     kind = psi.kind
     if psi.truncation is None and isinstance(kind, PowerLaw):
         st = s.times(kind.exponent)
-        return st.scale(Fraction(-n)).evaluate_base_power(dset, bits)
+        return st.scale(Fraction(-n)).evaluate_base_power(dset)
     if psi.truncation is None and isinstance(kind, PowerLogLaw):
-        sa = s.times(kind.power)
-        su = s.times(kind.log_exponent)
-        if su.gexp != 0:
-            exact = dset.exponent_fraction
-            if exact is None:
-                raise InputError("f(power_log psi) needs a rational combined log exponent")
-            su = Scalar(su.coef * exact ** su.gexp)
-        power_part = sa.scale(Fraction(-n)).evaluate_base_power(dset, bits)
-        logr = iv_scale(ln_interval(Fraction(dset.base), bits + 16), Fraction(n))
-        return iv_mul(power_part, pow_interval(logr, iv_exact(-su.coef), bits))
+        return _powlog_value(s.times(kind.power), s.times(kind.log_exponent), dset, n,
+                             "f(power_log psi) needs a rational combined log exponent")
     # generic: evaluate psi then apply the power
-    val = psi_value(psi, dset, n, bits)
-    return pow_interval(val, s.value_iv(dset, bits), bits)
+    return pow_interval(psi_value(psi, dset, n), s.value_iv(dset), VALUE_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +303,8 @@ class Layer(Record):
                 out.append((lo, hi))
         return out
 
-    def union_pairs(self, radius: Optional[Fraction] = None) -> list[Pair]:
-        r = radius if radius is not None else self.radius[0]
-        return merge_pairs(self.ball_pairs(r))
+    def union_pairs(self, radius: Fraction) -> list[Pair]:
+        return merge_pairs(self.ball_pairs(radius))
 
     @cached_property
     def union_lo(self) -> tuple[Pair, ...]:
@@ -339,7 +326,7 @@ def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
                 cfg: WindowConfig, coprime: bool) -> Layer:
     if n < 1:
         raise InputError("level must be >= 1")
-    radius = psi_value(psi, dset, n, VALUE_BITS)
+    radius = psi_value(psi, dset, n)
     if radius[0] <= 0:
         raise InputError("psi must be positive on the evaluation grid")
     bn = dset.base ** n
@@ -389,18 +376,18 @@ def pairwise_measure(layer_m: Layer, layer_n: Layer) -> CantorMeasureValue:
 
 
 def layer_comparator(dset: MissingDigitSet, psi: ApproxFunction, n: int,
-                     window_measure: Fraction, bits: int = VALUE_BITS) -> Iv:
+                     window_measure: Fraction) -> Iv:
     """mu(B) * (psi(b^n) * b^n)^gamma, the predicted size of a layer."""
     kind = psi.kind
     if psi.truncation is None and isinstance(kind, PowerLaw):
         expo = scalar_plus(Scalar.of(n), kind.exponent.scale(Fraction(-n)))
         if expo is not None:
-            val = expo.times(GAMMA).evaluate_base_power(dset, bits)
+            val = expo.times(GAMMA).evaluate_base_power(dset)
             return iv_scale(val, window_measure)
-    val = psi_value(psi, dset, n, bits)
+    val = psi_value(psi, dset, n)
     scaled = iv_scale(val, Fraction(dset.base) ** n)
-    g = dset.exponent_enclosure().refined_to(Fraction(1, 1 << bits))
-    powed = pow_interval(scaled, g.as_iv(), bits)
+    g = dset.exponent_enclosure().refined_to(Fraction(1, 1 << VALUE_BITS))
+    powed = pow_interval(scaled, g.as_iv(), VALUE_BITS)
     return iv_scale(powed, window_measure)
 
 
@@ -423,12 +410,6 @@ class ScanReport(Record):
     rows: tuple[PairRow, ...]
     skipped: tuple[tuple[int, int], ...]  # pairs with a null layer
     c_empirical: Optional[Iv]
-
-    def row(self, m: int, n: int) -> PairRow:
-        for r in self.rows:
-            if r.m == m and r.n == n:
-                return r
-        raise KeyError((m, n))
 
 
 def classify_pair_case(dset: MissingDigitSet, psi: ApproxFunction,
@@ -496,9 +477,9 @@ _PREDICTION = {"convergent": "measure_zero",
 
 
 def series_term(dset: MissingDigitSet, psi: ApproxFunction, f: DimensionFunction,
-                n: int, bits: int = VALUE_BITS) -> Iv:
+                n: int) -> Iv:
     """f(psi(b^n)) * (b^n)^gamma; the second factor is exactly (#digits)^n."""
-    return iv_scale(f_of_psi(f, psi, dset, n, bits), dset.digit_mass_pow(n))
+    return iv_scale(f_of_psi(f, psi, dset, n), dset.digit_mass_pow(n))
 
 
 def _analytic_verdict(dset: MissingDigitSet, psi: ApproxFunction,
@@ -597,10 +578,8 @@ def borel_cantelli_ratio(dset: MissingDigitSet, psi: ApproxFunction,
     measures = [layer_measure(l) for l in layers]
     if all(m.hi == 0 for m in measures):
         raise InputError("all layers are null: the ratio is undefined")
-    num_lo = sum(m.lo for m in measures)
-    num_hi = sum(m.hi for m in measures)
-    den_lo = sum(m.lo for m in measures)
-    den_hi = sum(m.hi for m in measures)
+    num_lo = den_lo = sum(m.lo for m in measures)
+    num_hi = den_hi = sum(m.hi for m in measures)
     for i in range(q):
         for j in range(i + 1, q):
             inter = pairwise_measure(layers[i], layers[j])

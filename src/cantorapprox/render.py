@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .digitsets import CantorMeasureValue
 
 DECIMAL_SIG_DIGITS = 15
 
 
-def decimal_str(fr: Fraction, sig: int = DECIMAL_SIG_DIGITS) -> str:
-    """Positional decimal with `sig` significant digits, half away from zero."""
+def decimal_str(fr: Fraction) -> str:
+    """Positional decimal, DECIMAL_SIG_DIGITS significant digits, half away from zero."""
+    sig = DECIMAL_SIG_DIGITS
     fr = Fraction(fr)
     if fr == 0:
         return "0"
@@ -60,14 +61,16 @@ def rational_json(fr: Fraction) -> dict:
     return {"rat": rat_str(fr), "dec": decimal_str(fr)}
 
 
-def value_json(v) -> dict:
-    """Exact-or-bounds value: Fraction, (lo, hi) pair, or CantorMeasureValue."""
+def _bounds(v) -> tuple[Fraction, Fraction]:
+    """(lo, hi) of a Fraction, a (lo, hi) pair or a CantorMeasureValue."""
     if isinstance(v, CantorMeasureValue):
-        lo, hi = v.lo, v.hi
-    elif isinstance(v, tuple):
-        lo, hi = v
-    else:
-        lo = hi = Fraction(v)
+        return v.lo, v.hi
+    return v if isinstance(v, tuple) else (Fraction(v), Fraction(v))
+
+
+def value_json(v) -> dict:
+    """Exact-or-bounds value as exact and decimal bounds."""
+    lo, hi = _bounds(v)
     return {"lo": rational_json(lo), "hi": rational_json(hi), "exact": lo == hi}
 
 
@@ -80,12 +83,7 @@ def lossy_float(fr: Fraction) -> float:
 
 def value_csv(v) -> str:
     """Exact num/den string; bounds render as "lo..hi"."""
-    if isinstance(v, CantorMeasureValue):
-        lo, hi = v.lo, v.hi
-    elif isinstance(v, tuple):
-        lo, hi = v
-    else:
-        lo = hi = Fraction(v)
+    lo, hi = _bounds(v)
     if lo == hi:
         return rat_str(lo)
     return f"{rat_str(lo)}..{rat_str(hi)}"
@@ -95,11 +93,8 @@ def dump_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def dump_csv(rows: Sequence[dict], fieldnames: Optional[Sequence[str]] = None) -> str:
+def dump_csv(rows: Sequence[dict]) -> str:
     if not rows:
         return "\n"
-    names = list(fieldnames) if fieldnames else list(rows[0].keys())
-    out = [",".join(names)]
-    for row in rows:
-        out.append(",".join(str(row.get(k, "")) for k in names))
-    return "\n".join(out) + "\n"
+    lines = [",".join(rows[0])] + [",".join(str(v) for v in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -2,13 +2,16 @@
 
 These deliberately use different mechanisms from the implementation:
 block counting instead of per-digit weights for the measure, integer
-power comparisons instead of log enclosures for exponent inequalities.
+power comparisons instead of log enclosures for exponent inequalities,
+a `Fraction` digit walk and a per-cell scan for membership.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
+from typing import Optional
 
-from cantorapprox import MissingDigitSet
+from cantorapprox import MembershipResult, MissingDigitSet
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,3 +69,83 @@ def power_series_converges(s: Fraction, tau: Fraction, base: int, count: int) ->
     st = Fraction(s) * Fraction(tau)
     # s*tau > log(count)/log(base)  <=>  base^(num) > count^(den)
     return base ** st.numerator > count ** st.denominator
+
+
+def _badic_digit_length(q: int, b: int) -> Optional[int]:
+    """Smallest n with q | b^n, or None when no power of b works."""
+    n = 0
+    while q > 1:
+        g = gcd(q, b)
+        if g == 1:
+            return None
+        q //= g
+        n += 1
+    return n
+
+
+def _digits_of(p: int, n: int, b: int) -> list[int]:
+    """The n base-b digits of the integer p < b**n, most significant first."""
+    out = []
+    for _ in range(n):
+        p, d = divmod(p, b)
+        out.append(d)
+    return out[::-1]
+
+
+def rational_in_set(dset: MissingDigitSet, x: Fraction) -> bool:
+    """Exact membership for any rational in [0,1] via its digit stream(s).
+
+    A b-adic rational has two expansions (terminating and repeating
+    base-1); it belongs to the set when either stays inside the digit
+    alphabet.  Other rationals have one eventually periodic expansion,
+    walked on Fractions until a remainder repeats.
+    """
+    b, allowed = dset.base, set(dset.digits)
+    if x == 0:
+        return 0 in allowed
+    if x == 1:
+        return b - 1 in allowed
+    n = _badic_digit_length(x.denominator, b)
+    if n is not None:
+        digits = _digits_of(x.numerator * (b ** n // x.denominator), n, b)
+        term_ok = all(d in allowed for d in digits) and 0 in allowed
+        alt_ok = (all(d in allowed for d in digits[:-1])
+                  and (digits[-1] - 1) in allowed and (b - 1) in allowed)
+        return term_ok or alt_ok
+    rem = x
+    seen = set()
+    while rem not in seen:
+        seen.add(rem)
+        rem *= b
+        d = rem.__floor__()
+        rem -= d
+        if d not in allowed:
+            return False
+    return True  # full cycle scanned without a bad digit
+
+
+def enclosure_status(dset: MissingDigitSet, lo: Fraction, hi: Fraction,
+                     depth: int, cell_budget: int = 1 << 16) -> MembershipResult:
+    """Verdict shared by all points of [lo, hi] (lo < hi) up to `depth`,
+    scanning every cell that meets [lo, hi] one by one."""
+    scale = 1
+    for level in range(1, depth + 1):
+        scale *= dset.base
+        k_start = (lo * scale).__floor__()
+        if lo * scale == k_start and k_start > 0:
+            k_start -= 1  # cell touching lo from the left
+        k_end = min((hi * scale).__floor__(), scale - 1)
+        if k_end - k_start + 1 > cell_budget:
+            return MembershipResult("undetermined", level)
+        any_allowed = False
+        interior_bad = False
+        for k in range(k_start, k_end + 1):
+            if dset.prefix_allowed(k, level):
+                any_allowed = True
+            elif max(lo, Fraction(k, scale)) < min(hi, Fraction(k + 1, scale)):
+                interior_bad = True
+        if not any_allowed:
+            return MembershipResult("out")
+        if interior_bad:
+            return MembershipResult("undetermined", level)
+    return MembershipResult("in")

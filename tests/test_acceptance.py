@@ -28,7 +28,7 @@ from cantorapprox import (ApproxFunction, DimensionFunction, MissingDigitSet,
                           truncation_reports, well_approximable_band)
 from cantorapprox.calibration import C_FIX
 from cantorapprox.cli import run_command
-from cantorapprox.enclosures import LogRatioSource, iv_mul, iv_sub
+from cantorapprox.enclosures import LogRatioSource, iv_mul, iv_scale, iv_sub
 
 from oracles import oracle_measure
 
@@ -94,7 +94,7 @@ def test_c04_quasi_independence_scan():
     for row in rep.rows:
         if row.case == "i":
             assert row.mu_mn.value == 0 and row.rho == (F(0), F(0))
-    assert rep.row(1, 2).rho == (F(1), F(1))
+    assert next(r for r in rep.rows if (r.m, r.n) == (1, 2)).rho == (F(1), F(1))
     ce = rep.c_empirical
     assert ce is not None and ce[1] <= C_FIX
     _report("C04 pairwise quasi-independence scan (case-i empty, max rho <= C_fix)",
@@ -114,13 +114,14 @@ def test_c05_borel_cantelli_ratio():
 def test_c06_covering_exponent_trend():
     started = time.monotonic()
     tol = F(2, 100)
+    gamma = RealEnclosure.from_source(
+        LogRatioSource(F(2), F(3))).refined_to(F(1, 10 ** 9)).as_iv()
     for tau in (2, 3):
-        target = RealEnclosure.from_source(
-            LogRatioSource(F(2), F(3))).refined_to(F(1, 10 ** 9)).mul_rational(F(1, tau))
+        target = iv_scale(gamma, F(1, tau))
         for n in range(2, 7):
             est = box_dimension_estimate(K, F(tau), n, coprime=True)
             # certified |d - gamma/tau| <= 0.02
-            diff = iv_sub(est.estimate, (target.lo, target.hi))
+            diff = iv_sub(est.estimate, target)
             assert max(abs(diff[0]), abs(diff[1])) <= tol, (tau, n)
             if (tau, n) == (2, 2):
                 assert est.count == 4 and est.level == 4
@@ -134,7 +135,10 @@ def test_c07_full_cover_identity():
     started = time.monotonic()
     for n in range(1, 9):
         assert full_cover_check(K, n, RatInterval.unit())
-    _report("C07 full-cover identity at radius b^-n, n <= 8", 60, started)
+    # without the digits 0 and b-1 no p/b^n lies in the set, so nothing is covered
+    assert not full_cover_check(MissingDigitSet(5, (1, 3)), 4, RatInterval.unit())
+    _report("C07 full-cover identity at radius b^-n, n <= 8, and one uncovered set",
+            60, started)
 
 
 def test_c08_explicit_number_exact_order_regime():

@@ -5,7 +5,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantorapprox import (InputError, MissingDigitSet, RatInterval, RealEnclosure,
@@ -13,10 +13,10 @@ from cantorapprox import (InputError, MissingDigitSet, RatInterval, RealEnclosur
                           center_count, enumerate_centers, full_cover_check,
                           measure_union, membership)
 from cantorapprox import digitsets
-from cantorapprox.digitsets import _rational_in_set, measure_pair
+from cantorapprox.digitsets import measure_pair
 from cantorapprox.intervals import clip_union, merge_pairs
 
-from oracles import oracle_cdf, oracle_measure
+from oracles import enclosure_status, oracle_cdf, oracle_measure, rational_in_set
 
 K = MissingDigitSet.middle_thirds()
 
@@ -309,7 +309,7 @@ def test_enumeration_budget_full_range_condition():
 
 
 def _centers_by_membership(dset, n, coprime):
-    """Cylinder endpoints verified one by one with the exact membership test."""
+    """Cylinder endpoints verified one by one with the digit-walk oracle."""
     bn = dset.base ** n
     candidates = set()
     for p in dset.allowed_prefixes(n):
@@ -317,7 +317,7 @@ def _centers_by_membership(dset, n, coprime):
         candidates.add(p + 1)
     return [p for p in sorted(candidates)
             if not (coprime and gcd(p, dset.base) != 1)
-            and _rational_in_set(dset, F(p, bn))]
+            and rational_in_set(dset, F(p, bn))]
 
 
 def test_enumerate_centers_matches_membership_for_every_small_digit_set():
@@ -342,18 +342,133 @@ def test_enumerate_centers_in_a_prefix_range(case, coprime):
     assert all(first <= p <= last + 1 for p in got)
 
 
-def _full_cover_all_balls(dset, n, window):
-    """The cover check with every one of the b^n + 1 balls built."""
+def _full_cover_every_center(dset, n, window):
+    """The cover check with a ball around every p/b^n, 0 <= p <= b^n, that
+    the digit-walk oracle puts in the set."""
     bn = dset.base ** n
     r = F(1, bn)
-    balls = [(F(p, bn) - r, F(p, bn) + r) for p in range(bn + 1)]
+    balls = [(F(p, bn) - r, F(p, bn) + r) for p in range(bn + 1)
+             if rational_in_set(dset, F(p, bn))]
     clipped = clip_union(merge_pairs(balls), window.pair())
     return measure_union(dset, clipped) == measure_pair(dset, window.lo, window.hi)
 
 
-@given(st.sampled_from(BENCH_SETS), st.integers(min_value=1, max_value=5),
-       small_rat, small_rat)
-@settings(max_examples=120, deadline=None)
-def test_full_cover_matches_all_balls(dset, n, a, b):
+# every proper digit set of the bases 3-7 (213 sets)
+ALL_SETS = [MissingDigitSet(b, ds) for b in range(3, 8) for size in range(2, b)
+            for ds in itertools.combinations(range(b), size)]
+NO_OUTER_DIGIT_SETS = [MissingDigitSet(5, (1, 3)), MissingDigitSet(6, (1, 2, 4)),
+                       MissingDigitSet(4, (1, 2)), MissingDigitSet(7, (2, 4, 5))]
+
+
+@given(st.sampled_from(BENCH_SETS + NO_OUTER_DIGIT_SETS) | st.sampled_from(ALL_SETS),
+       st.integers(min_value=1, max_value=4), small_rat, small_rat)
+@settings(max_examples=150, deadline=None)
+def test_full_cover_matches_every_center_in_the_set(dset, n, a, b):
     window = RatInterval.make(min(a, b), max(a, b))
-    assert full_cover_check(dset, n, window) == _full_cover_all_balls(dset, n, window)
+    assert full_cover_check(dset, n, window) == _full_cover_every_center(dset, n, window)
+
+
+def test_full_cover_fails_where_no_center_lies_in_the_set():
+    # with neither 0 nor b-1 as a digit no p/b^n is in the set: no ball, no cover
+    for dset, n, window in [(MissingDigitSet(5, (1, 3)), 4, RatInterval.unit()),
+                            (MissingDigitSet(6, (1, 2, 4)), 3, RatInterval.make(F(1, 7), F(5, 7)))]:
+        assert enumerate_centers(dset, n, False) == []
+        assert not full_cover_check(dset, n, window)
+        assert not _full_cover_every_center(dset, n, window)
+    # a window inside a gap has measure 0 and counts as covered
+    gap = RatInterval.make(F(1, 25), F(1, 5))
+    assert full_cover_check(MissingDigitSet(5, (1, 3)), 2, gap)
+
+
+# ---------------------------------------------------------------------------
+# membership against the digit-walk and cell-scan oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def set_and_rational(draw):
+    """A digit set of base 3-7 and a rational in [0,1]: b-adic (p/b^k, also
+    p next to an allowed prefix), with a prime denominator below 10^4,
+    with both multiplied, or a point whose expansion is a pre-period and
+    a period of allowed digits (sometimes with one digit changed)."""
+    dset = draw(st.sampled_from(ALL_SETS))
+    b = dset.base
+    kind = draw(st.sampled_from(("b-adic", "center", "prime", "mixed", "periodic")))
+    if kind == "center":
+        n = draw(st.integers(min_value=1, max_value=6))
+        prefix = draw(st.lists(st.sampled_from(dset.digits), min_size=n, max_size=n))
+        return dset, F(_block(prefix, b) + draw(st.integers(0, 1)), b ** n)
+    if kind == "periodic":
+        digit = st.sampled_from(dset.digits) | st.integers(0, b - 1)
+        pre = draw(st.lists(digit, max_size=5))
+        period = draw(st.lists(digit, min_size=1, max_size=12))
+        cycle = b ** len(period) - 1
+        return dset, F(_block(pre, b) * cycle + _block(period, b), b ** len(pre) * cycle)
+    den = 1
+    if kind != "prime":
+        den *= b ** draw(st.integers(min_value=0, max_value=8))
+    if kind != "b-adic":
+        den *= draw(st.sampled_from(PRIMES))
+    return dset, F(draw(st.integers(min_value=0, max_value=den)), den)
+
+
+@given(set_and_rational())
+@settings(max_examples=400, deadline=None)
+def test_membership_of_rationals_matches_digit_walk(case):
+    dset, x = case
+    assert membership(x, dset).kind == ("in" if rational_in_set(dset, x) else "out")
+
+
+def test_membership_of_small_rationals_matches_digit_walk_for_every_set():
+    for dset in ALL_SETS:
+        b = dset.base
+        xs = {F(p, b ** 3) for p in range(b ** 3 + 1)}
+        xs |= {F(p, q) for q in range(1, 15) for p in range(q + 1)}
+        for x in xs:
+            assert membership(x, dset).kind == (
+                "in" if rational_in_set(dset, x) else "out"), (dset, x)
+
+
+@st.composite
+def enclosure_endpoint(draw, b):
+    """A point of [0,1] on a cell boundary k/b^L, just off one, or anywhere."""
+    level = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=b ** level))
+    x = F(k, b ** level)
+    kind = draw(st.sampled_from(("boundary", "near", "prime")))
+    if kind == "near":
+        x += F(draw(st.integers(-3, 3)), draw(st.sampled_from(PRIMES)) * b ** (level + 2))
+    elif kind == "prime":
+        den = draw(st.sampled_from(PRIMES))
+        x = F(draw(st.integers(min_value=0, max_value=den)), den)
+    return min(max(x, F(0)), F(1))
+
+
+@st.composite
+def set_and_enclosure(draw):
+    dset = draw(st.sampled_from(ALL_SETS))
+    lo = draw(enclosure_endpoint(dset.base))
+    hi = draw(enclosure_endpoint(dset.base))
+    assume(lo != hi)
+    return dset, min(lo, hi), max(lo, hi), draw(st.integers(min_value=1, max_value=6))
+
+
+@given(set_and_enclosure())
+@settings(max_examples=400, deadline=None)
+def test_membership_of_enclosures_matches_cell_scan(case):
+    dset, lo, hi, depth = case
+    assert membership(RealEnclosure(lo, hi), dset, depth) == enclosure_status(
+        dset, lo, hi, depth)
+
+
+def test_membership_of_cell_aligned_enclosures_matches_cell_scan():
+    # for every set: each [i, j]/b with i < j, and each [i, i + 1]/b^2 and
+    # [i, i + b]/b^2 (one level-2 cell, one level-1 width off the grid)
+    for dset in ALL_SETS:
+        b = dset.base
+        pairs = [(F(i, b), F(j, b)) for i in range(b) for j in range(i + 1, b + 1)]
+        pairs += [(F(i, b * b), F(i + w, b * b)) for w in (1, b)
+                  for i in range(b * b - w + 1)]
+        for lo, hi in pairs:
+            for depth in (1, 3):
+                assert membership(RealEnclosure(lo, hi), dset, depth) == enclosure_status(
+                    dset, lo, hi, depth), (dset, lo, hi, depth)

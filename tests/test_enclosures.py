@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from cantorapprox import (AffineSource, InputError, LogRatioSource, PrecisionErr
 from cantorapprox import enclosures
 from cantorapprox.enclosures import (_atanh_interval, _exp_point, _ln2_interval, _ln_fixed,
                                      _round_out, iv_add, iv_mul, iv_scale, ln_interval,
-                                     nthroot_interval, rational_pow)
+                                     nthroot_interval, rational_pow, sqrt_interval)
 
 from oracles import gamma_cmp
 
@@ -52,6 +53,29 @@ def test_canonical_form(n, d):
 def test_iroot_floor(n, k):
     r = iroot(n, k)
     assert r ** k <= n < (r + 1) ** k
+
+
+def _sqrt_interval_before(x: F, bits: int):
+    """sqrt_interval's former body: isqrt of p q 4^bits over q 2^bits."""
+    if x == 0:
+        return (F(0), F(0))
+    p, q = x.numerator, x.denominator
+    scaled = p * q << (2 * bits)
+    r = isqrt(scaled)
+    den = q << bits
+    if r * r == scaled:
+        return (F(r, den), F(r, den))
+    return (F(r, den), F(r + 1, den))
+
+
+def test_sqrt_interval_is_the_square_root_case_of_nthroot():
+    xs = [F(0), F(1), F(2), F(5), F(1, 4), F(9, 16), F(2, 3), F(35, 74), F(10 ** 20 + 1),
+          F(1, 10 ** 30), F(3 ** 40, 2 ** 61), F(49, 4 ** 7)]
+    for x in xs:
+        for bits in (0, 1, 7, 32, 64, 96, 257):
+            assert sqrt_interval(x, bits) == _sqrt_interval_before(x, bits), (x, bits)
+    with pytest.raises(InputError, match="sqrt of a negative value"):
+        sqrt_interval(F(-1, 3), 32)
 
 
 def test_sqrt_enclosure_example():

@@ -49,3 +49,24 @@ def test_no_unused_imports(path):
 def test_unused_import_is_detected():
     tree = ast.parse("from typing import Any, Optional\nx: Optional[int] = None\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"Any"}
+
+
+def _nested_imports(tree: ast.Module) -> list[str]:
+    """Imports inside a function body, as "function (line N)"."""
+    return sorted(f"{fn.name} (line {node.lineno})" for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+# cli.py alone imports a command family's module in the handler that runs it,
+# so a call loads only the code it runs
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    nested = _nested_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not nested, f"{path.name} imports inside functions: {', '.join(nested)}"
+
+
+def test_nested_import_is_detected():
+    tree = ast.parse("import os\ndef f():\n    def g():\n        from math import gcd\n")
+    assert _nested_imports(tree) == ["f (line 4)", "g (line 4)"]

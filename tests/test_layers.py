@@ -14,8 +14,8 @@ from cantorapprox import (ApproxFunction, DimensionFunction, HypothesisViolation
                           truncate_psi)
 from cantorapprox.digitsets import measure_union
 from cantorapprox.intervals import intersect_unions
-from cantorapprox.layers import VALUE_BITS, classify_pair_case, psi_value
-from cantorapprox.enclosures import iv_div
+from cantorapprox.layers import classify_pair_case, psi_value
+from cantorapprox.enclosures import iv_div, iv_exact, iv_mul, iv_scale
 
 from oracles import power_series_converges
 
@@ -61,7 +61,7 @@ def test_layer_window_clipping():
 
 def _centers_from_every_center(dset, psi, n, cfg, coprime):
     """build_layer's centers with every center of the level enumerated first."""
-    radius = psi_value(psi, dset, n, VALUE_BITS)
+    radius = psi_value(psi, dset, n)
     bn = dset.base ** n
     w_lo, w_hi = cfg.window.lo, cfg.window.hi
     return tuple(F(p, bn) for p in enumerate_centers(dset, n, coprime)
@@ -131,7 +131,7 @@ def test_pairwise_requires_shared_window():
 def test_scan_case_split_and_rho():
     rep = quasi_independence_scan(K, PSI2, CFG, 8)
     assert rep.window_measure == 1
-    r12 = rep.row(1, 2)
+    r12 = next(r for r in rep.rows if (r.m, r.n) == (1, 2))
     assert r12.rho == (F(1), F(1))
     for row in rep.rows:
         # case (i) iff 3^-n >= 2 psi(3^m), here iff n < 2m
@@ -347,3 +347,26 @@ def test_scalar_compare_grid(dset):
     for x in scalars:
         for y in scalars:
             assert x.compare(y, dset) == _compare_before(x, y, dset), (x, y)
+
+
+def _iv_from_gamma_before(coef: F, gexp: int, g) -> tuple:
+    """Scalar's former gamma-power evaluation: repeated products, then a reciprocal."""
+    if coef == 0 or gexp == 0:
+        return iv_exact(coef)
+    powed = g
+    for _ in range(abs(gexp) - 1):
+        powed = iv_mul(powed, g)
+    if gexp < 0:
+        powed = iv_div(iv_exact(F(1)), powed)
+    return iv_scale(powed, coef)
+
+
+def test_scalar_gamma_power_matches_repeated_products():
+    gammas = [MissingDigitSet(b, ds).exponent_enclosure().refined_to(F(1, 2 ** bits)).as_iv()
+              for b, ds in ((3, (0, 2)), (5, (0, 2, 3)), (7, (1, 4))) for bits in (32, 96)]
+    gammas += [(F(1, 3), F(1, 2)), (F(5, 7), F(5, 7)), (F(2), F(9, 4))]
+    for g in gammas:
+        for coef in (F(-5, 2), F(-1), 0, F(1, 3), F(1), F(7)):
+            for gexp in range(-4, 5):
+                sc = Scalar(F(coef), gexp)
+                assert sc.at(g) == _iv_from_gamma_before(sc.coef, gexp, g), (g, coef, gexp)
