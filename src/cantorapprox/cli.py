@@ -168,22 +168,22 @@ def cmd_measure(args, dset):
 def cmd_layer(args, dset):
     from .layers import build_layer, layer_comparator, layer_measure
     cfg = _window_cfg(args, dset)
-    layer = build_layer(dset, _psi_of(args), args.n, cfg, args.coprime)
+    psi = _psi_of(args)
+    layer = build_layer(dset, psi, args.n, cfg, args.coprime)
     mv = layer_measure(layer)
-    comp = layer_comparator(dset, _psi_of(args), args.n,
-                            cantor_measure(dset, cfg.window).value)
+    comp = layer_comparator(dset, psi, args.n, cantor_measure(dset, cfg.window).value)
     results = {
         "n": args.n,
         "coprime": args.coprime,
         "t0": cfg.t0,
-        "ball_count": len(layer.centers),
+        "ball_count": len(layer.center_numerators),
         "centers": [render.rational_json(c) for c in layer.centers],
         "radius": render.value_json(layer.radius),
         "disjoint": layer.disjoint,
         "measure": render.value_json(mv),
         "comparator": render.value_json(comp),
     }
-    rows = [{"n": args.n, "ball_count": len(layer.centers),
+    rows = [{"n": args.n, "ball_count": len(layer.center_numerators),
              "radius": render.value_csv(layer.radius),
              "measure": render.value_csv(mv),
              "comparator": render.value_csv(comp),
@@ -198,13 +198,14 @@ def cmd_pairwise(args, dset):
     lm = build_layer(dset, psi, args.m, cfg, args.coprime)
     ln_ = build_layer(dset, psi, args.n, cfg, args.coprime)
     inter = pairwise_measure(lm, ln_)
+    mu_m, mu_n = layer_measure(lm), layer_measure(ln_)
     results = {"m": args.m, "n": args.n,
-               "mu_m": render.value_json(layer_measure(lm)),
-               "mu_n": render.value_json(layer_measure(ln_)),
+               "mu_m": render.value_json(mu_m),
+               "mu_n": render.value_json(mu_n),
                "mu_mn": render.value_json(inter)}
     rows = [{"m": args.m, "n": args.n,
-             "mu_m": render.value_csv(layer_measure(lm)),
-             "mu_n": render.value_csv(layer_measure(ln_)),
+             "mu_m": render.value_csv(mu_m),
+             "mu_n": render.value_csv(mu_n),
              "mu_mn": render.value_csv(inter),
              "approx_lossy": render.lossy_float(inter.lo)}]
     return results, rows
@@ -480,83 +481,55 @@ def _add_xi(p):
                    help="base for the sparse number (defaults to 3)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_N = ("--n", {"type": int, "required": True})
+_NMAX = ("--nmax", {"type": int, "required": True})
+_DEPTH = ("--depth", {"type": int, "required": True})
+
+# each subcommand's shared option groups, then its own options, in help order
+SUBCOMMAND_OPTIONS = {
+    "measure": ((), [("--window", {"required": True, "help": "LO:HI interval to measure"})]),
+    "layer": ((_add_psi, _add_window), [_N]),
+    "pairwise": ((_add_psi, _add_window), [("--m", {"type": int, "required": True}), _N]),
+    "quasi-scan": ((_add_psi, _add_window), [_NMAX, ("--mmin", {"type": int, "default": 1})]),
+    "series": ((_add_psi,), [("--f", {"required": True, "help": "pow:S | table:n=v,..."}),
+                             _NMAX]),
+    "tail": ((_add_psi,), [("--f", {"required": True}),
+                           ("--n0", {"type": int, "required": True}), _NMAX]),
+    "bc-ratio": ((_add_psi, _add_window), [("--q", {"type": int, "required": True})]),
+    "dim-estimate": ((), [("--tau", {"required": True}), _N,
+                          ("--coprime", {"action": argparse.BooleanOptionalAction,
+                                         "default": True})]),
+    "xi-build": ((_add_xi,), []),
+    "xi-verify": ((_add_xi,), [
+        ("--depth", {"type": int, "default": None,
+                     "help": "membership depth (default: the last exponent)"}),
+        ("--cf-depth", {"type": int, "default": 60,
+                        "help": "continued-fraction depth, doubled while a Legendre-"
+                                "certified truncation is not among the convergents"})]),
+    "cf": ((_add_xi,), [("--x", {"required": True,
+                                 "help": "golden | gamma | sqrt:N | xi | rational"}), _DEPTH]),
+    "exponent": ((_add_xi,), [("--x", {"required": True}), _DEPTH,
+                              ("--min-q", {"type": int, "default": 2})]),
+    "cf-interval": ((), [("--quotients", {"required": True,
+                                          "help": "comma-separated positive integers"}),
+                         _DEPTH]),
+    "full-cover": ((), [_N, ("--window", {"default": "0:1"})]),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with only `command`'s."""
     top = argparse.ArgumentParser(prog="cantorapprox",
                                   description=__doc__.splitlines()[0])
     subs = top.add_subparsers(dest="command", required=True)
-
-    def sub(name):
+    for name in SUBCOMMAND_OPTIONS if command is None else (command,):
+        groups, options = SUBCOMMAND_OPTIONS[name]
         p = subs.add_parser(name)
         _add_common(p)
-        return p
-
-    p = sub("measure")
-    p.add_argument("--window", required=True, help="LO:HI interval to measure")
-
-    p = sub("layer")
-    _add_psi(p); _add_window(p)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub("pairwise")
-    _add_psi(p); _add_window(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub("quasi-scan")
-    _add_psi(p); _add_window(p)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--mmin", type=int, default=1)
-
-    p = sub("series")
-    _add_psi(p)
-    p.add_argument("--f", required=True, help="pow:S | table:n=v,...")
-    p.add_argument("--nmax", type=int, required=True)
-
-    p = sub("tail")
-    _add_psi(p)
-    p.add_argument("--f", required=True)
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-
-    p = sub("bc-ratio")
-    _add_psi(p); _add_window(p)
-    p.add_argument("--q", type=int, required=True)
-
-    p = sub("dim-estimate")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--coprime", action=argparse.BooleanOptionalAction, default=True)
-
-    p = sub("xi-build")
-    _add_xi(p)
-
-    p = sub("xi-verify")
-    _add_xi(p)
-    p.add_argument("--depth", type=int, default=None,
-                   help="membership depth (default: the last exponent)")
-    p.add_argument("--cf-depth", type=int, default=60,
-                   help="continued-fraction depth, doubled while a Legendre-"
-                        "certified truncation is not among the convergents")
-
-    p = sub("cf")
-    _add_xi(p)
-    p.add_argument("--x", required=True, help="golden | gamma | sqrt:N | xi | rational")
-    p.add_argument("--depth", type=int, required=True)
-
-    p = sub("exponent")
-    _add_xi(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--min-q", type=int, default=2)
-
-    p = sub("cf-interval")
-    p.add_argument("--quotients", required=True, help="comma-separated positive integers")
-    p.add_argument("--depth", type=int, required=True)
-
-    p = sub("full-cover")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", default="0:1")
-
+        for add_group in groups:
+            add_group(p)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return top
 
 
@@ -595,7 +568,10 @@ def _calibration_payload() -> dict:
 def run_command(argv: list[str]) -> tuple[str, Optional[str]]:
     """Returns (report text, output path or None)."""
     argv = _apply_config_file(argv)
-    args = build_parser().parse_args(argv)
+    # the named subcommand is argv[0]; anything else (help, an unknown
+    # command) needs the full parser and its list of choices
+    named = argv[0] if argv and argv[0] in SUBCOMMAND_OPTIONS else None
+    args = build_parser(named).parse_args(argv)
     if args.precision_budget is not None and args.precision_budget < 1:
         raise InputError("precision budget must be >= 1")
     dset = parse_set(args.set)

@@ -299,10 +299,10 @@ class CantorMeasureValue(Record):
         return self.lo
 
 
-def cantor_cdf(dset: MissingDigitSet, x: Fraction) -> Fraction:
-    """mu([0, x]) exactly, for rational x.
+def cantor_cdf(dset: MissingDigitSet, x: Fraction | int, den: int = 1) -> Fraction:
+    """mu([0, x/den]) exactly, for rational x and a positive integer den.
 
-    Walks the digit stream of x = r/q with the remainder r kept as an
+    Walks the digit stream of x/den = r/q with the remainder r kept as an
     integer mod q; each digit d adds the mass of the allowed cells
     strictly below d at that level, accumulated as the integer A over
     m^k (m = #digits, k digits read).  Dividing gcd(q, b) out of q until
@@ -310,15 +310,18 @@ def cantor_cdf(dset: MissingDigitSet, x: Fraction) -> Fraction:
     purely periodic.  When r first returns to its step-s value, k = s + L
     and the tail repeats the same L digits forever, which sums to
     (A - A_s) / (m^s (m^L - 1)).  A stream that terminates or reads a
-    disallowed digit ends at A / m^k.
+    disallowed digit ends at A / m^k.  An integer x over a layer's shared
+    grid den need not be in lowest terms: gcd(x, den) is divided out first.
     """
-    if x <= 0:
+    r, q = x.numerator, x.denominator * den
+    if r <= 0:
         return _ZERO
-    if x >= 1:
+    if r >= q:
         return _ONE
+    g = gcd(r, q)
+    r, q = r // g, q // g
     b, m = dset.base, dset.digit_count
     below, allowed = dset._below, dset._digitset
-    r, q = x.numerator, x.denominator
     s, _ = _preperiod(q, b)
     acc = 0
     for k in range(1, s + 1):

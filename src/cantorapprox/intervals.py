@@ -1,20 +1,25 @@
 """Closed rational subintervals of [0,1] and finite disjoint unions of them.
 
-The union machinery works on plain (lo, hi) Fraction pairs for speed;
-`RatInterval` is the validated value used at API boundaries.  Single
-points carry no mass for any of the measures here, so merging intervals
-that merely touch is always measure-safe.
+`RatInterval` is the validated value used at API boundaries.  The union
+walks `merge_pairs` and `intersect_unions` only compare and copy
+endpoints, so they take (lo, hi) pairs of any totally ordered values:
+Fractions in `digitsets`, and in `layers` integer numerators over one
+common denominator (the layer's grid), each paired with its CDF value as
+an (x, cdf) tuple that orders by x.  Single points carry no mass for any
+of the measures here, so merging intervals that merely touch is always
+measure-safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import InputError
 from .records import Record
 
 Pair = tuple[Fraction, Fraction]
+E = TypeVar("E")  # a union endpoint: any totally ordered value
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -53,10 +58,10 @@ class RatInterval(Record):
         return (self.lo, self.hi)
 
 
-def merge_pairs(pairs: Iterable[Pair]) -> list[Pair]:
+def merge_pairs(pairs: Iterable[tuple[E, E]]) -> list[tuple[E, E]]:
     """Sorted disjoint union of closed intervals (touching intervals merge)."""
     items = sorted(p for p in pairs if p[0] <= p[1])
-    merged: list[Pair] = []
+    merged: list[tuple[E, E]] = []
     for lo, hi in items:
         if merged and lo <= merged[-1][1]:
             prev_lo, prev_hi = merged[-1]
@@ -66,9 +71,10 @@ def merge_pairs(pairs: Iterable[Pair]) -> list[Pair]:
     return merged
 
 
-def intersect_unions(a: Sequence[Pair], b: Sequence[Pair]) -> list[Pair]:
+def intersect_unions(a: Sequence[tuple[E, E]],
+                     b: Sequence[tuple[E, E]]) -> list[tuple[E, E]]:
     """Pairwise intersection of two sorted disjoint unions."""
-    out: list[Pair] = []
+    out: list[tuple[E, E]] = []
     i = j = 0
     while i < len(a) and j < len(b):
         lo = max(a[i][0], b[j][0])

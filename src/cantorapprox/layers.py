@@ -4,7 +4,10 @@ A layer at level n is the union of balls of radius psi(b^n) around the
 (optionally reduced) b-adic rationals p/b^n lying in the fractal,
 clipped to a window.  Everything here is computed with exact rationals;
 irrational radii or exponents degrade gracefully to certified two-sided
-bounds.
+bounds.  A layer's ball unions live on one integer grid: every endpoint
+is an integer numerator over the layer's common denominator, carried
+with its `cantor_cdf` value, and two layers meet on the lcm of their
+grids.  Fractions are built only for the measures.
 
 Exponents are carried symbolically as c * gamma^k where gamma is the
 set's similarity exponent log(#digits)/log(base).  That keeps the
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Optional, Union
 
 from .digitsets import (CantorMeasureValue, MissingDigitSet, cantor_cdf,
@@ -24,7 +28,7 @@ from .enclosures import (Iv, LogRatioSource, RealEnclosure, iv_add, iv_div,
                          iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
 from .errors import HypothesisViolation, InputError, PrecisionError
-from .intervals import Pair, RatInterval, intersect_unions, merge_pairs
+from .intervals import RatInterval, intersect_unions, merge_pairs
 from .records import Record
 
 _ZERO = Fraction(0)
@@ -277,13 +281,31 @@ class WindowConfig(Record):
         return WindowConfig.for_window(RatInterval.unit(), base)
 
 
+def _on_grid(x: Fraction, grid: int) -> int:
+    """The numerator of x over `grid`, a multiple of x's denominator."""
+    return x.numerator * (grid // x.denominator)
+
+
+# a layer union: sorted disjoint (lo, hi) pairs whose endpoints are
+# (x, cantor_cdf(x/grid)) with x an integer over the layer's grid
+GridUnion = tuple[tuple[tuple[int, Fraction], tuple[int, Fraction]], ...]
+
+
+def _carry_cdf(union: list[tuple[int, int]], cdf: Mapping[int, Fraction]) -> GridUnion:
+    return tuple(((lo, cdf[lo]), (hi, cdf[hi])) for lo, hi in union)
+
+
 class Layer(Record):
     """The finite union of psi-balls at one level, clipped to the window.
 
-    `union_lo` and `union_hi` are the merged ball unions at the inner and
-    the outer radius (the same union when the radius is exact), and `cdf`
-    maps each of their endpoints to its `cantor_cdf` value.  Each is
-    computed once, on first use; every measure below only looks them up.
+    The centers are p/b^n with p in `center_numerators`.  Every ball
+    endpoint p/b^n -+ r, for both radius bounds r, and both window ends
+    are integers over `grid`, the lcm of b^n and their denominators.
+    `unions` holds the merged ball unions at the inner and the outer
+    radius (the same union when the radius is exact) on that grid, each
+    endpoint x paired with cantor_cdf(x/grid).  It is computed once, on
+    first use, with one `cantor_cdf` call per distinct endpoint; every
+    measure below only reads it.
     """
 
     n: int
@@ -291,35 +313,30 @@ class Layer(Record):
     window: RatInterval
     coprime: bool
     radius: Iv
-    centers: tuple[Fraction, ...]
+    grid: int
+    center_numerators: tuple[int, ...]
     disjoint: bool
 
-    def ball_pairs(self, radius: Fraction) -> list[Pair]:
-        w_lo, w_hi = self.window.lo, self.window.hi
-        out = []
-        for c in self.centers:
-            lo, hi = max(c - radius, w_lo), min(c + radius, w_hi)
-            if lo <= hi:
-                out.append((lo, hi))
-        return out
+    @property
+    def centers(self) -> tuple[Fraction, ...]:
+        bn = self.dset.base ** self.n
+        return tuple(Fraction(p, bn) for p in self.center_numerators)
 
-    def union_pairs(self, radius: Fraction) -> list[Pair]:
-        return merge_pairs(self.ball_pairs(radius))
-
-    @cached_property
-    def union_lo(self) -> tuple[Pair, ...]:
-        return tuple(self.union_pairs(self.radius[0]))
+    def _merged_balls(self, radius: Fraction) -> list[tuple[int, int]]:
+        step = self.grid // self.dset.base ** self.n
+        u = _on_grid(radius, self.grid)
+        wl, wh = _on_grid(self.window.lo, self.grid), _on_grid(self.window.hi, self.grid)
+        return merge_pairs([(max(c - u, wl), min(c + u, wh))
+                            for c in (p * step for p in self.center_numerators)])
 
     @cached_property
-    def union_hi(self) -> tuple[Pair, ...]:
-        if iv_is_exact(self.radius):
-            return self.union_lo
-        return tuple(self.union_pairs(self.radius[1]))
-
-    @cached_property
-    def cdf(self) -> Mapping[Fraction, Fraction]:
-        ends = dict.fromkeys(x for pair in self.union_lo + self.union_hi for x in pair)
-        return {x: cantor_cdf(self.dset, x) for x in ends}
+    def unions(self) -> tuple[GridUnion, GridUnion]:
+        inner = self._merged_balls(self.radius[0])
+        outer = inner if iv_is_exact(self.radius) else self._merged_balls(self.radius[1])
+        ends = dict.fromkeys(x for pair in inner + outer for x in pair)
+        cdf = {x: cantor_cdf(self.dset, x, self.grid) for x in ends}
+        carried = _carry_cdf(inner, cdf)
+        return carried, carried if outer is inner else _carry_cdf(outer, cdf)
 
 
 def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
@@ -331,48 +348,61 @@ def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
         raise InputError("psi must be positive on the evaluation grid")
     bn = dset.base ** n
     w_lo, w_hi = cfg.window.lo, cfg.window.hi
+    grid = lcm(bn, radius[0].denominator, radius[1].denominator,
+               w_lo.denominator, w_hi.denominator)
+    step = grid // bn
+    u, wl, wh = (_on_grid(x, grid) for x in (radius[1], w_lo, w_hi))
     # the centers that can pass the test below lie in [ceil(lo), floor(hi)]
     # with lo, hi = (w_lo - r, w_hi + r) * b^n, so only their prefixes and
     # the prefix just below are enumerated
-    first = max(-((radius[1] - w_lo) * bn).__floor__() - 1, 0)
-    last = min(((w_hi + radius[1]) * bn).__floor__(), bn - 1)
-    centers = []
-    for p in enumerate_centers(dset, n, coprime, first, last):
-        c = Fraction(p, bn)
-        if c + radius[1] >= w_lo and c - radius[1] <= w_hi:
-            centers.append(c)
-    disjoint = radius[1] < Fraction(1, 2 * bn)
-    return Layer(n=n, dset=dset, window=cfg.window, coprime=coprime,
-                 radius=radius, centers=tuple(centers), disjoint=disjoint)
+    first = max(-((u - wl) // step) - 1, 0)
+    last = min((wh + u) // step, bn - 1)
+    centers = tuple(p for p in enumerate_centers(dset, n, coprime, first, last)
+                    if p * step + u >= wl and p * step - u <= wh)
+    disjoint = 2 * bn * u < grid  # r < 1/(2 b^n)
+    return Layer(n=n, dset=dset, window=cfg.window, coprime=coprime, radius=radius,
+                 grid=grid, center_numerators=centers, disjoint=disjoint)
 
 
-def _table_measure(union, cdf: Mapping[Fraction, Fraction]) -> Fraction:
-    """Measure of a merged union all of whose endpoints are keys of `cdf`."""
-    return sum((cdf[hi] - cdf[lo] for lo, hi in union), _ZERO)
+def _measure(union: GridUnion) -> Fraction:
+    """Measure of a merged union whose endpoints carry their CDF values."""
+    return sum((c_hi - c_lo for (_, c_lo), (_, c_hi) in union), _ZERO)
+
+
+def _rescaled(union: GridUnion, k: int) -> GridUnion:
+    """The union with its grid refined k-fold (endpoints times k)."""
+    if k == 1:
+        return union
+    return tuple(((lo * k, c_lo), (hi * k, c_hi)) for (lo, c_lo), (hi, c_hi) in union)
 
 
 def layer_measure(layer: Layer) -> CantorMeasureValue:
     """Exact measure of the ball union (bounds when the radius is inexact)."""
-    lo_m = _table_measure(layer.union_lo, layer.cdf)
-    if iv_is_exact(layer.radius):
-        return CantorMeasureValue(lo_m, lo_m)
-    return CantorMeasureValue(lo_m, _table_measure(layer.union_hi, layer.cdf))
+    inner, outer = layer.unions
+    lo_m = _measure(inner)
+    return CantorMeasureValue(lo_m, lo_m if outer is inner else _measure(outer))
 
 
 def pairwise_measure(layer_m: Layer, layer_n: Layer) -> CantorMeasureValue:
     """Exact measure of the intersection of two layers over one window.
 
-    Every endpoint of the intersection of two merged unions is an
-    endpoint of one of them, so the two layers' tables cover it.
+    Both layers' unions are rescaled to the lcm of their grids.  Every
+    endpoint of the intersection of two merged unions is an endpoint of
+    one of them, so it carries its CDF value through the intersection.
     """
     if layer_m.dset != layer_n.dset or layer_m.window != layer_n.window:
         raise InputError("layers must share their set and window")
-    cdf = {**layer_n.cdf, **layer_m.cdf}
-    lo = _table_measure(intersect_unions(layer_m.union_lo, layer_n.union_lo), cdf)
+    grid = lcm(layer_m.grid, layer_n.grid)
+    k_m, k_n = grid // layer_m.grid, grid // layer_n.grid
+
+    def meet(i: int) -> Fraction:
+        return _measure(intersect_unions(_rescaled(layer_m.unions[i], k_m),
+                                         _rescaled(layer_n.unions[i], k_n)))
+
+    lo = meet(0)
     if iv_is_exact(layer_m.radius) and iv_is_exact(layer_n.radius):
         return CantorMeasureValue(lo, lo)
-    hi = _table_measure(intersect_unions(layer_m.union_hi, layer_n.union_hi), cdf)
-    return CantorMeasureValue(lo, hi)
+    return CantorMeasureValue(lo, meet(1))
 
 
 def layer_comparator(dset: MissingDigitSet, psi: ApproxFunction, n: int,
@@ -586,9 +616,11 @@ def borel_cantelli_ratio(dset: MissingDigitSet, psi: ApproxFunction,
             den_lo += 2 * inter.lo
             den_hi += 2 * inter.hi
     ratio = iv_div((num_lo * num_lo, num_hi * num_hi), (den_lo, den_hi))
-    # the union's endpoints are endpoints of the layers' outer unions
-    cdf = {x: v for l in layers for x, v in l.cdf.items()}
-    union = _table_measure(merge_pairs([p for l in layers for p in l.union_hi]), cdf)
+    # the union's endpoints are endpoints of the layers' outer unions, so
+    # they carry their CDF values once every union is on the common grid
+    grid = lcm(*(l.grid for l in layers))
+    union = _measure(merge_pairs([p for l in layers
+                                  for p in _rescaled(l.unions[1], grid // l.grid)]))
     return BorelCantelliReport(q=q, ratio=ratio, union_measure=union,
                                layer_measures=tuple(measures))
 

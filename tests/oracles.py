@@ -3,7 +3,9 @@
 These deliberately use different mechanisms from the implementation:
 block counting instead of per-digit weights for the measure, integer
 power comparisons instead of log enclosures for exponent inequalities,
-a `Fraction` digit walk and a per-cell scan for membership.
+a `Fraction` digit walk and a per-cell scan for membership, and
+`Fraction` ball endpoints for the layer unions the library builds on an
+integer grid.
 """
 
 from bisect import bisect_left
@@ -11,7 +13,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from cantorapprox import MembershipResult, MissingDigitSet
+from cantorapprox import Layer, MembershipResult, MissingDigitSet
+from cantorapprox.intervals import merge_pairs
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -149,3 +152,20 @@ def enclosure_status(dset: MissingDigitSet, lo: Fraction, hi: Fraction,
         if interior_bad:
             return MembershipResult("undetermined", level)
     return MembershipResult("in")
+
+
+def layer_ball_pairs(layer: Layer, radius: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """The layer's balls of the given radius around its centers, clipped to
+    its window, as `Fraction` pairs; balls the clip empties are dropped."""
+    w_lo, w_hi = layer.window.lo, layer.window.hi
+    out = []
+    for c in layer.centers:
+        lo, hi = max(c - radius, w_lo), min(c + radius, w_hi)
+        if lo <= hi:
+            out.append((lo, hi))
+    return out
+
+
+def layer_union_pairs(layer: Layer, radius: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """The merged union of `layer_ball_pairs`."""
+    return merge_pairs(layer_ball_pairs(layer, radius))

@@ -1,12 +1,13 @@
 import json
 import time
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 import pytest
 
-from cantorapprox import enclosures
-from cantorapprox.cli import main, run_command
+from cantorapprox import cli, enclosures, layers
+from cantorapprox.cli import COMMANDS, build_parser, main, run_command
 
 # one fast fixture configuration per subcommand
 FIXTURE_ARGVS = {
@@ -196,6 +197,37 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_ARGVS))
+def test_one_subparser_parses_like_the_full_parser(name):
+    assert set(FIXTURE_ARGVS) == set(COMMANDS)
+    argv = FIXTURE_ARGVS[name]
+    for sample in (argv, argv + ["--set", "5:0,2,3", "--output", "csv", "--timing"]):
+        assert build_parser(name).parse_args(sample) == build_parser().parse_args(sample)
+
+
+def test_run_command_builds_only_the_named_subparser():
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as built:
+        run_command(["full-cover", "--n", "3"])
+    built.assert_called_once_with("full-cover")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["frobnicate"], []], ids=str)
+def test_help_and_bad_commands_list_every_subcommand(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    printed = capsys.readouterr()
+    assert "{" + ",".join(COMMANDS) + "}" in printed.out + printed.err
+
+
+def test_pairwise_measures_each_layer_once_and_layer_parses_psi_once():
+    with mock.patch.object(layers, "layer_measure", wraps=layers.layer_measure) as measured:
+        run_command(["pairwise", "--psi", "pow:2", "--m", "2", "--n", "4"])
+    assert measured.call_count == 2
+    with mock.patch.object(cli, "parse_psi", wraps=cli.parse_psi) as parsed:
+        run_command(["layer", "--psi", "pow:2", "--n", "4"])
+    assert parsed.call_count == 1
 
 
 def test_timing_flag_is_the_only_nondeterminism():

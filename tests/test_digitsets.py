@@ -182,6 +182,17 @@ def test_cdf_matches_block_oracle(case):
     assert cantor_cdf(dset, x) == oracle_cdf(dset, x, level=3)
 
 
+@given(set_and_point(), st.sampled_from([1, 2, 7, 10007]),
+       st.integers(min_value=0, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_cdf_of_an_unreduced_integer_pair_matches_the_reduced_fraction(case, factor, power):
+    """cantor_cdf(dset, x, den) reads x/den as a layer grid gives it: both
+    scaled by a prime, a power of the base or their product."""
+    dset, x = case
+    k = factor * dset.base ** power
+    assert cantor_cdf(dset, x.numerator * k, x.denominator * k) == cantor_cdf(dset, x)
+
+
 @given(small_rat, small_rat)
 @settings(max_examples=40, deadline=None)
 def test_oracle_equivalence_property(a, b):

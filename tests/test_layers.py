@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,12 +13,13 @@ from cantorapprox import (ApproxFunction, DimensionFunction, HypothesisViolation
                           layer_measure, natural_cover_tail, pairwise_measure,
                           quasi_independence_scan, series_classify, series_term,
                           truncate_psi)
+from cantorapprox import layers
 from cantorapprox.digitsets import measure_union
 from cantorapprox.intervals import intersect_unions
 from cantorapprox.layers import classify_pair_case, psi_value
 from cantorapprox.enclosures import iv_div, iv_exact, iv_mul, iv_scale
 
-from oracles import power_series_converges
+from oracles import layer_ball_pairs, layer_union_pairs, power_series_converges
 
 K = MissingDigitSet.middle_thirds()
 CFG = WindowConfig.unit(3)
@@ -105,7 +107,7 @@ def test_disjointness_means_sum_of_ball_measures(unit_cfg):
         layer = build_layer(K, PSI2, n, unit_cfg, True)
         assert layer.disjoint
         total = sum(measure_pair(K, lo, hi)
-                    for lo, hi in layer.ball_pairs(layer.radius[0]))
+                    for lo, hi in layer_ball_pairs(layer, layer.radius[0]))
         assert layer_measure(layer).value == total
 
 
@@ -291,7 +293,7 @@ def test_irrational_radius_bounds_mode():
     # bounds may collapse when the measure is radius-insensitive on the
     # enclosure; they must stay ordered and bracket the inner-radius value
     assert mu.lo <= mu.hi
-    assert mu.lo == measure_union(K, layer.union_pairs(layer.radius[0]))
+    assert mu.lo == measure_union(K, layer_union_pairs(layer, layer.radius[0]))
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
@@ -314,15 +316,63 @@ def test_layer_tables_match_fresh_union_measures(psi):
               for coprime in (True, False)]
     for layer in layers:
         mu = layer_measure(layer)
-        assert mu.lo == measure_union(K, layer.union_pairs(layer.radius[0]))
-        assert mu.hi == measure_union(K, layer.union_pairs(layer.radius[1]))
+        assert mu.lo == measure_union(K, layer_union_pairs(layer, layer.radius[0]))
+        assert mu.hi == measure_union(K, layer_union_pairs(layer, layer.radius[1]))
     for lm in layers:
         for ln_ in layers:
             inter = pairwise_measure(lm, ln_)
-            assert [inter.lo, inter.hi] == [
-                measure_union(K, intersect_unions(lm.union_pairs(lm.radius[i]),
-                                                  ln_.union_pairs(ln_.radius[i])))
-                for i in (0, 1)]
+            assert [inter.lo, inter.hi] == [_oracle_pair_measure(lm, ln_, i) for i in (0, 1)]
+
+
+def _oracle_pair_measure(lm, ln_, i):
+    """Measure of the intersection of the two layers' Fraction unions at
+    their inner (i = 0) or outer (i = 1) radius."""
+    return measure_union(lm.dset, intersect_unions(layer_union_pairs(lm, lm.radius[i]),
+                                                   layer_union_pairs(ln_, ln_.radius[i])))
+
+
+# denominators of window ends: 1, powers of the three bases, primes such as
+# 10007 (whose grids share no factor with b^n), and products of both
+WINDOW_DENOMINATORS = [1, 2, 9, 64, 125, 243, 1000, 3125, 7919, 9973, 10007,
+                       27 * 10007, 16 * 9973, 25 * 7919]
+window_end = st.builds(lambda den, num: F(num % (den + 1), den),
+                       st.sampled_from(WINDOW_DENOMINATORS),
+                       st.integers(min_value=0, max_value=10 ** 6))
+# each set with the highest level drawn for it
+GRID_SETS = {K: 6, MissingDigitSet(4, (0, 3)): 5, MissingDigitSet(5, (0, 2, 3)): 4}
+GRID_PSIS = [PSI2, ApproxFunction.power(F(3, 2)), ApproxFunction.power_log(2, Scalar.of(1))]
+
+
+@given(st.sampled_from(list(GRID_SETS)), st.sampled_from(GRID_PSIS), st.data(),
+       window_end, window_end, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_grid_measures_match_fraction_ball_oracle(dset, psi, data, a, b, coprime):
+    """layer, pairwise and bc-ratio union measures on the integer grids
+    against Fraction balls merged by `merge_pairs` and measured by
+    `measure_union`."""
+    assume(a != b)
+    cfg = WindowConfig.for_window(RatInterval.make(min(a, b), max(a, b)), dset.base)
+    top = GRID_SETS[dset]
+    layers = [build_layer(dset, psi, k, cfg, coprime) for k in range(1, top + 1)]
+    for layer in layers:
+        mu = layer_measure(layer)
+        assert (mu.lo, mu.hi) == tuple(measure_union(dset, layer_union_pairs(layer, r))
+                                       for r in layer.radius)
+    m = data.draw(st.integers(min_value=1, max_value=top - 1))
+    n = data.draw(st.integers(min_value=m + 1, max_value=top))
+    lm, ln_ = layers[m - 1], layers[n - 1]
+    for x, y in ((lm, ln_), (ln_, lm), (ln_, ln_)):
+        inter = pairwise_measure(x, y)
+        assert (inter.lo, inter.hi) == (_oracle_pair_measure(x, y, 0),
+                                        _oracle_pair_measure(x, y, 1))
+    q = data.draw(st.integers(min_value=1, max_value=top))
+    try:
+        union = borel_cantelli_ratio(dset, psi, cfg, q, coprime).union_measure
+    except InputError:  # every layer up to q is null
+        assert all(layer_measure(l).hi == 0 for l in layers[:q])
+        return
+    assert union == measure_union(dset, [p for l in layers[:q]
+                                         for p in layer_union_pairs(l, l.radius[1])])
 
 
 
@@ -370,3 +420,44 @@ def test_scalar_gamma_power_matches_repeated_products():
             for gexp in range(-4, 5):
                 sc = Scalar(F(coef), gexp)
                 assert sc.at(g) == _iv_from_gamma_before(sc.coef, gexp, g), (g, coef, gexp)
+
+
+def test_edge_cases_of_the_grid_tests():
+    # balls that touch a window end in one point keep their center
+    cfg = WindowConfig.for_window(RatInterval.make(F(4, 9), F(5, 9)), 3)
+    assert build_layer(K, PSI2, 1, cfg, True).centers == (F(1, 3), F(2, 3))
+    # a radius of exactly 1/(2 b^n) makes touching, not disjoint, balls
+    for n in (1, 2, 3):
+        half = F(1, 2 * 3 ** n)
+        touching = ApproxFunction.table({n: half})
+        assert not build_layer(K, touching, n, CFG, True).disjoint
+        apart = ApproxFunction.table({n: half - F(1, 10 ** 9)})
+        assert build_layer(K, apart, n, CFG, True).disjoint
+
+
+@pytest.mark.parametrize("dset", list(GRID_SETS), ids=str)
+def test_wide_radius_bounds_match_fraction_ball_oracle(dset):
+    """Radius enclosures wide enough that the inner and the outer unions
+    differ in measure, unlike the 96-bit enclosures psi gives."""
+    b = dset.base
+
+    def wide(psi, dset_, n):
+        return (F(1, 8 * b ** n), F(1, b ** n))
+
+    cfg = WindowConfig.for_window(RatInterval.make(F(1, 10007), F(9, 10)), b)
+    with mock.patch.object(layers, "psi_value", wide):
+        built = [build_layer(dset, PSI2, n, cfg, True) for n in (1, 2, 3)]
+        union = borel_cantelli_ratio(dset, PSI2, cfg, 3).union_measure
+    assert any(layer_measure(l).lo < layer_measure(l).hi for l in built)
+    for layer in built:
+        mu = layer_measure(layer)
+        assert (mu.lo, mu.hi) == tuple(measure_union(dset, layer_union_pairs(layer, r))
+                                       for r in layer.radius)
+    inters = [(pairwise_measure(lm, ln_), lm, ln_) for lm in built for ln_ in built]
+    assert any(inter.lo < inter.hi for inter, _, _ in inters)
+    for inter, lm, ln_ in inters:
+        assert (inter.lo, inter.hi) == (_oracle_pair_measure(lm, ln_, 0),
+                                        _oracle_pair_measure(lm, ln_, 1))
+    assert union == measure_union(dset, [p for l in built
+                                         for p in layer_union_pairs(l, l.radius[1])])
+

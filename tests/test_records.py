@@ -150,8 +150,7 @@ def test_cached_properties_survive_freezing_and_pickling():
     assert "_digitset" in vars(k)
     layer = build_layer(MissingDigitSet(3, (0, 2)), ApproxFunction.power(F(3, 2)), 2,
                         WindowConfig.unit(3), True)
-    assert layer.union_hi is layer.union_hi
-    cdf = layer.cdf
-    assert layer.cdf is cdf and set(vars(layer)) >= {"union_lo", "union_hi", "cdf"}
+    unions = layer.unions
+    assert layer.unions is unions and "unions" in vars(layer)
     clone = pickle.loads(pickle.dumps(layer))
-    assert clone == layer and vars(clone)["cdf"] == cdf
+    assert clone == layer and vars(clone)["unions"] == unions
