@@ -19,8 +19,8 @@ _EXPORTS = {
                   "cantor_cdf", "cantor_measure", "center_count", "enumerate_centers",
                   "full_cover_check", "measure_union", "membership"),
     "enclosures": ("AffineSource", "LogRatioSource", "RealEnclosure", "SqrtSource",
-                   "canonicalize_rational", "enclose_real", "floor_power",
-                   "golden_ratio_source", "iroot"),
+                   "canonicalize_rational", "enclose_real", "exponent_enclosure",
+                   "floor_power", "golden_ratio_source", "iroot"),
     "errors": ("HypothesisViolation", "InputError", "PrecisionError",
                "ResourceBudgetError", "UndecidableFloorError"),
     "intervals": ("RatInterval",),

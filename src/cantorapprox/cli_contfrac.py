@@ -1,0 +1,100 @@
+"""Command-line handlers of the continued-fraction family: cf-interval, and
+cf and exponent on every --x but xi.
+
+`cli.run_command` imports this module on first use; `cli_xi` runs cf and
+exponent on --x xi, so that this module never loads the sparse numbers.
+Each handler takes the parsed arguments and the digit set and returns
+(results, csv_rows).
+"""
+
+from __future__ import annotations
+
+from . import render
+from .cli import parse_fraction, parse_set
+from .contfrac import (cf_prefix_interval, continued_fraction_expand,
+                       irrationality_exponent_estimate, prefix_interval_disjoint_from)
+from .enclosures import RealEnclosure, SqrtSource, exponent_enclosure, golden_ratio_source
+from .errors import InputError
+
+
+def parse_x(args):
+    """The --x argument, other than xi: a symbolic constant or a rational."""
+    t = args.x
+    if t == "golden":
+        return RealEnclosure.from_source(golden_ratio_source())
+    if t == "gamma":
+        return exponent_enclosure(parse_set(args.set))
+    if t.startswith("sqrt:"):
+        return RealEnclosure.from_source(SqrtSource(parse_fraction(t[5:])))
+    return parse_fraction(t)
+
+
+def parse_quotients(text: str) -> list[int]:
+    try:
+        return [int(a) for a in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad quotients {text!r}; expected comma-separated positive "
+                         "integers") from exc
+
+
+def cf_report(x, depth: int):
+    """The cf results and rows of x, expanded to the given depth."""
+    cf = continued_fraction_expand(x, depth)
+    printable = [pq for pq in cf.convergents
+                 if pq[1].bit_length() <= render.RENDER_INT_BITS]
+    results = {
+        "quotients": list(cf.quotients),
+        "convergents": [{"p": str(p), "q": str(q)} for p, q in printable],
+        "convergents_omitted": len(cf.convergents) - len(printable),
+        "exact": cf.exact,
+        "certified_depth": cf.certified_depth,
+        "exhausted": cf.exhausted,
+    }
+    rows = [{"k": i + 1, "a": a, "p": p, "q": q}
+            for i, (a, (p, q)) in enumerate(zip(cf.quotients, printable))]
+    return results, rows
+
+
+def exponent_report(x, depth: int, min_q: int):
+    """The exponent results and rows of x, expanded to the given depth."""
+    cf = continued_fraction_expand(x, depth)
+    est = irrationality_exponent_estimate(cf, min_q)
+    results = {
+        "estimate": render.value_json((est.lo, est.hi)),
+        "witnesses": [{"q": str(a), "q_next": str(b)} for a, b in est.witnesses],
+        "window": est.window,
+        "min_denominator": est.min_denominator,
+        "cf_certified_depth": cf.certified_depth,
+    }
+    rows = [{"estimate": render.value_csv((est.lo, est.hi)),
+             "window": est.window, "min_denominator": est.min_denominator}]
+    return results, rows
+
+
+def cmd_cf(args, dset):
+    return cf_report(parse_x(args), args.depth)
+
+
+def cmd_exponent(args, dset):
+    return exponent_report(parse_x(args), args.depth, args.min_q)
+
+
+def cmd_cf_interval(args, dset):
+    quotients = parse_quotients(args.quotients)
+    pi = cf_prefix_interval(quotients)
+    disjoint = prefix_interval_disjoint_from(pi, dset, args.depth)
+    results = {
+        "quotients": quotients,
+        "interval": {
+            "lo": render.rational_json(pi.lo), "hi": render.rational_json(pi.hi),
+            "lo_closed": pi.lo_closed, "hi_closed": pi.hi_closed,
+        },
+        "depth": args.depth,
+        "disjoint_from_set": disjoint,
+        "verdict": "not_in_set" if disjoint else "undetermined_at_depth",
+    }
+    rows = [{"quotients": ";".join(str(a) for a in quotients),
+             "lo": render.rat_str(pi.lo), "hi": render.rat_str(pi.hi),
+             "lo_closed": pi.lo_closed, "hi_closed": pi.hi_closed,
+             "disjoint_from_set": disjoint}]
+    return results, rows

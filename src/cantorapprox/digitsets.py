@@ -29,7 +29,6 @@ from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
-from .enclosures import LogRatioSource, RealEnclosure
 from .errors import InputError, ResourceBudgetError
 from .intervals import Pair, RatInterval, clip_union, merge_pairs
 from .records import Record
@@ -95,14 +94,6 @@ class MissingDigitSet(Record):
     def exponent_fraction(self) -> Optional[Fraction]:
         """Exact value of log(#digits)/log(base) when it is rational."""
         return _mult_dependent_exponent(self.digit_count, self.base)
-
-    def exponent_enclosure(self) -> RealEnclosure:
-        """The similarity dimension log(#digits)/log(base)."""
-        exact = self.exponent_fraction
-        if exact is not None:
-            return RealEnclosure.exact(exact)
-        return RealEnclosure.from_source(
-            LogRatioSource(Fraction(self.digit_count), Fraction(self.base)))
 
     def digit_mass_pow(self, k: int) -> Fraction:
         """base**(k * exponent) collapses exactly to digit_count**k."""
@@ -231,7 +222,7 @@ def membership(x, dset: MissingDigitSet, depth: int = 1) -> MembershipResult:
         raise InputError("depth must be >= 1")
     if hasattr(x, "digit_verdict"):  # sparse digit numbers decide symbolically
         return x.digit_verdict(dset, depth)
-    if isinstance(x, RealEnclosure):
+    if hasattr(x, "is_exact"):  # a RealEnclosure, which this module does not import
         if x.is_exact:
             x = x.lo
         else:

@@ -22,10 +22,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import isqrt
-from typing import Optional, Protocol, Union
+from typing import TYPE_CHECKING, Optional, Protocol, Union
 
 from .errors import InputError, PrecisionError, UndecidableFloorError
 from .records import Record
+
+if TYPE_CHECKING:
+    from .digitsets import MissingDigitSet
 
 # Interval = (lo, hi) pair of Fractions with lo <= hi.
 Iv = tuple[Fraction, Fraction]
@@ -532,3 +535,12 @@ def floor_power(lam: Real, tau: Real, n: int) -> int:
 def golden_ratio_source() -> AffineSource:
     """(sqrt(5) - 1)/2."""
     return AffineSource(SqrtSource(Fraction(5)), mul=Fraction(1, 2), add=Fraction(-1, 2))
+
+
+def exponent_enclosure(dset: MissingDigitSet) -> RealEnclosure:
+    """The similarity dimension log(#digits)/log(base) of a digit set."""
+    exact = dset.exponent_fraction
+    if exact is not None:
+        return RealEnclosure.exact(exact)
+    return RealEnclosure.from_source(
+        LogRatioSource(Fraction(dset.digit_count), Fraction(dset.base)))

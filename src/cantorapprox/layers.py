@@ -24,8 +24,8 @@ from typing import Mapping, Optional, Union
 
 from .digitsets import (CantorMeasureValue, MissingDigitSet, cantor_cdf,
                         enumerate_centers, center_count, measure_union)
-from .enclosures import (Iv, LogRatioSource, RealEnclosure, iv_add, iv_div,
-                         iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
+from .enclosures import (Iv, LogRatioSource, RealEnclosure, exponent_enclosure, iv_add,
+                         iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
 from .errors import HypothesisViolation, InputError, PrecisionError
 from .intervals import RatInterval, intersect_unions, merge_pairs
@@ -72,7 +72,7 @@ class Scalar(Record):
         exact = dset.exponent_fraction
         if exact is not None:
             return iv_exact(self.coef * exact ** self.gexp)
-        return self.at(dset.exponent_enclosure().refined_to(
+        return self.at(exponent_enclosure(dset).refined_to(
             Fraction(1, 1 << VALUE_BITS)).as_iv())
 
     def compare(self, other: "Scalar", dset: MissingDigitSet) -> int:
@@ -91,7 +91,7 @@ class Scalar(Record):
             a = self.coef * exact ** self.gexp
             b = other.coef * exact ** other.gexp
             return (a > b) - (a < b)
-        enc = dset.exponent_enclosure()
+        enc = exponent_enclosure(dset)
         while True:
             g = enc.as_iv()
             a, b = self.at(g), other.at(g)
@@ -416,7 +416,7 @@ def layer_comparator(dset: MissingDigitSet, psi: ApproxFunction, n: int,
             return iv_scale(val, window_measure)
     val = psi_value(psi, dset, n)
     scaled = iv_scale(val, Fraction(dset.base) ** n)
-    g = dset.exponent_enclosure().refined_to(Fraction(1, 1 << VALUE_BITS))
+    g = exponent_enclosure(dset).refined_to(Fraction(1, 1 << VALUE_BITS))
     powed = pow_interval(scaled, g.as_iv(), VALUE_BITS)
     return iv_scale(powed, window_measure)
 

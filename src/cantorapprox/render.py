@@ -16,6 +16,10 @@ from .digitsets import CantorMeasureValue
 
 DECIMAL_SIG_DIGITS = 15
 
+# integers beyond this bit size are summarized, not printed (int->str is
+# quadratic and capped by the interpreter)
+RENDER_INT_BITS = 12_000
+
 
 def decimal_str(fr: Fraction) -> str:
     """Positional decimal, DECIMAL_SIG_DIGITS significant digits, half away from zero."""

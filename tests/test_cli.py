@@ -6,8 +6,8 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from cantorapprox import cli, enclosures, layers
-from cantorapprox.cli import COMMANDS, build_parser, main, run_command
+from cantorapprox import cli, cli_layers, enclosures
+from cantorapprox.cli import SUBCOMMAND_OPTIONS, build_parser, main, run_command
 
 # one fast fixture configuration per subcommand
 FIXTURE_ARGVS = {
@@ -164,6 +164,23 @@ def test_exit_code_validation_error(capsys):
     assert main(["quasi-scan", "--psi", "bogus:1", "--nmax", "3"]) == 2
 
 
+# {missing} is a directory that does not exist
+@pytest.mark.parametrize("argv", [
+    ["measure", "--window", "0:1", "--config", "{missing}/scan.cfg"],
+    ["measure", "--window", "0:1", "--out", "{missing}/x.json"],
+    ["layer", "--psi", "table:1", "--n", "2"],
+    ["series", "--psi", "pow:2", "--f", "table:x=1", "--nmax", "3"],
+    ["cf-interval", "--quotients", "a", "--depth", "3"],
+    ["cf-interval", "--quotients", "1,,2", "--depth", "3"],
+], ids=" ".join)
+def test_bad_input_exits_2_with_an_error_line(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_exit_code_resource_error(capsys):
     # level 30 would enumerate 2^30 cylinders: over the enumeration budget
     assert main(["dim-estimate", "--tau", "2", "--n", "30"]) == 3
@@ -201,7 +218,7 @@ def test_unknown_subcommand_exits_2():
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_ARGVS))
 def test_one_subparser_parses_like_the_full_parser(name):
-    assert set(FIXTURE_ARGVS) == set(COMMANDS)
+    assert set(FIXTURE_ARGVS) == set(SUBCOMMAND_OPTIONS)
     argv = FIXTURE_ARGVS[name]
     for sample in (argv, argv + ["--set", "5:0,2,3", "--output", "csv", "--timing"]):
         assert build_parser(name).parse_args(sample) == build_parser().parse_args(sample)
@@ -218,14 +235,15 @@ def test_help_and_bad_commands_list_every_subcommand(argv, capsys):
     with pytest.raises(SystemExit):
         main(argv)
     printed = capsys.readouterr()
-    assert "{" + ",".join(COMMANDS) + "}" in printed.out + printed.err
+    assert "{" + ",".join(SUBCOMMAND_OPTIONS) + "}" in printed.out + printed.err
 
 
 def test_pairwise_measures_each_layer_once_and_layer_parses_psi_once():
-    with mock.patch.object(layers, "layer_measure", wraps=layers.layer_measure) as measured:
+    with mock.patch.object(cli_layers, "layer_measure",
+                           wraps=cli_layers.layer_measure) as measured:
         run_command(["pairwise", "--psi", "pow:2", "--m", "2", "--n", "4"])
     assert measured.call_count == 2
-    with mock.patch.object(cli, "parse_psi", wraps=cli.parse_psi) as parsed:
+    with mock.patch.object(cli_layers, "parse_psi", wraps=cli_layers.parse_psi) as parsed:
         run_command(["layer", "--psi", "pow:2", "--n", "4"])
     assert parsed.call_count == 1
 

@@ -58,8 +58,9 @@ def _nested_imports(tree: ast.Module) -> list[str]:
                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
 
 
-# cli.py alone imports a command family's module in the handler that runs it,
-# so a call loads only the code it runs
+# cli.py alone imports inside a function: run_command loads the handler module
+# of the command it runs, and the enclosure layer only for --precision-budget,
+# so a call compiles only the code it runs
 @pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"],
                          ids=lambda p: p.name)
 def test_no_imports_inside_functions(path):

@@ -17,7 +17,7 @@ from cantorapprox import layers
 from cantorapprox.digitsets import measure_union
 from cantorapprox.intervals import intersect_unions
 from cantorapprox.layers import classify_pair_case, psi_value
-from cantorapprox.enclosures import iv_div, iv_exact, iv_mul, iv_scale
+from cantorapprox.enclosures import exponent_enclosure, iv_div, iv_exact, iv_mul, iv_scale
 
 from oracles import layer_ball_pairs, layer_union_pairs, power_series_converges
 
@@ -412,7 +412,7 @@ def _iv_from_gamma_before(coef: F, gexp: int, g) -> tuple:
 
 
 def test_scalar_gamma_power_matches_repeated_products():
-    gammas = [MissingDigitSet(b, ds).exponent_enclosure().refined_to(F(1, 2 ** bits)).as_iv()
+    gammas = [exponent_enclosure(MissingDigitSet(b, ds)).refined_to(F(1, 2 ** bits)).as_iv()
               for b, ds in ((3, (0, 2)), (5, (0, 2, 3)), (7, (1, 4))) for bits in (32, 96)]
     gammas += [(F(1, 3), F(1, 2)), (F(5, 7), F(5, 7)), (F(2), F(9, 4))]
     for g in gammas:
