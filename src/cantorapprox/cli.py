@@ -146,6 +146,7 @@ def _add_xi(p):
 _N = ("--n", {"type": int, "required": True})
 _NMAX = ("--nmax", {"type": int, "required": True})
 _DEPTH = ("--depth", {"type": int, "required": True})
+_X = ("--x", {"required": True, "help": "golden | gamma | sqrt:Q (0<Q<1) | xi | rational"})
 
 # each subcommand's shared option groups, then its own options, in help order
 SUBCOMMAND_OPTIONS = {
@@ -168,10 +169,8 @@ SUBCOMMAND_OPTIONS = {
         ("--cf-depth", {"type": int, "default": 60,
                         "help": "continued-fraction depth, doubled while a Legendre-"
                                 "certified truncation is not among the convergents"})]),
-    "cf": ((_add_xi,), [("--x", {"required": True,
-                                 "help": "golden | gamma | sqrt:N | xi | rational"}), _DEPTH]),
-    "exponent": ((_add_xi,), [("--x", {"required": True}), _DEPTH,
-                              ("--min-q", {"type": int, "default": 2})]),
+    "cf": ((_add_xi,), [_X, _DEPTH]),
+    "exponent": ((_add_xi,), [_X, _DEPTH, ("--min-q", {"type": int, "default": 2})]),
     "cf-interval": ((), [("--quotients", {"required": True,
                                           "help": "comma-separated positive integers"}),
                          _DEPTH]),

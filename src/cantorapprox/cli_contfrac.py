@@ -25,7 +25,10 @@ def parse_x(args):
     if t == "gamma":
         return exponent_enclosure(parse_set(args.set))
     if t.startswith("sqrt:"):
-        return RealEnclosure.from_source(SqrtSource(parse_fraction(t[5:])))
+        q = parse_fraction(t[5:])
+        if not 0 < q < 1:
+            raise InputError("sqrt:Q needs 0 < Q < 1")
+        return RealEnclosure.from_source(SqrtSource(q))
     return parse_fraction(t)
 
 

@@ -4,8 +4,9 @@
 walks `merge_pairs` and `intersect_unions` only compare and copy
 endpoints, so they take (lo, hi) pairs of any totally ordered values:
 Fractions in `digitsets`, and in `layers` integer numerators over one
-common denominator (the layer's grid), each paired with its CDF value as
-an (x, cdf) tuple that orders by x.  Single points carry no mass for any
+common denominator (the layer's grid), each paired with the integer
+numerator of its CDF value over the layer's CDF denominator as an
+(x, cdf) tuple that orders by x.  Single points carry no mass for any
 of the measures here, so merging intervals that merely touch is always
 measure-safe.
 """

@@ -6,8 +6,11 @@ clipped to a window.  Everything here is computed with exact rationals;
 irrational radii or exponents degrade gracefully to certified two-sided
 bounds.  A layer's ball unions live on one integer grid: every endpoint
 is an integer numerator over the layer's common denominator, carried
-with its `cantor_cdf` value, and two layers meet on the lcm of their
-grids.  Fractions are built only for the measures.
+with the integer numerator of its CDF value over one CDF denominator
+per layer.  The CDF values come from prefix ranks and at most six
+`cantor_cdf` calls per layer (see `Layer`).  Two layers meet on the lcm
+of their grids and of their CDF denominators, and a measure is one
+integer sum made into a Fraction.
 
 Exponents are carried symbolically as c * gamma^k where gamma is the
 set's similarity exponent log(#digits)/log(base).  That keeps the
@@ -287,12 +290,34 @@ def _on_grid(x: Fraction, grid: int) -> int:
 
 
 # a layer union: sorted disjoint (lo, hi) pairs whose endpoints are
-# (x, cantor_cdf(x/grid)) with x an integer over the layer's grid
-GridUnion = tuple[tuple[tuple[int, Fraction], tuple[int, Fraction]], ...]
+# (x, N) with x an integer over the layer's grid and N the numerator of
+# cantor_cdf(x/grid) over the layer's CDF denominator
+GridUnion = tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
 
-def _carry_cdf(union: list[tuple[int, int]], cdf: Mapping[int, Fraction]) -> GridUnion:
+def _carry_cdf(union: list[tuple[int, int]], cdf: Mapping[int, int]) -> GridUnion:
     return tuple(((lo, cdf[lo]), (hi, cdf[hi])) for lo, hi in union)
+
+
+def _prefix_rank(dset: MissingDigitSet, k: int, n: int) -> tuple[int, bool]:
+    """(#allowed level-n prefixes below k, whether k is one), 0 <= k <= b^n.
+
+    A prefix below k < b^n agrees with k above some digit i and is
+    smaller at i, so it counts below[d_i] * m^i when every digit of k
+    above i is allowed.  Reading k from its last digit, a disallowed
+    digit therefore discards the count of the digits below it.  All m^n
+    prefixes lie below b^n.
+    """
+    below, allowed, b, m = dset._below, dset._digitset, dset.base, dset.digit_count
+    rank, weight, inside = 0, 1, True
+    for _ in range(n):
+        k, d = divmod(k, b)
+        if d in allowed:
+            rank += below[d] * weight
+        else:
+            rank, inside = below[d] * weight, False
+        weight *= m
+    return (weight, False) if k else (rank, inside)
 
 
 class Layer(Record):
@@ -302,10 +327,17 @@ class Layer(Record):
     endpoint p/b^n -+ r, for both radius bounds r, and both window ends
     are integers over `grid`, the lcm of b^n and their denominators.
     `unions` holds the merged ball unions at the inner and the outer
-    radius (the same union when the radius is exact) on that grid, each
-    endpoint x paired with cantor_cdf(x/grid).  It is computed once, on
-    first use, with one `cantor_cdf` call per distinct endpoint; every
-    measure below only reads it.
+    radius (the same union when the radius is exact) on that grid, and
+    one CDF denominator: each endpoint x is paired with the integer N
+    with cantor_cdf(x/grid) = N / denominator.  It is computed once, on
+    first use, from the self-similarity of the measure: with
+    x/grid = (k + f)/b^n and 0 <= f < 1, mu([0, x/grid]) is
+    (rank(k) + [k allowed] mu([0, f])) / m^n, where rank(k) counts the
+    allowed level-n prefixes below k.  Every f is the offset of a radius
+    or of a window end from the level-n grid, so `cantor_cdf` runs once
+    per distinct nonzero f, at most six times, and the denominator is
+    m^n times the lcm of their CDF denominators.  Every measure below
+    only reads the unions.
     """
 
     n: int
@@ -330,13 +362,25 @@ class Layer(Record):
                             for c in (p * step for p in self.center_numerators)])
 
     @cached_property
-    def unions(self) -> tuple[GridUnion, GridUnion]:
+    def unions(self) -> tuple[GridUnion, GridUnion, int]:
+        """(inner union, outer union, CDF denominator)."""
         inner = self._merged_balls(self.radius[0])
         outer = inner if iv_is_exact(self.radius) else self._merged_balls(self.radius[1])
-        ends = dict.fromkeys(x for pair in inner + outer for x in pair)
-        cdf = {x: cantor_cdf(self.dset, x, self.grid) for x in ends}
+        dset, n = self.dset, self.n
+        step = self.grid // dset.base ** n
+        split = {x: divmod(x, step) for pair in inner + outer for x in pair}
+        local = {fr: cantor_cdf(dset, fr, step)
+                 for fr in {fr for _, fr in split.values()} if fr}
+        scale = lcm(*(c.denominator for c in local.values()))
+        lifted = {fr: c.numerator * (scale // c.denominator) for fr, c in local.items()}
+        ranks = {k: _prefix_rank(dset, k, n) for k in {k for k, _ in split.values()}}
+        cdf = {}
+        for x, (k, fr) in split.items():
+            rank, inside = ranks[k]
+            cdf[x] = rank * scale + (lifted[fr] if inside and fr else 0)
         carried = _carry_cdf(inner, cdf)
-        return carried, carried if outer is inner else _carry_cdf(outer, cdf)
+        return (carried, carried if outer is inner else _carry_cdf(outer, cdf),
+                dset.digit_count ** n * scale)
 
 
 def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
@@ -364,40 +408,47 @@ def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
                  grid=grid, center_numerators=centers, disjoint=disjoint)
 
 
-def _measure(union: GridUnion) -> Fraction:
-    """Measure of a merged union whose endpoints carry their CDF values."""
-    return sum((c_hi - c_lo for (_, c_lo), (_, c_hi) in union), _ZERO)
+def _measure(union: GridUnion, den: int) -> Fraction:
+    """Measure of a merged union whose endpoints carry their CDF numerators
+    over den."""
+    return Fraction(sum(c_hi - c_lo for (_, c_lo), (_, c_hi) in union), den)
 
 
-def _rescaled(union: GridUnion, k: int) -> GridUnion:
-    """The union with its grid refined k-fold (endpoints times k)."""
-    if k == 1:
+def _rescaled(layer: Layer, i: int, grid: int, den: int) -> GridUnion:
+    """The layer's inner (i = 0) or outer (i = 1) union on `grid` with its
+    CDF numerators over `den`, multiples of the layer's grid and CDF
+    denominator."""
+    union, cdf_den = layer.unions[i], layer.unions[2]
+    k, j = grid // layer.grid, den // cdf_den
+    if k == j == 1:
         return union
-    return tuple(((lo * k, c_lo), (hi * k, c_hi)) for (lo, c_lo), (hi, c_hi) in union)
+    return tuple(((lo * k, c_lo * j), (hi * k, c_hi * j))
+                 for (lo, c_lo), (hi, c_hi) in union)
 
 
 def layer_measure(layer: Layer) -> CantorMeasureValue:
     """Exact measure of the ball union (bounds when the radius is inexact)."""
-    inner, outer = layer.unions
-    lo_m = _measure(inner)
-    return CantorMeasureValue(lo_m, lo_m if outer is inner else _measure(outer))
+    inner, outer, den = layer.unions
+    lo_m = _measure(inner, den)
+    return CantorMeasureValue(lo_m, lo_m if outer is inner else _measure(outer, den))
 
 
 def pairwise_measure(layer_m: Layer, layer_n: Layer) -> CantorMeasureValue:
     """Exact measure of the intersection of two layers over one window.
 
-    Both layers' unions are rescaled to the lcm of their grids.  Every
-    endpoint of the intersection of two merged unions is an endpoint of
-    one of them, so it carries its CDF value through the intersection.
+    Both layers' unions are rescaled to the lcm of their grids, and their
+    CDF numerators to the lcm of their CDF denominators.  Every endpoint
+    of the intersection of two merged unions is an endpoint of one of
+    them, so it carries its CDF numerator through the intersection.
     """
     if layer_m.dset != layer_n.dset or layer_m.window != layer_n.window:
         raise InputError("layers must share their set and window")
     grid = lcm(layer_m.grid, layer_n.grid)
-    k_m, k_n = grid // layer_m.grid, grid // layer_n.grid
+    den = lcm(layer_m.unions[2], layer_n.unions[2])
 
     def meet(i: int) -> Fraction:
-        return _measure(intersect_unions(_rescaled(layer_m.unions[i], k_m),
-                                         _rescaled(layer_n.unions[i], k_n)))
+        return _measure(intersect_unions(_rescaled(layer_m, i, grid, den),
+                                         _rescaled(layer_n, i, grid, den)), den)
 
     lo = meet(0)
     if iv_is_exact(layer_m.radius) and iv_is_exact(layer_n.radius):
@@ -617,10 +668,12 @@ def borel_cantelli_ratio(dset: MissingDigitSet, psi: ApproxFunction,
             den_hi += 2 * inter.hi
     ratio = iv_div((num_lo * num_lo, num_hi * num_hi), (den_lo, den_hi))
     # the union's endpoints are endpoints of the layers' outer unions, so
-    # they carry their CDF values once every union is on the common grid
+    # they carry their CDF numerators once every union is on the common
+    # grid and CDF denominator
     grid = lcm(*(l.grid for l in layers))
+    den = lcm(*(l.unions[2] for l in layers))
     union = _measure(merge_pairs([p for l in layers
-                                  for p in _rescaled(l.unions[1], grid // l.grid)]))
+                                  for p in _rescaled(l, 1, grid, den)]), den)
     return BorelCantelliReport(q=q, ratio=ratio, union_measure=union,
                                layer_measures=tuple(measures))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from importlib import resources
@@ -208,6 +209,31 @@ def test_layer_over_a_narrow_window_answers(capsys):
     assert main(argv) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["ball_count"] == len(results["centers"]) > 0
+
+
+@pytest.mark.parametrize("command", ["cf", "exponent"])
+@pytest.mark.parametrize("q", ["2", "0", "1", "-1/4"])
+def test_sqrt_outside_the_unit_interval_exits_2(command, q, capsys):
+    assert main([command, "--x", f"sqrt:{q}", "--depth", "10"]) == 2
+    assert capsys.readouterr().err == "error: sqrt:Q needs 0 < Q < 1\n"
+
+
+# sha256 of the whole JSON report, computed when each layer endpoint's CDF
+# value came from its own `cantor_cdf` walk
+PINNED_REPORTS = {
+    "layer --set 5:0,2,3 --psi pow:2 --n 14 --window 0:1/1000":
+        "e77e065f759e68a4c9e33c1a0e2fa82a870aaeac08ac2a0fdb69bdefcabfa361",
+    "quasi-scan --psi pow:2 --nmax 12":
+        "39d83372a6c7ae8dcceb4069a11f6fba48af2bc0e51f2455ea5f4833dd978c70",
+    "bc-ratio --psi pow:2 --q 12":
+        "5a10bd270dd5e779b73bdfc8bc766472943cf61626cbd84fdadebca0d8afc2db",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_REPORTS))
+def test_layer_reports_match_their_pinned_hashes(argv):
+    text, _ = run_command(argv.split())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[argv]
 
 
 def test_unknown_subcommand_exits_2():

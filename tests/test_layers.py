@@ -14,7 +14,7 @@ from cantorapprox import (ApproxFunction, DimensionFunction, HypothesisViolation
                           quasi_independence_scan, series_classify, series_term,
                           truncate_psi)
 from cantorapprox import layers
-from cantorapprox.digitsets import measure_union
+from cantorapprox.digitsets import cantor_cdf, measure_union
 from cantorapprox.intervals import intersect_unions
 from cantorapprox.layers import classify_pair_case, psi_value
 from cantorapprox.enclosures import exponent_enclosure, iv_div, iv_exact, iv_mul, iv_scale
@@ -461,3 +461,61 @@ def test_wide_radius_bounds_match_fraction_ball_oracle(dset):
     assert union == measure_union(dset, [p for l in built
                                          for p in layer_union_pairs(l, l.radius[1])])
 
+
+def _radius_at_least_a_cell(dset: MissingDigitSet, top: int, data) -> ApproxFunction:
+    """A table psi with psi(b^n) >= b^-n at every level up to `top`, so that
+    balls span whole level-n cells and their ends land off the centers' cells."""
+    values = {}
+    for n in range(1, top + 1):
+        den = data.draw(st.sampled_from([1, 2, 7, 10007]))
+        values[n] = F(data.draw(st.integers(min_value=den, max_value=3 * den)),
+                      den * dset.base ** n)
+    return ApproxFunction.table(values)
+
+
+@given(st.sampled_from(list(GRID_SETS)), st.sampled_from(GRID_PSIS + ["table"]), st.data(),
+       window_end, window_end, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_every_union_endpoint_carries_its_cdf(dset, psi, data, a, b, coprime):
+    """N / denominator at every endpoint x of both unions is cantor_cdf(x/grid)."""
+    assume(a != b)
+    top = GRID_SETS[dset]
+    if psi == "table":
+        psi = _radius_at_least_a_cell(dset, top, data)
+    cfg = WindowConfig.for_window(RatInterval.make(min(a, b), max(a, b)), dset.base)
+    for n in range(1, top + 1):
+        layer = build_layer(dset, psi, n, cfg, coprime)
+        inner, outer, den = layer.unions
+        for union in (inner, outer):
+            for end in (x for pair in union for x in pair):
+                assert F(end[1], den) == cantor_cdf(dset, end[0], layer.grid), (n, end)
+
+
+@pytest.mark.parametrize("dset", list(GRID_SETS), ids=str)
+def test_prefix_rank_counts_the_allowed_prefixes_below(dset):
+    for n in range(1, 5):
+        prefixes = dset.allowed_prefixes(n)
+        for k in range(dset.base ** n + 1):
+            below = sum(p < k for p in prefixes)
+            assert layers._prefix_rank(dset, k, n) == (below, k in prefixes), (n, k)
+
+
+def _wide_radius(psi, dset, n):
+    """Radius bounds 1/(8 b^n) and 3/(5 b^n): four distinct ball offsets."""
+    return (F(1, 8 * dset.base ** n), F(3, 5 * dset.base ** n))
+
+
+@pytest.mark.parametrize("dset", list(GRID_SETS), ids=str)
+@pytest.mark.parametrize("psi", ["wide"] + GRID_PSIS,
+                         ids=["wide", "pow:2", "pow:3/2", "powlog:2,1"])
+def test_one_layer_makes_at_most_six_cdf_walks(dset, psi):
+    """Four ball offsets (two radii, each end) and two window ends."""
+    cfg = WindowConfig.for_window(RatInterval.make(F(1, 7919), F(9972, 10007)), dset.base)
+    radius = _wide_radius if psi == "wide" else layers.psi_value
+    with mock.patch.object(layers, "psi_value", radius), \
+            mock.patch.object(layers, "cantor_cdf", wraps=layers.cantor_cdf) as walks:
+        layer = build_layer(dset, PSI2 if psi == "wide" else psi, 4, cfg, False)
+        mu = layer_measure(layer)
+    assert 0 < walks.call_count <= 6
+    assert (mu.lo, mu.hi) == tuple(measure_union(dset, layer_union_pairs(layer, r))
+                                   for r in layer.radius)

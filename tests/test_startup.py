@@ -94,6 +94,32 @@ def test_parser_loads_no_enclosures_and_no_handler_module():
     assert not loaded & NOT_IN_SET_ONLY
 
 
+# runs `module` as `python -m` does, counting the executions of cli.py
+RUN_AS_MAIN = """
+import runpy
+runs = []
+sys.addaudithook(lambda event, args: event == "exec"
+                 and runs.append(getattr(args[0], "co_filename", "")))
+try:
+    runpy.run_module(%r, run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = f"{exc.code}:{sum(f.endswith(os.path.join('cantorapprox', 'cli.py')) for f in runs)}"
+"""
+
+
+def test_python_dash_m_cantorapprox_runs_the_cli_once():
+    argv = ["cf", "--x", "golden", "--depth", "5"]
+    code, loaded = _loaded(RUN_AS_MAIN % "cantorapprox", *argv, "--out", os.devnull)
+    assert code == "0:1"
+    assert "cantorapprox.cli" in loaded
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    reports = [subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                              text=True, timeout=120, check=True,
+                              env=dict(os.environ, PYTHONPATH=path)).stdout
+               for module in ("cantorapprox", "cantorapprox.cli")]
+    assert reports[0] == reports[1] and '"command": "cf"' in reports[0]
+
+
 def test_package_loads_submodules_on_first_use():
     _, loaded = _loaded("import cantorapprox\ncode = 0")
     assert {m for m in loaded if m.startswith("cantorapprox.")} == set()
