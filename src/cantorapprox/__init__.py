@@ -17,13 +17,15 @@ from importlib import import_module
 _EXPORTS = {
     "digitsets": ("CantorMeasureValue", "MembershipResult", "MissingDigitSet",
                   "cantor_cdf", "cantor_measure", "center_count", "enumerate_centers",
-                  "full_cover_check", "measure_union", "membership"),
+                  "full_cover_check", "measure_union", "membership",
+                  "prefix_interval_disjoint_from"),
     "enclosures": ("AffineSource", "LogRatioSource", "RealEnclosure", "SqrtSource",
                    "canonicalize_rational", "enclose_real", "exponent_enclosure",
                    "floor_power", "golden_ratio_source", "iroot"),
     "errors": ("HypothesisViolation", "InputError", "PrecisionError",
                "ResourceBudgetError", "UndecidableFloorError"),
-    "intervals": ("RatInterval",),
+    "intervals": ("PrefixInterval", "RatInterval", "cf_prefix_interval",
+                  "convergents_from_quotients"),
     "layers": ("ApproxFunction", "BorelCantelliReport", "BoxDimensionEstimate",
                "DimensionFunction", "Layer", "NaturalCoverTail", "PairRow", "Scalar",
                "ScanReport", "SeriesVerdict", "WindowConfig", "borel_cantelli_ratio",
@@ -31,10 +33,8 @@ _EXPORTS = {
                "layer_measure", "natural_cover_tail", "pairwise_measure",
                "quasi_independence_scan", "series_classify", "series_term",
                "truncate_psi"),
-    "contfrac": ("ContinuedFraction", "ExponentEstimate", "PrefixInterval",
-                 "cf_prefix_interval", "continued_fraction_expand",
-                 "convergents_from_quotients", "irrationality_exponent_estimate",
-                 "legendre_is_convergent", "prefix_interval_disjoint_from"),
+    "contfrac": ("ContinuedFraction", "ExponentEstimate", "continued_fraction_expand",
+                 "irrationality_exponent_estimate", "legendre_is_convergent"),
     "sparse": ("FactorialRule", "PowerRule", "SparseDigitNumber", "TruncationReport",
                "build_sparse_number", "exceeds_exact_order_threshold",
                "te_inequality_holds", "truncation_report", "truncation_reports",

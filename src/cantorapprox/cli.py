@@ -6,12 +6,13 @@ with decimal renderings).  Wall-clock timing is only included with
 --timing, which is documented as non-deterministic.
 
 This module holds the dispatch, the options every subcommand shares, the
-parse helpers more than one family uses, and the handlers of measure and
-full-cover.  The other handlers live in one module per command family
-(`cli_layers`, `cli_contfrac`, `cli_sparse` and `cli_xi`), which
-`run_command` imports on first use, so that a call compiles only the
-code of its command.  The enclosure layer is imported the same way, and
-only for --precision-budget.
+parse helpers more than one family uses, and the handlers of the
+commands that need only the digit set and rational intervals: measure,
+full-cover and cf-interval.  The other handlers live in one module per
+command family (`cli_layers`, `cli_contfrac`, `cli_sparse` and
+`cli_xi`), which `run_command` imports on first use, so that a call
+compiles only the code of its command.  The enclosure layer is imported
+the same way, and only for --precision-budget.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from importlib import import_module
 from typing import Optional
 
 from . import calibration, render
-from .digitsets import MissingDigitSet, cantor_measure, full_cover_check
+from .digitsets import (MissingDigitSet, cantor_measure, full_cover_check,
+                        prefix_interval_disjoint_from)
 from .errors import InputError, PrecisionError, ResourceBudgetError
-from .intervals import RatInterval
+from .intervals import RatInterval, cf_prefix_interval
 
 SCHEMA_VERSION = "1"
 
@@ -58,6 +60,14 @@ def parse_window(text: str) -> RatInterval:
     return RatInterval.make(parse_fraction(lo_s), parse_fraction(hi_s))
 
 
+def parse_quotients(text: str) -> list[int]:
+    try:
+        return [int(a) for a in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad quotients {text!r}; expected comma-separated positive "
+                         "integers") from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations: each returns (results, csv_rows)
 # ---------------------------------------------------------------------------
@@ -84,6 +94,27 @@ def cmd_full_cover(args, dset):
     return results, rows
 
 
+def cmd_cf_interval(args, dset):
+    quotients = parse_quotients(args.quotients)
+    pi = cf_prefix_interval(quotients)
+    disjoint = prefix_interval_disjoint_from(pi, dset, args.depth)
+    results = {
+        "quotients": quotients,
+        "interval": {
+            "lo": render.rational_json(pi.lo), "hi": render.rational_json(pi.hi),
+            "lo_closed": pi.lo_closed, "hi_closed": pi.hi_closed,
+        },
+        "depth": args.depth,
+        "disjoint_from_set": disjoint,
+        "verdict": "not_in_set" if disjoint else "undetermined_at_depth",
+    }
+    rows = [{"quotients": ";".join(str(a) for a in quotients),
+             "lo": render.rat_str(pi.lo), "hi": render.rat_str(pi.hi),
+             "lo_closed": pi.lo_closed, "hi_closed": pi.hi_closed,
+             "disjoint_from_set": disjoint}]
+    return results, rows
+
+
 # the module of every other command's handler `cmd_<name>`; cf and exponent
 # on --x xi run in `cli_xi`, so the other values of --x load no sparse numbers
 FAMILY_MODULES = {
@@ -91,7 +122,7 @@ FAMILY_MODULES = {
     "series": "cli_layers", "tail": "cli_layers", "bc-ratio": "cli_layers",
     "dim-estimate": "cli_layers",
     "xi-build": "cli_sparse", "xi-verify": "cli_xi",
-    "cf": "cli_contfrac", "exponent": "cli_contfrac", "cf-interval": "cli_contfrac",
+    "cf": "cli_contfrac", "exponent": "cli_contfrac",
 }
 
 

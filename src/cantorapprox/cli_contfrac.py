@@ -1,8 +1,10 @@
-"""Command-line handlers of the continued-fraction family: cf-interval, and
-cf and exponent on every --x but xi.
+"""Command-line handlers of the continued-fraction family: cf and exponent
+on every --x but xi.
 
 `cli.run_command` imports this module on first use; `cli_xi` runs cf and
 exponent on --x xi, so that this module never loads the sparse numbers.
+cf-interval runs in `cli` itself, since its prefix intervals need no
+continued-fraction expansion and no enclosures.
 Each handler takes the parsed arguments and the digit set and returns
 (results, csv_rows).
 """
@@ -11,8 +13,7 @@ from __future__ import annotations
 
 from . import render
 from .cli import parse_fraction, parse_set
-from .contfrac import (cf_prefix_interval, continued_fraction_expand,
-                       irrationality_exponent_estimate, prefix_interval_disjoint_from)
+from .contfrac import continued_fraction_expand, irrationality_exponent_estimate
 from .enclosures import RealEnclosure, SqrtSource, exponent_enclosure, golden_ratio_source
 from .errors import InputError
 
@@ -30,14 +31,6 @@ def parse_x(args):
             raise InputError("sqrt:Q needs 0 < Q < 1")
         return RealEnclosure.from_source(SqrtSource(q))
     return parse_fraction(t)
-
-
-def parse_quotients(text: str) -> list[int]:
-    try:
-        return [int(a) for a in text.split(",")]
-    except ValueError as exc:
-        raise InputError(f"bad quotients {text!r}; expected comma-separated positive "
-                         "integers") from exc
 
 
 def cf_report(x, depth: int):
@@ -80,24 +73,3 @@ def cmd_cf(args, dset):
 
 def cmd_exponent(args, dset):
     return exponent_report(parse_x(args), args.depth, args.min_q)
-
-
-def cmd_cf_interval(args, dset):
-    quotients = parse_quotients(args.quotients)
-    pi = cf_prefix_interval(quotients)
-    disjoint = prefix_interval_disjoint_from(pi, dset, args.depth)
-    results = {
-        "quotients": quotients,
-        "interval": {
-            "lo": render.rational_json(pi.lo), "hi": render.rational_json(pi.hi),
-            "lo_closed": pi.lo_closed, "hi_closed": pi.hi_closed,
-        },
-        "depth": args.depth,
-        "disjoint_from_set": disjoint,
-        "verdict": "not_in_set" if disjoint else "undetermined_at_depth",
-    }
-    rows = [{"quotients": ";".join(str(a) for a in quotients),
-             "lo": render.rat_str(pi.lo), "hi": render.rat_str(pi.hi),
-             "lo_closed": pi.lo_closed, "hi_closed": pi.hi_closed,
-             "disjoint_from_set": disjoint}]
-    return results, rows

@@ -1,5 +1,7 @@
 """Rigorous continued fractions: certified quotients, Legendre checks,
-finite-window irrationality-exponent estimates, and prefix intervals.
+and finite-window irrationality-exponent estimates.  The prefix
+intervals of cf-interval live in `intervals` and `digitsets`, which load
+no enclosure code, and are re-exported here (see `__all__`).
 
 For rational inputs the expansion is the exact Euclidean one.  For
 enclosure-valued reals a quotient is emitted only once the current
@@ -12,13 +14,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-from .digitsets import MissingDigitSet
+from .digitsets import prefix_interval_disjoint_from
 from .enclosures import (Iv, LogRatioSource, RealEnclosure, as_enclosure,
                          iv_abs, iv_sub, iv_exact)
 from .errors import InputError, PrecisionError
+from .intervals import PrefixInterval, cf_prefix_interval, convergents_from_quotients
 from .records import Record
+
+__all__ = ["ContinuedFraction", "ExponentEstimate", "PrefixInterval", "cf_prefix_interval",
+           "continued_fraction_expand", "convergents_from_quotients",
+           "irrationality_exponent_estimate", "legendre_is_convergent",
+           "prefix_interval_disjoint_from"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -38,17 +46,6 @@ class ContinuedFraction(Record):
     @property
     def certified_depth(self) -> int:
         return len(self.quotients)
-
-
-def convergents_from_quotients(quotients: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    p_prev, q_prev = 1, 0   # (p_-1, q_-1)
-    p_cur, q_cur = 0, 1     # (p_0, q_0) for a_0 = 0
-    out = []
-    for a in quotients:
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
-        out.append((p_cur, q_cur))
-    return tuple(out)
 
 
 def _expand_rational(x: Fraction, depth: int) -> ContinuedFraction:
@@ -177,65 +174,3 @@ def irrationality_exponent_estimate(cf: ContinuedFraction,
     witnesses = tuple(w for iv, w in ratios if iv[1] == best_hi)
     return ExponentEstimate(lo=1 + best_lo, hi=1 + best_hi, witnesses=witnesses,
                             window=len(cf.convergents), min_denominator=floor_q)
-
-
-# ---------------------------------------------------------------------------
-# prefix intervals
-# ---------------------------------------------------------------------------
-
-class PrefixInterval(Record):
-    """All x in (0,1) whose continued fraction starts with the given quotients.
-
-    One endpoint (the final convergent itself) is included, the other
-    (the mediant with the previous convergent) is excluded; which side is
-    which depends on the parity of the prefix length.
-    """
-
-    quotients: tuple[int, ...]
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool
-    hi_closed: bool
-
-
-def cf_prefix_interval(quotients: Sequence[int]) -> PrefixInterval:
-    qs = tuple(int(a) for a in quotients)
-    if not qs or any(a < 1 for a in qs):
-        raise InputError("quotients must be positive integers")
-    convs = convergents_from_quotients(qs)
-    p_n, q_n = convs[-1]
-    p_prev, q_prev = convs[-2] if len(convs) >= 2 else (0, 1)
-    anchor = Fraction(p_n, q_n)
-    mediant = Fraction(p_n + p_prev, q_n + q_prev)
-    if anchor <= mediant:
-        return PrefixInterval(qs, anchor, mediant, True, False)
-    return PrefixInterval(qs, mediant, anchor, False, True)
-
-
-def prefix_interval_disjoint_from(pi: PrefixInterval, dset: MissingDigitSet,
-                                  depth: int) -> bool:
-    """True when the prefix interval misses every level-depth basic interval.
-
-    Only the cells [k, k+1]/b^depth that meet [lo, hi] are visited:
-    ceil(lo b^depth) - 1 <= k <= floor(hi b^depth).
-    """
-    if depth < 1:
-        raise InputError("depth must be >= 1")
-    scale = dset.base ** depth
-    first = -((-pi.lo * scale).__floor__()) - 1
-    last = (pi.hi * scale).__floor__()
-    for k in dset.allowed_prefixes(depth, first, last):
-        cell_lo, cell_hi = Fraction(k, scale), Fraction(k + 1, scale)
-        lo = max(pi.lo, cell_lo)
-        hi = min(pi.hi, cell_hi)
-        if lo > hi:
-            continue
-        if lo < hi:
-            return False  # positive-length overlap
-        # single touching point: it intersects only if that endpoint is included
-        if lo == pi.lo and not pi.lo_closed:
-            continue
-        if lo == pi.hi and not pi.hi_closed:
-            continue
-        return False
-    return True

@@ -15,22 +15,24 @@ Every enumeration of level-n basic intervals (cylinders) goes through
 `MissingDigitSet.allowed_prefixes`, which descends one digit at a time
 and keeps only the prefixes whose cylinders can still meet the target
 range of cells.  It refuses, with ResourceBudgetError, to return more
-than ENUM_BUDGET cells, and it detects that early.  The one exception is
-`box_dimension_estimate`, which tests the few cells around each ball
-with `prefix_allowed`.  The b-adic centers p/b^n in the set are read off
-the allowed prefixes: p/b^n ends in 0s after the digits of p, or in
-(b-1)s after the digits of p - 1.
+than ENUM_BUDGET cells, and it detects that early.  The b-adic centers
+p/b^n in the set are read off the allowed prefixes: p/b^n ends in 0s
+after the digits of p, or in (b-1)s after the digits of p - 1.  The
+natural cover check `full_cover_check` and the continued-fraction
+prefix test `prefix_interval_disjoint_from` are built on these; the box
+count of `layers.box_dimension_estimate` counts cells by prefix rank
+and enumerates none but the centers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, ResourceBudgetError
-from .intervals import Pair, RatInterval, clip_union, merge_pairs
+from .intervals import Pair, PrefixInterval, RatInterval, clip_union, merge_pairs
 from .records import Record
 
 _ZERO = Fraction(0)
@@ -352,15 +354,49 @@ def cantor_measure(dset: MissingDigitSet, iv: RatInterval) -> CantorMeasureValue
 
 def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool:
     """Whether the radius-b^-n balls around the centers p/b^n in the set
-    cover the window in measure.  Only the centers within b^-n of the
-    window are enumerated, from the prefixes ceil(lo b^n) - 2 .. floor(hi b^n) + 1."""
+    cover the window in measure.
+
+    Every ball end (p -+ 1)/b^n and both window ends are integers over
+    one grid D, the lcm of b^n and the window's denominators, so the
+    balls are merged and clipped on integers and each piece is measured
+    by `cantor_cdf` over D.  Only the centers within b^-n of the window
+    are enumerated, from the prefixes ceil(lo b^n) - 2 .. floor(hi b^n) + 1.
+    """
     if n < 1:
         raise InputError("level must be >= 1")
     bn = dset.base ** n
-    r = Fraction(1, bn)
-    first = max(-((-window.lo * bn).__floor__()) - 2, 0)  # ceil(lo b^n) - 2
-    last = min((window.hi * bn).__floor__() + 1, bn)
-    balls = [(Fraction(p, bn) - r, Fraction(p, bn) + r)
+    lo, hi = window.lo, window.hi
+    grid = lcm(bn, lo.denominator, hi.denominator)
+    step = grid // bn
+    wl, wh = lo.numerator * (grid // lo.denominator), hi.numerator * (grid // hi.denominator)
+    first = max(-(-wl // step) - 2, 0)
+    last = min(wh // step + 1, bn)
+    balls = [((p - 1) * step, (p + 1) * step)
              for p in enumerate_centers(dset, n, False, first, last)]
-    clipped = clip_union(merge_pairs(balls), window.pair())
-    return measure_union(dset, clipped) == measure_pair(dset, window.lo, window.hi)
+    covered = sum((cantor_cdf(dset, y, grid) - cantor_cdf(dset, x, grid)
+                   for x, y in clip_union(merge_pairs(balls), (wl, wh)) if x < y), _ZERO)
+    return covered == measure_pair(dset, lo, hi)
+
+
+def prefix_interval_disjoint_from(pi: PrefixInterval, dset: MissingDigitSet,
+                                  depth: int) -> bool:
+    """True when the prefix interval misses every level-depth basic interval.
+
+    Only the cells [k, k+1]/b^depth that meet [lo, hi] are visited:
+    ceil(lo b^depth) - 1 <= k <= floor(hi b^depth).  Each meets the
+    interval in more than a point, except the first when lo b^depth is an
+    integer and the last when hi b^depth is one: those meet it only at
+    lo or hi, which counts only when that end is closed.
+    """
+    if depth < 1:
+        raise InputError("depth must be >= 1")
+    scale = dset.base ** depth
+    minus_ceil_lo, lo_rem = divmod(-pi.lo.numerator * scale, pi.lo.denominator)
+    last, hi_rem = divmod(pi.hi.numerator * scale, pi.hi.denominator)
+    first = -minus_ceil_lo - 1
+    at_open_end = set()
+    if lo_rem == 0 and not pi.lo_closed:
+        at_open_end.add(first)
+    if hi_rem == 0 and not pi.hi_closed:
+        at_open_end.add(last)
+    return all(k in at_open_end for k in dset.allowed_prefixes(depth, first, last))

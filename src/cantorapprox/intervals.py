@@ -1,4 +1,5 @@
-"""Closed rational subintervals of [0,1] and finite disjoint unions of them.
+"""Closed rational subintervals of [0,1], finite disjoint unions of them,
+and the continued-fraction prefix intervals.
 
 `RatInterval` is the validated value used at API boundaries.  The union
 walks `merge_pairs` and `intersect_unions` only compare and copy
@@ -9,6 +10,11 @@ numerator of its CDF value over the layer's CDF denominator as an
 (x, cdf) tuple that orders by x.  Single points carry no mass for any
 of the measures here, so merging intervals that merely touch is always
 measure-safe.
+
+`PrefixInterval` is the half-open interval of the numbers in (0,1)
+whose continued fraction starts with given quotients; its endpoints are
+the last convergent and the mediant with the one before.  It lives here,
+not in `contfrac`, so that `cf-interval` loads no enclosure code.
 """
 
 from __future__ import annotations
@@ -95,3 +101,47 @@ def clip_union(pairs: Sequence[Pair], window: Pair) -> list[Pair]:
 
 def total_length(pairs: Sequence[Pair]) -> Fraction:
     return sum((hi - lo for lo, hi in pairs), _ZERO)
+
+
+# ---------------------------------------------------------------------------
+# continued-fraction prefix intervals
+# ---------------------------------------------------------------------------
+
+def convergents_from_quotients(quotients: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    p_prev, q_prev = 1, 0   # (p_-1, q_-1)
+    p_cur, q_cur = 0, 1     # (p_0, q_0) for a_0 = 0
+    out = []
+    for a in quotients:
+        p_cur, p_prev = a * p_cur + p_prev, p_cur
+        q_cur, q_prev = a * q_cur + q_prev, q_cur
+        out.append((p_cur, q_cur))
+    return tuple(out)
+
+
+class PrefixInterval(Record):
+    """All x in (0,1) whose continued fraction starts with the given quotients.
+
+    One endpoint (the final convergent itself) is included, the other
+    (the mediant with the previous convergent) is excluded; which side is
+    which depends on the parity of the prefix length.
+    """
+
+    quotients: tuple[int, ...]
+    lo: Fraction
+    hi: Fraction
+    lo_closed: bool
+    hi_closed: bool
+
+
+def cf_prefix_interval(quotients: Sequence[int]) -> PrefixInterval:
+    qs = tuple(int(a) for a in quotients)
+    if not qs or any(a < 1 for a in qs):
+        raise InputError("quotients must be positive integers")
+    convs = convergents_from_quotients(qs)
+    p_n, q_n = convs[-1]
+    p_prev, q_prev = convs[-2] if len(convs) >= 2 else (0, 1)
+    anchor = Fraction(p_n, q_n)
+    mediant = Fraction(p_n + p_prev, q_n + q_prev)
+    if anchor <= mediant:
+        return PrefixInterval(qs, anchor, mediant, True, False)
+    return PrefixInterval(qs, mediant, anchor, False, True)

@@ -700,32 +700,34 @@ class BoxDimensionEstimate(Record):
 
 def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
                            coprime: bool) -> BoxDimensionEstimate:
+    """Count the level-L cells, L = ceil(tau n), that the radius-b^(-tau n)
+    balls around the level-n centers meet, and the log-ratio of the count.
+
+    With S = b^L and R = r S, the ball around a center c/S meets the
+    cells [k, k+1]/S with ceil(c - R) - 1 <= k <= floor(c + R), that is
+    c - f - 1 <= k <= c + f for f = floor(R), since c is an integer.  So
+    the enclosure of r decides every cell range at once when both its
+    bounds give the same f.  The ranges are merged as half-open integer
+    runs [lo, hi), and the allowed cells of a run number
+    rank(hi) - rank(lo), with rank(k) the count of allowed level-L
+    prefixes below k.
+    """
     tau = Fraction(tau)
     if tau < 1:
         raise InputError("need tau >= 1")
     level = -((-tau * n).__floor__())  # ceil(tau*n)
     b = dset.base
-    bn = b ** n
     scale = b ** level  # counting grid
+    step = scale // b ** n
     radius = rational_pow(Fraction(b), -tau * n, RADIUS_BITS)
-    hit: set[int] = set()
-    for p in enumerate_centers(dset, n, coprime):
-        # cells [k, k+1]/scale meeting [c-r, c+r]: k in [c*scale - r*scale - 1, c*scale + r*scale]
-        c_scaled = p * (scale // bn)
-        k_lo_iv = (c_scaled - radius[1] * scale, c_scaled - radius[0] * scale)
-        k_hi_iv = (c_scaled + radius[0] * scale, c_scaled + radius[1] * scale)
-        k_first = -((-k_lo_iv[0]).__floor__()) - 1  # ceil(lo) - 1
-        k_first_hi = -((-k_lo_iv[1]).__floor__()) - 1
-        k_last = k_hi_iv[1].__floor__()
-        k_last_lo = k_hi_iv[0].__floor__()
-        if k_first != k_first_hi or k_last != k_last_lo:
-            raise PrecisionError("counting boundary undecided; raise the radius precision")
-        for k in range(max(k_first, 0), min(k_last, scale - 1) + 1):
-            if k in hit:
-                continue
-            if dset.prefix_allowed(k, level):
-                hit.add(k)
-    count = len(hit)
+    centers = enumerate_centers(dset, n, coprime)
+    f, f_hi = ((r.numerator * scale) // r.denominator for r in radius)
+    if centers and f != f_hi:
+        raise PrecisionError("counting boundary undecided; raise the radius precision")
+    runs = merge_pairs([(max(c - f - 1, 0), min(c + f + 1, scale))
+                        for c in (p * step for p in centers)])
+    count = sum(_prefix_rank(dset, hi, level)[0] - _prefix_rank(dset, lo, level)[0]
+                for lo, hi in runs)
     if count == 0:
         raise InputError("layer misses every basic interval at the counting level")
     if count == 1:

@@ -3,9 +3,10 @@
 These deliberately use different mechanisms from the implementation:
 block counting instead of per-digit weights for the measure, integer
 power comparisons instead of log enclosures for exponent inequalities,
-a `Fraction` digit walk and a per-cell scan for membership, and
-`Fraction` ball endpoints for the layer unions the library builds on an
-integer grid.
+a `Fraction` digit walk and a per-cell scan for membership,
+`Fraction` ball endpoints for the layer unions and the natural cover
+the library builds on an integer grid, and a per-cell `prefix_allowed`
+scan for the box count the library takes from prefix ranks.
 """
 
 from bisect import bisect_left
@@ -13,8 +14,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from cantorapprox import Layer, MembershipResult, MissingDigitSet
-from cantorapprox.intervals import merge_pairs
+from cantorapprox import (Layer, MembershipResult, MissingDigitSet, PrecisionError,
+                          RatInterval, enumerate_centers, layers, measure_union)
+from cantorapprox.digitsets import measure_pair
+from cantorapprox.intervals import clip_union, merge_pairs
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -169,3 +172,56 @@ def layer_ball_pairs(layer: Layer, radius: Fraction) -> list[tuple[Fraction, Fra
 def layer_union_pairs(layer: Layer, radius: Fraction) -> list[tuple[Fraction, Fraction]]:
     """The merged union of `layer_ball_pairs`."""
     return merge_pairs(layer_ball_pairs(layer, radius))
+
+
+def box_count(dset: MissingDigitSet, tau: Fraction, n: int, coprime: bool) -> int:
+    """The number of level-ceil(tau n) cells that the radius-b^(-tau n) balls
+    around the level-n centers meet, found by testing every cell near every
+    ball with `Fraction` bounds and `prefix_allowed`.
+
+    The radius comes from `layers.rational_pow`, looked up when called,
+    and a cell range that its two bounds disagree on is a PrecisionError.
+    """
+    tau = Fraction(tau)
+    level = -((-tau * n).__floor__())
+    b = dset.base
+    bn = b ** n
+    scale = b ** level
+    radius = layers.rational_pow(Fraction(b), -tau * n, layers.RADIUS_BITS)
+    hit: set[int] = set()
+    for p in enumerate_centers(dset, n, coprime):
+        c_scaled = p * (scale // bn)
+        k_lo_iv = (c_scaled - radius[1] * scale, c_scaled - radius[0] * scale)
+        k_hi_iv = (c_scaled + radius[0] * scale, c_scaled + radius[1] * scale)
+        k_first = -((-k_lo_iv[0]).__floor__()) - 1
+        k_first_hi = -((-k_lo_iv[1]).__floor__()) - 1
+        k_last = k_hi_iv[1].__floor__()
+        k_last_lo = k_hi_iv[0].__floor__()
+        if k_first != k_first_hi or k_last != k_last_lo:
+            raise PrecisionError("counting boundary undecided")
+        for k in range(max(k_first, 0), min(k_last, scale - 1) + 1):
+            if k not in hit and dset.prefix_allowed(k, level):
+                hit.add(k)
+    return len(hit)
+
+
+def full_cover_fraction_balls(dset: MissingDigitSet, n: int, window: RatInterval) -> bool:
+    """The natural cover check with `Fraction` balls (p -+ 1)/b^n around the
+    centers near the window, merged, clipped and measured on Fractions."""
+    bn = dset.base ** n
+    r = Fraction(1, bn)
+    first = max(-((-window.lo * bn).__floor__()) - 2, 0)
+    last = min((window.hi * bn).__floor__() + 1, bn)
+    balls = [(Fraction(p, bn) - r, Fraction(p, bn) + r)
+             for p in enumerate_centers(dset, n, False, first, last)]
+    clipped = clip_union(merge_pairs(balls), window.pair())
+    return measure_union(dset, clipped) == measure_pair(dset, window.lo, window.hi)
+
+
+def full_cover_closed_form(dset: MissingDigitSet, window: RatInterval) -> bool:
+    """The natural cover covers the window in measure iff 0 or b-1 is a digit
+    (an end of every allowed cylinder is then a center, and its ball holds
+    the cylinder), or the window has measure 0 (with neither digit no
+    p/b^n is in the set, so there are no balls)."""
+    return (0 in dset.digits or dset.base - 1 in dset.digits
+            or oracle_measure(dset, window.lo, window.hi, level=3) == 0)

@@ -236,6 +236,29 @@ def test_layer_reports_match_their_pinned_hashes(argv):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[argv]
 
 
+# sha256 of the whole JSON report, computed when the box count tested every
+# cell near every ball on Fractions, full-cover merged Fraction balls, and
+# cf-interval ran beside the continued-fraction expansion
+PINNED_CYLINDER_REPORTS = {
+    "dim-estimate --tau 3/2 --n 11":
+        "5b5247537dc2bd88ec62dd6983548e015d70473fc0f6fdad0a1ec3312faaa4cf",
+    "dim-estimate --tau 3 --n 10 --no-coprime":
+        "24a4e5c614c9046a3dd6696346904c519b7bcc44da5cebcf20a0e3789b70d5a4",
+    "full-cover --n 10 --window 1/7:6/7":
+        "616a8c8c6894e103d7452242472ac6b1941b99fb2a9ff23ef744190304081f42",
+    "full-cover --set 5:1,3 --n 6":
+        "6cb4b725241d8280dd629d37866f574a200692e0a330c4dda78c5f6ee469d5f1",
+    "cf-interval --quotients 1,1,1,1 --depth 18":
+        "e5838cd266562e8efaa55ba7977759d101cad9c447edfede5c7f54e143e73780",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_CYLINDER_REPORTS))
+def test_cylinder_reports_match_their_pinned_hashes(argv):
+    text, _ = run_command(argv.split())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CYLINDER_REPORTS[argv]
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

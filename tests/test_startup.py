@@ -40,12 +40,12 @@ COMMANDS = {
     "cf --x gamma": (["cf", "--x", "gamma", "--depth", "10"], CONTFRAC),
     "exponent": (["exponent", "--x", "xi", *XI, "--depth", "20"], CONTFRAC | SPARSE),
     "exponent --x sqrt:1/2": (["exponent", "--x", "sqrt:1/2", "--depth", "20"], CONTFRAC),
-    "cf-interval": (["cf-interval", "--quotients", "1,1", "--depth", "4"], CONTFRAC),
+    "cf-interval": (["cf-interval", "--quotients", "1,1", "--depth", "4"], set()),
     "full-cover": (["full-cover", "--n", "3"], set()),
 }
 HANDLERS = {"cantorapprox.cli_layers", "cantorapprox.cli_contfrac",
             "cantorapprox.cli_sparse", "cantorapprox.cli_xi"}
-# what neither the parser nor measure and full-cover may load
+# what neither the parser nor the set-only commands may load
 NOT_IN_SET_ONLY = FAMILIES | HANDLERS | {"cantorapprox.enclosures"}
 
 # prints the exit code, then every module the statement after `before` loaded
@@ -82,7 +82,7 @@ def test_command_loads_only_its_family(name):
     assert library - HANDLERS <= CORE | family
 
 
-@pytest.mark.parametrize("name", ["measure", "full-cover"])
+@pytest.mark.parametrize("name", ["measure", "full-cover", "cf-interval"])
 def test_set_only_commands_load_no_enclosures_and_no_handler_module(name):
     _, loaded = _run(COMMANDS[name][0])
     assert not loaded & NOT_IN_SET_ONLY
