@@ -17,11 +17,12 @@ and keeps only the prefixes whose cylinders can still meet the target
 range of cells.  It refuses, with ResourceBudgetError, to return more
 than ENUM_BUDGET cells, and it detects that early.  The b-adic centers
 p/b^n in the set are read off the allowed prefixes: p/b^n ends in 0s
-after the digits of p, or in (b-1)s after the digits of p - 1.  The
-natural cover check `full_cover_check` and the continued-fraction
-prefix test `prefix_interval_disjoint_from` are built on these; the box
-count of `layers.box_dimension_estimate` counts cells by prefix rank
-and enumerates none but the centers.
+after the digits of p, or in (b-1)s after the digits of p - 1.
+
+`grid_cdf` is the only code that evaluates the CDF at points of a grid:
+the layers, `full_cover_check` and the box count of
+`layers.box_dimension_estimate` all read their CDF values and cell
+counts from it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ResourceBudgetError
 from .intervals import Pair, PrefixInterval, RatInterval, clip_union, merge_pairs
@@ -292,19 +293,38 @@ class CantorMeasureValue(Record):
         return self.lo
 
 
+def _prefix_rank(dset: MissingDigitSet, k: int, n: int) -> tuple[int, bool]:
+    """(#allowed level-n prefixes below k, whether k is one), 0 <= k <= b^n.
+
+    A prefix below k < b^n agrees with k above some digit i and is
+    smaller at i, so it counts below[d_i] * m^i when every digit of k
+    above i is allowed.  Reading k from its last digit, a disallowed
+    digit therefore discards the count of the digits below it.  All m^n
+    prefixes lie below b^n.
+    """
+    below, allowed, b, m = dset._below, dset._digitset, dset.base, dset.digit_count
+    rank, weight, inside = 0, 1, True
+    for _ in range(n):
+        k, d = divmod(k, b)
+        if d in allowed:
+            rank += below[d] * weight
+        else:
+            rank, inside = below[d] * weight, False
+        weight *= m
+    return (weight, False) if k else (rank, inside)
+
+
 def cantor_cdf(dset: MissingDigitSet, x: Fraction | int, den: int = 1) -> Fraction:
     """mu([0, x/den]) exactly, for rational x and a positive integer den.
 
-    Walks the digit stream of x/den = r/q with the remainder r kept as an
-    integer mod q; each digit d adds the mass of the allowed cells
-    strictly below d at that level, accumulated as the integer A over
-    m^k (m = #digits, k digits read).  Dividing gcd(q, b) out of q until
-    it is 1 counts the pre-period s: from step s on the remainders are
-    purely periodic.  When r first returns to its step-s value, k = s + L
-    and the tail repeats the same L digits forever, which sums to
-    (A - A_s) / (m^s (m^L - 1)).  A stream that terminates or reads a
-    disallowed digit ends at A / m^k.  An integer x over a layer's shared
-    grid den need not be in lowest terms: gcd(x, den) is divided out first.
+    Dividing gcd(q, b) out of q (x/den = r/q in lowest terms) until it is
+    1 counts the pre-period s.  Its digits are the prefix k = floor(r
+    b^s / q), whose rank A_s gives A_s / m^s (m = #digits) when k is not
+    allowed or the stream ends there.  Otherwise the walk reads digits on
+    the remainder mod q, each d adding the allowed cells below d to the
+    integer A over m^(s+L).  When r returns to its step-s value the L
+    digits repeat forever, which sums to (A - A_s) / (m^s (m^L - 1)); a
+    disallowed digit ends the walk at A / m^(s+L).
     """
     r, q = x.numerator, x.denominator * den
     if r <= 0:
@@ -314,16 +334,12 @@ def cantor_cdf(dset: MissingDigitSet, x: Fraction | int, den: int = 1) -> Fracti
     g = gcd(r, q)
     r, q = r // g, q // g
     b, m = dset.base, dset.digit_count
-    below, allowed = dset._below, dset._digitset
     s, _ = _preperiod(q, b)
-    acc = 0
-    for k in range(1, s + 1):
-        d, r = divmod(r * b, q)
-        acc = acc * m + below[d]
-        if d not in allowed:
-            return Fraction(acc, m ** k)
-    if r == 0:
+    k, r = divmod(r * b ** s, q)
+    acc, inside = _prefix_rank(dset, k, s)
+    if not inside or r == 0:
         return Fraction(acc, m ** s)
+    below, allowed = dset._below, dset._digitset
     r_s, acc_s = r, acc
     period = 0
     while True:
@@ -334,6 +350,30 @@ def cantor_cdf(dset: MissingDigitSet, x: Fraction | int, den: int = 1) -> Fracti
             return Fraction(acc, m ** (s + period))
         if r == r_s:
             return Fraction(acc - acc_s, m ** s * (m ** period - 1))
+
+
+def grid_cdf(dset: MissingDigitSet, n: int, grid: int,
+             points: Iterable[int]) -> tuple[dict[int, int], int]:
+    """({x: N}, D) with mu([0, x/grid]) = N / D for each 0 <= x <= grid,
+    grid a multiple of b^n.
+
+    By self-similarity, with x/grid = (k + f)/b^n and 0 <= f < 1,
+    mu([0, x/grid]) = (rank(k) + [k allowed] mu([0, f])) / m^n.  Each
+    distinct k takes one rank walk, each distinct nonzero f one
+    `cantor_cdf` call, and D is m^n times the lcm of their denominators.
+    On the grid b^n, N is the rank.
+    """
+    step = grid // dset.base ** n
+    split = {x: divmod(x, step) for x in points}
+    local = {f: cantor_cdf(dset, f, step) for f in {f for _, f in split.values()} if f}
+    scale = lcm(*(c.denominator for c in local.values()))
+    lifted = {f: c.numerator * (scale // c.denominator) for f, c in local.items()}
+    ranks = {k: _prefix_rank(dset, k, n) for k in {k for k, _ in split.values()}}
+    cdf = {}
+    for x, (k, f) in split.items():
+        rank, inside = ranks[k]
+        cdf[x] = rank * scale + (lifted[f] if inside and f else 0)
+    return cdf, dset.digit_count ** n * scale
 
 
 def measure_pair(dset: MissingDigitSet, lo: Fraction, hi: Fraction) -> Fraction:
@@ -358,9 +398,9 @@ def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool
 
     Every ball end (p -+ 1)/b^n and both window ends are integers over
     one grid D, the lcm of b^n and the window's denominators, so the
-    balls are merged and clipped on integers and each piece is measured
-    by `cantor_cdf` over D.  Only the centers within b^-n of the window
-    are enumerated, from the prefixes ceil(lo b^n) - 2 .. floor(hi b^n) + 1.
+    balls are merged and clipped on integers and measured by `grid_cdf`.
+    Only the centers within b^-n of the window are enumerated, from the
+    prefixes ceil(lo b^n) - 2 .. floor(hi b^n) + 1.
     """
     if n < 1:
         raise InputError("level must be >= 1")
@@ -373,9 +413,9 @@ def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool
     last = min(wh // step + 1, bn)
     balls = [((p - 1) * step, (p + 1) * step)
              for p in enumerate_centers(dset, n, False, first, last)]
-    covered = sum((cantor_cdf(dset, y, grid) - cantor_cdf(dset, x, grid)
-                   for x, y in clip_union(merge_pairs(balls), (wl, wh)) if x < y), _ZERO)
-    return covered == measure_pair(dset, lo, hi)
+    pieces = clip_union(merge_pairs(balls), (wl, wh))
+    cdf, _ = grid_cdf(dset, n, grid, [wl, wh] + [x for piece in pieces for x in piece])
+    return sum(cdf[y] - cdf[x] for x, y in pieces) == cdf[wh] - cdf[wl]
 
 
 def prefix_interval_disjoint_from(pi: PrefixInterval, dset: MissingDigitSet,

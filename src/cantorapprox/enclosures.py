@@ -243,9 +243,6 @@ def ln_interval(x: Fraction, bits: int) -> Iv:
     # reduce to y = x / 2^e in [1, 2)
     e = (x.numerator // x.denominator).bit_length() - 1
     y = x / (1 << e)
-    if y >= 2:  # guard against off-by-one from the integer estimate
-        y /= 2
-        e += 1
     work = bits + 8
     terms = work // 3 + 4
     ln2 = _ln2_interval(work) if e else iv_exact(_ZERO)

@@ -7,8 +7,7 @@ irrational radii or exponents degrade gracefully to certified two-sided
 bounds.  A layer's ball unions live on one integer grid: every endpoint
 is an integer numerator over the layer's common denominator, carried
 with the integer numerator of its CDF value over one CDF denominator
-per layer.  The CDF values come from prefix ranks and at most six
-`cantor_cdf` calls per layer (see `Layer`).  Two layers meet on the lcm
+per layer, both from `digitsets.grid_cdf`.  Two layers meet on the lcm
 of their grids and of their CDF denominators, and a measure is one
 integer sum made into a Fraction.
 
@@ -25,8 +24,8 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping, Optional, Union
 
-from .digitsets import (CantorMeasureValue, MissingDigitSet, cantor_cdf,
-                        enumerate_centers, center_count, measure_union)
+from .digitsets import (CantorMeasureValue, MissingDigitSet, enumerate_centers,
+                        center_count, grid_cdf, measure_union)
 from .enclosures import (Iv, LogRatioSource, RealEnclosure, exponent_enclosure, iv_add,
                          iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
@@ -291,33 +290,12 @@ def _on_grid(x: Fraction, grid: int) -> int:
 
 # a layer union: sorted disjoint (lo, hi) pairs whose endpoints are
 # (x, N) with x an integer over the layer's grid and N the numerator of
-# cantor_cdf(x/grid) over the layer's CDF denominator
+# mu([0, x/grid]) over the layer's CDF denominator
 GridUnion = tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
 
 def _carry_cdf(union: list[tuple[int, int]], cdf: Mapping[int, int]) -> GridUnion:
     return tuple(((lo, cdf[lo]), (hi, cdf[hi])) for lo, hi in union)
-
-
-def _prefix_rank(dset: MissingDigitSet, k: int, n: int) -> tuple[int, bool]:
-    """(#allowed level-n prefixes below k, whether k is one), 0 <= k <= b^n.
-
-    A prefix below k < b^n agrees with k above some digit i and is
-    smaller at i, so it counts below[d_i] * m^i when every digit of k
-    above i is allowed.  Reading k from its last digit, a disallowed
-    digit therefore discards the count of the digits below it.  All m^n
-    prefixes lie below b^n.
-    """
-    below, allowed, b, m = dset._below, dset._digitset, dset.base, dset.digit_count
-    rank, weight, inside = 0, 1, True
-    for _ in range(n):
-        k, d = divmod(k, b)
-        if d in allowed:
-            rank += below[d] * weight
-        else:
-            rank, inside = below[d] * weight, False
-        weight *= m
-    return (weight, False) if k else (rank, inside)
 
 
 class Layer(Record):
@@ -327,17 +305,12 @@ class Layer(Record):
     endpoint p/b^n -+ r, for both radius bounds r, and both window ends
     are integers over `grid`, the lcm of b^n and their denominators.
     `unions` holds the merged ball unions at the inner and the outer
-    radius (the same union when the radius is exact) on that grid, and
-    one CDF denominator: each endpoint x is paired with the integer N
-    with cantor_cdf(x/grid) = N / denominator.  It is computed once, on
-    first use, from the self-similarity of the measure: with
-    x/grid = (k + f)/b^n and 0 <= f < 1, mu([0, x/grid]) is
-    (rank(k) + [k allowed] mu([0, f])) / m^n, where rank(k) counts the
-    allowed level-n prefixes below k.  Every f is the offset of a radius
-    or of a window end from the level-n grid, so `cantor_cdf` runs once
-    per distinct nonzero f, at most six times, and the denominator is
-    m^n times the lcm of their CDF denominators.  Every measure below
-    only reads the unions.
+    radius (the same union when the radius is exact) on that grid, each
+    endpoint x paired with the integer N from `grid_cdf`, and their one
+    CDF denominator.  Every offset of an endpoint from the level-n grid
+    is that of a radius or of a window end, so a layer makes at most six
+    `cantor_cdf` calls.  It is computed once, on first use, and every
+    measure below only reads the unions.
     """
 
     n: int
@@ -366,21 +339,10 @@ class Layer(Record):
         """(inner union, outer union, CDF denominator)."""
         inner = self._merged_balls(self.radius[0])
         outer = inner if iv_is_exact(self.radius) else self._merged_balls(self.radius[1])
-        dset, n = self.dset, self.n
-        step = self.grid // dset.base ** n
-        split = {x: divmod(x, step) for pair in inner + outer for x in pair}
-        local = {fr: cantor_cdf(dset, fr, step)
-                 for fr in {fr for _, fr in split.values()} if fr}
-        scale = lcm(*(c.denominator for c in local.values()))
-        lifted = {fr: c.numerator * (scale // c.denominator) for fr, c in local.items()}
-        ranks = {k: _prefix_rank(dset, k, n) for k in {k for k, _ in split.values()}}
-        cdf = {}
-        for x, (k, fr) in split.items():
-            rank, inside = ranks[k]
-            cdf[x] = rank * scale + (lifted[fr] if inside and fr else 0)
+        cdf, den = grid_cdf(self.dset, self.n, self.grid,
+                            (x for pair in inner + outer for x in pair))
         carried = _carry_cdf(inner, cdf)
-        return (carried, carried if outer is inner else _carry_cdf(outer, cdf),
-                dset.digit_count ** n * scale)
+        return (carried, carried if outer is inner else _carry_cdf(outer, cdf), den)
 
 
 def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
@@ -710,7 +672,7 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
     bounds give the same f.  The ranges are merged as half-open integer
     runs [lo, hi), and the allowed cells of a run number
     rank(hi) - rank(lo), with rank(k) the count of allowed level-L
-    prefixes below k.
+    prefixes below k: the `grid_cdf` numerator on the grid b^L.
     """
     tau = Fraction(tau)
     if tau < 1:
@@ -726,8 +688,8 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
         raise PrecisionError("counting boundary undecided; raise the radius precision")
     runs = merge_pairs([(max(c - f - 1, 0), min(c + f + 1, scale))
                         for c in (p * step for p in centers)])
-    count = sum(_prefix_rank(dset, hi, level)[0] - _prefix_rank(dset, lo, level)[0]
-                for lo, hi in runs)
+    rank, _ = grid_cdf(dset, level, scale, (x for run in runs for x in run))
+    count = sum(rank[hi] - rank[lo] for lo, hi in runs)
     if count == 0:
         raise InputError("layer misses every basic interval at the counting level")
     if count == 1:

@@ -159,9 +159,9 @@ class SparseDigitNumber:
         while self._exponents[-1] < depth:
             self._extend(len(self._exponents) + 1)
         hits = [e for e in self._exponents if e <= depth]
-        if self.coefficient not in dset._digitset and hits:
+        if self.coefficient not in dset.digits and hits:
             return OUT
-        if len(hits) < depth and 0 not in dset._digitset:
+        if len(hits) < depth and 0 not in dset.digits:
             return OUT
         return IN
 

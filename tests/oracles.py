@@ -14,13 +14,38 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
+import pytest
+
 from cantorapprox import (Layer, MembershipResult, MissingDigitSet, PrecisionError,
                           RatInterval, enumerate_centers, layers, measure_union)
 from cantorapprox.digitsets import measure_pair
 from cantorapprox.intervals import clip_union, merge_pairs
 
+try:
+    import mpmath
+except ImportError:  # mpmath is a test extra
+    mpmath = None
+needs_mpmath = pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _mp_fraction(raw) -> Fraction:
+    sign, man, exp, _ = raw
+    v = Fraction(man) * Fraction(2) ** exp
+    return -v if sign else v
+
+
+def mp_interval(f, prec: int) -> tuple[Fraction, Fraction]:
+    """mpmath's interval for f(iv) at `prec` bits, as a pair of Fractions."""
+    saved = mpmath.iv.prec
+    mpmath.iv.prec = prec
+    try:
+        lo, hi = f(mpmath.iv)._mpi_
+    finally:
+        mpmath.iv.prec = saved
+    return _mp_fraction(lo), _mp_fraction(hi)
 
 
 def oracle_cdf(dset: MissingDigitSet, x: Fraction, level: int = 10) -> Fraction:

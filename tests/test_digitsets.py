@@ -13,7 +13,7 @@ from cantorapprox import (InputError, MissingDigitSet, RatInterval, RealEnclosur
                           center_count, enumerate_centers, full_cover_check,
                           measure_union, membership)
 from cantorapprox import digitsets
-from cantorapprox.digitsets import measure_pair
+from cantorapprox.digitsets import grid_cdf, measure_pair
 from cantorapprox.intervals import clip_union, merge_pairs
 
 from oracles import enclosure_status, oracle_cdf, oracle_measure, rational_in_set
@@ -369,6 +369,29 @@ ALL_SETS = [MissingDigitSet(b, ds) for b in range(3, 8) for size in range(2, b)
             for ds in itertools.combinations(range(b), size)]
 NO_OUTER_DIGIT_SETS = [MissingDigitSet(5, (1, 3)), MissingDigitSet(6, (1, 2, 4)),
                        MissingDigitSet(4, (1, 2)), MissingDigitSet(7, (2, 4, 5))]
+RANK_SETS = BENCH_SETS + NO_OUTER_DIGIT_SETS[:2]
+
+
+@pytest.mark.parametrize("dset", RANK_SETS, ids=str)
+@pytest.mark.parametrize("s", [1, 2, 7, 10])
+def test_grid_cdf_matches_the_block_oracle_at_every_grid_point(dset, s):
+    """Every x in [0, grid] on the grids b^n s: offset 0 only for s = 1, and
+    b-adic, purely periodic or pre-periodic offsets f/s, by base, else."""
+    for n in range(1, 5):
+        grid = dset.base ** n * s
+        cdf, den = grid_cdf(dset, n, grid, range(grid + 1))
+        for x in range(grid + 1):
+            assert cdf[x] == oracle_cdf(dset, F(x, grid), level=n) * den, (n, x)
+
+
+@pytest.mark.parametrize("dset", [MissingDigitSet(5, (0, 2, 3)), MissingDigitSet(5, (1, 3))],
+                         ids=str)
+def test_center_count_of_sets_without_the_closed_form(dset):
+    """Adjacent digits (2, 3) or no 0 digit: the count enumerates the centers."""
+    for n in range(1, 5):
+        bn = dset.base ** n
+        assert center_count(dset, n) == sum(rational_in_set(dset, F(p, bn))
+                                            for p in range(bn + 1)), n
 
 
 @given(st.sampled_from(BENCH_SETS + NO_OUTER_DIGIT_SETS) | st.sampled_from(ALL_SETS),

@@ -13,13 +13,7 @@ from cantorapprox.enclosures import (_atanh_interval, _exp_point, _ln2_interval,
                                      _round_out, iv_add, iv_mul, iv_scale, ln_interval,
                                      nthroot_interval, rational_pow, sqrt_interval)
 
-from oracles import gamma_cmp
-
-try:
-    import mpmath
-except ImportError:  # mpmath is a test extra
-    mpmath = None
-needs_mpmath = pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+from oracles import gamma_cmp, mp_interval, needs_mpmath
 
 big = st.integers(min_value=-(2 ** 90), max_value=2 ** 90)
 nonzero = big.filter(lambda v: v != 0)
@@ -252,23 +246,6 @@ def test_ln_exact_fallback_when_rounding_undecided(monkeypatch):
         assert ln_interval(x, bits) == _exact_ln_interval(x, bits)
 
 
-def _mp_fraction(raw) -> F:
-    sign, man, exp, _ = raw
-    v = F(man) * F(2) ** exp
-    return -v if sign else v
-
-
-def _mp_interval(f, prec: int):
-    """mpmath's interval for f(iv) at `prec` bits, as a pair of Fractions."""
-    saved = mpmath.iv.prec
-    mpmath.iv.prec = prec
-    try:
-        lo, hi = f(mpmath.iv)._mpi_
-    finally:
-        mpmath.iv.prec = saved
-    return _mp_fraction(lo), _mp_fraction(hi)
-
-
 def _mp_ln(iv, x: F):
     return iv.log(iv.mpf(x.numerator) / iv.mpf(x.denominator))
 
@@ -283,7 +260,7 @@ def _size(*xs: F) -> int:
 def test_ln_interval_contains_mpmath_log(x, bits):
     lo, hi = ln_interval(x, bits)
     # twice the precision, and enough to hold x exactly
-    mlo, mhi = _mp_interval(lambda iv: _mp_ln(iv, x), 2 * bits + _size(x))
+    mlo, mhi = mp_interval(lambda iv: _mp_ln(iv, x), 2 * bits + _size(x))
     assert lo <= mlo <= mhi <= hi
 
 
@@ -298,8 +275,8 @@ log_ratio_args = st.one_of(st.integers(min_value=2, max_value=2 ** 5000).map(F),
 def test_log_ratio_source_contains_mpmath_ratio(num, den, level):
     lo, hi = LogRatioSource(num, den).interval(level)
     bits = enclosures.BASE_BITS << level
-    mlo, mhi = _mp_interval(lambda iv: _mp_ln(iv, num) / _mp_ln(iv, den),
-                            2 * bits + _size(num, den))
+    mlo, mhi = mp_interval(lambda iv: _mp_ln(iv, num) / _mp_ln(iv, den),
+                           2 * bits + _size(num, den))
     assert lo <= mlo <= mhi <= hi
 
 

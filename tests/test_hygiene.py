@@ -71,3 +71,33 @@ def test_no_imports_inside_functions(path):
 def test_nested_import_is_detected():
     tree = ast.parse("import os\ndef f():\n    def g():\n        from math import gcd\n")
     assert _nested_imports(tree) == ["f (line 4)", "g (line 4)"]
+
+
+def _foreign_private_reads(tree: ast.Module) -> list[str]:
+    """Reads of `obj._name` (obj not self or cls) of a private name the
+    module does not define, as "_name (line N)"."""
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            defined.add(node.attr)
+    return sorted(f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr.startswith("_") and not node.attr.endswith("__")
+                  and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+                  and node.attr not in defined)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_reads_across_modules(path):
+    foreign = _foreign_private_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not foreign, f"{path.name} reads private names of other modules: {', '.join(foreign)}"
+
+
+def test_foreign_private_read_is_detected():
+    tree = ast.parse("class A:\n    _own = 1\n    def f(self, o):\n"
+                     "        return self._x, o._own, o._other, o.__class__\n")
+    assert _foreign_private_reads(tree) == ["_other (line 4)"]

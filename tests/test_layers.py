@@ -13,13 +13,14 @@ from cantorapprox import (ApproxFunction, DimensionFunction, HypothesisViolation
                           layer_measure, natural_cover_tail, pairwise_measure,
                           quasi_independence_scan, series_classify, series_term,
                           truncate_psi)
-from cantorapprox import layers
+from cantorapprox import digitsets, layers
 from cantorapprox.digitsets import cantor_cdf, measure_union
 from cantorapprox.intervals import intersect_unions
 from cantorapprox.layers import classify_pair_case, psi_value
 from cantorapprox.enclosures import exponent_enclosure, iv_div, iv_exact, iv_mul, iv_scale
 
-from oracles import layer_ball_pairs, layer_union_pairs, power_series_converges
+from oracles import (layer_ball_pairs, layer_union_pairs, mp_interval, needs_mpmath,
+                     power_series_converges)
 
 K = MissingDigitSet.middle_thirds()
 CFG = WindowConfig.unit(3)
@@ -491,13 +492,39 @@ def test_every_union_endpoint_carries_its_cdf(dset, psi, data, a, b, coprime):
                 assert F(end[1], den) == cantor_cdf(dset, end[0], layer.grid), (n, end)
 
 
-@pytest.mark.parametrize("dset", list(GRID_SETS), ids=str)
+@pytest.mark.parametrize("dset", list(GRID_SETS) + [MissingDigitSet(5, (1, 3)),
+                                                     MissingDigitSet(6, (1, 2, 4))], ids=str)
 def test_prefix_rank_counts_the_allowed_prefixes_below(dset):
     for n in range(1, 5):
         prefixes = dset.allowed_prefixes(n)
         for k in range(dset.base ** n + 1):
             below = sum(p < k for p in prefixes)
-            assert layers._prefix_rank(dset, k, n) == (below, k in prefixes), (n, k)
+            assert digitsets._prefix_rank(dset, k, n) == (below, k in prefixes), (n, k)
+
+
+@needs_mpmath
+@pytest.mark.parametrize("dset", list(GRID_SETS), ids=str)
+@pytest.mark.parametrize("psi", [ApproxFunction.power_log(2, Scalar.of(1)),
+                                 truncate_psi(PSI2, F(1, 2))], ids=["powlog:2,1", "pow:2,trunc"])
+def test_layer_comparator_of_other_psis_meets_the_mpmath_interval(dset, psi):
+    """mu(B) (psi(b^n) b^n)^gamma for psi(r) = r^-2 / ln r and for
+    min(1/(2r), r^-2) = r^-2 (b^n >= 3), neither a plain power law, so the
+    comparator raises an enclosure of psi(b^n) b^n to one of gamma.  It
+    must meet mpmath's interval at twice VALUE_BITS, which holds the true
+    value; it may be exact (gamma = 1/2 for 4:0,3), so it need not hold
+    all of mpmath's interval."""
+    b, m, mu_b = dset.base, dset.digit_count, F(5, 7)
+
+    def reference(iv, n):
+        scaled = iv.mpf(b) ** -n
+        if psi.truncation is None:
+            scaled /= n * iv.log(b)
+        return iv.exp(iv.log(m) / iv.log(b) * iv.log(scaled)) * mu_b.numerator / mu_b.denominator
+
+    for n in range(1, 7):
+        lo, hi = layer_comparator(dset, psi, n, mu_b)
+        mlo, mhi = mp_interval(lambda iv: reference(iv, n), 2 * layers.VALUE_BITS)
+        assert lo <= mhi and mlo <= hi, n
 
 
 def _wide_radius(psi, dset, n):
@@ -513,7 +540,7 @@ def test_one_layer_makes_at_most_six_cdf_walks(dset, psi):
     cfg = WindowConfig.for_window(RatInterval.make(F(1, 7919), F(9972, 10007)), dset.base)
     radius = _wide_radius if psi == "wide" else layers.psi_value
     with mock.patch.object(layers, "psi_value", radius), \
-            mock.patch.object(layers, "cantor_cdf", wraps=layers.cantor_cdf) as walks:
+            mock.patch.object(digitsets, "cantor_cdf", wraps=digitsets.cantor_cdf) as walks:
         layer = build_layer(dset, PSI2 if psi == "wide" else psi, 4, cfg, False)
         mu = layer_measure(layer)
     assert 0 < walks.call_count <= 6
