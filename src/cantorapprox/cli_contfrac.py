@@ -57,7 +57,8 @@ def exponent_report(x, depth: int, min_q: int):
     est = irrationality_exponent_estimate(cf, min_q)
     results = {
         "estimate": render.value_json((est.lo, est.hi)),
-        "witnesses": [{"q": str(a), "q_next": str(b)} for a, b in est.witnesses],
+        "witnesses": [{"q": render.int_str(a), "q_next": render.int_str(b)}
+                      for a, b in est.witnesses],
         "window": est.window,
         "min_denominator": est.min_denominator,
         "cf_certified_depth": cf.certified_depth,

@@ -81,33 +81,22 @@ def continued_fraction_expand(x: Union[Fraction, RealEnclosure, int],
     """Certified expansion of x in (0,1) to at most `depth` quotients."""
     if depth < 1:
         raise InputError("depth must be >= 1")
-    if hasattr(x, "enclosure"):
-        x = x.enclosure()
-    if not isinstance(x, RealEnclosure):
-        x = Fraction(x)
-        if not (_ZERO < x < _ONE):
-            raise InputError("x must lie in (0,1)")
-        return _expand_rational(x, depth)
-    if x.is_exact:
-        if not (_ZERO < x.lo < _ONE):
-            raise InputError("x must lie in (0,1)")
-        return _expand_rational(x.lo, depth)
-    enc = x
-    if not (_ZERO <= enc.lo and enc.hi <= _ONE):
+    enc = as_enclosure(x.enclosure() if hasattr(x, "enclosure") else x)
+    # an exact x has lo = hi in (0,1); a wider enclosure lies in [0,1]
+    if not (_ZERO <= enc.lo < _ONE and _ZERO < enc.hi <= _ONE):
         raise InputError("x must lie in (0,1)")
-    quotients = _extract_certified(enc.as_iv(), depth)
-    exhausted = False
-    while len(quotients) < depth:
+    while not enc.is_exact:
+        quotients = _extract_certified(enc.as_iv(), depth)
+        if len(quotients) == depth:
+            break
         try:
             enc = enc.refine()
         except PrecisionError:
-            exhausted = True
             break
-        if enc.is_exact:  # refinement collapsed to a rational
-            return _expand_rational(enc.lo, depth)
-        quotients = _extract_certified(enc.as_iv(), depth)
+    else:  # x is rational, or refinement collapsed to a rational
+        return _expand_rational(enc.lo, depth)
     return ContinuedFraction(tuple(quotients), convergents_from_quotients(quotients),
-                             exact=False, exhausted=exhausted)
+                             exact=False, exhausted=len(quotients) < depth)
 
 
 def legendre_is_convergent(p: int, q: int, x: Union[Fraction, RealEnclosure],

@@ -11,13 +11,11 @@ be divided out), so the cycle closes the first time the remainder
 returns to its value at step s, with a geometric-series identity.  The
 measure of any rational interval is therefore an exact Fraction.
 
-Every enumeration of level-n basic intervals (cylinders) goes through
-`MissingDigitSet.allowed_prefixes`, which descends one digit at a time
-and keeps only the prefixes whose cylinders can still meet the target
-range of cells.  It refuses, with ResourceBudgetError, to return more
-than ENUM_BUDGET cells, and it detects that early.  The b-adic centers
-p/b^n in the set are read off the allowed prefixes: p/b^n ends in 0s
-after the digits of p, or in (b-1)s after the digits of p - 1.
+Level-n basic intervals (cylinders) are counted by two prefix ranks,
+`_cell_count`, and listed only to read off the b-adic centers p/b^n in
+the set (`enumerate_centers`): p/b^n ends in 0s after the digits of p,
+or in (b-1)s after those of p - 1.  The listing, `allowed_prefixes`,
+raises ResourceBudgetError before it lists more than ENUM_BUDGET cells.
 
 `grid_cdf` is the only code that evaluates the CDF at points of a grid:
 the layers, `full_cover_check` and the box count of
@@ -90,10 +88,6 @@ class MissingDigitSet(Record):
         return len(self.digits)
 
     @property
-    def non_adjacent(self) -> bool:
-        return all(d + 1 not in self.digits for d in self.digits)
-
-    @property
     def exponent_fraction(self) -> Optional[Fraction]:
         """Exact value of log(#digits)/log(base) when it is rational."""
         return _mult_dependent_exponent(self.digit_count, self.base)
@@ -122,25 +116,20 @@ class MissingDigitSet(Record):
                          last: Optional[int] = None) -> list[int]:
         """Sorted prefixes p of the level-n basic intervals with first <= p <= last.
 
-        Descends one digit at a time, keeping a prefix only while its
-        block of level-n cells still meets [first, last].  Every kept
-        prefix but the two outermost has its whole block inside, so
-        (kept - 2) * m^(levels left) cells are certain to come back.
+        Their number is checked against ENUM_BUDGET before the descent,
+        which keeps a prefix while its block of cells meets [first, last].
         """
-        b, m = self.base, self.digit_count
-        if last is None:
-            last = b ** level - 1
-        out = [0]
-        block = b ** level
-        for left in range(level - 1, -1, -1):
+        b, top = self.base, self.base ** level - 1
+        first, last = max(first, 0), top if last is None else min(last, top)
+        if _cell_count(self, level, first, last) > ENUM_BUDGET:
+            raise ResourceBudgetError(
+                f"more than {ENUM_BUDGET} level-{level} basic intervals "
+                f"in cells {first}..{last}")
+        out, block = [0], top + 1
+        for _ in range(level):
             block //= b
             out = [v for v in (p * b + d for p in out for d in self.digits)
                    if v * block <= last and (v + 1) * block > first]
-            certain = len(out) if left == 0 else (len(out) - 2) * m ** left
-            if certain > ENUM_BUDGET:
-                raise ResourceBudgetError(
-                    f"more than {ENUM_BUDGET} level-{level} basic intervals "
-                    f"in cells {first}..{last}")
         return out
 
 
@@ -199,9 +188,9 @@ def _enclosure_status(dset: MissingDigitSet, lo: Fraction, hi: Fraction,
                       depth: int) -> MembershipResult:
     """Shared verdict of all points of [lo, hi] at the given level, if any.
 
-    Width-zero enclosures never reach here (they take the exact rational
-    path), so a point failing to be covered always shows up as a
-    positive-length overlap with a removed cell: one of the cells a..e.
+    The cells first..f meet [lo, hi], and a..e in more than a point.
+    Width-zero enclosures take the exact rational path, so a point not
+    covered always shows up as a removed cell among a..e.
     """
     scale = 1
     for level in range(1, depth + 1):
@@ -209,12 +198,10 @@ def _enclosure_status(dset: MissingDigitSet, lo: Fraction, hi: Fraction,
         a, lo_rem = divmod(lo.numerator * scale, lo.denominator)  # floor(lo * scale)
         f, hi_rem = divmod(hi.numerator * scale, hi.denominator)  # floor(hi * scale)
         e = f if hi_rem else f - 1                                # ceil(hi * scale) - 1
-        first = a - 1 if lo_rem == 0 and a > 0 else a
-        cells = dset.allowed_prefixes(level, first, min(f, scale - 1))
-        if not cells:
+        first = a if lo_rem else a - 1
+        if not _cell_count(dset, level, first, f):
             return OUT
-        inside = len(cells) - (cells[0] < a) - (cells[-1] > e)
-        if inside < e - a + 1:
+        if _cell_count(dset, level, a, e) < e - a + 1:
             return MembershipResult("undetermined", level)
     return IN
 
@@ -240,32 +227,38 @@ def membership(x, dset: MissingDigitSet, depth: int = 1) -> MembershipResult:
 
 def enumerate_centers(dset: MissingDigitSet, n: int, coprime: bool, first: int = 0,
                       last: Optional[int] = None) -> list[int]:
-    """Sorted p with p/b^n in the set (optionally with gcd(p, b^n) = 1),
-    read off the allowed level-n prefixes in [first, last].
+    """Sorted p in [first, last] (last b^n by default) with p/b^n in the set.
 
     p/b^n has the expansions "digits of p, then 0s" and, for p >= 1,
     "digits of p - 1, then (b-1)s".  So it lies in the set exactly when
     p is an allowed level-n prefix and 0 is a digit, or p - 1 is one and
-    b - 1 is a digit.  Every center with first < p <= last is returned;
-    first and last + 1 may be too.  The allowed prefixes count toward
-    ENUM_BUDGET.
+    b - 1 is a digit.  The centers are read off the allowed prefixes in
+    [first - 1, last], and with `coprime` only those prime to b are kept.
     """
     if n < 1:
         raise InputError("level must be >= 1")
-    prefixes = dset.allowed_prefixes(n, first, last)
+    last = dset.base ** n if last is None else last
+    prefixes = dset.allowed_prefixes(n, first - 1, last)
     centers: set[int] = set()
     if 0 in dset._digitset:
         centers.update(prefixes)
     if dset.base - 1 in dset._digitset:
         centers.update(p + 1 for p in prefixes)
-    return sorted(p for p in centers if not coprime or gcd(p, dset.base) == 1)
+    return sorted(p for p in centers
+                  if first <= p <= last and (not coprime or gcd(p, dset.base) == 1))
 
 
 def center_count(dset: MissingDigitSet, n: int) -> int:
-    """#{0 <= p <= b^n : p/b^n in K}; closed form for non-adjacent digit sets."""
-    if dset.non_adjacent and 0 in dset.digits and dset.base - 1 in dset.digits:
-        return 2 * dset.digit_count ** n
-    return len(enumerate_centers(dset, n, coprime=False))
+    """#{0 <= p <= b^n : p/b^n in K}, by the rule of `enumerate_centers`:
+    m^n for 0 a digit, m^n for b - 1, less the p with p - 1 and p both
+    allowed: p - 1 ends in j = 0..n-1 digits b - 1 after one of the adj
+    digits d with d + 1 a digit, which gives adj * m^(n-1-j) of them."""
+    if n < 1:
+        raise InputError("level must be >= 1")
+    digits, m = dset._digitset, dset.digit_count
+    has_0, has_top = 0 in digits, dset.base - 1 in digits
+    adj = sum(d + 1 in digits for d in digits) if has_0 and has_top else 0
+    return (has_0 + has_top) * m ** n - adj * (m ** n - 1) // (m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +305,14 @@ def _prefix_rank(dset: MissingDigitSet, k: int, n: int) -> tuple[int, bool]:
             rank, inside = below[d] * weight, False
         weight *= m
     return (weight, False) if k else (rank, inside)
+
+
+def _cell_count(dset: MissingDigitSet, n: int, first: int, last: int) -> int:
+    """#allowed level-n prefixes p with first <= p <= last, from two rank walks."""
+    first, last = max(first, 0), min(last, dset.base ** n - 1)
+    if first > last:
+        return 0
+    return _prefix_rank(dset, last + 1, n)[0] - _prefix_rank(dset, first, n)[0]
 
 
 def cantor_cdf(dset: MissingDigitSet, x: Fraction | int, den: int = 1) -> Fraction:
@@ -399,8 +400,8 @@ def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool
     Every ball end (p -+ 1)/b^n and both window ends are integers over
     one grid D, the lcm of b^n and the window's denominators, so the
     balls are merged and clipped on integers and measured by `grid_cdf`.
-    Only the centers within b^-n of the window are enumerated, from the
-    prefixes ceil(lo b^n) - 2 .. floor(hi b^n) + 1.
+    Only the centers whose balls meet the window in more than a point are
+    enumerated: floor(lo b^n) <= p <= ceil(hi b^n).
     """
     if n < 1:
         raise InputError("level must be >= 1")
@@ -409,10 +410,8 @@ def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool
     grid = lcm(bn, lo.denominator, hi.denominator)
     step = grid // bn
     wl, wh = lo.numerator * (grid // lo.denominator), hi.numerator * (grid // hi.denominator)
-    first = max(-(-wl // step) - 2, 0)
-    last = min(wh // step + 1, bn)
     balls = [((p - 1) * step, (p + 1) * step)
-             for p in enumerate_centers(dset, n, False, first, last)]
+             for p in enumerate_centers(dset, n, False, wl // step, -(-wh // step))]
     pieces = clip_union(merge_pairs(balls), (wl, wh))
     cdf, _ = grid_cdf(dset, n, grid, [wl, wh] + [x for piece in pieces for x in piece])
     return sum(cdf[y] - cdf[x] for x, y in pieces) == cdf[wh] - cdf[wl]
@@ -422,11 +421,9 @@ def prefix_interval_disjoint_from(pi: PrefixInterval, dset: MissingDigitSet,
                                   depth: int) -> bool:
     """True when the prefix interval misses every level-depth basic interval.
 
-    Only the cells [k, k+1]/b^depth that meet [lo, hi] are visited:
-    ceil(lo b^depth) - 1 <= k <= floor(hi b^depth).  Each meets the
-    interval in more than a point, except the first when lo b^depth is an
-    integer and the last when hi b^depth is one: those meet it only at
-    lo or hi, which counts only when that end is closed.
+    The cells [k, k+1]/b^depth that meet [lo, hi] have ceil(lo b^depth) - 1
+    <= k <= floor(hi b^depth).  When lo b^depth is an integer the first meets
+    it only at lo, and is not counted if lo is open; likewise the last at hi.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -434,9 +431,8 @@ def prefix_interval_disjoint_from(pi: PrefixInterval, dset: MissingDigitSet,
     minus_ceil_lo, lo_rem = divmod(-pi.lo.numerator * scale, pi.lo.denominator)
     last, hi_rem = divmod(pi.hi.numerator * scale, pi.hi.denominator)
     first = -minus_ceil_lo - 1
-    at_open_end = set()
     if lo_rem == 0 and not pi.lo_closed:
-        at_open_end.add(first)
+        first += 1
     if hi_rem == 0 and not pi.hi_closed:
-        at_open_end.add(last)
-    return all(k in at_open_end for k in dset.allowed_prefixes(depth, first, last))
+        last -= 1
+    return _cell_count(dset, depth, first, last) == 0

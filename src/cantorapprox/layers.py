@@ -358,13 +358,9 @@ def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
                w_lo.denominator, w_hi.denominator)
     step = grid // bn
     u, wl, wh = (_on_grid(x, grid) for x in (radius[1], w_lo, w_hi))
-    # the centers that can pass the test below lie in [ceil(lo), floor(hi)]
-    # with lo, hi = (w_lo - r, w_hi + r) * b^n, so only their prefixes and
-    # the prefix just below are enumerated
-    first = max(-((u - wl) // step) - 1, 0)
-    last = min((wh + u) // step, bn - 1)
-    centers = tuple(p for p in enumerate_centers(dset, n, coprime, first, last)
-                    if p * step + u >= wl and p * step - u <= wh)
+    # the balls that meet the window: (w_lo - r) b^n <= p <= (w_hi + r) b^n
+    centers = tuple(enumerate_centers(dset, n, coprime, -((u - wl) // step),
+                                      (wh + u) // step))
     disjoint = 2 * bn * u < grid  # r < 1/(2 b^n)
     return Layer(n=n, dset=dset, window=cfg.window, coprime=coprime, radius=radius,
                  grid=grid, center_numerators=centers, disjoint=disjoint)

@@ -9,10 +9,12 @@ clearly-labelled lossy CSV convenience column.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Sequence
 
 from .digitsets import CantorMeasureValue
+from .errors import ResourceBudgetError
 
 DECIMAL_SIG_DIGITS = 15
 
@@ -56,6 +58,19 @@ def decimal_str(fr: Fraction) -> str:
     return sign + digits[0] + "." + digits[1:] + "e" + str(e)
 
 
+def _unprintable() -> ResourceBudgetError:
+    return ResourceBudgetError("the report holds an integer of more than "
+                               f"{sys.get_int_max_str_digits()} digits, the int-to-str limit")
+
+
+def int_str(n: int) -> str:
+    """str(n), or ResourceBudgetError past the int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise _unprintable() from None
+
+
 def rat_str(fr: Fraction) -> str:
     fr = Fraction(fr)
     return f"{fr.numerator}/{fr.denominator}"
@@ -94,7 +109,10 @@ def value_csv(v) -> str:
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    except ValueError:  # an int, such as a quotient, past the int-to-str limit
+        raise _unprintable() from None
 
 
 def dump_csv(rows: Sequence[dict]) -> str:

@@ -1,14 +1,17 @@
 import hashlib
 import json
+import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from unittest import mock
 
 import jsonschema
 import pytest
 
-from cantorapprox import cli, cli_layers, enclosures
+from cantorapprox import cli, cli_layers, enclosures, render
 from cantorapprox.cli import SUBCOMMAND_OPTIONS, build_parser, main, run_command
+from cantorapprox.errors import ResourceBudgetError
 
 # one fast fixture configuration per subcommand
 FIXTURE_ARGVS = {
@@ -187,11 +190,37 @@ def test_exit_code_resource_error(capsys):
     assert main(["dim-estimate", "--tau", "2", "--n", "30"]) == 3
 
 
-def test_deep_cf_interval_over_wide_range_fails_fast(capsys):
-    # [1, ...] is (1/2, 1]: 2^29 cells at level 30 meet it
+@pytest.mark.parametrize("depth", ["30", "300"])
+def test_deep_cf_interval_over_wide_range_answers_fast(depth):
+    # [1, ...] is (1/2, 1]: 2^29 cells at level 30 meet it, counted by two
+    # rank walks and never listed
     start = time.perf_counter()
-    assert main(["cf-interval", "--quotients", "1", "--depth", "30"]) == 3
+    text, _ = run_command(["cf-interval", "--quotients", "1", "--depth", depth])
     assert time.perf_counter() - start < 1.0
+    assert json.loads(text)["results"]["disjoint_from_set"] is False
+
+
+def test_tail_counts_centers_past_the_listing_budget():
+    # 5:0,2,3 has 3^n centers at level n, 3^14 > 2^22 of them at level 14;
+    # with psi(r) = r^-2 and f(r) = r^gamma each level adds 3^-n
+    argv = ["tail", "--set", "5:0,2,3", "--psi", "pow:2", "--f", "pow:gamma",
+            "--n0", "1", "--nmax", "16"]
+    value = json.loads(run_command(argv)[0])["results"]["value"]
+    assert value["exact"] and value["lo"]["rat"] == str(Fraction(1 - Fraction(1, 3 ** 16), 2))
+
+
+def test_integer_too_long_to_print_exits_3(capsys):
+    # the 143rd quotient of this xi has about 14,400 digits; the CSV rows stop
+    # at the last printable convergent, so that form still answers
+    argv = ["cf", "--x", "xi", "--rule", "factorial", "--terms", "3", "--depth", "160"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{sys.get_int_max_str_digits()} digits" in err
+    assert main(argv + ["--output", "csv"]) == 0
+    # exponent renders its witness denominators with int_str
+    with pytest.raises(ResourceBudgetError, match="int-to-str limit"):
+        render.int_str(10 ** sys.get_int_max_str_digits())
 
 
 def test_deep_cf_interval_over_narrow_range_answers():

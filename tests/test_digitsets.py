@@ -84,6 +84,13 @@ def test_endpoint_count_nonadjacent(n):
     assert center_count(K, n) == 2 ** (n + 1)
 
 
+def test_center_levels_below_1_are_rejected():
+    with pytest.raises(InputError):
+        center_count(K, 0)
+    with pytest.raises(InputError):
+        enumerate_centers(K, 0, False)
+
+
 def test_enumerate_post_membership():
     for n in (1, 2, 3, 4):
         for p in enumerate_centers(K, n, False):
@@ -246,9 +253,9 @@ BENCH_SETS = [MissingDigitSet(3, (0, 2)), MissingDigitSet(4, (0, 3)),
 
 
 @st.composite
-def cell_range(draw):
-    """A benchmark set, a level and a cell range that may overhang [0, b^level)."""
-    dset = draw(st.sampled_from(BENCH_SETS))
+def cell_range(draw, sets=BENCH_SETS):
+    """A digit set, a level and a cell range that may overhang [0, b^level)."""
+    dset = draw(st.sampled_from(sets))
     level = draw(st.integers(min_value=1, max_value=6))
     top = dset.base ** level
     first = draw(st.integers(min_value=-2, max_value=top + 1))
@@ -347,10 +354,8 @@ def test_enumerate_centers_matches_membership_for_every_small_digit_set():
 def test_enumerate_centers_in_a_prefix_range(case, coprime):
     dset, level, first, last = case
     every = enumerate_centers(dset, level, coprime)
-    got = enumerate_centers(dset, level, coprime, first, last)
-    assert got == sorted(got) and set(got) <= set(every)
-    assert {p for p in every if first < p <= last} <= set(got)
-    assert all(first <= p <= last + 1 for p in got)
+    assert enumerate_centers(dset, level, coprime, first, last) == [
+        p for p in every if first <= p <= last]
 
 
 def _full_cover_every_center(dset, n, window):
@@ -384,11 +389,18 @@ def test_grid_cdf_matches_the_block_oracle_at_every_grid_point(dset, s):
             assert cdf[x] == oracle_cdf(dset, F(x, grid), level=n) * den, (n, x)
 
 
-@pytest.mark.parametrize("dset", [MissingDigitSet(5, (0, 2, 3)), MissingDigitSet(5, (1, 3))],
-                         ids=str)
-def test_center_count_of_sets_without_the_closed_form(dset):
-    """Adjacent digits (2, 3) or no 0 digit: the count enumerates the centers."""
-    for n in range(1, 5):
+@given(cell_range(RANK_SETS))
+@settings(max_examples=200, deadline=None)
+def test_cell_count_matches_brute_force(case):
+    dset, level, first, last = case
+    assert digitsets._cell_count(dset, level, first, last) == len(
+        _brute_prefixes(dset, level, first, last))
+
+
+@pytest.mark.parametrize("dset", ALL_SETS, ids=str)
+def test_center_count_matches_membership_for_every_small_digit_set(dset):
+    """The closed form, adjacent digits and sets without 0 or b-1 included."""
+    for n in range(1, 4 if dset.base == 7 else 5):
         bn = dset.base ** n
         assert center_count(dset, n) == sum(rational_in_set(dset, F(p, bn))
                                             for p in range(bn + 1)), n
