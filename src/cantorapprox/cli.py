@@ -17,11 +17,12 @@ the same way, and only for --precision-budget.
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 import time
 from fractions import Fraction
 from importlib import import_module
+from types import SimpleNamespace
 from typing import Optional
 
 from . import calibration, render
@@ -138,108 +139,142 @@ def _handler_of(args):
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--set", default="3:0,2", help="BASE:D1,D2,... (default middle thirds)")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--output", choices=("json", "csv"), default="json")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; every command runs serially")
-    p.add_argument("--precision-budget", type=int, default=None,
-                   help="override the enclosure refinement step cap")
-    p.add_argument("--timing", action="store_true",
-                   help="include wall-clock timing (non-deterministic)")
+# An option is (flag, kind, default, help).  Its kind is str or int, a tuple
+# of the values it accepts, FLAG (--name alone, True when given) or TOGGLE
+# (--name / --no-name).
+FLAG, TOGGLE = "flag", "toggle"
+REQUIRED = ...  # the default of an option that every call must give
 
+COMMON_OPTIONS = (
+    ("--set", str, "3:0,2", "BASE:D1,D2,... (default middle thirds)"),
+    ("--config", str, None, "key=value config file"),
+    ("--out", str, None, "output path (default stdout)"),
+    ("--output", ("json", "csv"), "json", None),
+    ("--workers", int, 1, "accepted for compatibility; every command runs serially"),
+    ("--precision-budget", int, None, "override the enclosure refinement step cap"),
+    ("--timing", FLAG, False, "include wall-clock timing (non-deterministic)"),
+)
+_PSI = (("--psi", str, REQUIRED, "pow:T | powlog:A,B | table:n=v,..."),
+        ("--trunc", str, None, "truncation constant c for min(c/r, psi)"))
+_WINDOW = (("--window", str, "0:1", "LO:HI window interval"),
+           ("--coprime", TOGGLE, True, None))
+_XI = (("--rule", ("pow", "factorial"), "pow", None),
+       ("--tau", str, "3", None),
+       ("--lam", str, "1", None),
+       ("--coeff", int, 2, None),
+       ("--terms", int, 5, None),
+       ("--base-override", int, None, "base for the sparse number (defaults to 3)"))
+_N = ("--n", int, REQUIRED, None)
+_NMAX = ("--nmax", int, REQUIRED, None)
+_DEPTH = ("--depth", int, REQUIRED, None)
+_X = ("--x", str, REQUIRED, "golden | gamma | sqrt:Q (0<Q<1) | xi | rational")
 
-def _add_psi(p):
-    p.add_argument("--psi", required=True, help="pow:T | powlog:A,B | table:n=v,...")
-    p.add_argument("--trunc", default=None, help="truncation constant c for min(c/r, psi)")
-
-
-def _add_window(p):
-    p.add_argument("--window", default="0:1", help="LO:HI window interval")
-    p.add_argument("--coprime", action=argparse.BooleanOptionalAction, default=True)
-
-
-def _add_xi(p):
-    p.add_argument("--rule", choices=("pow", "factorial"), default="pow")
-    p.add_argument("--tau", default="3")
-    p.add_argument("--lam", default="1")
-    p.add_argument("--coeff", type=int, default=2)
-    p.add_argument("--terms", type=int, default=5)
-    p.add_argument("--base-override", type=int, default=None,
-                   help="base for the sparse number (defaults to 3)")
-
-
-_N = ("--n", {"type": int, "required": True})
-_NMAX = ("--nmax", {"type": int, "required": True})
-_DEPTH = ("--depth", {"type": int, "required": True})
-_X = ("--x", {"required": True, "help": "golden | gamma | sqrt:Q (0<Q<1) | xi | rational"})
-
-# each subcommand's shared option groups, then its own options, in help order
+# each subcommand's options after COMMON_OPTIONS, in help order
 SUBCOMMAND_OPTIONS = {
-    "measure": ((), [("--window", {"required": True, "help": "LO:HI interval to measure"})]),
-    "layer": ((_add_psi, _add_window), [_N]),
-    "pairwise": ((_add_psi, _add_window), [("--m", {"type": int, "required": True}), _N]),
-    "quasi-scan": ((_add_psi, _add_window), [_NMAX, ("--mmin", {"type": int, "default": 1})]),
-    "series": ((_add_psi,), [("--f", {"required": True, "help": "pow:S | table:n=v,..."}),
-                             _NMAX]),
-    "tail": ((_add_psi,), [("--f", {"required": True}),
-                           ("--n0", {"type": int, "required": True}), _NMAX]),
-    "bc-ratio": ((_add_psi, _add_window), [("--q", {"type": int, "required": True})]),
-    "dim-estimate": ((), [("--tau", {"required": True}), _N,
-                          ("--coprime", {"action": argparse.BooleanOptionalAction,
-                                         "default": True})]),
-    "xi-build": ((_add_xi,), []),
-    "xi-verify": ((_add_xi,), [
-        ("--depth", {"type": int, "default": None,
-                     "help": "membership depth (default: the last exponent)"}),
-        ("--cf-depth", {"type": int, "default": 60,
-                        "help": "continued-fraction depth, doubled while a Legendre-"
-                                "certified truncation is not among the convergents"})]),
-    "cf": ((_add_xi,), [_X, _DEPTH]),
-    "exponent": ((_add_xi,), [_X, _DEPTH, ("--min-q", {"type": int, "default": 2})]),
-    "cf-interval": ((), [("--quotients", {"required": True,
-                                          "help": "comma-separated positive integers"}),
-                         _DEPTH]),
-    "full-cover": ((), [_N, ("--window", {"default": "0:1"})]),
+    "measure": (("--window", str, REQUIRED, "LO:HI interval to measure"),),
+    "layer": _PSI + _WINDOW + (_N,),
+    "pairwise": _PSI + _WINDOW + (("--m", int, REQUIRED, None), _N),
+    "quasi-scan": _PSI + _WINDOW + (_NMAX, ("--mmin", int, 1, None)),
+    "series": _PSI + (("--f", str, REQUIRED, "pow:S | table:n=v,..."), _NMAX),
+    "tail": _PSI + (("--f", str, REQUIRED, None), ("--n0", int, REQUIRED, None), _NMAX),
+    "bc-ratio": _PSI + _WINDOW + (("--q", int, REQUIRED, None),),
+    "dim-estimate": (("--tau", str, REQUIRED, None), _N, ("--coprime", TOGGLE, True, None)),
+    "xi-build": _XI,
+    "xi-verify": _XI + (
+        ("--depth", int, None, "membership depth (default: the last exponent)"),
+        ("--cf-depth", int, 60, "continued-fraction depth, doubled while a Legendre-"
+                                "certified truncation is not among the convergents")),
+    "cf": _XI + (_X, _DEPTH),
+    "exponent": _XI + (_X, _DEPTH, ("--min-q", int, 2, None)),
+    "cf-interval": (("--quotients", str, REQUIRED, "comma-separated positive integers"),
+                    _DEPTH),
+    "full-cover": (_N, ("--window", str, "0:1", None)),
 }
 
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or with only `command`'s."""
-    top = argparse.ArgumentParser(prog="cantorapprox",
-                                  description=__doc__.splitlines()[0])
-    subs = top.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMAND_OPTIONS if command is None else (command,):
-        groups, options = SUBCOMMAND_OPTIONS[name]
-        p = subs.add_parser(name)
-        _add_common(p)
-        for add_group in groups:
-            add_group(p)
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
-    return top
+_HELP_FLAGS = {"-h": None, "--help": None}
+# a token of this form is a negative number, read as a value
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Splice key=value file entries in as flags ahead of explicit ones."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise InputError("--config needs a path")
+class _ArgvError(Exception):
+    """A malformed command line; the parser prints its usage and this message."""
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _spec(option) -> str:
+    """The option as the usage line shows it."""
+    flag, kind = option[:2]
+    if kind == FLAG:
+        return flag
+    if kind == TOGGLE:
+        return f"{flag} | --no-{flag[2:]}"
+    return f"{flag} " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                         else _dest(flag).upper())
+
+
+def _read_option(token: str, flags: dict):
+    """What `token` is among `flags`: None for a value, (None, None) for an
+    unknown option, else (flag, the text after = or None)."""
+    if not token.startswith("-"):
+        return None
+    if token in flags:
+        return token, None
+    if len(token) == 1:
+        return None
+    prefix, eq, value = token.partition("=")
+    if eq and prefix in flags:
+        return prefix, value
+    if token[1] == "-":
+        matches = [(flag, value if eq else None) for flag in flags if flag.startswith(prefix)]
+    else:  # -h, the one short flag, runs into the text after it, as in -hh
+        matches = [(token[:2], token[2:])] if token[:2] in flags else []
+    if len(matches) > 1:
+        raise _ArgvError(f"ambiguous option: {token} could match "
+                         + ", ".join(flag for flag, _ in matches))
+    if matches:
+        return matches[0]
+    if re.match(_NEGATIVE_NUMBER, token) or " " in token:
+        return None
+    return None, None
+
+
+def _refuse_value(flag: str, value: Optional[str], option) -> None:
+    """Reject text after = on an option that takes no value; -hh is -h twice."""
+    if value is None:
+        return
+    rest = value.lstrip("h") if flag == "-h" else value
+    if rest or not value:
+        name = "-h/--help" if option is None else _spec(option).replace(" | ", "/")
+        raise _ArgvError(f"argument {name}: ignored explicit argument {rest!r}")
+
+
+def _convert(option, text: str):
+    flag, kind = option[:2]
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _ArgvError(f"argument {flag}: invalid int value: {text!r}") from None
+    if kind is not str and text not in kind:
+        raise _ArgvError(f"argument {flag}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(map(repr, kind))})")
+    return text
+
+
+def _config_flags(path: str) -> list[str]:
+    """The entries of a key=value config file, as flags."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file: {exc}") from exc
-    extra: list[str] = []
+    flags: list[str] = []
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -248,10 +283,133 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         key = key.strip()
         value = value.strip()
         if value.lower() in ("true", "false") and key in ("coprime", "timing"):
-            extra.append(f"--{key}" if value.lower() == "true" else f"--no-{key}")
+            flags.append(f"--{key}" if value.lower() == "true" else f"--no-{key}")
         else:
-            extra.extend([f"--{key}", value])
-    return argv[:1] + extra + argv[1:]
+            flags.extend([f"--{key}", value])
+    return flags
+
+
+class Parser:
+    """The command line: a subcommand, then its options.
+
+    An option is given as `--flag value`, `--flag=value` or with any unique
+    prefix of its flag, and the last of repeated flags wins.  The entries
+    of a --config file are read ahead of the explicit flags, which win.  A
+    bad command line prints the usage and one error line and raises
+    SystemExit(2); -h/--help prints the help and raises SystemExit(0).
+    """
+
+    def __init__(self, commands: tuple[str, ...]):
+        self.commands = commands
+
+    def parse_args(self, argv: list[str]) -> SimpleNamespace:
+        """`command` and one attribute per option of the command."""
+        try:
+            command, rest, extras = self._split_command(argv)
+        except _ArgvError as exc:
+            raise self._fail(None, exc) from None
+        try:
+            values, more = self._read_options(command, rest)
+        except _ArgvError as exc:
+            raise self._fail(command, exc) from None
+        if extras or more:
+            raise self._fail(None, "unrecognized arguments: " + " ".join(extras + more))
+        return SimpleNamespace(command=command, **values)
+
+    def _split_command(self, argv: list[str]) -> tuple[str, list[str], list[str]]:
+        """The subcommand, the tokens after it and the unknown options before it."""
+        extras = []
+        for i, token in enumerate(argv):
+            if token == "--":
+                if i + 1 < len(argv):  # a "--" with tokens after it names the subcommand
+                    break
+                continue
+            read = _read_option(token, _HELP_FLAGS)
+            if read is None:
+                break
+            if read[0] is None:
+                extras.append(token)
+            else:
+                _refuse_value(read[0], read[1], None)
+                raise self._help(None)
+        else:
+            raise _ArgvError("the following arguments are required: command")
+        if token not in self.commands:
+            raise _ArgvError(f"argument command: invalid choice: {token!r} "
+                             f"(choose from {', '.join(map(repr, self.commands))})")
+        return token, argv[i + 1:], extras
+
+    def _read_options(self, command: str, argv: list[str]) -> tuple[dict, list[str]]:
+        """The option values of `command`, and the tokens that are no option."""
+        options = COMMON_OPTIONS + SUBCOMMAND_OPTIONS[command]
+        flags = dict(_HELP_FLAGS)
+        for option in options:
+            flags[option[0]] = option
+            if option[1] == TOGGLE:
+                flags["--no-" + option[0][2:]] = option
+        values, extras = self._walk(command, options, flags, argv)
+        if values["config"] is not None:
+            values, extras = self._walk(command, options, flags,
+                                        _config_flags(values["config"]) + argv)
+        missing = [o[0] for o in options if values[_dest(o[0])] is REQUIRED]
+        if missing:
+            raise _ArgvError("the following arguments are required: " + ", ".join(missing))
+        return values, extras
+
+    def _walk(self, command: str, options, flags: dict, argv: list[str]):
+        # every token before "--" is read first, so an ambiguous prefix
+        # fails before any value is checked; no token from "--" on is an
+        # option
+        end = argv.index("--") if "--" in argv else len(argv)
+        reads = [_read_option(token, flags) for token in argv[:end]]
+        values = {_dest(o[0]): o[2] for o in options}
+        extras = []
+        i = 0
+        while i < end:
+            read = reads[i]
+            i += 1
+            if read is None or read[0] is None:
+                extras.append(argv[i - 1])
+                continue
+            flag, value = read
+            option = flags[flag]
+            if option is None or option[1] in (FLAG, TOGGLE):
+                _refuse_value(flag, value, option)
+                if option is None:
+                    raise self._help(command)
+                values[_dest(option[0])] = option[1] == FLAG or not flag.startswith("--no-")
+                continue
+            if value is None:
+                if i == end or reads[i] is not None:
+                    raise _ArgvError(f"argument {option[0]}: expected one argument")
+                value = argv[i]
+                i += 1
+            values[_dest(option[0])] = _convert(option, value)
+        return values, extras + argv[end:]
+
+    def _usage(self, command: Optional[str]) -> str:
+        if command is None:
+            return f"usage: cantorapprox [-h] {{{','.join(self.commands)}}} ...\n"
+        return " ".join([f"usage: cantorapprox {command} [-h]"] + [
+            _spec(o) if o[2] is REQUIRED else f"[{_spec(o)}]"
+            for o in COMMON_OPTIONS + SUBCOMMAND_OPTIONS[command]]) + "\n"
+
+    def _help(self, command: Optional[str]) -> SystemExit:
+        options = () if command is None else COMMON_OPTIONS + SUBCOMMAND_OPTIONS[command]
+        sys.stdout.write(f"{self._usage(command)}\n{__doc__.splitlines()[0]}\n\n"
+                         "  -h, --help  show this help message and exit\n" + "".join(
+                             f"  {_spec(o)}  {o[3] or ''}".rstrip() + "\n" for o in options))
+        return SystemExit(0)
+
+    def _fail(self, command: Optional[str], message) -> SystemExit:
+        prog = "cantorapprox" if command is None else f"cantorapprox {command}"
+        sys.stderr.write(f"{self._usage(command)}{prog}: error: {message}\n")
+        return SystemExit(2)
+
+
+def build_parser(command: Optional[str] = None) -> Parser:
+    """The CLI parser with every subcommand, or with only `command`."""
+    return Parser(tuple(SUBCOMMAND_OPTIONS) if command is None else (command,))
 
 
 def _calibration_payload() -> dict:
@@ -263,7 +421,6 @@ def _calibration_payload() -> dict:
 
 def run_command(argv: list[str]) -> tuple[str, Optional[str]]:
     """Returns (report text, output path or None)."""
-    argv = _apply_config_file(argv)
     # the named subcommand is argv[0]; anything else (help, an unknown
     # command) needs the full parser and its list of choices
     named = argv[0] if argv and argv[0] in SUBCOMMAND_OPTIONS else None

@@ -5,10 +5,13 @@ block counting instead of per-digit weights for the measure, integer
 power comparisons instead of log enclosures for exponent inequalities,
 a `Fraction` digit walk and a per-cell scan for membership,
 `Fraction` ball endpoints for the layer unions and the natural cover
-the library builds on an integer grid, and a per-cell `prefix_allowed`
-scan for the box count the library takes from prefix ranks.
+the library builds on an integer grid, a per-cell `prefix_allowed`
+scan for the box count the library takes from prefix ranks, argparse
+for the command line the library parses from its option tables, and a
+decimal exponent found from digit counts for the rendered decimals.
 """
 
+import argparse
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
@@ -17,7 +20,7 @@ from typing import Optional
 import pytest
 
 from cantorapprox import (Layer, MembershipResult, MissingDigitSet, PrecisionError,
-                          RatInterval, enumerate_centers, layers, measure_union)
+                          RatInterval, cli, enumerate_centers, layers, measure_union)
 from cantorapprox.digitsets import measure_pair
 from cantorapprox.intervals import clip_union, merge_pairs
 
@@ -250,3 +253,63 @@ def full_cover_closed_form(dset: MissingDigitSet, window: RatInterval) -> bool:
     p/b^n is in the set, so there are no balls)."""
     return (0 in dset.digits or dset.base - 1 in dset.digits
             or oracle_measure(dset, window.lo, window.hi, level=3) == 0)
+
+
+def argparse_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser as argparse builds it from the option tables
+    of `cli`, with every subcommand or with only `command`."""
+    top = argparse.ArgumentParser(prog="cantorapprox", description=cli.__doc__.splitlines()[0])
+    subs = top.add_subparsers(dest="command", required=True)
+    for name in cli.SUBCOMMAND_OPTIONS if command is None else (command,):
+        sub = subs.add_parser(name)
+        for flag, kind, default, about in cli.COMMON_OPTIONS + cli.SUBCOMMAND_OPTIONS[name]:
+            kwargs = {"help": about}
+            if default is cli.REQUIRED:
+                kwargs["required"] = True
+            else:
+                kwargs["default"] = default
+            if kind is int:
+                kwargs["type"] = int
+            elif kind == cli.FLAG:
+                kwargs["action"] = "store_true"
+            elif kind == cli.TOGGLE:
+                kwargs["action"] = argparse.BooleanOptionalAction
+            elif kind is not str:
+                kwargs["choices"] = kind
+            sub.add_argument(flag, **kwargs)
+    return top
+
+
+def decimal_str(fr: Fraction, sig: int = 15) -> str:
+    """Positional decimal with `sig` significant digits, half away from zero,
+    its exponent found from the digit counts of numerator and denominator."""
+    fr = Fraction(fr)
+    if fr == 0:
+        return "0"
+    sign = "-" if fr < 0 else ""
+    a = -fr if fr < 0 else fr
+    num, den = a.numerator, a.denominator
+    e = len(str(num)) - len(str(den))
+    while 10 ** max(e, 0) * den > num * 10 ** max(-e, 0):
+        e -= 1
+    while 10 ** max(e + 1, 0) * den <= num * 10 ** max(-(e + 1), 0):
+        e += 1
+    # now 10^e <= a < 10^(e+1)
+    shift = sig - 1 - e
+    if shift >= 0:
+        q, r = divmod(num * 10 ** shift, den)
+    else:
+        q, r = divmod(num, den * 10 ** (-shift))
+    if 2 * r >= (den if shift >= 0 else den * 10 ** (-shift)):
+        q += 1
+    digits = str(q)
+    if len(digits) > sig:  # carry overflowed into a new leading digit
+        digits = digits[:sig]
+        e += 1
+    if -6 <= e <= sig + 2:
+        if e >= sig - 1:
+            return sign + digits + "0" * (e - sig + 1)
+        if e >= 0:
+            return sign + digits[:e + 1] + "." + digits[e + 1:]
+        return sign + "0." + "0" * (-e - 1) + digits
+    return sign + digits[0] + "." + digits[1:] + "e" + str(e)

@@ -1,17 +1,23 @@
 import hashlib
+import io
 import json
+import os
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
 from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cantorapprox import cli, cli_layers, enclosures, render
 from cantorapprox.cli import SUBCOMMAND_OPTIONS, build_parser, main, run_command
-from cantorapprox.errors import ResourceBudgetError
+from cantorapprox.errors import InputError, ResourceBudgetError
+from oracles import argparse_parser
 
 # one fast fixture configuration per subcommand
 FIXTURE_ARGVS = {
@@ -155,6 +161,21 @@ def test_config_file_and_override(tmp_path):
     assert len(json.loads(overridden)["results"]["pairs"]) == 3
 
 
+@pytest.mark.parametrize("spelling", ["--config={}", "--conf {}"])
+def test_config_file_is_read_in_every_spelling(spelling, tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("nmax=4\n")
+    config = spelling.format(cfg).split()
+    from_file, _ = run_command(["quasi-scan", "--psi", "pow:2", *config])
+    direct, _ = run_command(["quasi-scan", "--psi", "pow:2", "--nmax", "4"])
+    assert json.loads(from_file)["results"] == json.loads(direct)["results"]
+    # explicit flag wins over the file value, before or after the file
+    for argv in (["quasi-scan", "--psi", "pow:2", *config, "--nmax", "3"],
+                 ["quasi-scan", "--nmax", "3", "--psi", "pow:2", *config]):
+        overridden, _ = run_command(argv)
+        assert len(json.loads(overridden)["results"]["pairs"]) == 3
+
+
 def test_out_path(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["measure", "--window", "0:1", "--out", str(out)])
@@ -171,6 +192,8 @@ def test_exit_code_validation_error(capsys):
 # {missing} is a directory that does not exist
 @pytest.mark.parametrize("argv", [
     ["measure", "--window", "0:1", "--config", "{missing}/scan.cfg"],
+    ["measure", "--window", "0:1", "--config={missing}/scan.cfg"],
+    ["measure", "--window", "0:1", "--conf", "{missing}/scan.cfg"],
     ["measure", "--window", "0:1", "--out", "{missing}/x.json"],
     ["layer", "--psi", "table:1", "--n", "2"],
     ["series", "--psi", "pow:2", "--f", "table:x=1", "--nmax", "3"],
@@ -331,3 +354,90 @@ def test_timing_flag_is_the_only_nondeterminism():
     rep = json.loads(with_timing)
     assert isinstance(rep["timing_ms"], int)
     jsonschema.validate(rep, _schema())
+
+
+# tokens that are no option of any command, or that read otherwise than they look
+ODD_TOKENS = ["-h", "--help", "--he", "-hh", "-hx", "-h=", "--help=x", "--", "-", "-5",
+              "-1.5", "-1/4", "-x", "--zzz", "---", "--=", "foo", "", " 7", "-a b", "--c",
+              "--co", "--no", "--n"]
+INT_TEXTS = ["5", "+5", "5_0", " 7", "07", "-3", "-0", "x", "0x10", "1.5", "", "\u0663", "1e3"]
+STR_TEXTS = ["pow:2", "0:1", "-x", "-5", "-1/4", "-a b", "=", "--", "--set", "-h", ""]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of a subcommand, or of an odd first token, with options
+    spelled in full, by prefix, with = or apart, and odd tokens among them."""
+    name = draw(st.sampled_from(list(SUBCOMMAND_OPTIONS)))
+    options = cli.COMMON_OPTIONS + SUBCOMMAND_OPTIONS[name]
+    argv = [draw(st.sampled_from(ODD_TOKENS + ["frobnicate", name[:3]]))
+            for _ in range(draw(st.sampled_from([0] * 8 + [1, 2])))]
+    argv.append(name)
+    for _ in range(draw(st.integers(0, 7))):
+        if draw(st.integers(0, 5)) == 0:
+            argv.append(draw(st.sampled_from(ODD_TOKENS)))
+            continue
+        flag, kind, _, _ = draw(st.sampled_from(options))
+        if kind == cli.TOGGLE and draw(st.booleans()):
+            flag = "--no-" + flag[2:]
+        if draw(st.integers(0, 2)) == 0:
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        if kind in (cli.FLAG, cli.TOGGLE):
+            value = draw(st.sampled_from([None] * 6 + ["", "x"]))
+        elif flag.startswith("--conf"):
+            value = os.devnull  # an empty config file
+        elif kind is int:
+            value = draw(st.sampled_from(INT_TEXTS))
+        elif isinstance(kind, tuple):
+            value = draw(st.sampled_from(kind + ("xml", "")))
+        else:
+            value = draw(st.sampled_from(STR_TEXTS) | st.text(max_size=3))
+        if value is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv
+
+
+def _outcome(parse, argv):
+    """("parsed", the attributes), or the exit code and the error line."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return "parsed", vars(parse(list(argv)))
+    except SystemExit as exc:
+        return exc.code, err.getvalue().splitlines()[-1:]
+    except InputError:
+        return "cannot read config", None
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines(), st.booleans())
+def test_parser_reads_argv_as_argparse_does(argv, whole):
+    # argparse drops the value of --flag=-- and stores [] unconverted, on
+    # which every command failed with a traceback; the value is "--" now
+    assume(not any(token.partition("=")[2] == "--" for token in argv))
+    named = None if whole or argv[0] not in SUBCOMMAND_OPTIONS else argv[0]
+    expected = _outcome(argparse_parser(named).parse_args, argv)
+    got = _outcome(build_parser(named).parse_args, argv)
+    if got == ("cannot read config", None):
+        # a --config value that is no file, from an odd token or a prefix; the
+        # file is read before options are found missing or tokens unknown
+        assert (expected[0] == "parsed" and expected[1]["config"] != os.devnull
+                or expected[0] == 2 and ("arguments are required" in expected[1][0]
+                                         or "unrecognized arguments" in expected[1][0]))
+    else:
+        assert got == expected
+
+
+def test_a_double_dash_after_equals_is_a_value(capsys):
+    args = build_parser("measure").parse_args(["measure", "--window=--", "--set=--"])
+    assert (args.window, args.set) == ("--", "--")
+    assert main(["measure", "--window=--"]) == 2
+    assert capsys.readouterr().err == "error: bad window '--'; expected LO:HI\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["full-cover", "--n=--"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --n: invalid int value: '--'\n")

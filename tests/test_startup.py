@@ -43,6 +43,10 @@ COMMANDS = {
     "cf-interval": (["cf-interval", "--quotients", "1,1", "--depth", "4"], set()),
     "full-cover": (["full-cover", "--n", "3"], set()),
 }
+# what no command and no parser loads: the stdlib modules behind the argv
+# parser and the report writer, which are the package's own, and those behind
+# generated value types
+NEVER_LOADED = {"argparse", "json", "gettext", "locale", "dataclasses", "inspect"}
 HANDLERS = {"cantorapprox.cli_layers", "cantorapprox.cli_contfrac",
             "cantorapprox.cli_sparse", "cantorapprox.cli_xi"}
 # what neither the parser nor the set-only commands may load
@@ -76,7 +80,7 @@ def test_command_loads_only_its_family(name):
     argv, family = COMMANDS[name]
     code, loaded = _run(argv)
     assert code == "0"
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & NEVER_LOADED
     assert loaded & FAMILIES == family
     library = {m for m in loaded if m.partition(".")[0] == "cantorapprox"}
     assert library - HANDLERS <= CORE | family
@@ -91,7 +95,7 @@ def test_set_only_commands_load_no_enclosures_and_no_handler_module(name):
 def test_parser_loads_no_enclosures_and_no_handler_module():
     _, loaded = _loaded("from cantorapprox.cli import build_parser\nbuild_parser()\ncode = 0")
     assert "cantorapprox.cli" in loaded
-    assert not loaded & NOT_IN_SET_ONLY
+    assert not loaded & (NOT_IN_SET_ONLY | NEVER_LOADED)
 
 
 # runs `module` as `python -m` does, counting the executions of cli.py
