@@ -11,8 +11,9 @@ commands that need only the digit set and rational intervals: measure,
 full-cover and cf-interval.  The other handlers live in one module per
 command family (`cli_layers`, `cli_contfrac`, `cli_sparse` and
 `cli_xi`), which `run_command` imports on first use, so that a call
-compiles only the code of its command.  The enclosure layer is imported
-the same way, and only for --precision-budget.
+compiles only the code of its command.  Each call runs in its own copy
+of the context, where --precision-budget sets `errors.REFINE_CAP`, so a
+budget never reaches the next call.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import re
 import sys
 import time
+from contextvars import copy_context
 from fractions import Fraction
 from importlib import import_module
 from types import SimpleNamespace
@@ -28,7 +30,7 @@ from typing import Optional
 from . import calibration, render
 from .digitsets import (MissingDigitSet, cantor_measure, full_cover_check,
                         prefix_interval_disjoint_from)
-from .errors import InputError, PrecisionError, ResourceBudgetError
+from .errors import REFINE_CAP, InputError, PrecisionError, ResourceBudgetError
 from .intervals import RatInterval, cf_prefix_interval
 
 SCHEMA_VERSION = "1"
@@ -429,18 +431,12 @@ def run_command(argv: list[str]) -> tuple[str, Optional[str]]:
         raise InputError("precision budget must be >= 1")
     dset = parse_set(args.set)
     handler = _handler_of(args)
-    saved_steps = None
+    context = copy_context()  # the cap set here ends with the call
     if args.precision_budget is not None:
-        from . import enclosures
-        saved_steps = enclosures.MAX_REFINE_STEPS
-        enclosures.MAX_REFINE_STEPS = args.precision_budget
-    try:
-        start = time.monotonic()
-        results, rows = handler(args, dset)
-        elapsed_ms = int((time.monotonic() - start) * 1000)
-    finally:
-        if saved_steps is not None:
-            enclosures.MAX_REFINE_STEPS = saved_steps
+        context.run(REFINE_CAP.set, args.precision_budget)
+    start = time.monotonic()
+    results, rows = context.run(handler, args, dset)
+    elapsed_ms = int((time.monotonic() - start) * 1000)
     if args.output == "csv":
         return render.dump_csv(rows), args.out
     echo = {k: (v if isinstance(v, (int, bool, float)) or v is None else str(v))

@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .digitsets import prefix_interval_disjoint_from
 from .enclosures import (Iv, LogRatioSource, RealEnclosure, as_enclosure,
                          iv_abs, iv_sub, iv_exact)
-from .errors import InputError, PrecisionError
+from .errors import InputError
 from .intervals import PrefixInterval, cf_prefix_interval, convergents_from_quotients
 from .records import Record
 
@@ -87,12 +87,9 @@ def continued_fraction_expand(x: Union[Fraction, RealEnclosure, int],
         raise InputError("x must lie in (0,1)")
     while not enc.is_exact:
         quotients = _extract_certified(enc.as_iv(), depth)
-        if len(quotients) == depth:
+        if len(quotients) == depth or not enc.can_refine():
             break
-        try:
-            enc = enc.refine()
-        except PrecisionError:
-            break
+        enc = enc.refine()
     else:  # x is rational, or refinement collapsed to a rational
         return _expand_rational(enc.lo, depth)
     return ContinuedFraction(tuple(quotients), convergents_from_quotients(quotients),
@@ -109,19 +106,20 @@ def legendre_is_convergent(p: int, q: int, x: Union[Fraction, RealEnclosure],
         raise InputError("p/q must be reduced")
     if hasattr(x, "enclosure"):
         x = x.enclosure()
-    enc = as_enclosure(x)
     target = Fraction(p, q)
     bound = Fraction(1, 2 * q * q)
-    while True:
+
+    def verdict(enc: RealEnclosure) -> Optional[str]:
         diff = iv_abs(iv_sub(enc.as_iv(), iv_exact(target)))
         if diff[1] < bound:
-            if cf is not None and (p, q) not in cf.convergents:
-                raise InputError(
-                    f"certified Legendre bound but ({p},{q}) not among the convergents")
             return "yes"
         if diff[0] >= bound:
             return "not_implied"
-        enc = enc.refine()  # PrecisionError at the cap
+        return None
+    result = as_enclosure(x).decide(verdict)  # PrecisionError once refinement runs out
+    if result == "yes" and cf is not None and (p, q) not in cf.convergents:
+        raise InputError(f"certified Legendre bound but ({p},{q}) not among the convergents")
+    return result
 
 
 class ExponentEstimate(Record):

@@ -12,9 +12,11 @@ way it returns the same enclosure.  Binary floating point is never used
 here.
 
 A `RealEnclosure` couples the current [lo, hi] with a refinable source.
-Refinement doubles the working precision per step and is capped
-(default 16 steps); hitting the cap raises `PrecisionError` rather than
-guessing.
+Refinement doubles the working precision per step.  Every decision on
+an enclosure goes through `RealEnclosure.decide`, which refines until
+its test answers.  The steps are capped by `errors.REFINE_CAP` (default
+16); an enclosure at the cap or without a source raises `PrecisionError`
+rather than guessing or looping.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import isqrt
-from typing import TYPE_CHECKING, Optional, Protocol, Union
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, TypeVar, Union
 
-from .errors import InputError, PrecisionError, UndecidableFloorError
+from .errors import REFINE_CAP, InputError, PrecisionError, UndecidableFloorError
 from .records import Record
 
 if TYPE_CHECKING:
@@ -32,9 +34,9 @@ if TYPE_CHECKING:
 
 # Interval = (lo, hi) pair of Fractions with lo <= hi.
 Iv = tuple[Fraction, Fraction]
+T = TypeVar("T")
 
 BASE_BITS = 32
-MAX_REFINE_STEPS = 16
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -135,6 +137,15 @@ def iv_scale(a: Iv, q: Fraction) -> Iv:
     if q >= 0:
         return (a[0] * q, a[1] * q)
     return (a[1] * q, a[0] * q)
+
+
+def iv_cmp(a: Iv, b: Iv) -> Optional[int]:
+    """-1 when a lies below b, +1 when above, None when they overlap."""
+    if a[1] < b[0]:
+        return -1
+    if a[0] > b[1]:
+        return 1
+    return None
 
 
 def _round_out(a: Iv, bits: int) -> Iv:
@@ -445,41 +456,47 @@ class RealEnclosure(Record):
     def as_iv(self) -> Iv:
         return (self.lo, self.hi)
 
+    def can_refine(self) -> bool:
+        """Whether `refine` can take a step: there is a source, and the
+        level is below the cap that `errors.REFINE_CAP` holds."""
+        return self.source is not None and self.level < REFINE_CAP.get()
+
     def refine(self) -> "RealEnclosure":
-        if self.source is None:
-            return self
-        if self.level + 1 > MAX_REFINE_STEPS:
-            raise PrecisionError("enclosure refinement cap reached")
+        """The nested enclosure at the next level; PrecisionError when
+        there is no source or the cap is reached."""
+        if not self.can_refine():
+            source = "no source" if self.source is None else type(self.source).__name__
+            w = self.width  # bounded by bit lengths: str() of a huge Fraction can fail
+            raise PrecisionError(
+                f"enclosure undecided ({source}) at refinement level {self.level} of cap "
+                f"{REFINE_CAP.get()}, width < 2^"
+                f"{w.numerator.bit_length() - w.denominator.bit_length() + 1}")
         lo, hi = iv_intersect(self.source.interval(self.level + 1), self.as_iv())
         return RealEnclosure(lo, hi, self.source, self.level + 1)
+
+    def decide(self, test: Callable[["RealEnclosure"], Optional[T]]) -> T:
+        """The first result of `test` that is not None, on this enclosure
+        and then on each refinement of it (PrecisionError when refinement
+        runs out first)."""
+        enc = self
+        while (result := test(enc)) is None:
+            enc = enc.refine()
+        return result
 
     def refined_to(self, width_target: Fraction) -> "RealEnclosure":
         if width_target <= 0:
             raise InputError("width target must be positive")
-        enc = self
-        while enc.width > width_target:
-            if enc.source is None or enc.level >= MAX_REFINE_STEPS:
-                raise PrecisionError(
-                    f"cannot reach width {width_target} within {MAX_REFINE_STEPS} refinement steps")
-            enc = enc.refine()
-        return enc
+        return self.decide(lambda enc: enc if enc.width <= width_target else None)
 
     def cmp_rational(self, x) -> int:
         """-1/0/+1 comparison against a rational, refining until decided.
 
         Returns 0 only for an exact equal rational; an inexact enclosure that
-        keeps straddling x exhausts its refinement budget (PrecisionError).
+        keeps straddling x raises PrecisionError once it cannot be refined.
         """
         x = Fraction(x)
-        enc = self
-        while True:
-            if enc.hi < x:
-                return -1
-            if enc.lo > x:
-                return 1
-            if enc.is_exact:
-                return 0
-            enc = enc.refine()  # raises PrecisionError at the cap
+        return self.decide(lambda enc: 0 if enc.is_exact and enc.lo == x
+                           else iv_cmp(enc.as_iv(), (x, x)))
 
 
 Real = Union[Fraction, RealEnclosure]
@@ -518,11 +535,11 @@ def floor_power(lam: Real, tau: Real, n: int) -> int:
         flo, fhi = val[0].__floor__(), val[1].__floor__()
         if flo == fhi:
             return flo
-        lam_can = lam_e.source is not None and lam_e.level < MAX_REFINE_STEPS
-        tau_can = tau_e.source is not None and tau_e.level < MAX_REFINE_STEPS
+        lam_can, tau_can = lam_e.can_refine(), tau_e.can_refine()
         if not (lam_can or tau_can):
             raise UndecidableFloorError(
-                f"floor(lam*tau^{n}) straddles an integer at the precision cap")
+                f"floor(lam*tau^{n}) straddles an integer at refinement levels "
+                f"{lam_e.level} and {tau_e.level}, where neither enclosure can be refined")
         if lam_can:
             lam_e = lam_e.refine()
         if tau_can:

@@ -1,8 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the refinement cap.
 
 The split mirrors the CLI exit codes: validation problems exit 2,
 resource/precision problems exit 3.
+
+`REFINE_CAP`, the refinement steps a `RealEnclosure` may take before
+it raises `PrecisionError`, is a context variable (PEP 567), like the
+context of `decimal`: set inside `contextvars.copy_context().run(...)`,
+as the CLI does for --precision-budget, it ends with that run.
 """
+
+from contextvars import ContextVar
+
+REFINE_CAP: ContextVar[int] = ContextVar("refine_cap", default=16)
 
 
 class InputError(ValueError):
@@ -18,7 +27,7 @@ class ResourceBudgetError(RuntimeError):
 
 
 class PrecisionError(RuntimeError):
-    """Enclosure refinement hit its step cap before a decision was reached."""
+    """An enclosure could not be refined further before a decision was reached."""
 
 
 class UndecidableFloorError(PrecisionError):

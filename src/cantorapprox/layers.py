@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Union
 from .digitsets import (CantorMeasureValue, MissingDigitSet, enumerate_centers,
                         center_count, grid_cdf, measure_union)
 from .enclosures import (Iv, LogRatioSource, RealEnclosure, exponent_enclosure, iv_add,
-                         iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
+                         iv_cmp, iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
 from .errors import HypothesisViolation, InputError, PrecisionError
 from .intervals import RatInterval, intersect_unions, merge_pairs
@@ -93,15 +93,8 @@ class Scalar(Record):
             a = self.coef * exact ** self.gexp
             b = other.coef * exact ** other.gexp
             return (a > b) - (a < b)
-        enc = exponent_enclosure(dset)
-        while True:
-            g = enc.as_iv()
-            a, b = self.at(g), other.at(g)
-            if a[1] < b[0]:
-                return -1
-            if a[0] > b[1]:
-                return 1
-            enc = enc.refine()
+        return exponent_enclosure(dset).decide(
+            lambda enc: iv_cmp(self.at(enc.as_iv()), other.at(enc.as_iv())))
 
     def evaluate_base_power(self, dset: MissingDigitSet) -> Iv:
         """Enclosure (exact when possible) of base**self."""

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Optional, Union
 
 from .digitsets import IN, OUT, MembershipResult, MissingDigitSet
-from .enclosures import (Iv, Real, RealEnclosure, as_enclosure, floor_power,
+from .enclosures import (Iv, Real, RealEnclosure, as_enclosure, floor_power, iv_cmp,
                          rational_pow)
 from .errors import InputError, PrecisionError
 from .records import Record
@@ -217,21 +217,11 @@ def _cmp_fraction_vs_power(r: Fraction, base: int, expo: Fraction) -> int:
 
 
 def _exponent_compare(value: int, target_coef: Fraction, tau: Real, shift: Fraction) -> int:
-    """Exact sign of value - (target_coef * tau + shift) for integer value."""
-    tau_e = as_enclosure(tau)
-    if tau_e.is_exact:
-        t = target_coef * tau_e.lo + shift
-        return (value > t) - (value < t)
-    while True:
-        lo = target_coef * tau_e.lo + shift
-        hi = target_coef * tau_e.hi + shift
-        if target_coef < 0:
-            lo, hi = hi, lo
-        if value < lo:
-            return -1
-        if value > hi:
-            return 1
-        tau_e = tau_e.refine()
+    """Exact sign of value - (target_coef * tau + shift) for integer value
+    and nonzero target_coef: the sign of target_coef * (t - tau) with
+    t = (value - shift) / target_coef."""
+    side = as_enclosure(tau).cmp_rational((value - shift) / target_coef)
+    return -side if target_coef > 0 else side
 
 
 def truncation_report(x: SparseDigitNumber, s: int) -> TruncationReport:
@@ -286,18 +276,12 @@ def truncation_report(x: SparseDigitNumber, s: int) -> TruncationReport:
 def _power_bound_encl(r: Fraction, base: int, tau_e: RealEnclosure, mult: int,
                       above: bool) -> bool:
     """Certified r > base^(-tau*mult) (above) or r < base^(-tau*mult)."""
-    while True:
-        lo = rational_pow(Fraction(base), -tau_e.hi * mult, 96)
-        hi = rational_pow(Fraction(base), -tau_e.lo * mult, 96)
-        if above and r > hi[1]:
-            return True
-        if above and r < lo[0]:
-            return False
-        if not above and r < lo[0]:
-            return True
-        if not above and r > hi[1]:
-            return False
-        tau_e = tau_e.refine()
+    def side(enc: RealEnclosure) -> Optional[bool]:
+        power = (rational_pow(Fraction(base), -enc.hi * mult, 96)[0],
+                 rational_pow(Fraction(base), -enc.lo * mult, 96)[1])
+        c = iv_cmp((r, r), power)
+        return None if c is None else (c > 0) == above
+    return tau_e.decide(side)
 
 
 def truncation_reports(x: SparseDigitNumber) -> tuple[list[TruncationReport], Optional[int]]:

@@ -19,8 +19,9 @@ from typing import Optional
 
 import pytest
 
-from cantorapprox import (Layer, MembershipResult, MissingDigitSet, PrecisionError,
-                          RatInterval, cli, enumerate_centers, layers, measure_union)
+from cantorapprox import (AffineSource, Layer, MembershipResult, MissingDigitSet,
+                          PrecisionError, RatInterval, SqrtSource, cli, enumerate_centers,
+                          layers, measure_union)
 from cantorapprox.digitsets import measure_pair
 from cantorapprox.intervals import clip_union, merge_pairs
 
@@ -49,6 +50,18 @@ def mp_interval(f, prec: int) -> tuple[Fraction, Fraction]:
     finally:
         mpmath.iv.prec = saved
     return _mp_fraction(lo), _mp_fraction(hi)
+
+
+def mp_real(x, iv):
+    """x, a Fraction or a source built from SqrtSource and AffineSource, as
+    an mpmath interval in the context `iv` (for use inside `mp_interval`)."""
+    if isinstance(x, Fraction):
+        return iv.mpf(x.numerator) / x.denominator
+    if isinstance(x, SqrtSource):
+        return iv.sqrt(mp_real(x.radicand, iv))
+    if isinstance(x, AffineSource):
+        return mp_real(x.base, iv) * mp_real(x.mul, iv) + mp_real(x.add, iv)
+    raise TypeError(f"no mpmath form for {type(x).__name__}")
 
 
 def oracle_cdf(dset: MissingDigitSet, x: Fraction, level: int = 10) -> Fraction:

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cantorapprox import cli, cli_layers, enclosures, render
+from cantorapprox import cli, cli_layers, render
 from cantorapprox.cli import SUBCOMMAND_OPTIONS, build_parser, main, run_command
-from cantorapprox.errors import InputError, ResourceBudgetError
+from cantorapprox.errors import REFINE_CAP, InputError, ResourceBudgetError
 from oracles import argparse_parser
 
 # one fast fixture configuration per subcommand
@@ -137,17 +137,17 @@ def test_xi_verify_keeps_a_sufficient_depth():
 
 
 def test_precision_budget_does_not_leak():
-    default = enclosures.MAX_REFINE_STEPS
+    default = REFINE_CAP.get()
     argv = ["cf", "--x", "gamma", "--depth", "30"]
     budgeted, _ = run_command(argv + ["--precision-budget", "1"])
     later, _ = run_command(argv)
-    assert enclosures.MAX_REFINE_STEPS == default
+    assert REFINE_CAP.get() == default
     assert (json.loads(budgeted)["results"]["certified_depth"]
             < json.loads(later)["results"]["certified_depth"] == 30)
-    # a command that fails restores the cap too
+    # nor does the cap of a command that fails
     assert main(["quasi-scan", "--psi", "pow:2", "--nmax", "1",
                  "--precision-budget", "2"]) == 2
-    assert enclosures.MAX_REFINE_STEPS == default
+    assert REFINE_CAP.get() == default
 
 
 def test_config_file_and_override(tmp_path):
@@ -199,6 +199,7 @@ def test_exit_code_validation_error(capsys):
     ["series", "--psi", "pow:2", "--f", "table:x=1", "--nmax", "3"],
     ["cf-interval", "--quotients", "a", "--depth", "3"],
     ["cf-interval", "--quotients", "1,,2", "--depth", "3"],
+    ["measure", "--window", "0:1", "--precision-budget", "0"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_an_error_line(argv, tmp_path, capsys):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from cantorapprox import (AffineSource, InputError, MissingDigitSet, RealEnclosu
                           irrationality_exponent_estimate, legendre_is_convergent,
                           prefix_interval_disjoint_from, build_sparse_number,
                           PowerRule, FactorialRule, LogRatioSource)
-from cantorapprox.enclosures import as_enclosure, iv_abs, iv_exact, iv_sub
+from cantorapprox.enclosures import BASE_BITS, as_enclosure, iv_abs, iv_exact, iv_sub
+
+from oracles import mp_interval, mp_real, needs_mpmath
 
 K = MissingDigitSet.middle_thirds()
 
@@ -137,6 +140,23 @@ def test_legendre_examples():
     assert legendre_is_convergent(1, 3, F(1, 2)) == "not_implied"
     with pytest.raises(InputError):
         legendre_is_convergent(2, 4, F(1, 2))
+
+
+@needs_mpmath
+@pytest.mark.parametrize("round_up, verdict", [(0, "not_implied"), (1, "yes")])
+def test_legendre_refines_near_the_bound(round_up, verdict):
+    # x = 5/8 + (sqrt 2 - s)/16 with s = sqrt 2 cut to 40 bits: within 2^-44
+    # of 1/2 + 1/8, the Legendre bound of 1/2, where a level-0 enclosure is
+    # 2^-36 wide
+    s = F(isqrt(2 << 80) + round_up, 1 << 40)
+    src = AffineSource(SqrtSource(F(2)), mul=F(1, 16), add=F(5, 8) - s / 16)
+    x = RealEnclosure.from_source(src)
+    assert x.lo < F(5, 8) < x.hi
+    # twice the precision of level 1
+    lo, hi = mp_interval(lambda iv: abs(mp_real(src, iv) - iv.mpf(1) / 2),
+                         2 * (BASE_BITS << 1))
+    assert (hi < F(1, 8)) if verdict == "yes" else (lo >= F(1, 8))
+    assert legendre_is_convergent(1, 2, x) == verdict
 
 
 def test_legendre_certified_appear_in_convergents():

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+from contextvars import copy_context
 from fractions import Fraction as F
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +15,13 @@ from cantorapprox import (AffineSource, InputError, LogRatioSource, PrecisionErr
                           canonicalize_rational, enclose_real, floor_power, iroot)
 from cantorapprox import enclosures
 from cantorapprox.enclosures import (_atanh_interval, _exp_point, _ln2_interval, _ln_fixed,
-                                     _round_out, iv_add, iv_mul, iv_scale, ln_interval,
-                                     nthroot_interval, rational_pow, sqrt_interval)
+                                     _round_out, iv_add, iv_intpow, iv_mul, iv_scale,
+                                     ln_interval, nthroot_interval, rational_pow, sqrt_interval)
+from cantorapprox.errors import REFINE_CAP
 
-from oracles import gamma_cmp, mp_interval, needs_mpmath
+from oracles import gamma_cmp, mp_interval, mp_real, needs_mpmath
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 big = st.integers(min_value=-(2 ** 90), max_value=2 ** 90)
 nonzero = big.filter(lambda v: v != 0)
@@ -115,12 +123,29 @@ def test_refinement_nesting(radicand, steps):
     assert enc.lo ** 2 <= radicand <= enc.hi ** 2
 
 
-def test_refinement_cap_is_an_error(monkeypatch):
-    from cantorapprox import enclosures
-    monkeypatch.setattr(enclosures, "MAX_REFINE_STEPS", 3)
+def test_refinement_cap_is_an_error():
     enc = RealEnclosure.from_source(SqrtSource(F(2)))
-    with pytest.raises(PrecisionError):
-        enc.refined_to(F(1, 2 ** 1000))
+
+    def refine_under_cap_3():
+        REFINE_CAP.set(3)
+        return enc.refined_to(F(1, 2 ** 1000))
+    # the error names the source, the level, the cap and the width reached
+    with pytest.raises(PrecisionError, match=r"^enclosure undecided \(SqrtSource\) at "
+                       r"refinement level 3 of cap 3, width < 2\^-255$"):
+        copy_context().run(refine_under_cap_3)
+    assert REFINE_CAP.get() == 16  # the cap set in the copy ends with it
+
+
+def test_precision_error_states_the_width_in_bits():
+    # 10^5000 sqrt 2: str() of its width would pass the int-to-str digit limit
+    huge = RealEnclosure.from_source(AffineSource(SqrtSource(F(2)), mul=F(10 ** 5000)))
+
+    def refine_under_cap_0():
+        REFINE_CAP.set(0)
+        return huge.refined_to(F(1))
+    with pytest.raises(PrecisionError, match=r"\(AffineSource\) at refinement level 0 of "
+                       r"cap 0, width < 2\^\d+$"):
+        copy_context().run(refine_under_cap_0)
 
 
 def test_floor_power_examples():
@@ -142,11 +167,41 @@ def test_floor_power_straddle_is_an_error():
         floor_power(F(1), RealEnclosure.from_source(SqrtSource(F(5))), 2)
 
 
+def test_floor_power_under_a_low_cap_fails_fast():
+    def floor_under_cap_2():
+        REFINE_CAP.set(2)
+        return floor_power(F(1), RealEnclosure.from_source(SqrtSource(F(5))), 2)
+    with pytest.raises(UndecidableFloorError, match=r"at refinement levels 0 and 2,"):
+        copy_context().run(floor_under_cap_2)
+
+
 @given(st.fractions(min_value=F(1, 50), max_value=F(50)),
        st.fractions(min_value=F(11, 10), max_value=F(9, 2)),
        st.integers(min_value=1, max_value=8))
 def test_floor_power_matches_exact_rational(lam, tau, n):
     assert floor_power(lam, tau, n) == (lam * tau ** n).__floor__()
+
+
+PHI = AffineSource(SqrtSource(F(5)), mul=F(1, 2), add=F(1, 2))  # (1 + sqrt 5)/2
+
+
+@needs_mpmath
+@pytest.mark.parametrize("lam, tau, n", [
+    (F(1), PHI, 30),             # phi^30 lies 2^-20.8 below a Lucas number: tau refines
+    (SqrtSource(F(2)), F(3), 25),  # lam refines
+    (SqrtSource(F(2)), PHI, 40),   # both refine, in lockstep
+])
+def test_floor_power_refines_until_the_floor_is_certain(lam, tau, n):
+    lam_e, tau_e = (x if isinstance(x, F) else RealEnclosure.from_source(x)
+                    for x in (lam, tau))
+    at_level_0 = iv_mul(enclosures.as_enclosure(lam_e).as_iv(),
+                        iv_intpow(enclosures.as_enclosure(tau_e).as_iv(), n))
+    assert at_level_0[0].__floor__() < at_level_0[1].__floor__()
+    # twice the precision of level 1, plus the bits of lam * tau^n
+    lo, hi = mp_interval(lambda iv: mp_real(lam, iv) * mp_real(tau, iv) ** n,
+                         2 * (enclosures.BASE_BITS << 1) + 64)
+    assert lo.__floor__() == hi.__floor__()
+    assert floor_power(lam_e, tau_e, n) == lo.__floor__()
 
 
 @given(st.fractions(min_value=F(1, 1000), max_value=F(1000)))
@@ -302,3 +357,39 @@ def test_cmp_rational_refines():
     assert g.cmp_rational(F(63092, 10 ** 5)) == 1
     assert g.cmp_rational(F(63094, 10 ** 5)) == -1
     assert RealEnclosure.exact(F(1, 2)).cmp_rational(F(1, 2)) == 0
+
+
+def _run_isolated(code: str) -> str:
+    """Stdout of `code` in a fresh interpreter, which is killed after 10 s so
+    that a hang fails the test instead of stalling the run."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+
+
+SOURCELESS = """
+from fractions import Fraction as F
+from cantorapprox import PrecisionError, RealEnclosure, continued_fraction_expand
+from cantorapprox import legendre_is_convergent
+x = RealEnclosure(F("{lo}"), F("{hi}"))  # inexact, with no source to refine
+try:
+    print({call})
+except PrecisionError as exc:
+    print("PrecisionError:", exc)
+"""
+
+
+# each call looped forever on an inexact enclosure with no source
+@pytest.mark.parametrize("call", ["x.cmp_rational(F(2, 5))", "legendre_is_convergent(2, 5, x)"])
+def test_sourceless_enclosure_is_a_precision_error(call):
+    out = _run_isolated(SOURCELESS.format(lo="1/3", hi="1/2", call=call))
+    assert out == ("PrecisionError: enclosure undecided (no source) at refinement "
+                   "level 0 of cap 16, width < 2^-1\n")
+
+
+def test_sourceless_expansion_keeps_its_certified_quotients():
+    # every number in [2/5, 3/7] has first quotient 2, then the quotients part
+    out = _run_isolated(SOURCELESS.format(lo="2/5", hi="3/7",
+                                          call="continued_fraction_expand(x, 5)"))
+    assert out == ("ContinuedFraction(quotients=(2,), convergents=((1, 2),), exact=False, "
+                   "exhausted=True)\n")

@@ -58,11 +58,7 @@ def _nested_imports(tree: ast.Module) -> list[str]:
                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
 
 
-# cli.py alone imports inside a function: run_command loads the handler module
-# of the command it runs, and the enclosure layer only for --precision-budget,
-# so a call compiles only the code it runs
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_imports_inside_functions(path):
     nested = _nested_imports(ast.parse(path.read_text(), filename=str(path)))
     assert not nested, f"{path.name} imports inside functions: {', '.join(nested)}"

@@ -13,7 +13,7 @@ from cantorapprox import (ApproxFunction, DimensionFunction, HypothesisViolation
                           layer_measure, natural_cover_tail, pairwise_measure,
                           quasi_independence_scan, series_classify, series_term,
                           truncate_psi)
-from cantorapprox import digitsets, layers
+from cantorapprox import digitsets, enclosures, layers
 from cantorapprox.digitsets import cantor_cdf, measure_union
 from cantorapprox.intervals import intersect_unions
 from cantorapprox.layers import classify_pair_case, psi_value
@@ -398,6 +398,23 @@ def test_scalar_compare_grid(dset):
     for x in scalars:
         for y in scalars:
             assert x.compare(y, dset) == _compare_before(x, y, dset), (x, y)
+
+
+@needs_mpmath
+@pytest.mark.parametrize("p, q", [(79335, 125743), (111202, 176251),
+                                  (6189245291, 9809721694)])
+def test_scalar_compare_refines_near_gamma(p, q):
+    # convergents of gamma = log 2/log 3 inside its level-0 enclosure; the
+    # last one is closer than the level-1 width too
+    lo, hi = exponent_enclosure(K).as_iv()
+    assert lo < F(p, q) < hi
+    # twice the precision of level 2
+    mlo, mhi = mp_interval(lambda iv: iv.log(2) / iv.log(3) - iv.mpf(p) / q,
+                           2 * (enclosures.BASE_BITS << 2))
+    assert mlo > 0 or mhi < 0
+    side = 1 if mlo > 0 else -1  # the sign of gamma - p/q
+    assert Scalar(F(p, q), 0).compare(Scalar(F(1), 1), K) == -side
+    assert Scalar(F(q), 2).compare(Scalar(F(p), 1), K) == side
 
 
 def _iv_from_gamma_before(coef: F, gexp: int, g) -> tuple:

@@ -9,6 +9,10 @@ from cantorapprox import (AffineSource, FactorialRule, InputError, MissingDigitS
                           exceeds_exact_order_threshold, membership,
                           te_inequality_holds, truncation_report,
                           truncation_reports, well_approximable_band)
+from cantorapprox.enclosures import BASE_BITS
+from cantorapprox.sparse import _exponent_compare, _power_bound_encl
+
+from oracles import mp_interval, mp_real, needs_mpmath
 
 K = MissingDigitSet.middle_thirds()
 
@@ -179,3 +183,36 @@ def test_truncation_value_inside_tail(s, terms):
     trunc = x.truncation_fraction(s)
     assert val[0] - trunc >= lo - (hi - lo)
     assert val[1] - trunc <= hi
+
+
+@needs_mpmath
+@pytest.mark.parametrize("value, coef, shift", [
+    (3, F(-1), F(5)),              # decided at level 0, with a negative coefficient
+    (2, F(-1), F(5)),
+    (219602, F(98209), F(0)),      # 219602/98209 and 930249/416020 are convergents
+    (930249, F(416020), F(0)),     # of sqrt 5: p - q sqrt 5 is below the level-0
+    (-219602, F(-98209), F(0)),    # width q 2^-32, so the comparison refines
+    (-930249, F(-416020), F(1, 10 ** 9)),
+])
+def test_exponent_compare_matches_mpmath(value, coef, shift):
+    tau = RealEnclosure.from_source(SqrtSource(F(5)))
+    # twice the precision of level 1, plus the bits of the integer parts
+    lo, hi = mp_interval(lambda iv: value - (mp_real(coef, iv) * iv.sqrt(5) + mp_real(shift, iv)),
+                         2 * (BASE_BITS << 1) + 64)
+    assert lo > 0 or hi < 0
+    assert _exponent_compare(value, coef, tau, shift) == (1 if lo > 0 else -1)
+
+
+@needs_mpmath
+@pytest.mark.parametrize("above", [True, False])
+@pytest.mark.parametrize("where", ["far below", "near below", "near above", "far above"])
+def test_power_bound_matches_mpmath(above, where):
+    # 3^(-2 sqrt 5), and a rational next to it: "near" is within 2^-50, inside
+    # the spread 2^-35 that tau's level-0 width 2^-32 gives, so it refines
+    tau = RealEnclosure.from_source(SqrtSource(F(5)))
+    power = mp_interval(lambda iv: iv.mpf(3) ** (-2 * iv.sqrt(5)), 2 * (BASE_BITS << 1))
+    cut = F((power[0] * (1 << 50)).__floor__(), 1 << 50)
+    r = {"far below": power[0] / 2, "near below": cut,
+         "near above": cut + F(1, 1 << 50), "far above": power[1] * 2}[where]
+    assert r < power[0] or r > power[1]
+    assert _power_bound_encl(r, 3, tau, 2, above) == ((r > power[1]) == above)

@@ -25,6 +25,8 @@ XI = ["--tau", "3", "--terms", "4"]
 # kinds of --x, with the family modules each runs
 COMMANDS = {
     "measure": (["measure", "--window", "0:1"], set()),
+    "measure --precision-budget": (["measure", "--window", "0:1", "--precision-budget", "3"],
+                                   set()),
     "layer": (["layer", "--psi", "pow:2", "--n", "3"], LAYERS),
     "pairwise": (["pairwise", "--psi", "pow:2", "--m", "1", "--n", "2"], LAYERS),
     "quasi-scan": (["quasi-scan", "--psi", "pow:2", "--nmax", "3"], LAYERS),
@@ -86,7 +88,8 @@ def test_command_loads_only_its_family(name):
     assert library - HANDLERS <= CORE | family
 
 
-@pytest.mark.parametrize("name", ["measure", "full-cover", "cf-interval"])
+@pytest.mark.parametrize("name", ["measure", "measure --precision-budget", "full-cover",
+                                  "cf-interval"])
 def test_set_only_commands_load_no_enclosures_and_no_handler_module(name):
     _, loaded = _run(COMMANDS[name][0])
     assert not loaded & NOT_IN_SET_ONLY
