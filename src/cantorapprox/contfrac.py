@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .digitsets import prefix_interval_disjoint_from
 from .enclosures import (Iv, LogRatioSource, RealEnclosure, as_enclosure,
                          iv_abs, iv_sub, iv_exact)
-from .errors import InputError
+from .errors import InputError, PrecisionError
 from .intervals import PrefixInterval, cf_prefix_interval, convergents_from_quotients
 from .records import Record
 
@@ -87,9 +87,12 @@ def continued_fraction_expand(x: Union[Fraction, RealEnclosure, int],
         raise InputError("x must lie in (0,1)")
     while not enc.is_exact:
         quotients = _extract_certified(enc.as_iv(), depth)
-        if len(quotients) == depth or not enc.can_refine():
+        if len(quotients) == depth:
             break
-        enc = enc.refine()
+        try:
+            enc = enc.refine()
+        except PrecisionError:  # at the cap, without a source, or out of the source's budget
+            break
     else:  # x is rational, or refinement collapsed to a rational
         return _expand_rational(enc.lo, depth)
     return ContinuedFraction(tuple(quotients), convergents_from_quotients(quotients),

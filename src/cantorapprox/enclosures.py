@@ -540,10 +540,8 @@ def floor_power(lam: Real, tau: Real, n: int) -> int:
             raise UndecidableFloorError(
                 f"floor(lam*tau^{n}) straddles an integer at refinement levels "
                 f"{lam_e.level} and {tau_e.level}, where neither enclosure can be refined")
-        if lam_can:
-            lam_e = lam_e.refine()
-        if tau_can:
-            tau_e = tau_e.refine()
+        lam_e = lam_e.refine() if lam_can else lam_e
+        tau_e = tau_e.refine() if tau_can else tau_e
 
 
 def golden_ratio_source() -> AffineSource:

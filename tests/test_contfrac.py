@@ -45,6 +45,28 @@ def test_euclidean_examples():
     assert cf.convergents == ((1, 13), (2, 27))
 
 
+def _euclid(x: F) -> list[int]:
+    quotients = []
+    while x:
+        x = 1 / x
+        quotients.append(x.__floor__())
+        x -= quotients[-1]
+    return quotients
+
+
+def test_expansion_out_of_truncation_budget_keeps_its_certified_quotients(monkeypatch):
+    # level 0 needs base^27 (54 bits); level 1 needs base^81 (162 bits), out of budget
+    monkeypatch.setattr("cantorapprox.sparse.MAX_TRUNCATION_BITS", 100)
+    xi = build_sparse_number(3, 2, PowerRule(F(3)), 3)
+    cf = continued_fraction_expand(xi, 60)
+    assert cf.exhausted and not cf.exact
+    # xi and its next truncation both lie in the level-0 enclosure, so both
+    # expansions begin with every certified quotient
+    truncation = sum(F(2, 3 ** e) for e in (3, 9, 27, 81))
+    assert 1 <= len(cf.quotients) < 60
+    assert list(cf.quotients) == _euclid(truncation)[:len(cf.quotients)]
+
+
 def test_golden_ratio_prefix():
     cf = continued_fraction_expand(RealEnclosure.from_source(golden_ratio_source()), 30)
     assert cf.quotients == (1,) * 30
