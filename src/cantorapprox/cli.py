@@ -269,13 +269,16 @@ def _convert(option, text: str):
     return text
 
 
-def _config_flags(path: str) -> list[str]:
-    """The entries of a key=value config file, as flags."""
+def _config_flags(path: str, options) -> list[str]:
+    """The entries of a key=value config file, as flags of `options`: true
+    and false give --key and nothing for a FLAG, --key and --no-key for a
+    TOGGLE."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file: {exc}") from exc
+    kinds = {option[0][2:]: option[1] for option in options}
     flags: list[str] = []
     for line in lines:
         line = line.strip()
@@ -284,8 +287,12 @@ def _config_flags(path: str) -> list[str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if value.lower() in ("true", "false") and key in ("coprime", "timing"):
-            flags.append(f"--{key}" if value.lower() == "true" else f"--no-{key}")
+        kind = kinds.get(key)
+        if kind in (FLAG, TOGGLE) and value.lower() in ("true", "false"):
+            if value.lower() == "true":
+                flags.append(f"--{key}")
+            elif kind == TOGGLE:
+                flags.append(f"--no-{key}")
         else:
             flags.extend([f"--{key}", value])
     return flags
@@ -352,7 +359,7 @@ class Parser:
         values, extras = self._walk(command, options, flags, argv)
         if values["config"] is not None:
             values, extras = self._walk(command, options, flags,
-                                        _config_flags(values["config"]) + argv)
+                                        _config_flags(values["config"], options) + argv)
         missing = [o[0] for o in options if values[_dest(o[0])] is REQUIRED]
         if missing:
             raise _ArgvError("the following arguments are required: " + ", ".join(missing))

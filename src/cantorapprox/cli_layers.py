@@ -69,13 +69,13 @@ def parse_psi(text: str, trunc: Optional[str]) -> ApproxFunction:
     return psi
 
 
-def parse_f(text: str, table_witness: bool = True) -> DimensionFunction:
+def parse_f(text: str) -> DimensionFunction:
     kind, _, arg = text.partition(":")
     if kind == "pow":
         sc = parse_scalar(arg)
         return DimensionFunction.power(sc.coef, sc.gexp)
     if kind == "table":
-        return DimensionFunction.table(parse_table(arg), table_witness)
+        return DimensionFunction.table(parse_table(arg), True)
     raise InputError(f"unknown f kind {kind!r}")
 
 

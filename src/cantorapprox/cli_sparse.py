@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from . import render
 from .cli import parse_fraction
-from .errors import PrecisionError
 from .sparse import FactorialRule, PowerRule, SparseDigitNumber, build_sparse_number
 
 
@@ -31,11 +30,7 @@ def _feasible_truncations(x: SparseDigitNumber):
     for s in range(1, x.terms + 1):
         if x.exponent(s) * x.base.bit_length() > render.RENDER_INT_BITS:
             break
-        try:
-            p, q = x.truncation(s)
-        except PrecisionError:
-            break
-        out.append((s, p, q))
+        out.append((s, *x.truncation(s)))
     return out
 
 

@@ -26,7 +26,7 @@ def cmd_exponent(args, dset):
 def cmd_xi_verify(args, dset):
     x = build_xi(args)
     reports, s_min = truncation_reports(x)
-    depth = args.depth or x.exponent(x.terms)
+    depth = x.exponent(x.terms) if args.depth is None else args.depth
     verdict = membership(x, dset, depth)
     cf_depth = args.cf_depth
     cf = continued_fraction_expand(x, cf_depth)

@@ -45,7 +45,11 @@ RADIUS_BITS = 128  # precision of the box-counting radius b^(-tau n)
 # ---------------------------------------------------------------------------
 
 class Scalar(Record):
-    """coef * gamma^gexp, gamma being the ambient set's similarity exponent."""
+    """coef * gamma^gexp, gamma being the ambient set's similarity exponent.
+
+    Any coefficient and power are accepted, `0*gamma` too: it is the
+    rational 0 wherever a value is read, through `rational`.
+    """
 
     coef: Fraction
     gexp: int = 0
@@ -58,6 +62,14 @@ class Scalar(Record):
     def is_rational(self) -> bool:
         return self.gexp == 0 or self.coef == 0
 
+    def rational(self, dset: MissingDigitSet) -> Optional[Fraction]:
+        """The exact value when it is rational (gamma^0, a zero coefficient
+        or a rational gamma), else None."""
+        if self.is_rational:
+            return self.coef
+        exact = dset.exponent_fraction
+        return None if exact is None else self.coef * exact ** self.gexp
+
     def times(self, other: "Scalar") -> "Scalar":
         return Scalar(self.coef * other.coef, self.gexp + other.gexp)
 
@@ -69,11 +81,9 @@ class Scalar(Record):
         return iv_scale(iv_intpow(gamma, self.gexp), self.coef)
 
     def value_iv(self, dset: MissingDigitSet) -> Iv:
-        if self.is_rational:
-            return iv_exact(self.coef)
-        exact = dset.exponent_fraction
+        exact = self.rational(dset)
         if exact is not None:
-            return iv_exact(self.coef * exact ** self.gexp)
+            return iv_exact(exact)
         return self.at(exponent_enclosure(dset).refined_to(
             Fraction(1, 1 << VALUE_BITS)).as_iv())
 
@@ -87,44 +97,26 @@ class Scalar(Record):
         if self.gexp == other.gexp or self.coef == 0 or other.coef == 0:
             # gamma^k > 0, so the sign is that of the coefficient difference
             a, b = self.coef, other.coef
-            return (a > b) - (a < b)
-        exact = dset.exponent_fraction
-        if exact is not None:
-            a = self.coef * exact ** self.gexp
-            b = other.coef * exact ** other.gexp
-            return (a > b) - (a < b)
-        return exponent_enclosure(dset).decide(
-            lambda enc: iv_cmp(self.at(enc.as_iv()), other.at(enc.as_iv())))
+        else:
+            a, b = self.rational(dset), other.rational(dset)
+            if a is None or b is None:
+                return exponent_enclosure(dset).decide(
+                    lambda enc: iv_cmp(self.at(enc.as_iv()), other.at(enc.as_iv())))
+        return (a > b) - (a < b)
 
     def evaluate_base_power(self, dset: MissingDigitSet) -> Iv:
         """Enclosure (exact when possible) of base**self."""
-        b = Fraction(dset.base)
-        if self.coef == 0:
-            return iv_exact(_ONE)
-        if self.gexp == 0:
-            return rational_pow(b, self.coef, VALUE_BITS)
-        exact = dset.exponent_fraction
+        exact = self.rational(dset)
         if exact is not None:
-            return rational_pow(b, self.coef * exact ** self.gexp, VALUE_BITS)
+            return rational_pow(Fraction(dset.base), exact, VALUE_BITS)
         if self.gexp == 1:
             # b^(c*gamma) = (#digits)^c exactly
             return rational_pow(Fraction(dset.digit_count), self.coef, VALUE_BITS)
         # rare: go through an enclosure exponent
-        return pow_interval(iv_exact(b), self.value_iv(dset), VALUE_BITS)
+        return pow_interval(iv_exact(Fraction(dset.base)), self.value_iv(dset), VALUE_BITS)
 
 
 GAMMA = Scalar(_ONE, 1)
-
-
-def scalar_plus(a: Scalar, b: Scalar) -> Union[Scalar, None]:
-    """a + b when it stays in the c*gamma^k form (same gexp or a zero)."""
-    if a.coef == 0:
-        return b
-    if b.coef == 0:
-        return a
-    if a.gexp == b.gexp:
-        return Scalar(a.coef + b.coef, a.gexp)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +172,14 @@ def truncate_psi(psi: ApproxFunction, c) -> ApproxFunction:
 
 def _powlog_value(power: Scalar, log_exponent: Scalar, dset: MissingDigitSet,
                   n: int, irrational_message: str) -> Iv:
-    """r^-power * (log r)^-log_exponent at r = b^n; a gamma power in the
-    log exponent needs a rational gamma, else InputError(irrational_message)."""
-    if log_exponent.gexp != 0:
-        exact = dset.exponent_fraction
-        if exact is None:
-            raise InputError(irrational_message)
-        log_exponent = Scalar(log_exponent.coef * exact ** log_exponent.gexp)
+    """r^-power * (log r)^-log_exponent at r = b^n; the log exponent must
+    be rational, else InputError(irrational_message)."""
+    beta = log_exponent.rational(dset)
+    if beta is None:
+        raise InputError(irrational_message)
     power_part = power.scale(Fraction(-n)).evaluate_base_power(dset)
     logr = iv_scale(ln_interval(Fraction(dset.base), VALUE_BITS + 16), Fraction(n))
-    return iv_mul(power_part, pow_interval(logr, iv_exact(-log_exponent.coef), VALUE_BITS))
+    return iv_mul(power_part, pow_interval(logr, iv_exact(-beta), VALUE_BITS))
 
 
 def psi_value(psi: ApproxFunction, dset: MissingDigitSet, n: int) -> Iv:
@@ -411,16 +401,12 @@ def layer_comparator(dset: MissingDigitSet, psi: ApproxFunction, n: int,
                      window_measure: Fraction) -> Iv:
     """mu(B) * (psi(b^n) * b^n)^gamma, the predicted size of a layer."""
     kind = psi.kind
-    if psi.truncation is None and isinstance(kind, PowerLaw):
-        expo = scalar_plus(Scalar.of(n), kind.exponent.scale(Fraction(-n)))
-        if expo is not None:
-            val = expo.times(GAMMA).evaluate_base_power(dset)
-            return iv_scale(val, window_measure)
-    val = psi_value(psi, dset, n)
-    scaled = iv_scale(val, Fraction(dset.base) ** n)
-    g = exponent_enclosure(dset).refined_to(Fraction(1, 1 << VALUE_BITS))
-    powed = pow_interval(scaled, g.as_iv(), VALUE_BITS)
-    return iv_scale(powed, window_measure)
+    if psi.truncation is None and isinstance(kind, PowerLaw) and kind.exponent.is_rational:
+        # (b^(n - n*tau))^gamma with tau rational
+        val = Scalar(n - n * kind.exponent.coef, 1).evaluate_base_power(dset)
+        return iv_scale(val, window_measure)
+    scaled = iv_scale(psi_value(psi, dset, n), Fraction(dset.base) ** n)
+    return iv_scale(pow_interval(scaled, GAMMA.value_iv(dset), VALUE_BITS), window_measure)
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +568,8 @@ def natural_cover_tail(dset: MissingDigitSet, psi: ApproxFunction,
     for n in range(n0, n_max + 1):
         count = center_count(dset, n)
         acc = iv_add(acc, iv_scale(f_of_psi(f, psi, dset, n), Fraction(count)))
-    try:
-        verdict = _analytic_verdict(dset, psi, f)
-    except InputError:
-        verdict = "undetermined"
-    return NaturalCoverTail(n0=n0, n_max=n_max, value=acc, series_verdict=verdict)
+    return NaturalCoverTail(n0=n0, n_max=n_max, value=acc,
+                            series_verdict=_analytic_verdict(dset, psi, f))
 
 
 # ---------------------------------------------------------------------------

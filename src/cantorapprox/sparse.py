@@ -119,23 +119,18 @@ class SparseDigitNumber:
         return Fraction(p, q)
 
     def tail_interval(self, s: int) -> Iv:
-        """Certified bounds on x - p_s/q_s using all materialized terms.
-
-        The exponents grow by at least 1, so the unmaterialized remainder
-        is below coefficient * b^(-e_{t+1}) * b/(b-1).
-        """
-        t = max(self.terms, s + 1)
-        self._extend(t + 1)
-        e_ref = self.exponent(s)
-        self._check_feasible(self.exponent(t))
-        partial = Fraction(0)
-        for n in range(s + 1, t + 1):
-            partial += Fraction(self.coefficient, self.base ** self.exponent(n))
-        rem = Fraction(self.coefficient * self.base,
-                       (self.base - 1) * self.base ** self.exponent(t + 1))
-        return (partial, partial + rem)
+        """Certified bounds on x - p_s/q_s: the value interval of all
+        materialized terms (at least s + 1) less the s-th truncation."""
+        lo, hi = self.value_interval(max(self.terms, s + 1))
+        trunc = self.truncation_fraction(s)
+        return (lo - trunc, hi - trunc)
 
     def value_interval(self, terms: Optional[int] = None) -> Iv:
+        """Certified bounds on x from its first t terms (t = terms by default).
+
+        The exponents grow by at least 1, so the remainder after term t
+        is below coefficient * b^(-e_{t+1}) * b/(b-1).
+        """
         t = terms if terms is not None else self.terms
         self._extend(t + 1)
         self._check_feasible(self.exponent(t))

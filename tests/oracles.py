@@ -215,6 +215,18 @@ def layer_union_pairs(layer: Layer, radius: Fraction) -> list[tuple[Fraction, Fr
     return merge_pairs(layer_ball_pairs(layer, radius))
 
 
+def sparse_tail_sum(x, s: int) -> tuple[Fraction, Fraction]:
+    """x - p_s/q_s for a SparseDigitNumber x, bounded by adding its terms
+    s+1 .. t (t = max(terms, s + 1)) one Fraction at a time, plus the
+    remainder bound c b^(-e_(t+1)) b/(b-1)."""
+    t = max(x.terms, s + 1)
+    partial = ZERO
+    for n in range(s + 1, t + 1):
+        partial += Fraction(x.coefficient, x.base ** x.exponent(n))
+    rem = Fraction(x.coefficient * x.base, (x.base - 1) * x.base ** x.exponent(t + 1))
+    return (partial, partial + rem)
+
+
 def box_count(dset: MissingDigitSet, tau: Fraction, n: int, coprime: bool) -> int:
     """The number of level-ceil(tau n) cells that the radius-b^(-tau n) balls
     around the level-n centers meet, found by testing every cell near every

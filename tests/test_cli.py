@@ -11,7 +11,7 @@ from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cantorapprox import cli, cli_layers, render
@@ -176,6 +176,27 @@ def test_config_file_is_read_in_every_spelling(spelling, tmp_path):
         assert len(json.loads(overridden)["results"]["pairs"]) == 3
 
 
+def test_config_booleans_follow_the_option_kind(tmp_path):
+    # a FLAG's false is its default, and a TOGGLE's false is --no-FLAG
+    cfg = tmp_path / "layer.cfg"
+    cfg.write_text("psi=pow:2\nn=3\ncoprime=false\ntiming=false\n")
+    from_file, _ = run_command(["layer", "--config", str(cfg)])
+    direct, _ = run_command(["layer", "--psi", "pow:2", "--n", "3", "--no-coprime"])
+    assert json.loads(from_file)["results"] == json.loads(direct)["results"]
+    assert json.loads(from_file)["timing_ms"] is None
+    cfg.write_text("psi=pow:2\nn=3\ncoprime=true\ntiming=true\n")
+    report = json.loads(run_command(["layer", "--config", str(cfg)])[0])
+    assert report["results"]["coprime"] is True
+    assert isinstance(report["timing_ms"], int)
+
+
+def test_a_zero_gamma_coefficient_is_rational_zero():
+    for command in (["layer", "--n", "3"], ["series", "--f", "pow:1", "--nmax", "4"]):
+        reports = [json.loads(run_command(command + ["--psi", psi])[0])["results"]
+                   for psi in ("powlog:2,0*gamma", "powlog:2,0")]
+        assert reports[0] == reports[1]
+
+
 def test_out_path(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["measure", "--window", "0:1", "--out", str(out)])
@@ -186,6 +207,7 @@ def test_out_path(tmp_path):
 def test_exit_code_validation_error(capsys):
     assert main(["measure", "--window", "nonsense"]) == 2
     assert main(["cf", "--x", "golden", "--depth", "0"]) == 2
+    assert main(["xi-verify", "--tau", "3", "--terms", "4", "--depth", "0"]) == 2
     assert main(["quasi-scan", "--psi", "bogus:1", "--nmax", "3"]) == 2
 
 
@@ -416,6 +438,9 @@ def _outcome(parse, argv):
 
 @settings(max_examples=400, deadline=None)
 @given(command_lines(), st.booleans())
+@example(["--", "measure", "--window", "0:1"], False)  # a "--" before the subcommand
+@example(["--"], False)  # a "--" with nothing after it
+@example(["measure", "--window", "0:1", "foo"], False)  # a token that is no option
 def test_parser_reads_argv_as_argparse_does(argv, whole):
     # argparse drops the value of --flag=-- and stores [] unconverted, on
     # which every command failed with a traceback; the value is "--" now

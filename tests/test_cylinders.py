@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorapprox import (InputError, MissingDigitSet, PrecisionError, RatInterval,
@@ -37,6 +37,7 @@ def _count(dset, tau, n, coprime):
 @given(st.sampled_from(SETS), st.sampled_from(TAUS), st.integers(min_value=1, max_value=6),
        st.booleans())
 @settings(max_examples=120, deadline=None)
+@example(MissingDigitSet(5, (1, 4)), F(1), 1, True)  # one cell, so an estimate of 0
 def test_box_count_matches_the_per_cell_oracle(dset, tau, n, coprime):
     want = _outcome(box_count, dset, tau, n, coprime)
     if want == 0:

@@ -206,6 +206,7 @@ def test_floor_power_refines_until_the_floor_is_certain(lam, tau, n):
 
 @given(st.fractions(min_value=F(1, 1000), max_value=F(1000)))
 @example(F(727, 382000))  # outward rounding straddles a grid point: width 2^-47
+@example(F(1))  # ln 1 = 0 exactly
 def test_ln_interval_sound(x):
     lo, hi = ln_interval(x, 48)
     assert hi - lo <= F(1, 2 ** 47)

@@ -563,3 +563,96 @@ def test_one_layer_makes_at_most_six_cdf_walks(dset, psi):
     assert 0 < walks.call_count <= 6
     assert (mu.lo, mu.hi) == tuple(measure_union(dset, layer_union_pairs(layer, r))
                                    for r in layer.radius)
+
+
+IRRATIONAL_GAMMA_SETS = [K, MissingDigitSet(5, (0, 2, 3)), MissingDigitSet(7, (0, 3, 6))]
+
+
+def _mp_gamma(iv, dset):
+    return iv.log(dset.digit_count) / iv.log(dset.base)
+
+
+def _holds(enclosure, reference) -> bool:
+    """Whether the enclosure holds all of mpmath's interval of the true value."""
+    return enclosure[0] <= reference[0] and reference[1] <= enclosure[1]
+
+
+def test_scalar_rational_is_the_value_when_it_is_rational():
+    g4 = MissingDigitSet(4, (0, 3))  # gamma = 1/2
+    assert Scalar(F(3, 2)).rational(K) == F(3, 2)
+    assert Scalar(F(0), 2).rational(K) == 0
+    assert Scalar(F(3), 2).rational(K) is None
+    assert Scalar(F(3), -1).rational(g4) == 6
+    for sc in (Scalar(F(0), 1), Scalar(F(5), 0), Scalar(F(3), -1)):
+        assert sc.value_iv(g4) == iv_exact(sc.rational(g4))
+    # a log exponent must be rational: gamma is on 4:0,3, not on 3:0,2
+    powlog_gamma = ApproxFunction.power_log(2, Scalar.of(1, 1))
+    powlog_half = ApproxFunction.power_log(2, Scalar.of(F(1, 2)))
+    assert psi_value(powlog_gamma, g4, 3) == psi_value(powlog_half, g4, 3)
+    with pytest.raises(InputError, match="irrational log-exponent"):
+        psi_value(powlog_gamma, K, 3)
+
+
+@needs_mpmath
+@pytest.mark.parametrize("dset", IRRATIONAL_GAMMA_SETS, ids=str)
+def test_scalar_value_iv_encloses_the_mpmath_value(dset):
+    """coef gamma^gexp over gamma's 2^-96 enclosure holds mpmath's interval
+    at twice VALUE_BITS; for gamma itself it is that enclosure."""
+    assert layers.GAMMA.value_iv(dset) == exponent_enclosure(dset).refined_to(
+        F(1, 1 << layers.VALUE_BITS)).as_iv()
+    for coef in (F(-7, 3), F(1), F(5, 2)):
+        for gexp in (-2, -1, 1, 2, 3):
+            lo, hi = Scalar(coef, gexp).value_iv(dset)
+            ref = mp_interval(lambda iv: _mp_gamma(iv, dset) ** gexp * coef.numerator
+                              / coef.denominator, 2 * layers.VALUE_BITS)
+            assert _holds((lo, hi), ref) and hi - lo < F(1, 1 << 88), (coef, gexp)
+
+
+@needs_mpmath
+@pytest.mark.parametrize("dset", IRRATIONAL_GAMMA_SETS, ids=str)
+def test_f_of_psi_with_gamma_squared_goes_through_an_interval_exponent(dset):
+    """f = r^gamma of psi = r^-gamma is b^(-n gamma^2): neither gamma^0 nor
+    gamma^1, so `evaluate_base_power` raises b to gamma^2's enclosure."""
+    f = DimensionFunction.power(1, 1)
+    psi = ApproxFunction.power(1, 1)
+    for n in range(1, 7):
+        lo, hi = layers.f_of_psi(f, psi, dset, n)
+        ref = mp_interval(lambda iv: iv.mpf(dset.base) ** (-n * _mp_gamma(iv, dset) ** 2),
+                          2 * layers.VALUE_BITS)
+        assert _holds((lo, hi), ref) and hi - lo < F(1, 1 << 80), n
+
+
+@needs_mpmath
+@pytest.mark.parametrize("dset", IRRATIONAL_GAMMA_SETS, ids=str)
+@pytest.mark.parametrize("s", [Scalar.of(F(1, 2)), Scalar.of(1, 1)], ids=["1/2", "gamma"])
+def test_f_of_a_truncated_psi_raises_psi_to_s(dset, s):
+    """f(min(c/r, r^-2)) = min(c b^-n, b^-2n)^s: the truncation bites for
+    b^n < 1/c and not above, and gamma as s is an enclosure."""
+    c = F(1, 100)
+    f = DimensionFunction.power(s.coef, s.gexp)
+    psi = truncate_psi(PSI2, c)
+    for n in range(1, 7):
+        b_n = F(dset.base) ** n
+        psi_n = min(c / b_n, 1 / b_n ** 2)
+        lo, hi = layers.f_of_psi(f, psi, dset, n)
+
+        def reference(iv):
+            expo = iv.mpf(1) / 2 if s.gexp == 0 else _mp_gamma(iv, dset)
+            return (iv.mpf(psi_n.numerator) / psi_n.denominator) ** expo
+        assert _holds((lo, hi), mp_interval(reference, 2 * layers.VALUE_BITS)), n
+
+
+@needs_mpmath
+@pytest.mark.parametrize("dset", IRRATIONAL_GAMMA_SETS, ids=str)
+@pytest.mark.parametrize("s, alpha", [(F(1), F(1, 2)), (F(1), F(2, 3)), (F(1), F(2)),
+                                      (F(1, 3), F(2)), (F(1, 2), F(5, 4))])
+def test_power_log_verdict_is_the_sign_of_s_alpha_minus_gamma(dset, s, alpha):
+    """For f = r^s and psi = r^-alpha (ln r)^-1 the series converges iff
+    s alpha > gamma (gamma irrational, so never equal), read off mpmath."""
+    mlo, mhi = mp_interval(lambda iv: s.numerator * alpha.numerator
+                           / iv.mpf(s.denominator * alpha.denominator) - _mp_gamma(iv, dset),
+                           2 * layers.VALUE_BITS)
+    assert mlo > 0 or mhi < 0
+    sv = series_classify(dset, ApproxFunction.power_log(alpha, Scalar.of(1)),
+                         DimensionFunction.power(s), 3)
+    assert sv.verdict == ("convergent" if mlo > 0 else "divergent")

@@ -12,7 +12,7 @@ from cantorapprox import (AffineSource, FactorialRule, InputError, MissingDigitS
 from cantorapprox.enclosures import BASE_BITS
 from cantorapprox.sparse import _exponent_compare, _power_bound_encl
 
-from oracles import mp_interval, mp_real, needs_mpmath
+from oracles import mp_interval, mp_real, needs_mpmath, sparse_tail_sum
 
 K = MissingDigitSet.middle_thirds()
 
@@ -183,6 +183,17 @@ def test_truncation_value_inside_tail(s, terms):
     trunc = x.truncation_fraction(s)
     assert val[0] - trunc >= lo - (hi - lo)
     assert val[1] - trunc <= hi
+
+
+# the rules the benchmark draws for xi
+@pytest.mark.parametrize("rule", [PowerRule(F(t)) for t in ("11/5", "5/2", "11/4", "3", "10/3",
+                                                             "7/2")] + [FactorialRule()],
+                         ids=lambda rule: str(getattr(rule, "tau", "factorial")))
+def test_tail_interval_is_the_term_by_term_sum(rule):
+    for terms in (5, 6, 7):
+        x = build_sparse_number(3, 2, rule, terms)
+        for s in range(1, terms + 1):
+            assert x.tail_interval(s) == sparse_tail_sum(x, s), (terms, s)
 
 
 @needs_mpmath
