@@ -12,8 +12,8 @@ full-cover and cf-interval.  The other handlers live in one module per
 command family (`cli_layers`, `cli_contfrac`, `cli_sparse` and
 `cli_xi`), which `run_command` imports on first use, so that a call
 compiles only the code of its command.  Each call runs in its own copy
-of the context, where --precision-budget sets `errors.REFINE_CAP`, so a
-budget never reaches the next call.
+of the context, where --precision-budget sets the `steps` of
+`errors.BUDGET`, so a budget never reaches the next call.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 from . import calibration, render
 from .digitsets import (MissingDigitSet, cantor_measure, full_cover_check,
                         prefix_interval_disjoint_from)
-from .errors import REFINE_CAP, InputError, PrecisionError, ResourceBudgetError
+from .errors import BUDGET, Budget, InputError, PrecisionError, ResourceBudgetError
 from .intervals import RatInterval, cf_prefix_interval
 
 SCHEMA_VERSION = "1"
@@ -438,9 +438,10 @@ def run_command(argv: list[str]) -> tuple[str, Optional[str]]:
         raise InputError("precision budget must be >= 1")
     dset = parse_set(args.set)
     handler = _handler_of(args)
-    context = copy_context()  # the cap set here ends with the call
+    context = copy_context()  # the budget set here ends with the call
     if args.precision_budget is not None:
-        context.run(REFINE_CAP.set, args.precision_budget)
+        budget = BUDGET.get()
+        context.run(BUDGET.set, Budget(args.precision_budget, budget.bits, budget.cells))
     start = time.monotonic()
     results, rows = context.run(handler, args, dset)
     elapsed_ms = int((time.monotonic() - start) * 1000)

@@ -15,7 +15,7 @@ Level-n basic intervals (cylinders) are counted by two prefix ranks,
 `_cell_count`, and listed only to read off the b-adic centers p/b^n in
 the set (`enumerate_centers`): p/b^n ends in 0s after the digits of p,
 or in (b-1)s after those of p - 1.  The listing, `allowed_prefixes`,
-raises ResourceBudgetError before it lists more than ENUM_BUDGET cells.
+raises ResourceBudgetError past the `cells` of `errors.BUDGET`.
 
 `grid_cdf` is the only code that evaluates the CDF at points of a grid:
 the layers, `full_cover_check` and the box count of
@@ -30,14 +30,12 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, ResourceBudgetError
+from .errors import BUDGET, InputError, ResourceBudgetError
 from .intervals import Pair, PrefixInterval, RatInterval, clip_union, merge_pairs
 from .records import Record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-ENUM_BUDGET = 1 << 22  # most cells one enumeration may return
 
 
 def _mult_dependent_exponent(count: int, base: int) -> Optional[Fraction]:
@@ -116,15 +114,15 @@ class MissingDigitSet(Record):
                          last: Optional[int] = None) -> list[int]:
         """Sorted prefixes p of the level-n basic intervals with first <= p <= last.
 
-        Their number is checked against ENUM_BUDGET before the descent,
-        which keeps a prefix while its block of cells meets [first, last].
+        Their number is checked against the budget's `cells` first; the
+        descent keeps a prefix while its block of cells meets [first, last].
         """
         b, top = self.base, self.base ** level - 1
         first, last = max(first, 0), top if last is None else min(last, top)
-        if _cell_count(self, level, first, last) > ENUM_BUDGET:
+        if (count := _cell_count(self, level, first, last)) > (cap := BUDGET.get().cells):
             raise ResourceBudgetError(
-                f"more than {ENUM_BUDGET} level-{level} basic intervals "
-                f"in cells {first}..{last}")
+                f"{count:,} level-{level} basic intervals in cells {first}..{last} "
+                f"over the {cap:,}-cell budget")
         out, block = [0], top + 1
         for _ in range(level):
             block //= b

@@ -14,9 +14,9 @@ here.
 A `RealEnclosure` couples the current [lo, hi] with a refinable source.
 Refinement doubles the working precision per step.  Every decision on
 an enclosure goes through `RealEnclosure.decide`, which refines until
-its test answers.  The steps are capped by `errors.REFINE_CAP` (default
-16); an enclosure at the cap or without a source raises `PrecisionError`
-rather than guessing or looping.
+its test answers.  The steps are capped by the `steps` of
+`errors.BUDGET` (default 12); an enclosure at the cap or without a source
+raises `PrecisionError` rather than guessing or looping.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cache
 from math import isqrt
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, TypeVar, Union
 
-from .errors import REFINE_CAP, InputError, PrecisionError, UndecidableFloorError
+from .errors import BUDGET, InputError, PrecisionError, UndecidableFloorError
 from .records import Record
 
 if TYPE_CHECKING:
@@ -458,8 +458,8 @@ class RealEnclosure(Record):
 
     def can_refine(self) -> bool:
         """Whether `refine` can take a step: there is a source, and the
-        level is below the cap that `errors.REFINE_CAP` holds."""
-        return self.source is not None and self.level < REFINE_CAP.get()
+        level is below the `steps` of `errors.BUDGET`."""
+        return self.source is not None and self.level < BUDGET.get().steps
 
     def refine(self) -> "RealEnclosure":
         """The nested enclosure at the next level; PrecisionError when
@@ -469,7 +469,7 @@ class RealEnclosure(Record):
             w = self.width  # bounded by bit lengths: str() of a huge Fraction can fail
             raise PrecisionError(
                 f"enclosure undecided ({source}) at refinement level {self.level} of cap "
-                f"{REFINE_CAP.get()}, width < 2^"
+                f"{BUDGET.get().steps}, width < 2^"
                 f"{w.numerator.bit_length() - w.denominator.bit_length() + 1}")
         lo, hi = iv_intersect(self.source.interval(self.level + 1), self.as_iv())
         return RealEnclosure(lo, hi, self.source, self.level + 1)

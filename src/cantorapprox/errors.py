@@ -1,17 +1,25 @@
-"""Exception types shared across the package, and the refinement cap.
+"""Exception types shared across the package, and the per-call budget.
 
 The split mirrors the CLI exit codes: validation problems exit 2,
-resource/precision problems exit 3.
-
-`REFINE_CAP`, the refinement steps a `RealEnclosure` may take before
-it raises `PrecisionError`, is a context variable (PEP 567), like the
-context of `decimal`: set inside `contextvars.copy_context().run(...)`,
-as the CLI does for --precision-budget, it ends with that run.
+resource/precision problems exit 3.  `BUDGET` is a context variable
+(PEP 567), like the context of `decimal`: set in a copy of the context,
+as the CLI does for --precision-budget, it ends with that copy's run.
 """
 
 from contextvars import ContextVar
 
-REFINE_CAP: ContextVar[int] = ContextVar("refine_cap", default=16)
+from .records import Record
+
+
+class Budget(Record):
+    """The caps of one call, each checked on the thing about to be built."""
+
+    steps: int = 12         # refinement levels of one enclosure (PrecisionError)
+    bits: int = 1 << 23     # bit length of one sparse-number operand (PrecisionError)
+    cells: int = 1 << 22    # cells one enumeration may return (ResourceBudgetError)
+
+
+BUDGET: ContextVar[Budget] = ContextVar("budget", default=Budget())
 
 
 class InputError(ValueError):
@@ -23,11 +31,11 @@ class HypothesisViolation(InputError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """An enumeration or recursion would exceed its configured budget."""
+    """A cell enumeration or a printed integer would exceed its limit."""
 
 
 class PrecisionError(RuntimeError):
-    """An enclosure could not be refined further before a decision was reached."""
+    """An enclosure stays undecided at the cap, or an operand is over the bit budget."""
 
 
 class UndecidableFloorError(PrecisionError):

@@ -11,19 +11,28 @@ terms grow doubly-exponentially.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from typing import Optional, Union
 
 from .digitsets import IN, OUT, MembershipResult, MissingDigitSet
 from .enclosures import (Iv, Real, RealEnclosure, as_enclosure, floor_power, iv_cmp,
                          rational_pow)
-from .errors import InputError, PrecisionError
+from .errors import BUDGET, InputError, PrecisionError
 from .records import Record
 
 _ONE = Fraction(1)
 
-# refuse to materialize truncation integers beyond this size
-MAX_TRUNCATION_BITS = 2_000_000
+
+def _power_bits(base: int, e: int) -> int:
+    """Bit length of base^e, or at most e/64 + 1 over it, without building it."""
+    return e * (base ** 64).bit_length() // 64 + 1
+
+
+def _check_bits(bits: int, operand: str) -> None:
+    """PrecisionError if an operand about to be built is over the bit budget."""
+    if bits > (cap := BUDGET.get().bits):
+        raise PrecisionError(f"operand of {bits:,} bits ({operand}) over the "
+                             f"{cap:,}-bit budget")
 
 
 class PowerRule(Record):
@@ -46,10 +55,7 @@ class FactorialRule(Record):
     """e_n = n!."""
 
     def exponent(self, n: int) -> int:
-        out = 1
-        for k in range(2, n + 1):
-            out *= k
-        return out
+        return factorial(n)
 
 
 ExponentRule = Union[PowerRule, FactorialRule]
@@ -92,19 +98,14 @@ class SparseDigitNumber:
         self._extend(s)
         return tuple(self._exponents[:s])
 
-    def _check_feasible(self, e: int) -> None:
-        if e * self.base.bit_length() > MAX_TRUNCATION_BITS:
-            raise PrecisionError(f"truncation denominator base^{e} is out of budget")
-
     def truncation(self, s: int) -> tuple[int, int]:
         """(p_s, q_s) with p_s/q_s = coefficient * sum_{n<=s} base^(-e_n), reduced."""
         if s < 1:
             raise InputError("truncation index must be >= 1")
-        cached = self._truncations.get(s)
-        if cached is not None:
-            return cached
+        if s in self._truncations:
+            return self._truncations[s]
         e_s = self.exponent(s)
-        self._check_feasible(e_s)
+        _check_bits(_power_bits(self.base, e_s), f"{self.base}^{e_s}")
         q = self.base ** e_s
         p = self.coefficient * sum(self.base ** (e_s - self.exponent(n))
                                    for n in range(1, s + 1))
@@ -115,8 +116,7 @@ class SparseDigitNumber:
         return (p, q)
 
     def truncation_fraction(self, s: int) -> Fraction:
-        p, q = self.truncation(s)
-        return Fraction(p, q)
+        return Fraction(*self.truncation(s))
 
     def tail_interval(self, s: int) -> Iv:
         """Certified bounds on x - p_s/q_s: the value interval of all
@@ -132,11 +132,10 @@ class SparseDigitNumber:
         is below coefficient * b^(-e_{t+1}) * b/(b-1).
         """
         t = terms if terms is not None else self.terms
-        self._extend(t + 1)
-        self._check_feasible(self.exponent(t))
+        b, e = self.base, self.exponent(t + 1)
+        _check_bits(_power_bits(b, e) + (b - 1).bit_length(), f"{b - 1}*{b}^{e}")
         prefix = self.truncation_fraction(t)
-        rem = Fraction(self.coefficient * self.base,
-                       (self.base - 1) * self.base ** self.exponent(t + 1))
+        rem = Fraction(self.coefficient * b, (b - 1) * b ** e)
         return (prefix, prefix + rem)
 
     def interval(self, level: int) -> Iv:
@@ -150,8 +149,7 @@ class SparseDigitNumber:
         """Exact membership at the given depth straight off the digit stream."""
         if dset.base != self.base:
             raise InputError("digit stream base does not match the set")
-        self._extend(max(2, self.terms))
-        while self._exponents[-1] < depth:
+        while self._exponents[-1] < depth:  # the constructor extends to terms + 1 >= 3
             self._extend(len(self._exponents) + 1)
         hits = [e for e in self._exponents if e <= depth]
         if self.coefficient not in dset.digits and hits:
@@ -197,17 +195,11 @@ class TruncationReport(Record):
 
 
 def _cmp_fraction_vs_power(r: Fraction, base: int, expo: Fraction) -> int:
-    """Exact sign of r - base**expo for rational expo (cross-multiplied powers)."""
-    if r <= 0:
-        return -1
-    u = expo.denominator
-    p = expo.numerator
-    lhs_num = r.numerator ** u
-    lhs_den = r.denominator ** u
-    if p >= 0:
-        lhs, rhs = lhs_num, lhs_den * base ** p
-    else:
-        lhs, rhs = lhs_num * base ** (-p), lhs_den
+    """Sign of r - base**expo for r > 0 and expo = -p/u < 0: of num^u * base^p - den^u."""
+    num, den, u, p = r.numerator, r.denominator, expo.denominator, -expo.numerator
+    _check_bits(max(u * num.bit_length() + _power_bits(base, p), u * den.bit_length()),
+                f"gap^{u}*{base}^{p}")
+    lhs, rhs = num ** u * base ** p, den ** u
     return (lhs > rhs) - (lhs < rhs)
 
 

@@ -9,10 +9,12 @@ the library builds on an integer grid, a per-cell `prefix_allowed`
 scan for the box count the library takes from prefix ranks, argparse
 for the command line the library parses from its option tables, and a
 decimal exponent found from digit counts for the rendered decimals.
+`under_budget` runs a call under a chosen per-call `Budget`.
 """
 
 import argparse
 from bisect import bisect_left
+from contextvars import copy_context
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -23,6 +25,7 @@ from cantorapprox import (AffineSource, Layer, MembershipResult, MissingDigitSet
                           PrecisionError, RatInterval, SqrtSource, cli, enumerate_centers,
                           layers, measure_union)
 from cantorapprox.digitsets import measure_pair
+from cantorapprox.errors import BUDGET, Budget
 from cantorapprox.intervals import clip_union, merge_pairs
 
 try:
@@ -30,6 +33,16 @@ try:
 except ImportError:  # mpmath is a test extra
     mpmath = None
 needs_mpmath = pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+
+
+def under_budget(budget: Budget, call, *args):
+    """call(*args) in a copy of the context whose budget is `budget`: the
+    budget ends with the call, as that of a CLI call does."""
+    def run():
+        BUDGET.set(budget)
+        return call(*args)
+    return copy_context().run(run)
+
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from cantorapprox import cli, cli_layers, render
 from cantorapprox.cli import SUBCOMMAND_OPTIONS, build_parser, main, run_command
-from cantorapprox.errors import REFINE_CAP, InputError, ResourceBudgetError
-from oracles import argparse_parser
+from cantorapprox.errors import BUDGET, Budget, InputError, ResourceBudgetError
+from oracles import argparse_parser, under_budget
 
 # one fast fixture configuration per subcommand
 FIXTURE_ARGVS = {
@@ -137,17 +137,23 @@ def test_xi_verify_keeps_a_sufficient_depth():
 
 
 def test_precision_budget_does_not_leak():
-    default = REFINE_CAP.get()
     argv = ["cf", "--x", "gamma", "--depth", "30"]
     budgeted, _ = run_command(argv + ["--precision-budget", "1"])
     later, _ = run_command(argv)
-    assert REFINE_CAP.get() == default
+    assert BUDGET.get() == Budget()  # steps, bits and cells are all the defaults
     assert (json.loads(budgeted)["results"]["certified_depth"]
             < json.loads(later)["results"]["certified_depth"] == 30)
     # nor does the cap of a command that fails
     assert main(["quasi-scan", "--psi", "pow:2", "--nmax", "1",
                  "--precision-budget", "2"]) == 2
-    assert REFINE_CAP.get() == default
+    assert BUDGET.get() == Budget()
+
+
+def test_precision_budget_replaces_only_the_steps():
+    # a caller's cell cap holds through --precision-budget
+    argv = ["dim-estimate", "--tau", "2", "--n", "12", "--precision-budget", "5"]
+    with pytest.raises(ResourceBudgetError, match=r"over the 1,000-cell budget$"):
+        under_budget(Budget(cells=1000), run_command, argv)
 
 
 def test_config_file_and_override(tmp_path):

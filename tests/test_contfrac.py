@@ -12,8 +12,9 @@ from cantorapprox import (AffineSource, InputError, MissingDigitSet, RealEnclosu
                           prefix_interval_disjoint_from, build_sparse_number,
                           PowerRule, FactorialRule, LogRatioSource)
 from cantorapprox.enclosures import BASE_BITS, as_enclosure, iv_abs, iv_exact, iv_sub
+from cantorapprox.errors import Budget
 
-from oracles import mp_interval, mp_real, needs_mpmath
+from oracles import mp_interval, mp_real, needs_mpmath, under_budget
 
 K = MissingDigitSet.middle_thirds()
 
@@ -54,12 +55,15 @@ def _euclid(x: F) -> list[int]:
     return quotients
 
 
-def test_expansion_out_of_truncation_budget_keeps_its_certified_quotients(monkeypatch):
-    # level 0 needs base^27 (54 bits); level 1 needs base^81 (162 bits), out of budget
-    monkeypatch.setattr("cantorapprox.sparse.MAX_TRUNCATION_BITS", 100)
+def test_expansion_out_of_truncation_budget_keeps_its_certified_quotients():
+    # e = 3, 9, 27, 81, 243.  Level 0 builds 2*3^81 (130 bits).  Level 1 needs
+    # the truncation 3^81, which a 200-bit budget admits, and builds 2*3^243
+    # (387 bits), which it does not: the expansion stops at level 0
     xi = build_sparse_number(3, 2, PowerRule(F(3)), 3)
-    cf = continued_fraction_expand(xi, 60)
+    cf = under_budget(Budget(bits=200), continued_fraction_expand, xi, 60)
     assert cf.exhausted and not cf.exact
+    level_0 = RealEnclosure(*xi.value_interval(3))  # with no source to refine
+    assert cf == continued_fraction_expand(level_0, 60)
     # xi and its next truncation both lie in the level-0 enclosure, so both
     # expansions begin with every certified quotient
     truncation = sum(F(2, 3 ** e) for e in (3, 9, 27, 81))

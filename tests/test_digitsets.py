@@ -2,7 +2,6 @@ import itertools
 import random
 from fractions import Fraction as F
 from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,9 +13,10 @@ from cantorapprox import (InputError, MissingDigitSet, RatInterval, RealEnclosur
                           measure_union, membership)
 from cantorapprox import digitsets
 from cantorapprox.digitsets import grid_cdf, measure_pair
+from cantorapprox.errors import Budget
 from cantorapprox.intervals import clip_union, merge_pairs
 
-from oracles import enclosure_status, oracle_cdf, oracle_measure, rational_in_set
+from oracles import enclosure_status, oracle_cdf, oracle_measure, rational_in_set, under_budget
 
 K = MissingDigitSet.middle_thirds()
 
@@ -291,12 +291,12 @@ def test_enumeration_budget_is_exact(case, offset):
     dset, level, first, last = case
     want = _brute_prefixes(dset, level, first, last)
     budget = max(0, len(want) + offset)
-    with mock.patch.object(digitsets, "ENUM_BUDGET", budget):
-        if len(want) > budget:
-            with pytest.raises(ResourceBudgetError):
-                dset.allowed_prefixes(level, first, last)
-        else:
-            assert dset.allowed_prefixes(level, first, last) == want
+    listing = (dset.allowed_prefixes, level, first, last)
+    if len(want) > budget:
+        with pytest.raises(ResourceBudgetError):
+            under_budget(Budget(cells=budget), *listing)
+    else:
+        assert under_budget(Budget(cells=budget), *listing) == want
 
 
 @pytest.mark.parametrize("dset", BENCH_SETS, ids=str)
@@ -307,23 +307,23 @@ def test_enumeration_budget_is_exact_at_the_boundary(dset):
         for first in range(-1, top + 1):
             for last in range(first, top + 1):
                 want = _brute_prefixes(dset, level, first, last)
-                with mock.patch.object(digitsets, "ENUM_BUDGET", len(want)):
-                    assert dset.allowed_prefixes(level, first, last) == want
+                listing = (dset.allowed_prefixes, level, first, last)
+                assert under_budget(Budget(cells=len(want)), *listing) == want
                 if want:
-                    with mock.patch.object(digitsets, "ENUM_BUDGET", len(want) - 1):
-                        with pytest.raises(ResourceBudgetError):
-                            dset.allowed_prefixes(level, first, last)
+                    with pytest.raises(ResourceBudgetError):
+                        under_budget(Budget(cells=len(want) - 1), *listing)
 
 
 def test_enumeration_budget_full_range_condition():
-    # over the full range the rule is m^level > ENUM_BUDGET
-    level = digitsets.ENUM_BUDGET.bit_length() - 1  # 2^level == ENUM_BUDGET
+    # over the full range the rule is m^level > cells
+    level = Budget().cells.bit_length() - 1  # 2^level is the default cells
     with pytest.raises(ResourceBudgetError):
         K.allowed_prefixes(level + 1)
-    with mock.patch.object(digitsets, "ENUM_BUDGET", 2 ** 10):
-        assert len(K.allowed_prefixes(10)) == 2 ** 10
-        with pytest.raises(ResourceBudgetError):
-            K.allowed_prefixes(11)
+    assert len(under_budget(Budget(cells=2 ** 10), K.allowed_prefixes, 10)) == 2 ** 10
+    # the error names the cell count asked for and the cap
+    with pytest.raises(ResourceBudgetError, match=r"^2,048 level-11 basic intervals in "
+                       r"cells 0\.\.177146 over the 1,024-cell budget$"):
+        under_budget(Budget(cells=2 ** 10), K.allowed_prefixes, 11)
 
 
 def _centers_by_membership(dset, n, coprime):

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from contextvars import copy_context
 from fractions import Fraction as F
 from math import isqrt
 from pathlib import Path
@@ -17,9 +16,9 @@ from cantorapprox import enclosures
 from cantorapprox.enclosures import (_atanh_interval, _exp_point, _ln2_interval, _ln_fixed,
                                      _round_out, iv_add, iv_intpow, iv_mul, iv_scale,
                                      ln_interval, nthroot_interval, rational_pow, sqrt_interval)
-from cantorapprox.errors import REFINE_CAP
+from cantorapprox.errors import BUDGET, Budget
 
-from oracles import gamma_cmp, mp_interval, mp_real, needs_mpmath
+from oracles import gamma_cmp, mp_interval, mp_real, needs_mpmath, under_budget
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -125,27 +124,19 @@ def test_refinement_nesting(radicand, steps):
 
 def test_refinement_cap_is_an_error():
     enc = RealEnclosure.from_source(SqrtSource(F(2)))
-
-    def refine_under_cap_3():
-        REFINE_CAP.set(3)
-        return enc.refined_to(F(1, 2 ** 1000))
     # the error names the source, the level, the cap and the width reached
     with pytest.raises(PrecisionError, match=r"^enclosure undecided \(SqrtSource\) at "
                        r"refinement level 3 of cap 3, width < 2\^-255$"):
-        copy_context().run(refine_under_cap_3)
-    assert REFINE_CAP.get() == 16  # the cap set in the copy ends with it
+        under_budget(Budget(steps=3), enc.refined_to, F(1, 2 ** 1000))
+    assert BUDGET.get() == Budget()  # the budget set in the copy ends with it
 
 
 def test_precision_error_states_the_width_in_bits():
     # 10^5000 sqrt 2: str() of its width would pass the int-to-str digit limit
     huge = RealEnclosure.from_source(AffineSource(SqrtSource(F(2)), mul=F(10 ** 5000)))
-
-    def refine_under_cap_0():
-        REFINE_CAP.set(0)
-        return huge.refined_to(F(1))
     with pytest.raises(PrecisionError, match=r"\(AffineSource\) at refinement level 0 of "
                        r"cap 0, width < 2\^\d+$"):
-        copy_context().run(refine_under_cap_0)
+        under_budget(Budget(steps=0), huge.refined_to, F(1))
 
 
 def test_floor_power_examples():
@@ -168,11 +159,9 @@ def test_floor_power_straddle_is_an_error():
 
 
 def test_floor_power_under_a_low_cap_fails_fast():
-    def floor_under_cap_2():
-        REFINE_CAP.set(2)
-        return floor_power(F(1), RealEnclosure.from_source(SqrtSource(F(5))), 2)
+    sqrt5 = RealEnclosure.from_source(SqrtSource(F(5)))
     with pytest.raises(UndecidableFloorError, match=r"at refinement levels 0 and 2,"):
-        copy_context().run(floor_under_cap_2)
+        under_budget(Budget(steps=2), floor_power, F(1), sqrt5, 2)
 
 
 @given(st.fractions(min_value=F(1, 50), max_value=F(50)),
@@ -385,7 +374,7 @@ except PrecisionError as exc:
 def test_sourceless_enclosure_is_a_precision_error(call):
     out = _run_isolated(SOURCELESS.format(lo="1/3", hi="1/2", call=call))
     assert out == ("PrecisionError: enclosure undecided (no source) at refinement "
-                   "level 0 of cap 16, width < 2^-1\n")
+                   f"level 0 of cap {Budget().steps}, width < 2^-1\n")
 
 
 def test_sourceless_expansion_keeps_its_certified_quotients():

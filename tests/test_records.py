@@ -21,6 +21,7 @@ from cantorapprox import (AffineSource, ApproxFunction, CantorMeasureValue,
                           membership, natural_cover_tail, quasi_independence_scan,
                           series_classify, truncate_psi, truncation_report)
 from cantorapprox.enclosures import LogRatioSource, golden_ratio_source
+from cantorapprox.errors import BUDGET, Budget
 from cantorapprox.records import Record
 
 
@@ -66,6 +67,7 @@ def _samples() -> list:
         borel_cantelli_ratio(k, psi, cfg, 2), box_dimension_estimate(k, F(2), 2, True),
         PowerRule(F(3)), PowerRule(F(5, 2), F(2)), FactorialRule(),
         truncation_report(build_sparse_number(3, 2, PowerRule(F(3)), 3), 1),
+        BUDGET.get(), Budget(steps=3, cells=100),
     ]
 
 

@@ -10,9 +10,11 @@ from cantorapprox import (AffineSource, FactorialRule, InputError, MissingDigitS
                           te_inequality_holds, truncation_report,
                           truncation_reports, well_approximable_band)
 from cantorapprox.enclosures import BASE_BITS
-from cantorapprox.sparse import _exponent_compare, _power_bound_encl
+from cantorapprox.errors import Budget, PrecisionError
+from cantorapprox.sparse import (_cmp_fraction_vs_power, _exponent_compare, _power_bits,
+                                 _power_bound_encl)
 
-from oracles import mp_interval, mp_real, needs_mpmath, sparse_tail_sum
+from oracles import mp_interval, mp_real, needs_mpmath, sparse_tail_sum, under_budget
 
 K = MissingDigitSet.middle_thirds()
 
@@ -227,3 +229,46 @@ def test_power_bound_matches_mpmath(above, where):
          "near above": cut + F(1, 1 << 50), "far above": power[1] * 2}[where]
     assert r < power[0] or r > power[1]
     assert _power_bound_encl(r, 3, tau, 2, above) == ((r > power[1]) == above)
+
+
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=20_000))
+@settings(max_examples=200, deadline=None)
+def test_power_bits_is_a_close_upper_bound(base, e):
+    exact = (base ** e).bit_length()
+    assert exact <= _power_bits(base, e) <= exact + e // 64 + 1
+    if e >= 64:
+        assert _power_bits(base, e) <= exact * 1.02
+
+
+def test_value_interval_checks_the_denominator_it_builds():
+    # e = 3, 9, 27, 81: a 100-bit budget admits the truncation 3^27 (43 bits)
+    # but not the denominator 2*3^81 (130 bits) of value_interval(3)
+    xi = build_sparse_number(3, 2, PowerRule(F(3)), 3)
+    # the error names the bits asked for, the operand and the cap
+    with pytest.raises(PrecisionError, match=r"^operand of 44 bits \(3\^27\) over the "
+                       r"40-bit budget$"):
+        under_budget(Budget(bits=40), xi.truncation, 3)
+    assert under_budget(Budget(bits=100), xi.truncation, 3) == (2 * (3 ** 24 + 3 ** 18 + 1),
+                                                                3 ** 27)
+    with pytest.raises(PrecisionError, match=r"^operand of 132 bits \(2\*3\^81\) over the "
+                       r"100-bit budget$"):
+        under_budget(Budget(bits=100), xi.value_interval, 3)
+
+
+def test_default_bit_budget_admits_the_factorial_denominator_of_term_nine():
+    # value_interval(9) of the factorial rule builds 2*3^(10!), of 5,751,513 bits,
+    # and value_interval(10) would build 2*3^(11!)
+    xf = build_sparse_number(3, 2, FactorialRule(), 3)
+    assert Budget().bits // 2 < 5_751_513 <= _power_bits(3, 3628800) + 2 <= Budget().bits
+    with pytest.raises(PrecisionError, match=r"^operand of 63,617,403 bits "
+                       r"\(2\*3\^39916800\) over the 8,388,608-bit budget$"):
+        xf.value_interval(10)
+
+
+def test_power_comparison_checks_the_powers_it_builds():
+    # num^2 * 3^201 against den^2 for r = 1/3^100: at most 2 + 320 + 1 and 2 * 159 bits
+    r = F(1, 3 ** 100)
+    assert _cmp_fraction_vs_power(r, 3, F(-201, 2)) == 1
+    with pytest.raises(PrecisionError, match=r"^operand of 323 bits \(gap\^2\*3\^201\) "
+                       r"over the 300-bit budget$"):
+        under_budget(Budget(bits=300), _cmp_fraction_vs_power, r, 3, F(-201, 2))
