@@ -5,9 +5,11 @@ no enclosure code, and are re-exported here (see `__all__`).
 
 For rational inputs the expansion is the exact Euclidean one.  For
 enclosure-valued reals a quotient is emitted only once the current
-enclosure pins it down uniquely; otherwise the input is refined and the
-extraction replayed, which is what prevents the classic
-wrong-quotient-from-rounding failure.
+enclosure pins it down uniquely: the Euclidean algorithms of the two
+endpoints run in lockstep on integers until their quotients part.
+Otherwise the input is refined and the extraction replayed, which is
+what prevents the classic wrong-quotient-from-rounding failure.  An
+exponent estimate takes each convergent denominator's log once.
 """
 
 from __future__ import annotations
@@ -61,18 +63,18 @@ def _expand_rational(x: Fraction, depth: int) -> ContinuedFraction:
 
 
 def _extract_certified(iv: Iv, depth: int) -> list[int]:
-    """Quotients of every number in the interval, for as long as they agree."""
-    lo, hi = iv
+    """Quotients of every number in the interval, for as long as they agree:
+    the Euclidean algorithms of both endpoints' numerators and denominators
+    in lockstep, which swap ends at each step."""
+    (n_lo, d_lo), (n_hi, d_hi) = ((x.numerator, x.denominator) for x in iv)
     quotients: list[int] = []
-    while len(quotients) < depth:
-        if lo <= 0:
-            break  # remainder could vanish: the next quotient is unbounded
-        inv_lo, inv_hi = 1 / hi, 1 / lo
-        a_lo, a_hi = inv_lo.__floor__(), inv_hi.__floor__()
-        if a_lo != a_hi or a_lo < 1:
+    while len(quotients) < depth and n_lo > 0:  # else the next quotient is unbounded
+        a, r_hi = divmod(d_hi, n_hi)
+        b, r_lo = divmod(d_lo, n_lo)
+        if a != b or a < 1:
             break
-        quotients.append(a_lo)
-        lo, hi = inv_lo - a_lo, inv_hi - a_lo
+        quotients.append(a)
+        n_lo, d_lo, n_hi, d_hi = r_hi, n_hi, r_lo, n_lo
     return quotients
 
 
@@ -147,16 +149,13 @@ def irrationality_exponent_estimate(cf: ContinuedFraction,
     if len(cf.convergents) < 3:
         raise InputError("need at least 3 convergents")
     floor_q = max(2, min_denominator)
-    width = Fraction(1, 1 << RATIO_BITS)
+    logs: dict = {}  # each q's log, taken once per precision
     ratios: list[tuple[Iv, tuple[int, int]]] = []
     for (_, q0), (_, q1) in zip(cf.convergents, cf.convergents[1:]):
-        if q0 < floor_q:
+        if q0 < floor_q or q1 == q0:
             continue
-        if q1 == q0:
-            continue
-        enc = RealEnclosure.from_source(
-            LogRatioSource(Fraction(q1), Fraction(q0))).refined_to(width)
-        ratios.append((enc.as_iv(), (q0, q1)))
+        iv = LogRatioSource(Fraction(q1), Fraction(q0)).within(RATIO_BITS, logs)
+        ratios.append((iv, (q0, q1)))
     if not ratios:
         raise InputError("no usable convergent pairs above the denominator floor")
     best_lo = max(iv[0] for iv, _ in ratios)

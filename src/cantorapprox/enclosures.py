@@ -8,15 +8,17 @@ Endpoint arithmetic is exact, with one exception: `ln_interval` sums its
 series in fixed-point integers rounded down in one pass and up in the
 other, and returns that result only when both passes round to the same
 output endpoints; otherwise it uses the exact `Fraction` sum.  Either
-way it returns the same enclosure.  Binary floating point is never used
-here.
+way it returns the same enclosure.  `LogRatioSource` divides two logs
+on their grid numerators.  Binary floating point is never used here.
 
 A `RealEnclosure` couples the current [lo, hi] with a refinable source.
 Refinement doubles the working precision per step.  Every decision on
 an enclosure goes through `RealEnclosure.decide`, which refines until
-its test answers.  The steps are capped by the `steps` of
-`errors.BUDGET` (default 12); an enclosure at the cap or without a source
-raises `PrecisionError` rather than guessing or looping.
+its test answers (`LogRatioSource.within` skips the levels that cannot
+answer).  The steps are capped by the `steps` of `errors.BUDGET` (default
+12); an enclosure at the cap or without a source raises `PrecisionError`
+rather than guessing or looping, and an ln operand over its `bits`
+raises `ResourceBudgetError`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from functools import cache
 from math import isqrt
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, TypeVar, Union
 
-from .errors import BUDGET, InputError, PrecisionError, UndecidableFloorError
+from .errors import (BUDGET, InputError, PrecisionError, ResourceBudgetError,
+                     UndecidableFloorError)
 from .records import Record
 
 if TYPE_CHECKING:
@@ -40,6 +43,7 @@ BASE_BITS = 32
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_HALF = Fraction(1, 2)
 
 
 def canonicalize_rational(numerator: int, denominator: int) -> Fraction:
@@ -210,9 +214,12 @@ def _ln_fixed(num: int, den: int, e: int, ln2: Iv, terms: int, bits: int,
     run on integers scaled by 2^(bits+guard), once with every step rounded
     down and once rounded up, which brackets each endpoint between two
     integers.  If both integers of a bracket round to the same grid point,
-    that point is the exact path's endpoint.
+    that point is the exact path's endpoint.  ResourceBudgetError when
+    num * 2^(bits+guard) would pass the `bits` of `errors.BUDGET`.
     """
     w = bits + guard
+    if (size := num.bit_length() + w) > (cap := BUDGET.get().bits):
+        raise ResourceBudgetError(f"ln operand of {size:,} bits over the {cap:,}-bit budget")
     one = 1 << w
     z_lo, z_hi = (num << w) // den, -(-(num << w) // den)
     zsq_lo, zsq_hi = z_lo * z_lo >> w, -(-(z_hi * z_hi) >> w)
@@ -387,8 +394,17 @@ class SqrtSource(Record):
         return sqrt_interval(self.radicand, _level_bits(level))
 
 
+def _ln_numerators(x: Fraction, w: int, logs: dict) -> tuple[int, int]:
+    key = (x.numerator, x.denominator, w)
+    if key not in logs:
+        logs[key] = tuple((v.numerator << w) // v.denominator for v in ln_interval(x, w))
+    return logs[key]
+
+
 class LogRatioSource(Record):
-    """log(num)/log(den) for positive rationals, den != 1."""
+    """log(num)/log(den) for positive rationals, den != 1.  Level k rounds it
+    outward to the 2^-bits grid, bits = BASE_BITS * 2^k, by the floor and the
+    ceiling of the endpoint quotients of the logs' 2^-(bits+8) grid numerators."""
 
     num: Fraction
     den: Fraction
@@ -399,12 +415,52 @@ class LogRatioSource(Record):
         if self.den == 1:
             raise InputError("log-ratio denominator log(1) = 0")
 
-    def interval(self, level: int) -> Iv:
+    def _grid(self, level: int, logs: dict) -> tuple[int, int]:
+        """Level `level` over 2^bits.  `logs` maps (p, q, w) to ln_interval(p/q, w)
+        over 2^w."""
         bits = _level_bits(level)
         if self.num == 1:
-            return iv_exact(_ZERO)
-        return _round_out(iv_div(ln_interval(self.num, bits + 8),
-                                 ln_interval(self.den, bits + 8)), bits)
+            return (0, 0)
+        w = bits + 8
+        (a0, a1), (b0, b1) = (_ln_numerators(x, w, logs) for x in (self.num, self.den))
+        if b0 <= 0 <= b1:
+            raise InputError("interval reciprocal across zero")
+        if b1 < 0:  # a/b = (-a)/(-b)
+            a0, a1, b0, b1 = -a1, -a0, -b1, -b0
+        return ((a0 << bits) // (b1 if a0 >= 0 else b0),
+                -(-(a1 << bits) // (b0 if a1 >= 0 else b1)))
+
+    def interval(self, level: int) -> Iv:
+        lo, hi = self._grid(level, {})
+        g = 1 << _level_bits(level)
+        return (Fraction(lo, g), Fraction(hi, g))
+
+    def within(self, bits: int, logs: Optional[dict] = None) -> Iv:
+        """`RealEnclosure.from_source(self).refined_to(2^-bits).as_iv()`, from
+        the fewest levels it depends on.  The ratio lies strictly inside each
+        level, whose ends are on its grid, and the grids are nested.  So no
+        level with a step over 2^-bits is narrow enough, and a coarser level
+        cuts only where one of its grid points lies inside.  A den in (1/2, 2)
+        starts at level 0, where its log may round across zero (InputError).
+        Calls may share `logs`."""
+        logs = {} if logs is None else logs
+        level = 0
+        while (_level_bits(level) < bits and level < BUDGET.get().steps
+               and not _HALF < self.den < 2):
+            level += 1
+        lo, hi = self._grid(level, logs)
+        top = _level_bits(level)
+        for coarse in reversed(range(level)):
+            shift = top - _level_bits(coarse)
+            if ((lo >> shift) + 1) << shift >= hi:
+                break
+            c_lo, c_hi = self._grid(coarse, logs)
+            lo, hi = max(lo, c_lo << shift), min(hi, c_hi << shift)
+        iv = (Fraction(lo, 1 << top), Fraction(hi, 1 << top))
+        if (hi - lo) << bits <= 1 << top:
+            return iv
+        # still wider than asked: refine on, or raise at the cap, as `refined_to` does
+        return RealEnclosure(*iv, self, level).refined_to(Fraction(1, 1 << bits)).as_iv()
 
 
 class AffineSource(Record):

@@ -16,6 +16,7 @@ class Budget(Record):
 
     steps: int = 12         # refinement levels of one enclosure (PrecisionError)
     bits: int = 1 << 23     # bit length of one sparse-number operand (PrecisionError)
+                            # or ln fixed-point operand (ResourceBudgetError)
     cells: int = 1 << 22    # cells one enumeration may return (ResourceBudgetError)
 
 
@@ -31,7 +32,7 @@ class HypothesisViolation(InputError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """A cell enumeration or a printed integer would exceed its limit."""
+    """A cell enumeration, an ln operand or a printed integer would exceed its limit."""
 
 
 class PrecisionError(RuntimeError):

@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Union
 
 from .digitsets import (CantorMeasureValue, MissingDigitSet, enumerate_centers,
                         center_count, grid_cdf, measure_union)
-from .enclosures import (Iv, LogRatioSource, RealEnclosure, exponent_enclosure, iv_add,
+from .enclosures import (Iv, LogRatioSource, exponent_enclosure, iv_add,
                          iv_cmp, iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
 from .errors import HypothesisViolation, InputError, PrecisionError
@@ -84,8 +84,8 @@ class Scalar(Record):
         exact = self.rational(dset)
         if exact is not None:
             return iv_exact(exact)
-        return self.at(exponent_enclosure(dset).refined_to(
-            Fraction(1, 1 << VALUE_BITS)).as_iv())
+        gamma = LogRatioSource(Fraction(dset.digit_count), Fraction(dset.base))
+        return self.at(gamma.within(VALUE_BITS))
 
     def compare(self, other: "Scalar", dset: MissingDigitSet) -> int:
         """Exact -1/0/+1 of self - other.
@@ -667,7 +667,6 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
     if count == 1:
         est = iv_exact(_ZERO)
     else:
-        src = LogRatioSource(Fraction(count), Fraction(scale))
-        est = RealEnclosure.from_source(src).refined_to(Fraction(1, 1 << 48)).as_iv()
+        est = LogRatioSource(Fraction(count), Fraction(scale)).within(48)
     return BoxDimensionEstimate(n=n, level=level, count=count, estimate=est,
                                 coprime=coprime)

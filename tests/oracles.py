@@ -7,8 +7,11 @@ a `Fraction` digit walk and a per-cell scan for membership,
 `Fraction` ball endpoints for the layer unions and the natural cover
 the library builds on an integer grid, a per-cell `prefix_allowed`
 scan for the box count the library takes from prefix ranks, argparse
-for the command line the library parses from its option tables, and a
-decimal exponent found from digit counts for the rendered decimals.
+for the command line the library parses from its option tables, a
+decimal exponent found from digit counts for the rendered decimals,
+`Fraction` interval division for the log ratios the library divides on
+grid numerators, and a `Fraction` Euclid for the continued-fraction
+quotients the library reads off integer pairs in lockstep.
 `under_budget` runs a call under a chosen per-call `Budget`.
 """
 
@@ -25,7 +28,9 @@ from cantorapprox import (AffineSource, Layer, MembershipResult, MissingDigitSet
                           PrecisionError, RatInterval, SqrtSource, cli, enumerate_centers,
                           layers, measure_union)
 from cantorapprox.digitsets import measure_pair
+from cantorapprox.enclosures import BASE_BITS, Iv, _round_out, iv_div, ln_interval
 from cantorapprox.errors import BUDGET, Budget
+from cantorapprox.records import Record
 from cantorapprox.intervals import clip_union, merge_pairs
 
 try:
@@ -351,3 +356,69 @@ def decimal_str(fr: Fraction, sig: int = 15) -> str:
             return sign + digits[:e + 1] + "." + digits[e + 1:]
         return sign + "0." + "0" * (-e - 1) + digits
     return sign + digits[0] + "." + digits[1:] + "e" + str(e)
+
+
+class FractionLogRatioSource(Record):
+    """log(num)/log(den) with each level the `Fraction` quotient of the two
+    logs' enclosures on the 2^-(bits+8) grid, rounded outward to the
+    2^-bits grid (bits = BASE_BITS * 2^level)."""
+
+    num: Fraction
+    den: Fraction
+
+    def interval(self, level: int) -> Iv:
+        bits = BASE_BITS << level
+        if self.num == 1:
+            return (ZERO, ZERO)
+        return _round_out(iv_div(ln_interval(self.num, bits + 8),
+                                 ln_interval(self.den, bits + 8)), bits)
+
+
+def extract_certified(iv: Iv, depth: int) -> list[int]:
+    """The continued-fraction quotients every number in [lo, hi] shares, at
+    most `depth` of them, by one `Fraction` Euclid step per quotient."""
+    lo, hi = iv
+    quotients: list[int] = []
+    while len(quotients) < depth:
+        if lo <= 0:
+            break  # remainder could vanish: the next quotient is unbounded
+        inv_lo, inv_hi = 1 / hi, 1 / lo
+        a_lo, a_hi = inv_lo.__floor__(), inv_hi.__floor__()
+        if a_lo != a_hi or a_lo < 1:
+            break
+        quotients.append(a_lo)
+        lo, hi = inv_lo - a_lo, inv_hi - a_lo
+    return quotients
+
+
+def _drop_zero_quotients(quotients: list[int]) -> list[int]:
+    """[.., a, 0, b, ..] = [.., a + b, ..], applied until no zero is left
+    inside the list."""
+    out: list[int] = []
+    for a in quotients:
+        if out and out[-1] == 0:
+            out.pop()
+            out[-1] += a
+        else:
+            out.append(a)
+    return out
+
+
+def folded_sparse_quotients(base: int, exponents: list[int]) -> list[int]:
+    """Quotients a_1.. of sum_n base^(-e_n) over the given exponents, by the
+    folding lemma alone (van der Poorten & Shallit, J. Number Theory 1992):
+    if p/q = [0; a_1, .., a_n] with n even, then p/q + 1/(y q^2) =
+    [0; a_1, .., a_n, y - 1, 1, a_n - 1, a_(n-1), .., a_1].
+
+    The truncation with e_1..e_t has q = base^e_t, so the next term is
+    1/(y q^2) with y = base^(e_(t+1) - 2 e_t), which needs
+    e_(t+1) >= 2 e_t.  The list has even length, so its last quotient
+    may be 1 (the other expansion ends in a_n + 1)."""
+    quotients = [base ** exponents[0] - 1, 1]  # 1/b^e = [0; b^e - 1, 1]
+    for prev, e in zip(exponents, exponents[1:]):
+        if e < 2 * prev:
+            raise ValueError("folding needs e_(t+1) >= 2 e_t")
+        y = base ** (e - 2 * prev)
+        quotients = _drop_zero_quotients(
+            quotients + [y - 1, 1, quotients[-1] - 1] + quotients[-2::-1])
+    return quotients

@@ -317,6 +317,35 @@ def test_layer_reports_match_their_pinned_hashes(argv):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[argv]
 
 
+# sha256 of the whole report of continued-fraction, exponent and xi commands
+# the benchmark does not run, computed when each log ratio was a `Fraction`
+# interval quotient refined from level 0, and each certified quotient a
+# `Fraction` Euclid step (dim-estimate --tau 3/2 --n 11 is pinned below).
+# The JSON report of the factorial cf holds a quotient past the int-to-str
+# limit, so its CSV is pinned
+PINNED_ENCLOSURE_REPORTS = {
+    "cf --x xi --rule factorial --terms 3 --depth 200 --output csv":
+        "88b9cfc787e74f14ca02923b10ec613ce2025a8f7730306ba0732bf164ef0c9e",
+    "exponent --x xi --tau 3 --terms 6 --depth 120 --min-q 50":
+        "d6effb1e4ec8bd0d34736bce1d101b2e06dbadcc03128d353474497f0dc0e764",
+    "cf --x gamma --set 5:0,2,3 --depth 60":
+        "d95663abc88bb7eef4fda3b6634a8596d840adaf76fbfe385ddf49c3282d8a5e",
+    "xi-verify --tau 3 --terms 6":
+        "3d7a0558d0c69394cce6ae5d70a2d5337f59b25a34744755251097227edb7354",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_ENCLOSURE_REPORTS))
+def test_enclosure_reports_match_their_pinned_hashes(argv):
+    text, _ = run_command(argv.split())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ENCLOSURE_REPORTS[argv]
+
+
+def test_deep_factorial_cf_report_is_past_the_print_limit():
+    with pytest.raises(ResourceBudgetError, match="int-to-str limit"):
+        run_command("cf --x xi --rule factorial --terms 3 --depth 200".split())
+
+
 # sha256 of the whole JSON report, computed when the box count tested every
 # cell near every ball on Fractions, full-cover merged Fraction balls, and
 # cf-interval ran beside the continued-fraction expansion

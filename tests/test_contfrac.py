@@ -1,8 +1,9 @@
+import json
 from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorapprox import (AffineSource, InputError, MissingDigitSet, RealEnclosure,
@@ -11,10 +12,14 @@ from cantorapprox import (AffineSource, InputError, MissingDigitSet, RealEnclosu
                           irrationality_exponent_estimate, legendre_is_convergent,
                           prefix_interval_disjoint_from, build_sparse_number,
                           PowerRule, FactorialRule, LogRatioSource)
+from cantorapprox import enclosures
+from cantorapprox.cli import run_command
+from cantorapprox.contfrac import _extract_certified
 from cantorapprox.enclosures import BASE_BITS, as_enclosure, iv_abs, iv_exact, iv_sub
 from cantorapprox.errors import Budget
 
-from oracles import mp_interval, mp_real, needs_mpmath, under_budget
+from oracles import (extract_certified, folded_sparse_quotients, mp_interval, mp_real,
+                     needs_mpmath, under_budget)
 
 K = MissingDigitSet.middle_thirds()
 
@@ -69,6 +74,55 @@ def test_expansion_out_of_truncation_budget_keeps_its_certified_quotients():
     truncation = sum(F(2, 3 ** e) for e in (3, 9, 27, 81))
     assert 1 <= len(cf.quotients) < 60
     assert list(cf.quotients) == _euclid(truncation)[:len(cf.quotients)]
+
+
+unit_fractions = st.fractions(min_value=-1, max_value=2, max_denominator=10 ** 30)
+# [1/(n + u), 1/(n + v)] for u >= v in [0, 1]: a first quotient n of up to 4000 bits
+tails = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 12)
+huge_first = st.builds(lambda n, u, v: (1 / (n + max(u, v)), 1 / (n + min(u, v))),
+                       st.integers(min_value=2 ** 64, max_value=2 ** 4000), tails, tails)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(unit_fractions, unit_fractions).map(sorted),
+                 unit_fractions.map(lambda v: (v, v)), huge_first),
+       st.integers(min_value=1, max_value=60))
+@example((F(0), F(1, 2)), 5)      # lo == 0: the remainder could vanish
+@example((F(-1, 3), F(1, 2)), 5)  # lo < 0
+@example((F(2, 7), F(2, 7)), 5)   # lo == hi: the whole expansion
+@example((F(2, 7), F(1, 3)), 5)   # 1/hi is an integer: then lo's remainder vanishes
+@example((F(1, 2), F(3, 2)), 5)   # hi > 1: a first quotient 0
+@example((F(2, 2 * 3 ** 500 + 1), F(3, 3 * 3 ** 500 + 1)), 5)  # 3^500, then 2 against 3
+def test_integer_extraction_matches_the_fraction_euclid(iv, depth):
+    iv = tuple(iv)
+    assert _extract_certified(iv, depth) == extract_certified(iv, depth)
+
+
+def _cf_value(quotients) -> F:
+    x = F(0)
+    for a in reversed(quotients):
+        x = 1 / (a + x)
+    return x
+
+
+@pytest.mark.parametrize("rule, tau", [(FactorialRule(), "3"), (PowerRule(F(3)), "3"),
+                                       (PowerRule(F(5, 2)), "5/2")])
+@pytest.mark.parametrize("terms", [2, 3, 4, 5])
+def test_certified_quotients_of_xi_begin_its_folded_expansion(rule, tau, terms):
+    """With one refinement level the last enclosure of xi (coefficient 1)
+    holds the truncation with terms + 2 terms, so its certified quotients
+    begin that truncation's expansion, built by folding alone."""
+    exponents = build_sparse_number(3, 1, rule, terms).exponents_up_to(terms + 2)
+    folded = folded_sparse_quotients(3, list(exponents))
+    assert _cf_value(folded) == sum(F(1, 3 ** e) for e in exponents)
+    argv = ["cf", "--x", "xi", "--coeff", "1", "--tau", tau, "--terms", str(terms),
+            "--depth", "1000", "--precision-budget", "1"]
+    if isinstance(rule, FactorialRule):
+        argv += ["--rule", "factorial"]
+    text, _ = run_command(argv)
+    quotients = json.loads(text)["results"]["quotients"]
+    assert 2 <= len(quotients) < len(folded)
+    assert quotients == folded[:len(quotients)]
 
 
 def test_golden_ratio_prefix():
@@ -233,6 +287,17 @@ def test_exponent_estimate_xi3():
     cf = continued_fraction_expand(xi, 40)
     est = irrationality_exponent_estimate(cf, min_denominator=50)
     assert F(29, 10) <= est.lo <= est.hi <= F(31, 10)
+
+
+def test_exponent_estimate_takes_each_log_once(monkeypatch):
+    cf = continued_fraction_expand(build_sparse_number(3, 2, PowerRule(F(3)), 5), 40)
+    want = irrationality_exponent_estimate(cf, min_denominator=50)
+    calls = []
+    ln = enclosures.ln_interval
+    monkeypatch.setattr(enclosures, "ln_interval",
+                        lambda x, bits: calls.append((x, bits)) or ln(x, bits))
+    assert irrationality_exponent_estimate(cf, min_denominator=50) == want
+    assert len(calls) == len(set(calls)) > 2
 
 
 def test_exponent_estimate_xi_band():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorapprox import (AffineSource, InputError, LogRatioSource, PrecisionError,
-                          RealEnclosure, SqrtSource, UndecidableFloorError,
+                          RealEnclosure, ResourceBudgetError, SqrtSource, UndecidableFloorError,
                           canonicalize_rational, enclose_real, floor_power, iroot)
 from cantorapprox import enclosures
 from cantorapprox.enclosures import (_atanh_interval, _exp_point, _ln2_interval, _ln_fixed,
@@ -18,7 +18,8 @@ from cantorapprox.enclosures import (_atanh_interval, _exp_point, _ln2_interval,
                                      ln_interval, nthroot_interval, rational_pow, sqrt_interval)
 from cantorapprox.errors import BUDGET, Budget
 
-from oracles import gamma_cmp, mp_interval, mp_real, needs_mpmath, under_budget
+from oracles import (FractionLogRatioSource, gamma_cmp, mp_interval, mp_real, needs_mpmath,
+                     under_budget)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -323,6 +324,88 @@ def test_log_ratio_source_contains_mpmath_ratio(num, den, level):
     mlo, mhi = mp_interval(lambda iv: _mp_ln(iv, num) / _mp_ln(iv, den),
                            2 * bits + _size(num, den))
     assert lo <= mlo <= mhi <= hi
+
+
+def test_ln_operand_over_the_bit_budget_is_a_resource_error():
+    # 3^2000 = 2^3169 y: the fixed-point operand is (3^2000 - 2^3169)
+    # * 2^(48 + 64), of 3,169 + 112 bits
+    x = F(3 ** 2000)
+    with pytest.raises(ResourceBudgetError, match=r"^ln operand of 3,281 bits over the "
+                       r"3,280-bit budget$"):
+        under_budget(Budget(bits=3280), ln_interval, x, 48)
+    assert under_budget(Budget(bits=3281), ln_interval, x, 48) == ln_interval(x, 48)
+
+
+def _outcome(call, *args):
+    """("ok", value) or (exception type, message with the oracle's class name
+    read as the library's)."""
+    try:
+        return ("ok", call(*args))
+    except (InputError, PrecisionError) as exc:
+        return (type(exc), str(exc).replace("FractionLogRatioSource", "LogRatioSource"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_ratio_args, log_ratio_args, st.integers(min_value=0, max_value=3))
+@example(F(2), F(1) + F(1, 2 ** 50), 0)  # log(den) rounds across zero
+@example(F(1), F(5), 2)
+def test_log_ratio_levels_match_the_fraction_quotient(num, den, level):
+    assert (_outcome(LogRatioSource(num, den).interval, level)
+            == _outcome(FractionLogRatioSource(num, den).interval, level))
+
+
+def _refined(source, bits):
+    return RealEnclosure.from_source(source).refined_to(F(1, 2 ** bits)).as_iv()
+
+
+q_pairs = st.one_of(
+    st.lists(st.integers(min_value=2, max_value=2 ** 4096 - 1), min_size=2, max_size=2,
+             unique=True).map(sorted),
+    # q1 = q0^k: the ratio k is a point of every grid, inside every level
+    st.builds(lambda q, k: [q, q ** k], st.integers(min_value=2, max_value=2 ** 500),
+              st.integers(min_value=2, max_value=8)))
+budgets = st.sampled_from([Budget(), Budget(steps=0), Budget(steps=1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(q_pairs.map(lambda qs: (F(qs[1]), F(qs[0]))),
+                 st.tuples(log_ratio_args, log_ratio_args),
+                 log_ratio_args.map(lambda den: (F(1), den))),
+       st.sampled_from([48, 96]), budgets)
+@example((F(9), F(3)), 48, Budget())
+@example((F(3 ** 5), F(3)), 96, Budget(steps=1))
+@example((F(1), F(3)), 48, Budget())  # log(1) = 0 exactly
+@example((F(2), F(3)), 48, Budget(steps=0))
+@example((F(2), F(3)), 96, Budget(steps=1))
+@example((F(2), F(1) + F(1, 2 ** 50)), 48, Budget())
+def test_log_ratio_within_matches_the_refined_fraction_enclosure(ratio, bits, budget):
+    got = _outcome(under_budget, budget, LogRatioSource(*ratio).within, bits)
+    want = _outcome(under_budget, budget, _refined, FractionLogRatioSource(*ratio), bits)
+    assert got == want
+
+
+def _grid_levels(levels):
+    """A `LogRatioSource._grid` whose levels are the given numerator pairs
+    over 2^bits, and an InputError where a level is None."""
+    def grid(self, level, logs):
+        if levels[level] is None:
+            raise InputError("interval reciprocal across zero")
+        return levels[level]
+    return grid
+
+
+# levels no log ratio has been seen to give, for the two rules that can
+# only matter in them: a level-0 end p/2^32 inside level 1 cuts it, and a
+# den near 1 can round to a level 0 across zero under a level 1 that has no
+# level-0 grid point inside
+@pytest.mark.parametrize("den, levels", [
+    (F(3), [(7 << 33, (7 << 33) + 1), ((7 << 65) - 5, (7 << 65) + 3)]),
+    (F(1) + F(1, 2 ** 50), [None, ((7 << 64) + 7, (7 << 64) + 9)]),
+])
+def test_log_ratio_within_intersects_as_refinement_does(monkeypatch, den, levels):
+    monkeypatch.setattr(LogRatioSource, "_grid", _grid_levels(levels))
+    source = LogRatioSource(F(2), den)
+    assert _outcome(source.within, 48) == _outcome(_refined, source, 48)
 
 
 @given(st.integers(min_value=2, max_value=50), st.integers(min_value=2, max_value=9),
