@@ -28,9 +28,12 @@ def build_xi(args) -> SparseDigitNumber:
 def _feasible_truncations(x: SparseDigitNumber):
     out = []
     for s in range(1, x.terms + 1):
-        if x.exponent(s) * x.base.bit_length() > render.RENDER_INT_BITS:
+        if x.exponent(s) > render.RENDER_INT_BITS:  # then q_s = b^(e_s) is not built
             break
-        out.append((s, *x.truncation(s)))
+        p, q = x.truncation(s)
+        if q.bit_length() > render.RENDER_INT_BITS:  # the rule of `cf_report`
+            break
+        out.append((s, p, q))
     return out
 
 

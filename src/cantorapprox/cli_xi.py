@@ -12,6 +12,7 @@ from .cli_contfrac import cf_report, exponent_report
 from .cli_sparse import build_xi
 from .contfrac import continued_fraction_expand, legendre_is_convergent
 from .digitsets import membership
+from .errors import InputError
 from .sparse import truncation_reports
 
 
@@ -31,15 +32,18 @@ def cmd_xi_verify(args, dset):
     cf_depth = args.cf_depth
     cf = continued_fraction_expand(x, cf_depth)
     truncations = [x.truncation(s) for s in range(1, x.terms)]
+    verdicts = [legendre_is_convergent(p, q, x) for p, q in truncations]
     # a truncation certified by Legendre's bound must be among the
     # convergents: double the expansion depth until they all are, or until
     # the expansion stops short of the depth asked for
-    certified = {pq for pq in truncations if legendre_is_convergent(*pq, x) == "yes"}
-    while cf.certified_depth == cf_depth and not certified <= set(cf.convergents):
+    certified = [pq for pq, v in zip(truncations, verdicts) if v == "yes"]
+    while cf.certified_depth == cf_depth and not set(certified) <= set(cf.convergents):
         cf_depth *= 2
         cf = continued_fraction_expand(x, cf_depth)
-    legendre = [{"s": s, "verdict": legendre_is_convergent(p, q, x, cf)}
-                for s, (p, q) in enumerate(truncations, start=1)]
+    for p, q in certified:
+        if (p, q) not in cf.convergents:
+            raise InputError(f"certified Legendre bound but ({p},{q}) not among the convergents")
+    legendre = [{"s": s, "verdict": v} for s, v in enumerate(verdicts, start=1)]
     rows = []
     for rep in reports:
         rows.append({

@@ -3,13 +3,14 @@ and finite-window irrationality-exponent estimates.  The prefix
 intervals of cf-interval live in `intervals` and `digitsets`, which load
 no enclosure code, and are re-exported here (see `__all__`).
 
-For rational inputs the expansion is the exact Euclidean one.  For
-enclosure-valued reals a quotient is emitted only once the current
-enclosure pins it down uniquely: the Euclidean algorithms of the two
-endpoints run in lockstep on integers until their quotients part.
-Otherwise the input is refined and the extraction replayed, which is
-what prevents the classic wrong-quotient-from-rounding failure.  An
-exponent estimate takes each convergent denominator's log once.
+One Euclid serves every input: a quotient is emitted only once the
+current enclosure pins it down uniquely, the Euclidean algorithms of the
+two endpoints running in lockstep on integers until their quotients
+part.  A rational x is the point enclosure [x, x], whose two runs never
+part, so its expansion is the exact Euclidean one.  Otherwise the input
+is refined and the extraction replayed, which is what prevents the
+classic wrong-quotient-from-rounding failure.  An exponent estimate
+takes each convergent denominator's log once.
 """
 
 from __future__ import annotations
@@ -50,18 +51,6 @@ class ContinuedFraction(Record):
         return len(self.quotients)
 
 
-def _expand_rational(x: Fraction, depth: int) -> ContinuedFraction:
-    num, den = x.numerator, x.denominator
-    quotients = []
-    a, b = den, num  # start from 1/x
-    while b and len(quotients) < depth:
-        q, r = divmod(a, b)
-        quotients.append(q)
-        a, b = b, r
-    return ContinuedFraction(tuple(quotients), convergents_from_quotients(quotients),
-                             exact=(b == 0), exhausted=(b != 0))
-
-
 def _extract_certified(iv: Iv, depth: int) -> list[int]:
     """Quotients of every number in the interval, for as long as they agree:
     the Euclidean algorithms of both endpoints' numerators and denominators
@@ -87,22 +76,22 @@ def continued_fraction_expand(x: Union[Fraction, RealEnclosure, int],
     # an exact x has lo = hi in (0,1); a wider enclosure lies in [0,1]
     if not (_ZERO <= enc.lo < _ONE and _ZERO < enc.hi <= _ONE):
         raise InputError("x must lie in (0,1)")
-    while not enc.is_exact:
+    while True:
         quotients = _extract_certified(enc.as_iv(), depth)
-        if len(quotients) == depth:
+        if enc.is_exact or len(quotients) == depth:
             break
         try:
             enc = enc.refine()
         except PrecisionError:  # at the cap, without a source, or out of the source's budget
             break
-    else:  # x is rational, or refinement collapsed to a rational
-        return _expand_rational(enc.lo, depth)
-    return ContinuedFraction(tuple(quotients), convergents_from_quotients(quotients),
-                             exact=False, exhausted=len(quotients) < depth)
+    convergents = convergents_from_quotients(quotients)
+    # a rational x is expanded completely when its last convergent is x
+    exact = enc.is_exact and convergents[-1] == (enc.lo.numerator, enc.lo.denominator)
+    return ContinuedFraction(tuple(quotients), convergents, exact=exact,
+                             exhausted=not exact if enc.is_exact else len(quotients) < depth)
 
 
-def legendre_is_convergent(p: int, q: int, x: Union[Fraction, RealEnclosure],
-                           cf: Optional[ContinuedFraction] = None) -> str:
+def legendre_is_convergent(p: int, q: int, x: Union[Fraction, RealEnclosure]) -> str:
     """"yes" when |x - p/q| < 1/(2 q^2) is certified (then p/q is a convergent);
     "not_implied" when the bound is certified to fail.  Not a disproof."""
     if q < 1:
@@ -121,10 +110,7 @@ def legendre_is_convergent(p: int, q: int, x: Union[Fraction, RealEnclosure],
         if diff[0] >= bound:
             return "not_implied"
         return None
-    result = as_enclosure(x).decide(verdict)  # PrecisionError once refinement runs out
-    if result == "yes" and cf is not None and (p, q) not in cf.convergents:
-        raise InputError(f"certified Legendre bound but ({p},{q}) not among the convergents")
-    return result
+    return as_enclosure(x).decide(verdict)  # PrecisionError once refinement runs out
 
 
 class ExponentEstimate(Record):

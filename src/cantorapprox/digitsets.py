@@ -9,7 +9,10 @@ an integer over a power of #digits.  The digit stream of r/q is periodic
 after a pre-period s read off from q (the number of times gcd(q, b) can
 be divided out), so the cycle closes the first time the remainder
 returns to its value at step s, with a geometric-series identity.  The
-measure of any rational interval is therefore an exact Fraction.
+measure of any rational interval is therefore an exact Fraction.  The
+same walk, `_digit_walk`, decides membership of a rational that is not
+b-adic: it is in K exactly when every digit up to the cycle's close is
+allowed.
 
 Level-n basic intervals (cylinders) are counted by two prefix ranks,
 `_cell_count`, and listed only to read off the b-adic centers p/b^n in
@@ -162,7 +165,7 @@ def _preperiod(q: int, b: int) -> tuple[int, int]:
 
 def _rational_status(dset: MissingDigitSet, x: Fraction) -> MembershipResult:
     """Membership of x in [0,1]: a b-adic x = p/b^s by the rule of
-    `enumerate_centers`, any other by its pre-period and first period."""
+    `enumerate_centers`, any other by the digit walk of `cantor_cdf`."""
     b, allowed = dset.base, dset._digitset
     r, q = x.numerator, x.denominator
     s, rest = _preperiod(q, b)
@@ -171,15 +174,7 @@ def _rational_status(dset: MissingDigitSet, x: Fraction) -> MembershipResult:
         then_0s = 0 in allowed and p < b ** s and dset.prefix_allowed(p, s)
         then_top = b - 1 in allowed and p > 0 and dset.prefix_allowed(p - 1, s)
         return IN if then_0s or then_top else OUT
-    r_s = r * pow(b, s, q) % q  # the remainder after the pre-period
-    k = 0
-    while True:
-        d, r = divmod(r * b, q)
-        k += 1
-        if d not in allowed:
-            return OUT
-        if k > s and r == r_s:
-            return IN
+    return IN if _digit_walk(dset, r, q, s)[-1] else OUT
 
 
 def _enclosure_status(dset: MissingDigitSet, lo: Fraction, hi: Fraction,
@@ -332,12 +327,23 @@ def cantor_cdf(dset: MissingDigitSet, x: Fraction | int, den: int = 1) -> Fracti
         return _ONE
     g = gcd(r, q)
     r, q = r // g, q // g
+    s, _ = _preperiod(q, dset.base)
+    acc_s, acc, period, inside = _digit_walk(dset, r, q, s)
+    m = dset.digit_count
+    if inside and period:  # the L digits repeat forever
+        return Fraction(acc - acc_s, m ** s * (m ** period - 1))
+    return Fraction(acc, m ** (s + period))
+
+
+def _digit_walk(dset: MissingDigitSet, r: int, q: int, s: int) -> tuple[int, int, int, bool]:
+    """(A_s, A, L, whether every digit read is allowed): the walk that
+    `cantor_cdf` describes, over r/q in lowest terms with pre-period s.
+    L = 0 when it stops at the prefix."""
     b, m = dset.base, dset.digit_count
-    s, _ = _preperiod(q, b)
     k, r = divmod(r * b ** s, q)
     acc, inside = _prefix_rank(dset, k, s)
     if not inside or r == 0:
-        return Fraction(acc, m ** s)
+        return acc, acc, 0, inside
     below, allowed = dset._below, dset._digitset
     r_s, acc_s = r, acc
     period = 0
@@ -345,10 +351,8 @@ def cantor_cdf(dset: MissingDigitSet, x: Fraction | int, den: int = 1) -> Fracti
         d, r = divmod(r * b, q)
         acc = acc * m + below[d]
         period += 1
-        if d not in allowed:
-            return Fraction(acc, m ** (s + period))
-        if r == r_s:
-            return Fraction(acc - acc_s, m ** s * (m ** period - 1))
+        if d not in allowed or r == r_s:
+            return acc_s, acc, period, d in allowed
 
 
 def grid_cdf(dset: MissingDigitSet, n: int, grid: int,

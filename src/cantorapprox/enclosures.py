@@ -204,20 +204,19 @@ def _scaled_floor_ceil(x: Fraction, shift: int) -> tuple[int, int]:
     return n // x.denominator, -(-n // x.denominator)
 
 
-def _ln_fixed(num: int, den: int, e: int, ln2: Iv, terms: int, bits: int,
-              guard: int) -> Optional[Iv]:
+def _ln_fixed(num: int, den: int, e: int, ln2: Iv, terms: int, bits: int) -> Optional[Iv]:
     """The enclosure `ln_interval` rounds to the 2^-bits grid, or None if undecided.
 
     With z = num/den in [0, 1/3), T the first `terms` atanh(z) terms and
     tail their geometric tail bound, the exact path rounds
     [2 T + e ln2_lo, 2 (T + tail) + e ln2_hi] outward.  Here the same sums
-    run on integers scaled by 2^(bits+guard), once with every step rounded
+    run on integers scaled by 2^(bits+_GUARD), once with every step rounded
     down and once rounded up, which brackets each endpoint between two
     integers.  If both integers of a bracket round to the same grid point,
     that point is the exact path's endpoint.  ResourceBudgetError when
-    num * 2^(bits+guard) would pass the `bits` of `errors.BUDGET`.
+    num * 2^(bits+_GUARD) would pass the `bits` of `errors.BUDGET`.
     """
-    w = bits + guard
+    w = bits + _GUARD
     if (size := num.bit_length() + w) > (cap := BUDGET.get().bits):
         raise ResourceBudgetError(f"ln operand of {size:,} bits over the {cap:,}-bit budget")
     one = 1 << w
@@ -235,10 +234,10 @@ def _ln_fixed(num: int, den: int, e: int, ln2: Iv, terms: int, bits: int,
     tail_hi = -(-(p_hi << w) // (d * (one - zsq_hi)))
     a_lo, a_hi = _scaled_floor_ceil(ln2[0] * e, w)
     b_lo, b_hi = _scaled_floor_ceil(ln2[1] * e, w)
-    lo = (2 * t_lo + a_lo) >> guard
-    hi = -(-(2 * (t_hi + tail_hi) + b_hi) >> guard)
-    if ((2 * t_hi + a_hi) >> guard != lo
-            or -(-(2 * (t_lo + tail_lo) + b_lo) >> guard) != hi):
+    lo = (2 * t_lo + a_lo) >> _GUARD
+    hi = -(-(2 * (t_hi + tail_hi) + b_hi) >> _GUARD)
+    if ((2 * t_hi + a_hi) >> _GUARD != lo
+            or -(-(2 * (t_lo + tail_lo) + b_lo) >> _GUARD) != hi):
         return None
     g = 1 << bits
     return (Fraction(lo, g), Fraction(hi, g))
@@ -265,7 +264,7 @@ def ln_interval(x: Fraction, bits: int) -> Iv:
     terms = work // 3 + 4
     ln2 = _ln2_interval(work) if e else iv_exact(_ZERO)
     fast = _ln_fixed(y.numerator - y.denominator, y.numerator + y.denominator,
-                     e, ln2, terms, bits, _GUARD)
+                     e, ln2, terms, bits)
     if fast is not None:
         return fast
     # an exact endpoint on (or extremely near) the grid: sum exactly
@@ -290,8 +289,6 @@ def _e_interval(bits: int) -> Iv:
 
 def _exp_point(x: Fraction, bits: int) -> Iv:
     """Enclosure of e^x for rational x."""
-    if x == 0:
-        return iv_exact(_ONE)
     if x < 0:
         return iv_recip(_exp_point(-x, bits))
     n0 = x.__floor__()
@@ -322,10 +319,6 @@ def nthroot_interval(x: Fraction, k: int, bits: int) -> Iv:
     """Enclosure of x^(1/k) for x >= 0 and integer k >= 1."""
     if x < 0:
         raise InputError("even root of a negative value")
-    if x == 0:
-        return iv_exact(_ZERO)
-    if k == 1:
-        return iv_exact(x)
     p, q = x.numerator, x.denominator
     # x^(1/k) = (p q^(k-1))^(1/k) / q
     scaled = p * q ** (k - 1) << (k * bits)
@@ -343,8 +336,6 @@ def rational_pow(base: Fraction, expo: Fraction, bits: int) -> Iv:
     """Enclosure of base**expo for base > 0; exact whenever the power is rational."""
     if base <= 0:
         raise InputError("power of a non-positive base")
-    if expo == 0 or base == 1:
-        return iv_exact(_ONE)
     p, q = expo.numerator, expo.denominator
     if q == 1:
         return iv_exact(base ** p)
@@ -575,7 +566,7 @@ def enclose_real(spec: Union[EnclosureSource, Fraction, int], width_target) -> R
 
 
 def floor_power(lam: Real, tau: Real, n: int) -> int:
-    """Exact floor(lam * tau**n); escalates precision until the floor is certain."""
+    """Exact floor(lam * tau**n); refines until the floor is certain, at once for exact inputs."""
     if n < 1:
         raise InputError("floor_power needs n >= 1")
     lam_e, tau_e = as_enclosure(lam), as_enclosure(tau)
@@ -583,9 +574,6 @@ def floor_power(lam: Real, tau: Real, n: int) -> int:
         raise InputError("floor_power needs lam > 0")
     if tau_e.cmp_rational(1) <= 0:
         raise InputError("floor_power needs tau > 1")
-    if lam_e.is_exact and tau_e.is_exact:
-        v = lam_e.lo * tau_e.lo ** n
-        return v.__floor__()
     while True:
         val = iv_mul(lam_e.as_iv(), iv_intpow(tau_e.as_iv(), n))
         flo, fhi = val[0].__floor__(), val[1].__floor__()

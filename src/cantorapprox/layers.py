@@ -430,16 +430,16 @@ class ScanReport(Record):
     c_empirical: Optional[Iv]
 
 
-def classify_pair_case(dset: MissingDigitSet, psi: ApproxFunction,
-                       m: int, n: int) -> str:
-    """Case "i" when b^-n >= 2 psi(b^m) forces empty intersections."""
-    lhs = Fraction(dset.base) ** (-n)
-    val = psi_value(psi, dset, m)
-    if lhs >= 2 * val[1]:
+def classify_pair_case(layer_m: Layer, n: int) -> str:
+    """Case "i" when b^-n >= 2 psi(b^m), the level-m layer's radius, forces
+    empty intersections."""
+    lhs = Fraction(layer_m.dset.base) ** (-n)
+    lo, hi = layer_m.radius
+    if lhs >= 2 * hi:
         return "i"
-    if lhs < 2 * val[0]:
+    if lhs < 2 * lo:
         return "ii"
-    raise PrecisionError(f"case split undecided for pair ({m},{n})")
+    raise PrecisionError(f"case split undecided for pair ({layer_m.n},{n})")
 
 
 def quasi_independence_scan(dset: MissingDigitSet, psi: ApproxFunction,
@@ -466,7 +466,7 @@ def quasi_independence_scan(dset: MissingDigitSet, psi: ApproxFunction,
             inter = pairwise_measure(layers[m], layers[n])
             denom = (mm.lo * mn.lo, mm.hi * mn.hi)
             rho = iv_scale(iv_div((inter.lo, inter.hi), denom), mu_b)
-            rows.append(PairRow(m=m, n=n, case=classify_pair_case(dset, psi, m, n),
+            rows.append(PairRow(m=m, n=n, case=classify_pair_case(layers[m], n),
                                 mu_m=mm, mu_n=mn, mu_mn=inter, rho=rho))
     c_emp = None
     if rows:
@@ -664,9 +664,6 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
     count = sum(rank[hi] - rank[lo] for lo, hi in runs)
     if count == 0:
         raise InputError("layer misses every basic interval at the counting level")
-    if count == 1:
-        est = iv_exact(_ZERO)
-    else:
-        est = LogRatioSource(Fraction(count), Fraction(scale)).within(48)
+    est = LogRatioSource(Fraction(count), Fraction(scale)).within(48)
     return BoxDimensionEstimate(n=n, level=level, count=count, estimate=est,
                                 coprime=coprime)

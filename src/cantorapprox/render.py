@@ -79,8 +79,9 @@ def int_str(n: int) -> str:
 
 
 def rat_str(fr: Fraction) -> str:
+    """"num/den", or ResourceBudgetError past the int-to-str digit limit."""
     fr = Fraction(fr)
-    return f"{fr.numerator}/{fr.denominator}"
+    return f"{int_str(fr.numerator)}/{int_str(fr.denominator)}"
 
 
 def rational_json(fr: Fraction) -> dict:

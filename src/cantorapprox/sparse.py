@@ -158,10 +158,6 @@ class SparseDigitNumber:
             return OUT
         return IN
 
-    def __repr__(self):
-        return (f"SparseDigitNumber(base={self.base}, coefficient={self.coefficient}, "
-                f"rule={self.rule!r}, terms={self.terms})")
-
 
 def build_sparse_number(base: int, coefficient: int, rule: ExponentRule,
                         terms: int) -> SparseDigitNumber:

@@ -151,7 +151,7 @@ def test_c08_explicit_number_exact_order_regime():
     cf = continued_fraction_expand(xi, 40)
     for s in range(1, 5):
         p, q = xi.truncation(s)
-        assert legendre_is_convergent(p, q, xi, cf) == "yes"
+        assert legendre_is_convergent(p, q, xi) == "yes"
         assert (p, q) in cf.convergents
     est = irrationality_exponent_estimate(cf, min_denominator=50)
     assert F(29, 10) <= est.lo <= est.hi <= F(31, 10)

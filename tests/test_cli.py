@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cantorapprox import cli, cli_layers, render
+from cantorapprox import cli, cli_layers, cli_xi, layers, render
 from cantorapprox.cli import SUBCOMMAND_OPTIONS, build_parser, main, run_command
 from cantorapprox.errors import BUDGET, Budget, InputError, ResourceBudgetError
 from oracles import argparse_parser, under_budget
@@ -275,6 +275,19 @@ def test_integer_too_long_to_print_exits_3(capsys):
         render.int_str(10 ** sys.get_int_max_str_digits())
 
 
+# each report holds a radius, a partial sum or a cover mass whose
+# denominator, a power of 3 or 2, has more than 4,300 digits
+@pytest.mark.parametrize("output", [[], ["--output", "csv"]], ids=["json", "csv"])
+@pytest.mark.parametrize("argv", ["layer --psi pow:5000 --n 3",
+                                  "series --psi pow:5000 --f pow:1 --nmax 3",
+                                  "tail --psi pow:3000 --f pow:1 --n0 1 --nmax 4"])
+def test_rational_too_long_to_print_exits_3(argv, output, capsys):
+    assert main(argv.split() + output) == 3
+    assert capsys.readouterr().err == ("error: the report holds an integer of more than "
+                                       f"{sys.get_int_max_str_digits()} digits, the "
+                                       "int-to-str limit\n")
+
+
 def test_deep_cf_interval_over_narrow_range_answers():
     # [1, 1, ...] is [1/2, 2/3): only the cells near 1/2 and 2/3 are visited
     assert main(["cf-interval", "--quotients", "1,1", "--depth", "30"]) == 0
@@ -405,6 +418,84 @@ def test_pairwise_measures_each_layer_once_and_layer_parses_psi_once():
     with mock.patch.object(cli_layers, "parse_psi", wraps=cli_layers.parse_psi) as parsed:
         run_command(["layer", "--psi", "pow:2", "--n", "4"])
     assert parsed.call_count == 1
+
+
+def test_each_legendre_bound_and_case_split_radius_is_decided_once():
+    with mock.patch.object(cli_xi, "legendre_is_convergent",
+                           wraps=cli_xi.legendre_is_convergent) as decided:
+        run_command(["xi-verify", "--tau", "3", "--terms", "6"])
+    assert decided.call_count == 5  # one per truncation s = 1..5
+    with mock.patch.object(layers, "psi_value", wraps=layers.psi_value) as evaluated:
+        run_command(["quasi-scan", "--psi", "pow:2", "--nmax", "8"])
+    assert evaluated.call_count == 8  # one per layer, none per pair
+
+
+def test_series_stops_at_the_first_missing_table_value():
+    # psi(3) = 1/9 and psi(9) = 1/81 with f(r) = r give the terms 2 * 1/9
+    # and 4 * 1/81; the table has no psi(27)
+    text, _ = run_command("series --psi table:1=1/9,2=1/81 --f pow:1 --nmax 5".split())
+    res = json.loads(text)["results"]
+    assert [s["lo"]["rat"] for s in res["partial_sums"]] == ["2/9", "22/81"]
+    assert all(s["exact"] for s in res["partial_sums"])
+    assert res["verdict"] == "undetermined" and res["prediction"] == "not_applicable"
+
+
+def test_series_with_no_computable_term_exits_2(capsys):
+    # f(psi) of psi(r) = r^-2 (log r)^-gamma has the irrational log exponent gamma
+    assert main("series --psi powlog:2,gamma --f pow:1 --nmax 3".split()) == 2
+    assert capsys.readouterr().err == "error: no terms computable on the evaluation grid\n"
+
+
+def test_series_with_a_table_dimension_function():
+    # f(psi(3)) = 1/3 times the 2 centers' mass 2^1
+    res = json.loads(run_command("series --psi pow:2 --f table:1=1/3 --nmax 1".split())[0])
+    assert res["results"]["exponent_mode"] == "table"
+    assert res["results"]["partial_sums"][0]["lo"]["rat"] == "2/3"
+
+
+def test_series_sum_past_the_float_range_reads_inf_in_csv():
+    # psi(3) = 10^400 and f(r) = r: the one partial sum is 2 * 10^400
+    text, _ = run_command(["series", "--psi", f"table:1={10 ** 400}", "--f", "pow:1",
+                           "--nmax", "1", "--output", "csv"])
+    assert text == f"N,partial_sum,approx_lossy\n1,{2 * 10 ** 400}/1,inf\n"
+
+
+@pytest.mark.parametrize("argv, quotients, exact", [
+    # gamma of 4:0,3 is log 2 / log 4 = 1/2
+    ("cf --x gamma --set 4:0,3 --depth 5", [2], True),
+    # 1/sqrt 2 = [0; 1, 2, 2, ...] since sqrt 2 = [1; 2, 2, ...]
+    ("cf --x sqrt:1/2 --depth 20", [1] + [2] * 19, False),
+    ("cf --x 1/3 --depth 5", [3], True),
+    ("cf --x 7/10 --depth 2", [1, 2], False),
+])
+def test_cf_quotients_by_hand(argv, quotients, exact):
+    res = json.loads(run_command(argv.split())[0])["results"]
+    assert res["quotients"] == quotients
+    assert res["exact"] is exact
+    # a rational cut before its last quotient is exhausted
+    assert res["exhausted"] is (argv == "cf --x 7/10 --depth 2")
+
+
+@pytest.mark.parametrize("tau, terms, last", [("3", 9, 8), ("5/2", 11, 9), ("7/2", 7, 7),
+                                              ("5000", 2, 1)])
+def test_xi_build_prints_each_truncation_that_fits_the_print_limit(tau, terms, last):
+    # q_s = 3^e_s, e_s = floor(tau^s): 3^6561 (3, s = 8) has 10,399 bits,
+    # 3^6433 (7/2, s = 7) 10,196; 3^19683 (3, s = 9) and 3^9536 (5/2, s = 10)
+    # are over the 12,000-bit limit, and 3^25000000 (5000, s = 2) over the
+    # bit budget as well, so it is never built
+    text, _ = run_command(["xi-build", "--tau", tau, "--terms", str(terms)])
+    res = json.loads(text)["results"]
+    assert [t["s"] for t in res["truncations"]] == list(range(1, last + 1))
+    e = res["exponents"][last - 1]
+    assert res["truncations"][-1]["q"] == str(3 ** e)
+    assert (3 ** e).bit_length() <= render.RENDER_INT_BITS
+
+
+def test_xi_verify_extends_the_digit_stream_to_the_membership_depth():
+    # e_11 = 3^11 = 177,147 is the first exponent past depth 100,000; every
+    # digit is 0 or the coefficient 2
+    text, _ = run_command("xi-verify --tau 3 --terms 4 --depth 100000".split())
+    assert json.loads(text)["results"]["membership"] == {"depth": 100000, "verdict": "in"}
 
 
 def test_timing_flag_is_the_only_nondeterminism():

@@ -70,6 +70,11 @@ def test_membership_enclosure_verdicts():
     assert membership(gap, K, 3).is_out
     straddle = RealEnclosure(F(3, 10), F(4, 10))
     assert membership(straddle, K, 4).kind == "undetermined"
+    # a point enclosure is its rational; 1/4 = 0.0202... in base 3
+    assert membership(RealEnclosure.exact(F(1, 4)), K).is_in
+    assert membership(RealEnclosure(F(-2), F(-1)), K).is_out
+    assert membership(RealEnclosure(F(1, 2), F(3)), K) == digitsets.MembershipResult(
+        "undetermined", 0)
 
 
 def test_enumerate_examples():

@@ -57,6 +57,13 @@ def test_iroot_floor(n, k):
     assert r ** k <= n < (r + 1) ** k
 
 
+def test_even_power_of_an_interval_across_zero():
+    # x^2 over [-1, 2] takes every value in [0, 4]; an odd power keeps the order
+    assert iv_intpow((F(-1), F(2)), 2) == (F(0), F(4))
+    assert iv_intpow((F(-3), F(2)), 4) == (F(0), F(81))
+    assert iv_intpow((F(-3), F(2)), 3) == (F(-27), F(8))
+
+
 def _sqrt_interval_before(x: F, bits: int):
     """sqrt_interval's former body: isqrt of p q 4^bits over q 2^bits."""
     if x == 0:
@@ -263,7 +270,7 @@ def test_ln_fixed_is_the_exact_rounding_for_any_term_count(z, e, widen, terms, b
     # few terms and a wide ln 2 enclosure make every summand able to move the result
     ln2 = (F(693, 1000) - widen[0], F(693, 1000) + widen[1])
     unrounded = iv_add(iv_scale(_atanh_interval(z, terms), F(2)), iv_scale(ln2, F(e)))
-    got = _ln_fixed(z.numerator, z.denominator, e, ln2, terms, bits, 64)
+    got = _ln_fixed(z.numerator, z.denominator, e, ln2, terms, bits)
     if got is None:
         # undecided only if an exact endpoint is within 2^-56 grid steps of the grid;
         # the rounding error is below 2^8 units of 2^-(bits+64) for 12 terms
@@ -280,8 +287,9 @@ def test_ln_exact_fallback_when_rounding_undecided(monkeypatch):
     for k in range(1, 40):
         y = 1 + F(k, 41)
         for guard in (0, 1):
+            monkeypatch.setattr(enclosures, "_GUARD", guard)
             got = _ln_fixed(y.numerator - y.denominator, y.numerator + y.denominator, 0,
-                            (F(0), F(0)), terms, bits, guard)
+                            (F(0), F(0)), terms, bits)
             if got is None:
                 undecided += 1
             else:  # a decided result is the exact one at any guard

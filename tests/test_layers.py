@@ -16,6 +16,7 @@ from cantorapprox import (ApproxFunction, DimensionFunction, HypothesisViolation
 from cantorapprox import digitsets, enclosures, layers
 from cantorapprox.digitsets import cantor_cdf, measure_union
 from cantorapprox.intervals import intersect_unions
+from cantorapprox.cli_layers import parse_psi, parse_scalar
 from cantorapprox.layers import classify_pair_case, psi_value
 from cantorapprox.enclosures import exponent_enclosure, iv_div, iv_exact, iv_mul, iv_scale
 
@@ -37,6 +38,15 @@ def test_truncate_examples():
     tab = truncate_psi(ApproxFunction.table({1: F(1), 2: F(1, 100)}), F(1, 2))
     assert psi_value(tab, K, 1) == (F(1, 6), F(1, 6))
     assert psi_value(tab, K, 2) == (F(1, 100), F(1, 100))
+
+
+def test_cli_reads_every_scalar_and_the_truncation():
+    assert parse_scalar("gamma/2") == Scalar(F(1, 2), 1)
+    assert parse_scalar("3/gamma") == Scalar(F(3), -1)
+    assert parse_scalar("2*gamma") == Scalar(F(2), 1)
+    psi = parse_psi("pow:2", "1/2")
+    assert psi == truncate_psi(PSI2, F(1, 2))
+    assert psi_value(psi, K, 1) == (F(1, 9), F(1, 9))  # min(1/6, 1/9)
 
 
 def test_truncate_rejects_nonpositive():
@@ -120,7 +130,7 @@ def test_pairwise_examples():
     tab = ApproxFunction.table({1: F(1, 100), 2: F(1, 200)})
     t1 = build_layer(K, tab, 1, CFG, True)
     t2 = build_layer(K, tab, 2, CFG, True)
-    assert classify_pair_case(K, tab, 1, 2) == "i"
+    assert classify_pair_case(t1, 2) == "i"
     assert pairwise_measure(t1, t2).value == 0
 
 

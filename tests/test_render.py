@@ -40,6 +40,10 @@ def test_report_writer_refuses_an_integer_past_the_print_limit():
         render.dump_report({"q": [10 ** sys.get_int_max_str_digits()]})
 
 
+def test_csv_of_no_rows_is_an_empty_line():
+    assert render.dump_csv([]) == "\n"
+
+
 # values around the carry 9.99...95 -> 10.0, at exponents inside and outside
 # the positional range [-6, 17]
 CARRIES = st.builds(lambda m, k, d, s: s * (Fraction(10 ** m - d, 10 ** m) * Fraction(10) ** k),
