@@ -39,12 +39,14 @@ RATIO_BITS = 48  # width 2^-RATIO_BITS of each log q_{k+1} / log q_k enclosure
 
 class ContinuedFraction(Record):
     """Quotients a_1..a_N of a number in (0,1) (a_0 = 0 implicit) plus the
-    convergents (p_k, q_k) from the standard recurrence."""
+    convergents (p_k, q_k) from the standard recurrence.  `exhausted`: a
+    rational's expansion stopped before its end, or an enclosure's
+    certified fewer than `depth` quotients."""
 
     quotients: tuple[int, ...]
     convergents: tuple[tuple[int, int], ...]
     exact: bool = False       # complete finite expansion of a rational
-    exhausted: bool = False   # refinement budget ended before the target depth
+    exhausted: bool = False   # rational cut before its end / enclosure short of depth
 
     @property
     def certified_depth(self) -> int:

@@ -20,10 +20,10 @@ the set (`enumerate_centers`): p/b^n ends in 0s after the digits of p,
 or in (b-1)s after those of p - 1.  The listing, `allowed_prefixes`,
 raises ResourceBudgetError past the `cells` of `errors.BUDGET`.
 
-`grid_cdf` is the only code that evaluates the CDF at points of a grid:
-the layers, `full_cover_check` and the box count of
-`layers.box_dimension_estimate` all read their CDF values and cell
-counts from it.
+`ball_unions` alone lists centers and merges their balls, and
+`grid_cdf` alone evaluates the CDF on a grid: the layers (radius
+psi(b^n)), `full_cover_check` (b^-n) and the box count of
+`layers.box_dimension_estimate` (b^(-tau n)) read both.
 """
 
 from __future__ import annotations
@@ -181,19 +181,16 @@ def _enclosure_status(dset: MissingDigitSet, lo: Fraction, hi: Fraction,
                       depth: int) -> MembershipResult:
     """Shared verdict of all points of [lo, hi] at the given level, if any.
 
-    The cells first..f meet [lo, hi], and a..e in more than a point.
-    Width-zero enclosures take the exact rational path, so a point not
-    covered always shows up as a removed cell among a..e.
+    The cells that meet [lo, hi], and those that meet (lo, hi).  Width-zero
+    enclosures take the exact rational path, so a point not covered always
+    shows up as a removed cell among the latter.
     """
     scale = 1
     for level in range(1, depth + 1):
         scale *= dset.base
-        a, lo_rem = divmod(lo.numerator * scale, lo.denominator)  # floor(lo * scale)
-        f, hi_rem = divmod(hi.numerator * scale, hi.denominator)  # floor(hi * scale)
-        e = f if hi_rem else f - 1                                # ceil(hi * scale) - 1
-        first = a if lo_rem else a - 1
-        if not _cell_count(dset, level, first, f):
+        if not _cell_count(dset, level, *_cells_meeting(lo, hi, scale, True, True)):
             return OUT
+        a, e = _cells_meeting(lo, hi, scale, False, False)
         if _cell_count(dset, level, a, e) < e - a + 1:
             return MembershipResult("undetermined", level)
     return IN
@@ -300,6 +297,17 @@ def _prefix_rank(dset: MissingDigitSet, k: int, n: int) -> tuple[int, bool]:
     return (weight, False) if k else (rank, inside)
 
 
+def _cells_meeting(lo: Fraction, hi: Fraction, scale: int, lo_closed: bool,
+                   hi_closed: bool) -> tuple[int, int]:
+    """(first, last): the cells [k, k+1]/scale that meet [lo, hi] have
+    first <= k <= last, from ceil(lo scale) - 1 to floor(hi scale) less a
+    first (last) cell that meets it only at lo (hi) when that end is open."""
+    minus_ceil_lo, lo_rem = divmod(-lo.numerator * scale, lo.denominator)
+    floor_hi, hi_rem = divmod(hi.numerator * scale, hi.denominator)
+    return (-minus_ceil_lo - (lo_closed or lo_rem != 0),
+            floor_hi - (not hi_closed and hi_rem == 0))
+
+
 def _cell_count(dset: MissingDigitSet, n: int, first: int, last: int) -> int:
     """#allowed level-n prefixes p with first <= p <= last, from two rank walks."""
     first, last = max(first, 0), min(last, dset.base ** n - 1)
@@ -395,46 +403,48 @@ def cantor_measure(dset: MissingDigitSet, iv: RatInterval) -> CantorMeasureValue
     return CantorMeasureValue(v, v)
 
 
+def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, grid: int,
+                window: tuple[int, int], radii: Sequence[int]
+                ) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """(centers, unions): the p of the centers p/b^n in the set (prime to b
+    with `coprime`) whose balls of the largest radius meet the window, and
+    for each radius the merged union of their balls, clipped to the window.
+
+    The window ends [wl, wh] and the radii u are integers over `grid`, and
+    so are the ball ends p step -+ u, step = grid / b^n; a ball meets the
+    window when (wl - u) / step <= p <= (wh + u) / step."""
+    step, u = grid // dset.base ** n, max(radii)
+    centers = enumerate_centers(dset, n, coprime, -((u - window[0]) // step),
+                                (window[1] + u) // step)
+    return centers, [clip_union(merge_pairs([(p * step - r, p * step + r) for p in centers]),
+                                window) for r in radii]
+
+
 def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool:
     """Whether the radius-b^-n balls around the centers p/b^n in the set
     cover the window in measure.
 
     Every ball end (p -+ 1)/b^n and both window ends are integers over
     one grid D, the lcm of b^n and the window's denominators, so the
-    balls are merged and clipped on integers and measured by `grid_cdf`.
-    Only the centers whose balls meet the window in more than a point are
-    enumerated: floor(lo b^n) <= p <= ceil(hi b^n).
+    balls are merged and clipped on integers by `ball_unions` and
+    measured by `grid_cdf`.
     """
     if n < 1:
         raise InputError("level must be >= 1")
     bn = dset.base ** n
     lo, hi = window.lo, window.hi
     grid = lcm(bn, lo.denominator, hi.denominator)
-    step = grid // bn
     wl, wh = lo.numerator * (grid // lo.denominator), hi.numerator * (grid // hi.denominator)
-    balls = [((p - 1) * step, (p + 1) * step)
-             for p in enumerate_centers(dset, n, False, wl // step, -(-wh // step))]
-    pieces = clip_union(merge_pairs(balls), (wl, wh))
+    _, (pieces,) = ball_unions(dset, n, False, grid, (wl, wh), [grid // bn])
     cdf, _ = grid_cdf(dset, n, grid, [wl, wh] + [x for piece in pieces for x in piece])
     return sum(cdf[y] - cdf[x] for x, y in pieces) == cdf[wh] - cdf[wl]
 
 
 def prefix_interval_disjoint_from(pi: PrefixInterval, dset: MissingDigitSet,
                                   depth: int) -> bool:
-    """True when the prefix interval misses every level-depth basic interval.
-
-    The cells [k, k+1]/b^depth that meet [lo, hi] have ceil(lo b^depth) - 1
-    <= k <= floor(hi b^depth).  When lo b^depth is an integer the first meets
-    it only at lo, and is not counted if lo is open; likewise the last at hi.
-    """
+    """True when the prefix interval misses every level-depth basic interval."""
     if depth < 1:
         raise InputError("depth must be >= 1")
-    scale = dset.base ** depth
-    minus_ceil_lo, lo_rem = divmod(-pi.lo.numerator * scale, pi.lo.denominator)
-    last, hi_rem = divmod(pi.hi.numerator * scale, pi.hi.denominator)
-    first = -minus_ceil_lo - 1
-    if lo_rem == 0 and not pi.lo_closed:
-        first += 1
-    if hi_rem == 0 and not pi.hi_closed:
-        last -= 1
+    first, last = _cells_meeting(pi.lo, pi.hi, dset.base ** depth,
+                                 pi.lo_closed, pi.hi_closed)
     return _cell_count(dset, depth, first, last) == 0

@@ -95,7 +95,7 @@ def intersect_unions(a: Sequence[tuple[E, E]],
     return out
 
 
-def clip_union(pairs: Sequence[Pair], window: Pair) -> list[Pair]:
+def clip_union(pairs: Sequence[tuple[E, E]], window: tuple[E, E]) -> list[tuple[E, E]]:
     return intersect_unions(pairs, [window])
 
 

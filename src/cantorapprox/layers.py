@@ -4,12 +4,12 @@ A layer at level n is the union of balls of radius psi(b^n) around the
 (optionally reduced) b-adic rationals p/b^n lying in the fractal,
 clipped to a window.  Everything here is computed with exact rationals;
 irrational radii or exponents degrade gracefully to certified two-sided
-bounds.  A layer's ball unions live on one integer grid: every endpoint
-is an integer numerator over the layer's common denominator, carried
-with the integer numerator of its CDF value over one CDF denominator
-per layer, both from `digitsets.grid_cdf`.  Two layers meet on the lcm
-of their grids and of their CDF denominators, and a measure is one
-integer sum made into a Fraction.
+bounds.  A layer's ball unions, from `digitsets.ball_unions`, live on
+one integer grid: every endpoint is an integer numerator over the
+layer's common denominator, carried with the integer numerator of its
+CDF value over one CDF denominator per layer, from `digitsets.grid_cdf`.
+Two layers meet on the lcm of their grids and of their CDF denominators,
+and a measure is one integer sum made into a Fraction.
 
 Exponents are carried symbolically as c * gamma^k where gamma is the
 set's similarity exponent log(#digits)/log(base).  That keeps the
@@ -20,12 +20,11 @@ makes the headline layer identities integer-checkable.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Mapping, Optional, Union
 
-from .digitsets import (CantorMeasureValue, MissingDigitSet, enumerate_centers,
-                        center_count, grid_cdf, measure_union)
+from .digitsets import (CantorMeasureValue, MissingDigitSet, ball_unions, center_count,
+                        grid_cdf, measure_union)
 from .enclosures import (Iv, LogRatioSource, exponent_enclosure, iv_add,
                          iv_cmp, iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
@@ -292,8 +291,8 @@ class Layer(Record):
     endpoint x paired with the integer N from `grid_cdf`, and their one
     CDF denominator.  Every offset of an endpoint from the level-n grid
     is that of a radius or of a window end, so a layer makes at most six
-    `cantor_cdf` calls.  It is computed once, on first use, and every
-    measure below only reads the unions.
+    `cantor_cdf` calls.  `build_layer` computes the unions, and every
+    measure below only reads them.
     """
 
     n: int
@@ -304,28 +303,12 @@ class Layer(Record):
     grid: int
     center_numerators: tuple[int, ...]
     disjoint: bool
+    unions: tuple[GridUnion, GridUnion, int]  # (inner, outer, CDF denominator)
 
     @property
     def centers(self) -> tuple[Fraction, ...]:
         bn = self.dset.base ** self.n
         return tuple(Fraction(p, bn) for p in self.center_numerators)
-
-    def _merged_balls(self, radius: Fraction) -> list[tuple[int, int]]:
-        step = self.grid // self.dset.base ** self.n
-        u = _on_grid(radius, self.grid)
-        wl, wh = _on_grid(self.window.lo, self.grid), _on_grid(self.window.hi, self.grid)
-        return merge_pairs([(max(c - u, wl), min(c + u, wh))
-                            for c in (p * step for p in self.center_numerators)])
-
-    @cached_property
-    def unions(self) -> tuple[GridUnion, GridUnion, int]:
-        """(inner union, outer union, CDF denominator)."""
-        inner = self._merged_balls(self.radius[0])
-        outer = inner if iv_is_exact(self.radius) else self._merged_balls(self.radius[1])
-        cdf, den = grid_cdf(self.dset, self.n, self.grid,
-                            (x for pair in inner + outer for x in pair))
-        carried = _carry_cdf(inner, cdf)
-        return (carried, carried if outer is inner else _carry_cdf(outer, cdf), den)
 
 
 def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
@@ -339,14 +322,16 @@ def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
     w_lo, w_hi = cfg.window.lo, cfg.window.hi
     grid = lcm(bn, radius[0].denominator, radius[1].denominator,
                w_lo.denominator, w_hi.denominator)
-    step = grid // bn
-    u, wl, wh = (_on_grid(x, grid) for x in (radius[1], w_lo, w_hi))
-    # the balls that meet the window: (w_lo - r) b^n <= p <= (w_hi + r) b^n
-    centers = tuple(enumerate_centers(dset, n, coprime, -((u - wl) // step),
-                                      (wh + u) // step))
-    disjoint = 2 * bn * u < grid  # r < 1/(2 b^n)
+    u_lo, u_hi, wl, wh = (_on_grid(x, grid) for x in (*radius, w_lo, w_hi))
+    exact = iv_is_exact(radius)
+    centers, unions = ball_unions(dset, n, coprime, grid, (wl, wh),
+                                  [u_lo] if exact else [u_lo, u_hi])
+    cdf, den = grid_cdf(dset, n, grid, (x for union in unions for pair in union for x in pair))
+    carried = [_carry_cdf(union, cdf) for union in unions]  # one union when r is exact
     return Layer(n=n, dset=dset, window=cfg.window, coprime=coprime, radius=radius,
-                 grid=grid, center_numerators=centers, disjoint=disjoint)
+                 grid=grid, center_numerators=tuple(centers),
+                 disjoint=2 * bn * u_hi < grid,  # r < 1/(2 b^n)
+                 unions=(carried[0], carried[-1], den))
 
 
 def _measure(union: GridUnion, den: int) -> Fraction:
@@ -641,10 +626,11 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
     cells [k, k+1]/S with ceil(c - R) - 1 <= k <= floor(c + R), that is
     c - f - 1 <= k <= c + f for f = floor(R), since c is an integer.  So
     the enclosure of r decides every cell range at once when both its
-    bounds give the same f.  The ranges are merged as half-open integer
-    runs [lo, hi), and the allowed cells of a run number
-    rank(hi) - rank(lo), with rank(k) the count of allowed level-L
-    prefixes below k: the `grid_cdf` numerator on the grid b^L.
+    bounds give the same f.  The cells met form the runs [lo, hi) of the
+    radius-(f + 1) ball union on the grid S, and the allowed cells of a
+    run number m^L (mu([0, hi/S]) - mu([0, lo/S])), read from `grid_cdf`
+    at level n: a level-n rank for each run end and a measure for each of
+    its two offsets from the level-n grid.
     """
     tau = Fraction(tau)
     if tau < 1:
@@ -652,16 +638,13 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
     level = -((-tau * n).__floor__())  # ceil(tau*n)
     b = dset.base
     scale = b ** level  # counting grid
-    step = scale // b ** n
     radius = rational_pow(Fraction(b), -tau * n, RADIUS_BITS)
-    centers = enumerate_centers(dset, n, coprime)
     f, f_hi = ((r.numerator * scale) // r.denominator for r in radius)
+    centers, (runs,) = ball_unions(dset, n, coprime, scale, (0, scale), [f + 1])
     if centers and f != f_hi:
         raise PrecisionError("counting boundary undecided; raise the radius precision")
-    runs = merge_pairs([(max(c - f - 1, 0), min(c + f + 1, scale))
-                        for c in (p * step for p in centers)])
-    rank, _ = grid_cdf(dset, level, scale, (x for run in runs for x in run))
-    count = sum(rank[hi] - rank[lo] for lo, hi in runs)
+    cdf, den = grid_cdf(dset, n, scale, (x for run in runs for x in run))
+    count = sum(cdf[hi] - cdf[lo] for lo, hi in runs) * dset.digit_count ** level // den
     if count == 0:
         raise InputError("layer misses every basic interval at the counting level")
     est = LogRatioSource(Fraction(count), Fraction(scale)).within(48)

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cantorapprox import (InputError, MissingDigitSet, PrecisionError, RatInterval,
-                          box_dimension_estimate, full_cover_check, layers)
+from cantorapprox import (ApproxFunction, InputError, MissingDigitSet, PrecisionError,
+                          RatInterval, WindowConfig, box_dimension_estimate, build_layer,
+                          cantor_measure, full_cover_check, layer_measure, layers)
 
 from oracles import box_count, full_cover_closed_form, full_cover_fraction_balls
 
@@ -85,3 +86,16 @@ def test_full_cover_matches_the_fraction_ball_oracle(case):
 def test_full_cover_matches_its_closed_form(case):
     dset, n, window = case
     assert full_cover_check(dset, n, window) == full_cover_closed_form(dset, window)
+
+
+@given(cover_case())
+@settings(max_examples=150, deadline=None)
+def test_natural_cover_is_the_layer_of_psi_one_over_r(case):
+    """The natural cover is the layer of psi(r) = 1/r over all centers, so
+    `full_cover_check` holds exactly when that layer has the window's measure."""
+    dset, n, window = case
+    assume(window.lo < window.hi)
+    layer = build_layer(dset, ApproxFunction.power(1), n,
+                        WindowConfig.for_window(window, dset.base), False)
+    covers = layer_measure(layer).lo == cantor_measure(dset, window).value
+    assert full_cover_check(dset, n, window) == covers

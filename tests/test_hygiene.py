@@ -1,12 +1,15 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cantorapprox"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cantorapprox"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TRACER = ROOT / "perfbench" / "trace_op.py"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -97,3 +100,42 @@ def test_foreign_private_read_is_detected():
     tree = ast.parse("class A:\n    _own = 1\n    def f(self, o):\n"
                      "        return self._x, o._own, o._other, o.__class__\n")
     assert _foreign_private_reads(tree) == ["_other (line 4)"]
+
+
+def _missing_traced_names(source: str) -> list[str]:
+    """The entries of a tracer's `FUNCTIONS` that are not attributes of
+    their `cantorapprox` module, and of its `METHODS` that are not in
+    `vars()` of their class, read from its source without running it."""
+    tables = {node.targets[0].id: node.value for node in ast.parse(source).body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    missing = []
+    functions = tables["FUNCTIONS"]
+    for key, names in zip(functions.keys, functions.values):
+        module = import_module(f"cantorapprox.{key.id}")
+        missing += [f"{key.id}.{name.value}" for name in names.elts
+                    if not hasattr(module, name.value)]
+    methods = tables["METHODS"]
+    for entries in methods.values:
+        for entry in entries.elts:
+            owner, name = entry.elts[0], entry.elts[1].value
+            cls = getattr(import_module(f"cantorapprox.{owner.value.id}"), owner.attr, None)
+            if cls is None or name not in vars(cls):
+                missing.append(f"{owner.value.id}.{owner.attr}.{name}")
+    return missing
+
+
+def test_every_traced_name_still_exists():
+    """A name the benchmark tracer wraps that was removed or moved fails here,
+    not first in the traced benchmark run."""
+    missing = _missing_traced_names(TRACER.read_text())
+    assert not missing, f"perfbench/trace_op.py traces names that are gone: {', '.join(missing)}"
+
+
+def test_missing_traced_name_is_detected():
+    source = ("FUNCTIONS = {digitsets: ['cantor_cdf', 'no_such_function']}\n"
+              "METHODS = {digitsets: [(digitsets.MissingDigitSet, 'prefix_allowed'),\n"
+              "                       (digitsets.MissingDigitSet, 'no_such_method'),\n"
+              "                       (digitsets.NoSuchClass, 'prefix_allowed')]}\n")
+    assert _missing_traced_names(source) == [
+        "digitsets.no_such_function", "digitsets.MissingDigitSet.no_such_method",
+        "digitsets.NoSuchClass.prefix_allowed"]

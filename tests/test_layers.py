@@ -490,6 +490,27 @@ def test_wide_radius_bounds_match_fraction_ball_oracle(dset):
                                          for p in layer_union_pairs(l, l.radius[1])])
 
 
+@pytest.mark.parametrize("dset", list(GRID_SETS), ids=str)
+def test_layer_lists_every_center_whose_outer_ball_meets_the_window(dset):
+    """With radius bounds r_lo < r_hi, a center whose r_hi-ball alone meets
+    the window still belongs to the layer: its outer union needs it."""
+    b = dset.base
+
+    def wide(psi, dset_, n):
+        return (F(1, 8 * b ** n), F(3, b ** n))
+
+    cfg = WindowConfig.for_window(RatInterval.make(F(1, 10007), F(9, 10)), b)
+    w_lo, w_hi = cfg.window.lo, cfg.window.hi
+    with mock.patch.object(layers, "psi_value", wide):
+        for n in (1, 2, 3):
+            for coprime in (False, True):
+                layer = build_layer(dset, PSI2, n, cfg, coprime)
+                r = layer.radius[1]
+                want = [p for p in enumerate_centers(dset, n, coprime)
+                        if w_lo - r <= F(p, b ** n) <= w_hi + r]
+                assert list(layer.center_numerators) == want, (n, coprime)
+
+
 def _radius_at_least_a_cell(dset: MissingDigitSet, top: int, data) -> ApproxFunction:
     """A table psi with psi(b^n) >= b^-n at every level up to `top`, so that
     balls span whole level-n cells and their ends land off the centers' cells."""
