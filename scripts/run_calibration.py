@@ -10,20 +10,20 @@ measure machinery and update calibration.py if the numbers move.
 import time
 from fractions import Fraction as F
 
-from cantorapprox import (ApproxFunction, MissingDigitSet, WindowConfig,
-                          build_layer, layer_comparator, layer_measure,
-                          quasi_independence_scan)
+from cantorapprox import (ApproxFunction, MissingDigitSet, RatInterval, build_layer,
+                          layer_comparator, layer_measure, quasi_independence_scan,
+                          window_t0)
 from cantorapprox.enclosures import iv_div
 
 K = MissingDigitSet.middle_thirds()
-CFG = WindowConfig.unit(3)
+UNIT = RatInterval.unit()
 
 
 def scan_c_fix():
     worst = F(0)
     for tau in (2, 3):
         started = time.monotonic()
-        rep = quasi_independence_scan(K, ApproxFunction.power(tau), CFG, 10)
+        rep = quasi_independence_scan(K, ApproxFunction.power(tau), UNIT, 10)
         hi = max(r.rho[1] for r in rep.rows)
         print(f"  tau={tau}: max rho = {hi} ({time.monotonic() - started:.1f}s, "
               f"{len(rep.rows)} pairs)")
@@ -35,8 +35,8 @@ def scan_envelope():
     for tau in (F(3, 2), F(2), F(3)):
         psi = ApproxFunction.power(tau)
         lo_env = hi_env = None
-        for n in range(CFG.t0 + 1, 13):
-            mu = layer_measure(build_layer(K, psi, n, CFG, coprime=True))
+        for n in range(window_t0(UNIT, 3) + 1, 13):
+            mu = layer_measure(build_layer(K, psi, n, UNIT, coprime=True))
             ratio = iv_div((mu.lo, mu.hi), layer_comparator(K, psi, n, F(1)))
             lo_env = ratio[0] if lo_env is None else min(lo_env, ratio[0])
             hi_env = ratio[1] if hi_env is None else max(hi_env, ratio[1])

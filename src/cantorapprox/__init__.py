@@ -28,11 +28,11 @@ _EXPORTS = {
                   "convergents_from_quotients"),
     "layers": ("ApproxFunction", "BorelCantelliReport", "BoxDimensionEstimate",
                "DimensionFunction", "Layer", "NaturalCoverTail", "PairRow", "Scalar",
-               "ScanReport", "SeriesVerdict", "WindowConfig", "borel_cantelli_ratio",
+               "ScanReport", "SeriesVerdict", "borel_cantelli_ratio",
                "box_dimension_estimate", "build_layer", "layer_comparator",
                "layer_measure", "natural_cover_tail", "pairwise_measure",
                "quasi_independence_scan", "series_classify", "series_term",
-               "truncate_psi"),
+               "truncate_psi", "window_t0"),
     "contfrac": ("ContinuedFraction", "ExponentEstimate", "continued_fraction_expand",
                  "irrationality_exponent_estimate", "legendre_is_convergent"),
     "sparse": ("FactorialRule", "PowerRule", "SparseDigitNumber", "TruncationReport",

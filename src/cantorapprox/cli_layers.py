@@ -14,10 +14,11 @@ from . import render
 from .cli import parse_fraction, parse_window
 from .digitsets import cantor_measure
 from .errors import InputError
-from .layers import (ApproxFunction, DimensionFunction, Scalar, WindowConfig,
-                     borel_cantelli_ratio, box_dimension_estimate, build_layer,
-                     layer_comparator, layer_measure, natural_cover_tail, pairwise_measure,
-                     quasi_independence_scan, series_classify, truncate_psi)
+from .intervals import RatInterval
+from .layers import (ApproxFunction, DimensionFunction, Scalar, borel_cantelli_ratio,
+                     box_dimension_estimate, build_layer, layer_comparator, layer_measure,
+                     natural_cover_tail, pairwise_measure, quasi_independence_scan,
+                     series_classify, truncate_psi, window_t0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +84,11 @@ def _psi_of(args) -> ApproxFunction:
     return parse_psi(args.psi, args.trunc)
 
 
-def _window_cfg(args, dset) -> WindowConfig:
-    return WindowConfig.for_window(parse_window(args.window), dset.base)
+def _window_of(args) -> RatInterval:
+    window = parse_window(args.window)
+    if window.radius <= 0:
+        raise InputError("window must have positive length")
+    return window
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +96,15 @@ def _window_cfg(args, dset) -> WindowConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_layer(args, dset):
-    cfg = _window_cfg(args, dset)
+    window = _window_of(args)
     psi = _psi_of(args)
-    layer = build_layer(dset, psi, args.n, cfg, args.coprime)
+    layer = build_layer(dset, psi, args.n, window, args.coprime)
     mv = layer_measure(layer)
-    comp = layer_comparator(dset, psi, args.n, cantor_measure(dset, cfg.window).value)
+    comp = layer_comparator(dset, psi, args.n, cantor_measure(dset, window).value)
     results = {
         "n": args.n,
         "coprime": args.coprime,
-        "t0": cfg.t0,
+        "t0": window_t0(window, dset.base),
         "ball_count": len(layer.center_numerators),
         "centers": [render.rational_json(c) for c in layer.centers],
         "radius": render.value_json(layer.radius),
@@ -117,10 +121,10 @@ def cmd_layer(args, dset):
 
 
 def cmd_pairwise(args, dset):
-    cfg = _window_cfg(args, dset)
+    window = _window_of(args)
     psi = _psi_of(args)
-    lm = build_layer(dset, psi, args.m, cfg, args.coprime)
-    ln_ = build_layer(dset, psi, args.n, cfg, args.coprime)
+    lm = build_layer(dset, psi, args.m, window, args.coprime)
+    ln_ = build_layer(dset, psi, args.n, window, args.coprime)
     inter = pairwise_measure(lm, ln_)
     mu_m, mu_n = layer_measure(lm), layer_measure(ln_)
     results = {"m": args.m, "n": args.n,
@@ -142,8 +146,8 @@ def _scan_row_payload(row):
 
 
 def cmd_quasi_scan(args, dset):
-    cfg = _window_cfg(args, dset)
-    rep = quasi_independence_scan(dset, _psi_of(args), cfg, args.nmax, args.mmin,
+    window = _window_of(args)
+    rep = quasi_independence_scan(dset, _psi_of(args), window, args.nmax, args.mmin,
                                   args.coprime)
     results = {
         "window_measure": render.rational_json(rep.window_measure),
@@ -187,8 +191,8 @@ def cmd_tail(args, dset):
 
 
 def cmd_bc_ratio(args, dset):
-    cfg = _window_cfg(args, dset)
-    rep = borel_cantelli_ratio(dset, _psi_of(args), cfg, args.q, args.coprime)
+    window = _window_of(args)
+    rep = borel_cantelli_ratio(dset, _psi_of(args), window, args.q, args.coprime)
     results = {"Q": rep.q, "ratio": render.value_json(rep.ratio),
                "union_measure": render.rational_json(rep.union_measure),
                "layer_measures": [render.value_json(m) for m in rep.layer_measures]}

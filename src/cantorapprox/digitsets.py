@@ -403,6 +403,11 @@ def cantor_measure(dset: MissingDigitSet, iv: RatInterval) -> CantorMeasureValue
     return CantorMeasureValue(v, v)
 
 
+def on_grid(x: Fraction, grid: int) -> int:
+    """The numerator of x over `grid`, a multiple of x's denominator."""
+    return x.numerator * (grid // x.denominator)
+
+
 def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, grid: int,
                 window: tuple[int, int], radii: Sequence[int]
                 ) -> tuple[list[int], list[list[tuple[int, int]]]]:
@@ -432,9 +437,8 @@ def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool
     if n < 1:
         raise InputError("level must be >= 1")
     bn = dset.base ** n
-    lo, hi = window.lo, window.hi
-    grid = lcm(bn, lo.denominator, hi.denominator)
-    wl, wh = lo.numerator * (grid // lo.denominator), hi.numerator * (grid // hi.denominator)
+    grid = lcm(bn, window.lo.denominator, window.hi.denominator)
+    wl, wh = on_grid(window.lo, grid), on_grid(window.hi, grid)
     _, (pieces,) = ball_unions(dset, n, False, grid, (wl, wh), [grid // bn])
     cdf, _ = grid_cdf(dset, n, grid, [wl, wh] + [x for piece in pieces for x in piece])
     return sum(cdf[y] - cdf[x] for x, y in pieces) == cdf[wh] - cdf[wl]

@@ -24,7 +24,7 @@ from math import lcm
 from typing import Mapping, Optional, Union
 
 from .digitsets import (CantorMeasureValue, MissingDigitSet, ball_unions, center_count,
-                        grid_cdf, measure_union)
+                        grid_cdf, measure_union, on_grid)
 from .enclosures import (Iv, LogRatioSource, exponent_enclosure, iv_add,
                          iv_cmp, iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
@@ -240,34 +240,17 @@ def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
 
 
 # ---------------------------------------------------------------------------
-# window configuration and layers
+# layers
 # ---------------------------------------------------------------------------
 
-class WindowConfig(Record):
-    """A window B plus the level t0 below which balls outgrow the window."""
-
-    window: RatInterval
-    t0: int
-
-    @staticmethod
-    def for_window(window: RatInterval, base: int) -> "WindowConfig":
-        if window.radius <= 0:
-            raise InputError("window must have positive length")
-        t0 = 0
-        r = Fraction(1)
-        while r >= window.radius:
-            r /= base
-            t0 += 1
-        return WindowConfig(window, t0)
-
-    @staticmethod
-    def unit(base: int) -> "WindowConfig":
-        return WindowConfig.for_window(RatInterval.unit(), base)
-
-
-def _on_grid(x: Fraction, grid: int) -> int:
-    """The numerator of x over `grid`, a multiple of x's denominator."""
-    return x.numerator * (grid // x.denominator)
+def window_t0(window: RatInterval, base: int) -> int:
+    """t0, the least level whose b-adic radius b^-t0 is below the radius
+    of the window (of positive length): below t0 balls outgrow it."""
+    t0, r = 0, Fraction(1)
+    while r >= window.radius:
+        r /= base
+        t0 += 1
+    return t0
 
 
 # a layer union: sorted disjoint (lo, hi) pairs whose endpoints are
@@ -312,23 +295,22 @@ class Layer(Record):
 
 
 def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
-                cfg: WindowConfig, coprime: bool) -> Layer:
+                window: RatInterval, coprime: bool) -> Layer:
     if n < 1:
         raise InputError("level must be >= 1")
     radius = psi_value(psi, dset, n)
     if radius[0] <= 0:
         raise InputError("psi must be positive on the evaluation grid")
     bn = dset.base ** n
-    w_lo, w_hi = cfg.window.lo, cfg.window.hi
-    grid = lcm(bn, radius[0].denominator, radius[1].denominator,
-               w_lo.denominator, w_hi.denominator)
-    u_lo, u_hi, wl, wh = (_on_grid(x, grid) for x in (*radius, w_lo, w_hi))
+    ends = (*radius, window.lo, window.hi)
+    grid = lcm(bn, *(x.denominator for x in ends))
+    u_lo, u_hi, wl, wh = (on_grid(x, grid) for x in ends)
     exact = iv_is_exact(radius)
     centers, unions = ball_unions(dset, n, coprime, grid, (wl, wh),
                                   [u_lo] if exact else [u_lo, u_hi])
     cdf, den = grid_cdf(dset, n, grid, (x for union in unions for pair in union for x in pair))
     carried = [_carry_cdf(union, cdf) for union in unions]  # one union when r is exact
-    return Layer(n=n, dset=dset, window=cfg.window, coprime=coprime, radius=radius,
+    return Layer(n=n, dset=dset, window=window, coprime=coprime, radius=radius,
                  grid=grid, center_numerators=tuple(centers),
                  disjoint=2 * bn * u_hi < grid,  # r < 1/(2 b^n)
                  unions=(carried[0], carried[-1], den))
@@ -428,7 +410,7 @@ def classify_pair_case(layer_m: Layer, n: int) -> str:
 
 
 def quasi_independence_scan(dset: MissingDigitSet, psi: ApproxFunction,
-                            cfg: WindowConfig, n_max: int, m_min: int = 1,
+                            window: RatInterval, n_max: int, m_min: int = 1,
                             coprime: bool = True) -> ScanReport:
     """Exact pairwise ratios rho = mu(A_m ∩ A_n) mu(B) / (mu(A_m) mu(A_n)).
 
@@ -436,8 +418,8 @@ def quasi_independence_scan(dset: MissingDigitSet, psi: ApproxFunction,
     """
     if n_max <= m_min:
         raise InputError("need m_min < n_max")
-    mu_b = measure_union(dset, [cfg.window.pair()])
-    layers = {k: build_layer(dset, psi, k, cfg, coprime)
+    mu_b = measure_union(dset, [window.pair()])
+    layers = {k: build_layer(dset, psi, k, window, coprime)
               for k in range(m_min, n_max + 1)}
     measures = {k: layer_measure(v) for k, v in layers.items()}
     rows = []
@@ -569,12 +551,12 @@ class BorelCantelliReport(Record):
 
 
 def borel_cantelli_ratio(dset: MissingDigitSet, psi: ApproxFunction,
-                         cfg: WindowConfig, q: int,
+                         window: RatInterval, q: int,
                          coprime: bool = True) -> BorelCantelliReport:
     """(sum mu(E_s))^2 / sum_{s,t} mu(E_s ∩ E_t) with E_s the level-s layer."""
     if q < 1:
         raise InputError("need Q >= 1")
-    layers = [build_layer(dset, psi, s, cfg, coprime) for s in range(1, q + 1)]
+    layers = [build_layer(dset, psi, s, window, coprime) for s in range(1, q + 1)]
     measures = [layer_measure(l) for l in layers]
     if all(m.hi == 0 for m in measures):
         raise InputError("all layers are null: the ratio is undefined")

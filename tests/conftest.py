@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cantorapprox import MissingDigitSet, WindowConfig
+from cantorapprox import MissingDigitSet, RatInterval
 
 
 @pytest.fixture(scope="session")
@@ -14,5 +14,5 @@ def K():
 
 
 @pytest.fixture(scope="session")
-def unit_cfg():
-    return WindowConfig.unit(3)
+def unit_window():
+    return RatInterval.unit()

@@ -16,7 +16,7 @@ import pytest
 
 from cantorapprox import (ApproxFunction, DimensionFunction, MissingDigitSet,
                           PowerRule, RatInterval, RealEnclosure, Scalar,
-                          SqrtSource, WindowConfig, borel_cantelli_ratio,
+                          SqrtSource, borel_cantelli_ratio,
                           box_dimension_estimate, build_layer,
                           build_sparse_number, cantor_measure, cf_prefix_interval,
                           continued_fraction_expand, enumerate_centers,
@@ -33,7 +33,7 @@ from cantorapprox.enclosures import LogRatioSource, iv_mul, iv_scale, iv_sub
 from oracles import oracle_measure
 
 K = MissingDigitSet.middle_thirds()
-CFG = WindowConfig.unit(3)
+UNIT = RatInterval.unit()
 PSI2 = ApproxFunction.power(2)
 
 
@@ -80,7 +80,7 @@ def test_c02_series_dichotomy_pair():
 def test_c03_layer_measure_identity():
     started = time.monotonic()
     for n in range(1, 9):
-        mu = layer_measure(build_layer(K, PSI2, n, CFG, coprime=True)).value
+        mu = layer_measure(build_layer(K, PSI2, n, UNIT, coprime=True)).value
         assert mu == F(1, 2 ** n)
         assert layer_comparator(K, PSI2, n, F(1)) == (mu, mu)  # ratio exactly 1
     _report("C03 layer measure identity mu(A*_n) = 2^-n = comparator, n <= 8",
@@ -89,7 +89,7 @@ def test_c03_layer_measure_identity():
 
 def test_c04_quasi_independence_scan():
     started = time.monotonic()
-    rep = quasi_independence_scan(K, PSI2, CFG, 8)
+    rep = quasi_independence_scan(K, PSI2, UNIT, 8)
     assert len(rep.rows) == 28 and not rep.skipped
     for row in rep.rows:
         if row.case == "i":
@@ -103,9 +103,9 @@ def test_c04_quasi_independence_scan():
 
 def test_c05_borel_cantelli_ratio():
     started = time.monotonic()
-    assert borel_cantelli_ratio(K, PSI2, CFG, 2).ratio == (F(9, 16), F(9, 16))
+    assert borel_cantelli_ratio(K, PSI2, UNIT, 2).ratio == (F(9, 16), F(9, 16))
     for q in range(1, 9):
-        rep = borel_cantelli_ratio(K, PSI2, CFG, q)
+        rep = borel_cantelli_ratio(K, PSI2, UNIT, q)
         assert rep.ratio[1] <= rep.union_measure
     _report("C05 Borel-Cantelli ratio (R(2) = 9/16, R(Q) <= mu(union), Q <= 8)",
             120, started)

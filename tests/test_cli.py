@@ -237,6 +237,15 @@ def test_bad_input_exits_2_with_an_error_line(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["layer --n 3", "pairwise --m 1 --n 2",
+                                     "quasi-scan --nmax 3", "bc-ratio --q 2"])
+def test_a_window_of_length_zero_exits_2_before_psi_is_read(command, capsys):
+    argv = command.split() + ["--window", "1/2:1/2"]
+    assert main(argv + ["--psi", "pow:2"]) == 2
+    assert main(argv + ["--psi", "bogus:1"]) == 2
+    assert capsys.readouterr().err == "error: window must have positive length\n" * 2
+
+
 def test_exit_code_resource_error(capsys):
     # level 30 would enumerate 2^30 cylinders: over the enumeration budget
     assert main(["dim-estimate", "--tau", "2", "--n", "30"]) == 3

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from cantorapprox import (ApproxFunction, DimensionFunction, HypothesisViolation,
                           InputError, MissingDigitSet, RatInterval, Scalar,
-                          WindowConfig, borel_cantelli_ratio,
+                          borel_cantelli_ratio,
                           box_dimension_estimate, build_layer, enumerate_centers,
                           layer_comparator,
                           layer_measure, natural_cover_tail, pairwise_measure,
                           quasi_independence_scan, series_classify, series_term,
-                          truncate_psi)
+                          truncate_psi, window_t0)
 from cantorapprox import digitsets, enclosures, layers
 from cantorapprox.digitsets import cantor_cdf, measure_union
 from cantorapprox.intervals import intersect_unions
@@ -24,7 +24,7 @@ from oracles import (layer_ball_pairs, layer_union_pairs, mp_interval, needs_mpm
                      power_series_converges)
 
 K = MissingDigitSet.middle_thirds()
-CFG = WindowConfig.unit(3)
+UNIT = RatInterval.unit()
 PSI2 = ApproxFunction.power(2)
 
 
@@ -55,28 +55,28 @@ def test_truncate_rejects_nonpositive():
 
 
 def test_build_layer_examples():
-    l1 = build_layer(K, PSI2, 1, CFG, coprime=True)
+    l1 = build_layer(K, PSI2, 1, UNIT, coprime=True)
     assert l1.centers == (F(1, 3), F(2, 3))
     assert l1.radius == (F(1, 9), F(1, 9))
     assert l1.disjoint
-    l1f = build_layer(K, PSI2, 1, CFG, coprime=False)
+    l1f = build_layer(K, PSI2, 1, UNIT, coprime=False)
     assert l1f.centers == (F(0), F(1, 3), F(2, 3), F(1))
-    l2 = build_layer(K, PSI2, 2, CFG, coprime=True)
+    l2 = build_layer(K, PSI2, 2, UNIT, coprime=True)
     assert l2.centers == (F(1, 9), F(2, 9), F(7, 9), F(8, 9))
     assert l2.radius == (F(1, 81), F(1, 81))
 
 
 def test_layer_window_clipping():
-    cfg = WindowConfig.for_window(RatInterval.make(F(0), F(1, 2)), 3)
-    layer = build_layer(K, PSI2, 2, cfg, coprime=True)
+    window = RatInterval.make(F(0), F(1, 2))
+    layer = build_layer(K, PSI2, 2, window, coprime=True)
     assert layer.centers == (F(1, 9), F(2, 9))
 
 
-def _centers_from_every_center(dset, psi, n, cfg, coprime):
+def _centers_from_every_center(dset, psi, n, window, coprime):
     """build_layer's centers with every center of the level enumerated first."""
     radius = psi_value(psi, dset, n)
     bn = dset.base ** n
-    w_lo, w_hi = cfg.window.lo, cfg.window.hi
+    w_lo, w_hi = window.lo, window.hi
     return tuple(F(p, bn) for p in enumerate_centers(dset, n, coprime)
                  if F(p, bn) + radius[1] >= w_lo and F(p, bn) - radius[1] <= w_hi)
 
@@ -93,29 +93,29 @@ unit_rat = st.builds(lambda num, den: F(num % (den + 1), den),
 @settings(max_examples=150, deadline=None)
 def test_layer_centers_match_every_center_filtered(dset, psi, n, a, b, coprime):
     assume(a != b)
-    cfg = WindowConfig.for_window(RatInterval.make(min(a, b), max(a, b)), dset.base)
-    layer = build_layer(dset, psi, n, cfg, coprime)
-    assert layer.centers == _centers_from_every_center(dset, psi, n, cfg, coprime)
+    window = RatInterval.make(min(a, b), max(a, b))
+    layer = build_layer(dset, psi, n, window, coprime)
+    assert layer.centers == _centers_from_every_center(dset, psi, n, window, coprime)
 
 
 def test_layer_measure_examples():
-    assert layer_measure(build_layer(K, PSI2, 1, CFG, True)).value == F(1, 2)
-    assert layer_measure(build_layer(K, PSI2, 2, CFG, True)).value == F(1, 4)
-    assert layer_measure(build_layer(K, PSI2, 1, CFG, False)).value == 1
+    assert layer_measure(build_layer(K, PSI2, 1, UNIT, True)).value == F(1, 2)
+    assert layer_measure(build_layer(K, PSI2, 2, UNIT, True)).value == F(1, 4)
+    assert layer_measure(build_layer(K, PSI2, 1, UNIT, False)).value == 1
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_layer_identity_and_comparator(n):
-    mu = layer_measure(build_layer(K, PSI2, n, CFG, True)).value
+    mu = layer_measure(build_layer(K, PSI2, n, UNIT, True)).value
     assert mu == F(1, 2 ** n)
     comp = layer_comparator(K, PSI2, n, F(1))
     assert comp == (mu, mu)
 
 
-def test_disjointness_means_sum_of_ball_measures(unit_cfg):
+def test_disjointness_means_sum_of_ball_measures(unit_window):
     from cantorapprox.digitsets import measure_pair
     for n in (1, 2, 3, 4):
-        layer = build_layer(K, PSI2, n, unit_cfg, True)
+        layer = build_layer(K, PSI2, n, unit_window, True)
         assert layer.disjoint
         total = sum(measure_pair(K, lo, hi)
                     for lo, hi in layer_ball_pairs(layer, layer.radius[0]))
@@ -123,26 +123,26 @@ def test_disjointness_means_sum_of_ball_measures(unit_cfg):
 
 
 def test_pairwise_examples():
-    l1 = build_layer(K, PSI2, 1, CFG, True)
-    l2 = build_layer(K, PSI2, 2, CFG, True)
+    l1 = build_layer(K, PSI2, 1, UNIT, True)
+    l2 = build_layer(K, PSI2, 2, UNIT, True)
     assert pairwise_measure(l1, l2).value == F(1, 8)
     assert pairwise_measure(l2, l2).value == layer_measure(l2).value
     tab = ApproxFunction.table({1: F(1, 100), 2: F(1, 200)})
-    t1 = build_layer(K, tab, 1, CFG, True)
-    t2 = build_layer(K, tab, 2, CFG, True)
+    t1 = build_layer(K, tab, 1, UNIT, True)
+    t2 = build_layer(K, tab, 2, UNIT, True)
     assert classify_pair_case(t1, 2) == "i"
     assert pairwise_measure(t1, t2).value == 0
 
 
 def test_pairwise_requires_shared_window():
-    other = WindowConfig.for_window(RatInterval.make(0, F(1, 2)), 3)
+    other = RatInterval.make(0, F(1, 2))
     with pytest.raises(InputError):
-        pairwise_measure(build_layer(K, PSI2, 1, CFG, True),
+        pairwise_measure(build_layer(K, PSI2, 1, UNIT, True),
                          build_layer(K, PSI2, 2, other, True))
 
 
 def test_scan_case_split_and_rho():
-    rep = quasi_independence_scan(K, PSI2, CFG, 8)
+    rep = quasi_independence_scan(K, PSI2, UNIT, 8)
     assert rep.window_measure == 1
     r12 = next(r for r in rep.rows if (r.m, r.n) == (1, 2))
     assert r12.rho == (F(1), F(1))
@@ -156,8 +156,8 @@ def test_scan_case_split_and_rho():
 
 def test_scan_skips_null_layers():
     # a window inside the central gap has no surviving mass at small levels
-    cfg = WindowConfig.for_window(RatInterval.make(F(17, 40), F(23, 40)), 3)
-    rep = quasi_independence_scan(K, ApproxFunction.power(3), cfg, 4, m_min=2)
+    window = RatInterval.make(F(17, 40), F(23, 40))
+    rep = quasi_independence_scan(K, ApproxFunction.power(3), window, 4, m_min=2)
     assert rep.rows == ()
     assert len(rep.skipped) == 3
 
@@ -251,18 +251,18 @@ def test_tail_degenerate_single_term():
 
 
 def test_borel_cantelli_values():
-    assert borel_cantelli_ratio(K, PSI2, CFG, 1).ratio == (F(1, 2), F(1, 2))
-    rep = borel_cantelli_ratio(K, PSI2, CFG, 2)
+    assert borel_cantelli_ratio(K, PSI2, UNIT, 1).ratio == (F(1, 2), F(1, 2))
+    rep = borel_cantelli_ratio(K, PSI2, UNIT, 2)
     assert rep.ratio == (F(9, 16), F(9, 16))
     for q in range(1, 9):
-        r = borel_cantelli_ratio(K, PSI2, CFG, q)
+        r = borel_cantelli_ratio(K, PSI2, UNIT, q)
         assert r.ratio[1] <= r.union_measure <= 1
 
 
 def test_borel_cantelli_null_error():
-    cfg = WindowConfig.for_window(RatInterval.make(F(17, 40), F(23, 40)), 3)
+    window = RatInterval.make(F(17, 40), F(23, 40))
     with pytest.raises(InputError):
-        borel_cantelli_ratio(K, ApproxFunction.power(3), cfg, 2)
+        borel_cantelli_ratio(K, ApproxFunction.power(3), window, 2)
 
 
 def test_box_dimension_examples():
@@ -280,8 +280,8 @@ def test_comparability_envelope_calibration():
     from cantorapprox.calibration import MU_RATIO_ENVELOPE
     for tau, (c_lo, c_hi) in MU_RATIO_ENVELOPE.items():
         psi = ApproxFunction.power(tau)
-        for n in range(CFG.t0 + 1, 11):
-            mu = layer_measure(build_layer(K, psi, n, CFG, True))
+        for n in range(window_t0(UNIT, 3) + 1, 11):
+            mu = layer_measure(build_layer(K, psi, n, UNIT, True))
             comp = layer_comparator(K, psi, n, F(1))
             ratio = iv_div((mu.lo, mu.hi), comp)
             assert c_lo <= ratio[0] and ratio[1] <= c_hi, (tau, n)
@@ -292,13 +292,13 @@ def test_comparability_envelope_calibration():
 def test_quasi_independence_bounded_by_calibration():
     from cantorapprox.calibration import C_FIX
     for tau in (2, 3):
-        rep = quasi_independence_scan(K, ApproxFunction.power(tau), CFG, 10)
+        rep = quasi_independence_scan(K, ApproxFunction.power(tau), UNIT, 10)
         assert rep.c_empirical[1] <= C_FIX
 
 
 def test_irrational_radius_bounds_mode():
     psi = ApproxFunction.power(F(3, 2))
-    layer = build_layer(K, psi, 3, CFG, True)  # radius 3^(-4.5), irrational
+    layer = build_layer(K, psi, 3, UNIT, True)  # radius 3^(-4.5), irrational
     assert layer.radius[0] < layer.radius[1]
     mu = layer_measure(layer)
     # bounds may collapse when the measure is radius-insensitive on the
@@ -313,8 +313,8 @@ def test_pairwise_symmetric_bound(m, n):
     if m == n:
         return
     m, n = min(m, n), max(m, n)
-    lm = build_layer(K, PSI2, m, CFG, True)
-    ln_ = build_layer(K, PSI2, n, CFG, True)
+    lm = build_layer(K, PSI2, m, UNIT, True)
+    ln_ = build_layer(K, PSI2, n, UNIT, True)
     inter = pairwise_measure(lm, ln_).value
     assert inter <= min(layer_measure(lm).value, layer_measure(ln_).value)
 
@@ -322,8 +322,8 @@ def test_pairwise_symmetric_bound(m, n):
 @pytest.mark.parametrize("psi", [PSI2, ApproxFunction.power(F(3, 2))],
                          ids=["pow:2", "pow:3/2"])
 def test_layer_tables_match_fresh_union_measures(psi):
-    cfg = WindowConfig.for_window(RatInterval.make(F(1, 7), F(5, 6)), 3)
-    layers = [build_layer(K, psi, n, cfg, coprime) for n in range(1, 6)
+    window = RatInterval.make(F(1, 7), F(5, 6))
+    layers = [build_layer(K, psi, n, window, coprime) for n in range(1, 6)
               for coprime in (True, False)]
     for layer in layers:
         mu = layer_measure(layer)
@@ -362,9 +362,9 @@ def test_grid_measures_match_fraction_ball_oracle(dset, psi, data, a, b, coprime
     against Fraction balls merged by `merge_pairs` and measured by
     `measure_union`."""
     assume(a != b)
-    cfg = WindowConfig.for_window(RatInterval.make(min(a, b), max(a, b)), dset.base)
+    window = RatInterval.make(min(a, b), max(a, b))
     top = GRID_SETS[dset]
-    layers = [build_layer(dset, psi, k, cfg, coprime) for k in range(1, top + 1)]
+    layers = [build_layer(dset, psi, k, window, coprime) for k in range(1, top + 1)]
     for layer in layers:
         mu = layer_measure(layer)
         assert (mu.lo, mu.hi) == tuple(measure_union(dset, layer_union_pairs(layer, r))
@@ -378,7 +378,7 @@ def test_grid_measures_match_fraction_ball_oracle(dset, psi, data, a, b, coprime
                                         _oracle_pair_measure(x, y, 1))
     q = data.draw(st.integers(min_value=1, max_value=top))
     try:
-        union = borel_cantelli_ratio(dset, psi, cfg, q, coprime).union_measure
+        union = borel_cantelli_ratio(dset, psi, window, q, coprime).union_measure
     except InputError:  # every layer up to q is null
         assert all(layer_measure(l).hi == 0 for l in layers[:q])
         return
@@ -452,15 +452,15 @@ def test_scalar_gamma_power_matches_repeated_products():
 
 def test_edge_cases_of_the_grid_tests():
     # balls that touch a window end in one point keep their center
-    cfg = WindowConfig.for_window(RatInterval.make(F(4, 9), F(5, 9)), 3)
-    assert build_layer(K, PSI2, 1, cfg, True).centers == (F(1, 3), F(2, 3))
+    window = RatInterval.make(F(4, 9), F(5, 9))
+    assert build_layer(K, PSI2, 1, window, True).centers == (F(1, 3), F(2, 3))
     # a radius of exactly 1/(2 b^n) makes touching, not disjoint, balls
     for n in (1, 2, 3):
         half = F(1, 2 * 3 ** n)
         touching = ApproxFunction.table({n: half})
-        assert not build_layer(K, touching, n, CFG, True).disjoint
+        assert not build_layer(K, touching, n, UNIT, True).disjoint
         apart = ApproxFunction.table({n: half - F(1, 10 ** 9)})
-        assert build_layer(K, apart, n, CFG, True).disjoint
+        assert build_layer(K, apart, n, UNIT, True).disjoint
 
 
 @pytest.mark.parametrize("dset", list(GRID_SETS), ids=str)
@@ -472,10 +472,10 @@ def test_wide_radius_bounds_match_fraction_ball_oracle(dset):
     def wide(psi, dset_, n):
         return (F(1, 8 * b ** n), F(1, b ** n))
 
-    cfg = WindowConfig.for_window(RatInterval.make(F(1, 10007), F(9, 10)), b)
+    window = RatInterval.make(F(1, 10007), F(9, 10))
     with mock.patch.object(layers, "psi_value", wide):
-        built = [build_layer(dset, PSI2, n, cfg, True) for n in (1, 2, 3)]
-        union = borel_cantelli_ratio(dset, PSI2, cfg, 3).union_measure
+        built = [build_layer(dset, PSI2, n, window, True) for n in (1, 2, 3)]
+        union = borel_cantelli_ratio(dset, PSI2, window, 3).union_measure
     assert any(layer_measure(l).lo < layer_measure(l).hi for l in built)
     for layer in built:
         mu = layer_measure(layer)
@@ -499,12 +499,12 @@ def test_layer_lists_every_center_whose_outer_ball_meets_the_window(dset):
     def wide(psi, dset_, n):
         return (F(1, 8 * b ** n), F(3, b ** n))
 
-    cfg = WindowConfig.for_window(RatInterval.make(F(1, 10007), F(9, 10)), b)
-    w_lo, w_hi = cfg.window.lo, cfg.window.hi
+    window = RatInterval.make(F(1, 10007), F(9, 10))
+    w_lo, w_hi = window.lo, window.hi
     with mock.patch.object(layers, "psi_value", wide):
         for n in (1, 2, 3):
             for coprime in (False, True):
-                layer = build_layer(dset, PSI2, n, cfg, coprime)
+                layer = build_layer(dset, PSI2, n, window, coprime)
                 r = layer.radius[1]
                 want = [p for p in enumerate_centers(dset, n, coprime)
                         if w_lo - r <= F(p, b ** n) <= w_hi + r]
@@ -531,9 +531,9 @@ def test_every_union_endpoint_carries_its_cdf(dset, psi, data, a, b, coprime):
     top = GRID_SETS[dset]
     if psi == "table":
         psi = _radius_at_least_a_cell(dset, top, data)
-    cfg = WindowConfig.for_window(RatInterval.make(min(a, b), max(a, b)), dset.base)
+    window = RatInterval.make(min(a, b), max(a, b))
     for n in range(1, top + 1):
-        layer = build_layer(dset, psi, n, cfg, coprime)
+        layer = build_layer(dset, psi, n, window, coprime)
         inner, outer, den = layer.unions
         for union in (inner, outer):
             for end in (x for pair in union for x in pair):
@@ -585,11 +585,11 @@ def _wide_radius(psi, dset, n):
                          ids=["wide", "pow:2", "pow:3/2", "powlog:2,1"])
 def test_one_layer_makes_at_most_six_cdf_walks(dset, psi):
     """Four ball offsets (two radii, each end) and two window ends."""
-    cfg = WindowConfig.for_window(RatInterval.make(F(1, 7919), F(9972, 10007)), dset.base)
+    window = RatInterval.make(F(1, 7919), F(9972, 10007))
     radius = _wide_radius if psi == "wide" else layers.psi_value
     with mock.patch.object(layers, "psi_value", radius), \
             mock.patch.object(digitsets, "cantor_cdf", wraps=digitsets.cantor_cdf) as walks:
-        layer = build_layer(dset, PSI2 if psi == "wide" else psi, 4, cfg, False)
+        layer = build_layer(dset, PSI2 if psi == "wide" else psi, 4, window, False)
         mu = layer_measure(layer)
     assert 0 < walks.call_count <= 6
     assert (mu.lo, mu.hi) == tuple(measure_union(dset, layer_union_pairs(layer, r))

@@ -14,7 +14,7 @@ import cantorapprox
 from cantorapprox import (AffineSource, ApproxFunction, CantorMeasureValue,
                           ContinuedFraction, DimensionFunction, FactorialRule,
                           MembershipResult, MissingDigitSet, PowerRule, RatInterval,
-                          RealEnclosure, Scalar, SqrtSource, WindowConfig,
+                          RealEnclosure, Scalar, SqrtSource,
                           borel_cantelli_ratio, box_dimension_estimate, build_layer,
                           build_sparse_number, cantor_measure, cf_prefix_interval,
                           continued_fraction_expand, irrationality_exponent_estimate,
@@ -40,9 +40,9 @@ def _samples() -> list:
     """At least one instance of every record class, most built by the library."""
     k = MissingDigitSet(3, (2, 0))
     psi = ApproxFunction.power(2)
-    cfg = WindowConfig.unit(3)
+    window = RatInterval.unit()
     f = DimensionFunction.power(1, 1)
-    scan = quasi_independence_scan(k, psi, cfg, 3, 1, True)
+    scan = quasi_independence_scan(k, psi, window, 3, 1, True)
     golden_cf = continued_fraction_expand(RealEnclosure.from_source(golden_ratio_source()), 12)
     return [
         continued_fraction_expand(F(7, 19), 10), golden_cf,
@@ -62,9 +62,9 @@ def _samples() -> list:
         ApproxFunction.table({1: F(1, 2)}).kind,
         psi, truncate_psi(psi, F(1, 2)),
         f, DimensionFunction.table({1: F(1)}, True),
-        cfg, build_layer(k, psi, 2, cfg, True), scan.rows[0], scan,
+        build_layer(k, psi, 2, window, True), scan.rows[0], scan,
         series_classify(k, psi, f, 4), natural_cover_tail(k, psi, f, 1, 3),
-        borel_cantelli_ratio(k, psi, cfg, 2), box_dimension_estimate(k, F(2), 2, True),
+        borel_cantelli_ratio(k, psi, window, 2), box_dimension_estimate(k, F(2), 2, True),
         PowerRule(F(3)), PowerRule(F(5, 2), F(2)), FactorialRule(),
         truncation_report(build_sparse_number(3, 2, PowerRule(F(3)), 3), 1),
         BUDGET.get(), Budget(steps=3, cells=100),
@@ -151,7 +151,7 @@ def test_cached_properties_survive_freezing_and_pickling():
     assert k._digitset is k._digitset == frozenset({0, 2, 3})
     assert "_digitset" in vars(k)
     layer = build_layer(MissingDigitSet(3, (0, 2)), ApproxFunction.power(F(3, 2)), 2,
-                        WindowConfig.unit(3), True)
+                        RatInterval.unit(), True)
     unions = layer.unions
     assert layer.unions is unions and "unions" in vars(layer)
     clone = pickle.loads(pickle.dumps(layer))
