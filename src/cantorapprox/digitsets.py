@@ -123,9 +123,12 @@ class MissingDigitSet(Record):
         b, top = self.base, self.base ** level - 1
         first, last = max(first, 0), top if last is None else min(last, top)
         if (count := _cell_count(self, level, first, last)) > (cap := BUDGET.get().cells):
-            raise ResourceBudgetError(
-                f"{count:,} level-{level} basic intervals in cells {first}..{last} "
-                f"over the {cap:,}-cell budget")
+            try:
+                cells = f"{count:,} level-{level} basic intervals in cells {first}..{last}"
+            except ValueError:  # past the int-to-str limit: sizes in bits
+                cells = (f"a {count.bit_length():,}-bit count of level-{level} basic intervals "
+                         f"in cells of up to {last.bit_length():,} bits")
+            raise ResourceBudgetError(f"{cells} over the {cap:,}-cell budget")
         out, block = [0], top + 1
         for _ in range(level):
             block //= b
@@ -153,12 +156,21 @@ OUT = MembershipResult("out")
 
 def _preperiod(q: int, b: int) -> tuple[int, int]:
     """(s, rest): rest = q / gcd(q, b^s) is coprime to b for the least such s, so
-    the digits of r/q repeat from the (s+1)-th on; r/q is b-adic iff rest == 1."""
+    the digits of r/q repeat from the (s+1)-th on; r/q is b-adic iff rest == 1.
+
+    That is dividing g = gcd(rest, b) out of rest until it is 1, one step a
+    division.  g stays the same while it divides rest, so each pass divides
+    out g, g^2, g^4, ... (1, 2, 4, ... steps) while they divide: a pass at
+    least halves the power of g left, so O(log s) passes of O(log s)
+    divisions each.
+    """
     s, rest = 0, q
     g = gcd(rest, b)
     while g > 1:
-        rest //= g
-        s += 1
+        power, steps = g, 1
+        while not (qr := divmod(rest, power))[1]:
+            rest, s = qr[0], s + steps
+            power, steps = power * power, 2 * steps
         g = gcd(rest, b)
     return s, rest
 

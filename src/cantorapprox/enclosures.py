@@ -17,8 +17,9 @@ an enclosure goes through `RealEnclosure.decide`, which refines until
 its test answers (`LogRatioSource.within` skips the levels that cannot
 answer).  The steps are capped by the `steps` of `errors.BUDGET` (default
 12); an enclosure at the cap or without a source raises `PrecisionError`
-rather than guessing or looping, and an ln operand over its `bits`
-raises `ResourceBudgetError`.
+rather than guessing or looping.  An ln operand over its `bits` raises
+`ResourceBudgetError`, and a power or root radicand over them
+`PrecisionError`, each checked before it is built.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import isqrt
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, TypeVar, Union
 
 from .errors import (BUDGET, InputError, PrecisionError, ResourceBudgetError,
-                     UndecidableFloorError)
+                     UndecidableFloorError, check_bits, power_bits)
 from .records import Record
 
 if TYPE_CHECKING:
@@ -321,6 +322,8 @@ def nthroot_interval(x: Fraction, k: int, bits: int) -> Iv:
         raise InputError("even root of a negative value")
     p, q = x.numerator, x.denominator
     # x^(1/k) = (p q^(k-1))^(1/k) / q
+    check_bits(p.bit_length() + (k - 1) * q.bit_length() + k * bits,
+               f"radicand of a degree-{k} root")
     scaled = p * q ** (k - 1) << (k * bits)
     r = iroot(scaled, k)
     den = q << bits
@@ -338,10 +341,15 @@ def rational_pow(base: Fraction, expo: Fraction, bits: int) -> Iv:
         raise InputError("power of a non-positive base")
     p, q = expo.numerator, expo.denominator
     if q == 1:
+        check_bits(max(power_bits(x, abs(p)) for x in (base.numerator, base.denominator)),
+                   f"base^{p}")
         return iv_exact(base ** p)
     if q <= _SMALL_ROOT_LIMIT:
         root = nthroot_interval(base, q, bits + 8)
-        return _round_out(iv_intpow(root, p), bits)
+        check_bits(abs(p) * max(x.bit_length() for end in root
+                                for x in (end.numerator, end.denominator)), f"root^{p}")
+        power = iv_intpow(root, p)
+        return power if iv_is_exact(root) else _round_out(power, bits)
     # huge-denominator exponents go through exp(expo * ln base)
     lnb = ln_interval(base, bits + expo.__ceil__().bit_length() + 16)
     return exp_interval(iv_scale(lnb, expo), bits)

@@ -4,6 +4,7 @@ The split mirrors the CLI exit codes: validation problems exit 2,
 resource/precision problems exit 3.  `BUDGET` is a context variable
 (PEP 567), like the context of `decimal`: set in a copy of the context,
 as the CLI does for --precision-budget, it ends with that copy's run.
+`check_bits` holds an operand about to be built to the budget's `bits`.
 """
 
 from contextvars import ContextVar
@@ -21,6 +22,18 @@ class Budget(Record):
 
 
 BUDGET: ContextVar[Budget] = ContextVar("budget", default=Budget())
+
+
+def power_bits(base: int, e: int) -> int:
+    """Bit length of base^e, or at most e/64 + 1 over it, without building it."""
+    return e * (base ** 64).bit_length() // 64 + 1
+
+
+def check_bits(bits: int, operand: str) -> None:
+    """PrecisionError if an operand about to be built is over the bit budget."""
+    if bits > (cap := BUDGET.get().bits):
+        raise PrecisionError(f"operand of {bits:,} bits ({operand}) over the "
+                             f"{cap:,}-bit budget")
 
 
 class InputError(ValueError):

@@ -28,7 +28,7 @@ from .digitsets import (CantorMeasureValue, MissingDigitSet, ball_unions, center
 from .enclosures import (Iv, LogRatioSource, exponent_enclosure, iv_add,
                          iv_cmp, iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
-from .errors import HypothesisViolation, InputError, PrecisionError
+from .errors import BUDGET, HypothesisViolation, InputError, PrecisionError
 from .intervals import RatInterval, intersect_unions, merge_pairs
 from .records import Record
 
@@ -103,16 +103,17 @@ class Scalar(Record):
                     lambda enc: iv_cmp(self.at(enc.as_iv()), other.at(enc.as_iv())))
         return (a > b) - (a < b)
 
-    def evaluate_base_power(self, dset: MissingDigitSet) -> Iv:
-        """Enclosure (exact when possible) of base**self."""
+    def evaluate_base_power(self, dset: MissingDigitSet, bits: int = VALUE_BITS) -> Iv:
+        """Enclosure (exact when possible) of base**self, inexact ends on
+        the 2^-bits grid."""
         exact = self.rational(dset)
         if exact is not None:
-            return rational_pow(Fraction(dset.base), exact, VALUE_BITS)
+            return rational_pow(Fraction(dset.base), exact, bits)
         if self.gexp == 1:
             # b^(c*gamma) = (#digits)^c exactly
-            return rational_pow(Fraction(dset.digit_count), self.coef, VALUE_BITS)
+            return rational_pow(Fraction(dset.digit_count), self.coef, bits)
         # rare: go through an enclosure exponent
-        return pow_interval(iv_exact(Fraction(dset.base)), self.value_iv(dset), VALUE_BITS)
+        return pow_interval(iv_exact(Fraction(dset.base)), self.value_iv(dset), bits)
 
 
 GAMMA = Scalar(_ONE, 1)
@@ -170,31 +171,45 @@ def truncate_psi(psi: ApproxFunction, c) -> ApproxFunction:
 
 
 def _powlog_value(power: Scalar, log_exponent: Scalar, dset: MissingDigitSet,
-                  n: int, irrational_message: str) -> Iv:
+                  n: int, irrational_message: str, bits: int = VALUE_BITS) -> Iv:
     """r^-power * (log r)^-log_exponent at r = b^n; the log exponent must
     be rational, else InputError(irrational_message)."""
     beta = log_exponent.rational(dset)
     if beta is None:
         raise InputError(irrational_message)
-    power_part = power.scale(Fraction(-n)).evaluate_base_power(dset)
-    logr = iv_scale(ln_interval(Fraction(dset.base), VALUE_BITS + 16), Fraction(n))
-    return iv_mul(power_part, pow_interval(logr, iv_exact(-beta), VALUE_BITS))
+    power_part = power.scale(Fraction(-n)).evaluate_base_power(dset, bits)
+    logr = iv_scale(ln_interval(Fraction(dset.base), bits + 16), Fraction(n))
+    return iv_mul(power_part, pow_interval(logr, iv_exact(-beta), bits))
+
+
+def _law_value(kind: PsiKind, dset: MissingDigitSet, n: int, bits: int) -> Iv:
+    if isinstance(kind, PowerLaw):
+        return kind.exponent.scale(Fraction(-n)).evaluate_base_power(dset, bits)
+    if isinstance(kind, PowerLogLaw):
+        return _powlog_value(kind.power, kind.log_exponent, dset, n,
+                             "irrational log-exponent is not supported", bits)
+    raise InputError(f"unknown psi kind {kind!r}")
 
 
 def psi_value(psi: ApproxFunction, dset: MissingDigitSet, n: int) -> Iv:
-    """Enclosure (exact when representable) of psi(b^n), truncation applied."""
+    """Enclosure (exact when representable) of psi(b^n), truncation applied.
+
+    A law psi > 0 is taken on the 2^-VALUE_BITS grid, and on a grid twice
+    as fine while its lower end rounds to 0, for at most the `steps` of
+    `errors.BUDGET` doublings (then PrecisionError).
+    """
     kind = psi.kind
     if isinstance(kind, TableValues):
         if n not in kind.values:
             raise InputError(f"psi table has no value at level {n}")
         val = iv_exact(Fraction(kind.values[n]))
-    elif isinstance(kind, PowerLaw):
-        val = kind.exponent.scale(Fraction(-n)).evaluate_base_power(dset)
-    elif isinstance(kind, PowerLogLaw):
-        val = _powlog_value(kind.power, kind.log_exponent, dset, n,
-                            "irrational log-exponent is not supported")
     else:
-        raise InputError(f"unknown psi kind {kind!r}")
+        level = 0
+        while (val := _law_value(kind, dset, n, VALUE_BITS << level))[0] == 0:
+            if level == BUDGET.get().steps:
+                raise PrecisionError(f"psi(b^{n}) is below 2^-{VALUE_BITS << level} at "
+                                     f"refinement level {level}")
+            level += 1
     if psi.truncation is not None:
         cap = psi.truncation * Fraction(dset.base) ** (-n)
         val = (min(val[0], cap), min(val[1], cap))

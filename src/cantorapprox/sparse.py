@@ -17,22 +17,10 @@ from typing import Optional, Union
 from .digitsets import IN, OUT, MembershipResult, MissingDigitSet
 from .enclosures import (Iv, Real, RealEnclosure, as_enclosure, floor_power, iv_cmp,
                          rational_pow)
-from .errors import BUDGET, InputError, PrecisionError
+from .errors import InputError, check_bits, power_bits
 from .records import Record
 
 _ONE = Fraction(1)
-
-
-def _power_bits(base: int, e: int) -> int:
-    """Bit length of base^e, or at most e/64 + 1 over it, without building it."""
-    return e * (base ** 64).bit_length() // 64 + 1
-
-
-def _check_bits(bits: int, operand: str) -> None:
-    """PrecisionError if an operand about to be built is over the bit budget."""
-    if bits > (cap := BUDGET.get().bits):
-        raise PrecisionError(f"operand of {bits:,} bits ({operand}) over the "
-                             f"{cap:,}-bit budget")
 
 
 class PowerRule(Record):
@@ -105,7 +93,7 @@ class SparseDigitNumber:
         if s in self._truncations:
             return self._truncations[s]
         e_s = self.exponent(s)
-        _check_bits(_power_bits(self.base, e_s), f"{self.base}^{e_s}")
+        check_bits(power_bits(self.base, e_s), f"{self.base}^{e_s}")
         q = self.base ** e_s
         p = self.coefficient * sum(self.base ** (e_s - self.exponent(n))
                                    for n in range(1, s + 1))
@@ -133,7 +121,7 @@ class SparseDigitNumber:
         """
         t = terms if terms is not None else self.terms
         b, e = self.base, self.exponent(t + 1)
-        _check_bits(_power_bits(b, e) + (b - 1).bit_length(), f"{b - 1}*{b}^{e}")
+        check_bits(power_bits(b, e) + (b - 1).bit_length(), f"{b - 1}*{b}^{e}")
         prefix = self.truncation_fraction(t)
         rem = Fraction(self.coefficient * b, (b - 1) * b ** e)
         return (prefix, prefix + rem)
@@ -193,8 +181,8 @@ class TruncationReport(Record):
 def _cmp_fraction_vs_power(r: Fraction, base: int, expo: Fraction) -> int:
     """Sign of r - base**expo for r > 0 and expo = -p/u < 0: of num^u * base^p - den^u."""
     num, den, u, p = r.numerator, r.denominator, expo.denominator, -expo.numerator
-    _check_bits(max(u * num.bit_length() + _power_bits(base, p), u * den.bit_length()),
-                f"gap^{u}*{base}^{p}")
+    check_bits(max(u * num.bit_length() + power_bits(base, p), u * den.bit_length()),
+               f"gap^{u}*{base}^{p}")
     lhs, rhs = num ** u * base ** p, den ** u
     return (lhs > rhs) - (lhs < rhs)
 

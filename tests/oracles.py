@@ -10,8 +10,10 @@ scan for the box count the library takes from prefix ranks, argparse
 for the command line the library parses from its option tables, a
 decimal exponent found from digit counts for the rendered decimals,
 `Fraction` interval division for the log ratios the library divides on
-grid numerators, and a `Fraction` Euclid for the continued-fraction
-quotients the library reads off integer pairs in lockstep.
+grid numerators, a `Fraction` Euclid for the continued-fraction
+quotients the library reads off integer pairs in lockstep, and one
+gcd divided out a step for the pre-period the library strips in
+squared chunks.
 `under_budget` runs a call under a chosen per-call `Budget`.
 """
 
@@ -134,6 +136,18 @@ def power_series_converges(s: Fraction, tau: Fraction, base: int, count: int) ->
     st = Fraction(s) * Fraction(tau)
     # s*tau > log(count)/log(base)  <=>  base^(num) > count^(den)
     return base ** st.numerator > count ** st.denominator
+
+
+def preperiod_by_steps(q: int, b: int) -> tuple[int, int]:
+    """`digitsets._preperiod` one step a division: gcd(rest, b) is divided
+    out of rest until it is 1, and s counts the steps."""
+    s, rest = 0, q
+    g = gcd(rest, b)
+    while g > 1:
+        rest //= g
+        s += 1
+        g = gcd(rest, b)
+    return s, rest
 
 
 def _badic_digit_length(q: int, b: int) -> Optional[int]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -16,7 +17,8 @@ from cantorapprox.digitsets import grid_cdf, measure_pair
 from cantorapprox.errors import Budget
 from cantorapprox.intervals import clip_union, merge_pairs
 
-from oracles import enclosure_status, oracle_cdf, oracle_measure, rational_in_set, under_budget
+from oracles import (enclosure_status, oracle_cdf, oracle_measure, preperiod_by_steps,
+                     rational_in_set, under_budget)
 
 K = MissingDigitSet.middle_thirds()
 
@@ -329,6 +331,31 @@ def test_enumeration_budget_full_range_condition():
     with pytest.raises(ResourceBudgetError, match=r"^2,048 level-11 basic intervals in "
                        r"cells 0\.\.177146 over the 1,024-cell budget$"):
         under_budget(Budget(cells=2 ** 10), K.allowed_prefixes, 11)
+
+
+def test_enumeration_budget_error_states_sizes_in_bits_past_the_print_limit():
+    # 3^9100 - 1, the last cell, has more digits than int-to-str prints
+    with pytest.raises(ResourceBudgetError, match=r"^a 9,101-bit count of level-9100 basic "
+                       r"intervals in cells of up to 14,424 bits over the 4,194,304-cell "
+                       r"budget$"):
+        K.allowed_prefixes(9100)
+
+
+@given(st.integers(min_value=3, max_value=10), st.integers(min_value=0, max_value=200),
+       st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 25, 27]), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=1, max_value=10 ** 6))
+@settings(max_examples=300)
+def test_preperiod_matches_one_gcd_a_step(b, s, c, j, k):
+    """q = b^s c^j k: with a composite base, gcd(rest, b) changes between
+    steps, as for b = 6 once the 3s of q run out before its 2s."""
+    q = b ** s * c ** j * k
+    assert digitsets._preperiod(q, b) == preperiod_by_steps(q, b)
+
+
+def test_a_long_preperiod_is_stripped_fast():
+    start = time.perf_counter()
+    assert digitsets._preperiod(3 ** 100000 * 7, 3) == (100000, 7)
+    assert time.perf_counter() - start < 0.25
 
 
 def _centers_by_membership(dset, n, coprime):

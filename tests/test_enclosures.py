@@ -433,6 +433,31 @@ def test_rational_pow_agrees_with_roots(base, den, num):
     assert max(a[0], acc[0]) <= min(a[1], acc[1])  # enclosures overlap
 
 
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=2, max_value=7),
+       st.integers(min_value=-60, max_value=60))
+def test_rational_pow_of_an_exact_root_is_exact(root, den, num):
+    """A rational power is exact, also when its value is off the 2^-bits grid."""
+    expo = F(num, den)
+    assert rational_pow(F(root ** den), expo, 96) == (F(root) ** num,) * 2
+
+
+def test_rational_pow_checks_each_power_before_it_is_built():
+    with pytest.raises(PrecisionError, match=r"^operand of 31,875,001 bits \(base\^-20000000\) "
+                       r"over the 8,388,608-bit budget$"):
+        rational_pow(F(3), F(-20000000), 96)
+    with pytest.raises(PrecisionError, match=r"^operand of 105,000,105 bits \(root\^-1000001\) "):
+        rational_pow(F(3), F(-1000001, 2), 96)
+    with pytest.raises(PrecisionError, match=r"^operand of 16,777,219 bits \(radicand of a "
+                       r"degree-2 root\) "):
+        nthroot_interval(F(3), 2, 1 << 23)
+    # the same powers under a budget that admits them
+    assert rational_pow(F(3), F(-2000), 96) == (F(1, 3 ** 2000),) * 2
+    small = Budget(bits=3188)  # power_bits(3, 2000)
+    assert under_budget(small, rational_pow, F(3), F(2000), 96) == (F(3 ** 2000),) * 2
+    with pytest.raises(PrecisionError, match=r"\(base\^2001\)"):
+        under_budget(small, rational_pow, F(3), F(2001), 96)
+
+
 def test_cmp_rational_refines():
     g = RealEnclosure.from_source(LogRatioSource(F(2), F(3)))
     assert g.cmp_rational(F(63092, 10 ** 5)) == 1

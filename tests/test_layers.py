@@ -17,10 +17,12 @@ from cantorapprox import digitsets, enclosures, layers
 from cantorapprox.digitsets import cantor_cdf, measure_union
 from cantorapprox.intervals import intersect_unions
 from cantorapprox.cli_layers import parse_psi, parse_scalar
-from cantorapprox.layers import classify_pair_case, psi_value
-from cantorapprox.enclosures import exponent_enclosure, iv_div, iv_exact, iv_mul, iv_scale
+from cantorapprox.layers import VALUE_BITS, classify_pair_case, psi_value
+from cantorapprox.enclosures import (exponent_enclosure, iv_div, iv_exact, iv_mul, iv_scale,
+                                     rational_pow)
+from cantorapprox.errors import Budget, PrecisionError
 
-from oracles import (layer_ball_pairs, layer_union_pairs, mp_interval, needs_mpmath,
+from oracles import (layer_ball_pairs, layer_union_pairs, mp_interval, needs_mpmath, under_budget,
                      power_series_converges)
 
 K = MissingDigitSet.middle_thirds()
@@ -38,6 +40,28 @@ def test_truncate_examples():
     tab = truncate_psi(ApproxFunction.table({1: F(1), 2: F(1, 100)}), F(1, 2))
     assert psi_value(tab, K, 1) == (F(1, 6), F(1, 6))
     assert psi_value(tab, K, 2) == (F(1, 100), F(1, 100))
+
+
+@pytest.mark.parametrize("psi, n, exact", [
+    (ApproxFunction.power(F(5, 2)), 25, F(1, 3 ** 125)),  # squares of 3^-62.5 < 2^-96
+    (ApproxFunction.power_log(F(7, 2), Scalar(F(1))), 19, None),  # 3^-66.5 / (19 ln 3)
+])
+def test_psi_below_the_value_grid_stays_positive(psi, n, exact):
+    lo, hi = psi_value(psi, K, n)
+    assert 0 < lo < hi < F(1, 2 ** VALUE_BITS)
+    if exact is not None:
+        assert lo ** 2 <= exact <= hi ** 2
+    # the first grid twice as fine holds it; the budget's steps cap the doublings
+    assert hi - lo <= F(2, 2 ** (2 * VALUE_BITS))
+    with pytest.raises(PrecisionError, match=rf"^psi\(b\^{n}\) is below 2\^-96 at "
+                       r"refinement level 0$"):
+        under_budget(Budget(steps=0), psi_value, psi, K, n)
+
+
+def test_psi_on_the_value_grid_is_taken_once():
+    psi = ApproxFunction.power(F(5, 2))
+    assert psi_value(psi, K, 3) == rational_pow(F(3), F(-15, 2), VALUE_BITS)
+    assert psi_value(psi, K, 3)[0] > 0
 
 
 def test_cli_reads_every_scalar_and_the_truncation():
@@ -670,7 +694,10 @@ def test_f_of_a_truncated_psi_raises_psi_to_s(dset, s):
         def reference(iv):
             expo = iv.mpf(1) / 2 if s.gexp == 0 else _mp_gamma(iv, dset)
             return (iv.mpf(psi_n.numerator) / psi_n.denominator) ** expo
-        assert _holds((lo, hi), mp_interval(reference, 2 * layers.VALUE_BITS)), n
+        if lo == hi:  # psi_n is a square: its exact root, checked exactly
+            assert s.gexp == 0 and lo ** 2 == psi_n, n
+        else:
+            assert _holds((lo, hi), mp_interval(reference, 2 * layers.VALUE_BITS)), n
 
 
 @needs_mpmath

@@ -10,8 +10,8 @@ from cantorapprox import (AffineSource, FactorialRule, InputError, MissingDigitS
                           te_inequality_holds, truncation_report,
                           truncation_reports, well_approximable_band)
 from cantorapprox.enclosures import BASE_BITS
-from cantorapprox.errors import Budget, PrecisionError
-from cantorapprox.sparse import (_cmp_fraction_vs_power, _exponent_compare, _power_bits,
+from cantorapprox.errors import Budget, PrecisionError, power_bits
+from cantorapprox.sparse import (_cmp_fraction_vs_power, _exponent_compare,
                                  _power_bound_encl)
 
 from oracles import mp_interval, mp_real, needs_mpmath, sparse_tail_sum, under_budget
@@ -235,9 +235,9 @@ def test_power_bound_matches_mpmath(above, where):
 @settings(max_examples=200, deadline=None)
 def test_power_bits_is_a_close_upper_bound(base, e):
     exact = (base ** e).bit_length()
-    assert exact <= _power_bits(base, e) <= exact + e // 64 + 1
+    assert exact <= power_bits(base, e) <= exact + e // 64 + 1
     if e >= 64:
-        assert _power_bits(base, e) <= exact * 1.02
+        assert power_bits(base, e) <= exact * 1.02
 
 
 def test_value_interval_checks_the_denominator_it_builds():
@@ -259,7 +259,7 @@ def test_default_bit_budget_admits_the_factorial_denominator_of_term_nine():
     # value_interval(9) of the factorial rule builds 2*3^(10!), of 5,751,513 bits,
     # and value_interval(10) would build 2*3^(11!)
     xf = build_sparse_number(3, 2, FactorialRule(), 3)
-    assert Budget().bits // 2 < 5_751_513 <= _power_bits(3, 3628800) + 2 <= Budget().bits
+    assert Budget().bits // 2 < 5_751_513 <= power_bits(3, 3628800) + 2 <= Budget().bits
     with pytest.raises(PrecisionError, match=r"^operand of 63,617,403 bits "
                        r"\(2\*3\^39916800\) over the 8,388,608-bit budget$"):
         xf.value_interval(10)
