@@ -9,9 +9,10 @@ This module holds the dispatch, the options every subcommand shares, the
 parse helpers more than one family uses, and the handlers of the
 commands that need only the digit set and rational intervals: measure,
 full-cover and cf-interval.  The other handlers live in one module per
-command family (`cli_layers`, `cli_contfrac`, `cli_sparse` and
-`cli_xi`), which `run_command` imports on first use, so that a call
-compiles only the code of its command.  Each call runs in its own copy
+command family (`cli_layers`, `cli_contfrac` for cf and exponent on every
+--x, `cli_sparse` for xi-build and `cli_xi` for xi-verify), which
+`run_command` imports on first use, so that a call compiles only the
+code of its command.  Each call runs in its own copy
 of the context, where --precision-budget sets the `steps` of
 `errors.BUDGET`, so a budget never reaches the next call.
 """
@@ -118,8 +119,7 @@ def cmd_cf_interval(args, dset):
     return results, rows
 
 
-# the module of every other command's handler `cmd_<name>`; cf and exponent
-# on --x xi run in `cli_xi`, so the other values of --x load no sparse numbers
+# the module of every other command's handler `cmd_<name>`
 FAMILY_MODULES = {
     "layer": "cli_layers", "pairwise": "cli_layers", "quasi-scan": "cli_layers",
     "series": "cli_layers", "tail": "cli_layers", "bc-ratio": "cli_layers",
@@ -135,8 +135,6 @@ def _handler_of(args):
     module = FAMILY_MODULES.get(args.command)
     if module is None:
         return globals()[name]
-    if getattr(args, "x", None) == "xi":
-        module = "cli_xi"
     return getattr(import_module(f".{module}", __package__), name)
 
 

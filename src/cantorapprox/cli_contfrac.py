@@ -1,30 +1,34 @@
-"""Command-line handlers of the continued-fraction family: cf and exponent
-on every --x but xi.
+"""Command-line handlers of the continued-fraction family: cf and exponent,
+on every --x.
 
-`cli.run_command` imports this module on first use; `cli_xi` runs cf and
-exponent on --x xi, so that this module never loads the sparse numbers.
-cf-interval runs in `cli` itself, since its prefix intervals need no
-continued-fraction expansion and no enclosures.
+`cli.run_command` imports this module on first use, and `parse_x` imports
+`cli_sparse` only for --x xi, so the other values of --x load no sparse
+numbers.  cf-interval runs in `cli` itself, since its prefix intervals
+need no continued-fraction expansion and no enclosures.
 Each handler takes the parsed arguments and the digit set and returns
 (results, csv_rows).
 """
 
 from __future__ import annotations
 
+from importlib import import_module
+
 from . import render
-from .cli import parse_fraction, parse_set
+from .cli import parse_fraction
 from .contfrac import continued_fraction_expand, irrationality_exponent_estimate
 from .enclosures import RealEnclosure, SqrtSource, exponent_enclosure, golden_ratio_source
 from .errors import InputError
 
 
-def parse_x(args):
-    """The --x argument, other than xi: a symbolic constant or a rational."""
+def parse_x(args, dset):
+    """The --x argument: a symbolic constant, the sparse number xi or a rational."""
     t = args.x
+    if t == "xi":
+        return import_module(".cli_sparse", __package__).build_xi(args)
     if t == "golden":
         return RealEnclosure.from_source(golden_ratio_source())
     if t == "gamma":
-        return exponent_enclosure(parse_set(args.set))
+        return exponent_enclosure(dset)
     if t.startswith("sqrt:"):
         q = parse_fraction(t[5:])
         if not 0 < q < 1:
@@ -33,9 +37,8 @@ def parse_x(args):
     return parse_fraction(t)
 
 
-def cf_report(x, depth: int):
-    """The cf results and rows of x, expanded to the given depth."""
-    cf = continued_fraction_expand(x, depth)
+def cmd_cf(args, dset):
+    cf = continued_fraction_expand(parse_x(args, dset), args.depth)
     printable = [pq for pq in cf.convergents
                  if pq[1].bit_length() <= render.RENDER_INT_BITS]
     results = {
@@ -51,10 +54,9 @@ def cf_report(x, depth: int):
     return results, rows
 
 
-def exponent_report(x, depth: int, min_q: int):
-    """The exponent results and rows of x, expanded to the given depth."""
-    cf = continued_fraction_expand(x, depth)
-    est = irrationality_exponent_estimate(cf, min_q)
+def cmd_exponent(args, dset):
+    cf = continued_fraction_expand(parse_x(args, dset), args.depth)
+    est = irrationality_exponent_estimate(cf, args.min_q)
     results = {
         "estimate": render.value_json((est.lo, est.hi)),
         "witnesses": [{"q": render.int_str(a), "q_next": render.int_str(b)}
@@ -67,10 +69,3 @@ def exponent_report(x, depth: int, min_q: int):
              "window": est.window, "min_denominator": est.min_denominator}]
     return results, rows
 
-
-def cmd_cf(args, dset):
-    return cf_report(parse_x(args), args.depth)
-
-
-def cmd_exponent(args, dset):
-    return exponent_report(parse_x(args), args.depth, args.min_q)

@@ -1,8 +1,10 @@
-"""Command-line handler of xi-build, and the sparse number xi that the
---x xi and xi-verify handlers in `cli_xi` also build.
+"""Command-line handler of xi-build, and the sparse number xi that
+xi-verify (`cli_xi`) and cf and exponent on --x xi (`cli_contfrac`) also
+build.
 
-`cli.run_command` imports this module on first use.  It loads no
-continued-fraction code.
+`cli.run_command` imports this module on first use, and
+`cli_contfrac.parse_x` only for --x xi.  It loads no continued-fraction
+code.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def _feasible_truncations(x: SparseDigitNumber):
         if x.exponent(s) > render.RENDER_INT_BITS:  # then q_s = b^(e_s) is not built
             break
         p, q = x.truncation(s)
-        if q.bit_length() > render.RENDER_INT_BITS:  # the rule of `cf_report`
+        if q.bit_length() > render.RENDER_INT_BITS:  # the rule of `cli_contfrac.cmd_cf`
             break
         out.append((s, p, q))
     return out

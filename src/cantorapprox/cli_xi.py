@@ -1,27 +1,18 @@
-"""Command-line handlers that expand the sparse number xi as a continued
-fraction: xi-verify, and cf and exponent on --x xi.
+"""Command-line handler of xi-verify, which checks the sparse number xi's
+truncations, its membership and its continued fraction.
 
-`cli.run_command` imports this module on first use, in place of
-`cli_contfrac` when --x is xi.  Each handler takes the parsed arguments
-and the digit set and returns (results, csv_rows).
+`cli.run_command` imports this module on first use; cf and exponent run
+in `cli_contfrac` on every --x, xi too.  The handler takes the parsed
+arguments and the digit set and returns (results, csv_rows).
 """
 
 from __future__ import annotations
 
-from .cli_contfrac import cf_report, exponent_report
 from .cli_sparse import build_xi
 from .contfrac import continued_fraction_expand, legendre_is_convergent
 from .digitsets import membership
 from .errors import InputError
 from .sparse import truncation_reports
-
-
-def cmd_cf(args, dset):
-    return cf_report(build_xi(args), args.depth)
-
-
-def cmd_exponent(args, dset):
-    return exponent_report(build_xi(args), args.depth, args.min_q)
 
 
 def cmd_xi_verify(args, dset):

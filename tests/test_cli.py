@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cantorapprox import cli, cli_layers, cli_xi, layers, render
+from cantorapprox import cli, cli_contfrac, cli_layers, cli_xi, layers, render
 from cantorapprox.cli import SUBCOMMAND_OPTIONS, build_parser, main, run_command
 from cantorapprox.errors import BUDGET, Budget, InputError, ResourceBudgetError
 from oracles import argparse_parser, under_budget
@@ -480,6 +480,17 @@ def test_pairwise_measures_each_layer_once_and_layer_parses_psi_once():
     assert measured.call_count == 2
     with mock.patch.object(cli_layers, "parse_psi", wraps=cli_layers.parse_psi) as parsed:
         run_command(["layer", "--psi", "pow:2", "--n", "4"])
+    assert parsed.call_count == 1
+
+
+def test_cf_and_exponent_have_one_handler_for_every_x_and_gamma_parses_the_set_once():
+    assert [name for name in vars(cli_xi) if name.startswith("cmd_")] == ["cmd_xi_verify"]
+    for command in ("cf", "exponent"):
+        for x in ("xi", "golden"):
+            handler = cli._handler_of(mock.NonCallableMock(command=command, x=x))
+            assert handler is getattr(cli_contfrac, "cmd_" + command)
+    with mock.patch.object(cli, "parse_set", wraps=cli.parse_set) as parsed:
+        run_command(["cf", "--x", "gamma", "--set", "5:0,2,3", "--depth", "10"])
     assert parsed.call_count == 1
 
 
