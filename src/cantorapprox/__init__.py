@@ -20,8 +20,8 @@ _EXPORTS = {
                   "full_cover_check", "measure_union", "membership",
                   "prefix_interval_disjoint_from"),
     "enclosures": ("AffineSource", "LogRatioSource", "RealEnclosure", "SqrtSource",
-                   "canonicalize_rational", "enclose_real", "exponent_enclosure",
-                   "floor_power", "golden_ratio_source", "iroot"),
+                   "enclose_real", "exponent_enclosure", "floor_power",
+                   "golden_ratio_source", "iroot"),
     "errors": ("HypothesisViolation", "InputError", "PrecisionError",
                "ResourceBudgetError", "UndecidableFloorError"),
     "intervals": ("PrefixInterval", "RatInterval", "cf_prefix_interval",

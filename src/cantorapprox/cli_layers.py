@@ -13,12 +13,12 @@ from typing import Optional
 from . import render
 from .cli import parse_fraction, parse_window
 from .digitsets import cantor_measure
-from .errors import InputError
+from .errors import BUDGET, InputError
 from .intervals import RatInterval
 from .layers import (ApproxFunction, DimensionFunction, Scalar, borel_cantelli_ratio,
                      box_dimension_estimate, build_layer, layer_comparator, layer_measure,
-                     natural_cover_tail, pairwise_measure, quasi_independence_scan,
-                     series_classify, truncate_psi, window_t0)
+                     natural_cover_tail, pairwise_measure, psi_value,
+                     quasi_independence_scan, series_classify, truncate_psi, window_t0)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,13 @@ def _window_of(args) -> RatInterval:
 def cmd_layer(args, dset):
     window = _window_of(args)
     psi = _psi_of(args)
+    cap = BUDGET.get().cells
+    # refuse an exact radius b^(-tau n) past the print limit before the layer
+    # is built, at a level of at most `cells` cells, m^n (n cut at the cap's
+    # bit length, past which m >= 2 passes it): only there can the build not
+    # raise its cells-budget error first
+    if args.n >= 1 and dset.digit_count ** min(args.n, cap.bit_length()) <= cap:
+        render.check_printable(psi_value(psi, dset, args.n))
     layer = build_layer(dset, psi, args.n, window, args.coprime)
     mv = layer_measure(layer)
     comp = layer_comparator(dset, psi, args.n, cantor_measure(dset, window).value)

@@ -47,13 +47,6 @@ _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
-def canonicalize_rational(numerator: int, denominator: int) -> Fraction:
-    """Exact rational n/d, gcd-reduced with positive denominator."""
-    if denominator == 0:
-        raise InputError("zero denominator")
-    return Fraction(numerator, denominator)
-
-
 def iroot(n: int, k: int) -> int:
     """Floor of the k-th root of a non-negative integer."""
     if n < 0:
@@ -294,7 +287,11 @@ def _exp_point(x: Fraction, bits: int) -> Iv:
         return iv_recip(_exp_point(-x, bits))
     n0 = x.__floor__()
     r = x - n0
-    res = iv_intpow(_e_interval(bits + 8), n0) if n0 else iv_exact(_ONE)
+    res = iv_exact(_ONE)
+    if n0:
+        e = _e_interval(bits + 8)  # e > 1: its numerators outgrow its denominators
+        check_bits(n0 * max(end.numerator.bit_length() for end in e), f"e^{n0}")
+        res = iv_intpow(e, n0)
     if r:
         total = _ONE
         term = _ONE

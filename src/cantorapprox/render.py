@@ -70,6 +70,16 @@ def _unprintable() -> ResourceBudgetError:
                                f"{sys.get_int_max_str_digits()} digits, the int-to-str limit")
 
 
+def check_printable(v) -> None:
+    """ResourceBudgetError when an end of v, read as by `value_json`, has a
+    numerator or denominator certain to pass the int-to-str digit limit:
+    |n| >= 2^(bits-1) >= 10^d has more than d = (bits-1) * 1233 >> 12 digits."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(((n.bit_length() - 1) * 1233 >> 12) >= limit
+                     for end in _bounds(v) for n in (end.numerator, end.denominator)):
+        raise _unprintable()
+
+
 def int_str(n: int) -> str:
     """str(n), or ResourceBudgetError past the int-to-str digit limit."""
     try:

@@ -21,7 +21,7 @@ import argparse
 from bisect import bisect_left
 from contextvars import copy_context
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional
 
 import pytest
@@ -403,6 +403,23 @@ def extract_certified(iv: Iv, depth: int) -> list[int]:
         quotients.append(a_lo)
         lo, hi = inv_lo - a_lo, inv_hi - a_lo
     return quotients
+
+
+def sqrt_quotients(q: Fraction, count: int) -> list[int]:
+    """The quotients a_1.. of sqrt(q) = [0; a_1, ..] for 0 < q < 1, at most
+    `count` of them, by the classical PQa recurrence on (P + sqrt D)/Q:
+    a = floor((P + sqrt D)/Q), P' = a Q - P, Q' = (D - P'^2)/Q, from
+    sqrt(q) = sqrt(D)/den with D = num * den.  Q' = 0 ends a rational
+    root."""
+    d, qq = q.numerator * q.denominator, q.denominator
+    root, p = isqrt(d), 0
+    quotients: list[int] = []
+    while len(quotients) <= count and qq:
+        a = (p + root) // qq  # floor((P + sqrt D)/Q), as Q > 0
+        quotients.append(a)
+        p = a * qq - p
+        qq = (d - p * p) // qq
+    return quotients[1:]  # without a_0 = 0
 
 
 def _drop_zero_quotients(quotients: list[int]) -> list[int]:

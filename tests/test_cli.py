@@ -9,6 +9,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import isqrt
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from cantorapprox import cli, cli_contfrac, cli_layers, cli_xi, layers, render
 from cantorapprox.cli import SUBCOMMAND_OPTIONS, build_parser, main, run_command
 from cantorapprox.errors import BUDGET, Budget, InputError, ResourceBudgetError
-from oracles import argparse_parser, under_budget
+from oracles import argparse_parser, sqrt_quotients, under_budget
 
 # one fast fixture configuration per subcommand
 FIXTURE_ARGVS = {
@@ -291,9 +292,12 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("argv", ["layer --psi pow:2000000 --n 10",
-                                  "layer --psi pow:1000001/2 --n 1"])
-def test_a_power_over_the_bit_budget_exits_3_fast(argv):
+# the third power is e^98383, which the exp path of rational_pow raises
+# 3^(-300 * 20000/67) from
+@pytest.mark.parametrize("argv, power", [("layer --psi pow:2000000 --n 10", r"base\^-\d+"),
+                                         ("layer --psi pow:1000001/2 --n 1", r"root\^-\d+"),
+                                         ("layer --psi pow:20000/67 --n 300", r"e\^98383")])
+def test_a_power_over_the_bit_budget_exits_3_fast(argv, power):
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv.split()],
@@ -301,7 +305,7 @@ def test_a_power_over_the_bit_budget_exits_3_fast(argv):
                           env=dict(os.environ, PYTHONPATH=path))
     rc, seconds = done.stdout.split()
     assert rc == "3" and float(seconds) < 1.0
-    assert re.fullmatch(r"error: operand of [\d,]+ bits \((base|root)\^-\d+\) over the "
+    assert re.fullmatch(rf"error: operand of [\d,]+ bits \({power}\) over the "
                         r"8,388,608-bit budget\n", done.stderr)
 
 
@@ -349,6 +353,21 @@ def test_rational_too_long_to_print_exits_3(argv, output, capsys):
     assert capsys.readouterr().err == ("error: the report holds an integer of more than "
                                        f"{sys.get_int_max_str_digits()} digits, the "
                                        "int-to-str limit\n")
+
+
+def test_an_unprintable_radius_is_refused_before_the_layer_is_built(capsys):
+    # psi(3^10) = 3^-100000, whose denominator has 47,712 digits
+    start = time.perf_counter()
+    assert main("layer --psi pow:10000 --n 10".split()) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ("error: the report holds an integer of more than "
+                                       f"{sys.get_int_max_str_digits()} digits, the "
+                                       "int-to-str limit\n")
+    # a bad window and a level below 1 still report first
+    assert main("layer --psi pow:10000 --n 10 --window 1/2:1/2".split()) == 2
+    assert capsys.readouterr().err == "error: window must have positive length\n"
+    assert main("layer --psi pow:10000 --n 0".split()) == 2
+    assert capsys.readouterr().err == "error: level must be >= 1\n"
 
 
 def test_deep_cf_interval_over_narrow_range_answers():
@@ -550,6 +569,41 @@ def test_cf_quotients_by_hand(argv, quotients, exact):
     assert res["exhausted"] is (argv == "cf --x 7/10 --depth 2")
 
 
+@given(st.integers(min_value=1, max_value=60))
+@settings(max_examples=20, deadline=None)
+def test_golden_expands_to_all_ones(depth):
+    # golden is (sqrt 5 - 1)/2 = [0; 1, 1, ...]
+    res = json.loads(run_command(["cf", "--x", "golden", "--depth", str(depth)])[0])["results"]
+    assert res["quotients"] == [1] * depth and res["certified_depth"] == depth
+
+
+# every Q in (0, 1), squares of rationals too, whose expansion is finite
+sqrt_radicands = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 4).filter(
+    lambda q: 0 < q < 1)
+
+
+@given(sqrt_radicands, st.integers(min_value=1, max_value=40))
+@settings(max_examples=60, deadline=None)
+@example(Fraction(1, 4), 5)
+def test_sqrt_expands_as_the_pqa_recurrence(q, depth):
+    res = json.loads(run_command(["cf", "--x", f"sqrt:{q}", "--depth", str(depth)])[0])
+    assert res["results"]["quotients"] == sqrt_quotients(q, depth)
+
+
+@given(st.fractions(min_value=0, max_value=1, max_denominator=100).filter(lambda q: 0 < q < 1),
+       st.integers(min_value=1, max_value=40))
+@settings(max_examples=30, deadline=None)
+def test_pqa_oracle_matches_sympy_periodic_expansion(q, count):
+    # sympy is a test extra, and slow to import: only this test loads it
+    sympy_cf = pytest.importorskip("sympy.ntheory.continued_fraction")
+    d = q.numerator * q.denominator
+    assume(isqrt(d) ** 2 != d)
+    # sqrt(q) = (0 + sqrt d)/den = [a_0; head.., period, period, ..]
+    *head, period = sympy_cf.continued_fraction_periodic(0, q.denominator, d)
+    quotients = head + period * (count // len(period) + 1)
+    assert sqrt_quotients(q, count) == quotients[1:count + 1]
+
+
 @pytest.mark.parametrize("tau, terms, last", [("3", 9, 8), ("5/2", 11, 9), ("7/2", 7, 7),
                                               ("5000", 2, 1)])
 def test_xi_build_prints_each_truncation_that_fits_the_print_limit(tau, terms, last):
@@ -681,11 +735,16 @@ def _results_or_error(argv: list[str]):
 
 
 def _levels(command: str, k: int, scale: int) -> list[str]:
-    """Level k of a layer, or the pair (k, k + 1), at `scale` digits a level."""
+    """Level k of a layer, or the pair (k, k + 1), at `scale` digits a level;
+    the levels up to k + 1 of a scan, and up to k of a ratio."""
     if command == "layer":
         return ["--n", str(scale * k)]
     if command == "pairwise":
         return ["--m", str(scale * k), "--n", str(scale * (k + 1))]
+    if command == "quasi-scan":
+        return ["--nmax", str(scale * (k + 1))]
+    if command == "bc-ratio":
+        return ["--q", str(k)]
     return ["--n", str(k)] if command == "full-cover" else []
 
 
@@ -718,6 +777,31 @@ def test_base_power_relation(command, psi, k, window, coprime):
     assert three == nine
 
 
+@given(st.sampled_from(BASE_POWER_PSIS), st.integers(min_value=1, max_value=2), windows,
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_quasi_scan_base_power_relation(psi, k, window, coprime):
+    """Row (m, n) of the scan on K_{0,2,6,8}(9) is row (2m, 2n) on K_{0,2}(3),
+    but for its levels, and so is a pair skipped as null; the window measure
+    agrees, while c_empirical ranges over the odd levels of base 3 too."""
+    common = ["--window", f"{window[0]}:{window[1]}", "--psi", *psi.split(),
+              "--coprime" if coprime else "--no-coprime"]
+    three = _results_or_error(["quasi-scan", "--set", "3:0,2", *_levels("quasi-scan", k, 2),
+                               *common])
+    nine = _results_or_error(["quasi-scan", "--set", "9:0,2,6,8",
+                              *_levels("quasi-scan", k, 1), *common])
+    assert isinstance(three, dict) == isinstance(nine, dict)
+    if not isinstance(nine, dict):
+        assert three == nine
+        return
+    assert three["window_measure"] == nine["window_measure"]
+    rows = {(row.pop("m"), row.pop("n")): row for row in three["pairs"]}
+    for row in nine["pairs"]:
+        assert rows[2 * row.pop("m"), 2 * row.pop("n")] == row
+    assert ({(2 * m, 2 * n) for m, n in nine["skipped_null_pairs"]}
+            == {(m, n) for m, n in three["skipped_null_pairs"] if m % 2 == n % 2 == 0})
+
+
 @pytest.mark.xfail(strict=True, reason="an inexact enclosure depends on how the base is "
                    "written: ln 9 is not enclosed as 2 ln 3, nor 4^(12/7) as 2^(24/7)")
 @pytest.mark.parametrize("psi, k", [("powlog:2,1", 1), ("pow:3/7", 3)])
@@ -734,7 +818,8 @@ REFLECTION_PSIS = ["pow:2", "pow:3/2", "pow:4/3", "pow:3/7", "pow:1", "powlog:2,
                    "pow:gamma", "table:1=1/10,2=1/50,3=1/300,4=1/2000"]
 
 
-@given(st.sampled_from(["layer", "measure", "pairwise", "full-cover"]),
+@given(st.sampled_from(["layer", "measure", "pairwise", "full-cover", "quasi-scan",
+                        "bc-ratio"]),
        st.sampled_from(REFLECTION_SETS), st.sampled_from(REFLECTION_PSIS),
        st.integers(min_value=1, max_value=3), windows, st.booleans())
 @settings(max_examples=80, deadline=None)
@@ -745,7 +830,7 @@ def test_reflection_relation(command, dset, psi, n, window, coprime):
     base, digits = dset.split(":")
     mirror = base + ":" + ",".join(str(int(base) - 1 - int(d)) for d in digits.split(","))
     extra = _levels(command, n, 1)
-    if command in ("layer", "pairwise"):
+    if command in ("layer", "pairwise", "quasi-scan", "bc-ratio"):
         extra += ["--psi", psi, "--coprime" if coprime else "--no-coprime"]
     lo, hi = window
     here = _results_or_error([command, "--set", dset, "--window", f"{lo}:{hi}", *extra])

@@ -13,7 +13,7 @@ from cantorapprox import (InputError, MissingDigitSet, RatInterval, RealEnclosur
                           center_count, enumerate_centers, full_cover_check,
                           measure_union, membership)
 from cantorapprox import digitsets
-from cantorapprox.digitsets import grid_cdf, measure_pair
+from cantorapprox.digitsets import grid_cdf, measure_pair, on_grid
 from cantorapprox.errors import Budget
 from cantorapprox.intervals import clip_union, merge_pairs
 
@@ -550,3 +550,30 @@ def test_membership_of_cell_aligned_enclosures_matches_cell_scan():
             for depth in (1, 3):
                 assert membership(RealEnclosure(lo, hi), dset, depth) == enclosure_status(
                     dset, lo, hi, depth), (dset, lo, hi, depth)
+
+
+@given(st.sampled_from(ALL_SETS), st.integers(min_value=0, max_value=6), small_rat, small_rat,
+       st.integers(min_value=1, max_value=5))
+@settings(max_examples=200, deadline=None)
+def test_cylinder_scaling(dset, d, x, y, s):
+    """mu([0, (d + x)/b]) = (rank(d) + [d in J] mu([0, x]))/m, and
+    mu((d + [x, y])/b) = [d in J] mu([x, y])/m: the set is m copies of
+    itself scaled by 1/b (Hutchinson, Fractals and self-similarity, 1981).
+    Checked on `cantor_cdf`, on `grid_cdf` at level 1 on the grid b q s
+    (q the denominator of x), and on `cantor_measure`."""
+    b, m = dset.base, dset.digit_count
+    d %= b
+    inside = d in dset.digits
+    rank = sum(j < d for j in dset.digits)
+    point = (d + x) / b
+    expected = (rank + inside * cantor_cdf(dset, x)) / m
+    assert cantor_cdf(dset, point) == expected
+    grid = b * x.denominator * s
+    at = on_grid(point, grid)
+    cdf, den = grid_cdf(dset, 1, grid, [at])
+    assert F(cdf[at], den) == expected
+    assert cantor_measure(dset, RatInterval(F(0), point)).value == expected
+    lo, hi = min(x, y), max(x, y)
+    scaled = RatInterval((d + lo) / b, (d + hi) / b)
+    assert (cantor_measure(dset, scaled).value
+            == inside * cantor_measure(dset, RatInterval(lo, hi)).value / m)

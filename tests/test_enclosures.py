@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from math import isqrt
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from cantorapprox import (AffineSource, InputError, LogRatioSource, PrecisionError,
                           RealEnclosure, ResourceBudgetError, SqrtSource, UndecidableFloorError,
-                          canonicalize_rational, enclose_real, floor_power, iroot)
+                          enclose_real, floor_power, iroot)
 from cantorapprox import enclosures
 from cantorapprox.enclosures import (_atanh_interval, _exp_point, _ln2_interval, _ln_fixed,
                                      _round_out, iv_add, iv_intpow, iv_mul, iv_scale,
@@ -28,27 +29,10 @@ nonzero = big.filter(lambda v: v != 0)
 fractions = st.builds(F, big, nonzero)
 
 
-def test_canonicalize_examples():
-    assert canonicalize_rational(4, 6) == F(2, 3)
-    assert canonicalize_rational(-2, -27) == F(2, 27)
-    assert canonicalize_rational(0, 5) == F(0)
-    with pytest.raises(InputError):
-        canonicalize_rational(1, 0)
-
-
 @given(fractions, fractions, fractions)
 def test_rational_algebra_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
-
-
-@given(big, nonzero)
-def test_canonical_form(n, d):
-    r = canonicalize_rational(n, d)
-    from math import gcd
-    assert gcd(abs(r.numerator), r.denominator) == 1
-    assert r.denominator >= 1
-    assert r == F(n, d)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 24), st.integers(min_value=1, max_value=9))
@@ -456,6 +440,70 @@ def test_rational_pow_checks_each_power_before_it_is_built():
     assert under_budget(small, rational_pow, F(3), F(2000), 96) == (F(3 ** 2000),) * 2
     with pytest.raises(PrecisionError, match=r"\(base\^2001\)"):
         under_budget(small, rational_pow, F(3), F(2001), 96)
+
+
+def test_the_exp_path_checks_the_power_of_e_before_it_is_built():
+    # 6,000,000/67 ln 3 > 98,383: e^98383, from e over 2^112, is built past
+    # the budget; it raises at once instead of after 20 s
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match=r"^operand of 11,215,662 bits \(e\^98383\) over "
+                       r"the 8,388,608-bit budget$"):
+        rational_pow(F(3), F(-6_000_000, 67), 96)
+    assert time.perf_counter() - start < 2.0
+    # 20,000/67 ln 3 > 327: e^327 has at most 327 * 114 bits
+    small = Budget(bits=37278)
+    expected = rational_pow(F(3), F(-20000, 67), 96)
+    assert under_budget(small, rational_pow, F(3), F(-20000, 67), 96) == expected
+    with pytest.raises(PrecisionError, match=r"^operand of 37,278 bits \(e\^327\) "):
+        under_budget(Budget(bits=37277), rational_pow, F(3), F(-20000, 67), 96)
+
+
+# exp arguments below 0, integers, and just above an integer
+exp_args = st.one_of(st.fractions(min_value=-40, max_value=40, max_denominator=10 ** 6),
+                     st.integers(min_value=-40, max_value=40).map(F),
+                     st.builds(lambda k, d: k + F(1, d), st.integers(min_value=-40, max_value=40),
+                               st.integers(min_value=10 ** 3, max_value=10 ** 30)))
+exp_bits = st.integers(min_value=8, max_value=256)
+
+
+def _mp_fraction_iv(iv, x: F):
+    return iv.mpf(x.numerator) / x.denominator
+
+
+@needs_mpmath
+@settings(max_examples=60, deadline=None)
+@given(exp_args, exp_args, exp_bits)
+def test_exp_interval_contains_mpmath_exp(x, y, bits):
+    a = (min(x, y), max(x, y))
+    lo, hi = enclosures.exp_interval(a, bits)
+    # twice the precision, with room for e^|x| (under 2^58) and for x exactly
+    mlo, mhi = mp_interval(lambda iv: iv.exp(iv.mpf([_mp_fraction_iv(iv, a[0]),
+                                                     _mp_fraction_iv(iv, a[1])])),
+                           2 * bits + 64 + _size(*a))
+    assert lo <= mlo <= mhi <= hi
+
+
+# exponents over denominators past 64, which go through exp(expo * ln base):
+# negative ones, and k + 1/q just above an integer
+pow_exponents = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=10 ** 4),
+    st.builds(lambda k, q: k + F(1, q), st.integers(min_value=-20, max_value=19),
+              st.integers(min_value=65, max_value=10 ** 12)),
+).filter(lambda e: e.denominator > 64)
+pow_bases = st.fractions(min_value=F(1, 1000), max_value=1000,
+                         max_denominator=1000).filter(lambda b: b > 0 and b != 1)
+
+
+@needs_mpmath
+@settings(max_examples=60, deadline=None)
+@given(pow_bases, pow_exponents, exp_bits)
+def test_rational_pow_exp_path_contains_mpmath_power(base, expo, bits):
+    lo, hi = rational_pow(base, expo, bits)
+    # twice the precision, with room for base^expo (under 2^200) and the operands
+    mlo, mhi = mp_interval(lambda iv: iv.exp(iv.log(_mp_fraction_iv(iv, base))
+                                             * _mp_fraction_iv(iv, expo)),
+                           2 * bits + 200 + _size(base, expo))
+    assert lo <= mlo <= mhi <= hi
 
 
 def test_cmp_rational_refines():
