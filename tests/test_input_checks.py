@@ -1,6 +1,5 @@
 """Each input check raises its InputError, or HypothesisViolation, with its
-message: from an argv through `run_command`, or from a library call that
-no argv reaches."""
+message: from an argv through `run_command`, or from a library call."""
 
 import re
 from fractions import Fraction as F
@@ -57,7 +56,7 @@ def _xi():
     return build_sparse_number(3, 2, PowerRule(F(3)), 4)
 
 
-# a call that no argv makes -> the message of the check it fails
+# a library call -> the message of the check it fails
 CALL_CHECKS = {
     "legendre q": (lambda: legendre_is_convergent(1, 0, F(1, 2)), "q must be >= 1"),
     "measure bounds": (lambda: CantorMeasureValue(F(1, 2), F(2)),
