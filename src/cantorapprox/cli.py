@@ -12,9 +12,9 @@ full-cover and cf-interval.  The other handlers live in one module per
 command family (`cli_layers`, `cli_contfrac` for cf and exponent on every
 --x, `cli_sparse` for xi-build and `cli_xi` for xi-verify), which
 `run_command` imports on first use, so that a call compiles only the
-code of its command.  Each call runs in its own copy
-of the context, where --precision-budget sets the `steps` of
-`errors.BUDGET`, so a budget never reaches the next call.
+code of its command.  Each call runs in its own copy of the context,
+where --precision-budget sets the `steps` of `errors.BUDGET`, so a
+budget never reaches the next call.
 """
 
 from __future__ import annotations

@@ -68,4 +68,3 @@ def cmd_exponent(args, dset):
     rows = [{"estimate": render.value_csv((est.lo, est.hi)),
              "window": est.window, "min_denominator": est.min_denominator}]
     return results, rows
-

@@ -9,8 +9,8 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from math import isqrt
 from importlib import resources
+from math import isqrt
 from pathlib import Path
 from unittest import mock
 
