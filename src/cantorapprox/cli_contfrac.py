@@ -16,24 +16,25 @@ from importlib import import_module
 from . import render
 from .cli import parse_fraction
 from .contfrac import continued_fraction_expand, irrationality_exponent_estimate
-from .enclosures import RealEnclosure, SqrtSource, exponent_enclosure, golden_ratio_source
+from .enclosures import SqrtSource, exponent_enclosure, golden_ratio_source
 from .errors import InputError
 
 
 def parse_x(args, dset):
-    """The --x argument: a symbolic constant, the sparse number xi or a rational."""
+    """The --x argument as a real for `enclosures.as_enclosure`: the source of a
+    symbolic constant or of the sparse number xi, gamma's enclosure, or a rational."""
     t = args.x
     if t == "xi":
         return import_module(".cli_sparse", __package__).build_xi(args)
     if t == "golden":
-        return RealEnclosure.from_source(golden_ratio_source())
+        return golden_ratio_source()
     if t == "gamma":
         return exponent_enclosure(dset)
     if t.startswith("sqrt:"):
         q = parse_fraction(t[5:])
         if not 0 < q < 1:
             raise InputError("sqrt:Q needs 0 < Q < 1")
-        return RealEnclosure.from_source(SqrtSource(q))
+        return SqrtSource(q)
     return parse_fraction(t)
 
 

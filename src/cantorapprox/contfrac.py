@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Optional
 
 from .digitsets import prefix_interval_disjoint_from
-from .enclosures import (Iv, LogRatioSource, RealEnclosure, as_enclosure,
+from .enclosures import (Iv, LogRatioSource, Real, RealEnclosure, as_enclosure,
                          iv_abs, iv_sub, iv_exact)
 from .errors import InputError, PrecisionError
 from .intervals import PrefixInterval, cf_prefix_interval, convergents_from_quotients
@@ -69,12 +69,11 @@ def _extract_certified(iv: Iv, depth: int) -> list[int]:
     return quotients
 
 
-def continued_fraction_expand(x: Union[Fraction, RealEnclosure, int],
-                              depth: int) -> ContinuedFraction:
+def continued_fraction_expand(x: Real, depth: int) -> ContinuedFraction:
     """Certified expansion of x in (0,1) to at most `depth` quotients."""
     if depth < 1:
         raise InputError("depth must be >= 1")
-    enc = as_enclosure(x.enclosure() if hasattr(x, "enclosure") else x)
+    enc = as_enclosure(x)
     # an exact x has lo = hi in (0,1); a wider enclosure lies in [0,1]
     if not (_ZERO <= enc.lo < _ONE and _ZERO < enc.hi <= _ONE):
         raise InputError("x must lie in (0,1)")
@@ -93,15 +92,13 @@ def continued_fraction_expand(x: Union[Fraction, RealEnclosure, int],
                              exhausted=not exact if enc.is_exact else len(quotients) < depth)
 
 
-def legendre_is_convergent(p: int, q: int, x: Union[Fraction, RealEnclosure]) -> str:
+def legendre_is_convergent(p: int, q: int, x: Real) -> str:
     """"yes" when |x - p/q| < 1/(2 q^2) is certified (then p/q is a convergent);
     "not_implied" when the bound is certified to fail.  Not a disproof."""
     if q < 1:
         raise InputError("q must be >= 1")
     if gcd(p, q) != 1:
         raise InputError("p/q must be reduced")
-    if hasattr(x, "enclosure"):
-        x = x.enclosure()
     target = Fraction(p, q)
     bound = Fraction(1, 2 * q * q)
 

@@ -551,23 +551,22 @@ class RealEnclosure(Record):
                            else iv_cmp(enc.as_iv(), (x, x)))
 
 
-Real = Union[Fraction, RealEnclosure]
+Real = Union[Fraction, int, RealEnclosure, EnclosureSource]
 
 
 def as_enclosure(x: Real) -> RealEnclosure:
+    """The one door from a real to its enclosure: an enclosure as it is, a
+    source (anything with `interval(level)`) at level 0, any other value exact."""
     if isinstance(x, RealEnclosure):
         return x
+    if hasattr(x, "interval"):
+        return RealEnclosure.from_source(x)
     return RealEnclosure.exact(x)
 
 
-def enclose_real(spec: Union[EnclosureSource, Fraction, int], width_target) -> RealEnclosure:
+def enclose_real(spec: Real, width_target) -> RealEnclosure:
     """Enclosure of the real described by `spec`, no wider than `width_target`."""
-    width_target = Fraction(width_target)
-    if width_target <= 0:
-        raise InputError("width target must be positive")
-    if isinstance(spec, (Fraction, int)):
-        return RealEnclosure.exact(spec)
-    return RealEnclosure.from_source(spec).refined_to(width_target)
+    return as_enclosure(spec).refined_to(Fraction(width_target))
 
 
 def floor_power(lam: Real, tau: Real, n: int) -> int:

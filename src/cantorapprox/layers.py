@@ -128,12 +128,18 @@ class PowerLaw(Record):
 
     exponent: Scalar
 
+    def scaled(self, s: Scalar) -> "PowerLaw":  # the law psi^s
+        return PowerLaw(s.times(self.exponent))
+
 
 class PowerLogLaw(Record):
     """psi(r) = r^-power * (log r)^-log_exponent (natural log)."""
 
     power: Scalar
     log_exponent: Scalar
+
+    def scaled(self, s: Scalar) -> "PowerLogLaw":  # the law psi^s
+        return PowerLogLaw(s.times(self.power), s.times(self.log_exponent))
 
 
 class TableValues(Record):
@@ -170,24 +176,19 @@ def truncate_psi(psi: ApproxFunction, c) -> ApproxFunction:
     return ApproxFunction(psi.kind, c)
 
 
-def _powlog_value(power: Scalar, log_exponent: Scalar, dset: MissingDigitSet,
-                  n: int, irrational_message: str, bits: int = VALUE_BITS) -> Iv:
-    """r^-power * (log r)^-log_exponent at r = b^n; the log exponent must
-    be rational, else InputError(irrational_message)."""
-    beta = log_exponent.rational(dset)
-    if beta is None:
-        raise InputError(irrational_message)
-    power_part = power.scale(Fraction(-n)).evaluate_base_power(dset, bits)
-    logr = iv_scale(ln_interval(Fraction(dset.base), bits + 16), Fraction(n))
-    return iv_mul(power_part, pow_interval(logr, iv_exact(-beta), bits))
-
-
-def _law_value(kind: PsiKind, dset: MissingDigitSet, n: int, bits: int) -> Iv:
+def _law_value(kind: PsiKind, dset: MissingDigitSet, n: int, bits: int = VALUE_BITS,
+               irrational_message: str = "irrational log-exponent is not supported") -> Iv:
+    """The law at r = b^n: r^-power, or r^-power * (log r)^-log_exponent,
+    whose log exponent must be rational, else InputError(irrational_message)."""
     if isinstance(kind, PowerLaw):
         return kind.exponent.scale(Fraction(-n)).evaluate_base_power(dset, bits)
     if isinstance(kind, PowerLogLaw):
-        return _powlog_value(kind.power, kind.log_exponent, dset, n,
-                             "irrational log-exponent is not supported", bits)
+        beta = kind.log_exponent.rational(dset)
+        if beta is None:
+            raise InputError(irrational_message)
+        power_part = kind.power.scale(Fraction(-n)).evaluate_base_power(dset, bits)
+        logr = iv_scale(ln_interval(Fraction(dset.base), bits + 16), Fraction(n))
+        return iv_mul(power_part, pow_interval(logr, iv_exact(-beta), bits))
     raise InputError(f"unknown psi kind {kind!r}")
 
 
@@ -243,13 +244,11 @@ def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
             raise InputError(f"f table has no value at level {n}")
         return iv_exact(Fraction(f.kind.values[n]))
     s = f.kind.exponent
-    kind = psi.kind
-    if psi.truncation is None and isinstance(kind, PowerLaw):
-        st = s.times(kind.exponent)
-        return st.scale(Fraction(-n)).evaluate_base_power(dset)
-    if psi.truncation is None and isinstance(kind, PowerLogLaw):
-        return _powlog_value(s.times(kind.power), s.times(kind.log_exponent), dset, n,
-                             "f(power_log psi) needs a rational combined log exponent")
+    if psi.truncation is None and not isinstance(psi.kind, TableValues):
+        # (r^-a (log r)^-b)^s is the law r^-(s a) (log r)^-(s b)
+        return _law_value(psi.kind.scaled(s), dset, n,
+                          irrational_message="f(power_log psi) needs a rational "
+                                             "combined log exponent")
     # generic: evaluate psi then apply the power
     return pow_interval(psi_value(psi, dset, n), s.value_iv(dset), VALUE_BITS)
 

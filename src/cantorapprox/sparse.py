@@ -130,9 +130,6 @@ class SparseDigitNumber:
         """EnclosureSource protocol: each refinement level adds one term."""
         return self.value_interval(self.terms + level)
 
-    def enclosure(self) -> RealEnclosure:
-        return RealEnclosure.from_source(self)
-
     def digit_verdict(self, dset: MissingDigitSet, depth: int) -> MembershipResult:
         """Exact membership at the given depth straight off the digit stream."""
         if dset.base != self.base:

@@ -11,7 +11,7 @@ from cantorapprox import (AffineSource, InputError, MissingDigitSet, RealEnclosu
                           convergents_from_quotients, golden_ratio_source,
                           irrationality_exponent_estimate, legendre_is_convergent,
                           prefix_interval_disjoint_from, build_sparse_number,
-                          PowerRule, FactorialRule, LogRatioSource)
+                          PowerRule, FactorialRule, LogRatioSource, SparseDigitNumber)
 from cantorapprox import enclosures
 from cantorapprox.cli import run_command
 from cantorapprox.contfrac import _extract_certified
@@ -139,10 +139,7 @@ def test_rejects_out_of_range():
 
 
 def _diff_interval(x, target):
-    if hasattr(x, "enclosure"):
-        x = x.enclosure()
-    enc = as_enclosure(x) if isinstance(x, F) else x
-    return enc, target
+    return as_enclosure(x), target
 
 
 def _assert_strictly_between(x, lower, upper, target):
@@ -399,3 +396,36 @@ def test_prefix_interval_touching_endpoints_match_full_scan():
             for depth in range(1, 8):
                 assert (prefix_interval_disjoint_from(pi, dset, depth)
                         == _disjoint_by_full_scan(pi, dset, depth)), (quotients, depth)
+
+
+@st.composite
+def refinable_source(draw):
+    """A sparse number (power or factorial rule, 2-6 terms), sqrt(Q) for
+    0 < Q < 1, the golden ratio's fractional part, or log(m)/log(b) for
+    primes m < b, each a real in (0, 1) with an `interval(level)` method."""
+    kind = draw(st.sampled_from(["sparse", "sqrt", "golden", "log-ratio"]))
+    if kind == "sparse":
+        rule = draw(st.sampled_from([FactorialRule(), PowerRule(F(3)), PowerRule(F(5, 2)),
+                                     PowerRule(F(11, 5)), PowerRule(F(3), F(1, 2))]))
+        return build_sparse_number(3, draw(st.sampled_from([1, 2])), rule,
+                                   draw(st.integers(min_value=2, max_value=6)))
+    if kind == "sqrt":
+        den = draw(st.integers(min_value=2, max_value=10 ** 6))
+        return SqrtSource(F(draw(st.integers(min_value=1, max_value=den - 1)), den))
+    if kind == "golden":
+        return golden_ratio_source()
+    m, b = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=2, max_size=2,
+                         unique=True).map(sorted))
+    return LogRatioSource(F(m), F(b))
+
+
+@given(refinable_source(), st.integers(min_value=1, max_value=12))
+@settings(max_examples=60, deadline=None)
+def test_a_source_is_read_as_its_level_0_enclosure(src, depth):
+    enc = RealEnclosure.from_source(src)
+    assert as_enclosure(src) == enc
+    assert continued_fraction_expand(src, depth) == continued_fraction_expand(enc, depth)
+    if isinstance(src, SparseDigitNumber):
+        for s in range(1, src.terms):
+            p, q = src.truncation(s)
+            assert legendre_is_convergent(p, q, src) == legendre_is_convergent(p, q, enc)

@@ -547,3 +547,11 @@ def test_sourceless_expansion_keeps_its_certified_quotients():
                                           call="continued_fraction_expand(x, 5)"))
     assert out == ("ContinuedFraction(quotients=(2,), convergents=((1, 2),), exact=False, "
                    "exhausted=True)\n")
+
+
+@pytest.mark.parametrize("spec", [F(1, 2), SqrtSource(F(2)),
+                                  RealEnclosure.from_source(SqrtSource(F(2)))], ids=repr)
+@pytest.mark.parametrize("width", [F(0), F(-1, 3)])
+def test_enclose_real_refuses_a_width_target_that_is_not_positive(spec, width):
+    with pytest.raises(InputError, match="^width target must be positive$"):
+        enclose_real(spec, width)

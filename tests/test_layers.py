@@ -17,7 +17,7 @@ from cantorapprox import digitsets, enclosures, layers
 from cantorapprox.digitsets import cantor_cdf, measure_union
 from cantorapprox.intervals import intersect_unions
 from cantorapprox.cli_layers import parse_psi, parse_scalar
-from cantorapprox.layers import VALUE_BITS, classify_pair_case, psi_value
+from cantorapprox.layers import VALUE_BITS, classify_pair_case, f_of_psi, psi_value
 from cantorapprox.enclosures import (exponent_enclosure, iv_div, iv_exact, iv_mul, iv_scale,
                                      rational_pow)
 from cantorapprox.errors import Budget, PrecisionError
@@ -714,3 +714,31 @@ def test_power_log_verdict_is_the_sign_of_s_alpha_minus_gamma(dset, s, alpha):
     sv = series_classify(dset, ApproxFunction.power_log(alpha, Scalar.of(1)),
                          DimensionFunction.power(s), 3)
     assert sv.verdict == ("convergent" if mlo > 0 else "divergent")
+
+
+def _scalars(max_coef: int, gexps):
+    return st.builds(Scalar, st.builds(F, st.integers(min_value=1, max_value=max_coef),
+                                       st.integers(min_value=1, max_value=4)),
+                     st.sampled_from(gexps))
+
+
+@given(st.sampled_from([K, MissingDigitSet(4, (0, 3)), MissingDigitSet(5, (0, 2, 3))]),
+       _scalars(6, (0, 0, 1)), _scalars(8, (-1, 0, 0, 1)),
+       st.none() | st.builds(Scalar, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                             st.sampled_from((0, 1))),
+       st.integers(min_value=1, max_value=5))
+@settings(max_examples=80, deadline=None)
+def test_f_of_a_law_is_the_law_scaled_by_the_exponent(dset, s, power, beta, n):
+    """(r^-a (log r)^-b)^s is r^-(s a) (log r)^-(s b): f_of_psi equals
+    psi_value of that law wherever its lower end is positive on the
+    2^-VALUE_BITS grid, where psi_value does not refine."""
+    f = DimensionFunction.power(s.coef, s.gexp)
+    if beta is None:
+        law, scaled = layers.PowerLaw(power), layers.PowerLaw(s.times(power))
+    else:
+        law = layers.PowerLogLaw(power, beta)
+        scaled = layers.PowerLogLaw(s.times(power), s.times(beta))
+        assume(scaled.log_exponent.rational(dset) is not None)
+    assume(layers._law_value(scaled, dset, n, VALUE_BITS)[0] > 0)
+    assert f_of_psi(f, ApproxFunction(law), dset, n) == psi_value(ApproxFunction(scaled),
+                                                                 dset, n)

@@ -9,7 +9,7 @@ from cantorapprox import (AffineSource, FactorialRule, InputError, MissingDigitS
                           exceeds_exact_order_threshold, membership,
                           te_inequality_holds, truncation_report,
                           truncation_reports, well_approximable_band)
-from cantorapprox.enclosures import BASE_BITS
+from cantorapprox.enclosures import BASE_BITS, as_enclosure
 from cantorapprox.errors import Budget, PrecisionError, power_bits
 from cantorapprox.sparse import (_cmp_fraction_vs_power, _exponent_compare,
                                  _power_bound_encl)
@@ -98,6 +98,16 @@ def test_irrational_tau_reports():
     assert s_min == 1 and all(r.passes for r in reports)
 
 
+def test_the_threshold_tau_as_a_source_gives_the_lucas_numbers_less_one():
+    # tau = (3 + sqrt 5)/2 = phi^2, so tau^n = L_2n - tau^-n lies just below
+    # the Lucas number L_2n: floor(tau^n) = L_2n - 1
+    tau = AffineSource(SqrtSource(F(5)), F(1, 2), F(3, 2))
+    x = build_sparse_number(3, 2, PowerRule(tau), 7)
+    assert x.exponents_up_to(7) == (2, 6, 17, 46, 122, 321, 842)
+    reports, s_min = truncation_reports(x)
+    assert s_min == 1 and all(r.passes for r in reports)
+
+
 def test_factorial_reports_flag_liouville():
     x = build_sparse_number(3, 2, FactorialRule(), 6)
     reports, _ = truncation_reports(x)
@@ -125,7 +135,7 @@ def test_membership_large_term_count_symbolic():
 
 def test_enclosure_value_nests():
     x = build_sparse_number(3, 2, PowerRule(F(5, 2)), 4)
-    enc = x.enclosure()
+    enc = as_enclosure(x)
     for _ in range(3):
         nxt = enc.refine()
         assert enc.lo <= nxt.lo <= nxt.hi <= enc.hi
