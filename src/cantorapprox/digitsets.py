@@ -109,9 +109,16 @@ class MissingDigitSet(Record):
         return frozenset(self.digits)
 
     @cached_property
-    def _below(self) -> tuple[int, ...]:
-        """Number of allowed digits strictly below each digit 0..b-1."""
-        return tuple(sum(1 for j in self.digits if j < d) for d in range(self.base))
+    def _below(self) -> list[int]:
+        """Number of allowed digits strictly below each digit 0..b-1, one run
+        a gap between allowed digits; ResourceBudgetError past 2^22 digits."""
+        if self.base > (cap := 1 << 22):
+            raise ResourceBudgetError(f"base {self.base:,} over the {cap:,}-entry cap of the "
+                                      "prefix-rank table")
+        below: list[int] = []
+        for i, (lo, hi) in enumerate(zip((-1,) + self.digits, self.digits + (self.base - 1,))):
+            below += [i] * (hi - lo)
+        return below
 
     def allowed_prefixes(self, level: int, first: int = 0,
                          last: Optional[int] = None) -> list[int]:

@@ -17,9 +17,9 @@ an enclosure goes through `RealEnclosure.decide`, which refines until
 its test answers (`LogRatioSource.within` skips the levels that cannot
 answer).  The steps are capped by the `steps` of `errors.BUDGET` (default
 12); an enclosure at the cap or without a source raises `PrecisionError`
-rather than guessing or looping.  An ln operand over its `bits` raises
-`ResourceBudgetError`, and a power or root radicand over them
-`PrecisionError`, each checked before it is built.
+rather than guessing or looping.  An ln operand, a power or a root
+radicand over its `bits` raises `PrecisionError`, checked before it is
+built.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from functools import cache
 from math import isqrt
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, TypeVar, Union
 
-from .errors import (BUDGET, InputError, PrecisionError, ResourceBudgetError,
-                     UndecidableFloorError, check_bits, power_bits)
+from .errors import (BUDGET, InputError, PrecisionError, UndecidableFloorError, check_bits,
+                     power_bits)
 from .records import Record
 
 if TYPE_CHECKING:
@@ -207,12 +207,11 @@ def _ln_fixed(num: int, den: int, e: int, ln2: Iv, terms: int, bits: int) -> Opt
     run on integers scaled by 2^(bits+_GUARD), once with every step rounded
     down and once rounded up, which brackets each endpoint between two
     integers.  If both integers of a bracket round to the same grid point,
-    that point is the exact path's endpoint.  ResourceBudgetError when
+    that point is the exact path's endpoint.  PrecisionError when
     num * 2^(bits+_GUARD) would pass the `bits` of `errors.BUDGET`.
     """
     w = bits + _GUARD
-    if (size := num.bit_length() + w) > (cap := BUDGET.get().bits):
-        raise ResourceBudgetError(f"ln operand of {size:,} bits over the {cap:,}-bit budget")
+    check_bits(num.bit_length() + w, "ln operand")
     one = 1 << w
     z_lo, z_hi = (num << w) // den, -(-(num << w) // den)
     zsq_lo, zsq_hi = z_lo * z_lo >> w, -(-(z_hi * z_hi) >> w)

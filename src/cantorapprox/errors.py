@@ -16,8 +16,7 @@ class Budget(Record):
     """The caps of one call, each checked on the thing about to be built."""
 
     steps: int = 12         # refinement levels of one enclosure (PrecisionError)
-    bits: int = 1 << 23     # bit length of one sparse-number operand (PrecisionError)
-                            # or ln fixed-point operand (ResourceBudgetError)
+    bits: int = 1 << 23     # bit length of one operand about to be built (PrecisionError)
     cells: int = 1 << 22    # cells one enumeration may return (ResourceBudgetError)
 
 
@@ -45,7 +44,7 @@ class HypothesisViolation(InputError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """A cell enumeration, an ln operand or a printed integer would exceed its limit."""
+    """A cell enumeration, a prefix-rank table or a printed integer would exceed its limit."""
 
 
 class PrecisionError(RuntimeError):

@@ -520,12 +520,12 @@ def series_classify(dset: MissingDigitSet, psi: ApproxFunction,
     for n in range(1, n_max + 1):
         try:
             acc = iv_add(acc, series_term(dset, psi, f, n))
-        except InputError:
+        except InputError as exc:
+            if not sums:
+                raise InputError(f"no terms computable on the evaluation grid: {exc}") from exc
             undetermined_tail = True
             break
         sums.append(acc)
-    if not sums:
-        raise InputError("no terms computable on the evaluation grid")
     verdict = "undetermined" if undetermined_tail else _analytic_verdict(dset, psi, f)
     return SeriesVerdict(partial_sums=tuple(sums), verdict=verdict,
                          prediction=_PREDICTION[verdict])

@@ -89,8 +89,8 @@ def int_str(n: int) -> str:
 
 
 def rat_str(fr: Fraction) -> str:
-    """"num/den", or ResourceBudgetError past the int-to-str digit limit."""
-    fr = Fraction(fr)
+    """"num/den" of a Fraction or an int, or ResourceBudgetError past the
+    int-to-str digit limit."""
     return f"{int_str(fr.numerator)}/{int_str(fr.denominator)}"
 
 
@@ -99,10 +99,10 @@ def rational_json(fr: Fraction) -> dict:
 
 
 def _bounds(v) -> tuple[Fraction, Fraction]:
-    """(lo, hi) of a Fraction, a (lo, hi) pair or a CantorMeasureValue."""
+    """(lo, hi) of a Fraction or an int, a (lo, hi) pair or a CantorMeasureValue."""
     if isinstance(v, CantorMeasureValue):
         return v.lo, v.hi
-    return v if isinstance(v, tuple) else (Fraction(v), Fraction(v))
+    return v if isinstance(v, tuple) else (v, v)
 
 
 def value_json(v) -> dict:

@@ -294,19 +294,44 @@ def _limit_memory():
 
 # the third power is e^98383, which the exp path of rational_pow raises
 # 3^(-300 * 20000/67) from
-@pytest.mark.parametrize("argv, power", [("layer --psi pow:2000000 --n 10", r"base\^-\d+"),
-                                         ("layer --psi pow:1000001/2 --n 1", r"root\^-\d+"),
-                                         ("layer --psi pow:20000/67 --n 300", r"e\^98383")])
-def test_a_power_over_the_bit_budget_exits_3_fast(argv, power):
+def _timed_main(argv: str) -> tuple[str, float, str]:
+    """(exit code, seconds in `main`, stderr) of argv in a fresh interpreter
+    under the memory limit."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv.split()],
                           capture_output=True, text=True, timeout=30, preexec_fn=_limit_memory,
                           env=dict(os.environ, PYTHONPATH=path))
     rc, seconds = done.stdout.split()
-    assert rc == "3" and float(seconds) < 1.0
+    return rc, float(seconds), done.stderr
+
+
+@pytest.mark.parametrize("argv, power", [("layer --psi pow:2000000 --n 10", r"base\^-\d+"),
+                                         ("layer --psi pow:1000001/2 --n 1", r"root\^-\d+"),
+                                         ("layer --psi pow:20000/67 --n 300", r"e\^98383")])
+def test_a_power_over_the_bit_budget_exits_3_fast(argv, power):
+    rc, seconds, stderr = _timed_main(argv)
+    assert rc == "3" and seconds < 1.0
     assert re.fullmatch(rf"error: operand of [\d,]+ bits \({power}\) over the "
-                        r"8,388,608-bit budget\n", done.stderr)
+                        r"8,388,608-bit budget\n", stderr)
+
+
+# the prefix-rank table has one entry per digit of the base, up to 2^22
+@pytest.mark.parametrize("base", [10_000_019, 100_000_007])
+def test_a_base_past_the_rank_table_cap_exits_3_fast(base):
+    rc, seconds, stderr = _timed_main(f"measure --set {base}:0,1 --window 0:1/7")
+    assert rc == "3" and seconds < 2.0
+    assert stderr == (f"error: base {base:,} over the 4,194,304-entry cap of the "
+                      "prefix-rank table\n")
+
+
+def test_a_base_just_under_the_rank_table_cap_answers_fast():
+    rc, seconds, stderr = _timed_main(
+        f"measure --set 4194301:0,1 --window 0:1/7 --out {os.devnull}")
+    assert rc == "0" and seconds < 1.0 and stderr == ""
+    # a command that reads no rank still answers past the cap
+    text, _ = run_command("cf --x golden --set 100000007:0,1 --depth 3".split())
+    assert json.loads(text)["results"]["quotients"] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("depth", ["30", "300"])
@@ -533,10 +558,17 @@ def test_series_stops_at_the_first_missing_table_value():
     assert res["verdict"] == "undetermined" and res["prediction"] == "not_applicable"
 
 
-def test_series_with_no_computable_term_exits_2(capsys):
+@pytest.mark.parametrize("argv, reason", [
     # f(psi) of psi(r) = r^-2 (log r)^-gamma has the irrational log exponent gamma
-    assert main("series --psi powlog:2,gamma --f pow:1 --nmax 3".split()) == 2
-    assert capsys.readouterr().err == "error: no terms computable on the evaluation grid\n"
+    ("series --psi powlog:2,gamma --f pow:1 --nmax 3",
+     "f(power_log psi) needs a rational combined log exponent"),
+    # the table's first level is 5, so the first term, at level 1, has no psi
+    ("series --psi table:5=1/9 --f pow:1 --nmax 3", "psi table has no value at level 1"),
+], ids=["powlog", "table"])
+def test_series_with_no_computable_term_exits_2(capsys, argv, reason):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == ("error: no terms computable on the evaluation grid: "
+                                       f"{reason}\n")
 
 
 def test_series_with_a_table_dimension_function():

@@ -138,13 +138,9 @@ def test_rejects_out_of_range():
         continued_fraction_expand(F(0), 5)
 
 
-def _diff_interval(x, target):
-    return as_enclosure(x), target
-
-
 def _assert_strictly_between(x, lower, upper, target):
     """Certify lower < |x - target| < upper with refinement."""
-    enc, target = _diff_interval(x, target)
+    enc = as_enclosure(x)
     for _ in range(20):
         diff = iv_abs(iv_sub(enc.as_iv(), iv_exact(target)))
         if diff[0] > lower and diff[1] < upper:
@@ -189,7 +185,7 @@ def test_cf_invariants_on_twenty_numbers():
 
 
 def _signed_side(x, target):
-    enc, target = _diff_interval(x, target)
+    enc = as_enclosure(x)
     for _ in range(20):
         lo, hi = iv_sub(enc.as_iv(), iv_exact(target))
         if lo > 0:

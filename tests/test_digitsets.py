@@ -358,6 +358,24 @@ def test_a_long_preperiod_is_stripped_fast():
     assert time.perf_counter() - start < 0.25
 
 
+@given(st.integers(min_value=3, max_value=40).flatmap(
+    lambda b: st.tuples(st.just(b), st.sets(st.integers(min_value=0, max_value=b - 1),
+                                            min_size=2, max_size=b - 1))))
+def test_prefix_rank_table_counts_the_allowed_digits_below(case):
+    b, digits = case
+    assert MissingDigitSet(b, tuple(digits))._below == [sum(j < d for j in digits)
+                                                        for d in range(b)]
+
+
+def test_a_base_past_the_rank_table_cap_is_refused_when_a_rank_is_read():
+    huge = MissingDigitSet(2 ** 22 + 1, (0, 1))
+    with pytest.raises(ResourceBudgetError, match=r"^base 4,194,305 over the 4,194,304-entry "
+                       r"cap of the prefix-rank table$"):
+        cantor_cdf(huge, F(1, 7))
+    # a digit test reads no rank
+    assert huge.prefix_allowed(1, 1) and not huge.prefix_allowed(2, 1)
+
+
 def _centers_by_membership(dset, n, coprime):
     """Cylinder endpoints verified one by one with the digit-walk oracle."""
     bn = dset.base ** n

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorapprox import (AffineSource, InputError, LogRatioSource, PrecisionError,
-                          RealEnclosure, ResourceBudgetError, SqrtSource, UndecidableFloorError,
+                          RealEnclosure, SqrtSource, UndecidableFloorError,
                           enclose_real, floor_power, iroot)
 from cantorapprox import enclosures
 from cantorapprox.enclosures import (_atanh_interval, _exp_point, _ln2_interval, _ln_fixed,
@@ -318,11 +318,11 @@ def test_log_ratio_source_contains_mpmath_ratio(num, den, level):
     assert lo <= mlo <= mhi <= hi
 
 
-def test_ln_operand_over_the_bit_budget_is_a_resource_error():
+def test_ln_operand_over_the_bit_budget_is_a_precision_error():
     # 3^2000 = 2^3169 y: the fixed-point operand is (3^2000 - 2^3169)
     # * 2^(48 + 64), of 3,169 + 112 bits
     x = F(3 ** 2000)
-    with pytest.raises(ResourceBudgetError, match=r"^ln operand of 3,281 bits over the "
+    with pytest.raises(PrecisionError, match=r"^operand of 3,281 bits \(ln operand\) over the "
                        r"3,280-bit budget$"):
         under_budget(Budget(bits=3280), ln_interval, x, 48)
     assert under_budget(Budget(bits=3281), ln_interval, x, 48) == ln_interval(x, 48)
