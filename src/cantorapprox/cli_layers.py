@@ -99,12 +99,11 @@ def cmd_layer(args, dset):
     window = _window_of(args)
     psi = _psi_of(args)
     cap = BUDGET.get().cells
-    # refuse an exact radius b^(-tau n) past the print limit before the layer
-    # is built, at a level of at most `cells` cells, m^n (n cut at the cap's
-    # bit length, past which m >= 2 passes it): only there can the build not
-    # raise its cells-budget error first
+    # render the radius b^(-tau n) (refused past the print limit) before the
+    # build, at a level of at most `cells` cells, m^n (n cut at the cap's bit
+    # length, past which m >= 2 passes it): only there can the build not refuse first
     if args.n >= 1 and dset.digit_count ** min(args.n, cap.bit_length()) <= cap:
-        render.check_printable(psi_value(psi, dset, args.n))
+        render.value_csv(psi_value(psi, dset, args.n))
     layer = build_layer(dset, psi, args.n, window, args.coprime)
     mv = layer_measure(layer)
     comp = layer_comparator(dset, psi, args.n, cantor_measure(dset, window).value)

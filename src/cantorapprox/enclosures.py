@@ -289,7 +289,7 @@ def _exp_point(x: Fraction, bits: int) -> Iv:
     res = iv_exact(_ONE)
     if n0:
         e = _e_interval(bits + 8)  # e > 1: its numerators outgrow its denominators
-        check_bits(n0 * max(end.numerator.bit_length() for end in e), f"e^{n0}")
+        check_bits(n0 * max(end.numerator.bit_length() for end in e), "e^{}", n0)
         res = iv_intpow(e, n0)
     if r:
         total = _ONE
@@ -319,7 +319,7 @@ def nthroot_interval(x: Fraction, k: int, bits: int) -> Iv:
     p, q = x.numerator, x.denominator
     # x^(1/k) = (p q^(k-1))^(1/k) / q
     check_bits(p.bit_length() + (k - 1) * q.bit_length() + k * bits,
-               f"radicand of a degree-{k} root")
+               "radicand of a degree-{} root", k)
     scaled = p * q ** (k - 1) << (k * bits)
     r = iroot(scaled, k)
     den = q << bits
@@ -338,12 +338,12 @@ def rational_pow(base: Fraction, expo: Fraction, bits: int) -> Iv:
     p, q = expo.numerator, expo.denominator
     if q == 1:
         check_bits(max(power_bits(x, abs(p)) for x in (base.numerator, base.denominator)),
-                   f"base^{p}")
+                   "base^{}", p)
         return iv_exact(base ** p)
     if q <= _SMALL_ROOT_LIMIT:
         root = nthroot_interval(base, q, bits + 8)
         check_bits(abs(p) * max(x.bit_length() for end in root
-                                for x in (end.numerator, end.denominator)), f"root^{p}")
+                                for x in (end.numerator, end.denominator)), "root^{}", p)
         power = iv_intpow(root, p)
         return power if iv_is_exact(root) else _round_out(power, bits)
     # huge-denominator exponents go through exp(expo * ln base)

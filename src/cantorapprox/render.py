@@ -65,27 +65,14 @@ def decimal_str(x: Fraction) -> str:
     return sign + digits[0] + "." + digits[1:] + "e" + str(e)
 
 
-def _unprintable() -> ResourceBudgetError:
-    return ResourceBudgetError("the report holds an integer of more than "
-                               f"{sys.get_int_max_str_digits()} digits, the int-to-str limit")
-
-
-def check_printable(v) -> None:
-    """ResourceBudgetError when an end of v, read as by `value_json`, has a
-    numerator or denominator certain to pass the int-to-str digit limit:
-    |n| >= 2^(bits-1) >= 10^d has more than d = (bits-1) * 1233 >> 12 digits."""
-    limit = sys.get_int_max_str_digits()
-    if limit and any(((n.bit_length() - 1) * 1233 >> 12) >= limit
-                     for end in _bounds(v) for n in (end.numerator, end.denominator)):
-        raise _unprintable()
-
-
 def int_str(n: int) -> str:
     """str(n), or ResourceBudgetError past the int-to-str digit limit."""
     try:
         return str(n)
     except ValueError:
-        raise _unprintable() from None
+        raise ResourceBudgetError("the report holds an integer of more than "
+                                  f"{sys.get_int_max_str_digits()} digits, the "
+                                  "int-to-str limit") from None
 
 
 def rat_str(fr: Fraction) -> str:
@@ -161,7 +148,7 @@ def _write_json(value, indent: str, out: list) -> None:
         inner = indent + "  "
         sep = "{\n" + inner
         for key, item in sorted(value.items()):
-            out.append(sep + _json_str(key if isinstance(key, str) else int.__repr__(key)) + ": ")
+            out.append(sep + _json_str(key if isinstance(key, str) else int_str(key)) + ": ")
             _write_json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
@@ -183,7 +170,7 @@ def _write_json(value, indent: str, out: list) -> None:
     elif value is False:
         out.append("false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.append(int_str(value))
     else:
         raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
@@ -191,12 +178,8 @@ def _write_json(value, indent: str, out: list) -> None:
 def dump_report(report: dict) -> str:
     """The report as json.dumps(report, sort_keys=True, indent=2) plus a newline."""
     out: list[str] = []
-    try:
-        _write_json(report, "", out)
-    except ValueError:  # an int, such as a quotient, past the int-to-str limit
-        raise _unprintable() from None
-    out.append("\n")
-    return "".join(out)
+    _write_json(report, "", out)
+    return "".join(out) + "\n"
 
 
 def dump_csv(rows: Sequence[dict]) -> str:

@@ -93,7 +93,7 @@ class SparseDigitNumber:
         if s in self._truncations:
             return self._truncations[s]
         e_s = self.exponent(s)
-        check_bits(power_bits(self.base, e_s), f"{self.base}^{e_s}")
+        check_bits(power_bits(self.base, e_s), "{}^{}", self.base, e_s)
         q = self.base ** e_s
         p = self.coefficient * sum(self.base ** (e_s - self.exponent(n))
                                    for n in range(1, s + 1))
@@ -121,7 +121,7 @@ class SparseDigitNumber:
         """
         t = terms if terms is not None else self.terms
         b, e = self.base, self.exponent(t + 1)
-        check_bits(power_bits(b, e) + (b - 1).bit_length(), f"{b - 1}*{b}^{e}")
+        check_bits(power_bits(b, e) + (b - 1).bit_length(), "{}*{}^{}", b - 1, b, e)
         prefix = self.truncation_fraction(t)
         rem = Fraction(self.coefficient * b, (b - 1) * b ** e)
         return (prefix, prefix + rem)
@@ -179,7 +179,7 @@ def _cmp_fraction_vs_power(r: Fraction, base: int, expo: Fraction) -> int:
     """Sign of r - base**expo for r > 0 and expo = -p/u < 0: of num^u * base^p - den^u."""
     num, den, u, p = r.numerator, r.denominator, expo.denominator, -expo.numerator
     check_bits(max(u * num.bit_length() + power_bits(base, p), u * den.bit_length()),
-               f"gap^{u}*{base}^{p}")
+               "gap^{}*{}^{}", u, base, p)
     lhs, rhs = num ** u * base ** p, den ** u
     return (lhs > rhs) - (lhs < rhs)
 

@@ -316,6 +316,25 @@ def test_a_power_over_the_bit_budget_exits_3_fast(argv, power):
                         r"8,388,608-bit budget\n", stderr)
 
 
+# each operand is named by numbers past the 4,300-digit int-to-str limit:
+# 3^2001!, 3^(3^9101) and a 4,000-digit power of psi
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize("argv, power", [
+    ("cf --x xi --rule factorial --terms 2000 --depth 5", r"2\*3\^<19,064-bit integer>"),
+    ("exponent --x xi --rule factorial --terms 2000 --depth 5", r"2\*3\^<19,064-bit integer>"),
+    ("xi-verify --rule factorial --terms 2000", r"2\*3\^<19,064-bit integer>"),
+    ("cf --x xi --tau 3 --terms 9100 --depth 5", r"2\*3\^<14,425-bit integer>"),
+    (f"layer --psi pow:{NINES} --n {NINES}", r"base\^-<26,576-bit integer>")],
+    ids=["cf-factorial", "exponent-factorial", "xi-verify-factorial", "cf-tau", "layer-psi"])
+def test_an_operand_past_the_print_limit_is_named_by_its_bit_length(argv, power):
+    rc, seconds, stderr = _timed_main(argv)
+    assert rc == "3" and seconds < 3.0
+    assert re.fullmatch(rf"error: operand of <[\d,]+-bit integer> bits \({power}\) over the "
+                        r"8,388,608-bit budget\n", stderr)
+
+
 # the prefix-rank table has one entry per digit of the base, up to 2^22
 @pytest.mark.parametrize("base", [10_000_019, 100_000_007])
 def test_a_base_past_the_rank_table_cap_exits_3_fast(base):

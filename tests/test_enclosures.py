@@ -17,7 +17,7 @@ from cantorapprox import enclosures
 from cantorapprox.enclosures import (_atanh_interval, _exp_point, _ln2_interval, _ln_fixed,
                                      _round_out, iv_add, iv_intpow, iv_mul, iv_scale,
                                      ln_interval, nthroot_interval, rational_pow, sqrt_interval)
-from cantorapprox.errors import BUDGET, Budget
+from cantorapprox.errors import BUDGET, Budget, check_bits
 
 from oracles import (FractionLogRatioSource, gamma_cmp, mp_interval, mp_real, needs_mpmath,
                      under_budget)
@@ -440,6 +440,20 @@ def test_rational_pow_checks_each_power_before_it_is_built():
     assert under_budget(small, rational_pow, F(3), F(2000), 96) == (F(3 ** 2000),) * 2
     with pytest.raises(PrecisionError, match=r"\(base\^2001\)"):
         under_budget(small, rational_pow, F(3), F(2001), 96)
+
+
+def test_check_bits_formats_its_numbers_only_when_it_refuses():
+    huge = 10 ** sys.get_int_max_str_digits()  # str(huge) raises ValueError
+    check_bits(BUDGET.get().bits, "{}^{}", huge, -huge)
+    with pytest.raises(PrecisionError, match=r"^operand of 9 bits \(base\^-7\) over the "
+                       r"8-bit budget$"):
+        under_budget(Budget(bits=8), check_bits, 9, "base^{}", -7)
+    # past the limit a number, the bit count too, is written by its bit length
+    bits = huge.bit_length()
+    with pytest.raises(PrecisionError, match=rf"^operand of <{bits:,}-bit integer> bits "
+                       rf"\(<{bits:,}-bit integer>\^-<{bits:,}-bit integer>\) over the "
+                       r"8,388,608-bit budget$"):
+        check_bits(huge, "{}^{}", huge, -huge)
 
 
 def test_the_exp_path_checks_the_power_of_e_before_it_is_built():

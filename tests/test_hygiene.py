@@ -139,3 +139,27 @@ def test_missing_traced_name_is_detected():
     assert _missing_traced_names(source) == [
         "digitsets.no_such_function", "digitsets.MissingDigitSet.no_such_method",
         "digitsets.NoSuchClass.prefix_allowed"]
+
+
+def _formatted_operands(tree: ast.Module) -> list[str]:
+    """`check_bits` calls whose operand is not a string constant, such as an
+    f-string formatted before the check, as "line N"."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "check_bits"
+            and not (len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                     and isinstance(node.args[1].value, str))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_check_bits_operands_are_templates(path):
+    """check_bits formats its operand's numbers only when it refuses; a name
+    built before the call is paid by every check and can fail to print."""
+    eager = _formatted_operands(ast.parse(path.read_text(), filename=str(path)))
+    assert not eager, f"{path.name} names check_bits operands eagerly: {', '.join(eager)}"
+
+
+def test_formatted_operand_is_detected():
+    tree = ast.parse('check_bits(n, "base^{}", p)\ncheck_bits(n, f"base^{p}")\n'
+                     'errors.check_bits(n, "e^" + str(k))\n')
+    assert _formatted_operands(tree) == ["line 2", "line 3"]
