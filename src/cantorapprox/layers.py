@@ -260,6 +260,8 @@ def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
 def window_t0(window: RatInterval, base: int) -> int:
     """t0, the least level whose b-adic radius b^-t0 is below the radius
     of the window (of positive length): below t0 balls outgrow it."""
+    if window.radius <= 0:
+        raise InputError("window must have positive length")
     t0, r = 0, Fraction(1)
     while r >= window.radius:
         r /= base

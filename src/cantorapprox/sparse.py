@@ -65,6 +65,7 @@ class SparseDigitNumber:
         self.terms = terms
         self._exponents: list[int] = []
         self._truncations: dict[int, tuple[int, int]] = {}
+        self._intervals: dict[int, Iv] = {}
         self._extend(terms + 1)
 
     def _extend(self, count: int) -> None:
@@ -114,7 +115,8 @@ class SparseDigitNumber:
         return (lo - trunc, hi - trunc)
 
     def value_interval(self, terms: Optional[int] = None) -> Iv:
-        """Certified bounds on x from its first t terms (t = terms by default).
+        """Certified bounds on x from its first t terms (t = terms by default),
+        built once per t after a bits check on every call.
 
         The exponents grow by at least 1, so the remainder after term t
         is below coefficient * b^(-e_{t+1}) * b/(b-1).
@@ -122,9 +124,10 @@ class SparseDigitNumber:
         t = terms if terms is not None else self.terms
         b, e = self.base, self.exponent(t + 1)
         check_bits(power_bits(b, e) + (b - 1).bit_length(), "{}*{}^{}", b - 1, b, e)
-        prefix = self.truncation_fraction(t)
-        rem = Fraction(self.coefficient * b, (b - 1) * b ** e)
-        return (prefix, prefix + rem)
+        if t not in self._intervals:
+            prefix = self.truncation_fraction(t)
+            self._intervals[t] = (prefix, prefix + Fraction(self.coefficient * b, (b - 1) * b ** e))
+        return self._intervals[t]
 
     def interval(self, level: int) -> Iv:
         """EnclosureSource protocol: each refinement level adds one term."""

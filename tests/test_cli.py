@@ -317,7 +317,7 @@ def test_a_power_over_the_bit_budget_exits_3_fast(argv, power):
 
 
 # each operand is named by numbers past the 4,300-digit int-to-str limit:
-# 3^2001!, 3^(3^9101) and a 4,000-digit power of psi
+# 3^(2001!), 3^(3^9101) and a 4,000-digit power of psi
 NINES = "9" * 4000
 
 

@@ -300,6 +300,12 @@ def test_box_dimension_examples():
     assert (e32.count, e32.level) == (4, 6)
 
 
+def test_window_t0_refuses_a_window_of_length_zero():
+    assert window_t0(RatInterval(F(0), F(1, 2)), 3) == 2  # 1/9 < 1/4 <= 1/3
+    with pytest.raises(InputError, match="^window must have positive length$"):
+        window_t0(RatInterval(F(1, 2), F(1, 2)), 3)
+
+
 def test_comparability_envelope_calibration():
     from cantorapprox.calibration import MU_RATIO_ENVELOPE
     for tau, (c_lo, c_hi) in MU_RATIO_ENVELOPE.items():

@@ -260,9 +260,22 @@ def test_value_interval_checks_the_denominator_it_builds():
         under_budget(Budget(bits=40), xi.truncation, 3)
     assert under_budget(Budget(bits=100), xi.truncation, 3) == (2 * (3 ** 24 + 3 ** 18 + 1),
                                                                 3 ** 27)
+    xi.value_interval(3)  # built once under the default budget, and still checked
     with pytest.raises(PrecisionError, match=r"^operand of 132 bits \(2\*3\^81\) over the "
                        r"100-bit budget$"):
         under_budget(Budget(bits=100), xi.value_interval, 3)
+
+
+@given(st.sampled_from([FactorialRule(), PowerRule(F(3)), PowerRule(F(7, 2))]),
+       st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=1))
+@settings(max_examples=40, deadline=None)
+def test_value_interval_is_built_once_per_level(rule, terms, level):
+    xi = build_sparse_number(3, 2, rule, terms)
+    t = terms + level
+    first = xi.value_interval(t)
+    assert xi.value_interval(t) is first
+    assert xi.interval(level) is first
+    assert first == build_sparse_number(3, 2, rule, terms).value_interval(t)
 
 
 def test_default_bit_budget_admits_the_factorial_denominator_of_term_nine():
