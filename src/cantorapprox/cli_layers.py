@@ -33,7 +33,10 @@ def parse_scalar(text: str) -> Scalar:
     if t.endswith("*gamma"):
         return Scalar(parse_fraction(t[:-6]), 1)
     if t.startswith("gamma/"):
-        return Scalar(1 / parse_fraction(t[6:]), 1)
+        divisor = parse_fraction(t[6:])
+        if not divisor:
+            raise InputError(f"zero divisor in {text!r}")
+        return Scalar(1 / divisor, 1)
     if t.endswith("/gamma"):
         return Scalar(parse_fraction(t[:-6]), -1)
     return Scalar(parse_fraction(t), 0)

@@ -17,14 +17,12 @@ from .sparse import FactorialRule, PowerRule, SparseDigitNumber, build_sparse_nu
 def build_rule(args) -> PowerRule | FactorialRule:
     if args.rule == "factorial":
         return FactorialRule()
-    tau = parse_fraction(args.tau)
-    lam = parse_fraction(getattr(args, "lam", "1") or "1")
-    return PowerRule(tau, lam)
+    return PowerRule(parse_fraction(args.tau), parse_fraction(args.lam))
 
 
 def build_xi(args) -> SparseDigitNumber:
-    return build_sparse_number(args.base_override or 3, args.coeff, build_rule(args),
-                               args.terms)
+    base = 3 if args.base_override is None else args.base_override
+    return build_sparse_number(base, args.coeff, build_rule(args), args.terms)
 
 
 def _feasible_truncations(x: SparseDigitNumber):

@@ -3,8 +3,9 @@ increasing exponent sequence.
 
 The power rule e_n = floor(lam * tau^n) produces, for each tau > 2, an
 explicit irrational with prescribed approximation behaviour; the
-factorial rule e_n = n! produces the classic Liouville example.  All
-truncations p_s/q_s are exact integers, computed lazily because large
+factorial rule e_n = n! produces the classic Liouville example.  Each
+exponent is computed when first read, and the exact truncations p_s/q_s
+are built in order by one integer recurrence, lazily because large
 terms grow doubly-exponentially.
 """
 
@@ -63,55 +64,48 @@ class SparseDigitNumber:
         self.coefficient = coefficient
         self.rule = rule
         self.terms = terms
-        self._exponents: list[int] = []
-        self._truncations: dict[int, tuple[int, int]] = {}
+        # e_0 = 0 and (p_0, q_0) = (0, 1) start the recurrence of `truncation`
+        self._exponents: dict[int, int] = {0: 0}
+        self._truncations: list[tuple[int, int]] = [(0, 1)]  # (p_s, q_s) at index s
         self._intervals: dict[int, Iv] = {}
-        self._extend(terms + 1)
-
-    def _extend(self, count: int) -> None:
-        while len(self._exponents) < count:
-            n = len(self._exponents) + 1
-            e = self.rule.exponent(n)
-            if n == 1 and e < 1:
-                raise InputError("first exponent must be >= 1 (value must stay below 1)")
-            if self._exponents and e <= self._exponents[-1]:
-                raise InputError(
-                    f"exponent collision: e_{n} = {e} <= e_{n-1} = {self._exponents[-1]}")
-            self._exponents.append(e)
+        if self.exponent(1) < 1:
+            raise InputError("first exponent must be >= 1 (value must stay below 1)")
 
     def exponent(self, n: int) -> int:
-        self._extend(n)
-        return self._exponents[n - 1]
+        if n not in self._exponents:
+            self._exponents[n] = self.rule.exponent(n)
+        return self._exponents[n]
 
     def exponents_up_to(self, s: int) -> tuple[int, ...]:
-        self._extend(s)
-        return tuple(self._exponents[:s])
+        return tuple(self.exponent(n) for n in range(1, s + 1))
 
     def truncation(self, s: int) -> tuple[int, int]:
-        """(p_s, q_s) with p_s/q_s = coefficient * sum_{n<=s} base^(-e_n), reduced."""
+        """(p_s, q_s) with p_s/q_s = coefficient * sum_{n<=s} base^(-e_n), reduced.
+
+        Built in order by p_s = p_(s-1) * b^(e_s - e_(s-1)) + c, q_s = b^(e_s),
+        so p_s = c * (1 + b*k) and p_s/q_s is reduced exactly when gcd(c, b) = 1.
+        """
         if s < 1:
             raise InputError("truncation index must be >= 1")
-        if s in self._truncations:
+        if s < len(self._truncations):
             return self._truncations[s]
-        e_s = self.exponent(s)
-        check_bits(power_bits(self.base, e_s), "{}^{}", self.base, e_s)
-        q = self.base ** e_s
-        p = self.coefficient * sum(self.base ** (e_s - self.exponent(n))
-                                   for n in range(1, s + 1))
-        if gcd(p, q) != 1:
+        b, c, e_s = self.base, self.coefficient, self.exponent(s)
+        check_bits(power_bits(b, e_s), "{}^{}", b, e_s)
+        if gcd(c, b) != 1:
             raise InputError(
                 "truncation not reduced: the coefficient shares a factor with the base")
-        self._truncations[s] = (p, q)
-        return (p, q)
-
-    def truncation_fraction(self, s: int) -> Fraction:
-        return Fraction(*self.truncation(s))
+        for n in range(len(self._truncations), s + 1):
+            e, e_n = self.exponent(n - 1), self.exponent(n)
+            if e_n <= e:
+                raise InputError(f"exponent collision: e_{n} = {e_n} <= e_{n - 1} = {e}")
+            self._truncations.append((self._truncations[-1][0] * b ** (e_n - e) + c, b ** e_n))
+        return self._truncations[s]
 
     def tail_interval(self, s: int) -> Iv:
         """Certified bounds on x - p_s/q_s: the value interval of all
         materialized terms (at least s + 1) less the s-th truncation."""
         lo, hi = self.value_interval(max(self.terms, s + 1))
-        trunc = self.truncation_fraction(s)
+        trunc = Fraction(*self.truncation(s))
         return (lo - trunc, hi - trunc)
 
     def value_interval(self, terms: Optional[int] = None) -> Iv:
@@ -119,14 +113,17 @@ class SparseDigitNumber:
         built once per t after a bits check on every call.
 
         The exponents grow by at least 1, so the remainder after term t
-        is below coefficient * b^(-e_{t+1}) * b/(b-1).
+        is below coefficient * b^(-e_{t+1}) * b/(b-1), and the upper bound
+        is (p_t (b-1) b^(e_{t+1} - e_t) + c b) / ((b-1) b^(e_{t+1})).
         """
         t = terms if terms is not None else self.terms
         b, e = self.base, self.exponent(t + 1)
         check_bits(power_bits(b, e) + (b - 1).bit_length(), "{}*{}^{}", b - 1, b, e)
         if t not in self._intervals:
-            prefix = self.truncation_fraction(t)
-            self._intervals[t] = (prefix, prefix + Fraction(self.coefficient * b, (b - 1) * b ** e))
+            p, q = self.truncation(t)
+            shift = (b - 1) * b ** (e - self.exponent(t))
+            self._intervals[t] = (Fraction(p, q),
+                                  Fraction(p * shift + self.coefficient * b, q * shift))
         return self._intervals[t]
 
     def interval(self, level: int) -> Iv:
@@ -137,20 +134,20 @@ class SparseDigitNumber:
         """Exact membership at the given depth straight off the digit stream."""
         if dset.base != self.base:
             raise InputError("digit stream base does not match the set")
-        while self._exponents[-1] < depth:  # the constructor extends to terms + 1 >= 3
-            self._extend(len(self._exponents) + 1)
-        hits = [e for e in self._exponents if e <= depth]
+        hits = 0  # the nonzero digits in the first `depth`, at e_1 < e_2 < ...
+        while self.exponent(hits + 1) <= depth:
+            hits += 1
         if self.coefficient not in dset.digits and hits:
             return OUT
-        if len(hits) < depth and 0 not in dset.digits:
+        if hits < depth and 0 not in dset.digits:
             return OUT
         return IN
 
 
 def build_sparse_number(base: int, coefficient: int, rule: ExponentRule,
                         terms: int) -> SparseDigitNumber:
-    """Validated construction; materializes terms+1 exponents eagerly and
-    verifies the first reduced truncation (coprimality with the base)."""
+    """Validated construction; builds the first truncation, which checks
+    that the coefficient is coprime to the base."""
     x = SparseDigitNumber(base, coefficient, rule, terms)
     x.truncation(1)
     return x

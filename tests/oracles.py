@@ -11,9 +11,10 @@ for the command line the library parses from its option tables, a
 decimal exponent found from digit counts for the rendered decimals,
 `Fraction` interval division for the log ratios the library divides on
 grid numerators, a `Fraction` Euclid for the continued-fraction
-quotients the library reads off integer pairs in lockstep, and one
+quotients the library reads off integer pairs in lockstep, one
 gcd divided out a step for the pre-period the library strips in
-squared chunks.
+squared chunks, and a power sum per index for the sparse truncations
+the library builds by one recurrence.
 `under_budget` runs a call under a chosen per-call `Budget`.
 """
 
@@ -245,6 +246,14 @@ def layer_ball_pairs(layer: Layer, radius: Fraction) -> list[tuple[Fraction, Fra
 def layer_union_pairs(layer: Layer, radius: Fraction) -> list[tuple[Fraction, Fraction]]:
     """The merged union of `layer_ball_pairs`."""
     return merge_pairs(layer_ball_pairs(layer, radius))
+
+
+def sparse_power_sum(x, s: int) -> tuple[int, int]:
+    """(p, q) with p/q the s-th truncation of a SparseDigitNumber x, as the
+    power sum p = c sum_{n<=s} b^(e_s - e_n) over q = b^(e_s), unreduced."""
+    e_s = x.exponent(s)
+    return (x.coefficient * sum(x.base ** (e_s - x.exponent(n)) for n in range(1, s + 1)),
+            x.base ** e_s)
 
 
 def sparse_tail_sum(x, s: int) -> tuple[Fraction, Fraction]:

@@ -335,6 +335,30 @@ def test_an_operand_past_the_print_limit_is_named_by_its_bit_length(argv, power)
                         r"8,388,608-bit budget\n", stderr)
 
 
+# e_100001 = 3^100001: the value interval's denominator is refused before
+# any of the 100,000 earlier exponents is built
+@pytest.mark.parametrize("argv", ["cf --x xi --tau 3 --terms 100000 --depth 5",
+                                  "exponent --x xi --tau 3 --terms 100000 --depth 5",
+                                  "xi-verify --tau 3 --terms 100000"])
+def test_a_sparse_number_with_many_terms_exits_3_fast(argv):
+    rc, seconds, stderr = _timed_main(argv)
+    assert rc == "3" and seconds < 2.0
+    assert stderr == ("error: operand of <158,499-bit integer> bits (2*3^<158,498-bit integer>) "
+                      "over the 8,388,608-bit budget\n")
+
+
+# q_1 = 4^30000000 is over the bit budget, e_1 = floor(3/10) is 0, and
+# coefficient 2 shares a factor with base 4: each refusal comes in this order
+@pytest.mark.parametrize("lam, rc, error", [
+    ("10000000", 3, "operand of 60,468,751 bits (4^30000000) over the 8,388,608-bit budget"),
+    ("1/10", 2, "first exponent must be >= 1 (value must stay below 1)"),
+    ("1", 2, "truncation not reduced: the coefficient shares a factor with the base")])
+def test_the_refusals_of_a_sparse_number_keep_their_order(lam, rc, error, capsys):
+    argv = f"xi-build --tau 3 --lam {lam} --coeff 2 --base-override 4 --terms 2"
+    assert main(argv.split()) == rc
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 # the prefix-rank table has one entry per digit of the base, up to 2^22
 @pytest.mark.parametrize("base", [10_000_019, 100_000_007])
 def test_a_base_past_the_rank_table_cap_exits_3_fast(base):

@@ -28,6 +28,9 @@ ARGV_CHECKS = {
     "layer --psi powlog:2 --n 2": "powlog needs ALPHA,BETA",
     "layer --psi exp:2 --n 2": "unknown psi kind 'exp'",
     "layer --psi table:2=0 --n 2": "psi must be positive on the evaluation grid",
+    "layer --psi pow:gamma/0 --n 3": "zero divisor in 'gamma/0'",
+    "series --psi pow:2 --f pow:gamma/0 --nmax 3": "zero divisor in 'gamma/0'",
+    "series --psi powlog:2,gamma/0 --f pow:1 --nmax 3": "zero divisor in 'gamma/0'",
     "series --psi pow:2 --f exp:1 --nmax 3": "unknown f kind 'exp'",
     "series --psi pow:2 --f pow:0 --nmax 3": "dimension-function exponent must be positive",
     "series --psi pow:2 --f pow:1 --nmax 0": "need at least one term",
@@ -42,6 +45,8 @@ ARGV_CHECKS = {
     "cf-interval --quotients 1 --depth 0": "depth must be >= 1",
     "full-cover --n 0": "level must be >= 1",
     "xi-build --base-override 2 " + " ".join(XI): "base must be >= 3",
+    "xi-build --base-override 0 " + " ".join(XI): "base must be >= 3",
+    "xi-build --lam= " + " ".join(XI): "not a rational: ''",
     "xi-verify --set 5:0,2 " + " ".join(XI): "digit stream base does not match the set",
 }
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,11 @@ from cantorapprox import (AffineSource, FactorialRule, InputError, MissingDigitS
                           truncation_reports, well_approximable_band)
 from cantorapprox.enclosures import BASE_BITS, as_enclosure
 from cantorapprox.errors import Budget, PrecisionError, power_bits
-from cantorapprox.sparse import (_cmp_fraction_vs_power, _exponent_compare,
+from cantorapprox.sparse import (SparseDigitNumber, _cmp_fraction_vs_power, _exponent_compare,
                                  _power_bound_encl)
 
-from oracles import mp_interval, mp_real, needs_mpmath, sparse_tail_sum, under_budget
+from oracles import (mp_interval, mp_real, needs_mpmath, sparse_power_sum, sparse_tail_sum,
+                     under_budget)
 
 K = MissingDigitSet.middle_thirds()
 
@@ -192,9 +194,62 @@ def test_truncation_value_inside_tail(s, terms):
     assert 0 < lo <= hi
     # the tail interval brackets the enclosure difference
     val = x.value_interval()
-    trunc = x.truncation_fraction(s)
+    trunc = F(*x.truncation(s))
     assert val[0] - trunc >= lo - (hi - lo)
     assert val[1] - trunc <= hi
+
+
+SPARSE_RULES = [FactorialRule()] + [PowerRule(F(tau), F(lam)) for tau in ("11/5", "5/2", "3", "7/2")
+                                     for lam in (1, 2)]
+
+
+@given(st.sampled_from(SPARSE_RULES),
+       st.integers(min_value=3, max_value=7).flatmap(
+           lambda b: st.tuples(st.just(b), st.integers(min_value=1, max_value=b - 1))),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=7))
+@settings(max_examples=120, deadline=None)
+def test_the_truncation_recurrence_matches_the_power_sum(rule, base_coefficient, s, terms):
+    base, c = base_coefficient
+    x = SparseDigitNumber(base, c, rule, terms)
+    p, q = sparse_power_sum(x, s)
+    if gcd(c, base) > 1:
+        # then p/q is not reduced either, and no truncation is built
+        assert gcd(p, q) > 1
+        with pytest.raises(InputError, match="^truncation not reduced"):
+            x.truncation(s)
+        with pytest.raises(InputError, match="^truncation not reduced"):
+            build_sparse_number(base, c, rule, terms)
+        return
+    assert gcd(p, q) == 1
+    # built up to s at once, then read back in any order
+    assert x.truncation(s) == (p, q)
+    for r in range(1, s + 1):
+        assert x.truncation(r) == sparse_power_sum(x, r)
+    e = x.exponent(s + 1)
+    assert x.value_interval(s) == (F(p, q), F(p, q) + F(c * base, (base - 1) * base ** e))
+
+
+class _CountingRule:
+    """n + 1, counting the exponents asked for."""
+
+    def __init__(self):
+        self.asked = []
+
+    def exponent(self, n):
+        self.asked.append(n)
+        return n + 1
+
+
+def test_a_sparse_number_builds_only_the_exponents_it_reads():
+    rule = _CountingRule()
+    x = SparseDigitNumber(3, 2, rule, 100_000)
+    assert rule.asked == [1]
+    x.truncation(3)
+    assert rule.asked == [1, 3, 2]
+    x.value_interval(5)
+    assert rule.asked == [1, 3, 2, 6, 5, 4]
+    x.exponent(4)
+    assert len(rule.asked) == 6
 
 
 # the rules the benchmark draws for xi
