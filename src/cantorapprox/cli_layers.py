@@ -172,8 +172,8 @@ def cmd_series(args, dset):
     psi = _psi_of(args)
     f = parse_f(args.f)
     sv = series_classify(dset, psi, f, args.nmax)
-    if hasattr(f.kind, "exponent"):
-        mode = "exact-gamma" if f.kind.exponent.gexp != 0 else "rational-approximation"
+    if isinstance(f.kind, Scalar):
+        mode = "exact-gamma" if f.kind.gexp != 0 else "rational-approximation"
     else:
         mode = "table"
     results = {

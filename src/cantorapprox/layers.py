@@ -124,22 +124,13 @@ GAMMA = Scalar(_ONE, 1)
 # ---------------------------------------------------------------------------
 
 class PowerLaw(Record):
-    """psi(r) = r^-exponent."""
-
-    exponent: Scalar
-
-    def scaled(self, s: Scalar) -> "PowerLaw":  # the law psi^s
-        return PowerLaw(s.times(self.exponent))
-
-
-class PowerLogLaw(Record):
     """psi(r) = r^-power * (log r)^-log_exponent (natural log)."""
 
     power: Scalar
-    log_exponent: Scalar
+    log_exponent: Scalar = Scalar(_ZERO)
 
-    def scaled(self, s: Scalar) -> "PowerLogLaw":  # the law psi^s
-        return PowerLogLaw(s.times(self.power), s.times(self.log_exponent))
+    def scaled(self, s: Scalar) -> "PowerLaw":  # the law psi^s
+        return PowerLaw(s.times(self.power), s.times(self.log_exponent))
 
 
 class TableValues(Record):
@@ -148,7 +139,7 @@ class TableValues(Record):
     values: Mapping[int, Fraction]
 
 
-PsiKind = Union[PowerLaw, PowerLogLaw, TableValues]
+PsiKind = Union[PowerLaw, TableValues]
 
 
 class ApproxFunction(Record):
@@ -161,7 +152,7 @@ class ApproxFunction(Record):
 
     @staticmethod
     def power_log(alpha, log_exponent: Scalar) -> "ApproxFunction":
-        return ApproxFunction(PowerLogLaw(Scalar.of(alpha), log_exponent))
+        return ApproxFunction(PowerLaw(Scalar.of(alpha), log_exponent))
 
     @staticmethod
     def table(values: Mapping[int, Fraction]) -> "ApproxFunction":
@@ -176,20 +167,18 @@ def truncate_psi(psi: ApproxFunction, c) -> ApproxFunction:
     return ApproxFunction(psi.kind, c)
 
 
-def _law_value(kind: PsiKind, dset: MissingDigitSet, n: int, bits: int = VALUE_BITS,
+def _law_value(law: PowerLaw, dset: MissingDigitSet, n: int, bits: int = VALUE_BITS,
                irrational_message: str = "irrational log-exponent is not supported") -> Iv:
-    """The law at r = b^n: r^-power, or r^-power * (log r)^-log_exponent,
-    whose log exponent must be rational, else InputError(irrational_message)."""
-    if isinstance(kind, PowerLaw):
-        return kind.exponent.scale(Fraction(-n)).evaluate_base_power(dset, bits)
-    if isinstance(kind, PowerLogLaw):
-        beta = kind.log_exponent.rational(dset)
-        if beta is None:
-            raise InputError(irrational_message)
-        power_part = kind.power.scale(Fraction(-n)).evaluate_base_power(dset, bits)
+    """The law at r = b^n, r^-power * (log r)^-log_exponent, whose log
+    exponent must be rational, else InputError(irrational_message)."""
+    beta = law.log_exponent.rational(dset)
+    if beta is None:
+        raise InputError(irrational_message)
+    val = law.power.scale(Fraction(-n)).evaluate_base_power(dset, bits)
+    if beta:
         logr = iv_scale(ln_interval(Fraction(dset.base), bits + 16), Fraction(n))
-        return iv_mul(power_part, pow_interval(logr, iv_exact(-beta), bits))
-    raise InputError(f"unknown psi kind {kind!r}")
+        val = iv_mul(val, pow_interval(logr, iv_exact(-beta), bits))
+    return val
 
 
 def psi_value(psi: ApproxFunction, dset: MissingDigitSet, n: int) -> Iv:
@@ -221,7 +210,7 @@ class DimensionFunction(Record):
     """f(r) = r^s or a table on the evaluation grid; must come with a witness
     that r^-gamma f(r) is monotonic there."""
 
-    kind: Union[PowerLaw, TableValues]
+    kind: Union[Scalar, TableValues]  # the exponent s of f(r) = r^s, or a table
     monotonicity_witness: bool = False
 
     @staticmethod
@@ -229,7 +218,7 @@ class DimensionFunction(Record):
         sc = Scalar.of(s, gexp)
         if sc.coef <= 0:
             raise InputError("dimension-function exponent must be positive")
-        return DimensionFunction(PowerLaw(sc), monotonicity_witness=True)
+        return DimensionFunction(sc, monotonicity_witness=True)
 
     @staticmethod
     def table(values: Mapping[int, Fraction], monotonicity_witness: bool) -> "DimensionFunction":
@@ -243,7 +232,7 @@ def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
         if n not in f.kind.values:
             raise InputError(f"f table has no value at level {n}")
         return iv_exact(Fraction(f.kind.values[n]))
-    s = f.kind.exponent
+    s = f.kind
     if psi.truncation is None and not isinstance(psi.kind, TableValues):
         # (r^-a (log r)^-b)^s is the law r^-(s a) (log r)^-(s b)
         return _law_value(psi.kind.scaled(s), dset, n,
@@ -383,10 +372,11 @@ def pairwise_measure(layer_m: Layer, layer_n: Layer) -> CantorMeasureValue:
 def layer_comparator(dset: MissingDigitSet, psi: ApproxFunction, n: int,
                      window_measure: Fraction) -> Iv:
     """mu(B) * (psi(b^n) * b^n)^gamma, the predicted size of a layer."""
-    kind = psi.kind
-    if psi.truncation is None and isinstance(kind, PowerLaw) and kind.exponent.is_rational:
+    law = psi.kind
+    if (psi.truncation is None and isinstance(law, PowerLaw) and law.power.is_rational
+            and law.log_exponent.coef == 0):
         # (b^(n - n*tau))^gamma with tau rational
-        val = Scalar(n - n * kind.exponent.coef, 1).evaluate_base_power(dset)
+        val = Scalar(n - n * law.power.coef, 1).evaluate_base_power(dset)
         return iv_scale(val, window_measure)
     scaled = iv_scale(psi_value(psi, dset, n), Fraction(dset.base) ** n)
     return iv_scale(pow_interval(scaled, GAMMA.value_iv(dset), VALUE_BITS), window_measure)
@@ -487,20 +477,12 @@ def _analytic_verdict(dset: MissingDigitSet, psi: ApproxFunction,
                       f: DimensionFunction) -> str:
     if isinstance(f.kind, TableValues) or isinstance(psi.kind, TableValues):
         return "undetermined"
-    s = f.kind.exponent
-    if isinstance(psi.kind, PowerLaw):
-        cmp = s.times(psi.kind.exponent).compare(GAMMA, dset)
-        return "convergent" if cmp > 0 else "divergent"
-    # power_log: exponential part decides unless it sits exactly on gamma,
-    # in which case the log factor decides by the integral test
-    kind = psi.kind
-    cmp = s.times(kind.power).compare(GAMMA, dset)
-    if cmp > 0:
-        return "convergent"
-    if cmp < 0:
-        return "divergent"
-    su = s.times(kind.log_exponent)
-    return "convergent" if su.compare(Scalar.of(1), dset) > 0 else "divergent"
+    # the power part decides unless it sits exactly on gamma, in which case
+    # the log factor decides by the integral test
+    s, law = f.kind, psi.kind
+    cmp = (s.times(law.power).compare(GAMMA, dset)
+           or s.times(law.log_exponent).compare(Scalar.of(1), dset))
+    return "convergent" if cmp > 0 else "divergent"
 
 
 def series_classify(dset: MissingDigitSet, psi: ApproxFunction,

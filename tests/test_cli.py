@@ -204,8 +204,23 @@ def test_config_booleans_follow_the_option_kind(tmp_path):
 def test_a_zero_gamma_coefficient_is_rational_zero():
     for command in (["layer", "--n", "3"], ["series", "--f", "pow:1", "--nmax", "4"]):
         reports = [json.loads(run_command(command + ["--psi", psi])[0])["results"]
-                   for psi in ("powlog:2,0*gamma", "powlog:2,0")]
-        assert reports[0] == reports[1]
+                   for psi in ("powlog:2,0*gamma", "powlog:2,0", "pow:2")]
+        assert reports[0] == reports[1] == reports[2]
+
+
+@given(st.sampled_from(["3:0,2", "4:0,3", "5:0,2,4", "3:0,1"]),
+       st.sampled_from(["1", "3/2", "2", "5/2"]), st.integers(min_value=2, max_value=3),
+       st.sampled_from(["layer --n {}", "pairwise --m 1 --n {}", "quasi-scan --nmax {}",
+                        "bc-ratio --q {}", "series --f pow:1 --nmax {}",
+                        "tail --f pow:gamma --n0 1 --nmax {}"]))
+@example("3:0,2", "2", 3, "layer --n {}")  # its comparator is 1/8 for every spelling
+@settings(max_examples=40, deadline=None)
+def test_pow_is_powlog_with_a_zero_log_exponent(dset, a, level, command):
+    """r^-A is r^-A (log r)^-0: the three spellings give one report."""
+    argv = command.format(level).split() + ["--set", dset]
+    reports = [json.loads(run_command(argv + ["--psi", psi])[0])["results"]
+               for psi in (f"pow:{a}", f"powlog:{a},0", f"powlog:{a},0*gamma")]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_out_path(tmp_path):

@@ -742,8 +742,8 @@ def test_f_of_a_law_is_the_law_scaled_by_the_exponent(dset, s, power, beta, n):
     if beta is None:
         law, scaled = layers.PowerLaw(power), layers.PowerLaw(s.times(power))
     else:
-        law = layers.PowerLogLaw(power, beta)
-        scaled = layers.PowerLogLaw(s.times(power), s.times(beta))
+        law = layers.PowerLaw(power, beta)
+        scaled = layers.PowerLaw(s.times(power), s.times(beta))
         assume(scaled.log_exponent.rational(dset) is not None)
     assume(layers._law_value(scaled, dset, n, VALUE_BITS)[0] > 0)
     assert f_of_psi(f, ApproxFunction(law), dset, n) == psi_value(ApproxFunction(scaled),
