@@ -9,6 +9,8 @@ code.
 
 from __future__ import annotations
 
+import sys
+
 from . import render
 from .cli import parse_fraction
 from .sparse import FactorialRule, PowerRule, SparseDigitNumber, build_sparse_number
@@ -37,13 +39,25 @@ def _feasible_truncations(x: SparseDigitNumber):
     return out
 
 
+def _printable_exponents(x: SparseDigitNumber) -> list[int]:
+    """The JSON report's e_1 .. e_terms, each checked by `render.int_str` as it
+    is built unless under 3.3 d bits, so below 10^d (d the int-to-str limit)."""
+    safe_bits = sys.get_int_max_str_digits() * 33 // 10
+    out = []
+    for n in range(1, x.terms + 1):
+        if (e := x.exponent(n)).bit_length() > safe_bits:
+            render.int_str(e)
+        out.append(e)
+    return out
+
+
 def cmd_xi_build(args, dset):
     x = build_xi(args)
     truncs = _feasible_truncations(x)
     results = {
         "base": x.base, "coefficient": x.coefficient, "terms": x.terms,
         "rule": args.rule,
-        "exponents": list(x.exponents_up_to(x.terms)),
+        "exponents": _printable_exponents(x) if args.output == "json" else None,
         "truncations": [{"s": s, "p": str(p), "q": str(q)} for s, p, q in truncs],
     }
     rows = [{"s": s, "exponent": x.exponent(s), "p": p, "q": q}

@@ -28,7 +28,7 @@ def power_bits(base: int, e: int) -> int:
     return e * (base ** 64).bit_length() // 64 + 1
 
 
-def _text(n: int, spec: str = "") -> str:
+def text(n: int, spec: str = "") -> str:
     """format(n, spec), or n by its bit length past the int-to-str digit limit."""
     try:
         return format(n, spec)
@@ -40,8 +40,8 @@ def check_bits(bits: int, operand: str, *numbers: int) -> None:
     """PrecisionError if an operand about to be built is over the bit budget,
     named by the template `operand` filled with `numbers` only then."""
     if bits > (cap := BUDGET.get().bits):
-        name = operand.format(*map(_text, numbers))
-        raise PrecisionError(f"operand of {_text(bits, ',')} bits ({name}) over the "
+        name = operand.format(*map(text, numbers))
+        raise PrecisionError(f"operand of {text(bits, ',')} bits ({name}) over the "
                              f"{cap:,}-bit budget")
 
 

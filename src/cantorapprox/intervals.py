@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, TypeVar
 
-from .errors import InputError
+from .errors import InputError, text
 from .records import Record
 
 Pair = tuple[Fraction, Fraction]
@@ -40,7 +40,9 @@ class RatInterval(Record):
 
     def __post_init__(self):
         if not (_ZERO <= self.lo <= self.hi <= _ONE):
-            raise InputError(f"invalid interval [{self.lo}, {self.hi}]")
+            lo, hi = (text(x.numerator) if x.denominator == 1 else
+                      f"{text(x.numerator)}/{text(x.denominator)}" for x in (self.lo, self.hi))
+            raise InputError(f"invalid interval [{lo}, {hi}]")
 
     @staticmethod
     def make(lo, hi) -> "RatInterval":

@@ -615,10 +615,12 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
     tau = Fraction(tau)
     if tau < 1:
         raise InputError("need tau >= 1")
+    if n < 1:
+        raise InputError("level must be >= 1")
     level = -((-tau * n).__floor__())  # ceil(tau*n)
     b = dset.base
-    scale = b ** level  # counting grid
     radius = rational_pow(Fraction(b), -tau * n, RADIUS_BITS)
+    scale = b ** level  # counting grid, built once the radius passed the bit budget
     f, f_hi = ((r.numerator * scale) // r.denominator for r in radius)
     centers, (runs,) = ball_unions(dset, n, coprime, scale, (0, scale), [f + 1])
     if centers and f != f_hi:

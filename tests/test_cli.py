@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cantorapprox import cli, cli_contfrac, cli_layers, cli_xi, layers, render
+from cantorapprox import cli, cli_contfrac, cli_layers, cli_xi, layers, render, sparse
 from cantorapprox.cli import SUBCOMMAND_OPTIONS, build_parser, main, run_command
 from cantorapprox.errors import BUDGET, Budget, InputError, ResourceBudgetError
 from oracles import argparse_parser, sqrt_quotients, under_budget
@@ -329,6 +329,50 @@ def test_a_power_over_the_bit_budget_exits_3_fast(argv, power):
     assert rc == "3" and seconds < 1.0
     assert re.fullmatch(rf"error: operand of [\d,]+ bits \({power}\) over the "
                         r"8,388,608-bit budget\n", stderr)
+
+
+# the radius b^(-tau n) is checked against the bit budget before b^ceil(tau n)
+# is built: 10^5000 has 16,611 bits
+@pytest.mark.parametrize("argv, power", [
+    ("dim-estimate --tau 1e5000 --n 2", r"<16,612-bit integer> bits \(base\^-<16,611-bit integer>\)"),
+    ("dim-estimate --tau 10000000 --n 1", r"15,937,501 bits \(base\^-10000000\)")],
+    ids=["tau-1e5000", "tau-10000000"])
+def test_a_counting_grid_over_the_bit_budget_exits_3_fast(argv, power):
+    rc, seconds, stderr = _timed_main(argv)
+    assert rc == "3" and seconds < 1.0
+    assert re.fullmatch(rf"error: operand of {power} over the 8,388,608-bit budget\n", stderr)
+
+
+# e_9013 = 3^9013 is the first exponent past the 4,300-digit int-to-str limit;
+# none of the 90,987 exponents after it is built
+def test_xi_build_refuses_its_first_unprintable_exponent_fast():
+    rc, seconds, stderr = _timed_main("xi-build --tau 3 --terms 100000")
+    assert rc == "3" and seconds < 3.0
+    assert stderr == ("error: the report holds an integer of more than 4300 digits, "
+                      "the int-to-str limit\n")
+
+
+# under the least int-to-str limit, 640 digits, e_n = 5000*3^n passes it first
+# at n = 1334; e_1 = 15000 is past the print limit, so there are no truncations
+def test_xi_build_refuses_its_first_unprintable_exponent_as_it_is_built(capsys):
+    argv = "xi-build --tau 3 --lam 5000 --terms 2000".split()
+    limit = sys.get_int_max_str_digits()
+    exponent = sparse.PowerRule.exponent
+    try:
+        sys.set_int_max_str_digits(640)
+        with mock.patch.object(sparse.PowerRule, "exponent", autospec=True,
+                               side_effect=exponent) as built:
+            assert main(argv) == 3
+        assert max(call.args[1] for call in built.call_args_list) == 1334
+        assert capsys.readouterr().err == ("error: the report holds an integer of more "
+                                           "than 640 digits, the int-to-str limit\n")
+        # the CSV rows list no exponents
+        assert main(argv + ["--output", "csv"]) == 0
+        assert capsys.readouterr().out == render.dump_csv([])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    report = json.loads(run_command(argv)[0])["results"]
+    assert report["exponents"][-1] == 5000 * 3 ** 2000 and report["truncations"] == []
 
 
 # each operand is named by numbers past the 4,300-digit int-to-str limit:

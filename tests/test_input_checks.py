@@ -37,6 +37,10 @@ ARGV_CHECKS = {
     "tail --psi pow:2 --f pow:1 --n0 0 --nmax 3": "need 1 <= n0 <= n_max",
     "bc-ratio --psi pow:2 --q 0": "need Q >= 1",
     "dim-estimate --tau 1/2 --n 2": "need tau >= 1",
+    "dim-estimate --tau 2 --n -1": "level must be >= 1",
+    # 10^5000 has 16,610 bits, past the int-to-str digit limit
+    "measure --window 1e5000:1e5001": "invalid interval [<16,610-bit integer>, 1]",
+    "layer --psi pow:2 --n 2 --window 1e5000:1e5000": "invalid interval [<16,610-bit integer>, 1]",
     "cf --x golden --depth 0": "depth must be >= 1",
     "exponent --x 1/2 --depth 5": "need at least 3 convergents",
     "exponent --x golden --depth 8 --min-q 1000":
