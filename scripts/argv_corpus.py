@@ -137,8 +137,9 @@ REFUSALS = (
     "measure --window 0:1 --precision-budget 0", "cf --x gamma --depth 40 --precision-budget 1",
     # malformed command lines and help: the parser's exit codes and text
     "--", "nosuch", "-h", "measure -h", "measure", "measure --window", "measure --win 0:1",
-    "measure --window 0:1 --bogus", "layer --psi pow:2 --n x", "cf --x golden --depth 3 --output xml",
-    "cf --x golden --depth 3 extra", "layer --psi pow:2 --n 2 --coprime=1",
+    "measure --window 0:1 --bogus", "layer --psi pow:2 --n x",
+    "cf --x golden --depth 3 --output xml", "cf --x golden --depth 3 extra",
+    "layer --psi pow:2 --n 2 --coprime=1",
 )
 
 

@@ -73,28 +73,24 @@ def parse_quotients(text: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (results, csv_rows)
+# subcommand implementations: each returns (results, csv_rows) of numbers,
+# which `run_command` renders in the format asked for (see `render`)
 # ---------------------------------------------------------------------------
 
 def cmd_measure(args, dset):
     iv = parse_window(args.window)
     mv = cantor_measure(dset, iv)
-    results = {"window": {"lo": render.rational_json(iv.lo),
-                          "hi": render.rational_json(iv.hi)},
-               "measure": render.value_json(mv)}
-    rows = [{"lo": render.rat_str(iv.lo), "hi": render.rat_str(iv.hi),
-             "measure": render.value_csv(mv), "approx_lossy": render.lossy_float(mv.lo)}]
+    results = {"window": {"lo": iv.lo, "hi": iv.hi}, "measure": mv}
+    rows = [{"lo": iv.lo, "hi": iv.hi, "measure": mv,
+             "approx_lossy": render.lossy_float(mv.lo)}]
     return results, rows
 
 
 def cmd_full_cover(args, dset):
     window = parse_window(args.window)
     ok = full_cover_check(dset, args.n, window)
-    results = {"n": args.n, "window": {"lo": render.rational_json(window.lo),
-                                       "hi": render.rational_json(window.hi)},
-               "full_cover": ok}
-    rows = [{"n": args.n, "lo": render.rat_str(window.lo),
-             "hi": render.rat_str(window.hi), "full_cover": ok}]
+    results = {"n": args.n, "window": {"lo": window.lo, "hi": window.hi}, "full_cover": ok}
+    rows = [{"n": args.n, "lo": window.lo, "hi": window.hi, "full_cover": ok}]
     return results, rows
 
 
@@ -104,16 +100,13 @@ def cmd_cf_interval(args, dset):
     disjoint = prefix_interval_disjoint_from(pi, dset, args.depth)
     results = {
         "quotients": quotients,
-        "interval": {
-            "lo": render.rational_json(pi.lo), "hi": render.rational_json(pi.hi),
-            "lo_closed": pi.lo_closed, "hi_closed": pi.hi_closed,
-        },
+        "interval": {"lo": pi.lo, "hi": pi.hi,
+                     "lo_closed": pi.lo_closed, "hi_closed": pi.hi_closed},
         "depth": args.depth,
         "disjoint_from_set": disjoint,
         "verdict": "not_in_set" if disjoint else "undetermined_at_depth",
     }
-    rows = [{"quotients": ";".join(str(a) for a in quotients),
-             "lo": render.rat_str(pi.lo), "hi": render.rat_str(pi.hi),
+    rows = [{"quotients": ";".join(map(render.int_str, quotients)), "lo": pi.lo, "hi": pi.hi,
              "lo_closed": pi.lo_closed, "hi_closed": pi.hi_closed,
              "disjoint_from_set": disjoint}]
     return results, rows
@@ -420,10 +413,8 @@ def build_parser(command: Optional[str] = None) -> Parser:
 
 
 def _calibration_payload() -> dict:
-    env = {str(k): {"lo": render.rational_json(v[0]), "hi": render.rational_json(v[1])}
-           for k, v in calibration.MU_RATIO_ENVELOPE.items()}
-    return {"c_fix": render.rational_json(calibration.C_FIX),
-            "mu_ratio_envelope": env}
+    env = {str(k): {"lo": lo, "hi": hi} for k, (lo, hi) in calibration.MU_RATIO_ENVELOPE.items()}
+    return {"c_fix": calibration.C_FIX, "mu_ratio_envelope": env}
 
 
 def run_command(argv: list[str]) -> tuple[str, Optional[str]]:

@@ -6,7 +6,8 @@ on every --x.
 numbers.  cf-interval runs in `cli` itself, since its prefix intervals
 need no continued-fraction expansion and no enclosures.
 Each handler takes the parsed arguments and the digit set and returns
-(results, csv_rows).
+(results, csv_rows) of numbers, which `cli.run_command` renders in the
+format asked for.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def cmd_cf(args, dset):
                  if pq[1].bit_length() <= render.RENDER_INT_BITS]
     results = {
         "quotients": list(cf.quotients),
-        "convergents": [{"p": str(p), "q": str(q)} for p, q in printable],
+        "convergents": [{"p": render.Digits(p), "q": render.Digits(q)} for p, q in printable],
         "convergents_omitted": len(cf.convergents) - len(printable),
         "exact": cf.exact,
         "certified_depth": cf.certified_depth,
@@ -58,14 +59,9 @@ def cmd_cf(args, dset):
 def cmd_exponent(args, dset):
     cf = continued_fraction_expand(parse_x(args, dset), args.depth)
     est = irrationality_exponent_estimate(cf, args.min_q)
-    results = {
-        "estimate": render.value_json((est.lo, est.hi)),
-        "witnesses": [{"q": render.int_str(a), "q_next": render.int_str(b)}
-                      for a, b in est.witnesses],
-        "window": est.window,
-        "min_denominator": est.min_denominator,
-        "cf_certified_depth": cf.certified_depth,
-    }
-    rows = [{"estimate": render.value_csv((est.lo, est.hi)),
-             "window": est.window, "min_denominator": est.min_denominator}]
-    return results, rows
+    row = {"estimate": render.Value((est.lo, est.hi)), "window": est.window,
+           "min_denominator": est.min_denominator}
+    results = {**row, "cf_certified_depth": cf.certified_depth,
+               "witnesses": [{"q": render.Digits(a), "q_next": render.Digits(b)}
+                             for a, b in est.witnesses]}
+    return results, [row]

@@ -2,7 +2,8 @@
 series, tail, bc-ratio and dim-estimate.
 
 `cli.run_command` imports this module on first use.  Each handler takes
-the parsed arguments and the digit set and returns (results, csv_rows).
+the parsed arguments and the digit set and returns (results, csv_rows) of
+numbers, which `cli.run_command` renders in the format asked for.
 """
 
 from __future__ import annotations
@@ -110,23 +111,11 @@ def cmd_layer(args, dset):
     layer = build_layer(dset, psi, args.n, window, args.coprime)
     mv = layer_measure(layer)
     comp = layer_comparator(dset, psi, args.n, cantor_measure(dset, window).value)
-    results = {
-        "n": args.n,
-        "coprime": args.coprime,
-        "t0": window_t0(window, dset.base),
-        "ball_count": len(layer.center_numerators),
-        "centers": [render.rational_json(c) for c in layer.centers],
-        "radius": render.value_json(layer.radius),
-        "disjoint": layer.disjoint,
-        "measure": render.value_json(mv),
-        "comparator": render.value_json(comp),
-    }
-    rows = [{"n": args.n, "ball_count": len(layer.center_numerators),
-             "radius": render.value_csv(layer.radius),
-             "measure": render.value_csv(mv),
-             "comparator": render.value_csv(comp),
-             "approx_lossy": render.lossy_float(mv.lo)}]
-    return results, rows
+    row = {"n": args.n, "ball_count": len(layer.center_numerators),
+           "radius": render.Value(layer.radius), "measure": mv, "comparator": render.Value(comp)}
+    results = {**row, "coprime": args.coprime, "t0": window_t0(window, dset.base),
+               "centers": layer.centers, "disjoint": layer.disjoint}
+    return results, [{**row, "approx_lossy": render.lossy_float(mv.lo)}]
 
 
 def cmd_pairwise(args, dset):
@@ -136,19 +125,12 @@ def cmd_pairwise(args, dset):
     ln_ = build_layer(dset, psi, args.n, window, args.coprime)
     inter = pairwise_measure(lm, ln_)
     mu_m, mu_n = layer_measure(lm), layer_measure(ln_)
-    results = {"m": args.m, "n": args.n,
-               "mu_m": render.value_json(mu_m),
-               "mu_n": render.value_json(mu_n),
-               "mu_mn": render.value_json(inter)}
-    rows = [{"m": args.m, "n": args.n,
-             "mu_m": render.value_csv(mu_m),
-             "mu_n": render.value_csv(mu_n),
-             "mu_mn": render.value_csv(inter),
-             "approx_lossy": render.lossy_float(inter.lo)}]
-    return results, rows
+    results = {"m": args.m, "n": args.n, "mu_m": mu_m, "mu_n": mu_n, "mu_mn": inter}
+    return results, [{**results, "approx_lossy": render.lossy_float(inter.lo)}]
 
 
 def _scan_row_payload(row):
+    """A scan row; the JSON report's pairs are its CSV text too."""
     return {"m": row.m, "n": row.n, "case": row.case,
             "mu_m": render.value_csv(row.mu_m), "mu_n": render.value_csv(row.mu_n),
             "mu_mn": render.value_csv(row.mu_mn), "rho": render.value_csv(row.rho)}
@@ -158,13 +140,13 @@ def cmd_quasi_scan(args, dset):
     window = _window_of(args)
     rep = quasi_independence_scan(dset, _psi_of(args), window, args.nmax, args.mmin,
                                   args.coprime)
-    results = {
-        "window_measure": render.rational_json(rep.window_measure),
-        "pairs": [_scan_row_payload(r) for r in rep.rows],
-        "skipped_null_pairs": [list(p) for p in rep.skipped],
-        "c_empirical": render.value_json(rep.c_empirical) if rep.c_empirical else None,
-    }
     rows = [_scan_row_payload(r) for r in rep.rows]
+    results = {
+        "window_measure": rep.window_measure,
+        "pairs": rows,
+        "skipped_null_pairs": rep.skipped,
+        "c_empirical": render.Value(rep.c_empirical) if rep.c_empirical else None,
+    }
     return results, rows
 
 
@@ -180,41 +162,30 @@ def cmd_series(args, dset):
         "verdict": sv.verdict,
         "prediction": sv.prediction,
         "exponent_mode": mode,
-        "partial_sums": [render.value_json(s) for s in sv.partial_sums],
+        "partial_sums": [render.Value(s) for s in sv.partial_sums],
     }
-    rows = [{"N": i + 1, "partial_sum": render.value_csv(s),
-             "approx_lossy": render.lossy_float(s[0])}
+    rows = [{"N": i + 1, "partial_sum": render.Value(s), "approx_lossy": render.lossy_float(s[0])}
             for i, s in enumerate(sv.partial_sums)]
     return results, rows
 
 
 def cmd_tail(args, dset):
     tail = natural_cover_tail(dset, _psi_of(args), parse_f(args.f), args.n0, args.nmax)
-    results = {"n0": tail.n0, "n_max": tail.n_max,
-               "value": render.value_json(tail.value),
+    results = {"n0": tail.n0, "n_max": tail.n_max, "value": render.Value(tail.value),
                "series_verdict": tail.series_verdict}
-    rows = [{"n0": tail.n0, "n_max": tail.n_max,
-             "value": render.value_csv(tail.value),
-             "series_verdict": tail.series_verdict}]
-    return results, rows
+    return results, [results]
 
 
 def cmd_bc_ratio(args, dset):
     window = _window_of(args)
     rep = borel_cantelli_ratio(dset, _psi_of(args), window, args.q, args.coprime)
-    results = {"Q": rep.q, "ratio": render.value_json(rep.ratio),
-               "union_measure": render.rational_json(rep.union_measure),
-               "layer_measures": [render.value_json(m) for m in rep.layer_measures]}
-    rows = [{"Q": rep.q, "ratio": render.value_csv(rep.ratio),
-             "union_measure": render.rat_str(rep.union_measure)}]
-    return results, rows
+    row = {"Q": rep.q, "ratio": render.Value(rep.ratio), "union_measure": rep.union_measure}
+    return {**row, "layer_measures": rep.layer_measures}, [row]
 
 
 def cmd_dim_estimate(args, dset):
     est = box_dimension_estimate(dset, parse_fraction(args.tau), args.n, args.coprime)
-    results = {"n": est.n, "level": est.level, "count": est.count,
-               "coprime": est.coprime, "estimate": render.value_json(est.estimate)}
-    rows = [{"n": est.n, "level": est.level, "count": est.count,
-             "estimate": render.value_csv(est.estimate),
-             "approx_lossy": render.lossy_float(est.estimate[0])}]
-    return results, rows
+    row = {"n": est.n, "level": est.level, "count": est.count,
+           "estimate": render.Value(est.estimate)}
+    return ({**row, "coprime": est.coprime},
+            [{**row, "approx_lossy": render.lossy_float(est.estimate[0])}])

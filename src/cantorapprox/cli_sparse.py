@@ -4,7 +4,8 @@ build.
 
 `cli.run_command` imports this module on first use, and
 `cli_contfrac.parse_x` only for --x xi.  It loads no continued-fraction
-code.
+code.  `cmd_xi_build` returns numbers, as the other handlers do, except
+that it checks its JSON-only exponents for printing as they are built.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def cmd_xi_build(args, dset):
         "base": x.base, "coefficient": x.coefficient, "terms": x.terms,
         "rule": args.rule,
         "exponents": _printable_exponents(x) if args.output == "json" else None,
-        "truncations": [{"s": s, "p": str(p), "q": str(q)} for s, p, q in truncs],
+        "truncations": [{"s": s, "p": render.Digits(p), "q": render.Digits(q)}
+                        for s, p, q in truncs],
     }
     rows = [{"s": s, "exponent": x.exponent(s), "p": p, "q": q}
             for s, p, q in truncs]

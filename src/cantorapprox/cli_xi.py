@@ -3,7 +3,8 @@ truncations, its membership and its continued fraction.
 
 `cli.run_command` imports this module on first use; cf and exponent run
 in `cli_contfrac` on every --x, xi too.  The handler takes the parsed
-arguments and the digit set and returns (results, csv_rows).
+arguments and the digit set and returns (results, csv_rows) of numbers,
+which `cli.run_command` renders in the format asked for.
 """
 
 from __future__ import annotations

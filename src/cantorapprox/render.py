@@ -3,7 +3,8 @@
 Every decimal string is derived from the exact rational by integer
 arithmetic (round half away from zero, 15 significant digits), so two
 runs can never disagree in the last bit.  Floats appear only in the
-clearly-labelled lossy CSV convenience column.
+clearly-labelled lossy CSV convenience column.  The command handlers return
+numbers, and only `dump_report` and `dump_csv` turn them into text.
 """
 
 from __future__ import annotations
@@ -98,6 +99,14 @@ def value_json(v) -> dict:
     return {"lo": rational_json(lo), "hi": rational_json(hi), "exact": lo == hi}
 
 
+class Value(tuple):
+    """An exact-or-bounds (lo, hi): JSON writes it by `value_json`, CSV by `value_csv`."""
+
+
+class Digits(int):
+    """An integer that a JSON report writes as a string of its digits."""
+
+
 def lossy_float(fr: Fraction) -> float:
     try:
         return float(fr)
@@ -138,7 +147,9 @@ def _json_str(s: str) -> str:
 
 def _write_json(value, indent: str, out: list) -> None:
     """Append `value` to `out` as json.dumps(value, sort_keys=True, indent=2)
-    would, nested `indent` deep.  Dict keys are str or int."""
+    would, nested `indent` deep, with each `Fraction`, `Value`,
+    `CantorMeasureValue` and `Digits` in it rendered first.  Dict keys are
+    str or int."""
     if isinstance(value, str):
         out.append(_json_str(value))
     elif isinstance(value, dict):
@@ -152,6 +163,8 @@ def _write_json(value, indent: str, out: list) -> None:
             _write_json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
+    elif isinstance(value, (Value, CantorMeasureValue)):
+        _write_json(value_json(value), indent, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -163,12 +176,16 @@ def _write_json(value, indent: str, out: list) -> None:
             _write_json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
+    elif isinstance(value, Fraction):
+        _write_json(rational_json(value), indent, out)
     elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
     elif value is False:
         out.append("false")
+    elif isinstance(value, Digits):
+        out.append('"' + int_str(value) + '"')
     elif isinstance(value, int):
         out.append(int_str(value))
     else:
@@ -182,8 +199,17 @@ def dump_report(report: dict) -> str:
     return "".join(out) + "\n"
 
 
+def _csv_cell(v) -> str:
+    """A rational or a value as `value_csv`, an int by `int_str`, else str()."""
+    if isinstance(v, (Fraction, Value, CantorMeasureValue)):
+        return value_csv(v)
+    if isinstance(v, int):
+        return int_str(v)
+    return str(v)
+
+
 def dump_csv(rows: Sequence[dict]) -> str:
     if not rows:
         return "\n"
-    lines = [",".join(rows[0])] + [",".join(str(v) for v in row.values()) for row in rows]
+    lines = [",".join(rows[0])] + [",".join(map(_csv_cell, row.values())) for row in rows]
     return "\n".join(lines) + "\n"

@@ -309,14 +309,14 @@ def _limit_memory():
 
 # the third power is e^98383, which the exp path of rational_pow raises
 # 3^(-300 * 20000/67) from
-def _timed_main(argv: str) -> tuple[str, float, str]:
+def _timed_main(argv: str, **env: str) -> tuple[str, float, str]:
     """(exit code, seconds in `main`, stderr) of argv in a fresh interpreter
-    under the memory limit."""
+    under the memory limit, with `env` added to its environment."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv.split()],
                           capture_output=True, text=True, timeout=30, preexec_fn=_limit_memory,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(os.environ, PYTHONPATH=path, **env))
     rc, seconds = done.stdout.split()
     return rc, float(seconds), done.stderr
 
@@ -373,6 +373,19 @@ def test_xi_build_refuses_its_first_unprintable_exponent_as_it_is_built(capsys):
         sys.set_int_max_str_digits(limit)
     report = json.loads(run_command(argv)[0])["results"]
     assert report["exponents"][-1] == 5000 * 3 ** 2000 and report["truncations"] == []
+
+
+# under the least int-to-str limit, 640 digits, the 3,131-digit q_8 = 3^6561
+# is past it though under the 12,000-bit print limit: the truncation of
+# xi-build, and a convergent of cf, in either report
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("argv", ["xi-build --tau 3 --terms 8",
+                                  "cf --x xi --tau 3 --terms 8 --depth 300"])
+def test_an_integer_past_a_lowered_print_limit_exits_3(argv, output):
+    rc, _, stderr = _timed_main(f"{argv} --output {output}", PYTHONINTMAXSTRDIGITS="640")
+    assert rc == "3"
+    assert stderr == ("error: the report holds an integer of more than 640 digits, "
+                      "the int-to-str limit\n")
 
 
 # each operand is named by numbers past the 4,300-digit int-to-str limit:
@@ -467,6 +480,20 @@ def test_integer_too_long_to_print_exits_3(capsys):
     # exponent renders its witness denominators with int_str
     with pytest.raises(ResourceBudgetError, match="int-to-str limit"):
         render.int_str(10 ** sys.get_int_max_str_digits())
+
+
+# a witness q_(k+1) has more digits than the int-to-str limit: the JSON
+# report, which lists the witnesses, is refused, and the CSV report, which
+# holds only the estimate, answers
+def test_exponent_csv_holds_no_field_of_the_json_report(capsys):
+    argv = "exponent --x xi --rule factorial --terms 3 --depth 150".split()
+    assert main(argv + ["--output", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "estimate,window,min_denominator" and row.endswith(",150,2")
+    assert main(argv) == 3
+    assert capsys.readouterr().err == ("error: the report holds an integer of more than "
+                                       f"{sys.get_int_max_str_digits()} digits, the "
+                                       "int-to-str limit\n")
 
 
 # each report holds a radius, a partial sum or a cover mass whose

@@ -141,6 +141,31 @@ def test_missing_traced_name_is_detected():
         "digitsets.NoSuchClass.prefix_allowed"]
 
 
+RENDERERS = {"rational_json", "value_json", "rat_str"}
+
+
+def _renderer_calls(tree: ast.Module) -> list[str]:
+    """Calls of a JSON or rational renderer of `render`, as "name (line N)"."""
+    return [f"{name} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in RENDERERS]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "render.py"],
+                         ids=lambda p: p.name)
+def test_rationals_are_rendered_only_in_render(path):
+    """A handler returns its numbers, and `render` alone writes them in the
+    report format chosen; a rational rendered before then is paid for by
+    either format and can refuse a report that never holds it."""
+    calls = _renderer_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not calls, f"{path.name} renders values itself: {', '.join(calls)}"
+
+
+def test_renderer_call_is_detected():
+    tree = ast.parse("render.value_json(v)\nrat_str(x)\nrender.value_csv(v)\n")
+    assert _renderer_calls(tree) == ["value_json (line 1)", "rat_str (line 2)"]
+
+
 def _formatted_operands(tree: ast.Module) -> list[str]:
     """`check_bits` calls whose operand is not a string constant, such as an
     f-string formatted before the check, as "line N"."""

@@ -1,5 +1,6 @@
 """Report rendering against its references: json.dumps for the report
-writer, and the digit-count exponent search of `oracles.decimal_str`."""
+writer, the value renderers applied by hand for the numbers a handler
+returns, and the digit-count exponent search of `oracles.decimal_str`."""
 
 import json
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorapprox import render
+from cantorapprox.digitsets import CantorMeasureValue
 from cantorapprox.errors import ResourceBudgetError
 from oracles import decimal_str
 
@@ -33,6 +35,60 @@ def test_report_writer_matches_json_dumps(value):
     text = render.dump_report(value)
     assert text == json.dumps(value, sort_keys=True, indent=2) + "\n"
     assert text.isascii()
+
+
+RATIONALS = st.fractions(max_denominator=10 ** 30)
+UNIT = st.fractions(0, 1, max_denominator=10 ** 6)
+# (a value a handler returns, the plain value json.dumps writes alike)
+NUMBERS = (RATIONALS.map(lambda x: (x, render.rational_json(x)))
+           | st.tuples(RATIONALS, RATIONALS).map(
+               lambda iv: (render.Value(iv), render.value_json(iv)))
+           | st.tuples(UNIT, UNIT).map(sorted).map(
+               lambda iv: (CantorMeasureValue(*iv), render.value_json(tuple(iv))))
+           | st.integers(-10 ** 40, 10 ** 40).map(lambda n: (render.Digits(n), str(n)))
+           | SCALARS.map(lambda x: (x, x)))
+
+
+def _unzip(pairs):
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+TAGGED = st.recursive(
+    NUMBERS,
+    lambda inner: (st.lists(inner, max_size=4).map(_unzip)
+                   | st.lists(inner, max_size=3).map(_unzip).map(
+                       lambda ab: (tuple(ab[0]), tuple(ab[1])))
+                   | st.dictionaries(st.text(CHARS, max_size=6), inner, max_size=4).map(
+                       lambda d: ({k: a for k, (a, _) in d.items()},
+                                  {k: b for k, (_, b) in d.items()}))),
+    max_leaves=24)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TAGGED)
+def test_report_writer_renders_each_number_as_its_json_form(pair):
+    value, plain = pair
+    assert render.dump_report(value) == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+
+
+CELLS = (RATIONALS.map(lambda x: (x, render.value_csv(x)))
+         | st.tuples(RATIONALS, RATIONALS).map(
+             lambda iv: (render.Value(iv), render.value_csv(iv)))
+         | st.tuples(UNIT, UNIT).map(sorted).map(
+             lambda iv: (CantorMeasureValue(*iv), render.value_csv(tuple(iv))))
+         | st.integers().map(lambda n: (n, render.int_str(n)))
+         | st.integers().map(lambda n: (render.Digits(n), render.int_str(n)))
+         | st.floats(allow_nan=False).map(lambda x: (x, str(x)))
+         | st.booleans().map(lambda x: (x, str(x))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(st.lists(CELLS, min_size=k, max_size=k),
+                                                    min_size=1, max_size=4)))
+def test_csv_writes_each_cell_by_its_value_kind(table):
+    rows = [{f"c{i}": cell for i, (cell, _) in enumerate(row)} for row in table]
+    lines = [",".join(rows[0])] + [",".join(text for _, text in row) for row in table]
+    assert render.dump_csv(rows) == "\n".join(lines) + "\n"
 
 
 def test_report_writer_refuses_an_integer_past_the_print_limit():
