@@ -158,14 +158,15 @@ def cmd_series(args, dset):
         mode = "exact-gamma" if f.kind.gexp != 0 else "rational-approximation"
     else:
         mode = "table"
+    sums = [render.Value(s) for s in sv.partial_sums]
     results = {
         "verdict": sv.verdict,
         "prediction": sv.prediction,
         "exponent_mode": mode,
-        "partial_sums": [render.Value(s) for s in sv.partial_sums],
+        "partial_sums": sums,
     }
-    rows = [{"N": i + 1, "partial_sum": render.Value(s), "approx_lossy": render.lossy_float(s[0])}
-            for i, s in enumerate(sv.partial_sums)]
+    rows = [{"N": i, "partial_sum": s, "approx_lossy": render.lossy_float(s[0])}
+            for i, s in enumerate(sums, start=1)]
     return results, rows
 
 
