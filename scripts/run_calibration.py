@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the empirical calibration constants.
 
-Prints the measured values for src/cantorapprox/calibration.py: the
-quasi-independence cap over the committed pair grid and the layer/
-comparator ratio envelope per tau.  Run after any change to the layer or
-measure machinery and update calibration.py if the numbers move.
+Prints the measured values for tests/calibration.py, the empirical
+bounds that the layer and acceptance tests check: the quasi-independence
+cap over the committed pair grid and the layer/comparator ratio envelope
+per tau.  Run after any change to the layer or measure machinery and
+update tests/calibration.py if the numbers move.
 """
 
 import time

@@ -28,13 +28,13 @@ from importlib import import_module
 from types import SimpleNamespace
 from typing import Optional
 
-from . import calibration, render
+from . import render
 from .digitsets import (MissingDigitSet, cantor_measure, full_cover_check,
                         prefix_interval_disjoint_from)
 from .errors import BUDGET, Budget, InputError, PrecisionError, ResourceBudgetError
 from .intervals import RatInterval, cf_prefix_interval
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +412,6 @@ def build_parser(command: Optional[str] = None) -> Parser:
     return Parser(tuple(SUBCOMMAND_OPTIONS) if command is None else (command,))
 
 
-def _calibration_payload() -> dict:
-    env = {str(k): {"lo": lo, "hi": hi} for k, (lo, hi) in calibration.MU_RATIO_ENVELOPE.items()}
-    return {"c_fix": calibration.C_FIX, "mu_ratio_envelope": env}
-
-
 def run_command(argv: list[str]) -> tuple[str, Optional[str]]:
     """Returns (report text, output path or None)."""
     # the named subcommand is argv[0]; anything else (help, an unknown
@@ -436,15 +431,13 @@ def run_command(argv: list[str]) -> tuple[str, Optional[str]]:
     elapsed_ms = int((time.monotonic() - start) * 1000)
     if args.output == "csv":
         return render.dump_csv(rows), args.out
-    echo = {k: (v if isinstance(v, (int, bool, float)) or v is None else str(v))
-            for k, v in sorted(vars(args).items())
+    echo = {k: v for k, v in sorted(vars(args).items())
             if k not in ("config", "out", "output", "timing")}
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "config_echo": echo,
         "results": results,
-        "calibration_constants_used": _calibration_payload(),
         "timing_ms": elapsed_ms if args.timing else None,
     }
     return render.dump_report(report), args.out

@@ -76,9 +76,6 @@ class SparseDigitNumber:
             self._exponents[n] = self.rule.exponent(n)
         return self._exponents[n]
 
-    def exponents_up_to(self, s: int) -> tuple[int, ...]:
-        return tuple(self.exponent(n) for n in range(1, s + 1))
-
     def truncation(self, s: int) -> tuple[int, int]:
         """(p_s, q_s) with p_s/q_s = coefficient * sum_{n<=s} base^(-e_n), reduced.
 

@@ -1,4 +1,5 @@
-"""Calibration constants measured empirically at build time.
+"""Calibration constants: empirical bounds that the layer and acceptance
+tests check.
 
 Regenerate with scripts/run_calibration.py; the values are empirical
 envelopes over the committed test grid, not claims about the sharp

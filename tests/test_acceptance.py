@@ -26,10 +26,10 @@ from cantorapprox import (ApproxFunction, DimensionFunction, MissingDigitSet,
                           natural_cover_tail, prefix_interval_disjoint_from,
                           quasi_independence_scan, series_classify,
                           truncation_reports, well_approximable_band)
-from cantorapprox.calibration import C_FIX
 from cantorapprox.cli import run_command
 from cantorapprox.enclosures import LogRatioSource, iv_mul, iv_scale, iv_sub
 
+from calibration import C_FIX
 from oracles import oracle_measure
 
 K = MissingDigitSet.middle_thirds()

@@ -57,7 +57,11 @@ def test_subcommand_deterministic_and_valid(name):
     text2, _ = run_command(list(argv))
     assert text1 == text2
     report = json.loads(text1)
-    jsonschema.validate(report, _schema())
+    schema = _schema()
+    jsonschema.validate(report, schema)
+    # the v2 envelope: every key is required, and none echoes a constant
+    assert set(report) == set(schema["required"])
+    assert report["schema_version"] == "2"
     assert report["command"] == name
     assert report["timing_ms"] is None
 
@@ -549,14 +553,15 @@ def test_sqrt_outside_the_unit_interval_exits_2(command, q, capsys):
 
 
 # sha256 of the whole JSON report, computed when each layer endpoint's CDF
-# value came from its own `cantor_cdf` walk
+# value came from its own `cantor_cdf` walk, and re-pinned for the v2
+# envelope with the same `results`
 PINNED_REPORTS = {
     "layer --set 5:0,2,3 --psi pow:2 --n 14 --window 0:1/1000":
-        "e77e065f759e68a4c9e33c1a0e2fa82a870aaeac08ac2a0fdb69bdefcabfa361",
+        "ec5a9389c7ad7b1f45ec02444aa0c1a41f70badaf99eb34a05c9a85bb3f957f2",
     "quasi-scan --psi pow:2 --nmax 12":
-        "39d83372a6c7ae8dcceb4069a11f6fba48af2bc0e51f2455ea5f4833dd978c70",
+        "004f6c2caf622a5824d73e7e932838fcbe98c8b6a7e322a75bda763ff1faa072",
     "bc-ratio --psi pow:2 --q 12":
-        "5a10bd270dd5e779b73bdfc8bc766472943cf61626cbd84fdadebca0d8afc2db",
+        "12fcfd18195034fb867fd7d9b10950c22ae4d52961df3f6e2b3f14ec10431fda",
 }
 
 
@@ -569,18 +574,19 @@ def test_layer_reports_match_their_pinned_hashes(argv):
 # sha256 of the whole report of continued-fraction, exponent and xi commands
 # the benchmark does not run, computed when each log ratio was a `Fraction`
 # interval quotient refined from level 0, and each certified quotient a
-# `Fraction` Euclid step (dim-estimate --tau 3/2 --n 11 is pinned below).
+# `Fraction` Euclid step (dim-estimate --tau 3/2 --n 11 is pinned below);
+# the JSON reports re-pinned for the v2 envelope with the same `results`.
 # The JSON report of the factorial cf holds a quotient past the int-to-str
 # limit, so its CSV is pinned
 PINNED_ENCLOSURE_REPORTS = {
     "cf --x xi --rule factorial --terms 3 --depth 200 --output csv":
         "88b9cfc787e74f14ca02923b10ec613ce2025a8f7730306ba0732bf164ef0c9e",
     "exponent --x xi --tau 3 --terms 6 --depth 120 --min-q 50":
-        "d6effb1e4ec8bd0d34736bce1d101b2e06dbadcc03128d353474497f0dc0e764",
+        "9a3b7372ee79a9d73d340d8871bebdfcfdf89ca65cfca6358666cc60194a88f6",
     "cf --x gamma --set 5:0,2,3 --depth 60":
-        "d95663abc88bb7eef4fda3b6634a8596d840adaf76fbfe385ddf49c3282d8a5e",
+        "d2914750ae9f30835af521ebff2dc91d0d2bec20105697d99ead709472d4478e",
     "xi-verify --tau 3 --terms 6":
-        "3d7a0558d0c69394cce6ae5d70a2d5337f59b25a34744755251097227edb7354",
+        "3246fc1775325d456a900479ca86a7a93224d33a0dcc56c191c39402fe2cf5cb",
 }
 
 
@@ -597,18 +603,19 @@ def test_deep_factorial_cf_report_is_past_the_print_limit():
 
 # sha256 of the whole JSON report, computed when the box count tested every
 # cell near every ball on Fractions, full-cover merged Fraction balls, and
-# cf-interval ran beside the continued-fraction expansion
+# cf-interval ran beside the continued-fraction expansion, and re-pinned for
+# the v2 envelope with the same `results`
 PINNED_CYLINDER_REPORTS = {
     "dim-estimate --tau 3/2 --n 11":
-        "5b5247537dc2bd88ec62dd6983548e015d70473fc0f6fdad0a1ec3312faaa4cf",
+        "f103bfff9510e14710e94070b2c170c98490e65582ab8a6d4338a87a420c5960",
     "dim-estimate --tau 3 --n 10 --no-coprime":
-        "24a4e5c614c9046a3dd6696346904c519b7bcc44da5cebcf20a0e3789b70d5a4",
+        "fb51fe3d608d2b6016252c81b83be8514f02bf15bc3afdeb8cfc9e0f0749696b",
     "full-cover --n 10 --window 1/7:6/7":
-        "616a8c8c6894e103d7452242472ac6b1941b99fb2a9ff23ef744190304081f42",
+        "82d68183e536a225e6eadcf7ac9576106cd90f7e9120ba75a07327ae487ac716",
     "full-cover --set 5:1,3 --n 6":
-        "6cb4b725241d8280dd629d37866f574a200692e0a330c4dda78c5f6ee469d5f1",
+        "b81601c9f0b22ba5ed8bf3ebae7cce0adaa0ebba1dcb48ca23bccc05ef8185a0",
     "cf-interval --quotients 1,1,1,1 --depth 18":
-        "e5838cd266562e8efaa55ba7977759d101cad9c447edfede5c7f54e143e73780",
+        "da5a37367ba3aaf736c90db881fb3113823db5032d383fe17e69e0ac1fe492f8",
 }
 
 

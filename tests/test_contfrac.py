@@ -112,8 +112,9 @@ def test_certified_quotients_of_xi_begin_its_folded_expansion(rule, tau, terms):
     """With one refinement level the last enclosure of xi (coefficient 1)
     holds the truncation with terms + 2 terms, so its certified quotients
     begin that truncation's expansion, built by folding alone."""
-    exponents = build_sparse_number(3, 1, rule, terms).exponents_up_to(terms + 2)
-    folded = folded_sparse_quotients(3, list(exponents))
+    x = build_sparse_number(3, 1, rule, terms)
+    exponents = [x.exponent(n) for n in range(1, terms + 3)]
+    folded = folded_sparse_quotients(3, exponents)
     assert _cf_value(folded) == sum(F(1, 3 ** e) for e in exponents)
     argv = ["cf", "--x", "xi", "--coeff", "1", "--tau", tau, "--terms", str(terms),
             "--depth", "1000", "--precision-budget", "1"]

@@ -22,6 +22,7 @@ from cantorapprox.enclosures import (exponent_enclosure, iv_div, iv_exact, iv_mu
                                      rational_pow)
 from cantorapprox.errors import Budget, PrecisionError
 
+from calibration import C_FIX, MU_RATIO_ENVELOPE
 from oracles import (layer_ball_pairs, layer_union_pairs, mp_interval, needs_mpmath, under_budget,
                      power_series_converges)
 
@@ -307,7 +308,6 @@ def test_window_t0_refuses_a_window_of_length_zero():
 
 
 def test_comparability_envelope_calibration():
-    from cantorapprox.calibration import MU_RATIO_ENVELOPE
     for tau, (c_lo, c_hi) in MU_RATIO_ENVELOPE.items():
         psi = ApproxFunction.power(tau)
         for n in range(window_t0(UNIT, 3) + 1, 11):
@@ -320,7 +320,6 @@ def test_comparability_envelope_calibration():
 
 
 def test_quasi_independence_bounded_by_calibration():
-    from cantorapprox.calibration import C_FIX
     for tau in (2, 3):
         rep = quasi_independence_scan(K, ApproxFunction.power(tau), UNIT, 10)
         assert rep.c_empirical[1] <= C_FIX

@@ -11,11 +11,11 @@ import cantorapprox
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FAMILIES = {"cantorapprox.layers", "cantorapprox.contfrac", "cantorapprox.sparse"}
-# every library module a command loaded before the handlers moved out of
-# cli.py, besides its family modules
-CORE = {"cantorapprox", "cantorapprox.calibration", "cantorapprox.cli",
-        "cantorapprox.digitsets", "cantorapprox.enclosures", "cantorapprox.errors",
-        "cantorapprox.intervals", "cantorapprox.records", "cantorapprox.render"}
+# every library module a command may load besides its family and handler
+# modules
+CORE = {"cantorapprox", "cantorapprox.cli", "cantorapprox.digitsets",
+        "cantorapprox.enclosures", "cantorapprox.errors", "cantorapprox.intervals",
+        "cantorapprox.records", "cantorapprox.render"}
 LAYERS = {"cantorapprox.layers"}
 CONTFRAC = {"cantorapprox.contfrac"}
 SPARSE = {"cantorapprox.sparse"}
