@@ -64,7 +64,7 @@ def _set_argvs(dset: str) -> list[str]:
     base = int(dset.split(":")[0])
     digits = [int(d) for d in dset.split(":")[1].split(",")]
     coeff = next(d for d in digits if d and math.gcd(d, base) == 1)
-    xi = f" --set {dset} --base-override {base} --coeff {coeff}"
+    xi = f" --set {dset} --coeff {coeff}"
     levels = (1, 2, 3) if base == 9 else (1, 3, 5)
     out = [f"measure --set {dset} --window {w}"
            for w in ("0:1", "2/9:4/9", "1/7:6/7", "0:1/1000", "1/3:1/3", "-1/2:1/4")]
@@ -84,8 +84,8 @@ def _set_argvs(dset: str) -> list[str]:
 def _sparse_argvs() -> list[str]:
     """xi-build, cf and exponent on every rule, and on --x of every kind."""
     rules = (" --tau 3", " --tau 5/2", " --tau 9/4 --lam 2", " --tau 4 --lam 1/2",
-             " --rule factorial", " --tau 3 --base-override 5 --coeff 3",
-             " --tau 3 --base-override 7 --coeff 6")
+             " --rule factorial", " --tau 3 --set 5:0,3 --coeff 3",
+             " --tau 3 --set 7:0,6 --coeff 6")
     out = []
     for rule in rules:
         out += [f"xi-build{rule} --terms {t}" for t in (1, 3, 5, 7)]
@@ -125,11 +125,11 @@ REFUSALS = (
     "exponent --x 1/2 --depth 5", "exponent --x golden --depth 8 --min-q 1000",
     "cf-interval --quotients 1,0 --depth 3", "cf-interval --quotients 1 --depth 0",
     "cf-interval --quotients x --depth 3", "full-cover --n 0", "full-cover --n 30",
-    "xi-build --base-override 2 --tau 3 --terms 4",
-    "xi-build --base-override 0 --tau 3 --terms 4", "xi-build --lam= --tau 3 --terms 4",
-    "xi-build --tau 3 --lam 1/10 --terms 2", "xi-build --tau 3 --coeff 2 --base-override 4",
+    "xi-build --set 2:0,1 --tau 3 --terms 4", "xi-build --set 0:0,1 --tau 3 --terms 4",
+    "xi-build --lam= --tau 3 --terms 4", "xi-build --tau 3 --lam 1/10 --terms 2",
+    "xi-build --tau 3 --coeff 2 --set 4:0,3", "measure --set 3:0 --window 0:1",
+    "measure --set 3:0,3 --window 0:1",
     "xi-build --tau 3 --terms 100000", "xi-build --tau 3 --lam 10000000 --terms 2",
-    "xi-verify --set 5:0,2 --tau 3 --terms 4",
     "cf --x xi --tau 3 --terms 100000 --depth 5",
     "cf --x xi --rule factorial --terms 2000 --depth 5",
     "exponent --x xi --tau 3 --terms 100000 --depth 5",
@@ -139,6 +139,7 @@ REFUSALS = (
     "--", "nosuch", "-h", "measure -h", "measure", "measure --window", "measure --win 0:1",
     "measure --window 0:1 --bogus", "layer --psi pow:2 --n x",
     "cf --x golden --depth 3 --output xml", "cf --x golden --depth 3 extra",
+    "xi-build --base-override 5 --tau 3",
     "layer --psi pow:2 --n 2 --coprime=1",
 )
 

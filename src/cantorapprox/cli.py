@@ -51,9 +51,10 @@ def parse_fraction(text: str) -> Fraction:
 def parse_set(text: str) -> MissingDigitSet:
     try:
         base_s, digits_s = text.split(":")
-        return MissingDigitSet(int(base_s), tuple(int(d) for d in digits_s.split(",")))
-    except (ValueError, TypeError) as exc:
+        base, digits = int(base_s), tuple(int(d) for d in digits_s.split(","))
+    except ValueError as exc:
         raise InputError(f"bad set spec {text!r}; expected BASE:D1,D2,...") from exc
+    return MissingDigitSet(base, digits)
 
 
 def parse_window(text: str) -> RatInterval:
@@ -142,7 +143,7 @@ FLAG, TOGGLE = "flag", "toggle"
 REQUIRED = ...  # the default of an option that every call must give
 
 COMMON_OPTIONS = (
-    ("--set", str, "3:0,2", "BASE:D1,D2,... (default middle thirds)"),
+    ("--set", str, "3:0,2", "BASE:D1,D2,... (default middle thirds); xi is built in BASE"),
     ("--config", str, None, "key=value config file"),
     ("--out", str, None, "output path (default stdout)"),
     ("--output", ("json", "csv"), "json", None),
@@ -158,8 +159,7 @@ _XI = (("--rule", ("pow", "factorial"), "pow", None),
        ("--tau", str, "3", None),
        ("--lam", str, "1", None),
        ("--coeff", int, 2, None),
-       ("--terms", int, 5, None),
-       ("--base-override", int, None, "base for the sparse number (defaults to 3)"))
+       ("--terms", int, 5, None))
 _N = ("--n", int, REQUIRED, None)
 _NMAX = ("--nmax", int, REQUIRED, None)
 _DEPTH = ("--depth", int, REQUIRED, None)
@@ -263,7 +263,7 @@ def _convert(option, text: str):
 def _config_flags(path: str, options) -> list[str]:
     """The entries of a key=value config file, as flags of `options`: true
     and false give --key and nothing for a FLAG, --key and --no-key for a
-    TOGGLE."""
+    TOGGLE.  A line with no = or an empty key is refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -271,13 +271,15 @@ def _config_flags(path: str, options) -> list[str]:
         raise InputError(f"cannot read config file: {exc}") from exc
     kinds = {option[0][2:]: option[1] for option in options}
     flags: list[str] = []
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if not (eq and key):
+            raise InputError(f"config line {number}: {line!r} is not KEY=VALUE")
         kind = kinds.get(key)
         if kind in (FLAG, TOGGLE) and value.lower() in ("true", "false"):
             if value.lower() == "true":
@@ -298,9 +300,6 @@ class Parser:
     bad command line prints the usage and one error line and raises
     SystemExit(2); -h/--help prints the help and raises SystemExit(0).
     """
-
-    def __init__(self, commands: tuple[str, ...]):
-        self.commands = commands
 
     def parse_args(self, argv: list[str]) -> SimpleNamespace:
         """`command` and one attribute per option of the command."""
@@ -334,9 +333,9 @@ class Parser:
                 raise self._help(None)
         else:
             raise _ArgvError("the following arguments are required: command")
-        if token not in self.commands:
+        if token not in SUBCOMMAND_OPTIONS:
             raise _ArgvError(f"argument command: invalid choice: {token!r} "
-                             f"(choose from {', '.join(map(repr, self.commands))})")
+                             f"(choose from {', '.join(map(repr, SUBCOMMAND_OPTIONS))})")
         return token, argv[i + 1:], extras
 
     def _read_options(self, command: str, argv: list[str]) -> tuple[dict, list[str]]:
@@ -389,7 +388,7 @@ class Parser:
 
     def _usage(self, command: Optional[str]) -> str:
         if command is None:
-            return f"usage: cantorapprox [-h] {{{','.join(self.commands)}}} ...\n"
+            return f"usage: cantorapprox [-h] {{{','.join(SUBCOMMAND_OPTIONS)}}} ...\n"
         return " ".join([f"usage: cantorapprox {command} [-h]"] + [
             _spec(o) if o[2] is REQUIRED else f"[{_spec(o)}]"
             for o in COMMON_OPTIONS + SUBCOMMAND_OPTIONS[command]]) + "\n"
@@ -407,17 +406,14 @@ class Parser:
         return SystemExit(2)
 
 
-def build_parser(command: Optional[str] = None) -> Parser:
-    """The CLI parser with every subcommand, or with only `command`."""
-    return Parser(tuple(SUBCOMMAND_OPTIONS) if command is None else (command,))
+def build_parser() -> Parser:
+    """The CLI parser, with every subcommand."""
+    return Parser()
 
 
 def run_command(argv: list[str]) -> tuple[str, Optional[str]]:
     """Returns (report text, output path or None)."""
-    # the named subcommand is argv[0]; anything else (help, an unknown
-    # command) needs the full parser and its list of choices
-    named = argv[0] if argv and argv[0] in SUBCOMMAND_OPTIONS else None
-    args = build_parser(named).parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.precision_budget is not None and args.precision_budget < 1:
         raise InputError("precision budget must be >= 1")
     dset = parse_set(args.set)

@@ -26,7 +26,7 @@ def parse_x(args, dset):
     symbolic constant or of the sparse number xi, gamma's enclosure, or a rational."""
     t = args.x
     if t == "xi":
-        return import_module(".cli_sparse", __package__).build_xi(args)
+        return import_module(".cli_sparse", __package__).build_xi(args, dset)
     if t == "golden":
         return golden_ratio_source()
     if t == "gamma":

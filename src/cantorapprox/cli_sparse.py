@@ -23,9 +23,10 @@ def build_rule(args) -> PowerRule | FactorialRule:
     return PowerRule(parse_fraction(args.tau), parse_fraction(args.lam))
 
 
-def build_xi(args) -> SparseDigitNumber:
-    base = 3 if args.base_override is None else args.base_override
-    return build_sparse_number(base, args.coeff, build_rule(args), args.terms)
+def build_xi(args, dset) -> SparseDigitNumber:
+    """xi = coeff * sum_n b^(-e_n) in the base b of the digit set, so that
+    xi lies in the set when 0 and coeff are among its digits."""
+    return build_sparse_number(dset.base, args.coeff, build_rule(args), args.terms)
 
 
 def _feasible_truncations(x: SparseDigitNumber):
@@ -53,7 +54,7 @@ def _printable_exponents(x: SparseDigitNumber) -> list[int]:
 
 
 def cmd_xi_build(args, dset):
-    x = build_xi(args)
+    x = build_xi(args, dset)
     truncs = _feasible_truncations(x)
     results = {
         "base": x.base, "coefficient": x.coefficient, "terms": x.terms,

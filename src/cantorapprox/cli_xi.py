@@ -17,7 +17,7 @@ from .sparse import truncation_reports
 
 
 def cmd_xi_verify(args, dset):
-    x = build_xi(args)
+    x = build_xi(args, dset)
     reports, s_min = truncation_reports(x)
     depth = x.exponent(x.terms) if args.depth is None else args.depth
     verdict = membership(x, dset, depth)

@@ -321,12 +321,12 @@ def full_cover_closed_form(dset: MissingDigitSet, window: RatInterval) -> bool:
             or oracle_measure(dset, window.lo, window.hi, level=3) == 0)
 
 
-def argparse_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def argparse_parser() -> argparse.ArgumentParser:
     """The command-line parser as argparse builds it from the option tables
-    of `cli`, with every subcommand or with only `command`."""
+    of `cli`."""
     top = argparse.ArgumentParser(prog="cantorapprox", description=cli.__doc__.splitlines()[0])
     subs = top.add_subparsers(dest="command", required=True)
-    for name in cli.SUBCOMMAND_OPTIONS if command is None else (command,):
+    for name in cli.SUBCOMMAND_OPTIONS:
         sub = subs.add_parser(name)
         for flag, kind, default, about in cli.COMMON_OPTIONS + cli.SUBCOMMAND_OPTIONS[name]:
             kwargs = {"help": about}

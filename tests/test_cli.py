@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from cantorapprox import cli, cli_contfrac, cli_layers, cli_xi, layers, render, sparse
 from cantorapprox.cli import SUBCOMMAND_OPTIONS, build_parser, main, run_command
+from cantorapprox.contfrac import continued_fraction_expand
 from cantorapprox.errors import BUDGET, Budget, InputError, ResourceBudgetError
 from oracles import argparse_parser, sqrt_quotients, under_budget
 
@@ -52,6 +53,7 @@ def _schema():
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_ARGVS))
 def test_subcommand_deterministic_and_valid(name):
+    assert set(FIXTURE_ARGVS) == set(SUBCOMMAND_OPTIONS)
     argv = FIXTURE_ARGVS[name]
     text1, _ = run_command(list(argv))
     text2, _ = run_command(list(argv))
@@ -203,6 +205,16 @@ def test_config_booleans_follow_the_option_kind(tmp_path):
     report = json.loads(run_command(["layer", "--config", str(cfg)])[0])
     assert report["results"]["coprime"] is True
     assert isinstance(report["timing_ms"], int)
+
+
+# read as a flag, an empty key would be a bare "--", which ends option
+# reading, and a line with no = a token that is neither a flag nor a value
+@pytest.mark.parametrize("line", ["=3", "psi pow:2"])
+def test_a_config_line_that_is_not_key_value_exits_2(line, tmp_path, capsys):
+    cfg = tmp_path / "layer.cfg"
+    cfg.write_text(f"# comment line\n{line}\n")
+    assert main(["layer", "--psi", "pow:2", "--n", "3", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: config line 2: {line!r} is not KEY=VALUE\n"
 
 
 def test_a_zero_gamma_coefficient_is_rational_zero():
@@ -430,7 +442,7 @@ def test_a_sparse_number_with_many_terms_exits_3_fast(argv):
     ("1/10", 2, "first exponent must be >= 1 (value must stay below 1)"),
     ("1", 2, "truncation not reduced: the coefficient shares a factor with the base")])
 def test_the_refusals_of_a_sparse_number_keep_their_order(lam, rc, error, capsys):
-    argv = f"xi-build --tau 3 --lam {lam} --coeff 2 --base-override 4 --terms 2"
+    argv = f"xi-build --tau 3 --lam {lam} --coeff 2 --set 4:0,3 --terms 2"
     assert main(argv.split()) == rc
     assert capsys.readouterr().err == f"error: {error}\n"
 
@@ -575,18 +587,19 @@ def test_layer_reports_match_their_pinned_hashes(argv):
 # the benchmark does not run, computed when each log ratio was a `Fraction`
 # interval quotient refined from level 0, and each certified quotient a
 # `Fraction` Euclid step (dim-estimate --tau 3/2 --n 11 is pinned below);
-# the JSON reports re-pinned for the v2 envelope with the same `results`.
+# the JSON reports re-pinned for the v2 envelope, and again when
+# `config_echo` lost its base of xi, each with the same `results`.
 # The JSON report of the factorial cf holds a quotient past the int-to-str
 # limit, so its CSV is pinned
 PINNED_ENCLOSURE_REPORTS = {
     "cf --x xi --rule factorial --terms 3 --depth 200 --output csv":
         "88b9cfc787e74f14ca02923b10ec613ce2025a8f7730306ba0732bf164ef0c9e",
     "exponent --x xi --tau 3 --terms 6 --depth 120 --min-q 50":
-        "9a3b7372ee79a9d73d340d8871bebdfcfdf89ca65cfca6358666cc60194a88f6",
+        "291515e5364ba4808aecfdccf223843f4947fc9f2fce405f85723107113f8ffb",
     "cf --x gamma --set 5:0,2,3 --depth 60":
-        "d2914750ae9f30835af521ebff2dc91d0d2bec20105697d99ead709472d4478e",
+        "5db83480bf71821f5446d454582ffeacdcf6d73fbb8fa815c557d93d3a94c37f",
     "xi-verify --tau 3 --terms 6":
-        "3246fc1775325d456a900479ca86a7a93224d33a0dcc56c191c39402fe2cf5cb",
+        "ca321e252f2e271c31a488a6f210290211b3fcb138c1070a306e5c73b3b24999",
 }
 
 
@@ -629,20 +642,6 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURE_ARGVS))
-def test_one_subparser_parses_like_the_full_parser(name):
-    assert set(FIXTURE_ARGVS) == set(SUBCOMMAND_OPTIONS)
-    argv = FIXTURE_ARGVS[name]
-    for sample in (argv, argv + ["--set", "5:0,2,3", "--output", "csv", "--timing"]):
-        assert build_parser(name).parse_args(sample) == build_parser().parse_args(sample)
-
-
-def test_run_command_builds_only_the_named_subparser():
-    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as built:
-        run_command(["full-cover", "--n", "3"])
-    built.assert_called_once_with("full-cover")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["frobnicate"], []], ids=str)
@@ -794,6 +793,24 @@ def test_xi_verify_extends_the_digit_stream_to_the_membership_depth():
     assert json.loads(text)["results"]["membership"] == {"depth": 100000, "verdict": "in"}
 
 
+def test_xi_is_built_in_the_base_of_the_set(capsys):
+    # 2 * sum 5^(-3^n) has the digits 0 and 2 of 5:0,2,3
+    assert main("xi-verify --set 5:0,2,3 --tau 3 --terms 4".split()) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["membership"]["verdict"] == "in"
+    text, _ = run_command("cf --x xi --set 9:0,2,6,8 --tau 3 --terms 4 --depth 10".split())
+    x = sparse.build_sparse_number(9, 2, sparse.PowerRule(Fraction(3)), 4)
+    assert json.loads(text)["results"]["quotients"] == list(
+        continued_fraction_expand(x, 10).quotients)
+
+
+def test_the_base_of_xi_has_no_option_of_its_own(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main("xi-build --base-override 5 --tau 3".split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: unrecognized arguments: --base-override 5\n")
+
+
 def test_timing_flag_is_the_only_nondeterminism():
     with_timing, _ = run_command(["measure", "--window", "0:1", "--timing"])
     rep = json.loads(with_timing)
@@ -859,17 +876,16 @@ def _outcome(parse, argv):
 
 
 @settings(max_examples=400, deadline=None)
-@given(command_lines(), st.booleans())
-@example(["--", "measure", "--window", "0:1"], False)  # a "--" before the subcommand
-@example(["--"], False)  # a "--" with nothing after it
-@example(["measure", "--window", "0:1", "foo"], False)  # a token that is no option
-def test_parser_reads_argv_as_argparse_does(argv, whole):
+@given(command_lines())
+@example(["--", "measure", "--window", "0:1"])  # a "--" before the subcommand
+@example(["--"])  # a "--" with nothing after it
+@example(["measure", "--window", "0:1", "foo"])  # a token that is no option
+def test_parser_reads_argv_as_argparse_does(argv):
     # argparse drops the value of --flag=-- and stores [] unconverted, on
     # which every command failed with a traceback; the value is "--" now
     assume(not any(token.partition("=")[2] == "--" for token in argv))
-    named = None if whole or argv[0] not in SUBCOMMAND_OPTIONS else argv[0]
-    expected = _outcome(argparse_parser(named).parse_args, argv)
-    got = _outcome(build_parser(named).parse_args, argv)
+    expected = _outcome(argparse_parser().parse_args, argv)
+    got = _outcome(build_parser().parse_args, argv)
     if got == ("cannot read config", None):
         # a --config value that is no file, from an odd token or a prefix; the
         # file is read before options are found missing or tokens unknown
@@ -881,7 +897,7 @@ def test_parser_reads_argv_as_argparse_does(argv, whole):
 
 
 def test_a_double_dash_after_equals_is_a_value(capsys):
-    args = build_parser("measure").parse_args(["measure", "--window=--", "--set=--"])
+    args = build_parser().parse_args(["measure", "--window=--", "--set=--"])
     assert (args.window, args.set) == ("--", "--")
     assert main(["measure", "--window=--"]) == 2
     assert capsys.readouterr().err == "error: bad window '--'; expected LO:HI\n"

@@ -25,6 +25,10 @@ XI = ["--tau", "3", "--terms", "4"]
 ARGV_CHECKS = {
     "cf --x abc --depth 3": "not a rational: 'abc'",
     "measure --window 0:1 --set 3": "bad set spec '3'; expected BASE:D1,D2,...",
+    # the set's own checks, not the spec's
+    "measure --window 0:1 --set 3:0": "need a proper digit set with at least 2 digits",
+    "measure --window 0:1 --set 3:0,3": "digits must lie in [0, base-1]",
+    "measure --window 0:1 --set 2:0,1": "base must be >= 3",
     "layer --psi powlog:2 --n 2": "powlog needs ALPHA,BETA",
     "layer --psi exp:2 --n 2": "unknown psi kind 'exp'",
     "layer --psi table:2=0 --n 2": "psi must be positive on the evaluation grid",
@@ -48,10 +52,9 @@ ARGV_CHECKS = {
     "cf-interval --quotients 1,0 --depth 3": "quotients must be positive integers",
     "cf-interval --quotients 1 --depth 0": "depth must be >= 1",
     "full-cover --n 0": "level must be >= 1",
-    "xi-build --base-override 2 " + " ".join(XI): "base must be >= 3",
-    "xi-build --base-override 0 " + " ".join(XI): "base must be >= 3",
+    "xi-build --set 2:0,1 " + " ".join(XI): "base must be >= 3",
+    "xi-build --set 0:0,1 " + " ".join(XI): "base must be >= 3",
     "xi-build --lam= " + " ".join(XI): "not a rational: ''",
-    "xi-verify --set 5:0,2 " + " ".join(XI): "digit stream base does not match the set",
 }
 
 
@@ -100,6 +103,10 @@ CALL_CHECKS = {
     "f table": (lambda: f_of_psi(DimensionFunction.table({1: F(1, 2)}, True), PSI, K, 2),
                 "f table has no value at level 2"),
     "truncation": (lambda: _xi().truncation(0), "truncation index must be >= 1"),
+    # xi is built in the base of --set, so no argv reaches these two
+    "sparse base": (lambda: build_sparse_number(2, 1, PowerRule(F(3)), 4), "base must be >= 3"),
+    "digit stream base": (lambda: membership(_xi(), MissingDigitSet(5, (0, 2)), 3),
+                          "digit stream base does not match the set"),
     "report": (lambda: truncation_report(_xi(), 4),
                "need 1 <= s < terms (the report uses q_{s+1})"),
     "band": (lambda: well_approximable_band(F(1), F(1, 10)), "need tau > 1"),
