@@ -652,6 +652,22 @@ def test_help_and_bad_commands_list_every_subcommand(argv, capsys):
     assert "{" + ",".join(SUBCOMMAND_OPTIONS) + "}" in printed.out + printed.err
 
 
+# whichever subcommand the argv names, the usage line above an unrecognized
+# argument lists every subcommand, and the error line is argparse's
+@pytest.mark.parametrize("name", sorted(FIXTURE_ARGVS))
+def test_an_unrecognized_argument_lists_every_subcommand(name, capsys):
+    argv = FIXTURE_ARGVS[name] + ["--set", "5:0,2,3", "--output", "csv", "--timing", "--bogus"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "{" + ",".join(SUBCOMMAND_OPTIONS) + "}" in err.splitlines()[0]
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
+    with pytest.raises(SystemExit):
+        argparse_parser().parse_args(argv)
+    assert capsys.readouterr().err.splitlines()[-1] == err.splitlines()[-1]
+
+
 def test_pairwise_measures_each_layer_once_and_layer_parses_psi_once():
     with mock.patch.object(cli_layers, "layer_measure",
                            wraps=cli_layers.layer_measure) as measured:
