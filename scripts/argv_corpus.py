@@ -75,7 +75,10 @@ def _set_argvs(dset: str) -> list[str]:
     out += [f"dim-estimate --set {dset} --tau {tau} --n {n}{c}"
             for tau in ("2", "3/2", "5") for n in levels[:2] for c in ("", " --no-coprime")]
     out += [f"xi-verify{xi} --tau {tau} --terms 4{d}"
-            for tau in ("3", "5/2") for d in ("", " --depth 20 --cf-depth 30")]
+            for tau in ("3", "5/2") for d in ("", " --depth 20")]
+    # xi with the coefficient the set gives it, the least nonzero digit prime to the base
+    out += [f"{command} --set {dset} --tau 3 --terms 4{d}"
+            for command, d in (("xi-build", ""), ("xi-verify", ""), ("cf --x xi", " --depth 12"))]
     out += [f"cf --set {dset} --x {x} --depth 12" for x in ("gamma", "golden", "2/7")]
     out += [f"exponent --set {dset} --x gamma --depth 20"]
     return out + _layer_argvs(dset)
@@ -127,8 +130,9 @@ REFUSALS = (
     "cf-interval --quotients x --depth 3", "full-cover --n 0", "full-cover --n 30",
     "xi-build --set 2:0,1 --tau 3 --terms 4", "xi-build --set 0:0,1 --tau 3 --terms 4",
     "xi-build --lam= --tau 3 --terms 4", "xi-build --tau 3 --lam 1/10 --terms 2",
-    "xi-build --tau 3 --coeff 2 --set 4:0,3", "measure --set 3:0 --window 0:1",
-    "measure --set 3:0,3 --window 0:1",
+    "xi-build --tau 3 --coeff 2 --set 4:0,3", "xi-build --set 4:0,2 --tau 3",
+    "xi-verify --set 4:0,2 --tau 3 --terms 4", "cf --x xi --set 4:0,2 --depth 5",
+    "measure --set 3:0 --window 0:1", "measure --set 3:0,3 --window 0:1",
     "xi-build --tau 3 --terms 100000", "xi-build --tau 3 --lam 10000000 --terms 2",
     "cf --x xi --tau 3 --terms 100000 --depth 5",
     "cf --x xi --rule factorial --terms 2000 --depth 5",

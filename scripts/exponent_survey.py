@@ -31,7 +31,7 @@ def survey(taus, terms, depth, min_q):
             "estimate_lo": f"{float(est.lo):.6f}",
             "estimate_hi": f"{float(est.hi):.6f}",
             "band_ceiling": f"{float(ceiling):.6f}",
-            "cf_depth": cf.certified_depth,
+            "cf_certified_depth": cf.certified_depth,
         })
     return rows
 
@@ -45,7 +45,8 @@ def main():
     args = ap.parse_args()
     taus = [F(t) for t in args.taus.split(",")]
     rows = survey(taus, args.terms, args.depth, args.min_q)
-    cols = ["tau", "regime", "estimate_lo", "estimate_hi", "band_ceiling", "cf_depth"]
+    cols = ["tau", "regime", "estimate_lo", "estimate_hi", "band_ceiling",
+            "cf_certified_depth"]
     sys.stdout.write(",".join(cols) + "\n")
     for r in rows:
         sys.stdout.write(",".join(str(r[c]) for c in cols) + "\n")

@@ -158,7 +158,8 @@ _WINDOW = (("--window", str, "0:1", "LO:HI window interval"),
 _XI = (("--rule", ("pow", "factorial"), "pow", None),
        ("--tau", str, "3", None),
        ("--lam", str, "1", None),
-       ("--coeff", int, 2, None),
+       ("--coeff", int, None, "the digit c of xi (default: the least nonzero digit of "
+                              "--set prime to its base)"),
        ("--terms", int, 5, None))
 _N = ("--n", int, REQUIRED, None)
 _NMAX = ("--nmax", int, REQUIRED, None)
@@ -177,9 +178,7 @@ SUBCOMMAND_OPTIONS = {
     "dim-estimate": (("--tau", str, REQUIRED, None), _N, ("--coprime", TOGGLE, True, None)),
     "xi-build": _XI,
     "xi-verify": _XI + (
-        ("--depth", int, None, "membership depth (default: the last exponent)"),
-        ("--cf-depth", int, 60, "continued-fraction depth, doubled while a Legendre-"
-                                "certified truncation is not among the convergents")),
+        ("--depth", int, None, "membership depth (default: the last exponent)"),),
     "cf": _XI + (_X, _DEPTH),
     "exponent": _XI + (_X, _DEPTH, ("--min-q", int, 2, None)),
     "cf-interval": (("--quotients", str, REQUIRED, "comma-separated positive integers"),
@@ -263,7 +262,8 @@ def _convert(option, text: str):
 def _config_flags(path: str, options) -> list[str]:
     """The entries of a key=value config file, as flags of `options`: true
     and false give --key and nothing for a FLAG, --key and --no-key for a
-    TOGGLE.  A line with no = or an empty key is refused."""
+    TOGGLE, and any other value --key=value, so that a value starting
+    with - reads as given.  A line with no = or an empty key is refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -287,7 +287,7 @@ def _config_flags(path: str, options) -> list[str]:
             elif kind == TOGGLE:
                 flags.append(f"--no-{key}")
         else:
-            flags.extend([f"--{key}", value])
+            flags.append(f"--{key}={value}")
     return flags
 
 

@@ -80,7 +80,7 @@ def parse_f(text: str) -> DimensionFunction:
         sc = parse_scalar(arg)
         return DimensionFunction.power(sc.coef, sc.gexp)
     if kind == "table":
-        return DimensionFunction.table(parse_table(arg), True)
+        return DimensionFunction.table(parse_table(arg))
     raise InputError(f"unknown f kind {kind!r}")
 
 

@@ -11,9 +11,11 @@ that it checks its JSON-only exponents for printing as they are built.
 from __future__ import annotations
 
 import sys
+from math import gcd
 
 from . import render
 from .cli import parse_fraction
+from .errors import InputError
 from .sparse import FactorialRule, PowerRule, SparseDigitNumber, build_sparse_number
 
 
@@ -24,9 +26,16 @@ def build_rule(args) -> PowerRule | FactorialRule:
 
 
 def build_xi(args, dset) -> SparseDigitNumber:
-    """xi = coeff * sum_n b^(-e_n) in the base b of the digit set, so that
-    xi lies in the set when 0 and coeff are among its digits."""
-    return build_sparse_number(dset.base, args.coeff, build_rule(args), args.terms)
+    """xi = c * sum_n b^(-e_n) in the base b of the digit set, so that xi
+    lies in the set when 0 and c are among its digits.  c is --coeff, by
+    default the least nonzero digit of the set prime to b."""
+    coeff = args.coeff
+    if coeff is None:
+        coeff = next((d for d in dset.digits if d and gcd(d, dset.base) == 1), None)
+        if coeff is None:
+            raise InputError(f"the set {args.set} has no nonzero digit prime to its base; "
+                             "give --coeff")
+    return build_sparse_number(dset.base, coeff, build_rule(args), args.terms)
 
 
 def _feasible_truncations(x: SparseDigitNumber):

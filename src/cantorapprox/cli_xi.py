@@ -15,23 +15,25 @@ from .digitsets import membership
 from .errors import InputError
 from .sparse import truncation_reports
 
+CF_DEPTH = 60  # the depth of the first continued-fraction expansion
+
 
 def cmd_xi_verify(args, dset):
     x = build_xi(args, dset)
     reports, s_min = truncation_reports(x)
     depth = x.exponent(x.terms) if args.depth is None else args.depth
     verdict = membership(x, dset, depth)
-    cf_depth = args.cf_depth
-    cf = continued_fraction_expand(x, cf_depth)
+    expand_to = CF_DEPTH
+    cf = continued_fraction_expand(x, expand_to)
     truncations = [x.truncation(s) for s in range(1, x.terms)]
     verdicts = [legendre_is_convergent(p, q, x) for p, q in truncations]
     # a truncation certified by Legendre's bound must be among the
     # convergents: double the expansion depth until they all are, or until
     # the expansion stops short of the depth asked for
     certified = [pq for pq, v in zip(truncations, verdicts) if v == "yes"]
-    while cf.certified_depth == cf_depth and not set(certified) <= set(cf.convergents):
-        cf_depth *= 2
-        cf = continued_fraction_expand(x, cf_depth)
+    while cf.certified_depth == expand_to and not set(certified) <= set(cf.convergents):
+        expand_to *= 2
+        cf = continued_fraction_expand(x, expand_to)
     for p, q in certified:
         if (p, q) not in cf.convergents:
             raise InputError(f"certified Legendre bound but ({p},{q}) not among the convergents")

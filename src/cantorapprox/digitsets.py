@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, log2
 from typing import Iterable, Optional, Sequence
 
-from .errors import BUDGET, InputError, ResourceBudgetError
+from .errors import BUDGET, InputError, ResourceBudgetError, check_bits, power_bits
 from .intervals import Pair, PrefixInterval, RatInterval, clip_union, merge_pairs
 from .records import Record
 
@@ -357,15 +357,25 @@ def cantor_cdf(dset: MissingDigitSet, x: Fraction | int, den: int = 1) -> Fracti
     s, _ = _preperiod(q, dset.base)
     acc_s, acc, period, inside = _digit_walk(dset, r, q, s)
     m = dset.digit_count
+    n = s + period
+    # power_bits(m, n) is below (n + 1) bits(m), so only past it can m^n be refused
+    if (n + 1) * m.bit_length() > BUDGET.get().bits:
+        check_bits(power_bits(m, n), "{}^{}", m, n)
     if inside and period:  # the L digits repeat forever
         return Fraction(acc - acc_s, m ** s * (m ** period - 1))
-    return Fraction(acc, m ** (s + period))
+    return Fraction(acc, m ** n)
 
 
 def _digit_walk(dset: MissingDigitSet, r: int, q: int, s: int) -> tuple[int, int, int, bool]:
     """(A_s, A, L, whether every digit read is allowed): the walk that
     `cantor_cdf` describes, over r/q in lowest terms with pre-period s.
-    L = 0 when it stops at the prefix."""
+    L = 0 when it stops at the prefix.
+
+    When 0 is a digit of the set, a run of zeros right after the prefix,
+    the j digits with r_s b^j < q, is read in one step, A_s m^j over
+    m^(s+j), if it is at least 64 bits long; a shorter one costs less
+    digit by digit.  Each remainder r_s b^i of the run exceeds r_s, so the
+    walk cannot close inside it."""
     b, m = dset.base, dset.digit_count
     k, r = divmod(r * b ** s, q)
     acc, inside = _prefix_rank(dset, k, s)
@@ -374,12 +384,28 @@ def _digit_walk(dset: MissingDigitSet, r: int, q: int, s: int) -> tuple[int, int
     below, allowed = dset._below, dset._digitset
     r_s, acc_s = r, acc
     period = 0
+    if 0 in allowed and r << 64 < q:
+        period, r = _zero_run(r, q, b)
+        acc *= m ** period
     while True:
         d, r = divmod(r * b, q)
         acc = acc * m + below[d]
         period += 1
         if d not in allowed or r == r_s:
             return acc_s, acc, period, d in allowed
+
+
+def _zero_run(r: int, q: int, b: int) -> tuple[int, int]:
+    """(j, r b^j) for the largest j with r b^j < q, 0 < r < q.
+
+    With D the bit length of q less that of r, q / r > 2^(D-1), so
+    (D - 1) / log2(b), less one for rounding, is at most j; the steps up
+    from there are exact."""
+    j = max(int((q.bit_length() - r.bit_length() - 1) / log2(b)) - 1, 0)
+    r *= b ** j
+    while (up := r * b) < q:
+        r, j = up, j + 1
+    return j, r
 
 
 def grid_cdf(dset: MissingDigitSet, n: int, grid: int,

@@ -50,7 +50,7 @@ class InputError(ValueError):
 
 
 class HypothesisViolation(InputError):
-    """A required structural hypothesis (e.g. a monotonicity witness) is missing."""
+    """A structural hypothesis fails on the input, e.g. r^-gamma f(r) is not monotonic."""
 
 
 class ResourceBudgetError(RuntimeError):

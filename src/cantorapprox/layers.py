@@ -28,7 +28,8 @@ from .digitsets import (CantorMeasureValue, MissingDigitSet, ball_unions, center
 from .enclosures import (Iv, LogRatioSource, exponent_enclosure, iv_add,
                          iv_cmp, iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
-from .errors import BUDGET, HypothesisViolation, InputError, PrecisionError
+from .errors import (BUDGET, HypothesisViolation, InputError, PrecisionError, check_bits,
+                     power_bits)
 from .intervals import RatInterval, intersect_unions, merge_pairs
 from .records import Record
 
@@ -207,22 +208,44 @@ def psi_value(psi: ApproxFunction, dset: MissingDigitSet, n: int) -> Iv:
 
 
 class DimensionFunction(Record):
-    """f(r) = r^s or a table on the evaluation grid; must come with a witness
-    that r^-gamma f(r) is monotonic there."""
+    """f(r) = r^s or a table on the evaluation grid.  The dichotomy needs
+    r^-gamma f(r) monotonic, which `series_classify` and
+    `natural_cover_tail` check."""
 
     kind: Union[Scalar, TableValues]  # the exponent s of f(r) = r^s, or a table
-    monotonicity_witness: bool = False
 
     @staticmethod
     def power(s, gexp: int = 0) -> "DimensionFunction":
         sc = Scalar.of(s, gexp)
         if sc.coef <= 0:
             raise InputError("dimension-function exponent must be positive")
-        return DimensionFunction(sc, monotonicity_witness=True)
+        return DimensionFunction(sc)
 
     @staticmethod
-    def table(values: Mapping[int, Fraction], monotonicity_witness: bool) -> "DimensionFunction":
-        return DimensionFunction(TableValues(dict(values)), monotonicity_witness)
+    def table(values: Mapping[int, Fraction]) -> "DimensionFunction":
+        return DimensionFunction(TableValues(dict(values)))
+
+
+def _require_monotonic(f: DimensionFunction, dset: MissingDigitSet) -> None:
+    """HypothesisViolation unless r^-gamma f(r) is monotonic on the grid.
+
+    At r = b^n it is f_n / m^n (b^gamma = m, the digit count), which must
+    be non-increasing or non-decreasing over a table's levels; a power
+    f = r^s always passes.  Consecutive levels n < k compare f_k with
+    f_n m^(k-n), exactly."""
+    if not isinstance(f.kind, TableValues):
+        return
+    m, values = dset.digit_count, f.kind.values
+    levels = sorted(values)
+    moves = {}
+    for n, k in zip(levels, levels[1:]):
+        check_bits(power_bits(m, k - n), "{}^{}", m, k - n)
+        later, earlier = Fraction(values[k]), Fraction(values[n]) * m ** (k - n)
+        if later != earlier:
+            moves.setdefault("rises" if later > earlier else "falls", f"from level {n} to {k}")
+    if len(moves) == 2:
+        raise HypothesisViolation(f"r^-gamma f(r) is not monotonic: f_n / {m}^n "
+                                  + " and ".join(f"{move} {span}" for move, span in moves.items()))
 
 
 def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
@@ -494,8 +517,7 @@ def series_classify(dset: MissingDigitSet, psi: ApproxFunction,
     analytic verdict is computed for the untruncated family while the
     partial sums reflect the truncated values actually in force.
     """
-    if not f.monotonicity_witness:
-        raise HypothesisViolation("dimension function lacks its monotonicity witness")
+    _require_monotonic(f, dset)
     if n_max < 1:
         raise InputError("need at least one term")
     sums = []
@@ -527,8 +549,7 @@ def natural_cover_tail(dset: MissingDigitSet, psi: ApproxFunction,
     """sum_{n0 <= n <= n_max} f(psi(b^n)) * #centers(n), the cover mass."""
     if n0 < 1 or n0 > n_max:
         raise InputError("need 1 <= n0 <= n_max")
-    if not f.monotonicity_witness:
-        raise HypothesisViolation("dimension function lacks its monotonicity witness")
+    _require_monotonic(f, dset)
     acc = iv_exact(_ZERO)
     for n in range(n0, n_max + 1):
         count = center_count(dset, n)

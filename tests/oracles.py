@@ -13,7 +13,8 @@ decimal exponent found from digit counts for the rendered decimals,
 grid numerators, a `Fraction` Euclid for the continued-fraction
 quotients the library reads off integer pairs in lockstep, one
 gcd divided out a step for the pre-period the library strips in
-squared chunks, and a power sum per index for the sparse truncations
+squared chunks, one digit a step for the leading zeros the digit walk
+reads in one, and a power sum per index for the sparse truncations
 the library builds by one recurrence.
 `under_budget` runs a call under a chosen per-call `Budget`.
 """
@@ -30,7 +31,7 @@ import pytest
 from cantorapprox import (AffineSource, Layer, MembershipResult, MissingDigitSet,
                           PrecisionError, RatInterval, SqrtSource, cli, enumerate_centers,
                           layers, measure_union)
-from cantorapprox.digitsets import measure_pair
+from cantorapprox.digitsets import _prefix_rank, measure_pair
 from cantorapprox.enclosures import BASE_BITS, Iv, _round_out, iv_div, ln_interval
 from cantorapprox.errors import BUDGET, Budget
 from cantorapprox.records import Record
@@ -149,6 +150,25 @@ def preperiod_by_steps(q: int, b: int) -> tuple[int, int]:
         s += 1
         g = gcd(rest, b)
     return s, rest
+
+
+def digit_walk_by_digits(dset: MissingDigitSet, r: int, q: int,
+                         s: int) -> tuple[int, int, int, bool]:
+    """`digitsets._digit_walk` as it read every digit after the prefix, the
+    leading zeros too, one `divmod` a digit."""
+    b, m = dset.base, dset.digit_count
+    k, r = divmod(r * b ** s, q)
+    acc, inside = _prefix_rank(dset, k, s)
+    if not inside or r == 0:
+        return acc, acc, 0, inside
+    r_s, acc_s = r, acc
+    period = 0
+    while True:
+        d, r = divmod(r * b, q)
+        acc = acc * m + sum(1 for c in dset.digits if c < d)
+        period += 1
+        if d not in dset.digits or r == r_s:
+            return acc_s, acc, period, d in dset.digits
 
 
 def _badic_digit_length(q: int, b: int) -> Optional[int]:

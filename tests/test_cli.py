@@ -37,7 +37,7 @@ FIXTURE_ARGVS = {
     "bc-ratio": ["bc-ratio", "--psi", "pow:2", "--q", "3"],
     "dim-estimate": ["dim-estimate", "--tau", "2", "--n", "2"],
     "xi-build": ["xi-build", "--tau", "3", "--terms", "4"],
-    "xi-verify": ["xi-verify", "--tau", "3", "--terms", "4", "--cf-depth", "25"],
+    "xi-verify": ["xi-verify", "--tau", "3", "--terms", "4"],
     "cf": ["cf", "--x", "golden", "--depth", "10"],
     "exponent": ["exponent", "--x", "xi", "--tau", "3", "--terms", "5",
                  "--depth", "40", "--min-q", "50"],
@@ -133,8 +133,8 @@ def test_workers_match_sequential():
 
 @pytest.mark.parametrize("tau", ["3", "5/2"])
 def test_xi_verify_reaches_the_last_truncation(tau):
-    # the default --cf-depth 60 stops short of the convergent of the
-    # sixth truncation; the expansion is deepened until it reaches it
+    # the first expansion, to depth 60, stops short of the convergent of
+    # the sixth truncation; the expansion is deepened until it reaches it
     text, _ = run_command(["xi-verify", "--tau", tau, "--terms", "7"])
     res = json.loads(text)["results"]
     assert [r["s"] for r in res["legendre"]] == [1, 2, 3, 4, 5, 6]
@@ -205,6 +205,14 @@ def test_config_booleans_follow_the_option_kind(tmp_path):
     report = json.loads(run_command(["layer", "--config", str(cfg)])[0])
     assert report["results"]["coprime"] is True
     assert isinstance(report["timing_ms"], int)
+
+
+def test_a_config_value_starting_with_a_dash_reads_as_given(tmp_path):
+    cfg = tmp_path / "measure.cfg"
+    cfg.write_text("window=-1/2:1/4\n")
+    from_file, _ = run_command(["measure", "--config", str(cfg)])
+    direct, _ = run_command(["measure", "--window=-1/2:1/4"])
+    assert json.loads(from_file)["results"] == json.loads(direct)["results"]
 
 
 # read as a flag, an empty key would be a bare "--", which ends option
@@ -335,6 +343,15 @@ def _timed_main(argv: str, **env: str) -> tuple[str, float, str]:
                           env=dict(os.environ, PYTHONPATH=path, **env))
     rc, seconds = done.stdout.split()
     return rc, float(seconds), done.stderr
+
+
+# 1/10^100000 starts with 209,590 zero digits in base 3, read in one step;
+# its measure, 19/2^209595, is past the print limit
+def test_a_window_end_with_a_long_zero_run_exits_3_fast():
+    rc, seconds, stderr = _timed_main("measure --window 0:1e-100000")
+    assert rc == "3" and seconds < 0.2
+    assert stderr == ("error: the report holds an integer of more than 4300 digits, "
+                      "the int-to-str limit\n")
 
 
 @pytest.mark.parametrize("argv, power", [("layer --psi pow:2000000 --n 10", r"base\^-\d+"),
@@ -587,19 +604,20 @@ def test_layer_reports_match_their_pinned_hashes(argv):
 # the benchmark does not run, computed when each log ratio was a `Fraction`
 # interval quotient refined from level 0, and each certified quotient a
 # `Fraction` Euclid step (dim-estimate --tau 3/2 --n 11 is pinned below);
-# the JSON reports re-pinned for the v2 envelope, and again when
-# `config_echo` lost its base of xi, each with the same `results`.
+# the JSON reports re-pinned for the v2 envelope, again when
+# `config_echo` lost its base of xi, and again when it lost --cf-depth and
+# echoed an unset --coeff as null, each with the same `results`.
 # The JSON report of the factorial cf holds a quotient past the int-to-str
 # limit, so its CSV is pinned
 PINNED_ENCLOSURE_REPORTS = {
     "cf --x xi --rule factorial --terms 3 --depth 200 --output csv":
         "88b9cfc787e74f14ca02923b10ec613ce2025a8f7730306ba0732bf164ef0c9e",
     "exponent --x xi --tau 3 --terms 6 --depth 120 --min-q 50":
-        "291515e5364ba4808aecfdccf223843f4947fc9f2fce405f85723107113f8ffb",
+        "00c7b7bf73cd7d5b13a1bee47aeb5cf8317acc8d9bff2a08198f774a9e1ee344",
     "cf --x gamma --set 5:0,2,3 --depth 60":
-        "5db83480bf71821f5446d454582ffeacdcf6d73fbb8fa815c557d93d3a94c37f",
+        "201e071fb6142665918ca39a9a4b219217643a746d697c2646ca30d6f563fc86",
     "xi-verify --tau 3 --terms 6":
-        "ca321e252f2e271c31a488a6f210290211b3fcb138c1070a306e5c73b3b24999",
+        "b15aefbf04fb93c367da16fd5dce39fb2e2df588abbfc08ee11d543c42509d80",
 }
 
 
@@ -729,6 +747,16 @@ def test_series_with_a_table_dimension_function():
     assert res["results"]["partial_sums"][0]["lo"]["rat"] == "2/3"
 
 
+@pytest.mark.parametrize("command", ["series --nmax 3", "tail --n0 1 --nmax 3"])
+def test_a_table_f_that_is_not_monotonic_exits_2(command, capsys):
+    # f_n / 2^n is 1/4, 1/256, 1/16: it falls, then rises
+    name, *rest = command.split()
+    argv = [name, "--psi", "pow:2", "--f", "table:1=1/2,2=1/64,3=1/2", *rest]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: r^-gamma f(r) is not monotonic: f_n / 2^n "
+                                       "falls from level 1 to 2 and rises from level 2 to 3\n")
+
+
 def test_series_sum_past_the_float_range_reads_inf_in_csv():
     # psi(3) = 10^400 and f(r) = r: the one partial sum is 2 * 10^400
     text, _ = run_command(["series", "--psi", f"table:1={10 ** 400}", "--f", "pow:1",
@@ -817,6 +845,39 @@ def test_xi_is_built_in_the_base_of_the_set(capsys):
     x = sparse.build_sparse_number(9, 2, sparse.PowerRule(Fraction(3)), 4)
     assert json.loads(text)["results"]["quotients"] == list(
         continued_fraction_expand(x, 10).quotients)
+
+
+@pytest.mark.parametrize("dset, coeff", [("3:0,2", 2), ("4:0,3", 3), ("5:1,3", 1),
+                                         ("6:1,2,4", 1), ("9:0,2,6,8", 2)])
+def test_the_coefficient_of_xi_is_the_least_digit_prime_to_the_base(dset, coeff):
+    built = json.loads(run_command(f"xi-build --set {dset} --tau 3 --terms 3".split())[0])
+    given = json.loads(run_command(
+        f"xi-build --set {dset} --tau 3 --terms 3 --coeff {coeff}".split())[0])
+    assert built["results"]["coefficient"] == coeff
+    assert built["results"] == given["results"]
+    assert built["config_echo"]["coeff"] is None
+
+
+def test_xi_on_a_set_with_no_digit_prime_to_the_base_needs_a_coefficient(capsys):
+    assert main("xi-build --set 4:0,2 --tau 3".split()) == 2
+    assert capsys.readouterr().err == ("error: the set 4:0,2 has no nonzero digit prime to "
+                                       "its base; give --coeff\n")
+
+
+def test_the_default_xi_of_4_0_3_lies_in_the_set(capsys):
+    # 3 * sum 4^(-3^n); with the old default coefficient 2 both calls exit 2
+    assert main("cf --x xi --set 4:0,3 --depth 5".split()) == 0
+    capsys.readouterr()
+    assert main("xi-verify --set 4:0,3 --tau 3 --terms 4".split()) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["membership"]["verdict"] == "in"
+
+
+def test_xi_verify_has_no_depth_knob_for_its_expansion(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main("xi-verify --tau 3 --terms 4 --cf-depth 25".split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: unrecognized arguments: --cf-depth 25\n")
 
 
 def test_the_base_of_xi_has_no_option_of_its_own(capsys):

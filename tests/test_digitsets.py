@@ -14,11 +14,11 @@ from cantorapprox import (InputError, MissingDigitSet, RatInterval, RealEnclosur
                           measure_union, membership)
 from cantorapprox import digitsets
 from cantorapprox.digitsets import grid_cdf, measure_pair, on_grid
-from cantorapprox.errors import Budget
+from cantorapprox.errors import Budget, PrecisionError
 from cantorapprox.intervals import clip_union, merge_pairs
 
-from oracles import (enclosure_status, oracle_cdf, oracle_measure, preperiod_by_steps,
-                     rational_in_set, under_budget)
+from oracles import (digit_walk_by_digits, enclosure_status, oracle_cdf, oracle_measure,
+                     preperiod_by_steps, rational_in_set, under_budget)
 
 K = MissingDigitSet.middle_thirds()
 
@@ -350,6 +350,37 @@ def test_preperiod_matches_one_gcd_a_step(b, s, c, j, k):
     steps, as for b = 6 once the 3s of q run out before its 2s."""
     q = b ** s * c ** j * k
     assert digitsets._preperiod(q, b) == preperiod_by_steps(q, b)
+
+
+@given(st.sampled_from([(3, (0, 2)), (5, (0, 2, 3)), (5, (1, 3))]),
+       st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=30),
+       st.sampled_from([-1, 1]), st.sampled_from([1, 7, 11, 13, 49]),
+       st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=10 ** 9),
+       st.integers(min_value=1, max_value=10 ** 9))
+@settings(max_examples=300)
+def test_the_zero_run_after_the_prefix_reads_as_digit_by_digit(case, j, n, sign, c, t, a, k):
+    """x = (a + y) / b^t: a t-digit prefix a, then y = r/q < b^-j with
+    q = (b^n -+ 1) c, whose digits repeat within lcm(2n, ord_c b) steps.
+    The walk over x reads as one `divmod` a digit."""
+    dset = MissingDigitSet(*case)
+    b = dset.base
+    q = (b ** n + sign) * c
+    assume(q > b ** j)
+    y = F(1 + k % (q // b ** j), q)
+    assume(y < F(1, b ** j))
+    x = (a % b ** t + y) / b ** t
+    s, _ = digitsets._preperiod(x.denominator, b)
+    assert (digitsets._digit_walk(dset, x.numerator, x.denominator, s)
+            == digit_walk_by_digits(dset, x.numerator, x.denominator, s))
+
+
+def test_a_cdf_denominator_over_the_bit_budget_is_refused_before_it_is_built():
+    # 1/10^100 in base 3 has 209 zero digits, then a 1: the CDF is 1/2^210
+    # (`power_bits` bounds 2^210 by 214 bits)
+    with pytest.raises(PrecisionError, match=r"^operand of 214 bits \(2\^210\) over the "
+                                             r"200-bit budget$"):
+        under_budget(Budget(bits=200), cantor_cdf, K, F(1, 10 ** 100))
+    assert under_budget(Budget(bits=214), cantor_cdf, K, F(1, 10 ** 100)) == F(1, 2 ** 210)
 
 
 def test_a_long_preperiod_is_stripped_fast():

@@ -55,6 +55,11 @@ ARGV_CHECKS = {
     "xi-build --set 2:0,1 " + " ".join(XI): "base must be >= 3",
     "xi-build --set 0:0,1 " + " ".join(XI): "base must be >= 3",
     "xi-build --lam= " + " ".join(XI): "not a rational: ''",
+    "xi-build --set 4:0,2 " + " ".join(XI):
+        "the set 4:0,2 has no nonzero digit prime to its base; give --coeff",
+    "series --psi pow:2 --f table:1=1/2,2=1/64,3=1/2 --nmax 3":
+        "r^-gamma f(r) is not monotonic: f_n / 2^n falls from level 1 to 2 and rises "
+        "from level 2 to 3",
 }
 
 
@@ -100,7 +105,7 @@ CALL_CHECKS = {
     "window": (lambda: RatInterval(F(1, 2), F(2)), "invalid interval [1/2, 2]"),
     "window make": (lambda: RatInterval.make(1, 0), "interval with lo > hi"),
     "quotients": (lambda: cf_prefix_interval([]), "quotients must be positive integers"),
-    "f table": (lambda: f_of_psi(DimensionFunction.table({1: F(1, 2)}, True), PSI, K, 2),
+    "f table": (lambda: f_of_psi(DimensionFunction.table({1: F(1, 2)}), PSI, K, 2),
                 "f table has no value at level 2"),
     "truncation": (lambda: _xi().truncation(0), "truncation index must be >= 1"),
     # xi is built in the base of --set, so no argv reaches these two
@@ -121,9 +126,11 @@ def test_a_call_that_fails_an_input_check_names_it(name):
 
 
 @pytest.mark.parametrize("call", [series_classify, natural_cover_tail])
-def test_a_dimension_function_without_its_witness_is_refused(call):
-    f = DimensionFunction.table({1: F(1, 2)}, False)
+def test_a_dimension_function_that_is_not_monotonic_is_refused(call):
+    # r^-gamma f(r) at r = 3^n is f_n / 2^n: 1/4, 1/256, 1/16
+    f = DimensionFunction.table({1: F(1, 2), 2: F(1, 64), 3: F(1, 2)})
     args = (K, PSI, f, 1, 2) if call is natural_cover_tail else (K, PSI, f, 2)
     with pytest.raises(HypothesisViolation,
-                       match="^dimension function lacks its monotonicity witness$"):
+                       match=re.escape("r^-gamma f(r) is not monotonic: f_n / 2^n falls from "
+                                       "level 1 to 2 and rises from level 2 to 3") + "$"):
         call(*args)

@@ -208,14 +208,24 @@ def test_series_geometric_example():
     assert sv.last == (F(2 ** 30 - 1, 2 ** 30), F(2 ** 30 - 1, 2 ** 30))
 
 
-def test_series_requires_witness():
-    f = DimensionFunction.table({1: F(1, 2)}, monotonicity_witness=False)
-    with pytest.raises(HypothesisViolation):
+def test_series_refuses_a_table_f_that_is_not_monotonic():
+    # f_n / 2^n is 1/4, 1/256, 1/16; the check reads every level, not
+    # only the terms summed
+    f = DimensionFunction.table({1: F(1, 2), 2: F(1, 64), 3: F(1, 2)})
+    with pytest.raises(HypothesisViolation, match="^r\\^-gamma f\\(r\\) is not monotonic"):
         series_classify(K, PSI2, f, 1)
 
 
+@pytest.mark.parametrize("values", [{1: F(1, 2), 2: F(1, 4)}, {1: F(1, 2), 2: F(1), 3: F(2)},
+                                    {1: F(1, 2), 2: F(2), 5: F(64)}, {1: F(3)}])
+def test_series_accepts_a_table_f_that_is_monotonic(values):
+    # f_n / 2^n falls, stays, rises (across a gap of levels), or has one level
+    f = DimensionFunction.table(values)
+    assert series_classify(K, PSI2, f, 1).verdict == "undetermined"
+
+
 def test_series_table_undetermined():
-    f = DimensionFunction.table({1: F(1, 2), 2: F(1, 4)}, monotonicity_witness=True)
+    f = DimensionFunction.table({1: F(1, 2), 2: F(1, 4)})
     sv = series_classify(K, ApproxFunction.table({1: F(1, 9), 2: F(1, 81)}), f, 2)
     assert sv.verdict == "undetermined" and sv.prediction == "not_applicable"
 

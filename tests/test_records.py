@@ -61,7 +61,7 @@ def _samples() -> list:
         psi.kind, ApproxFunction.power_log(1, Scalar(F(2))).kind,
         ApproxFunction.table({1: F(1, 2)}).kind,
         psi, truncate_psi(psi, F(1, 2)),
-        f, DimensionFunction.table({1: F(1)}, True),
+        f, DimensionFunction.table({1: F(1)}),
         build_layer(k, psi, 2, window, True), scan.rows[0], scan,
         series_classify(k, psi, f, 4), natural_cover_tail(k, psi, f, 1, 3),
         borel_cantelli_ratio(k, psi, window, 2), box_dimension_estimate(k, F(2), 2, True),

@@ -36,7 +36,7 @@ COMMANDS = {
     "bc-ratio": (["bc-ratio", "--psi", "pow:2", "--q", "3"], LAYERS),
     "dim-estimate": (["dim-estimate", "--tau", "2", "--n", "2"], LAYERS),
     "xi-build": (["xi-build", *XI], SPARSE),
-    "xi-verify": (["xi-verify", *XI, "--cf-depth", "25"], CONTFRAC | SPARSE),
+    "xi-verify": (["xi-verify", *XI], CONTFRAC | SPARSE),
     "cf": (["cf", "--x", "xi", *XI, "--depth", "10"], CONTFRAC | SPARSE),
     "cf --x golden": (["cf", "--x", "golden", "--depth", "10"], CONTFRAC),
     "cf --x gamma": (["cf", "--x", "gamma", "--depth", "10"], CONTFRAC),
