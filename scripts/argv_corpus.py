@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
-import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -62,9 +61,6 @@ def _layer_argvs(dset: str) -> list[str]:
 
 def _set_argvs(dset: str) -> list[str]:
     base = int(dset.split(":")[0])
-    digits = [int(d) for d in dset.split(":")[1].split(",")]
-    coeff = next(d for d in digits if d and math.gcd(d, base) == 1)
-    xi = f" --set {dset} --coeff {coeff}"
     levels = (1, 2, 3) if base == 9 else (1, 3, 5)
     out = [f"measure --set {dset} --window {w}"
            for w in ("0:1", "2/9:4/9", "1/7:6/7", "0:1/1000", "1/3:1/3", "-1/2:1/4")]
@@ -74,11 +70,11 @@ def _set_argvs(dset: str) -> list[str]:
             for q in ("1,1", "2,3", "1,2,1", "5") for d in (2, 6)]
     out += [f"dim-estimate --set {dset} --tau {tau} --n {n}{c}"
             for tau in ("2", "3/2", "5") for n in levels[:2] for c in ("", " --no-coprime")]
-    out += [f"xi-verify{xi} --tau {tau} --terms 4{d}"
+    # xi with the coefficient --set gives it: no --coeff
+    out += [f"xi-verify --set {dset} --tau {tau} --terms 4{d}"
             for tau in ("3", "5/2") for d in ("", " --depth 20")]
-    # xi with the coefficient the set gives it, the least nonzero digit prime to the base
     out += [f"{command} --set {dset} --tau 3 --terms 4{d}"
-            for command, d in (("xi-build", ""), ("xi-verify", ""), ("cf --x xi", " --depth 12"))]
+            for command, d in (("xi-build", ""), ("cf --x xi", " --depth 12"))]
     out += [f"cf --set {dset} --x {x} --depth 12" for x in ("gamma", "golden", "2/7")]
     out += [f"exponent --set {dset} --x gamma --depth 20"]
     return out + _layer_argvs(dset)

@@ -357,13 +357,9 @@ def cantor_cdf(dset: MissingDigitSet, x: Fraction | int, den: int = 1) -> Fracti
     s, _ = _preperiod(q, dset.base)
     acc_s, acc, period, inside = _digit_walk(dset, r, q, s)
     m = dset.digit_count
-    n = s + period
-    # power_bits(m, n) is below (n + 1) bits(m), so only past it can m^n be refused
-    if (n + 1) * m.bit_length() > BUDGET.get().bits:
-        check_bits(power_bits(m, n), "{}^{}", m, n)
     if inside and period:  # the L digits repeat forever
         return Fraction(acc - acc_s, m ** s * (m ** period - 1))
-    return Fraction(acc, m ** n)
+    return Fraction(acc, m ** (s + period))
 
 
 def _digit_walk(dset: MissingDigitSet, r: int, q: int, s: int) -> tuple[int, int, int, bool]:
@@ -375,7 +371,9 @@ def _digit_walk(dset: MissingDigitSet, r: int, q: int, s: int) -> tuple[int, int
     the j digits with r_s b^j < q, is read in one step, A_s m^j over
     m^(s+j), if it is at least 64 bits long; a shorter one costs less
     digit by digit.  Each remainder r_s b^i of the run exceeds r_s, so the
-    walk cannot close inside it."""
+    walk cannot close inside it.  The CDF's denominator m^(s+L) then
+    exceeds m^(s+j0), j0 <= j from bit lengths, which is held to the bit
+    budget before b^j is built."""
     b, m = dset.base, dset.digit_count
     k, r = divmod(r * b ** s, q)
     acc, inside = _prefix_rank(dset, k, s)
@@ -385,7 +383,11 @@ def _digit_walk(dset: MissingDigitSet, r: int, q: int, s: int) -> tuple[int, int
     r_s, acc_s = r, acc
     period = 0
     if 0 in allowed and r << 64 < q:
-        period, r = _zero_run(r, q, b)
+        # q / r > 2^(D-1), D the bit length of q less that of r, so j0,
+        # less one for rounding, is at most j
+        j0 = max(int((q.bit_length() - r.bit_length() - 1) / log2(b)) - 1, 0)
+        check_bits(power_bits(m, s + j0), "{}^{}", m, s + j0)
+        period, r = _zero_run(r, q, b, j0)
         acc *= m ** period
     while True:
         d, r = divmod(r * b, q)
@@ -395,13 +397,9 @@ def _digit_walk(dset: MissingDigitSet, r: int, q: int, s: int) -> tuple[int, int
             return acc_s, acc, period, d in allowed
 
 
-def _zero_run(r: int, q: int, b: int) -> tuple[int, int]:
-    """(j, r b^j) for the largest j with r b^j < q, 0 < r < q.
-
-    With D the bit length of q less that of r, q / r > 2^(D-1), so
-    (D - 1) / log2(b), less one for rounding, is at most j; the steps up
-    from there are exact."""
-    j = max(int((q.bit_length() - r.bit_length() - 1) / log2(b)) - 1, 0)
+def _zero_run(r: int, q: int, b: int, j: int) -> tuple[int, int]:
+    """(j, r b^j) for the largest j with r b^j < q, 0 < r < q, stepping
+    up exactly from a given j0 <= j."""
     r *= b ** j
     while (up := r * b) < q:
         r, j = up, j + 1

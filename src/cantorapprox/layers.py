@@ -28,8 +28,7 @@ from .digitsets import (CantorMeasureValue, MissingDigitSet, ball_unions, center
 from .enclosures import (Iv, LogRatioSource, exponent_enclosure, iv_add,
                          iv_cmp, iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
-from .errors import (BUDGET, HypothesisViolation, InputError, PrecisionError, check_bits,
-                     power_bits)
+from .errors import BUDGET, HypothesisViolation, InputError, PrecisionError
 from .intervals import RatInterval, intersect_unions, merge_pairs
 from .records import Record
 
@@ -226,26 +225,42 @@ class DimensionFunction(Record):
         return DimensionFunction(TableValues(dict(values)))
 
 
-def _require_monotonic(f: DimensionFunction, dset: MissingDigitSet) -> None:
-    """HypothesisViolation unless r^-gamma f(r) is monotonic on the grid.
+# r^-gamma, as a power f, for `_require_monotonic`
+_INV_GAMMA = DimensionFunction(Scalar(-_ONE, 1))
 
-    At r = b^n it is f_n / m^n (b^gamma = m, the digit count), which must
-    be non-increasing or non-decreasing over a table's levels; a power
-    f = r^s always passes.  Consecutive levels n < k compare f_k with
-    f_n m^(k-n), exactly."""
+
+def _require_monotonic(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
+                       n0: int, n_max: int) -> None:
+    """HypothesisViolation unless a table f fits a monotonic r^-gamma f(r)
+    over the levels a sum from n0 to n_max reads: n0, n0+1, ... while the
+    table has them.
+
+    The entry f_n is f at r_n = psi(b^n), where `f_of_psi` reads it, so
+    r^-gamma f(r) is g_n = f_n r_n^-gamma there.  Consecutive levels n, n+1 whose enclosures order
+    both r and g prove g increasing or decreasing in r; the call is
+    refused when they prove both.  A level whose r_n^-gamma cannot be
+    enclosed proves nothing, and a power f = r^s always passes."""
     if not isinstance(f.kind, TableValues):
         return
-    m, values = dset.digit_count, f.kind.values
-    levels = sorted(values)
-    moves = {}
-    for n, k in zip(levels, levels[1:]):
-        check_bits(power_bits(m, k - n), "{}^{}", m, k - n)
-        later, earlier = Fraction(values[k]), Fraction(values[n]) * m ** (k - n)
-        if later != earlier:
-            moves.setdefault("rises" if later > earlier else "falls", f"from level {n} to {k}")
+    values, moves, last = f.kind.values, {}, None
+    for n in range(n0, n_max + 1):
+        if n not in values:
+            break
+        try:
+            here = (psi_value(psi, dset, n),
+                    iv_scale(f_of_psi(_INV_GAMMA, psi, dset, n), Fraction(values[n])))
+        except (InputError, PrecisionError):
+            here = None
+        if last and here:
+            dr, dg = iv_cmp(here[0], last[0]), iv_cmp(here[1], last[1])
+            if dr and dg:
+                moves.setdefault("increases" if dr == dg else "decreases",
+                                 f"between levels {n - 1} and {n}")
+        last = here
     if len(moves) == 2:
-        raise HypothesisViolation(f"r^-gamma f(r) is not monotonic: f_n / {m}^n "
-                                  + " and ".join(f"{move} {span}" for move, span in moves.items()))
+        raise HypothesisViolation("r^-gamma f(r) at r = psi(b^n) is not monotonic: it "
+                                  + " and ".join(f"{move} in r {span}"
+                                                 for move, span in moves.items()))
 
 
 def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
@@ -517,9 +532,9 @@ def series_classify(dset: MissingDigitSet, psi: ApproxFunction,
     analytic verdict is computed for the untruncated family while the
     partial sums reflect the truncated values actually in force.
     """
-    _require_monotonic(f, dset)
     if n_max < 1:
         raise InputError("need at least one term")
+    _require_monotonic(f, psi, dset, 1, n_max)
     sums = []
     acc = iv_exact(_ZERO)
     undetermined_tail = False
@@ -549,7 +564,7 @@ def natural_cover_tail(dset: MissingDigitSet, psi: ApproxFunction,
     """sum_{n0 <= n <= n_max} f(psi(b^n)) * #centers(n), the cover mass."""
     if n0 < 1 or n0 > n_max:
         raise InputError("need 1 <= n0 <= n_max")
-    _require_monotonic(f, dset)
+    _require_monotonic(f, psi, dset, n0, n_max)
     acc = iv_exact(_ZERO)
     for n in range(n0, n_max + 1):
         count = center_count(dset, n)

@@ -749,12 +749,25 @@ def test_series_with_a_table_dimension_function():
 
 @pytest.mark.parametrize("command", ["series --nmax 3", "tail --n0 1 --nmax 3"])
 def test_a_table_f_that_is_not_monotonic_exits_2(command, capsys):
-    # f_n / 2^n is 1/4, 1/256, 1/16: it falls, then rises
+    # r^-gamma f(r) at r = psi(3^n) = 9^-n is f_n 4^n: 2, 1/4, 32
     name, *rest = command.split()
     argv = [name, "--psi", "pow:2", "--f", "table:1=1/2,2=1/64,3=1/2", *rest]
     assert main(argv) == 2
-    assert capsys.readouterr().err == ("error: r^-gamma f(r) is not monotonic: f_n / 2^n "
-                                       "falls from level 1 to 2 and rises from level 2 to 3\n")
+    assert capsys.readouterr().err == ("error: r^-gamma f(r) at r = psi(b^n) is not "
+                                       "monotonic: it increases in r between levels 1 and 2 "
+                                       "and decreases in r between levels 2 and 3\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # only the levels the call sums are checked: level 2 ends the series
+    "series --psi pow:2 --f table:1=1,100000000=1 --nmax 3",
+    "tail --psi pow:2 --f table:1=1,100000000=1 --n0 1 --nmax 1",
+    # psi(b^n)^-gamma is over the bit budget, or has the irrational log
+    # exponent gamma: these levels prove nothing
+    "series --psi pow:100000000 --f table:1=1/2,2=1/64,3=1/2 --nmax 3",
+    "series --psi powlog:2,1 --f table:1=1/2,2=1/64,3=1/2 --nmax 3"])
+def test_a_table_f_that_the_check_cannot_refuse_answers(argv):
+    assert main(argv.split()) == 0
 
 
 def test_series_sum_past_the_float_range_reads_inf_in_csv():

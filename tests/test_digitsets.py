@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cantorapprox import (InputError, MissingDigitSet, RatInterval, RealEnclosure,
@@ -353,19 +353,22 @@ def test_preperiod_matches_one_gcd_a_step(b, s, c, j, k):
 
 
 @given(st.sampled_from([(3, (0, 2)), (5, (0, 2, 3)), (5, (1, 3))]),
-       st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=0, max_value=100), st.integers(min_value=1, max_value=20),
        st.sampled_from([-1, 1]), st.sampled_from([1, 7, 11, 13, 49]),
        st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=10 ** 9),
        st.integers(min_value=1, max_value=10 ** 9))
+@example((3, (0, 2)), 50, 1, 1, 1, 0, 0, 1)
+@example((3, (0, 2)), 80, 7, -1, 13, 3, 5, 10 ** 9)
 @settings(max_examples=300)
-def test_the_zero_run_after_the_prefix_reads_as_digit_by_digit(case, j, n, sign, c, t, a, k):
+def test_the_zero_run_after_the_prefix_reads_as_digit_by_digit(case, j, d, sign, c, t, a, k):
     """x = (a + y) / b^t: a t-digit prefix a, then y = r/q < b^-j with
-    q = (b^n -+ 1) c, whose digits repeat within lcm(2n, ord_c b) steps.
-    The walk over x reads as one `divmod` a digit."""
+    q = (b^n -+ 1) c, n = j + d, whose digits repeat within lcm(2n,
+    ord_c b) steps.  Past j = 64 / log2(b), r << 64 < q and the run of
+    zeros is read in one step.  The walk over x reads as one `divmod` a
+    digit."""
     dset = MissingDigitSet(*case)
     b = dset.base
-    q = (b ** n + sign) * c
-    assume(q > b ** j)
+    q = (b ** (j + d) + sign) * c
     y = F(1 + k % (q // b ** j), q)
     assume(y < F(1, b ** j))
     x = (a % b ** t + y) / b ** t
@@ -374,13 +377,14 @@ def test_the_zero_run_after_the_prefix_reads_as_digit_by_digit(case, j, n, sign,
             == digit_walk_by_digits(dset, x.numerator, x.denominator, s))
 
 
-def test_a_cdf_denominator_over_the_bit_budget_is_refused_before_it_is_built():
-    # 1/10^100 in base 3 has 209 zero digits, then a 1: the CDF is 1/2^210
-    # (`power_bits` bounds 2^210 by 214 bits)
-    with pytest.raises(PrecisionError, match=r"^operand of 214 bits \(2\^210\) over the "
+def test_a_zero_run_past_the_bit_budget_is_refused_before_it_is_read():
+    # 1/10^100 in base 3 has 209 zero digits, then a 1: the CDF is 1/2^210.
+    # The bit lengths give a run of at least 207 zeros, and `power_bits`
+    # bounds 2^207 by 211 bits
+    with pytest.raises(PrecisionError, match=r"^operand of 211 bits \(2\^207\) over the "
                                              r"200-bit budget$"):
         under_budget(Budget(bits=200), cantor_cdf, K, F(1, 10 ** 100))
-    assert under_budget(Budget(bits=214), cantor_cdf, K, F(1, 10 ** 100)) == F(1, 2 ** 210)
+    assert under_budget(Budget(bits=211), cantor_cdf, K, F(1, 10 ** 100)) == F(1, 2 ** 210)
 
 
 def test_a_long_preperiod_is_stripped_fast():

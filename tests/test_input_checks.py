@@ -58,8 +58,8 @@ ARGV_CHECKS = {
     "xi-build --set 4:0,2 " + " ".join(XI):
         "the set 4:0,2 has no nonzero digit prime to its base; give --coeff",
     "series --psi pow:2 --f table:1=1/2,2=1/64,3=1/2 --nmax 3":
-        "r^-gamma f(r) is not monotonic: f_n / 2^n falls from level 1 to 2 and rises "
-        "from level 2 to 3",
+        "r^-gamma f(r) at r = psi(b^n) is not monotonic: it increases in r between levels 1 "
+        "and 2 and decreases in r between levels 2 and 3",
 }
 
 
@@ -127,10 +127,11 @@ def test_a_call_that_fails_an_input_check_names_it(name):
 
 @pytest.mark.parametrize("call", [series_classify, natural_cover_tail])
 def test_a_dimension_function_that_is_not_monotonic_is_refused(call):
-    # r^-gamma f(r) at r = 3^n is f_n / 2^n: 1/4, 1/256, 1/16
+    # r^-gamma f(r) at r = psi(3^n) = 3^-2n is f_n 4^n: 2, 1/4, 32
     f = DimensionFunction.table({1: F(1, 2), 2: F(1, 64), 3: F(1, 2)})
-    args = (K, PSI, f, 1, 2) if call is natural_cover_tail else (K, PSI, f, 2)
+    args = (K, PSI, f, 1, 3) if call is natural_cover_tail else (K, PSI, f, 3)
     with pytest.raises(HypothesisViolation,
-                       match=re.escape("r^-gamma f(r) is not monotonic: f_n / 2^n falls from "
-                                       "level 1 to 2 and rises from level 2 to 3") + "$"):
+                       match=re.escape("r^-gamma f(r) at r = psi(b^n) is not monotonic: it "
+                                       "increases in r between levels 1 and 2 and decreases "
+                                       "in r between levels 2 and 3") + "$"):
         call(*args)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from unittest import mock
 
@@ -208,20 +209,34 @@ def test_series_geometric_example():
     assert sv.last == (F(2 ** 30 - 1, 2 ** 30), F(2 ** 30 - 1, 2 ** 30))
 
 
+# f_n is f at r = psi(b^n) = 3^-2n, where r^-gamma f(r) is f_n 4^n
+F_NOT_MONOTONIC = DimensionFunction.table({1: F(1, 4), 2: F(1, 32), 3: F(1, 64)})
+
+
 def test_series_refuses_a_table_f_that_is_not_monotonic():
-    # f_n / 2^n is 1/4, 1/256, 1/16; the check reads every level, not
-    # only the terms summed
-    f = DimensionFunction.table({1: F(1, 2), 2: F(1, 64), 3: F(1, 2)})
-    with pytest.raises(HypothesisViolation, match="^r\\^-gamma f\\(r\\) is not monotonic"):
-        series_classify(K, PSI2, f, 1)
+    # f_n 4^n is 1, 1/2, 1, though f_n / 2^n falls: 1/8, 1/128, 1/512
+    with pytest.raises(HypothesisViolation,
+                       match=re.escape("r^-gamma f(r) at r = psi(b^n) is not monotonic: it "
+                                       "increases in r between levels 1 and 2 and decreases "
+                                       "in r between levels 2 and 3") + "$"):
+        series_classify(K, PSI2, F_NOT_MONOTONIC, 3)
 
 
-@pytest.mark.parametrize("values", [{1: F(1, 2), 2: F(1, 4)}, {1: F(1, 2), 2: F(1), 3: F(2)},
-                                    {1: F(1, 2), 2: F(2), 5: F(64)}, {1: F(3)}])
+def test_the_monotonicity_check_reads_the_levels_summed_at_their_radii():
+    # two levels summed, or psi(3^n) = 3^-n, where f_n 2^n is 1/2, 1/8, 1/8
+    assert series_classify(K, PSI2, F_NOT_MONOTONIC, 2).verdict == "undetermined"
+    assert series_classify(K, ApproxFunction.power(1), F_NOT_MONOTONIC, 3).partial_sums
+    assert natural_cover_tail(K, PSI2, F_NOT_MONOTONIC, 2, 3).value
+
+
+@pytest.mark.parametrize("values", [{1: F(1, 2), 2: F(1, 4)},
+                                    {1: F(1, 2), 2: F(1, 8), 3: F(1, 32)},
+                                    {1: F(1), 2: F(4), 3: F(4)}, {1: F(3)}])
 def test_series_accepts_a_table_f_that_is_monotonic(values):
-    # f_n / 2^n falls, stays, rises (across a gap of levels), or has one level
+    # f_n 4^n rises, stays, rises where f_n / 2^n rises then falls, or
+    # has one level
     f = DimensionFunction.table(values)
-    assert series_classify(K, PSI2, f, 1).verdict == "undetermined"
+    assert series_classify(K, PSI2, f, 3).verdict == "undetermined"
 
 
 def test_series_table_undetermined():
