@@ -31,7 +31,8 @@ from typing import Optional
 from . import render
 from .digitsets import (MissingDigitSet, cantor_measure, full_cover_check,
                         prefix_interval_disjoint_from)
-from .errors import BUDGET, Budget, InputError, PrecisionError, ResourceBudgetError
+from .errors import (BUDGET, Budget, InputError, PrecisionError, ResourceBudgetError,
+                     check_bits, power_bits)
 from .intervals import RatInterval, cf_prefix_interval
 
 SCHEMA_VERSION = "2"
@@ -41,8 +42,18 @@ SCHEMA_VERSION = "2"
 # value parsing
 # ---------------------------------------------------------------------------
 
+# a decimal with an exponent as `Fraction` reads it, such as 1.5e-7, .5E+3 or 1_000e2
+_EXPONENT = (r"(?i)\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+             r"e([-+]?\d+(?:_\d+)*)\s*")
+
+
 def parse_fraction(text: str) -> Fraction:
+    """The rational `Fraction` reads from text, whose power of 10 is held to
+    the bit budget before `Fraction` builds it."""
     try:
+        if decimal := re.fullmatch(_EXPONENT, text):
+            e = abs(int(decimal[1]))
+            check_bits(power_bits(10, e), "10^{}", e)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {text!r}") from exc

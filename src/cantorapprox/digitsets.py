@@ -16,9 +16,10 @@ allowed.
 
 Level-n basic intervals (cylinders) are counted by two prefix ranks,
 `_cell_count`, and listed only to read off the b-adic centers p/b^n in
-the set (`enumerate_centers`): p/b^n ends in 0s after the digits of p,
-or in (b-1)s after those of p - 1.  The listing, `allowed_prefixes`,
-raises ResourceBudgetError past the `cells` of `errors.BUDGET`.
+the set (`enumerate_centers`), where p/b^n ends in 0s after the digits
+of p, or in (b-1)s after those of p - 1, and the ranks of the cells a
+grid's points fall in (`grid_cdf`).  The listing, `allowed_prefixes`, raises
+ResourceBudgetError past the `cells` of `errors.BUDGET`.
 
 `ball_unions` alone lists centers and merges their balls, and
 `grid_cdf` alone evaluates the CDF on a grid: the layers (radius
@@ -28,6 +29,7 @@ psi(b^n)), `full_cover_check` (b^-n) and the box count of
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, log2
@@ -412,21 +414,26 @@ def grid_cdf(dset: MissingDigitSet, n: int, grid: int,
     grid a multiple of b^n.
 
     By self-similarity, with x/grid = (k + f)/b^n and 0 <= f < 1,
-    mu([0, x/grid]) = (rank(k) + [k allowed] mu([0, f])) / m^n.  Each
-    distinct k takes one rank walk, each distinct nonzero f one
-    `cantor_cdf` call, and D is m^n times the lcm of their denominators.
-    On the grid b^n, N is the rank.
+    mu([0, x/grid]) = (rank(k) + [k allowed] mu([0, f])) / m^n.  The
+    ranks come from one rank walk, at the least k, and one listing of the
+    allowed prefixes from there to the greatest: rank(k) adds the listed
+    prefixes below k, and k is allowed when it is listed.  Each distinct
+    nonzero f takes one `cantor_cdf` call, and D is m^n times the lcm of
+    their denominators.  On the grid b^n, N is the rank.
     """
     step = grid // dset.base ** n
     split = {x: divmod(x, step) for x in points}
     local = {f: cantor_cdf(dset, f, step) for f in {f for _, f in split.values()} if f}
     scale = lcm(*(c.denominator for c in local.values()))
     lifted = {f: c.numerator * (scale // c.denominator) for f, c in local.items()}
-    ranks = {k: _prefix_rank(dset, k, n) for k in {k for k, _ in split.values()}}
+    cells = sorted({k for k, _ in split.values()})
+    listed = dset.allowed_prefixes(n, cells[0], cells[-1]) if cells else []
+    first = _prefix_rank(dset, cells[0], n)[0] if cells else 0
     cdf = {}
     for x, (k, f) in split.items():
-        rank, inside = ranks[k]
-        cdf[x] = rank * scale + (lifted[f] if inside and f else 0)
+        i = bisect_left(listed, k)
+        inside = i < len(listed) and listed[i] == k
+        cdf[x] = (first + i) * scale + (lifted[f] if inside and f else 0)
     return cdf, dset.digit_count ** n * scale
 
 

@@ -20,6 +20,7 @@ makes the headline layer identities integer-checkable.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Mapping, Optional, Union
 
@@ -402,9 +403,8 @@ def pairwise_measure(layer_m: Layer, layer_n: Layer) -> CantorMeasureValue:
                                          _rescaled(layer_n, i, grid, den)), den)
 
     lo = meet(0)
-    if iv_is_exact(layer_m.radius) and iv_is_exact(layer_n.radius):
-        return CantorMeasureValue(lo, lo)
-    return CantorMeasureValue(lo, meet(1))
+    exact = iv_is_exact(layer_m.radius) and iv_is_exact(layer_n.radius)
+    return CantorMeasureValue(lo, lo if exact else meet(1))
 
 
 def layer_comparator(dset: MissingDigitSet, psi: ApproxFunction, n: int,
@@ -453,37 +453,40 @@ def classify_pair_case(layer_m: Layer, n: int) -> str:
     raise PrecisionError(f"case split undecided for pair ({layer_m.n},{n})")
 
 
+def _layer_table(dset: MissingDigitSet, psi: ApproxFunction, window: RatInterval,
+                 levels: range, coprime: bool) -> tuple[dict, dict, dict]:
+    """(layers, measures, pairs) by level: each layer of `levels` built and
+    measured once, and mu(A_m ∩ A_n) for each pair m < n in order, or None
+    when either layer is null: its intersections are exactly 0."""
+    layers = {k: build_layer(dset, psi, k, window, coprime) for k in levels}
+    measures = {k: layer_measure(v) for k, v in layers.items()}
+    pairs = {(m, n): pairwise_measure(layers[m], layers[n])
+             if measures[m].hi and measures[n].hi else None
+             for m, n in combinations(levels, 2)}
+    return layers, measures, pairs
+
+
 def quasi_independence_scan(dset: MissingDigitSet, psi: ApproxFunction,
                             window: RatInterval, n_max: int, m_min: int = 1,
                             coprime: bool = True) -> ScanReport:
-    """Exact pairwise ratios rho = mu(A_m ∩ A_n) mu(B) / (mu(A_m) mu(A_n)).
-
-    Each layer is built once; the pairs only look up the layers' tables.
-    """
+    """Exact rho = mu(A_m ∩ A_n) mu(B) / (mu(A_m) mu(A_n)) for each pair of nonnull layers."""
     if n_max <= m_min:
         raise InputError("need m_min < n_max")
     mu_b = measure_union(dset, [window.pair()])
-    layers = {k: build_layer(dset, psi, k, window, coprime)
-              for k in range(m_min, n_max + 1)}
-    measures = {k: layer_measure(v) for k, v in layers.items()}
+    levels = range(m_min, n_max + 1)
+    layers, measures, pairs = _layer_table(dset, psi, window, levels, coprime)
     rows = []
-    skipped = []
-    for m in range(m_min, n_max):
-        for n in range(m + 1, n_max + 1):
+    for (m, n), inter in pairs.items():
+        if inter is not None:
             mm, mn = measures[m], measures[n]
-            if mm.hi == 0 or mn.hi == 0:
-                skipped.append((m, n))
-                continue
-            inter = pairwise_measure(layers[m], layers[n])
             denom = (mm.lo * mn.lo, mm.hi * mn.hi)
             rho = iv_scale(iv_div((inter.lo, inter.hi), denom), mu_b)
             rows.append(PairRow(m=m, n=n, case=classify_pair_case(layers[m], n),
                                 mu_m=mm, mu_n=mn, mu_mn=inter, rho=rho))
-    c_emp = None
-    if rows:
-        c_emp = (max(r.rho[0] for r in rows), max(r.rho[1] for r in rows))
+    c_emp = (max(r.rho[0] for r in rows), max(r.rho[1] for r in rows)) if rows else None
     return ScanReport(window_measure=mu_b, rows=tuple(rows),
-                      skipped=tuple(skipped), c_empirical=c_emp)
+                      skipped=tuple(pair for pair, inter in pairs.items() if inter is None),
+                      c_empirical=c_emp)
 
 
 # ---------------------------------------------------------------------------
@@ -590,27 +593,23 @@ def borel_cantelli_ratio(dset: MissingDigitSet, psi: ApproxFunction,
     """(sum mu(E_s))^2 / sum_{s,t} mu(E_s ∩ E_t) with E_s the level-s layer."""
     if q < 1:
         raise InputError("need Q >= 1")
-    layers = [build_layer(dset, psi, s, window, coprime) for s in range(1, q + 1)]
-    measures = [layer_measure(l) for l in layers]
-    if all(m.hi == 0 for m in measures):
+    layers, measures, pairs = _layer_table(dset, psi, window, range(1, q + 1), coprime)
+    num_lo = sum(m.lo for m in measures.values())
+    num_hi = sum(m.hi for m in measures.values())
+    if num_hi == 0:
         raise InputError("all layers are null: the ratio is undefined")
-    num_lo = den_lo = sum(m.lo for m in measures)
-    num_hi = den_hi = sum(m.hi for m in measures)
-    for i in range(q):
-        for j in range(i + 1, q):
-            inter = pairwise_measure(layers[i], layers[j])
-            den_lo += 2 * inter.lo
-            den_hi += 2 * inter.hi
+    den_lo = num_lo + 2 * sum(inter.lo for inter in pairs.values() if inter is not None)
+    den_hi = num_hi + 2 * sum(inter.hi for inter in pairs.values() if inter is not None)
     ratio = iv_div((num_lo * num_lo, num_hi * num_hi), (den_lo, den_hi))
     # the union's endpoints are endpoints of the layers' outer unions, so
     # they carry their CDF numerators once every union is on the common
     # grid and CDF denominator
-    grid = lcm(*(l.grid for l in layers))
-    den = lcm(*(l.unions[2] for l in layers))
-    union = _measure(merge_pairs([p for l in layers
+    grid = lcm(*(l.grid for l in layers.values()))
+    den = lcm(*(l.unions[2] for l in layers.values()))
+    union = _measure(merge_pairs([p for l in layers.values()
                                   for p in _rescaled(l, 1, grid, den)]), den)
     return BorelCantelliReport(q=q, ratio=ratio, union_measure=union,
-                               layer_measures=tuple(measures))
+                               layer_measures=tuple(measures.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,21 @@ def test_a_window_end_with_a_long_zero_run_exits_3_fast():
                       "the int-to-str limit\n")
 
 
+# 10^10000000 has 33,281,251 bits, refused before `Fraction` builds it
+@pytest.mark.parametrize("window", ["0:1e-10000000", "1e10000000:1", "0e10000000:1"])
+def test_a_decimal_window_end_over_the_bit_budget_exits_3_fast(window):
+    rc, seconds, stderr = _timed_main(f"measure --window {window}")
+    assert rc == "3" and seconds < 2.0
+    assert stderr == ("error: operand of 33,281,251 bits (10^10000000) over the "
+                      "8,388,608-bit budget\n")
+
+
+def test_a_decimal_exponent_past_the_digit_limit_is_not_a_rational(capsys):
+    end = "1e-" + "1" * (sys.get_int_max_str_digits() + 1)
+    assert main(["measure", "--window", f"0:{end}"]) == 2
+    assert capsys.readouterr().err == f"error: not a rational: {end!r}\n"
+
+
 @pytest.mark.parametrize("argv, power", [("layer --psi pow:2000000 --n 10", r"base\^-\d+"),
                                          ("layer --psi pow:1000001/2 --n 1", r"root\^-\d+"),
                                          ("layer --psi pow:20000/67 --n 300", r"e\^98383")])

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -472,6 +473,42 @@ def test_grid_cdf_matches_the_block_oracle_at_every_grid_point(dset, s):
         cdf, den = grid_cdf(dset, n, grid, range(grid + 1))
         for x in range(grid + 1):
             assert cdf[x] == oracle_cdf(dset, F(x, grid), level=n) * den, (n, x)
+
+
+@st.composite
+def grid_points(draw):
+    """A set of RANK_SETS, a level n, a grid b^n s and some of its points:
+    none, one, the top one alone, a run inside one cell, or scattered."""
+    dset = draw(st.sampled_from(RANK_SETS))
+    n = draw(st.integers(min_value=1, max_value=5))
+    s = draw(st.sampled_from([1, 2, 7, 10]))
+    grid = dset.base ** n * s
+    point = st.integers(min_value=0, max_value=grid)
+    kind = draw(st.sampled_from(["none", "one", "top", "cell", "scattered"]))
+    if kind == "cell":  # the points x with x // s = k
+        k = draw(st.integers(min_value=0, max_value=dset.base ** n))
+        points = draw(st.lists(st.integers(min_value=k * s, max_value=min(k * s + s - 1, grid)),
+                               min_size=1))
+    elif kind == "scattered":
+        points = draw(st.lists(point, min_size=2, max_size=30))
+    else:
+        points = {"none": [], "one": [draw(point)], "top": [grid]}[kind]
+    return dset, n, grid, points
+
+
+@given(grid_points())
+@settings(max_examples=300, deadline=None)
+def test_grid_cdf_matches_the_block_oracle_on_any_points(case):
+    """One rank walk, and the two of the listing's budget check, for any
+    number of cells, besides one in each `cantor_cdf` call on an offset."""
+    dset, n, grid, points = case
+    with mock.patch.object(digitsets, "_prefix_rank", wraps=digitsets._prefix_rank) as walks:
+        cdf, den = grid_cdf(dset, n, grid, points)
+    offsets = {x % (grid // dset.base ** n) for x in points} - {0}
+    assert walks.call_count <= 3 + len(offsets)
+    assert cdf.keys() == set(points)
+    for x in points:
+        assert cdf[x] == oracle_cdf(dset, F(x, grid), level=n) * den, x
 
 
 @given(cell_range(RANK_SETS))

@@ -315,6 +315,31 @@ def test_borel_cantelli_null_error():
         borel_cantelli_ratio(K, ApproxFunction.power(3), window, 2)
 
 
+# levels 2 and 3 are null on [3/10, 1/2] at tau = 2 and 3, level 2 on [1/4, 1/2];
+# powlog:2,1 has an inexact radius
+@pytest.mark.parametrize("window", [UNIT, RatInterval.make(F(3, 10), F(1, 2)),
+                                    RatInterval.make(F(1, 4), F(1, 2))], ids=str)
+@pytest.mark.parametrize("psi", [PSI2, ApproxFunction.power(3),
+                                 ApproxFunction.power_log(2, Scalar.of(1))], ids=str)
+def test_borel_cantelli_ratio_is_read_off_the_scan_pairs(window, psi):
+    """(sum mu_s)^2 / (sum mu_s + 2 sum mu_mn) over the scan's rows, and a
+    skipped pair, one with a null layer, adds nothing."""
+    q = 5
+    mus = {s: layer_measure(build_layer(K, psi, s, window, True)) for s in range(1, q + 1)}
+    scan = quasi_independence_scan(K, psi, window, q)
+    null = tuple((m, n) for m in mus for n in mus if m < n and not mus[m].hi * mus[n].hi)
+    assert scan.skipped == null
+    for m, n in null:
+        assert pairwise_measure(build_layer(K, psi, m, window, True),
+                                build_layer(K, psi, n, window, True)).value == 0
+    num = (sum(mu.lo for mu in mus.values()), sum(mu.hi for mu in mus.values()))
+    den = (num[0] + 2 * sum(r.mu_mn.lo for r in scan.rows),
+           num[1] + 2 * sum(r.mu_mn.hi for r in scan.rows))
+    rep = borel_cantelli_ratio(K, psi, window, q)
+    assert rep.ratio == iv_div((num[0] ** 2, num[1] ** 2), den)
+    assert rep.layer_measures == tuple(mus.values())
+
+
 def test_box_dimension_examples():
     e22 = box_dimension_estimate(K, F(2), 2, coprime=True)
     assert (e22.count, e22.level) == (4, 4)
