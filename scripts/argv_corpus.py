@@ -12,7 +12,8 @@ hash, a space, then the argv.  `--check` exits 1 and lists each argv
 whose hash changed, or that is new or gone; `--pin` rewrites the file.
 
 The corpus covers all 14 commands in both output formats on the sets
-below, every psi and f kind, windows, --no-coprime, and the refusals that
+below, every psi and f kind, windows (their ends in gaps, on cell
+boundaries and at 0 and 1 too), --no-coprime, and the refusals that
 exit fast.  A change that alters any report re-pins in the same commit.
 """
 
@@ -78,6 +79,34 @@ def _set_argvs(dset: str) -> list[str]:
     out += [f"cf --set {dset} --x {x} --depth 12" for x in ("gamma", "golden", "2/7")]
     out += [f"exponent --set {dset} --x gamma --depth 20"]
     return out + _layer_argvs(dset)
+
+
+# windows whose ends fall in a gap of the set, on a level-1 or level-2
+# cell boundary, and at 0 and 1, for the sets with and without the digits
+# 0 and b - 1
+EDGE_WINDOWS = {
+    "3:0,2": ("1/2:5/6", "1/9:2/3", "2/9:7/9", "0:2/9", "7/9:1"),
+    "5:0,2,3": ("3/10:9/10", "2/25:17/25", "1/5:4/5", "0:3/5", "2/5:1"),
+    "5:1,3": ("1/10:1/2", "6/25:16/25", "1/5:3/5", "0:1/2", "1/2:1"),
+}
+# exact radii on the level-n grid and off it, and an inexact one (two
+# radius bounds) without the coprime filter
+EDGE_PSIS = ("pow:1", "pow:2", "powlog:2,1 --no-coprime")
+
+
+def _edge_argvs() -> list[str]:
+    """Ball unions and their measure at the window's and the set's edges."""
+    out = []
+    for dset, windows in EDGE_WINDOWS.items():
+        for w in windows:
+            out += [f"full-cover --set {dset} --n {n} --window {w}" for n in (1, 2, 3)]
+            for psi in EDGE_PSIS:
+                tail = f" --set {dset} --psi {psi} --window {w}"
+                out += [f"layer{tail} --n {n}" for n in (1, 2, 3)]
+                out += [f"pairwise{tail} --m 1 --n 3", f"bc-ratio{tail} --q 3"]
+        out += [f"dim-estimate --set {dset} --tau {tau} --n {n}{c}"
+                for tau in ("1", "4/3", "5/2") for n in (2, 4, 6) for c in ("", " --no-coprime")]
+    return out
 
 
 def _sparse_argvs() -> list[str]:
@@ -147,7 +176,7 @@ REFUSALS = (
 def corpus() -> list[str]:
     """Every argv of the corpus, sorted, each once."""
     argvs = set(REFUSALS)
-    for argv in [a for dset in SETS for a in _set_argvs(dset)] + _sparse_argvs():
+    for argv in [a for dset in SETS for a in _set_argvs(dset)] + _edge_argvs() + _sparse_argvs():
         argvs.update(argv + fmt for fmt in FORMATS)
     assert set(SUBCOMMAND_OPTIONS) <= {a.split()[0] for a in argvs if a}
     return sorted(argvs)
