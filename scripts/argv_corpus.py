@@ -137,6 +137,7 @@ REFUSALS = (
     "cf --x 1 --depth 5", "cf --x -3/7 --depth 5", "layer --psi powlog:2,gamma --n 2",
     "xi-build --tau 2 --terms 3",
     "measure --window 0:1 --set 3", "measure --window 1e5000:1e5001",
+    "measure --window 2:3", "measure --window=-2:-1",
     "measure --set 10000019:0,1 --window 0:1/7", "measure --window 1/2",
     "layer --psi powlog:2 --n 2", "layer --psi exp:2 --n 2", "layer --psi table:2=0 --n 2",
     "layer --psi pow:gamma/0 --n 3", "layer --psi pow:2 --n 2 --window 1e5000:1e5000",

@@ -46,9 +46,12 @@ class RatInterval(Record):
 
     @staticmethod
     def make(lo, hi) -> "RatInterval":
+        """[lo, hi] clipped to [0, 1]; one wholly outside is checked as given."""
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise InputError("interval with lo > hi")
+        if hi < _ZERO or lo > _ONE:
+            return RatInterval(lo, hi)  # which its check refuses
         return RatInterval(max(lo, _ZERO), min(hi, _ONE))
 
     @staticmethod

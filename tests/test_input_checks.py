@@ -42,9 +42,14 @@ ARGV_CHECKS = {
     "bc-ratio --psi pow:2 --q 0": "need Q >= 1",
     "dim-estimate --tau 1/2 --n 2": "need tau >= 1",
     "dim-estimate --tau 2 --n -1": "level must be >= 1",
-    # 10^5000 has 16,610 bits, past the int-to-str digit limit
-    "measure --window 1e5000:1e5001": "invalid interval [<16,610-bit integer>, 1]",
-    "layer --psi pow:2 --n 2 --window 1e5000:1e5000": "invalid interval [<16,610-bit integer>, 1]",
+    # a window wholly outside [0, 1] is named by the ends given, before
+    # clipping; 10^5000 has 16,610 bits, past the int-to-str digit limit
+    "measure --window 2:3": "invalid interval [2, 3]",
+    "measure --window=-2:-1": "invalid interval [-2, -1]",
+    "measure --window 1e5000:1e5001":
+        "invalid interval [<16,610-bit integer>, <16,613-bit integer>]",
+    "layer --psi pow:2 --n 2 --window 1e5000:1e5000":
+        "invalid interval [<16,610-bit integer>, <16,610-bit integer>]",
     "cf --x golden --depth 0": "depth must be >= 1",
     "exponent --x 1/2 --depth 5": "need at least 3 convergents",
     "exponent --x golden --depth 8 --min-q 1000":
@@ -104,6 +109,8 @@ CALL_CHECKS = {
     "floor_power tau": (lambda: floor_power(F(1), F(1), 1), "floor_power needs tau > 1"),
     "window": (lambda: RatInterval(F(1, 2), F(2)), "invalid interval [1/2, 2]"),
     "window make": (lambda: RatInterval.make(1, 0), "interval with lo > hi"),
+    "window outside": (lambda: RatInterval.make(F(-1, 2), F(-1, 3)),
+                       "invalid interval [-1/2, -1/3]"),
     "quotients": (lambda: cf_prefix_interval([]), "quotients must be positive integers"),
     "f table": (lambda: f_of_psi(DimensionFunction.table({1: F(1, 2)}), PSI, K, 2),
                 "f table has no value at level 2"),
@@ -123,6 +130,14 @@ def test_a_call_that_fails_an_input_check_names_it(name):
     call, message = CALL_CHECKS[name]
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("ends, clipped", [
+    ((F(-1, 2), F(1, 4)), (F(0), F(1, 4))), ((F(3, 4), F(2)), (F(3, 4), F(1))),
+    ((F(-1), F(0)), (F(0), F(0))), ((F(1), F(2)), (F(1), F(1))),
+])
+def test_a_window_that_meets_the_unit_interval_is_clipped_to_it(ends, clipped):
+    assert RatInterval.make(*ends) == RatInterval(*clipped)
 
 
 @pytest.mark.parametrize("call", [series_classify, natural_cover_tail])
