@@ -21,10 +21,11 @@ of p, or in (b-1)s after those of p - 1, and the ranks of the cells a
 grid's points fall in (`grid_cdf`).  The listing, `allowed_prefixes`, raises
 ResourceBudgetError past the `cells` of `errors.BUDGET`.
 
-`ball_unions` alone lists centers and merges their balls, and
-`grid_cdf` alone evaluates the CDF on a grid: the layers (radius
-psi(b^n)), `full_cover_check` (b^-n) and the box count of
-`layers.box_dimension_estimate` (b^(-tau n)) read both.
+`ball_unions` is the one level kernel: one listing gives the centers,
+whose balls it merges and clips, and the ranks of `grid_cdf`, the one
+CDF evaluator on a grid, that every union end carries.  The layers
+(radius psi(b^n)), `full_cover_check` (b^-n) and the box count of
+`layers.box_dimension_estimate` (b^(-tau n)) read it.
 """
 
 from __future__ import annotations
@@ -237,19 +238,21 @@ def membership(x, dset: MissingDigitSet, depth: int = 1) -> MembershipResult:
 
 
 def enumerate_centers(dset: MissingDigitSet, n: int, coprime: bool, first: int = 0,
-                      last: Optional[int] = None) -> list[int]:
+                      last: Optional[int] = None, listed: Optional[list[int]] = None
+                      ) -> list[int]:
     """Sorted p in [first, last] (last b^n by default) with p/b^n in the set.
 
     p/b^n has the expansions "digits of p, then 0s" and, for p >= 1,
     "digits of p - 1, then (b-1)s".  So it lies in the set exactly when
     p is an allowed level-n prefix and 0 is a digit, or p - 1 is one and
     b - 1 is a digit.  The centers are read off the allowed prefixes in
-    [first - 1, last], and with `coprime` only those prime to b are kept.
+    [first - 1, last], `listed` when given, and with `coprime` only those
+    prime to b are kept.
     """
     if n < 1:
         raise InputError("level must be >= 1")
     last = dset.base ** n if last is None else last
-    prefixes = dset.allowed_prefixes(n, first - 1, last)
+    prefixes = dset.allowed_prefixes(n, first - 1, last) if listed is None else listed
     centers: set[int] = set()
     if 0 in dset._digitset:
         centers.update(prefixes)
@@ -408,32 +411,30 @@ def _zero_run(r: int, q: int, b: int, j: int) -> tuple[int, int]:
     return j, r
 
 
-def grid_cdf(dset: MissingDigitSet, n: int, grid: int,
-             points: Iterable[int]) -> tuple[dict[int, int], int]:
-    """({x: N}, D) with mu([0, x/grid]) = N / D for each 0 <= x <= grid,
-    grid a multiple of b^n.
+def grid_cdf(dset: MissingDigitSet, n: int, grid: int, points: Iterable[int], first: int,
+             listed: list[int]) -> tuple[dict[int, int], int]:
+    """({x: N}, D) with mu([0, x/grid]) = N / D for each point 0 <= x <= grid,
+    grid a multiple of b^n, given `listed`, the allowed level-n prefixes
+    from cell `first` on through the cell of every point.
 
     By self-similarity, with x/grid = (k + f)/b^n and 0 <= f < 1,
     mu([0, x/grid]) = (rank(k) + [k allowed] mu([0, f])) / m^n.  The
-    ranks come from one rank walk, at the least k, and one listing of the
-    allowed prefixes from there to the greatest: rank(k) adds the listed
-    prefixes below k, and k is allowed when it is listed.  Each distinct
-    nonzero f takes one `cantor_cdf` call, and D is m^n times the lcm of
-    their denominators.  On the grid b^n, N is the rank.
+    ranks come from one rank walk, at `first`, and the listing: rank(k)
+    adds the listed prefixes below k, and k is allowed when it is listed.
+    Each distinct nonzero f takes one `cantor_cdf` call, and D is m^n
+    times the lcm of their denominators.  On the grid b^n, N is the rank.
     """
     step = grid // dset.base ** n
     split = {x: divmod(x, step) for x in points}
     local = {f: cantor_cdf(dset, f, step) for f in {f for _, f in split.values()} if f}
     scale = lcm(*(c.denominator for c in local.values()))
     lifted = {f: c.numerator * (scale // c.denominator) for f, c in local.items()}
-    cells = sorted({k for k, _ in split.values()})
-    listed = dset.allowed_prefixes(n, cells[0], cells[-1]) if cells else []
-    first = _prefix_rank(dset, cells[0], n)[0] if cells else 0
+    below = _prefix_rank(dset, first, n)[0]
     cdf = {}
     for x, (k, f) in split.items():
         i = bisect_left(listed, k)
         inside = i < len(listed) and listed[i] == k
-        cdf[x] = (first + i) * scale + (lifted[f] if inside and f else 0)
+        cdf[x] = (below + i) * scale + (lifted[f] if inside and f else 0)
     return cdf, dset.digit_count ** n * scale
 
 
@@ -458,40 +459,58 @@ def on_grid(x: Fraction, grid: int) -> int:
     return x.numerator * (grid // x.denominator)
 
 
-def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, grid: int,
-                window: tuple[int, int], radii: Sequence[int]
-                ) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """(centers, unions): the p of the centers p/b^n in the set (prime to b
-    with `coprime`) whose balls of the largest radius meet the window, and
-    for each radius the merged union of their balls, clipped to the window.
+# a carried union: sorted disjoint (lo, hi) pairs with ends (x, N), x an
+# integer over a grid and N that of mu([0, x/grid]) over a CDF denominator
+GridUnion = tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
-    The window ends [wl, wh] and the radii u are integers over `grid`, and
-    so are the ball ends p step -+ u, step = grid / b^n; a ball meets the
-    window when (wl - u) / step <= p <= (wh + u) / step."""
+
+def carried_measure(union: GridUnion, den: int) -> Fraction:
+    """The measure of a carried union whose CDF numerators are over den."""
+    return Fraction(sum(c_hi - c_lo for (_, c_lo), (_, c_hi) in union), den)
+
+
+def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, window: Pair,
+                radii: Sequence[Fraction], with_window: bool = False
+                ) -> tuple[int, list[int], list[GridUnion], int]:
+    """(grid, centers, unions, D): the p of the centers p/b^n in the set
+    (prime to b with `coprime`) whose balls of the largest radius meet the
+    window, and for each radius the merged union of their balls clipped to
+    the window, after the window itself with `with_window`, carried over D.
+
+    The ball ends p/b^n -+ r and the window ends are integers over `grid`,
+    the lcm of b^n and their denominators.  On it, with step = grid / b^n,
+    a ball of radius u meets the window [wl, wh] when first =
+    ceil((wl - u)/step) <= p <= floor((wh + u)/step) = last.  One listing
+    of the allowed prefixes in [first - 1, last] gives the centers and the
+    ranks of every union end x, whose cell x // step lies in that range
+    since wl <= x <= wh.
+    """
+    grid = lcm(dset.base ** n, *(x.denominator for x in (*window, *radii)))
+    (wl, wh), radii = [on_grid(x, grid) for x in window], [on_grid(r, grid) for r in radii]
     step, u = grid // dset.base ** n, max(radii)
-    centers = enumerate_centers(dset, n, coprime, -((u - window[0]) // step),
-                                (window[1] + u) // step)
-    return centers, [clip_union(merge_pairs([(p * step - r, p * step + r) for p in centers]),
-                                window) for r in radii]
+    first, last = -((u - wl) // step), (wh + u) // step
+    listed = dset.allowed_prefixes(n, first - 1, last)
+    centers = enumerate_centers(dset, n, coprime, first, last, listed)
+    unions = [clip_union(merge_pairs([(p * step - r, p * step + r) for p in centers]), (wl, wh))
+              for r in radii]
+    if with_window:
+        unions.insert(0, [(wl, wh)])
+    cdf, den = grid_cdf(dset, n, grid, (x for union in unions for pair in union for x in pair),
+                        max(first - 1, 0), listed)
+    return grid, centers, [tuple(((lo, cdf[lo]), (hi, cdf[hi])) for lo, hi in union)
+                           for union in unions], den
 
 
 def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool:
     """Whether the radius-b^-n balls around the centers p/b^n in the set
-    cover the window in measure.
-
-    Every ball end (p -+ 1)/b^n and both window ends are integers over
-    one grid D, the lcm of b^n and the window's denominators, so the
-    balls are merged and clipped on integers by `ball_unions` and
-    measured by `grid_cdf`.
+    cover the window in measure: `ball_unions` merges, clips and measures
+    the balls, and the window, on one integer grid.
     """
     if n < 1:
         raise InputError("level must be >= 1")
-    bn = dset.base ** n
-    grid = lcm(bn, window.lo.denominator, window.hi.denominator)
-    wl, wh = on_grid(window.lo, grid), on_grid(window.hi, grid)
-    _, (pieces,) = ball_unions(dset, n, False, grid, (wl, wh), [grid // bn])
-    cdf, _ = grid_cdf(dset, n, grid, [wl, wh] + [x for piece in pieces for x in piece])
-    return sum(cdf[y] - cdf[x] for x, y in pieces) == cdf[wh] - cdf[wl]
+    _, _, (whole, pieces), den = ball_unions(dset, n, False, window.pair(),
+                                             [Fraction(1, dset.base ** n)], with_window=True)
+    return carried_measure(pieces, den) == carried_measure(whole, den)
 
 
 def prefix_interval_disjoint_from(pi: PrefixInterval, dset: MissingDigitSet,

@@ -4,10 +4,10 @@ A layer at level n is the union of balls of radius psi(b^n) around the
 (optionally reduced) b-adic rationals p/b^n lying in the fractal,
 clipped to a window.  Everything here is computed with exact rationals;
 irrational radii or exponents degrade gracefully to certified two-sided
-bounds.  A layer's ball unions, from `digitsets.ball_unions`, live on
-one integer grid: every endpoint is an integer numerator over the
-layer's common denominator, carried with the integer numerator of its
-CDF value over one CDF denominator per layer, from `digitsets.grid_cdf`.
+bounds.  A layer's ball unions come from `digitsets.ball_unions`, which
+lists the level once, on one integer grid: every endpoint is an integer
+numerator over the layer's common denominator, carried with the integer
+numerator of its CDF value over one CDF denominator per layer.
 Two layers meet on the lcm of their grids and of their CDF denominators,
 and a measure is one integer sum made into a Fraction.
 
@@ -24,8 +24,8 @@ from itertools import combinations
 from math import lcm
 from typing import Mapping, Optional, Union
 
-from .digitsets import (CantorMeasureValue, MissingDigitSet, ball_unions, center_count,
-                        grid_cdf, measure_union, on_grid)
+from .digitsets import (CantorMeasureValue, GridUnion, MissingDigitSet, ball_unions,
+                        carried_measure, center_count, measure_union)
 from .enclosures import (Iv, LogRatioSource, exponent_enclosure, iv_add,
                          iv_cmp, iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
@@ -297,16 +297,6 @@ def window_t0(window: RatInterval, base: int) -> int:
     return t0
 
 
-# a layer union: sorted disjoint (lo, hi) pairs whose endpoints are
-# (x, N) with x an integer over the layer's grid and N the numerator of
-# mu([0, x/grid]) over the layer's CDF denominator
-GridUnion = tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-
-def _carry_cdf(union: list[tuple[int, int]], cdf: Mapping[int, int]) -> GridUnion:
-    return tuple(((lo, cdf[lo]), (hi, cdf[hi])) for lo, hi in union)
-
-
 class Layer(Record):
     """The finite union of psi-balls at one level, clipped to the window.
 
@@ -315,8 +305,8 @@ class Layer(Record):
     are integers over `grid`, the lcm of b^n and their denominators.
     `unions` holds the merged ball unions at the inner and the outer
     radius (the same union when the radius is exact) on that grid, each
-    endpoint x paired with the integer N from `grid_cdf`, and their one
-    CDF denominator.  Every offset of an endpoint from the level-n grid
+    endpoint x carried with its CDF numerator by `ball_unions`, and their
+    one CDF denominator.  Every offset of an endpoint from the level-n grid
     is that of a radius or of a window end, so a layer makes at most six
     `cantor_cdf` calls.  `build_layer` computes the unions, and every
     measure below only reads them.
@@ -345,25 +335,12 @@ def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
     radius = psi_value(psi, dset, n)
     if radius[0] <= 0:
         raise InputError("psi must be positive on the evaluation grid")
-    bn = dset.base ** n
-    ends = (*radius, window.lo, window.hi)
-    grid = lcm(bn, *(x.denominator for x in ends))
-    u_lo, u_hi, wl, wh = (on_grid(x, grid) for x in ends)
-    exact = iv_is_exact(radius)
-    centers, unions = ball_unions(dset, n, coprime, grid, (wl, wh),
-                                  [u_lo] if exact else [u_lo, u_hi])
-    cdf, den = grid_cdf(dset, n, grid, (x for union in unions for pair in union for x in pair))
-    carried = [_carry_cdf(union, cdf) for union in unions]  # one union when r is exact
+    grid, centers, unions, den = ball_unions(dset, n, coprime, window.pair(),
+                                             radius[:1] if iv_is_exact(radius) else radius)
     return Layer(n=n, dset=dset, window=window, coprime=coprime, radius=radius,
                  grid=grid, center_numerators=tuple(centers),
-                 disjoint=2 * bn * u_hi < grid,  # r < 1/(2 b^n)
-                 unions=(carried[0], carried[-1], den))
-
-
-def _measure(union: GridUnion, den: int) -> Fraction:
-    """Measure of a merged union whose endpoints carry their CDF numerators
-    over den."""
-    return Fraction(sum(c_hi - c_lo for (_, c_lo), (_, c_hi) in union), den)
+                 disjoint=2 * dset.base ** n * radius[1] < 1,  # r < 1/(2 b^n)
+                 unions=(unions[0], unions[-1], den))  # one union when r is exact
 
 
 def _rescaled(layer: Layer, i: int, grid: int, den: int) -> GridUnion:
@@ -381,8 +358,8 @@ def _rescaled(layer: Layer, i: int, grid: int, den: int) -> GridUnion:
 def layer_measure(layer: Layer) -> CantorMeasureValue:
     """Exact measure of the ball union (bounds when the radius is inexact)."""
     inner, outer, den = layer.unions
-    lo_m = _measure(inner, den)
-    return CantorMeasureValue(lo_m, lo_m if outer is inner else _measure(outer, den))
+    lo_m = carried_measure(inner, den)
+    return CantorMeasureValue(lo_m, lo_m if outer is inner else carried_measure(outer, den))
 
 
 def pairwise_measure(layer_m: Layer, layer_n: Layer) -> CantorMeasureValue:
@@ -399,8 +376,8 @@ def pairwise_measure(layer_m: Layer, layer_n: Layer) -> CantorMeasureValue:
     den = lcm(layer_m.unions[2], layer_n.unions[2])
 
     def meet(i: int) -> Fraction:
-        return _measure(intersect_unions(_rescaled(layer_m, i, grid, den),
-                                         _rescaled(layer_n, i, grid, den)), den)
+        return carried_measure(intersect_unions(_rescaled(layer_m, i, grid, den),
+                                                _rescaled(layer_n, i, grid, den)), den)
 
     lo = meet(0)
     exact = iv_is_exact(layer_m.radius) and iv_is_exact(layer_n.radius)
@@ -606,8 +583,8 @@ def borel_cantelli_ratio(dset: MissingDigitSet, psi: ApproxFunction,
     # grid and CDF denominator
     grid = lcm(*(l.grid for l in layers.values()))
     den = lcm(*(l.unions[2] for l in layers.values()))
-    union = _measure(merge_pairs([p for l in layers.values()
-                                  for p in _rescaled(l, 1, grid, den)]), den)
+    union = carried_measure(merge_pairs([p for l in layers.values()
+                                         for p in _rescaled(l, 1, grid, den)]), den)
     return BorelCantelliReport(q=q, ratio=ratio, union_measure=union,
                                layer_measures=tuple(measures.values()))
 
@@ -641,11 +618,10 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
     cells [k, k+1]/S with ceil(c - R) - 1 <= k <= floor(c + R), that is
     c - f - 1 <= k <= c + f for f = floor(R), since c is an integer.  So
     the enclosure of r decides every cell range at once when both its
-    bounds give the same f.  The cells met form the runs [lo, hi) of the
-    radius-(f + 1) ball union on the grid S, and the allowed cells of a
-    run number m^L (mu([0, hi/S]) - mu([0, lo/S])), read from `grid_cdf`
-    at level n: a level-n rank for each run end and a measure for each of
-    its two offsets from the level-n grid.
+    bounds give the same f.  The cells met form the runs of the union of
+    the radius-(f + 1)/S balls, m^L times whose measure counts their
+    allowed cells, and `ball_unions` carries it at level n: a level-n
+    rank for each run end and a measure for each of its two offsets.
     """
     tau = Fraction(tau)
     if tau < 1:
@@ -657,11 +633,11 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
     radius = rational_pow(Fraction(b), -tau * n, RADIUS_BITS)
     scale = b ** level  # counting grid, built once the radius passed the bit budget
     f, f_hi = ((r.numerator * scale) // r.denominator for r in radius)
-    centers, (runs,) = ball_unions(dset, n, coprime, scale, (0, scale), [f + 1])
+    _, centers, (runs,), den = ball_unions(dset, n, coprime, (_ZERO, _ONE),
+                                           [Fraction(f + 1, scale)])
     if centers and f != f_hi:
         raise PrecisionError("counting boundary undecided; raise the radius precision")
-    cdf, den = grid_cdf(dset, n, scale, (x for run in runs for x in run))
-    count = sum(cdf[hi] - cdf[lo] for lo, hi in runs) * dset.digit_count ** level // den
+    count = int(carried_measure(runs, den) * dset.digit_count ** level)
     if count == 0:
         raise InputError("layer misses every basic interval at the counting level")
     est = LogRatioSource(Fraction(count), Fraction(scale)).within(48)

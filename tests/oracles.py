@@ -3,19 +3,20 @@
 These deliberately use different mechanisms from the implementation:
 block counting instead of per-digit weights for the measure, integer
 power comparisons instead of log enclosures for exponent inequalities,
-a `Fraction` digit walk and a per-cell scan for membership,
-`Fraction` ball endpoints for the layer unions and the natural cover
-the library builds on an integer grid, a per-cell `prefix_allowed`
-scan for the box count the library takes from prefix ranks, argparse
-for the command line the library parses from its option tables, a
-decimal exponent found from digit counts for the rendered decimals,
-`Fraction` interval division for the log ratios the library divides on
-grid numerators, a `Fraction` Euclid for the continued-fraction
-quotients the library reads off integer pairs in lockstep, one
-gcd divided out a step for the pre-period the library strips in
-squared chunks, one digit a step for the leading zeros the digit walk
-reads in one, and a power sum per index for the sparse truncations
-the library builds by one recurrence.
+a `Fraction` digit walk and a per-cell scan for membership, `Fraction`
+ball endpoints for the layer unions and the natural cover the library
+builds on an integer grid, a listing for the centers and a second one
+for the ranks of the union ends where `ball_unions` reads both off
+one, a per-cell `prefix_allowed` scan for the box count the library
+takes from prefix ranks, argparse for the command line the library
+parses from its option tables, a decimal exponent found from digit
+counts for the rendered decimals, `Fraction` interval division for the
+log ratios the library divides on grid numerators, a `Fraction` Euclid
+for the continued-fraction quotients the library reads off integer
+pairs in lockstep, one gcd divided out a step for the pre-period the
+library strips in squared chunks, one digit a step for the leading
+zeros the digit walk reads in one, and a power sum per index for the
+sparse truncations the library builds by one recurrence.
 `under_budget` runs a call under a chosen per-call `Budget`.
 """
 
@@ -23,7 +24,7 @@ import argparse
 from bisect import bisect_left
 from contextvars import copy_context
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 import pytest
@@ -31,7 +32,7 @@ import pytest
 from cantorapprox import (AffineSource, Layer, MembershipResult, MissingDigitSet,
                           PrecisionError, RatInterval, SqrtSource, cli, enumerate_centers,
                           layers, measure_union)
-from cantorapprox.digitsets import _prefix_rank, measure_pair
+from cantorapprox.digitsets import _prefix_rank, cantor_cdf, measure_pair
 from cantorapprox.enclosures import BASE_BITS, Iv, _round_out, iv_div, ln_interval
 from cantorapprox.errors import BUDGET, Budget
 from cantorapprox.records import Record
@@ -317,6 +318,37 @@ def box_count(dset: MissingDigitSet, tau: Fraction, n: int, coprime: bool) -> in
             if k not in hit and dset.prefix_allowed(k, level):
                 hit.add(k)
     return len(hit)
+
+
+def listed_twice_ball_unions(dset: MissingDigitSet, n: int, coprime: bool, grid: int,
+                             window: tuple[int, int], radii: list[int],
+                             with_window: bool = False) -> tuple[list[int], list, int]:
+    """`digitsets.ball_unions` as it was composed before it ranked from its
+    own listing: `enumerate_centers` lists the centers near the window,
+    their balls are merged and clipped, and `grid_cdf` then lists the
+    cells its points fall in again, ranking them from one walk at the
+    least cell.  The same (centers, carried unions, CDF denominator)."""
+    step, u = grid // dset.base ** n, max(radii)
+    centers = enumerate_centers(dset, n, coprime, -((u - window[0]) // step),
+                                (window[1] + u) // step)
+    unions = [clip_union(merge_pairs([(p * step - r, p * step + r) for p in centers]), window)
+              for r in radii]
+    if with_window:
+        unions.insert(0, [window])
+    split = {x: divmod(x, step) for union in unions for pair in union for x in pair}
+    local = {f: cantor_cdf(dset, f, step) for f in {f for _, f in split.values()} if f}
+    scale = lcm(*(c.denominator for c in local.values()))
+    cells = sorted({k for k, _ in split.values()})
+    listed = dset.allowed_prefixes(n, cells[0], cells[-1]) if cells else []
+    first = _prefix_rank(dset, cells[0], n)[0] if cells else 0
+    cdf = {}
+    for x, (k, f) in split.items():
+        i = bisect_left(listed, k)
+        inside = i < len(listed) and listed[i] == k
+        cdf[x] = (first + i) * scale + (
+            local[f].numerator * (scale // local[f].denominator) if inside and f else 0)
+    return centers, [tuple(((lo, cdf[lo]), (hi, cdf[hi])) for lo, hi in union)
+                     for union in unions], dset.digit_count ** n * scale
 
 
 def full_cover_fraction_balls(dset: MissingDigitSet, n: int, window: RatInterval) -> bool:

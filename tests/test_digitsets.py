@@ -14,12 +14,13 @@ from cantorapprox import (InputError, MissingDigitSet, RatInterval, RealEnclosur
                           center_count, enumerate_centers, full_cover_check,
                           measure_union, membership)
 from cantorapprox import digitsets
-from cantorapprox.digitsets import grid_cdf, measure_pair, on_grid
+from cantorapprox.digitsets import ball_unions, grid_cdf, measure_pair, on_grid
 from cantorapprox.errors import Budget, PrecisionError
 from cantorapprox.intervals import clip_union, merge_pairs
 
-from oracles import (digit_walk_by_digits, enclosure_status, oracle_cdf, oracle_measure,
-                     preperiod_by_steps, rational_in_set, under_budget)
+from oracles import (digit_walk_by_digits, enclosure_status, listed_twice_ball_unions,
+                     oracle_cdf, oracle_measure, preperiod_by_steps, rational_in_set,
+                     under_budget)
 
 K = MissingDigitSet.middle_thirds()
 
@@ -470,45 +471,94 @@ def test_grid_cdf_matches_the_block_oracle_at_every_grid_point(dset, s):
     b-adic, purely periodic or pre-periodic offsets f/s, by base, else."""
     for n in range(1, 5):
         grid = dset.base ** n * s
-        cdf, den = grid_cdf(dset, n, grid, range(grid + 1))
+        cdf, den = grid_cdf(dset, n, grid, range(grid + 1), 0, dset.allowed_prefixes(n))
         for x in range(grid + 1):
             assert cdf[x] == oracle_cdf(dset, F(x, grid), level=n) * den, (n, x)
 
 
 @st.composite
 def grid_points(draw):
-    """A set of RANK_SETS, a level n, a grid b^n s and some of its points:
-    none, one, the top one alone, a run inside one cell, or scattered."""
+    """A set of RANK_SETS, a level n, a grid b^n s, some of its points
+    (none, one, the top one alone, a run inside one cell, or scattered),
+    and a listing of the allowed prefixes from a cell `first` at or below
+    theirs through one at or above."""
     dset = draw(st.sampled_from(RANK_SETS))
     n = draw(st.integers(min_value=1, max_value=5))
     s = draw(st.sampled_from([1, 2, 7, 10]))
-    grid = dset.base ** n * s
+    bn = dset.base ** n
+    grid = bn * s
     point = st.integers(min_value=0, max_value=grid)
     kind = draw(st.sampled_from(["none", "one", "top", "cell", "scattered"]))
     if kind == "cell":  # the points x with x // s = k
-        k = draw(st.integers(min_value=0, max_value=dset.base ** n))
+        k = draw(st.integers(min_value=0, max_value=bn))
         points = draw(st.lists(st.integers(min_value=k * s, max_value=min(k * s + s - 1, grid)),
                                min_size=1))
     elif kind == "scattered":
         points = draw(st.lists(point, min_size=2, max_size=30))
     else:
         points = {"none": [], "one": [draw(point)], "top": [grid]}[kind]
-    return dset, n, grid, points
+    cells = [x // s for x in points] or [draw(st.integers(min_value=0, max_value=bn))]
+    first = draw(st.integers(min_value=0, max_value=min(min(cells), bn - 1)))
+    last = draw(st.integers(min_value=max(cells), max_value=bn))
+    return dset, n, grid, points, first, dset.allowed_prefixes(n, first, last)
 
 
 @given(grid_points())
 @settings(max_examples=300, deadline=None)
 def test_grid_cdf_matches_the_block_oracle_on_any_points(case):
-    """One rank walk, and the two of the listing's budget check, for any
+    """Ranks from the listing it is handed and one rank walk, for any
     number of cells, besides one in each `cantor_cdf` call on an offset."""
-    dset, n, grid, points = case
+    dset, n, grid, points, first, listed = case
     with mock.patch.object(digitsets, "_prefix_rank", wraps=digitsets._prefix_rank) as walks:
-        cdf, den = grid_cdf(dset, n, grid, points)
+        cdf, den = grid_cdf(dset, n, grid, points, first, listed)
     offsets = {x % (grid // dset.base ** n) for x in points} - {0}
-    assert walks.call_count <= 3 + len(offsets)
+    assert walks.call_count <= 1 + len(offsets)
     assert cdf.keys() == set(points)
     for x in points:
         assert cdf[x] == oracle_cdf(dset, F(x, grid), level=n) * den, x
+
+
+# the sets of the argv corpus
+CORPUS_SETS = [MissingDigitSet(3, (0, 2)), MissingDigitSet(4, (0, 3)),
+               MissingDigitSet(5, (0, 2, 3)), MissingDigitSet(5, (1, 3)),
+               MissingDigitSet(6, (1, 2, 4)), MissingDigitSet(9, (0, 2, 6, 8))]
+
+
+@st.composite
+def kernel_case(draw):
+    """A corpus set, a level 1-6, a grid b^n s, window ends on the level-n
+    grid or off it, one or two radii up to a few cells or the whole grid,
+    the coprime filter on or off, and the window carried or not."""
+    dset = draw(st.sampled_from(CORPUS_SETS))
+    n = draw(st.integers(min_value=1, max_value=6))
+    s = draw(st.sampled_from([1, 2, 7, 10]))
+    bn = dset.base ** n
+    grid = bn * s
+    end = st.one_of(st.integers(min_value=0, max_value=bn).map(lambda k: k * s),
+                    st.integers(min_value=0, max_value=grid))
+    window = tuple(sorted((draw(end), draw(end))))
+    radius = st.one_of(st.integers(min_value=1, max_value=3 * s),
+                       st.integers(min_value=1, max_value=grid))
+    radii = sorted(draw(st.lists(radius, min_size=1, max_size=2)))
+    return dset, n, draw(st.booleans()), grid, window, radii, draw(st.booleans())
+
+
+@given(kernel_case())
+@settings(max_examples=300, deadline=None)
+def test_ball_unions_match_the_composition_that_listed_twice(case):
+    """The kernel's centers, carried unions and CDF denominator are those of
+    `ball_unions` followed by `grid_cdf` with a listing of its own, on the
+    kernel's grid, a divisor of the one drawn."""
+    dset, n, coprime, grid, window, radii, with_window = case
+    kernel_grid, centers, unions, den = ball_unions(
+        dset, n, coprime, tuple(F(x, grid) for x in window), [F(u, grid) for u in radii],
+        with_window)
+    k, rest = divmod(grid, kernel_grid)
+    assert rest == 0
+    unions = [tuple(((lo * k, c_lo), (hi * k, c_hi)) for (lo, c_lo), (hi, c_hi) in union)
+              for union in unions]
+    assert (centers, unions, den) == listed_twice_ball_unions(dset, n, coprime, grid, window,
+                                                              radii, with_window)
 
 
 @given(cell_range(RANK_SETS))
@@ -660,7 +710,7 @@ def test_cylinder_scaling(dset, d, x, y, s):
     assert cantor_cdf(dset, point) == expected
     grid = b * x.denominator * s
     at = on_grid(point, grid)
-    cdf, den = grid_cdf(dset, 1, grid, [at])
+    cdf, den = grid_cdf(dset, 1, grid, [at], 0, dset.allowed_prefixes(1))
     assert F(cdf[at], den) == expected
     assert cantor_measure(dset, RatInterval(F(0), point)).value == expected
     lo, hi = min(x, y), max(x, y)

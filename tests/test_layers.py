@@ -15,7 +15,7 @@ from cantorapprox import (ApproxFunction, DimensionFunction, HypothesisViolation
                           quasi_independence_scan, series_classify, series_term,
                           truncate_psi, window_t0)
 from cantorapprox import digitsets, enclosures, layers
-from cantorapprox.digitsets import cantor_cdf, measure_union
+from cantorapprox.digitsets import cantor_cdf, full_cover_check, measure_union
 from cantorapprox.intervals import intersect_unions
 from cantorapprox.cli_layers import parse_psi, parse_scalar
 from cantorapprox.layers import VALUE_BITS, classify_pair_case, f_of_psi, psi_value
@@ -588,6 +588,22 @@ def test_layer_lists_every_center_whose_outer_ball_meets_the_window(dset):
                 want = [p for p in enumerate_centers(dset, n, coprime)
                         if w_lo - r <= F(p, b ** n) <= w_hi + r]
                 assert list(layer.center_numerators) == want, (n, coprime)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_layer(K, PSI2, 4, UNIT, True),  # one radius
+    lambda: build_layer(K, ApproxFunction.power_log(2, Scalar.of(1)), 4,
+                        RatInterval.make(F(1, 7), F(6, 7)), False),  # two radii
+    lambda: full_cover_check(MissingDigitSet(5, (0, 2, 3)), 3, RatInterval.make(F(1, 7), F(1))),
+    lambda: box_dimension_estimate(K, F(3, 2), 4, True),
+], ids=["layer, one radius", "layer, two radii", "full-cover", "dim-estimate"])
+def test_a_level_is_listed_once(build):
+    """One `allowed_prefixes` call gives a level's centers and the ranks of
+    every union end, so one `cells` check."""
+    with mock.patch.object(MissingDigitSet, "allowed_prefixes", autospec=True,
+                           side_effect=MissingDigitSet.allowed_prefixes) as listings:
+        build()
+    assert listings.call_count == 1
 
 
 def _radius_at_least_a_cell(dset: MissingDigitSet, top: int, data) -> ApproxFunction:
