@@ -486,13 +486,14 @@ def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, window: Pair,
     since wl <= x <= wh.
     """
     grid = lcm(dset.base ** n, *(x.denominator for x in (*window, *radii)))
-    (wl, wh), radii = [on_grid(x, grid) for x in window], [on_grid(r, grid) for r in radii]
-    step, u = grid // dset.base ** n, max(radii)
+    wl, wh = (on_grid(x, grid) for x in window)
+    us = [on_grid(r, grid) for r in radii]
+    step, u = grid // dset.base ** n, max(us)
     first, last = -((u - wl) // step), (wh + u) // step
     listed = dset.allowed_prefixes(n, first - 1, last)
     centers = enumerate_centers(dset, n, coprime, first, last, listed)
     unions = [clip_union(merge_pairs([(p * step - r, p * step + r) for p in centers]), (wl, wh))
-              for r in radii]
+              for r in us]
     if with_window:
         unions.insert(0, [(wl, wh)])
     cdf, den = grid_cdf(dset, n, grid, (x for union in unions for pair in union for x in pair),
