@@ -78,7 +78,7 @@ def _set_argvs(dset: str) -> list[str]:
             for command, d in (("xi-build", ""), ("cf --x xi", " --depth 12"))]
     out += [f"cf --set {dset} --x {x} --depth 12" for x in ("gamma", "golden", "2/7")]
     out += [f"exponent --set {dset} --x gamma --depth 20"]
-    return out + _layer_argvs(dset)
+    return out + _full_cover_argvs(dset) + _layer_argvs(dset)
 
 
 # windows whose ends fall in a gap of the set, on a level-1 or level-2
@@ -106,6 +106,26 @@ def _edge_argvs() -> list[str]:
                 out += [f"pairwise{tail} --m 1 --n 3", f"bc-ratio{tail} --q 3"]
         out += [f"dim-estimate --set {dset} --tau {tau} --n {n}{c}"
                 for tau in ("1", "4/3", "5/2") for n in (2, 4, 6) for c in ("", " --no-coprime")]
+    return out
+
+
+def _full_cover_argvs(dset: str) -> list[str]:
+    """full-cover on windows of length zero, of measure zero inside a gap,
+    inside one level-1 or level-2 cell, with ends on cell boundaries, and
+    on windows short of [0, 1] at levels whose listing the `cells` cap
+    may refuse."""
+    b, digits = int(dset.split(":")[0]), [int(d) for d in dset.split(":")[1].split(",")]
+    gap = min(set(range(b)) - set(digits))  # a digit left out
+    top = digits[-1]
+    p = top * b + digits[0]  # an allowed level-2 prefix
+    windows = ("0:0", "1:1", f"1/{b}:1/{b}", f"{2 * gap + 1}/{2 * b}:{2 * gap + 1}/{2 * b}",
+               f"{4 * gap + 1}/{4 * b}:{4 * gap + 3}/{4 * b}", f"{gap}/{b}:{gap + 1}/{b}",
+               f"{top}/{b}:{top + 1}/{b}", f"{4 * top + 1}/{4 * b}:{4 * top + 3}/{4 * b}",
+               f"{4 * p + 1}/{4 * b * b}:{4 * p + 3}/{4 * b * b}", f"{p}/{b * b}:{p + 1}/{b * b}",
+               f"1/{b * b}:{b - 1}/{b}")
+    out = [f"full-cover --set {dset} --n {n} --window {w}" for w in windows for n in (1, 2, 3)]
+    out += [f"full-cover --set {dset} --n {n} --window {w}"
+            for n, w in ((20, "0:1/1000"), (30, "1/7:6/7"), (30, "0:1/1000"), (30, "1/3:1/3"))]
     return out
 
 
@@ -147,6 +167,9 @@ REFUSALS = (
     "series --psi pow:2 --f pow:gamma/0 --nmax 3",
     "series --psi powlog:2,gamma/0 --f pow:1 --nmax 3", "series --psi pow:2 --f exp:1 --nmax 3",
     "series --psi pow:2 --f pow:0 --nmax 3", "series --psi pow:2 --f pow:1 --nmax 0",
+    "series --psi pow:2 --f table:1=-1/2,2=-1 --nmax 2",
+    "tail --psi pow:2 --f table:1=-1,2=1 --n0 1 --nmax 2",
+    "series --psi pow:2 --f table:1=1/2,2=0 --nmax 2",
     "series --psi pow:5000 --f pow:1 --nmax 3", "series --psi table:5=1/2 --f pow:1 --nmax 3",
     "tail --psi pow:2 --f pow:1 --n0 0 --nmax 3", "tail --psi pow:3000 --f pow:1 --n0 1 --nmax 4",
     "bc-ratio --psi pow:2 --q 0", "dim-estimate --tau 1/2 --n 2",

@@ -29,7 +29,7 @@ from typing import Optional
 
 import pytest
 
-from cantorapprox import (AffineSource, Layer, MembershipResult, MissingDigitSet,
+from cantorapprox import (AffineSource, InputError, Layer, MembershipResult, MissingDigitSet,
                           PrecisionError, RatInterval, SqrtSource, cli, enumerate_centers,
                           layers, measure_union)
 from cantorapprox.digitsets import _prefix_rank, cantor_cdf, measure_pair
@@ -362,6 +362,23 @@ def full_cover_fraction_balls(dset: MissingDigitSet, n: int, window: RatInterval
              for p in enumerate_centers(dset, n, False, first, last)]
     clipped = clip_union(merge_pairs(balls), window.pair())
     return measure_union(dset, clipped) == measure_pair(dset, window.lo, window.hi)
+
+
+def full_cover_by_the_kernel(dset: MissingDigitSet, n: int, window: RatInterval) -> bool:
+    """`digitsets.full_cover_check` as it was while it measured the balls:
+    the radius-b^-n balls around the centers near the window merged and
+    clipped on the integer grid of `ball_unions`, the window carried with
+    them, and the two measured from one listing, whose `cells` check
+    refuses what that one refused."""
+    if n < 1:
+        raise InputError("level must be >= 1")
+    bn = dset.base ** n
+    grid = lcm(bn, window.lo.denominator, window.hi.denominator)
+    ends = tuple(x.numerator * (grid // x.denominator) for x in window.pair())
+    _, (whole, pieces), _ = listed_twice_ball_unions(dset, n, False, grid, ends, [grid // bn],
+                                                     with_window=True)
+    return (sum(c_hi - c_lo for (_, c_lo), (_, c_hi) in pieces)
+            == sum(c_hi - c_lo for (_, c_lo), (_, c_hi) in whole))
 
 
 def full_cover_closed_form(dset: MissingDigitSet, window: RatInterval) -> bool:

@@ -18,9 +18,9 @@ from cantorapprox.digitsets import ball_unions, grid_cdf, measure_pair, on_grid
 from cantorapprox.errors import Budget, PrecisionError
 from cantorapprox.intervals import clip_union, merge_pairs
 
-from oracles import (digit_walk_by_digits, enclosure_status, listed_twice_ball_unions,
-                     oracle_cdf, oracle_measure, preperiod_by_steps, rational_in_set,
-                     under_budget)
+from oracles import (digit_walk_by_digits, enclosure_status, full_cover_by_the_kernel,
+                     listed_twice_ball_unions, oracle_cdf, oracle_measure, preperiod_by_steps,
+                     rational_in_set, under_budget)
 
 K = MissingDigitSet.middle_thirds()
 
@@ -596,6 +596,41 @@ def test_full_cover_fails_where_no_center_lies_in_the_set():
     # a window inside a gap has measure 0 and counts as covered
     gap = RatInterval.make(F(1, 25), F(1, 5))
     assert full_cover_check(MissingDigitSet(5, (1, 3)), 2, gap)
+
+
+def _outcome(call, *args):
+    """call(*args), or the type and text of the error it raises."""
+    try:
+        return call(*args)
+    except (InputError, ResourceBudgetError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def cover_window(draw):
+    """A corpus set, a level 1-6 and a window whose ends lie on the level-j
+    grid for some j <= 8, or anywhere, or coincide."""
+    dset = draw(st.sampled_from(CORPUS_SETS))
+    n = draw(st.integers(min_value=1, max_value=6))
+    on_cells = st.integers(min_value=0, max_value=8).flatmap(
+        lambda j: st.integers(min_value=0, max_value=dset.base ** j).map(
+            lambda k: F(k, dset.base ** j)))
+    end = st.one_of(on_cells, small_rat)
+    a = draw(end)
+    b = draw(st.one_of(st.just(a), end))
+    return dset, n, RatInterval.make(min(a, b), max(a, b))
+
+
+@given(cover_window(), st.one_of(st.none(), st.integers(min_value=0, max_value=60)))
+@example((K, 0, RatInterval.unit()), None)
+@settings(max_examples=300, deadline=None)
+def test_full_cover_matches_the_kernel_that_measured_the_balls(case, cells):
+    """The same verdict as merging, clipping and measuring the balls and the
+    window, or the same refusal, under the default `cells` and lowered ones."""
+    dset, n, window = case
+    budget = Budget() if cells is None else Budget(cells=cells)
+    assert (under_budget(budget, _outcome, full_cover_check, dset, n, window)
+            == under_budget(budget, _outcome, full_cover_by_the_kernel, dset, n, window))
 
 
 # ---------------------------------------------------------------------------
