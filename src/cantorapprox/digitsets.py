@@ -19,13 +19,17 @@ Level-n basic intervals (cylinders) are counted by two prefix ranks,
 the set (`enumerate_centers`), where p/b^n ends in 0s after the digits
 of p, or in (b-1)s after those of p - 1, and the ranks of the cells a
 grid's points fall in (`grid_cdf`).  The listing, `allowed_prefixes`, raises
-ResourceBudgetError past the `cells` of `errors.BUDGET`.
+ResourceBudgetError past the `cells` of `errors.BUDGET`, which
+`_listing_range` checks on the count before anything is listed.
 
 `ball_unions` is the one level kernel: one listing gives the centers,
 whose balls it merges and clips, and the ranks of `grid_cdf`, the one
 CDF evaluator on a grid, that every union end carries.  The layers
-(radius psi(b^n)), `full_cover_check` (b^-n) and the box count of
-`layers.box_dimension_estimate` (b^(-tau n)) read it.
+(radius psi(b^n)) and the box count of `layers.box_dimension_estimate`
+(b^(-tau n)) read it.  `full_cover_check` builds no ball: the natural
+cover (radius b^-n) holds the set when 0 or b - 1 is a digit and is
+empty otherwise, so after the `cells` check of the listing it would
+make, it reads the digits and, without them, the window's measure.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ from .records import Record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# cap on a level's listed cells times its grid's bit length, about the
+# bits of the ball ends `ball_unions` would build
+BALL_END_BITS = 1 << 29
 
 
 def _mult_dependent_exponent(count: int, base: int) -> Optional[Fraction]:
@@ -123,14 +131,11 @@ class MissingDigitSet(Record):
             below += [i] * (hi - lo)
         return below
 
-    def allowed_prefixes(self, level: int, first: int = 0,
-                         last: Optional[int] = None) -> list[int]:
-        """Sorted prefixes p of the level-n basic intervals with first <= p <= last.
-
-        Their number is checked against the budget's `cells` first; the
-        descent keeps a prefix while its block of cells meets [first, last].
-        """
-        b, top = self.base, self.base ** level - 1
+    def _listing_range(self, level: int, first: int,
+                       last: Optional[int]) -> tuple[int, int]:
+        """[first, last] clipped to the level-n prefixes, once the allowed ones
+        in it, counted by two rank walks, are within the budget's `cells`."""
+        top = self.base ** level - 1
         first, last = max(first, 0), top if last is None else min(last, top)
         if (count := _cell_count(self, level, first, last)) > (cap := BUDGET.get().cells):
             try:
@@ -139,7 +144,19 @@ class MissingDigitSet(Record):
                 cells = (f"a {count.bit_length():,}-bit count of level-{level} basic intervals "
                          f"in cells of up to {last.bit_length():,} bits")
             raise ResourceBudgetError(f"{cells} over the {cap:,}-cell budget")
-        out, block = [0], top + 1
+        return first, last
+
+    def allowed_prefixes(self, level: int, first: int = 0,
+                         last: Optional[int] = None) -> list[int]:
+        """Sorted prefixes p of the level-n basic intervals with first <= p <= last.
+
+        Their number is checked against the budget's `cells` first
+        (`_listing_range`); the descent keeps a prefix while its block of
+        cells meets [first, last].
+        """
+        first, last = self._listing_range(level, first, last)
+        b = self.base
+        out, block = [0], b ** level
         for _ in range(level):
             block //= b
             out = [v for v in (p * b + d for p in out for d in self.digits)
@@ -470,12 +487,11 @@ def carried_measure(union: GridUnion, den: int) -> Fraction:
 
 
 def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, window: Pair,
-                radii: Sequence[Fraction], with_window: bool = False
-                ) -> tuple[int, list[int], list[GridUnion], int]:
+                radii: Sequence[Fraction]) -> tuple[int, list[int], list[GridUnion], int]:
     """(grid, centers, unions, D): the p of the centers p/b^n in the set
     (prime to b with `coprime`) whose balls of the largest radius meet the
     window, and for each radius the merged union of their balls clipped to
-    the window, after the window itself with `with_window`, carried over D.
+    the window, carried over D.
 
     The ball ends p/b^n -+ r and the window ends are integers over `grid`,
     the lcm of b^n and their denominators.  On it, with step = grid / b^n,
@@ -483,7 +499,9 @@ def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, window: Pair,
     ceil((wl - u)/step) <= p <= floor((wh + u)/step) = last.  One listing
     of the allowed prefixes in [first - 1, last] gives the centers and the
     ranks of every union end x, whose cell x // step lies in that range
-    since wl <= x <= wh.
+    since wl <= x <= wh.  The ends take about as many bits as the listed
+    cells times the grid's bit length, which ResourceBudgetError holds to
+    BALL_END_BITS before any is built.
     """
     grid = lcm(dset.base ** n, *(x.denominator for x in (*window, *radii)))
     wl, wh = (on_grid(x, grid) for x in window)
@@ -491,11 +509,13 @@ def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, window: Pair,
     step, u = grid // dset.base ** n, max(us)
     first, last = -((u - wl) // step), (wh + u) // step
     listed = dset.allowed_prefixes(n, first - 1, last)
+    if len(listed) * grid.bit_length() > BALL_END_BITS:
+        raise ResourceBudgetError(f"{len(listed):,} level-{n} cells on a "
+                                  f"{grid.bit_length():,}-bit grid over the "
+                                  f"{BALL_END_BITS:,}-bit cap of their ball ends")
     centers = enumerate_centers(dset, n, coprime, first, last, listed)
     unions = [clip_union(merge_pairs([(p * step - r, p * step + r) for p in centers]), (wl, wh))
               for r in us]
-    if with_window:
-        unions.insert(0, [(wl, wh)])
     cdf, den = grid_cdf(dset, n, grid, (x for union in unions for pair in union for x in pair),
                         max(first - 1, 0), listed)
     return grid, centers, [tuple(((lo, cdf[lo]), (hi, cdf[hi])) for lo, hi in union)
@@ -504,14 +524,24 @@ def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, window: Pair,
 
 def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool:
     """Whether the radius-b^-n balls around the centers p/b^n in the set
-    cover the window in measure: `ball_unions` merges, clips and measures
-    the balls, and the window, on one integer grid.
+    cover the window in measure.
+
+    With 0 a digit, an allowed level-n cell [p, p + 1]/b^n has the center
+    p/b^n, and with b - 1 a digit the center (p + 1)/b^n: either ball holds
+    the cell, so the balls hold the set.  With neither, no p/b^n lies in
+    the set, so there is no ball, and the window is covered exactly when
+    its measure is 0.  The cells `ball_unions` would list for these balls,
+    ceil(lo b^n) - 2 through floor(hi b^n) + 1, are held to the `cells`
+    budget first, with that listing's refusal, and none is listed.
     """
     if n < 1:
         raise InputError("level must be >= 1")
-    _, _, (whole, pieces), den = ball_unions(dset, n, False, window.pair(),
-                                             [Fraction(1, dset.base ** n)], with_window=True)
-    return carried_measure(pieces, den) == carried_measure(whole, den)
+    bn, (lo, hi) = dset.base ** n, window.pair()
+    dset._listing_range(n, -(-lo.numerator * bn // lo.denominator) - 2,
+                        hi.numerator * bn // hi.denominator + 1)
+    if 0 in dset._digitset or dset.base - 1 in dset._digitset:
+        return True
+    return measure_pair(dset, lo, hi) == 0
 
 
 def prefix_interval_disjoint_from(pi: PrefixInterval, dset: MissingDigitSet,

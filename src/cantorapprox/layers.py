@@ -223,6 +223,8 @@ class DimensionFunction(Record):
 
     @staticmethod
     def table(values: Mapping[int, Fraction]) -> "DimensionFunction":
+        if any(v <= 0 for v in values.values()):
+            raise InputError("dimension-function values must be positive")
         return DimensionFunction(TableValues(dict(values)))
 
 
@@ -578,13 +580,22 @@ def borel_cantelli_ratio(dset: MissingDigitSet, psi: ApproxFunction,
     den_lo = num_lo + 2 * sum(inter.lo for inter in pairs.values() if inter is not None)
     den_hi = num_hi + 2 * sum(inter.hi for inter in pairs.values() if inter is not None)
     ratio = iv_div((num_lo * num_lo, num_hi * num_hi), (den_lo, den_hi))
-    # the union's endpoints are endpoints of the layers' outer unions, so
-    # they carry their CDF numerators once every union is on the common
-    # grid and CDF denominator
+    # the union's endpoints are endpoints of the layers' unions, so they
+    # carry their CDF numerators once every union is on the common grid and
+    # CDF denominator.  The outer unions' union is reported; it has the
+    # measure of the inner unions' union when every layer measure is exact,
+    # and must be shown to have it otherwise.
     grid = lcm(*(l.grid for l in layers.values()))
     den = lcm(*(l.unions[2] for l in layers.values()))
-    union = carried_measure(merge_pairs([p for l in layers.values()
-                                         for p in _rescaled(l, 1, grid, den)]), den)
+
+    def union_of(i: int) -> Fraction:
+        return carried_measure(merge_pairs([p for l in layers.values()
+                                            for p in _rescaled(l, i, grid, den)]), den)
+
+    union = union_of(1)
+    if not all(m.exact for m in measures.values()) and union_of(0) != union:
+        raise PrecisionError("union measure undecided: the inner and outer radius "
+                             "bounds give unions of different measure")
     return BorelCantelliReport(q=q, ratio=ratio, union_measure=union,
                                layer_measures=tuple(measures.values()))
 

@@ -4,8 +4,9 @@ These deliberately use different mechanisms from the implementation:
 block counting instead of per-digit weights for the measure, integer
 power comparisons instead of log enclosures for exponent inequalities,
 a `Fraction` digit walk and a per-cell scan for membership, `Fraction`
-ball endpoints for the layer unions and the natural cover the library
-builds on an integer grid, a listing for the centers and a second one
+ball endpoints for the layer unions the library builds on an integer
+grid, merged and measured balls for the natural cover the library reads
+off the digits, a listing for the centers and a second one
 for the ranks of the union ends where `ball_unions` reads both off
 one, a per-cell `prefix_allowed` scan for the box count the library
 takes from prefix ranks, argparse for the command line the library
@@ -327,7 +328,8 @@ def listed_twice_ball_unions(dset: MissingDigitSet, n: int, coprime: bool, grid:
     own listing: `enumerate_centers` lists the centers near the window,
     their balls are merged and clipped, and `grid_cdf` then lists the
     cells its points fall in again, ranking them from one walk at the
-    least cell.  The same (centers, carried unions, CDF denominator)."""
+    least cell.  The same (centers, carried unions, CDF denominator);
+    `with_window` puts the window first, as `full_cover_check` had it."""
     step, u = grid // dset.base ** n, max(radii)
     centers = enumerate_centers(dset, n, coprime, -((u - window[0]) // step),
                                 (window[1] + u) // step)

@@ -391,6 +391,17 @@ def test_a_counting_grid_over_the_bit_budget_exits_3_fast(argv, power):
     assert re.fullmatch(rf"error: operand of {power} over the 8,388,608-bit budget\n", stderr)
 
 
+# level 11 lists 118,098 cells of 5:0,2,3 near the window on the grid
+# 9 * 5^2200, whose ball ends would take some 600 million bits; level 14,
+# 3,188,646 cells on a 6,500-bit grid, once ran the machine out of memory
+def test_ball_ends_past_their_bit_cap_exit_3_fast():
+    rc, seconds, stderr = _timed_main("quasi-scan --set 5:0,2,3 --psi pow:200 "
+                                      "--window 2/9:7/9 --no-coprime --nmax 14")
+    assert rc == "3" and seconds < 3.0
+    assert stderr == ("error: 118,098 level-11 cells on a 5,112-bit grid over the "
+                      "536,870,912-bit cap of their ball ends\n")
+
+
 # e_9013 = 3^9013 is the first exponent past the 4,300-digit int-to-str limit;
 # none of the 90,987 exponents after it is built
 def test_xi_build_refuses_its_first_unprintable_exponent_fast():

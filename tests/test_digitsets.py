@@ -528,7 +528,7 @@ CORPUS_SETS = [MissingDigitSet(3, (0, 2)), MissingDigitSet(4, (0, 3)),
 def kernel_case(draw):
     """A corpus set, a level 1-6, a grid b^n s, window ends on the level-n
     grid or off it, one or two radii up to a few cells or the whole grid,
-    the coprime filter on or off, and the window carried or not."""
+    and the coprime filter on or off."""
     dset = draw(st.sampled_from(CORPUS_SETS))
     n = draw(st.integers(min_value=1, max_value=6))
     s = draw(st.sampled_from([1, 2, 7, 10]))
@@ -540,7 +540,7 @@ def kernel_case(draw):
     radius = st.one_of(st.integers(min_value=1, max_value=3 * s),
                        st.integers(min_value=1, max_value=grid))
     radii = sorted(draw(st.lists(radius, min_size=1, max_size=2)))
-    return dset, n, draw(st.booleans()), grid, window, radii, draw(st.booleans())
+    return dset, n, draw(st.booleans()), grid, window, radii
 
 
 @given(kernel_case())
@@ -549,16 +549,28 @@ def test_ball_unions_match_the_composition_that_listed_twice(case):
     """The kernel's centers, carried unions and CDF denominator are those of
     `ball_unions` followed by `grid_cdf` with a listing of its own, on the
     kernel's grid, a divisor of the one drawn."""
-    dset, n, coprime, grid, window, radii, with_window = case
+    dset, n, coprime, grid, window, radii = case
     kernel_grid, centers, unions, den = ball_unions(
-        dset, n, coprime, tuple(F(x, grid) for x in window), [F(u, grid) for u in radii],
-        with_window)
+        dset, n, coprime, tuple(F(x, grid) for x in window), [F(u, grid) for u in radii])
     k, rest = divmod(grid, kernel_grid)
     assert rest == 0
     unions = [tuple(((lo * k, c_lo), (hi * k, c_hi)) for (lo, c_lo), (hi, c_hi) in union)
               for union in unions]
     assert (centers, unions, den) == listed_twice_ball_unions(dset, n, coprime, grid, window,
-                                                              radii, with_window)
+                                                              radii)
+
+
+def test_ball_ends_past_their_bit_cap_are_refused_before_they_are_built(monkeypatch):
+    """Level 3 of the middle-thirds set lists its 8 cells on the 5-bit grid 27."""
+    args = (K, 3, False, (F(0), F(1)), [F(1, 27)])
+    monkeypatch.setattr(digitsets, "BALL_END_BITS", 40)
+    assert ball_unions(*args)[1] == enumerate_centers(K, 3, False)
+    monkeypatch.setattr(digitsets, "BALL_END_BITS", 39)
+    with mock.patch.object(digitsets, "enumerate_centers") as centers, \
+            pytest.raises(ResourceBudgetError, match="^8 level-3 cells on a 5-bit grid over "
+                                                     "the 39-bit cap of their ball ends$"):
+        ball_unions(*args)
+    centers.assert_not_called()
 
 
 @given(cell_range(RANK_SETS))
@@ -596,6 +608,20 @@ def test_full_cover_fails_where_no_center_lies_in_the_set():
     # a window inside a gap has measure 0 and counts as covered
     gap = RatInterval.make(F(1, 25), F(1, 5))
     assert full_cover_check(MissingDigitSet(5, (1, 3)), 2, gap)
+
+
+def test_full_cover_lists_no_cell_and_builds_no_ball():
+    """The natural-cover theorem answers: no listing, no ball, no merge; the
+    `cells` refusal comes from the count alone."""
+    window = RatInterval.make(F(1, 7), F(1))
+    with mock.patch.object(MissingDigitSet, "allowed_prefixes") as listings, \
+            mock.patch.object(digitsets, "merge_pairs") as merges:
+        assert [full_cover_check(dset, 3, window) for dset in CORPUS_SETS] == [
+            True, True, True, False, False, True]
+        with pytest.raises(ResourceBudgetError, match="level-30 basic intervals in cells"):
+            full_cover_check(K, 30, window)
+    listings.assert_not_called()
+    merges.assert_not_called()
 
 
 def _outcome(call, *args):

@@ -37,6 +37,13 @@ ARGV_CHECKS = {
     "series --psi powlog:2,gamma/0 --f pow:1 --nmax 3": "zero divisor in 'gamma/0'",
     "series --psi pow:2 --f exp:1 --nmax 3": "unknown f kind 'exp'",
     "series --psi pow:2 --f pow:0 --nmax 3": "dimension-function exponent must be positive",
+    # a table f is refused as a power f is, on any value <= 0
+    "series --psi pow:2 --f table:1=-1/2,2=-1 --nmax 2":
+        "dimension-function values must be positive",
+    "tail --psi pow:2 --f table:1=-1,2=1 --n0 1 --nmax 2":
+        "dimension-function values must be positive",
+    "series --psi pow:2 --f table:1=1/2,2=0 --nmax 2":
+        "dimension-function values must be positive",
     "series --psi pow:2 --f pow:1 --nmax 0": "need at least one term",
     "tail --psi pow:2 --f pow:1 --n0 0 --nmax 3": "need 1 <= n0 <= n_max",
     "bc-ratio --psi pow:2 --q 0": "need Q >= 1",
@@ -114,6 +121,8 @@ CALL_CHECKS = {
     "quotients": (lambda: cf_prefix_interval([]), "quotients must be positive integers"),
     "f table": (lambda: f_of_psi(DimensionFunction.table({1: F(1, 2)}), PSI, K, 2),
                 "f table has no value at level 2"),
+    "f table value": (lambda: DimensionFunction.table({1: F(1, 2), 2: F(-1, 3)}),
+                      "dimension-function values must be positive"),
     "truncation": (lambda: _xi().truncation(0), "truncation index must be >= 1"),
     # xi is built in the base of --set, so no argv reaches these two
     "sparse base": (lambda: build_sparse_number(2, 1, PowerRule(F(3)), 4), "base must be >= 3"),

@@ -17,6 +17,7 @@ from cantorapprox import (ApproxFunction, DimensionFunction, HypothesisViolation
 from cantorapprox import digitsets, enclosures, layers
 from cantorapprox.digitsets import cantor_cdf, full_cover_check, measure_union
 from cantorapprox.intervals import intersect_unions
+from cantorapprox.cli import main
 from cantorapprox.cli_layers import parse_psi, parse_scalar
 from cantorapprox.layers import VALUE_BITS, classify_pair_case, f_of_psi, psi_value
 from cantorapprox.enclosures import (exponent_enclosure, iv_div, iv_exact, iv_mul, iv_scale,
@@ -315,6 +316,40 @@ def test_borel_cantelli_null_error():
         borel_cantelli_ratio(K, ApproxFunction.power(3), window, 2)
 
 
+EPS = F(1, 10 ** 9)
+
+
+def _radii(values: dict):
+    """psi_value with the enclosures of the given levels replaced."""
+    def psi_value_(psi, dset, n):
+        return values[n] if n in values else psi_value(psi, dset, n)
+    return mock.patch.object(layers, "psi_value", psi_value_)
+
+
+def test_bc_ratio_refuses_a_union_measure_its_radius_bounds_leave_open(capsys):
+    """Level 1's enclosure of 2/27 straddles the ends 2/27, 7/27, 20/27 and
+    25/27 of basic intervals, so the outer unions' union measures
+    98305/131072 and the inner ones' 3/4: no one value is certified."""
+    with _radii({1: (F(2, 27) - EPS, F(2, 27) + EPS)}):
+        assert main("bc-ratio --set 3:0,2 --psi pow:2 --q 2 --no-coprime".split()) == 3
+    assert capsys.readouterr().err == ("error: union measure undecided: the inner and outer "
+                                       "radius bounds give unions of different measure\n")
+
+
+@pytest.mark.parametrize("radii", [
+    {1: (F(3, 20) - EPS, F(3, 20) + EPS)},  # every ball end in a gap of the set
+    {1: (F(2, 27) - EPS, F(2, 27) + EPS), 2: (F(2, 27), F(2, 27))},  # level 2 covers them
+], ids=["in a gap", "covered"])
+def test_bc_ratio_reports_a_union_measure_its_radius_bounds_agree_on(radii):
+    """The union measure of the enclosures' midpoints, exact radii."""
+    with _radii({n: (sum(iv) / 2,) * 2 for n, iv in radii.items()}):
+        want = borel_cantelli_ratio(K, PSI2, UNIT, 2, coprime=False)
+    with _radii(radii):
+        rep = borel_cantelli_ratio(K, PSI2, UNIT, 2, coprime=False)
+    assert rep.union_measure == want.union_measure
+    assert rep.layer_measures[0].exact == (len(radii) == 1)
+
+
 # levels 2 and 3 are null on [3/10, 1/2] at tau = 2 and 3, level 2 on [1/4, 1/2];
 # powlog:2,1 has an inexact radius
 @pytest.mark.parametrize("window", [UNIT, RatInterval.make(F(3, 10), F(1, 2)),
@@ -554,7 +589,8 @@ def test_wide_radius_bounds_match_fraction_ball_oracle(dset):
     window = RatInterval.make(F(1, 10007), F(9, 10))
     with mock.patch.object(layers, "psi_value", wide):
         built = [build_layer(dset, PSI2, n, window, True) for n in (1, 2, 3)]
-        union = borel_cantelli_ratio(dset, PSI2, window, 3).union_measure
+        with pytest.raises(PrecisionError, match="^union measure undecided"):
+            borel_cantelli_ratio(dset, PSI2, window, 3)
     assert any(layer_measure(l).lo < layer_measure(l).hi for l in built)
     for layer in built:
         mu = layer_measure(layer)
@@ -565,8 +601,11 @@ def test_wide_radius_bounds_match_fraction_ball_oracle(dset):
     for inter, lm, ln_ in inters:
         assert (inter.lo, inter.hi) == (_oracle_pair_measure(lm, ln_, 0),
                                         _oracle_pair_measure(lm, ln_, 1))
-    assert union == measure_union(dset, [p for l in built
-                                         for p in layer_union_pairs(l, l.radius[1])])
+    # bc-ratio refuses: the inner and the outer unions' unions differ in measure
+    inner, outer = (measure_union(dset, [p for l in built
+                                         for p in layer_union_pairs(l, l.radius[i])])
+                    for i in (0, 1))
+    assert inner < outer
 
 
 @pytest.mark.parametrize("dset", list(GRID_SETS), ids=str)
@@ -590,20 +629,22 @@ def test_layer_lists_every_center_whose_outer_ball_meets_the_window(dset):
                 assert list(layer.center_numerators) == want, (n, coprime)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: build_layer(K, PSI2, 4, UNIT, True),  # one radius
-    lambda: build_layer(K, ApproxFunction.power_log(2, Scalar.of(1)), 4,
-                        RatInterval.make(F(1, 7), F(6, 7)), False),  # two radii
-    lambda: full_cover_check(MissingDigitSet(5, (0, 2, 3)), 3, RatInterval.make(F(1, 7), F(1))),
-    lambda: box_dimension_estimate(K, F(3, 2), 4, True),
+@pytest.mark.parametrize("build, listings", [
+    (lambda: build_layer(K, PSI2, 4, UNIT, True), 1),  # one radius
+    (lambda: build_layer(K, ApproxFunction.power_log(2, Scalar.of(1)), 4,
+                         RatInterval.make(F(1, 7), F(6, 7)), False), 1),  # two radii
+    (lambda: full_cover_check(MissingDigitSet(5, (0, 2, 3)), 3,
+                              RatInterval.make(F(1, 7), F(1))), 0),
+    (lambda: box_dimension_estimate(K, F(3, 2), 4, True), 1),
 ], ids=["layer, one radius", "layer, two radii", "full-cover", "dim-estimate"])
-def test_a_level_is_listed_once(build):
+def test_a_level_is_listed_once(build, listings):
     """One `allowed_prefixes` call gives a level's centers and the ranks of
-    every union end, so one `cells` check."""
+    every union end, so one `cells` check; `full_cover_check` reads the
+    natural cover off the digits and lists nothing."""
     with mock.patch.object(MissingDigitSet, "allowed_prefixes", autospec=True,
-                           side_effect=MissingDigitSet.allowed_prefixes) as listings:
+                           side_effect=MissingDigitSet.allowed_prefixes) as listed:
         build()
-    assert listings.call_count == 1
+    assert listed.call_count == listings
 
 
 def _radius_at_least_a_cell(dset: MissingDigitSet, top: int, data) -> ApproxFunction:
