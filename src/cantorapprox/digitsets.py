@@ -26,10 +26,9 @@ ResourceBudgetError past the `cells` of `errors.BUDGET`, which
 whose balls it merges and clips, and the ranks of `grid_cdf`, the one
 CDF evaluator on a grid, that every union end carries.  The layers
 (radius psi(b^n)) and the box count of `layers.box_dimension_estimate`
-(b^(-tau n)) read it.  `full_cover_check` builds no ball: the natural
-cover (radius b^-n) holds the set when 0 or b - 1 is a digit and is
-empty otherwise, so after the `cells` check of the listing it would
-make, it reads the digits and, without them, the window's measure.
+(b^(-tau n)) read it.  `full_cover_check` needs no ball: the natural
+cover (radius b^-n) holds the set when 0 or b - 1 is a digit, and is
+empty otherwise.
 """
 
 from __future__ import annotations

@@ -392,8 +392,8 @@ def test_a_counting_grid_over_the_bit_budget_exits_3_fast(argv, power):
 
 
 # level 11 lists 118,098 cells of 5:0,2,3 near the window on the grid
-# 9 * 5^2200, whose ball ends would take some 600 million bits; level 14,
-# 3,188,646 cells on a 6,500-bit grid, once ran the machine out of memory
+# 9 * 5^2200, whose ball ends would take some 600 million bits; without the
+# cap, level 14 built ends of 6,500 bits for 3,188,646 cells
 def test_ball_ends_past_their_bit_cap_exit_3_fast():
     rc, seconds, stderr = _timed_main("quasi-scan --set 5:0,2,3 --psi pow:200 "
                                       "--window 2/9:7/9 --no-coprime --nmax 14")
