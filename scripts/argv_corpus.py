@@ -170,6 +170,13 @@ REFUSALS = (
     "series --psi pow:2 --f table:1=-1/2,2=-1 --nmax 2",
     "tail --psi pow:2 --f table:1=-1,2=1 --n0 1 --nmax 2",
     "series --psi pow:2 --f table:1=1/2,2=0 --nmax 2",
+    # psi tables with a value <= 0, first or past the levels read
+    "tail --psi table:1=-1/2,2=1/9 --f pow:1 --n0 1 --nmax 2",
+    "series --psi table:1=-1/2,2=1/9 --f pow:1 --nmax 2",
+    "layer --psi table:1=-1/2,2=1/9 --n 1", "quasi-scan --psi table:1=-1/2,2=1/9 --nmax 2",
+    "bc-ratio --psi table:1=-1/2,2=1/9 --q 2", "pairwise --psi table:1=-1/2,2=1/9 --m 1 --n 2",
+    "layer --psi table:1=1/9,2=-1 --n 1", "series --psi table:1=1/9,2=0 --f pow:1 --nmax 2",
+    "tail --psi table:1=1/9,2=0 --f pow:1 --n0 1 --nmax 1",
     "series --psi pow:5000 --f pow:1 --nmax 3", "series --psi table:5=1/2 --f pow:1 --nmax 3",
     "tail --psi pow:2 --f pow:1 --n0 0 --nmax 3", "tail --psi pow:3000 --f pow:1 --n0 1 --nmax 4",
     "bc-ratio --psi pow:2 --q 0", "dim-estimate --tau 1/2 --n 2",
