@@ -118,9 +118,8 @@ def cmd_cf_interval(args, dset):
         "disjoint_from_set": disjoint,
         "verdict": "not_in_set" if disjoint else "undetermined_at_depth",
     }
-    rows = [{"quotients": ";".join(map(render.int_str, quotients)), "lo": pi.lo, "hi": pi.hi,
-             "lo_closed": pi.lo_closed, "hi_closed": pi.hi_closed,
-             "disjoint_from_set": disjoint}]
+    rows = [{"quotients": quotients, "lo": pi.lo, "hi": pi.hi, "lo_closed": pi.lo_closed,
+             "hi_closed": pi.hi_closed, "disjoint_from_set": disjoint}]
     return results, rows
 
 

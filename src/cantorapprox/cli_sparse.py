@@ -4,13 +4,13 @@ build.
 
 `cli.run_command` imports this module on first use, and
 `cli_contfrac.parse_x` only for --x xi.  It loads no continued-fraction
-code.  `cmd_xi_build` returns numbers, as the other handlers do, except
-that it checks its JSON-only exponents for printing as they are built.
+code.  `cmd_xi_build` returns numbers, as the other handlers do; its
+JSON-only exponents pass `render.check_int` as they are built, so that
+one past the print limit stops the build.
 """
 
 from __future__ import annotations
 
-import sys
 from math import gcd
 
 from . import render
@@ -50,25 +50,14 @@ def _feasible_truncations(x: SparseDigitNumber):
     return out
 
 
-def _printable_exponents(x: SparseDigitNumber) -> list[int]:
-    """The JSON report's e_1 .. e_terms, each checked by `render.int_str` as it
-    is built unless under 3.3 d bits, so below 10^d (d the int-to-str limit)."""
-    safe_bits = sys.get_int_max_str_digits() * 33 // 10
-    out = []
-    for n in range(1, x.terms + 1):
-        if (e := x.exponent(n)).bit_length() > safe_bits:
-            render.int_str(e)
-        out.append(e)
-    return out
-
-
 def cmd_xi_build(args, dset):
     x = build_xi(args, dset)
     truncs = _feasible_truncations(x)
     results = {
         "base": x.base, "coefficient": x.coefficient, "terms": x.terms,
         "rule": args.rule,
-        "exponents": _printable_exponents(x) if args.output == "json" else None,
+        "exponents": ([render.check_int(x.exponent(n)) for n in range(1, x.terms + 1)]
+                      if args.output == "json" else None),
         "truncations": [{"s": s, "p": render.Digits(p), "q": render.Digits(q)}
                         for s, p, q in truncs],
     }

@@ -22,13 +22,14 @@ grid's points fall in (`grid_cdf`).  The listing, `allowed_prefixes`, raises
 ResourceBudgetError past the `cells` of `errors.BUDGET`, which
 `_listing_range` checks on the count before anything is listed.
 
-`ball_unions` is the one level kernel: one listing gives the centers,
-whose balls it merges and clips, and the ranks of `grid_cdf`, the one
-CDF evaluator on a grid, that every union end carries.  The layers
-(radius psi(b^n)) and the box count of `layers.box_dimension_estimate`
-(b^(-tau n)) read it.  `full_cover_check` needs no ball: the natural
-cover (radius b^-n) holds the set when 0 or b - 1 is a digit, and is
-empty otherwise.
+`ball_unions` is the one level kernel: one listing, of the cells that
+`_cells_meeting` finds for the window widened by the radius, gives the
+centers, whose balls it merges and clips, and the ranks of `grid_cdf`,
+the one CDF evaluator on a grid, that every union end carries.  The
+layers (radius psi(b^n)) and the box count of
+`layers.box_dimension_estimate` (b^(-tau n)) read it.  `full_cover_check`
+counts those cells and needs no ball: the natural cover (radius b^-n)
+holds the set when 0 or b - 1 is a digit, and is empty otherwise.
 """
 
 from __future__ import annotations
@@ -492,31 +493,30 @@ def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, window: Pair,
     window, and for each radius the merged union of their balls clipped to
     the window, carried over D.
 
-    The ball ends p/b^n -+ r and the window ends are integers over `grid`,
-    the lcm of b^n and their denominators.  On it, with step = grid / b^n,
-    a ball of radius u meets the window [wl, wh] when first =
-    ceil((wl - u)/step) <= p <= floor((wh + u)/step) = last.  One listing
-    of the allowed prefixes in [first - 1, last] gives the centers and the
-    ranks of every union end x, whose cell x // step lies in that range
-    since wl <= x <= wh.  The ends take about as many bits as the listed
-    cells times the grid's bit length, which ResourceBudgetError holds to
+    The ball of radius r around p/b^n meets the window [lo, hi] when the
+    cell [p - 1, p]/b^n meets [lo - r, hi + r], so one listing of the
+    cells `_cells_meeting` gives for it, first..last (r the largest
+    radius), gives the centers in first + 1..last and the ranks of every
+    union end, whose cell lies in that range.  The ball ends p/b^n -+ r
+    and the window ends are integers over `grid`, the lcm of b^n and their
+    denominators; they take about as many bits as the listed cells times
+    the grid's bit length, which ResourceBudgetError holds to
     BALL_END_BITS before any is built.
     """
-    grid = lcm(dset.base ** n, *(x.denominator for x in (*window, *radii)))
-    wl, wh = (on_grid(x, grid) for x in window)
-    us = [on_grid(r, grid) for r in radii]
-    step, u = grid // dset.base ** n, max(us)
-    first, last = -((u - wl) // step), (wh + u) // step
-    listed = dset.allowed_prefixes(n, first - 1, last)
+    bn, r = dset.base ** n, max(radii)
+    first, last = _cells_meeting(window[0] - r, window[1] + r, bn, True, True)
+    listed = dset.allowed_prefixes(n, first, last)
+    grid = lcm(bn, *(x.denominator for x in (*window, *radii)))
     if len(listed) * grid.bit_length() > BALL_END_BITS:
         raise ResourceBudgetError(f"{len(listed):,} level-{n} cells on a "
                                   f"{grid.bit_length():,}-bit grid over the "
                                   f"{BALL_END_BITS:,}-bit cap of their ball ends")
-    centers = enumerate_centers(dset, n, coprime, first, last, listed)
-    unions = [clip_union(merge_pairs([(p * step - r, p * step + r) for p in centers]), (wl, wh))
-              for r in us]
+    step, (wl, wh) = grid // bn, (on_grid(x, grid) for x in window)
+    centers = enumerate_centers(dset, n, coprime, first + 1, last, listed)
+    unions = [clip_union(merge_pairs([(p * step - u, p * step + u) for p in centers]), (wl, wh))
+              for u in (on_grid(x, grid) for x in radii)]
     cdf, den = grid_cdf(dset, n, grid, (x for union in unions for pair in union for x in pair),
-                        max(first - 1, 0), listed)
+                        max(first, 0), listed)
     return grid, centers, [tuple(((lo, cdf[lo]), (hi, cdf[hi])) for lo, hi in union)
                            for union in unions], den
 
@@ -529,15 +529,14 @@ def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool
     p/b^n, and with b - 1 a digit the center (p + 1)/b^n: either ball holds
     the cell, so the balls hold the set.  With neither, no p/b^n lies in
     the set, so there is no ball, and the window is covered exactly when
-    its measure is 0.  The cells `ball_unions` would list for these balls,
-    ceil(lo b^n) - 2 through floor(hi b^n) + 1, are held to the `cells`
+    its measure is 0.  The cells `ball_unions` would list for these balls
+    (`_cells_meeting` on [lo - b^-n, hi + b^-n]) are held to the `cells`
     budget first, with that listing's refusal, and none is listed.
     """
     if n < 1:
         raise InputError("level must be >= 1")
-    bn, (lo, hi) = dset.base ** n, window.pair()
-    dset._listing_range(n, -(-lo.numerator * bn // lo.denominator) - 2,
-                        hi.numerator * bn // hi.denominator + 1)
+    (lo, hi), r = window.pair(), Fraction(1, dset.base ** n)
+    dset._listing_range(n, *_cells_meeting(lo - r, hi + r, r.denominator, True, True))
     if 0 in dset._digitset or dset.base - 1 in dset._digitset:
         return True
     return measure_pair(dset, lo, hi) == 0

@@ -157,6 +157,8 @@ class ApproxFunction(Record):
 
     @staticmethod
     def table(values: Mapping[int, Fraction]) -> "ApproxFunction":
+        if any(v <= 0 for v in values.values()):
+            raise InputError("psi table values must be positive")
         return ApproxFunction(TableValues(dict(values)))
 
 
@@ -335,8 +337,6 @@ def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
     if n < 1:
         raise InputError("level must be >= 1")
     radius = psi_value(psi, dset, n)
-    if radius[0] <= 0:
-        raise InputError("psi must be positive on the evaluation grid")
     grid, centers, unions, den = ball_unions(dset, n, coprime, window.pair(),
                                              radius[:1] if iv_is_exact(radius) else radius)
     return Layer(n=n, dset=dset, window=window, coprime=coprime, radius=radius,

@@ -4,7 +4,8 @@ Every decimal string is derived from the exact rational by integer
 arithmetic (round half away from zero, 15 significant digits), so two
 runs can never disagree in the last bit.  Floats appear only in the
 clearly-labelled lossy CSV convenience column.  The command handlers return
-numbers, and only `dump_report` and `dump_csv` turn them into text.
+numbers, which only `dump_report` and `dump_csv` turn into text.  Only
+`int_str` and `check_int` read the int-to-str limit.
 """
 
 from __future__ import annotations
@@ -74,6 +75,14 @@ def int_str(n: int) -> str:
         raise ResourceBudgetError("the report holds an integer of more than "
                                   f"{sys.get_int_max_str_digits()} digits, the "
                                   "int-to-str limit") from None
+
+
+def check_int(n: int) -> int:
+    """n, or `int_str`'s refusal of it past the int-to-str limit d, tested
+    only past 3.3 d bits (below that, n < 10^d)."""
+    if n.bit_length() > sys.get_int_max_str_digits() * 33 // 10:
+        int_str(n)
+    return n
 
 
 def rat_str(fr: Fraction) -> str:
@@ -200,11 +209,13 @@ def dump_report(report: dict) -> str:
 
 
 def _csv_cell(v) -> str:
-    """A rational or a value as `value_csv`, an int by `int_str`, else str()."""
+    """A value by `value_csv`, an int or a list of ints (";"-joined) by `int_str`, else str()."""
     if isinstance(v, (Fraction, Value, CantorMeasureValue)):
         return value_csv(v)
     if isinstance(v, int):
         return int_str(v)
+    if isinstance(v, list):
+        return ";".join(map(int_str, v))
     return str(v)
 
 

@@ -10,7 +10,9 @@ off the digits, a listing for the centers and a second one
 for the ranks of the union ends where `ball_unions` reads both off
 one, a per-cell `prefix_allowed` scan for the box count the library
 takes from prefix ranks, argparse for the command line the library
-parses from its option tables, a decimal exponent found from digit
+parses from its option tables, floors and ceilings on the grid of the
+ball ends for the cells a level's balls list, which the library takes
+from `_cells_meeting`, a decimal exponent found from digit
 counts for the rendered decimals, `Fraction` interval division for the
 log ratios the library divides on grid numerators, a `Fraction` Euclid
 for the continued-fraction quotients the library reads off integer
@@ -351,6 +353,27 @@ def listed_twice_ball_unions(dset: MissingDigitSet, n: int, coprime: bool, grid:
             local[f].numerator * (scale // local[f].denominator) if inside and f else 0)
     return centers, [tuple(((lo, cdf[lo]), (hi, cdf[hi])) for lo, hi in union)
                      for union in unions], dset.digit_count ** n * scale
+
+
+def ball_cells_on_the_grid(dset: MissingDigitSet, n: int, window: tuple[Fraction, Fraction],
+                           radii: list[Fraction]) -> tuple[int, int]:
+    """The cells `digitsets.ball_unions` listed before it asked
+    `_cells_meeting`: on the integer grid of the ball ends, with step =
+    grid / b^n and u the largest radius, the centers ceil((wl - u)/step)
+    through floor((wh + u)/step), and the cell before the first."""
+    bn = dset.base ** n
+    grid = lcm(bn, *(x.denominator for x in (*window, *radii)))
+    wl, wh, u = (x.numerator * (grid // x.denominator) for x in (*window, max(radii)))
+    step = grid // bn
+    return -((u - wl) // step) - 1, (wh + u) // step
+
+
+def full_cover_cells_by_floors(dset: MissingDigitSet, n: int,
+                               window: RatInterval) -> tuple[int, int]:
+    """The cells `digitsets.full_cover_check` counted before it asked
+    `_cells_meeting`: ceil(lo b^n) - 2 through floor(hi b^n) + 1."""
+    bn, (lo, hi) = dset.base ** n, window.pair()
+    return -(-lo.numerator * bn // lo.denominator) - 2, hi.numerator * bn // hi.denominator + 1
 
 
 def full_cover_fraction_balls(dset: MissingDigitSet, n: int, window: RatInterval) -> bool:

@@ -18,7 +18,8 @@ from cantorapprox.digitsets import ball_unions, grid_cdf, measure_pair, on_grid
 from cantorapprox.errors import Budget, PrecisionError
 from cantorapprox.intervals import clip_union, merge_pairs
 
-from oracles import (digit_walk_by_digits, enclosure_status, full_cover_by_the_kernel,
+from oracles import (ball_cells_on_the_grid, digit_walk_by_digits, enclosure_status,
+                     full_cover_by_the_kernel, full_cover_cells_by_floors,
                      listed_twice_ball_unions, oracle_cdf, oracle_measure, preperiod_by_steps,
                      rational_in_set, under_budget)
 
@@ -571,6 +572,68 @@ def test_ball_ends_past_their_bit_cap_are_refused_before_they_are_built(monkeypa
                                                      "the 39-bit cap of their ball ends$"):
         ball_unions(*args)
     centers.assert_not_called()
+
+
+@st.composite
+def ball_cells_case(draw):
+    """A corpus set, a level 1-8, a window in [0, 1] whose ends lie at 0,
+    at 1, inside a gap of the set, on a cell boundary of level up to n + 1
+    or anywhere, or coincide, and one radius (exact) or two (inexact
+    bounds), each b^-n or any positive rational."""
+    dset = draw(st.sampled_from(CORPUS_SETS))
+    n = draw(st.integers(min_value=1, max_value=8))
+    b = dset.base
+    gaps = sorted(set(range(b)) - set(dset.digits))
+
+    def end():
+        kind = draw(st.sampled_from(["0", "1", "gap", "boundary", "any"]))
+        if kind == "gap":
+            j = draw(st.integers(min_value=1, max_value=n + 1))
+            k = draw(st.integers(min_value=0, max_value=b ** (j - 1) - 1))
+            inside = F(draw(st.integers(min_value=1, max_value=99)), 100)
+            return (k * b + draw(st.sampled_from(gaps)) + inside) / b ** j
+        if kind == "boundary":
+            j = draw(st.integers(min_value=0, max_value=n + 1))
+            return F(draw(st.integers(min_value=0, max_value=b ** j)), b ** j)
+        return draw(small_rat) if kind == "any" else F(int(kind))
+
+    a = end()
+    window = tuple(sorted((a, draw(st.one_of(st.just(a), st.builds(end))))))
+    radius = st.one_of(st.just(F(1, b ** n)),
+                       st.builds(F, st.integers(min_value=1, max_value=10 ** 4),
+                                 st.integers(min_value=1, max_value=10 ** 6)))
+    return dset, n, window, sorted(draw(st.lists(radius, min_size=1, max_size=2)))
+
+
+class _Asked(Exception):
+    """Stops a call where it asks for its cells."""
+
+
+def _cells_asked(name, call, *args):
+    """The arguments of the `MissingDigitSet` method `name` that call(*args)
+    asks for its cells, the call stopped there."""
+    with mock.patch.object(MissingDigitSet, name, side_effect=_Asked) as asked, \
+            pytest.raises(_Asked):
+        call(*args)
+    return asked.call_args.args
+
+
+@given(ball_cells_case())
+@settings(max_examples=300, deadline=None)
+def test_a_levels_balls_list_the_cells_that_cells_meeting_gives(case):
+    """`ball_unions` lists, and `full_cover_check` counts, the cells that
+    meet the window widened by the largest radius, by `_cells_meeting`,
+    which gives the cells the grid floors gave."""
+    dset, n, window, radii = case
+    bn, r = dset.base ** n, max(radii)
+    cells = digitsets._cells_meeting(window[0] - r, window[1] + r, bn, True, True)
+    assert cells == ball_cells_on_the_grid(dset, n, window, radii)
+    assert _cells_asked("allowed_prefixes", ball_unions, dset, n, False, window,
+                        radii) == (n, *cells)
+    unit, r = RatInterval.make(*window), F(1, bn)
+    cover = digitsets._cells_meeting(window[0] - r, window[1] + r, bn, True, True)
+    assert cover == full_cover_cells_by_floors(dset, n, unit)
+    assert _cells_asked("_listing_range", full_cover_check, dset, n, unit) == (n, *cover)
 
 
 @given(cell_range(RANK_SETS))

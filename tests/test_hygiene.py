@@ -144,14 +144,16 @@ def test_missing_traced_name_is_detected():
         "digitsets.NoSuchClass.prefix_allowed"]
 
 
-RENDERERS = {"rational_json", "value_json", "rat_str"}
+RENDERERS = {"rational_json", "value_json", "rat_str", "int_str"}
 
 
-def _renderer_calls(tree: ast.Module) -> list[str]:
-    """Calls of a JSON or rational renderer of `render`, as "name (line N)"."""
-    return [f"{name} (line {node.lineno})" for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in RENDERERS]
+def _renderer_uses(tree: ast.Module) -> list[str]:
+    """Uses of a JSON, rational or integer renderer of `render`, called or
+    passed on, as "name (line N)"."""
+    uses = sorted((node.lineno, name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))
+                  and (name := getattr(node, "id", getattr(node, "attr", None))) in RENDERERS)
+    return [f"{name} (line {line})" for line, name in uses]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "render.py"],
@@ -160,13 +162,40 @@ def test_rationals_are_rendered_only_in_render(path):
     """A handler returns its numbers, and `render` alone writes them in the
     report format chosen; a rational rendered before then is paid for by
     either format and can refuse a report that never holds it."""
-    calls = _renderer_calls(ast.parse(path.read_text(), filename=str(path)))
-    assert not calls, f"{path.name} renders values itself: {', '.join(calls)}"
+    uses = _renderer_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not uses, f"{path.name} renders values itself: {', '.join(uses)}"
 
 
-def test_renderer_call_is_detected():
-    tree = ast.parse("render.value_json(v)\nrat_str(x)\nrender.value_csv(v)\n")
-    assert _renderer_calls(tree) == ["value_json (line 1)", "rat_str (line 2)"]
+def test_renderer_use_is_detected():
+    tree = ast.parse("render.value_json(v)\nrat_str(x)\nrender.value_csv(v)\n"
+                     "';'.join(map(render.int_str, ks))\nrender.check_int(n)\n")
+    assert _renderer_uses(tree) == ["value_json (line 1)", "rat_str (line 2)",
+                                    "int_str (line 4)"]
+
+
+def _print_limit_reads(tree: ast.Module) -> list[str]:
+    """Reads of the interpreter's int-to-str limit, as "line N"."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if getattr(node, "attr", getattr(node, "id", None)) == "get_int_max_str_digits"
+        or isinstance(node, ast.ImportFrom)
+        and any(alias.name == "get_int_max_str_digits" for alias in node.names))]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "render.py"],
+                         ids=lambda p: p.name)
+def test_the_print_limit_is_read_only_in_render(path):
+    """`render.int_str` refuses an integer past the limit and
+    `render.check_int` tests one against it; a copy of that rule elsewhere
+    can drift from the refusal the report gives."""
+    reads = _print_limit_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not reads, f"{path.name} reads the int-to-str limit: {', '.join(reads)}"
+
+
+def test_print_limit_read_is_detected():
+    tree = ast.parse("import sys\nd = sys.get_int_max_str_digits()\n"
+                     "from sys import get_int_max_str_digits\nsys.set_int_max_str_digits(0)\n")
+    assert _print_limit_reads(tree) == ["line 2", "line 3"]
 
 
 def _formatted_operands(tree: ast.Module) -> list[str]:

@@ -31,7 +31,13 @@ ARGV_CHECKS = {
     "measure --window 0:1 --set 2:0,1": "base must be >= 3",
     "layer --psi powlog:2 --n 2": "powlog needs ALPHA,BETA",
     "layer --psi exp:2 --n 2": "unknown psi kind 'exp'",
-    "layer --psi table:2=0 --n 2": "psi must be positive on the evaluation grid",
+    # a psi table is refused as it is built, on any value <= 0, read or not
+    "layer --psi table:2=0 --n 2": "psi table values must be positive",
+    "layer --psi table:1=1/9,2=-1 --n 1": "psi table values must be positive",
+    "tail --psi table:1=-1/2,2=1/9 --f pow:1 --n0 1 --nmax 2": "psi table values must be positive",
+    "series --psi table:1=-1/2,2=1/9 --f pow:1 --nmax 2": "psi table values must be positive",
+    "quasi-scan --psi table:1=-1/2,2=1/9 --nmax 2": "psi table values must be positive",
+    "bc-ratio --psi table:1=-1/2,2=1/9 --q 2": "psi table values must be positive",
     "layer --psi pow:gamma/0 --n 3": "zero divisor in 'gamma/0'",
     "series --psi pow:2 --f pow:gamma/0 --nmax 3": "zero divisor in 'gamma/0'",
     "series --psi powlog:2,gamma/0 --f pow:1 --nmax 3": "zero divisor in 'gamma/0'",
@@ -123,6 +129,8 @@ CALL_CHECKS = {
                 "f table has no value at level 2"),
     "f table value": (lambda: DimensionFunction.table({1: F(1, 2), 2: F(-1, 3)}),
                       "dimension-function values must be positive"),
+    "psi table value": (lambda: ApproxFunction.table({1: F(1, 2), 2: F(0)}),
+                        "psi table values must be positive"),
     "truncation": (lambda: _xi().truncation(0), "truncation index must be >= 1"),
     # xi is built in the base of --set, so no argv reaches these two
     "sparse base": (lambda: build_sparse_number(2, 1, PowerRule(F(3)), 4), "base must be >= 3"),

@@ -5,6 +5,7 @@ returns, and the digit-count exponent search of `oracles.decimal_str`."""
 import json
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,8 @@ CELLS = (RATIONALS.map(lambda x: (x, render.value_csv(x)))
              lambda iv: (CantorMeasureValue(*iv), render.value_csv(tuple(iv))))
          | st.integers().map(lambda n: (n, render.int_str(n)))
          | st.integers().map(lambda n: (render.Digits(n), render.int_str(n)))
+         | st.lists(st.integers(1, 10 ** 20), min_size=1, max_size=4).map(
+             lambda ks: (ks, ";".join(map(str, ks))))
          | st.floats(allow_nan=False).map(lambda x: (x, str(x)))
          | st.booleans().map(lambda x: (x, str(x))))
 
@@ -94,6 +97,28 @@ def test_csv_writes_each_cell_by_its_value_kind(table):
 def test_report_writer_refuses_an_integer_past_the_print_limit():
     with pytest.raises(ResourceBudgetError, match="int-to-str limit"):
         render.dump_report({"q": [10 ** sys.get_int_max_str_digits()]})
+
+
+# under the least int-to-str limit, 640 digits, 3.3 * 640 = 2,112 bits: an
+# integer up to that size is not tested, one past it is printed once, and
+# 10^640, of 2,127 bits, is refused as `int_str` refuses it
+@pytest.mark.parametrize("n, printed", [(2 ** 2112 - 1, False), (2 ** 2112, True),
+                                        (10 ** 640 - 1, True), (10 ** 640, True)])
+def test_check_int_tests_only_past_its_bit_bound(n, printed):
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with mock.patch.object(render, "int_str", wraps=render.int_str) as int_str:
+            if n < 10 ** 640:
+                assert render.check_int(n) is n
+            else:
+                with pytest.raises(ResourceBudgetError,
+                                   match="^the report holds an integer of more than 640 "
+                                         "digits, the int-to-str limit$"):
+                    render.check_int(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert int_str.called == printed
 
 
 def test_csv_of_no_rows_is_an_empty_line():
