@@ -160,8 +160,8 @@ def _renderer_uses(tree: ast.Module) -> list[str]:
                          ids=lambda p: p.name)
 def test_rationals_are_rendered_only_in_render(path):
     """A handler returns its numbers, and `render` alone writes them in the
-    report format chosen; a rational rendered before then is paid for by
-    either format and can refuse a report that never holds it."""
+    report format chosen; a rational or an integer rendered before then is
+    paid for by either format and can refuse a report that never holds it."""
     uses = _renderer_uses(ast.parse(path.read_text(), filename=str(path)))
     assert not uses, f"{path.name} renders values itself: {', '.join(uses)}"
 
