@@ -535,8 +535,9 @@ def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool
     """
     if n < 1:
         raise InputError("level must be >= 1")
-    (lo, hi), r = window.pair(), Fraction(1, dset.base ** n)
-    dset._listing_range(n, *_cells_meeting(lo - r, hi + r, r.denominator, True, True))
+    bn, (lo, hi) = dset.base ** n, window.pair()
+    r = Fraction(1, bn)
+    dset._listing_range(n, *_cells_meeting(lo - r, hi + r, bn, True, True))
     if 0 in dset._digitset or dset.base - 1 in dset._digitset:
         return True
     return measure_pair(dset, lo, hi) == 0
