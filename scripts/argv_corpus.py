@@ -204,9 +204,20 @@ REFUSALS = (
 )
 
 
+# one level met twice, counting grids b^L past 2^128, a window far below
+# every ball, and radii psi(b^n) past the int-to-str limit, at levels
+# whose listing the `cells` cap refuses and one whose narrow window it admits
+LEVEL_EDGES = (
+    "pairwise --psi pow:2 --m 3 --n 3", "dim-estimate --tau 50/3 --n 8",
+    "dim-estimate --tau 100/3 --n 4", "layer --psi pow:2 --n 1 --window 0:1e-5000",
+    "layer --psi pow:2 --n 30000", "layer --psi pow:1000 --n 30",
+    "layer --psi pow:1000 --n 30 --window 0:1/10000000000000",
+)
+
+
 def corpus() -> list[str]:
     """Every argv of the corpus, sorted, each once."""
-    argvs = set(REFUSALS)
+    argvs = set(REFUSALS) | set(LEVEL_EDGES)
     for argv in [a for dset in SETS for a in _set_argvs(dset)] + _edge_argvs() + _sparse_argvs():
         argvs.update(argv + fmt for fmt in FORMATS)
     assert set(SUBCOMMAND_OPTIONS) <= {a.split()[0] for a in argvs if a}
