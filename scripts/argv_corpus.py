@@ -204,9 +204,9 @@ REFUSALS = (
 )
 
 
-# one level met twice, counting grids b^L past 2^128, a window far below
-# every ball, and radii psi(b^n) past the int-to-str limit, at levels
-# whose listing the `cells` cap refuses and one whose narrow window it admits
+# one level met twice, counting grids b^L past 2^128, a window far
+# narrower than its balls, and radii psi(b^n) past the int-to-str limit at
+# levels whose listing the `cells` cap refuses, or admits for a narrow window
 LEVEL_EDGES = (
     "pairwise --psi pow:2 --m 3 --n 3", "dim-estimate --tau 50/3 --n 8",
     "dim-estimate --tau 100/3 --n 4", "layer --psi pow:2 --n 1 --window 0:1e-5000",

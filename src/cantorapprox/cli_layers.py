@@ -13,13 +13,13 @@ from typing import Optional
 
 from . import render
 from .cli import parse_fraction, parse_window
-from .digitsets import cantor_measure
-from .errors import BUDGET, InputError
+from .digitsets import CantorMeasureValue, cantor_measure
+from .errors import InputError
 from .intervals import RatInterval
 from .layers import (ApproxFunction, DimensionFunction, Scalar, borel_cantelli_ratio,
                      box_dimension_estimate, build_layer, layer_comparator, layer_measure,
-                     natural_cover_tail, pairwise_measure, psi_value,
-                     quasi_independence_scan, series_classify, truncate_psi, window_t0)
+                     layer_table, natural_cover_tail, psi_value, quasi_independence_scan,
+                     series_classify, truncate_psi, window_t0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +102,7 @@ def _window_of(args) -> RatInterval:
 def cmd_layer(args, dset):
     window = _window_of(args)
     psi = _psi_of(args)
-    cap = BUDGET.get().cells
-    # render the radius b^(-tau n) (refused past the print limit) before the
-    # build, at a level of at most `cells` cells, m^n (n cut at the cap's bit
-    # length, past which m >= 2 passes it): only there can the build not refuse first
-    if args.n >= 1 and dset.digit_count ** min(args.n, cap.bit_length()) <= cap:
+    if args.n >= 1:  # the radius past the print limit is refused before the build
         render.value_csv(psi_value(psi, dset, args.n))
     layer = build_layer(dset, psi, args.n, window, args.coprime)
     mv = layer_measure(layer)
@@ -119,13 +115,10 @@ def cmd_layer(args, dset):
 
 
 def cmd_pairwise(args, dset):
-    window = _window_of(args)
-    psi = _psi_of(args)
-    lm = build_layer(dset, psi, args.m, window, args.coprime)
-    ln_ = build_layer(dset, psi, args.n, window, args.coprime)
-    inter = pairwise_measure(lm, ln_)
-    mu_m, mu_n = layer_measure(lm), layer_measure(ln_)
-    results = {"m": args.m, "n": args.n, "mu_m": mu_m, "mu_n": mu_n, "mu_mn": inter}
+    m, n, window = args.m, args.n, _window_of(args)
+    _, measures, pairs = layer_table(dset, _psi_of(args), window, (m, n), args.coprime)
+    inter = pairs[m, n] or CantorMeasureValue(Fraction(0), Fraction(0))  # None: a null layer
+    results = {"m": m, "n": n, "mu_m": measures[m], "mu_n": measures[n], "mu_mn": inter}
     return results, [{**results, "approx_lossy": render.lossy_float(inter.lo)}]
 
 

@@ -22,14 +22,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .digitsets import (CantorMeasureValue, GridUnion, MissingDigitSet, ball_unions,
                         carried_measure, center_count, measure_union)
 from .enclosures import (Iv, LogRatioSource, exponent_enclosure, iv_add,
                          iv_cmp, iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
-from .errors import BUDGET, HypothesisViolation, InputError, PrecisionError
+from .errors import BUDGET, HypothesisViolation, InputError, PrecisionError, check_bits, power_bits
 from .intervals import RatInterval, intersect_unions, merge_pairs
 from .records import Record
 
@@ -37,7 +37,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 VALUE_BITS = 96  # working precision for inexact term values
-RADIUS_BITS = 128  # precision of the box-counting radius b^(-tau n)
+RADIUS_BITS = 128  # precision of b^(L - tau n), the box-counting radius on the grid b^L
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +291,17 @@ def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
 
 def window_t0(window: RatInterval, base: int) -> int:
     """t0, the least level whose b-adic radius b^-t0 is below the radius
-    of the window (of positive length): below t0 balls outgrow it."""
-    if window.radius <= 0:
+    a/c of the window (of positive length): below t0 balls outgrow it.
+    That is the least t with a b^t > c, found in exact steps on integers
+    from the largest t with a.bit_length() + power_bits(base, t) < c.bit_length()."""
+    radius = window.radius
+    if radius <= 0:
         raise InputError("window must have positive length")
-    t0, r = 0, Fraction(1)
-    while r >= window.radius:
-        r /= base
+    a, c = radius.numerator, radius.denominator
+    t0 = max(0, (64 * (c.bit_length() - a.bit_length() - 1) - 1) // (base ** 64).bit_length())
+    scaled = a * base ** t0
+    while scaled <= c:
+        scaled *= base
         t0 += 1
     return t0
 
@@ -319,7 +324,6 @@ class Layer(Record):
     n: int
     dset: MissingDigitSet
     window: RatInterval
-    coprime: bool
     radius: Iv
     grid: int
     center_numerators: tuple[int, ...]
@@ -339,7 +343,7 @@ def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
     radius = psi_value(psi, dset, n)
     grid, centers, unions, den = ball_unions(dset, n, coprime, window.pair(),
                                              radius[:1] if iv_is_exact(radius) else radius)
-    return Layer(n=n, dset=dset, window=window, coprime=coprime, radius=radius,
+    return Layer(n=n, dset=dset, window=window, radius=radius,
                  grid=grid, center_numerators=tuple(centers),
                  disjoint=2 * dset.base ** n * radius[1] < 1,  # r < 1/(2 b^n)
                  unions=(unions[0], unions[-1], den))  # one union when r is exact
@@ -432,12 +436,13 @@ def classify_pair_case(layer_m: Layer, n: int) -> str:
     raise PrecisionError(f"case split undecided for pair ({layer_m.n},{n})")
 
 
-def _layer_table(dset: MissingDigitSet, psi: ApproxFunction, window: RatInterval,
-                 levels: range, coprime: bool) -> tuple[dict, dict, dict]:
-    """(layers, measures, pairs) by level: each layer of `levels` built and
-    measured once, and mu(A_m ∩ A_n) for each pair m < n in order, or None
-    when either layer is null: its intersections are exactly 0."""
-    layers = {k: build_layer(dset, psi, k, window, coprime) for k in levels}
+def layer_table(dset: MissingDigitSet, psi: ApproxFunction, window: RatInterval,
+                levels: Sequence[int], coprime: bool) -> tuple[dict, dict, dict]:
+    """(layers, measures, pairs) by level, the one path to the layer measures
+    of `pairwise`, `quasi-scan` and `bc-ratio`: each level of `levels` built
+    and measured once, and mu(A_m ∩ A_n) for each pair (m, n) of `levels` in
+    order, or None when either layer is null: its intersections are exactly 0."""
+    layers = {k: build_layer(dset, psi, k, window, coprime) for k in dict.fromkeys(levels)}
     measures = {k: layer_measure(v) for k, v in layers.items()}
     pairs = {(m, n): pairwise_measure(layers[m], layers[n])
              if measures[m].hi and measures[n].hi else None
@@ -453,7 +458,7 @@ def quasi_independence_scan(dset: MissingDigitSet, psi: ApproxFunction,
         raise InputError("need m_min < n_max")
     mu_b = measure_union(dset, [window.pair()])
     levels = range(m_min, n_max + 1)
-    layers, measures, pairs = _layer_table(dset, psi, window, levels, coprime)
+    layers, measures, pairs = layer_table(dset, psi, window, levels, coprime)
     rows = []
     for (m, n), inter in pairs.items():
         if inter is not None:
@@ -572,7 +577,7 @@ def borel_cantelli_ratio(dset: MissingDigitSet, psi: ApproxFunction,
     """(sum mu(E_s))^2 / sum_{s,t} mu(E_s ∩ E_t) with E_s the level-s layer."""
     if q < 1:
         raise InputError("need Q >= 1")
-    layers, measures, pairs = _layer_table(dset, psi, window, range(1, q + 1), coprime)
+    layers, measures, pairs = layer_table(dset, psi, window, range(1, q + 1), coprime)
     num_lo = sum(m.lo for m in measures.values())
     num_hi = sum(m.hi for m in measures.values())
     if num_hi == 0:
@@ -625,10 +630,11 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
     """Count the level-L cells, L = ceil(tau n), that the radius-b^(-tau n)
     balls around the level-n centers meet, and the log-ratio of the count.
 
-    With S = b^L and R = r S, the ball around a center c/S meets the
-    cells [k, k+1]/S with ceil(c - R) - 1 <= k <= floor(c + R), that is
-    c - f - 1 <= k <= c + f for f = floor(R), since c is an integer.  So
-    the enclosure of r decides every cell range at once when both its
+    With S = b^L and R = r S = b^(L - tau n), in [1, b), the ball around
+    a center c/S meets the cells [k, k+1]/S with
+    ceil(c - R) - 1 <= k <= floor(c + R), that is c - f - 1 <= k <= c + f
+    for f = floor(R), since c is an integer.  So an enclosure of R, at
+    RADIUS_BITS whatever L, decides every cell range at once when both its
     bounds give the same f.  The cells met form the runs of the union of
     the radius-(f + 1)/S balls, m^L times whose measure counts their
     allowed cells, and `ball_unions` carries it at level n: a level-n
@@ -641,9 +647,10 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
         raise InputError("level must be >= 1")
     level = -((-tau * n).__floor__())  # ceil(tau*n)
     b = dset.base
-    radius = rational_pow(Fraction(b), -tau * n, RADIUS_BITS)
-    scale = b ** level  # counting grid, built once the radius passed the bit budget
-    f, f_hi = ((r.numerator * scale) // r.denominator for r in radius)
+    check_bits(power_bits(b, level), "base^-{}", level)
+    scale = b ** level  # the counting grid
+    f, f_hi = (r.numerator // r.denominator
+               for r in rational_pow(Fraction(b), level - tau * n, RADIUS_BITS))
     _, centers, (runs,), den = ball_unions(dset, n, coprime, (_ZERO, _ONE),
                                            [Fraction(f + 1, scale)])
     if centers and f != f_hi:

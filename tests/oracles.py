@@ -292,35 +292,58 @@ def sparse_tail_sum(x, s: int) -> tuple[Fraction, Fraction]:
     return (partial, partial + rem)
 
 
-def box_count(dset: MissingDigitSet, tau: Fraction, n: int, coprime: bool) -> int:
+def box_count(dset: MissingDigitSet, tau: Fraction, n: int, coprime: bool,
+              exact_floor: bool = False) -> int:
     """The number of level-ceil(tau n) cells that the radius-b^(-tau n) balls
     around the level-n centers meet, found by testing every cell near every
     ball with `Fraction` bounds and `prefix_allowed`.
 
     The radius comes from `layers.rational_pow`, looked up when called,
     and a cell range that its two bounds disagree on is a PrecisionError.
+    With `exact_floor`, a ball around the center c/S, S = b^L, meets the
+    cells c - f - 1..c + f for f = floor(b^(L - tau n)), the largest k
+    with k^q <= b^p for L - tau n = p/q: no enclosure.
     """
     tau = Fraction(tau)
     level = -((-tau * n).__floor__())
     b = dset.base
     bn = b ** n
     scale = b ** level
-    radius = layers.rational_pow(Fraction(b), -tau * n, layers.RADIUS_BITS)
+    if exact_floor:
+        x = level - tau * n
+        f = max(k for k in range(1, b + 1) if k ** x.denominator <= b ** x.numerator)
+    else:
+        radius = layers.rational_pow(Fraction(b), -tau * n, layers.RADIUS_BITS)
     hit: set[int] = set()
     for p in enumerate_centers(dset, n, coprime):
         c_scaled = p * (scale // bn)
-        k_lo_iv = (c_scaled - radius[1] * scale, c_scaled - radius[0] * scale)
-        k_hi_iv = (c_scaled + radius[0] * scale, c_scaled + radius[1] * scale)
-        k_first = -((-k_lo_iv[0]).__floor__()) - 1
-        k_first_hi = -((-k_lo_iv[1]).__floor__()) - 1
-        k_last = k_hi_iv[1].__floor__()
-        k_last_lo = k_hi_iv[0].__floor__()
-        if k_first != k_first_hi or k_last != k_last_lo:
-            raise PrecisionError("counting boundary undecided")
+        if exact_floor:
+            k_first, k_last = c_scaled - f - 1, c_scaled + f
+        else:
+            k_lo_iv = (c_scaled - radius[1] * scale, c_scaled - radius[0] * scale)
+            k_hi_iv = (c_scaled + radius[0] * scale, c_scaled + radius[1] * scale)
+            k_first = -((-k_lo_iv[0]).__floor__()) - 1
+            k_first_hi = -((-k_lo_iv[1]).__floor__()) - 1
+            k_last = k_hi_iv[1].__floor__()
+            k_last_lo = k_hi_iv[0].__floor__()
+            if k_first != k_first_hi or k_last != k_last_lo:
+                raise PrecisionError("counting boundary undecided")
         for k in range(max(k_first, 0), min(k_last, scale - 1) + 1):
             if k not in hit and dset.prefix_allowed(k, level):
                 hit.add(k)
     return len(hit)
+
+
+def window_t0_by_division(window: RatInterval, base: int) -> int:
+    """`layers.window_t0` as a loop: b^-t divided by b, one `Fraction`
+    division a level, until it is below the window's radius."""
+    if window.radius <= 0:
+        raise InputError("window must have positive length")
+    t0, r = 0, Fraction(1)
+    while r >= window.radius:
+        r /= base
+        t0 += 1
+    return t0
 
 
 def listed_twice_ball_unions(dset: MissingDigitSet, n: int, coprime: bool, grid: int,

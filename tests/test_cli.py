@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from cantorapprox import cli, cli_contfrac, cli_layers, cli_xi, layers, render, sparse
 from cantorapprox.cli import SUBCOMMAND_OPTIONS, build_parser, main, run_command
 from cantorapprox.contfrac import continued_fraction_expand
-from cantorapprox.errors import BUDGET, Budget, InputError, ResourceBudgetError
+from cantorapprox.errors import BUDGET, Budget, InputError, PrecisionError, ResourceBudgetError
 from oracles import argparse_parser, sqrt_quotients, under_budget
 
 # one fast fixture configuration per subcommand
@@ -295,7 +296,8 @@ def test_exit_code_resource_error(capsys):
     assert main(["dim-estimate", "--tau", "2", "--n", "30"]) == 3
 
 
-@pytest.mark.parametrize("argv", ["layer --psi pow:2 --n 9100", "full-cover --n 9100",
+# psi = 1 at `layer --psi pow:0`: a radius that prints, so the cells are counted
+@pytest.mark.parametrize("argv", ["layer --psi pow:0 --n 9100", "full-cover --n 9100",
                                   "dim-estimate --tau 1 --n 9100",
                                   "quasi-scan --psi pow:2 --nmax 9100 --mmin 9099"])
 def test_a_level_past_the_print_limit_exits_3(argv, capsys):
@@ -306,6 +308,17 @@ def test_a_level_past_the_print_limit_exits_3(argv, capsys):
     assert re.fullmatch(r"error: a [\d,]+-bit count of level-\d+ basic intervals in cells of "
                         r"up to [\d,]+ bits over the 4,194,304-cell budget\n",
                         capsys.readouterr().err)
+
+
+# `layer` renders its radius psi(b^n) before it counts or lists a cell, and
+# t0 of a window of length 10^-60000 is found in exact steps from a bit-length estimate
+@pytest.mark.parametrize("argv", ["layer --psi pow:2 --n 9100", "layer --psi pow:2 --n 100000",
+                                  "layer --psi pow:2 --n 1 --window 0:1e-60000 --output csv"])
+def test_a_layer_past_the_print_limit_exits_3_fast(argv):
+    rc, seconds, stderr = _timed_main(argv)
+    assert rc == "3" and seconds < 0.5
+    assert stderr == ("error: the report holds an integer of more than 4300 digits, "
+                      "the int-to-str limit\n")
 
 
 @pytest.mark.parametrize("argv", ["layer --psi pow:5/2 --n 25 --window 0:1/1000000",
@@ -713,13 +726,20 @@ def test_an_unrecognized_argument_lists_every_subcommand(name, capsys):
 
 
 def test_pairwise_measures_each_layer_once_and_layer_parses_psi_once():
-    with mock.patch.object(cli_layers, "layer_measure",
-                           wraps=cli_layers.layer_measure) as measured:
+    with mock.patch.object(layers, "layer_measure", wraps=layers.layer_measure) as measured:
         run_command(["pairwise", "--psi", "pow:2", "--m", "2", "--n", "4"])
     assert measured.call_count == 2
     with mock.patch.object(cli_layers, "parse_psi", wraps=cli_layers.parse_psi) as parsed:
         run_command(["layer", "--psi", "pow:2", "--n", "4"])
     assert parsed.call_count == 1
+
+
+def test_pairwise_builds_a_level_met_twice_once():
+    with mock.patch.object(layers, "build_layer", wraps=layers.build_layer) as built:
+        text, _ = run_command(["pairwise", "--psi", "pow:2", "--m", "3", "--n", "3"])
+    assert built.call_count == 1
+    res = json.loads(text)["results"]
+    assert res["mu_m"] == res["mu_n"] == res["mu_mn"]
 
 
 def test_cf_and_exponent_have_one_handler_for_every_x_and_gamma_parses_the_set_once():
@@ -1100,6 +1120,35 @@ def test_quasi_scan_base_power_relation(psi, k, window, coprime):
         assert rows[2 * row.pop("m"), 2 * row.pop("n")] == row
     assert ({(2 * m, 2 * n) for m, n in nine["skipped_null_pairs"]}
             == {(m, n) for m, n in three["skipped_null_pairs"] if m % 2 == n % 2 == 0})
+
+
+def _csv_rows(argv: list[str]) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(run_command(argv + ["--output", "csv"])[0])))
+
+
+@given(st.sampled_from(["3:0,2", "5:0,2,3", "5:1,3"]),
+       st.sampled_from(BASE_POWER_PSIS + ["powlog:2,1", "pow:3/7", "table:1=1/3,2=1/20,3=1/90"]),
+       st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=2), windows,
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_pairwise_is_the_quasi_scan_row(dset, psi, m, gap, window, coprime):
+    """pairwise's mu_m, mu_n and mu_mn are the scan's row (m, n), and a pair
+    the scan skips has a null layer and mu_mn = 0."""
+    n = m + gap
+    common = ["--set", dset, "--psi", *psi.split(), "--window", f"{window[0]}:{window[1]}",
+              "--coprime" if coprime else "--no-coprime"]
+    try:
+        scan = _csv_rows(["quasi-scan", "--mmin", str(m), "--nmax", str(n), *common])
+    except (InputError, PrecisionError):
+        assume(False)  # a level or a case split the scan alone reads
+    (pair,) = _csv_rows(["pairwise", "--m", str(m), "--n", str(n), *common])
+    fields = ("mu_m", "mu_n", "mu_mn")
+    rows = [{k: row[k] for k in fields} for row in scan
+            if (row["m"], row["n"]) == (str(m), str(n))]
+    if rows:
+        assert rows == [{k: pair[k] for k in fields}]
+    else:
+        assert pair["mu_mn"] == "0/1" and "0/1" in (pair["mu_m"], pair["mu_n"])
 
 
 @pytest.mark.xfail(strict=True, reason="an inexact enclosure depends on how the base is "

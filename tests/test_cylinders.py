@@ -35,22 +35,31 @@ def _count(dset, tau, n, coprime):
     return box_dimension_estimate(dset, tau, n, coprime).count
 
 
-@given(st.sampled_from(SETS), st.sampled_from(TAUS), st.integers(min_value=1, max_value=6),
+# tau = 50/3 reaches counting grids b^L past 2^128 (L = 100 at n = 6, 134
+# at n = 8), where the radius b^(-tau n) on the 2^-128 grid decides no cell
+# range: the oracle takes floor(b^(L - tau n)) exactly there
+@given(st.sampled_from(SETS), st.one_of(st.tuples(st.sampled_from(TAUS), st.integers(1, 6)),
+                                       st.tuples(st.just(F(50, 3)), st.integers(1, 8))),
        st.booleans())
-@settings(max_examples=120, deadline=None)
-@example(MissingDigitSet(5, (1, 4)), F(1), 1, True)  # one cell, so an estimate of 0
-def test_box_count_matches_the_per_cell_oracle(dset, tau, n, coprime):
-    want = _outcome(box_count, dset, tau, n, coprime)
+@settings(max_examples=150, deadline=None)
+@example(MissingDigitSet(5, (1, 4)), (F(1), 1), True)  # one cell, so an estimate of 0
+@example(MissingDigitSet(6, (1, 2, 4)), (F(50, 3), 8), True)
+def test_box_count_matches_the_per_cell_oracle(dset, case, coprime):
+    tau, n = case
+    level = -((-tau * n).__floor__())
+    want = _outcome(box_count, dset, tau, n, coprime, dset.base ** level > 2 ** 128)
     if want == 0:
         want = InputError  # the layer misses every cell
     assert _outcome(_count, dset, tau, n, coprime) == want
 
 
 def test_radius_straddling_a_cell_boundary_is_a_precision_error():
-    # at tau = 2, n = 2 the radius is 1/81, exactly one level-4 cell: an
-    # enclosure around it leaves the outermost cells of each ball undecided
+    # at tau = 2, n = 2 the radius is 1/81, exactly one level-4 cell, so
+    # b^(L - tau n) = 1: an enclosure around 1 leaves the outermost cells of
+    # each ball undecided, for the library, which reads it as b^(L - tau n),
+    # and for the oracle, which reads it as the radius b^(-tau n)
     eps = F(1, 10 ** 6)
-    straddle = (F(1, 81) - eps, F(1, 81) + eps)
+    straddle = (1 - eps, 1 + eps)
     K = MissingDigitSet.middle_thirds()
     with mock.patch.object(layers, "rational_pow", return_value=straddle):
         with pytest.raises(PrecisionError):

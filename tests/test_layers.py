@@ -26,7 +26,7 @@ from cantorapprox.errors import Budget, PrecisionError
 
 from calibration import C_FIX, MU_RATIO_ENVELOPE
 from oracles import (layer_ball_pairs, layer_union_pairs, mp_interval, needs_mpmath, under_budget,
-                     power_series_converges)
+                     power_series_converges, window_t0_by_division)
 
 K = MissingDigitSet.middle_thirds()
 UNIT = RatInterval.unit()
@@ -390,6 +390,26 @@ def test_window_t0_refuses_a_window_of_length_zero():
     assert window_t0(RatInterval(F(0), F(1, 2)), 3) == 2  # 1/9 < 1/4 <= 1/3
     with pytest.raises(InputError, match="^window must have positive length$"):
         window_t0(RatInterval(F(1, 2), F(1, 2)), 3)
+
+
+# radii b^-t exactly, just off it on either side, a/(a b^t + d) with
+# |d| <= a, and arbitrary rationals
+t0_radii = st.one_of(
+    st.builds(lambda b, t, k: (b, F(1, b ** t) * (1 + F(k, 10 ** 30))),
+              st.integers(2, 40), st.integers(1, 300), st.integers(-1, 1)),
+    st.builds(lambda b, t, a, d: (b, F(a, a * b ** t + d * a // 1000)), st.integers(2, 40),
+              st.integers(1, 100), st.integers(1, 2 ** 40), st.integers(-1000, 1000)),
+    st.builds(lambda b, num, den: (b, F(min(num, den), 2 * den)), st.integers(2, 40),
+              st.integers(1, 10 ** 60), st.integers(1, 10 ** 200)))
+
+
+@given(t0_radii, st.fractions(min_value=0, max_value=1))
+@settings(max_examples=500, deadline=None)
+def test_window_t0_matches_the_division_loop(case, start):
+    base, radius = case[0], min(case[1], F(1, 2))
+    lo = start * (1 - 2 * radius)
+    window = RatInterval(lo, lo + 2 * radius)
+    assert window_t0(window, base) == window_t0_by_division(window, base)
 
 
 def test_comparability_envelope_calibration():
