@@ -143,6 +143,12 @@ def _sparse_argvs() -> list[str]:
                                                 "113/355", "3/7", "1/2")
             for d in (1, 5, 30)]
     out += [f"exponent --x {x} --depth 30" for x in ("golden", "sqrt:1/2", "sqrt:2/3")]
+    # xi-verify past four terms: the expansion's doubling loop and Legendre
+    # bounds that the truncation's exponent does not imply
+    out += [f"xi-verify{rule} --terms {t}"
+            for rule in (" --tau 11/5", " --tau 5/2", " --tau 11/4", " --tau 3", " --tau 10/3",
+                         " --tau 7/2", " --rule factorial")
+            for t in (5, 6, 7)]
     # deep factorial expansions, at the depths where the CSV and the JSON
     # report part: a quotient or a witness past the int-to-str limit
     out += ["cf --x xi --rule factorial --terms 3 --depth 160",
@@ -212,6 +218,19 @@ LEVEL_EDGES = (
     "dim-estimate --tau 100/3 --n 4", "layer --psi pow:2 --n 1 --window 0:1e-5000",
     "layer --psi pow:2 --n 30000", "layer --psi pow:1000 --n 30",
     "layer --psi pow:1000 --n 30 --window 0:1/10000000000000",
+    # exponent denominators over 64, whose powers take the exp path of
+    # rational_pow
+    "layer --psi pow:200/67 --n 2", "pairwise --psi pow:200/67 --m 1 --n 2",
+    "quasi-scan --psi pow:200/67 --nmax 3", "bc-ratio --psi pow:200/67 --q 2",
+    "series --psi pow:130/67 --f pow:1 --nmax 4",
+    "tail --psi pow:130/67 --f pow:gamma --n0 1 --nmax 4", "dim-estimate --tau 200/67 --n 3",
+    # radii below 2^-96, which psi_value refines
+    "layer --psi pow:3/2 --n 41 --window 0:1e-20",
+    "quasi-scan --psi pow:3/2 --mmin 41 --nmax 42 --window 0:1e-20",
+    # ball ends over their bit cap, and cell counts past the print limit
+    "quasi-scan --set 5:0,2,3 --psi pow:200 --window 2/9:7/9 --no-coprime --nmax 11",
+    "full-cover --n 20000", "layer --psi pow:0 --n 15000",
+    "pairwise --psi pow:0 --m 1 --n 15000",
 )
 
 
