@@ -12,7 +12,7 @@ import time
 from fractions import Fraction as F
 
 from cantorapprox import (ApproxFunction, MissingDigitSet, RatInterval, build_layer,
-                          layer_comparator, layer_measure, quasi_independence_scan,
+                          layer_comparator, layer_measure, psi_value, quasi_independence_scan,
                           window_t0)
 from cantorapprox.enclosures import iv_div
 
@@ -37,7 +37,7 @@ def scan_envelope():
         psi = ApproxFunction.power(tau)
         lo_env = hi_env = None
         for n in range(window_t0(UNIT, 3) + 1, 13):
-            mu = layer_measure(build_layer(K, psi, n, UNIT, coprime=True))
+            mu = layer_measure(build_layer(K, psi_value(psi, K, n), n, UNIT, coprime=True))
             ratio = iv_div((mu.lo, mu.hi), layer_comparator(K, psi, n, F(1)))
             lo_env = ratio[0] if lo_env is None else min(lo_env, ratio[0])
             hi_env = ratio[1] if hi_env is None else max(hi_env, ratio[1])

@@ -30,7 +30,7 @@ _EXPORTS = {
                "DimensionFunction", "Layer", "NaturalCoverTail", "PairRow", "Scalar",
                "ScanReport", "SeriesVerdict", "borel_cantelli_ratio",
                "box_dimension_estimate", "build_layer", "layer_comparator",
-               "layer_measure", "natural_cover_tail", "pairwise_measure",
+               "layer_measure", "natural_cover_tail", "pairwise_measure", "psi_value",
                "quasi_independence_scan", "series_classify", "series_term",
                "truncate_psi", "window_t0"),
     "contfrac": ("ContinuedFraction", "ExponentEstimate", "continued_fraction_expand",

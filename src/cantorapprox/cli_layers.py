@@ -102,9 +102,9 @@ def _window_of(args) -> RatInterval:
 def cmd_layer(args, dset):
     window = _window_of(args)
     psi = _psi_of(args)
-    if args.n >= 1:  # the radius past the print limit is refused before the build
-        render.value_csv(psi_value(psi, dset, args.n))
-    layer = build_layer(dset, psi, args.n, window, args.coprime)
+    radius = psi_value(psi, dset, args.n)
+    render.value_csv(radius)  # a radius past the print limit is refused before the build
+    layer = build_layer(dset, radius, args.n, window, args.coprime)
     mv = layer_measure(layer)
     comp = layer_comparator(dset, psi, args.n, cantor_measure(dset, window).value)
     row = {"n": args.n, "ball_count": len(layer.center_numerators),

@@ -191,6 +191,8 @@ def psi_value(psi: ApproxFunction, dset: MissingDigitSet, n: int) -> Iv:
     as fine while its lower end rounds to 0, for at most the `steps` of
     `errors.BUDGET` doublings (then PrecisionError).
     """
+    if n < 1:
+        raise InputError("level must be >= 1")
     kind = psi.kind
     if isinstance(kind, TableValues):
         if n not in kind.values:
@@ -336,11 +338,11 @@ class Layer(Record):
         return tuple(Fraction(p, bn) for p in self.center_numerators)
 
 
-def build_layer(dset: MissingDigitSet, psi: ApproxFunction, n: int,
+def build_layer(dset: MissingDigitSet, radius: Iv, n: int,
                 window: RatInterval, coprime: bool) -> Layer:
+    """The level-n layer of balls whose radius psi(b^n) `radius` encloses."""
     if n < 1:
         raise InputError("level must be >= 1")
-    radius = psi_value(psi, dset, n)
     grid, centers, unions, den = ball_unions(dset, n, coprime, window.pair(),
                                              radius[:1] if iv_is_exact(radius) else radius)
     return Layer(n=n, dset=dset, window=window, radius=radius,
@@ -438,11 +440,12 @@ def classify_pair_case(layer_m: Layer, n: int) -> str:
 
 def layer_table(dset: MissingDigitSet, psi: ApproxFunction, window: RatInterval,
                 levels: Sequence[int], coprime: bool) -> tuple[dict, dict, dict]:
-    """(layers, measures, pairs) by level, the one path to the layer measures
-    of `pairwise`, `quasi-scan` and `bc-ratio`: each level of `levels` built
-    and measured once, and mu(A_m ∩ A_n) for each pair (m, n) of `levels` in
-    order, or None when either layer is null: its intersections are exactly 0."""
-    layers = {k: build_layer(dset, psi, k, window, coprime) for k in dict.fromkeys(levels)}
+    """(layers, measures, pairs) by level, the one path to the layer measures of
+    `pairwise`, `quasi-scan` and `bc-ratio`: each level k of `levels` built from
+    psi(b^k), evaluated once, and measured once, and mu(A_m ∩ A_n) for each pair
+    (m, n) of `levels` in order, or None when a layer is null: it is exactly 0."""
+    layers = {k: build_layer(dset, psi_value(psi, dset, k), k, window, coprime)
+              for k in dict.fromkeys(levels)}
     measures = {k: layer_measure(v) for k, v in layers.items()}
     pairs = {(m, n): pairwise_measure(layers[m], layers[n])
              if measures[m].hi and measures[n].hi else None

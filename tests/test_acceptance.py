@@ -23,7 +23,7 @@ from cantorapprox import (ApproxFunction, DimensionFunction, MissingDigitSet,
                           full_cover_check, golden_ratio_source,
                           irrationality_exponent_estimate, layer_comparator,
                           layer_measure, legendre_is_convergent, membership,
-                          natural_cover_tail, prefix_interval_disjoint_from,
+                          natural_cover_tail, prefix_interval_disjoint_from, psi_value,
                           quasi_independence_scan, series_classify,
                           truncation_reports, well_approximable_band)
 from cantorapprox.cli import run_command
@@ -80,7 +80,7 @@ def test_c02_series_dichotomy_pair():
 def test_c03_layer_measure_identity():
     started = time.monotonic()
     for n in range(1, 9):
-        mu = layer_measure(build_layer(K, PSI2, n, UNIT, coprime=True)).value
+        mu = layer_measure(build_layer(K, psi_value(PSI2, K, n), n, UNIT, coprime=True)).value
         assert mu == F(1, 2 ** n)
         assert layer_comparator(K, PSI2, n, F(1)) == (mu, mu)  # ratio exactly 1
     _report("C03 layer measure identity mu(A*_n) = 2^-n = comparator, n <= 8",

@@ -763,6 +763,21 @@ def test_each_legendre_bound_and_case_split_radius_is_decided_once():
     assert evaluated.call_count == 8  # one per layer, none per pair
 
 
+@pytest.mark.parametrize("argv, evaluations", [
+    ("layer --psi pow:3/2 --n 3", 1),
+    ("layer --psi pow:20000/67 --n 14 --window 0:1/1000000", 1),
+    # layer_comparator evaluates a law with a log factor once more
+    ("layer --psi powlog:2,1 --n 3", 2),
+    ("pairwise --psi pow:2 --m 3 --n 3", 1),
+])
+def test_a_level_evaluates_its_radius_once(argv, evaluations):
+    evaluated = mock.Mock(wraps=layers.psi_value)
+    with mock.patch.object(layers, "psi_value", evaluated), \
+            mock.patch.object(cli_layers, "psi_value", evaluated):
+        run_command(argv.split())
+    assert evaluated.call_count == evaluations
+
+
 def test_series_stops_at_the_first_missing_table_value():
     # psi(3) = 1/9 and psi(9) = 1/81 with f(r) = r give the terms 2 * 1/9
     # and 4 * 1/81; the table has no psi(27)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cantorapprox import (ApproxFunction, InputError, MissingDigitSet, PrecisionError,
-                          RatInterval, box_dimension_estimate, build_layer,
+from cantorapprox import (InputError, MissingDigitSet, PrecisionError, RatInterval,
+                          box_dimension_estimate, build_layer,
                           cantor_measure, full_cover_check, layer_measure, layers)
 
 from oracles import box_count, full_cover_closed_form, full_cover_fraction_balls
@@ -104,6 +104,6 @@ def test_natural_cover_is_the_layer_of_psi_one_over_r(case):
     `full_cover_check` holds exactly when that layer has the window's measure."""
     dset, n, window = case
     assume(window.lo < window.hi)
-    layer = build_layer(dset, ApproxFunction.power(1), n, window, False)
+    layer = build_layer(dset, (F(1, dset.base ** n),) * 2, n, window, False)
     covers = layer_measure(layer).lo == cantor_measure(dset, window).value
     assert full_cover_check(dset, n, window) == covers

@@ -15,7 +15,8 @@ from cantorapprox import (CantorMeasureValue, DimensionFunction, HypothesisViola
                           truncation_report, well_approximable_band)
 from cantorapprox.cli import run_command
 from cantorapprox.enclosures import ln_interval, nthroot_interval, pow_interval, rational_pow
-from cantorapprox.layers import ApproxFunction, f_of_psi
+from cantorapprox.layers import (ApproxFunction, Scalar, build_layer, f_of_psi, psi_value,
+                                 truncate_psi)
 
 K = MissingDigitSet(3, (0, 2))
 PSI = ApproxFunction.power(2)
@@ -102,6 +103,18 @@ CALL_CHECKS = {
     "center_count level": (lambda: center_count(K, 0), "level must be >= 1"),
     "full_cover level": (lambda: full_cover_check(K, 0, RatInterval.unit()),
                          "level must be >= 1"),
+    # psi_value names a bad level before it reads any law
+    "psi level": (lambda: psi_value(PSI, K, 0), "level must be >= 1"),
+    "psi level, powlog": (lambda: psi_value(ApproxFunction.power_log(2, Scalar.of(1)), K, 0),
+                          "level must be >= 1"),
+    "psi level, table": (lambda: psi_value(ApproxFunction.table({1: F(1, 9)}), K, 0),
+                         "level must be >= 1"),
+    "psi level, truncated": (lambda: psi_value(truncate_psi(PSI, F(1, 2)), K, 0),
+                             "level must be >= 1"),
+    "layer level 0": (lambda: build_layer(K, (F(1, 9), F(1, 9)), 0, RatInterval.unit(), True),
+                      "level must be >= 1"),
+    "layer level -1": (lambda: build_layer(K, (F(1, 9), F(1, 9)), -1, RatInterval.unit(), True),
+                       "level must be >= 1"),
     "membership depth": (lambda: membership(F(1, 2), K, 0), "depth must be >= 1"),
     "prefix depth": (lambda: prefix_interval_disjoint_from(cf_prefix_interval([1]), K, 0),
                      "depth must be >= 1"),

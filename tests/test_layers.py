@@ -33,6 +33,11 @@ UNIT = RatInterval.unit()
 PSI2 = ApproxFunction.power(2)
 
 
+def psi_layer(dset, psi, n, window, coprime):
+    """The level-n layer at the radius psi(b^n), built as `layers.layer_table` builds it."""
+    return build_layer(dset, psi_value(psi, dset, n), n, window, coprime)
+
+
 def test_truncate_examples():
     half = ApproxFunction.power(F(1, 2))
     t = truncate_psi(half, F(1, 2))
@@ -82,20 +87,20 @@ def test_truncate_rejects_nonpositive():
 
 
 def test_build_layer_examples():
-    l1 = build_layer(K, PSI2, 1, UNIT, coprime=True)
+    l1 = psi_layer(K, PSI2, 1, UNIT, coprime=True)
     assert l1.centers == (F(1, 3), F(2, 3))
     assert l1.radius == (F(1, 9), F(1, 9))
     assert l1.disjoint
-    l1f = build_layer(K, PSI2, 1, UNIT, coprime=False)
+    l1f = psi_layer(K, PSI2, 1, UNIT, coprime=False)
     assert l1f.centers == (F(0), F(1, 3), F(2, 3), F(1))
-    l2 = build_layer(K, PSI2, 2, UNIT, coprime=True)
+    l2 = psi_layer(K, PSI2, 2, UNIT, coprime=True)
     assert l2.centers == (F(1, 9), F(2, 9), F(7, 9), F(8, 9))
     assert l2.radius == (F(1, 81), F(1, 81))
 
 
 def test_layer_window_clipping():
     window = RatInterval.make(F(0), F(1, 2))
-    layer = build_layer(K, PSI2, 2, window, coprime=True)
+    layer = psi_layer(K, PSI2, 2, window, coprime=True)
     assert layer.centers == (F(1, 9), F(2, 9))
 
 
@@ -121,19 +126,19 @@ unit_rat = st.builds(lambda num, den: F(num % (den + 1), den),
 def test_layer_centers_match_every_center_filtered(dset, psi, n, a, b, coprime):
     assume(a != b)
     window = RatInterval.make(min(a, b), max(a, b))
-    layer = build_layer(dset, psi, n, window, coprime)
+    layer = psi_layer(dset, psi, n, window, coprime)
     assert layer.centers == _centers_from_every_center(dset, psi, n, window, coprime)
 
 
 def test_layer_measure_examples():
-    assert layer_measure(build_layer(K, PSI2, 1, UNIT, True)).value == F(1, 2)
-    assert layer_measure(build_layer(K, PSI2, 2, UNIT, True)).value == F(1, 4)
-    assert layer_measure(build_layer(K, PSI2, 1, UNIT, False)).value == 1
+    assert layer_measure(psi_layer(K, PSI2, 1, UNIT, True)).value == F(1, 2)
+    assert layer_measure(psi_layer(K, PSI2, 2, UNIT, True)).value == F(1, 4)
+    assert layer_measure(psi_layer(K, PSI2, 1, UNIT, False)).value == 1
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_layer_identity_and_comparator(n):
-    mu = layer_measure(build_layer(K, PSI2, n, UNIT, True)).value
+    mu = layer_measure(psi_layer(K, PSI2, n, UNIT, True)).value
     assert mu == F(1, 2 ** n)
     comp = layer_comparator(K, PSI2, n, F(1))
     assert comp == (mu, mu)
@@ -142,7 +147,7 @@ def test_layer_identity_and_comparator(n):
 def test_disjointness_means_sum_of_ball_measures(unit_window):
     from cantorapprox.digitsets import measure_pair
     for n in (1, 2, 3, 4):
-        layer = build_layer(K, PSI2, n, unit_window, True)
+        layer = psi_layer(K, PSI2, n, unit_window, True)
         assert layer.disjoint
         total = sum(measure_pair(K, lo, hi)
                     for lo, hi in layer_ball_pairs(layer, layer.radius[0]))
@@ -150,13 +155,13 @@ def test_disjointness_means_sum_of_ball_measures(unit_window):
 
 
 def test_pairwise_examples():
-    l1 = build_layer(K, PSI2, 1, UNIT, True)
-    l2 = build_layer(K, PSI2, 2, UNIT, True)
+    l1 = psi_layer(K, PSI2, 1, UNIT, True)
+    l2 = psi_layer(K, PSI2, 2, UNIT, True)
     assert pairwise_measure(l1, l2).value == F(1, 8)
     assert pairwise_measure(l2, l2).value == layer_measure(l2).value
     tab = ApproxFunction.table({1: F(1, 100), 2: F(1, 200)})
-    t1 = build_layer(K, tab, 1, UNIT, True)
-    t2 = build_layer(K, tab, 2, UNIT, True)
+    t1 = psi_layer(K, tab, 1, UNIT, True)
+    t2 = psi_layer(K, tab, 2, UNIT, True)
     assert classify_pair_case(t1, 2) == "i"
     assert pairwise_measure(t1, t2).value == 0
 
@@ -164,8 +169,8 @@ def test_pairwise_examples():
 def test_pairwise_requires_shared_window():
     other = RatInterval.make(0, F(1, 2))
     with pytest.raises(InputError):
-        pairwise_measure(build_layer(K, PSI2, 1, UNIT, True),
-                         build_layer(K, PSI2, 2, other, True))
+        pairwise_measure(psi_layer(K, PSI2, 1, UNIT, True),
+                         psi_layer(K, PSI2, 2, other, True))
 
 
 def test_scan_case_split_and_rho():
@@ -360,13 +365,13 @@ def test_borel_cantelli_ratio_is_read_off_the_scan_pairs(window, psi):
     """(sum mu_s)^2 / (sum mu_s + 2 sum mu_mn) over the scan's rows, and a
     skipped pair, one with a null layer, adds nothing."""
     q = 5
-    mus = {s: layer_measure(build_layer(K, psi, s, window, True)) for s in range(1, q + 1)}
+    mus = {s: layer_measure(psi_layer(K, psi, s, window, True)) for s in range(1, q + 1)}
     scan = quasi_independence_scan(K, psi, window, q)
     null = tuple((m, n) for m in mus for n in mus if m < n and not mus[m].hi * mus[n].hi)
     assert scan.skipped == null
     for m, n in null:
-        assert pairwise_measure(build_layer(K, psi, m, window, True),
-                                build_layer(K, psi, n, window, True)).value == 0
+        assert pairwise_measure(psi_layer(K, psi, m, window, True),
+                                psi_layer(K, psi, n, window, True)).value == 0
     num = (sum(mu.lo for mu in mus.values()), sum(mu.hi for mu in mus.values()))
     den = (num[0] + 2 * sum(r.mu_mn.lo for r in scan.rows),
            num[1] + 2 * sum(r.mu_mn.hi for r in scan.rows))
@@ -416,7 +421,7 @@ def test_comparability_envelope_calibration():
     for tau, (c_lo, c_hi) in MU_RATIO_ENVELOPE.items():
         psi = ApproxFunction.power(tau)
         for n in range(window_t0(UNIT, 3) + 1, 11):
-            mu = layer_measure(build_layer(K, psi, n, UNIT, True))
+            mu = layer_measure(psi_layer(K, psi, n, UNIT, True))
             comp = layer_comparator(K, psi, n, F(1))
             ratio = iv_div((mu.lo, mu.hi), comp)
             assert c_lo <= ratio[0] and ratio[1] <= c_hi, (tau, n)
@@ -432,7 +437,7 @@ def test_quasi_independence_bounded_by_calibration():
 
 def test_irrational_radius_bounds_mode():
     psi = ApproxFunction.power(F(3, 2))
-    layer = build_layer(K, psi, 3, UNIT, True)  # radius 3^(-4.5), irrational
+    layer = psi_layer(K, psi, 3, UNIT, True)  # radius 3^(-4.5), irrational
     assert layer.radius[0] < layer.radius[1]
     mu = layer_measure(layer)
     # bounds may collapse when the measure is radius-insensitive on the
@@ -447,8 +452,8 @@ def test_pairwise_symmetric_bound(m, n):
     if m == n:
         return
     m, n = min(m, n), max(m, n)
-    lm = build_layer(K, PSI2, m, UNIT, True)
-    ln_ = build_layer(K, PSI2, n, UNIT, True)
+    lm = psi_layer(K, PSI2, m, UNIT, True)
+    ln_ = psi_layer(K, PSI2, n, UNIT, True)
     inter = pairwise_measure(lm, ln_).value
     assert inter <= min(layer_measure(lm).value, layer_measure(ln_).value)
 
@@ -457,7 +462,7 @@ def test_pairwise_symmetric_bound(m, n):
                          ids=["pow:2", "pow:3/2"])
 def test_layer_tables_match_fresh_union_measures(psi):
     window = RatInterval.make(F(1, 7), F(5, 6))
-    layers = [build_layer(K, psi, n, window, coprime) for n in range(1, 6)
+    layers = [psi_layer(K, psi, n, window, coprime) for n in range(1, 6)
               for coprime in (True, False)]
     for layer in layers:
         mu = layer_measure(layer)
@@ -498,7 +503,7 @@ def test_grid_measures_match_fraction_ball_oracle(dset, psi, data, a, b, coprime
     assume(a != b)
     window = RatInterval.make(min(a, b), max(a, b))
     top = GRID_SETS[dset]
-    layers = [build_layer(dset, psi, k, window, coprime) for k in range(1, top + 1)]
+    layers = [psi_layer(dset, psi, k, window, coprime) for k in range(1, top + 1)]
     for layer in layers:
         mu = layer_measure(layer)
         assert (mu.lo, mu.hi) == tuple(measure_union(dset, layer_union_pairs(layer, r))
@@ -587,14 +592,13 @@ def test_scalar_gamma_power_matches_repeated_products():
 def test_edge_cases_of_the_grid_tests():
     # balls that touch a window end in one point keep their center
     window = RatInterval.make(F(4, 9), F(5, 9))
-    assert build_layer(K, PSI2, 1, window, True).centers == (F(1, 3), F(2, 3))
+    assert psi_layer(K, PSI2, 1, window, True).centers == (F(1, 3), F(2, 3))
     # a radius of exactly 1/(2 b^n) makes touching, not disjoint, balls
     for n in (1, 2, 3):
         half = F(1, 2 * 3 ** n)
-        touching = ApproxFunction.table({n: half})
-        assert not build_layer(K, touching, n, UNIT, True).disjoint
-        apart = ApproxFunction.table({n: half - F(1, 10 ** 9)})
-        assert build_layer(K, apart, n, UNIT, True).disjoint
+        assert not build_layer(K, (half, half), n, UNIT, True).disjoint
+        apart = half - F(1, 10 ** 9)
+        assert build_layer(K, (apart, apart), n, UNIT, True).disjoint
 
 
 @pytest.mark.parametrize("dset", list(GRID_SETS), ids=str)
@@ -607,8 +611,8 @@ def test_wide_radius_bounds_match_fraction_ball_oracle(dset):
         return (F(1, 8 * b ** n), F(1, b ** n))
 
     window = RatInterval.make(F(1, 10007), F(9, 10))
-    with mock.patch.object(layers, "psi_value", wide):
-        built = [build_layer(dset, PSI2, n, window, True) for n in (1, 2, 3)]
+    built = [build_layer(dset, wide(PSI2, dset, n), n, window, True) for n in (1, 2, 3)]
+    with mock.patch.object(layers, "psi_value", wide):  # the radii bc-ratio evaluates
         with pytest.raises(PrecisionError, match="^union measure undecided"):
             borel_cantelli_ratio(dset, PSI2, window, 3)
     assert any(layer_measure(l).lo < layer_measure(l).hi for l in built)
@@ -633,26 +637,21 @@ def test_layer_lists_every_center_whose_outer_ball_meets_the_window(dset):
     """With radius bounds r_lo < r_hi, a center whose r_hi-ball alone meets
     the window still belongs to the layer: its outer union needs it."""
     b = dset.base
-
-    def wide(psi, dset_, n):
-        return (F(1, 8 * b ** n), F(3, b ** n))
-
     window = RatInterval.make(F(1, 10007), F(9, 10))
     w_lo, w_hi = window.lo, window.hi
-    with mock.patch.object(layers, "psi_value", wide):
-        for n in (1, 2, 3):
-            for coprime in (False, True):
-                layer = build_layer(dset, PSI2, n, window, coprime)
-                r = layer.radius[1]
-                want = [p for p in enumerate_centers(dset, n, coprime)
-                        if w_lo - r <= F(p, b ** n) <= w_hi + r]
-                assert list(layer.center_numerators) == want, (n, coprime)
+    for n in (1, 2, 3):
+        for coprime in (False, True):
+            layer = build_layer(dset, (F(1, 8 * b ** n), F(3, b ** n)), n, window, coprime)
+            r = layer.radius[1]
+            want = [p for p in enumerate_centers(dset, n, coprime)
+                    if w_lo - r <= F(p, b ** n) <= w_hi + r]
+            assert list(layer.center_numerators) == want, (n, coprime)
 
 
 @pytest.mark.parametrize("build, listings", [
-    (lambda: build_layer(K, PSI2, 4, UNIT, True), 1),  # one radius
-    (lambda: build_layer(K, ApproxFunction.power_log(2, Scalar.of(1)), 4,
-                         RatInterval.make(F(1, 7), F(6, 7)), False), 1),  # two radii
+    (lambda: psi_layer(K, PSI2, 4, UNIT, True), 1),  # one radius
+    (lambda: psi_layer(K, ApproxFunction.power_log(2, Scalar.of(1)), 4,
+                       RatInterval.make(F(1, 7), F(6, 7)), False), 1),  # two radii
     (lambda: full_cover_check(MissingDigitSet(5, (0, 2, 3)), 3,
                               RatInterval.make(F(1, 7), F(1))), 0),
     (lambda: box_dimension_estimate(K, F(3, 2), 4, True), 1),
@@ -689,7 +688,7 @@ def test_every_union_endpoint_carries_its_cdf(dset, psi, data, a, b, coprime):
         psi = _radius_at_least_a_cell(dset, top, data)
     window = RatInterval.make(min(a, b), max(a, b))
     for n in range(1, top + 1):
-        layer = build_layer(dset, psi, n, window, coprime)
+        layer = psi_layer(dset, psi, n, window, coprime)
         inner, outer, den = layer.unions
         for union in (inner, outer):
             for end in (x for pair in union for x in pair):
@@ -731,7 +730,7 @@ def test_layer_comparator_of_other_psis_meets_the_mpmath_interval(dset, psi):
         assert lo <= mhi and mlo <= hi, n
 
 
-def _wide_radius(psi, dset, n):
+def _wide_radius(dset, n):
     """Radius bounds 1/(8 b^n) and 3/(5 b^n): four distinct ball offsets."""
     return (F(1, 8 * dset.base ** n), F(3, 5 * dset.base ** n))
 
@@ -742,10 +741,9 @@ def _wide_radius(psi, dset, n):
 def test_one_layer_makes_at_most_six_cdf_walks(dset, psi):
     """Four ball offsets (two radii, each end) and two window ends."""
     window = RatInterval.make(F(1, 7919), F(9972, 10007))
-    radius = _wide_radius if psi == "wide" else layers.psi_value
-    with mock.patch.object(layers, "psi_value", radius), \
-            mock.patch.object(digitsets, "cantor_cdf", wraps=digitsets.cantor_cdf) as walks:
-        layer = build_layer(dset, PSI2 if psi == "wide" else psi, 4, window, False)
+    radius = _wide_radius(dset, 4) if psi == "wide" else psi_value(psi, dset, 4)
+    with mock.patch.object(digitsets, "cantor_cdf", wraps=digitsets.cantor_cdf) as walks:
+        layer = build_layer(dset, radius, 4, window, False)
         mu = layer_measure(layer)
     assert 0 < walks.call_count <= 6
     assert (mu.lo, mu.hi) == tuple(measure_union(dset, layer_union_pairs(layer, r))

@@ -18,7 +18,7 @@ from cantorapprox import (AffineSource, ApproxFunction, CantorMeasureValue,
                           borel_cantelli_ratio, box_dimension_estimate, build_layer,
                           build_sparse_number, cantor_measure, cf_prefix_interval,
                           continued_fraction_expand, irrationality_exponent_estimate,
-                          membership, natural_cover_tail, quasi_independence_scan,
+                          membership, natural_cover_tail, psi_value, quasi_independence_scan,
                           series_classify, truncate_psi, truncation_report)
 from cantorapprox.enclosures import LogRatioSource, golden_ratio_source
 from cantorapprox.errors import BUDGET, Budget
@@ -62,7 +62,7 @@ def _samples() -> list:
         ApproxFunction.table({1: F(1, 2)}).kind,
         psi, truncate_psi(psi, F(1, 2)),
         f, DimensionFunction.table({1: F(1)}),
-        build_layer(k, psi, 2, window, True), scan.rows[0], scan,
+        build_layer(k, psi_value(psi, k, 2), 2, window, True), scan.rows[0], scan,
         series_classify(k, psi, f, 4), natural_cover_tail(k, psi, f, 1, 3),
         borel_cantelli_ratio(k, psi, window, 2), box_dimension_estimate(k, F(2), 2, True),
         PowerRule(F(3)), PowerRule(F(5, 2), F(2)), FactorialRule(),
@@ -150,7 +150,7 @@ def test_cached_properties_survive_freezing_and_pickling():
     k = MissingDigitSet(5, (3, 0, 2))
     assert k._digitset is k._digitset == frozenset({0, 2, 3})
     assert "_digitset" in vars(k)
-    layer = build_layer(MissingDigitSet(3, (0, 2)), ApproxFunction.power(F(3, 2)), 2,
+    layer = build_layer(MissingDigitSet(3, (0, 2)), (F(1, 27), F(1, 27)), 2,
                         RatInterval.unit(), True)
     unions = layer.unions
     assert layer.unions is unions and "unions" in vars(layer)
