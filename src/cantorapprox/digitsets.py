@@ -40,7 +40,7 @@ from functools import cached_property
 from math import gcd, lcm, log2
 from typing import Iterable, Optional, Sequence
 
-from .errors import BUDGET, InputError, ResourceBudgetError, check_bits, power_bits
+from .errors import BUDGET, InputError, ResourceBudgetError, check_bits, power_bits, text
 from .intervals import Pair, PrefixInterval, RatInterval, clip_union, merge_pairs
 from .records import Record
 
@@ -124,8 +124,8 @@ class MissingDigitSet(Record):
         """Number of allowed digits strictly below each digit 0..b-1, one run
         a gap between allowed digits; ResourceBudgetError past 2^22 digits."""
         if self.base > (cap := 1 << 22):
-            raise ResourceBudgetError(f"base {self.base:,} over the {cap:,}-entry cap of the "
-                                      "prefix-rank table")
+            raise ResourceBudgetError(f"base {text(self.base, ',')} over the {cap:,}-entry "
+                                      "cap of the prefix-rank table")
         below: list[int] = []
         for i, (lo, hi) in enumerate(zip((-1,) + self.digits, self.digits + (self.base - 1,))):
             below += [i] * (hi - lo)

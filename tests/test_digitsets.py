@@ -414,6 +414,12 @@ def test_a_base_past_the_rank_table_cap_is_refused_when_a_rank_is_read():
     assert huge.prefix_allowed(1, 1) and not huge.prefix_allowed(2, 1)
 
 
+def test_a_base_past_the_int_to_str_limit_is_refused_by_its_bit_length():
+    with pytest.raises(ResourceBudgetError, match=r"^base <16,610-bit integer> over the "
+                       r"4,194,304-entry cap of the prefix-rank table$"):
+        cantor_cdf(MissingDigitSet(10 ** 5000, (0, 1)), F(1, 3))
+
+
 def _centers_by_membership(dset, n, coprime):
     """Cylinder endpoints verified one by one with the digit-walk oracle."""
     bn = dset.base ** n
