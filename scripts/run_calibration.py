@@ -37,8 +37,9 @@ def scan_envelope():
         psi = ApproxFunction.power(tau)
         lo_env = hi_env = None
         for n in range(window_t0(UNIT, 3) + 1, 13):
-            mu = layer_measure(build_layer(K, psi_value(psi, K, n), n, UNIT, coprime=True))
-            ratio = iv_div((mu.lo, mu.hi), layer_comparator(K, psi, n, F(1)))
+            radius = psi_value(psi, K, n)
+            mu = layer_measure(build_layer(K, radius, n, UNIT, coprime=True))
+            ratio = iv_div((mu.lo, mu.hi), layer_comparator(K, psi, radius, n, F(1)))
             lo_env = ratio[0] if lo_env is None else min(lo_env, ratio[0])
             hi_env = ratio[1] if hi_env is None else max(hi_env, ratio[1])
         print(f"  tau={tau}: ratio envelope [{float(lo_env):.6f}, {float(hi_env):.6f}]"

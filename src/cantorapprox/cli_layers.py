@@ -103,10 +103,11 @@ def cmd_layer(args, dset):
     window = _window_of(args)
     psi = _psi_of(args)
     radius = psi_value(psi, dset, args.n)
-    render.value_csv(radius)  # a radius past the print limit is refused before the build
+    for k in (*radius[0].as_integer_ratio(), *radius[1].as_integer_ratio()):
+        render.check_int(k)  # a radius past the print limit is refused before the build
     layer = build_layer(dset, radius, args.n, window, args.coprime)
     mv = layer_measure(layer)
-    comp = layer_comparator(dset, psi, args.n, cantor_measure(dset, window).value)
+    comp = layer_comparator(dset, psi, radius, args.n, cantor_measure(dset, window).value)
     row = {"n": args.n, "ball_count": len(layer.center_numerators),
            "radius": render.Value(layer.radius), "measure": mv, "comparator": render.Value(comp)}
     results = {**row, "coprime": args.coprime, "t0": window_t0(window, dset.base),

@@ -254,8 +254,8 @@ def _require_monotonic(f: DimensionFunction, psi: ApproxFunction, dset: MissingD
         if n not in values:
             break
         try:
-            here = (psi_value(psi, dset, n),
-                    iv_scale(f_of_psi(_INV_GAMMA, psi, dset, n), Fraction(values[n])))
+            r = psi_value(psi, dset, n)
+            here = (r, iv_scale(f_of_psi(_INV_GAMMA, psi, dset, n, r), Fraction(values[n])))
         except (InputError, PrecisionError):
             here = None
         if last and here:
@@ -271,8 +271,8 @@ def _require_monotonic(f: DimensionFunction, psi: ApproxFunction, dset: MissingD
 
 
 def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
-             n: int) -> Iv:
-    """Enclosure of f(psi(b^n)), exploiting exact exponent algebra when possible."""
+             n: int, radius: Optional[Iv] = None) -> Iv:
+    """Enclosure of f(psi(b^n)); its generic branch reads psi(b^n) off `radius` if given."""
     if isinstance(f.kind, TableValues):
         if n not in f.kind.values:
             raise InputError(f"f table has no value at level {n}")
@@ -283,8 +283,7 @@ def f_of_psi(f: DimensionFunction, psi: ApproxFunction, dset: MissingDigitSet,
         return _law_value(psi.kind.scaled(s), dset, n,
                           irrational_message="f(power_log psi) needs a rational "
                                              "combined log exponent")
-    # generic: evaluate psi then apply the power
-    return pow_interval(psi_value(psi, dset, n), s.value_iv(dset), VALUE_BITS)
+    return pow_interval(radius or psi_value(psi, dset, n), s.value_iv(dset), VALUE_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +391,16 @@ def pairwise_measure(layer_m: Layer, layer_n: Layer) -> CantorMeasureValue:
     return CantorMeasureValue(lo, lo if exact else meet(1))
 
 
-def layer_comparator(dset: MissingDigitSet, psi: ApproxFunction, n: int,
+def layer_comparator(dset: MissingDigitSet, psi: ApproxFunction, radius: Iv, n: int,
                      window_measure: Fraction) -> Iv:
-    """mu(B) * (psi(b^n) * b^n)^gamma, the predicted size of a layer."""
+    """mu(B) * (psi(b^n) * b^n)^gamma, the predicted size of a layer of radius `radius`."""
     law = psi.kind
     if (psi.truncation is None and isinstance(law, PowerLaw) and law.power.is_rational
             and law.log_exponent.coef == 0):
         # (b^(n - n*tau))^gamma with tau rational
         val = Scalar(n - n * law.power.coef, 1).evaluate_base_power(dset)
         return iv_scale(val, window_measure)
-    scaled = iv_scale(psi_value(psi, dset, n), Fraction(dset.base) ** n)
+    scaled = iv_scale(radius, Fraction(dset.base) ** n)
     return iv_scale(pow_interval(scaled, GAMMA.value_iv(dset), VALUE_BITS), window_measure)
 
 
@@ -426,16 +425,16 @@ class ScanReport(Record):
     c_empirical: Optional[Iv]
 
 
-def classify_pair_case(layer_m: Layer, n: int) -> str:
-    """Case "i" when b^-n >= 2 psi(b^m), the level-m layer's radius, forces
+def classify_pair_case(base: int, m: int, radius_m: Iv, n: int) -> str:
+    """Case "i" when b^-n >= 2 psi(b^m), which `radius_m` encloses, forces
     empty intersections."""
-    lhs = Fraction(layer_m.dset.base) ** (-n)
-    lo, hi = layer_m.radius
+    lhs = Fraction(base) ** (-n)
+    lo, hi = radius_m
     if lhs >= 2 * hi:
         return "i"
     if lhs < 2 * lo:
         return "ii"
-    raise PrecisionError(f"case split undecided for pair ({layer_m.n},{n})")
+    raise PrecisionError(f"case split undecided for pair ({m},{n})")
 
 
 def layer_table(dset: MissingDigitSet, psi: ApproxFunction, window: RatInterval,
@@ -468,8 +467,8 @@ def quasi_independence_scan(dset: MissingDigitSet, psi: ApproxFunction,
             mm, mn = measures[m], measures[n]
             denom = (mm.lo * mn.lo, mm.hi * mn.hi)
             rho = iv_scale(iv_div((inter.lo, inter.hi), denom), mu_b)
-            rows.append(PairRow(m=m, n=n, case=classify_pair_case(layers[m], n),
-                                mu_m=mm, mu_n=mn, mu_mn=inter, rho=rho))
+            case = classify_pair_case(dset.base, m, layers[m].radius, n)
+            rows.append(PairRow(m=m, n=n, case=case, mu_m=mm, mu_n=mn, mu_mn=inter, rho=rho))
     c_emp = (max(r.rho[0] for r in rows), max(r.rho[1] for r in rows)) if rows else None
     return ScanReport(window_measure=mu_b, rows=tuple(rows),
                       skipped=tuple(pair for pair, inter in pairs.items() if inter is None),

@@ -80,9 +80,10 @@ def test_c02_series_dichotomy_pair():
 def test_c03_layer_measure_identity():
     started = time.monotonic()
     for n in range(1, 9):
-        mu = layer_measure(build_layer(K, psi_value(PSI2, K, n), n, UNIT, coprime=True)).value
+        radius = psi_value(PSI2, K, n)
+        mu = layer_measure(build_layer(K, radius, n, UNIT, coprime=True)).value
         assert mu == F(1, 2 ** n)
-        assert layer_comparator(K, PSI2, n, F(1)) == (mu, mu)  # ratio exactly 1
+        assert layer_comparator(K, PSI2, radius, n, F(1)) == (mu, mu)  # ratio exactly 1
     _report("C03 layer measure identity mu(A*_n) = 2^-n = comparator, n <= 8",
             60, started)
 

@@ -763,12 +763,23 @@ def test_each_legendre_bound_and_case_split_radius_is_decided_once():
     assert evaluated.call_count == 8  # one per layer, none per pair
 
 
+_PSI_TABLE = "table:1=1/10,2=1/100,3=1/1000,4=1/10000"
+_F_TABLE = "table:1=1/2,2=1/4,3=1/8,4=1/16"
+
+
 @pytest.mark.parametrize("argv, evaluations", [
     ("layer --psi pow:3/2 --n 3", 1),
     ("layer --psi pow:20000/67 --n 14 --window 0:1/1000000", 1),
-    # layer_comparator evaluates a law with a log factor once more
-    ("layer --psi powlog:2,1 --n 3", 2),
+    # layer_comparator reads a law it cannot take in closed form off the radius
+    ("layer --psi powlog:2,1 --n 3", 1),
+    ("layer --psi table:3=1/100 --n 3", 1),
+    ("layer --psi pow:2 --trunc 1 --n 3", 1),
     ("pairwise --psi pow:2 --m 3 --n 3", 1),
+    # a table f's monotonicity check raises the radius it evaluated to -gamma
+    (f"series --psi {_PSI_TABLE} --f {_F_TABLE} --nmax 4", 4),
+    (f"series --psi pow:2 --trunc 1 --f {_F_TABLE} --nmax 4", 4),
+    (f"tail --psi {_PSI_TABLE} --f {_F_TABLE} --n0 1 --nmax 4", 4),
+    (f"tail --psi pow:2 --trunc 1 --f {_F_TABLE} --n0 1 --nmax 4", 4),
 ])
 def test_a_level_evaluates_its_radius_once(argv, evaluations):
     evaluated = mock.Mock(wraps=layers.psi_value)

@@ -138,9 +138,10 @@ def test_layer_measure_examples():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_layer_identity_and_comparator(n):
-    mu = layer_measure(psi_layer(K, PSI2, n, UNIT, True)).value
+    layer = psi_layer(K, PSI2, n, UNIT, True)
+    mu = layer_measure(layer).value
     assert mu == F(1, 2 ** n)
-    comp = layer_comparator(K, PSI2, n, F(1))
+    comp = layer_comparator(K, PSI2, layer.radius, n, F(1))
     assert comp == (mu, mu)
 
 
@@ -162,8 +163,19 @@ def test_pairwise_examples():
     tab = ApproxFunction.table({1: F(1, 100), 2: F(1, 200)})
     t1 = psi_layer(K, tab, 1, UNIT, True)
     t2 = psi_layer(K, tab, 2, UNIT, True)
-    assert classify_pair_case(t1, 2) == "i"
+    assert classify_pair_case(K.base, 1, t1.radius, 2) == "i"
     assert pairwise_measure(t1, t2).value == 0
+
+
+def test_case_split_compares_b_to_the_minus_n_with_twice_the_level_m_radius():
+    """At b = 3 and n = 2, b^-n = 1/9: a radius enclosure whose upper end
+    is at most 1/18 gives case "i", one whose lower end is over 1/18 gives
+    "ii", and one straddling 1/18 decides neither."""
+    assert classify_pair_case(3, 1, (F(1, 18), F(1, 18)), 2) == "i"
+    assert classify_pair_case(3, 1, (F(1, 20), F(1, 18)), 2) == "i"
+    assert classify_pair_case(3, 1, (F(1, 17), F(1, 16)), 2) == "ii"
+    with pytest.raises(PrecisionError, match=r"^case split undecided for pair \(1,2\)$"):
+        classify_pair_case(3, 1, (F(1, 19), F(1, 17)), 2)
 
 
 def test_pairwise_requires_shared_window():
@@ -421,8 +433,9 @@ def test_comparability_envelope_calibration():
     for tau, (c_lo, c_hi) in MU_RATIO_ENVELOPE.items():
         psi = ApproxFunction.power(tau)
         for n in range(window_t0(UNIT, 3) + 1, 11):
-            mu = layer_measure(psi_layer(K, psi, n, UNIT, True))
-            comp = layer_comparator(K, psi, n, F(1))
+            layer = psi_layer(K, psi, n, UNIT, True)
+            mu = layer_measure(layer)
+            comp = layer_comparator(K, psi, layer.radius, n, F(1))
             ratio = iv_div((mu.lo, mu.hi), comp)
             assert c_lo <= ratio[0] and ratio[1] <= c_hi, (tau, n)
             if tau in (F(2), F(3)):
@@ -725,7 +738,7 @@ def test_layer_comparator_of_other_psis_meets_the_mpmath_interval(dset, psi):
         return iv.exp(iv.log(m) / iv.log(b) * iv.log(scaled)) * mu_b.numerator / mu_b.denominator
 
     for n in range(1, 7):
-        lo, hi = layer_comparator(dset, psi, n, mu_b)
+        lo, hi = layer_comparator(dset, psi, psi_value(psi, dset, n), n, mu_b)
         mlo, mhi = mp_interval(lambda iv: reference(iv, n), 2 * layers.VALUE_BITS)
         assert lo <= mhi and mlo <= hi, n
 
