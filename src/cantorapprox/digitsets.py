@@ -25,9 +25,10 @@ ResourceBudgetError past the `cells` of `errors.BUDGET`, which
 `ball_unions` is the one level kernel: one listing, of the cells that
 `_cells_meeting` finds for the window widened by the radius, gives the
 centers, whose balls it merges and clips, and the ranks of `grid_cdf`,
-the one CDF evaluator on a grid, that every union end carries.  The
-layers (radius psi(b^n)) and the box count of
-`layers.box_dimension_estimate` (b^(-tau n)) read it.  `full_cover_check`
+the one CDF evaluator on a grid, that every union end carries.  Only
+`layers.build_layer` calls it, for the layers (radius psi(b^n)) and for
+the box count of `layers.box_dimension_estimate`, one layer of radius
+about b^(-tau n).  `full_cover_check`
 counts those cells and needs no ball: the natural cover (radius b^-n)
 holds the set when 0 or b - 1 is a digit, and is empty otherwise.
 """
@@ -218,17 +219,19 @@ def _rational_status(dset: MissingDigitSet, x: Fraction) -> MembershipResult:
 
 def _enclosure_status(dset: MissingDigitSet, lo: Fraction, hi: Fraction,
                       depth: int) -> MembershipResult:
-    """Shared verdict of all points of [lo, hi] at the given level, if any.
+    """Shared verdict of all points of [lo, hi] up to the given level, if any.
 
-    The cells that meet [lo, hi], and those that meet (lo, hi).  Width-zero
-    enclosures take the exact rational path, so a point not covered always
-    shows up as a removed cell among the latter.
+    Out when no allowed level-depth cell meets [lo, hi]: cells are nested,
+    so that holds when [lo, hi] is out at any level up to depth.  Else
+    undetermined at the first level where a removed cell meets (lo, hi).
+    Width-zero enclosures take the exact rational path, so a point not
+    covered always shows up as a removed cell among the latter.
     """
+    if not _cell_count(dset, depth, *_cells_meeting(lo, hi, dset.base ** depth, True, True)):
+        return OUT
     scale = 1
     for level in range(1, depth + 1):
         scale *= dset.base
-        if not _cell_count(dset, level, *_cells_meeting(lo, hi, scale, True, True)):
-            return OUT
         a, e = _cells_meeting(lo, hi, scale, False, False)
         if _cell_count(dset, level, a, e) < e - a + 1:
             return MembershipResult("undetermined", level)

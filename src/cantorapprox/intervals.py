@@ -4,12 +4,13 @@ and the continued-fraction prefix intervals.
 `RatInterval` is the validated value used at API boundaries.  The union
 walks `merge_pairs` and `intersect_unions` only compare and copy
 endpoints, so they take (lo, hi) pairs of any totally ordered values:
-Fractions in `digitsets`, and in `layers` integer numerators over one
-common denominator (the layer's grid), each paired with the integer
-numerator of its CDF value over the layer's CDF denominator as an
-(x, cdf) tuple that orders by x.  Single points carry no mass for any
-of the measures here, so merging intervals that merely touch is always
-measure-safe.
+Fractions in `digitsets`, and integer numerators over one common
+denominator (a layer's grid), each paired with the integer numerator of
+its CDF value over the layer's CDF denominator as an (x, cdf) tuple that
+orders by x, in `ball_unions`, which merges and clips a level's balls,
+and in `layers.union_measure`, which merges the unions of several
+layers.  Single points carry no mass for any of the measures here, so
+merging intervals that merely touch is always measure-safe.
 
 `PrefixInterval` is the half-open interval of the numbers in (0,1)
 whose continued fraction starts with given quotients; its endpoints are

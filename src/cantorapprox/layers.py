@@ -8,8 +8,10 @@ bounds.  A layer's ball unions come from `digitsets.ball_unions`, which
 lists the level once, on one integer grid: every endpoint is an integer
 numerator over the layer's common denominator, carried with the integer
 numerator of its CDF value over one CDF denominator per layer.
-Two layers meet on the lcm of their grids and of their CDF denominators,
-and a measure is one integer sum made into a Fraction.
+Layers combine through `union_measure` alone, one merge of their unions
+on the lcm of their grids and of their CDF denominators: a pair's
+intersection by inclusion-exclusion, and the Borel-Cantelli union as it
+is.  A measure is one integer sum made into a Fraction.
 
 Exponents are carried symbolically as c * gamma^k where gamma is the
 set's similarity exponent log(#digits)/log(base).  That keeps the
@@ -30,7 +32,7 @@ from .enclosures import (Iv, LogRatioSource, exponent_enclosure, iv_add,
                          iv_cmp, iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
 from .errors import BUDGET, HypothesisViolation, InputError, PrecisionError, check_bits, power_bits
-from .intervals import RatInterval, intersect_unions, merge_pairs
+from .intervals import RatInterval, merge_pairs
 from .records import Record
 
 _ZERO = Fraction(0)
@@ -350,18 +352,6 @@ def build_layer(dset: MissingDigitSet, radius: Iv, n: int,
                  unions=(unions[0], unions[-1], den))  # one union when r is exact
 
 
-def _rescaled(layer: Layer, i: int, grid: int, den: int) -> GridUnion:
-    """The layer's inner (i = 0) or outer (i = 1) union on `grid` with its
-    CDF numerators over `den`, multiples of the layer's grid and CDF
-    denominator."""
-    union, cdf_den = layer.unions[i], layer.unions[2]
-    k, j = grid // layer.grid, den // cdf_den
-    if k == j == 1:
-        return union
-    return tuple(((lo * k, c_lo * j), (hi * k, c_hi * j))
-                 for (lo, c_lo), (hi, c_hi) in union)
-
-
 def layer_measure(layer: Layer) -> CantorMeasureValue:
     """Exact measure of the ball union (bounds when the radius is inexact)."""
     inner, outer, den = layer.unions
@@ -369,26 +359,37 @@ def layer_measure(layer: Layer) -> CantorMeasureValue:
     return CantorMeasureValue(lo_m, lo_m if outer is inner else carried_measure(outer, den))
 
 
-def pairwise_measure(layer_m: Layer, layer_n: Layer) -> CantorMeasureValue:
-    """Exact measure of the intersection of two layers over one window.
+def union_measure(layers: Sequence[Layer], i: int) -> Fraction:
+    """Exact measure of the union of the layers' inner (i = 0) or outer
+    (i = 1) ball unions, the layers sharing their set and window.
 
-    Both layers' unions are rescaled to the lcm of their grids, and their
-    CDF numerators to the lcm of their CDF denominators.  Every endpoint
-    of the intersection of two merged unions is an endpoint of one of
-    them, so it carries its CDF numerator through the intersection.
+    Their unions are rescaled to the lcm of their grids, and their CDF
+    numerators to the lcm of their CDF denominators, and merged once.
+    Every endpoint of the merged union is an endpoint of one of them, so
+    it carries its CDF numerator through the merge.
+    """
+    grid = lcm(*(layer.grid for layer in layers))
+    den = lcm(*(layer.unions[2] for layer in layers))
+    pairs = []
+    for layer in layers:
+        union, k, j = layer.unions[i], grid // layer.grid, den // layer.unions[2]
+        pairs += union if k == j == 1 else [((lo * k, c_lo * j), (hi * k, c_hi * j))
+                                            for (lo, c_lo), (hi, c_hi) in union]
+    return carried_measure(merge_pairs(pairs), den)
+
+
+def pairwise_measure(layer_m: Layer, layer_n: Layer, mu_m: CantorMeasureValue,
+                     mu_n: CantorMeasureValue) -> CantorMeasureValue:
+    """Exact measure of the intersection of two layers over one window,
+    given their measures: mu(A_m ∩ A_n) = mu(A_m) + mu(A_n) - mu(A_m ∪ A_n),
+    at the inner radius bounds and, when a radius is inexact, the outer ones.
     """
     if layer_m.dset != layer_n.dset or layer_m.window != layer_n.window:
         raise InputError("layers must share their set and window")
-    grid = lcm(layer_m.grid, layer_n.grid)
-    den = lcm(layer_m.unions[2], layer_n.unions[2])
-
-    def meet(i: int) -> Fraction:
-        return carried_measure(intersect_unions(_rescaled(layer_m, i, grid, den),
-                                                _rescaled(layer_n, i, grid, den)), den)
-
-    lo = meet(0)
-    exact = iv_is_exact(layer_m.radius) and iv_is_exact(layer_n.radius)
-    return CantorMeasureValue(lo, lo if exact else meet(1))
+    lo = mu_m.lo + mu_n.lo - union_measure((layer_m, layer_n), 0)
+    if iv_is_exact(layer_m.radius) and iv_is_exact(layer_n.radius):
+        return CantorMeasureValue(lo, lo)
+    return CantorMeasureValue(lo, mu_m.hi + mu_n.hi - union_measure((layer_m, layer_n), 1))
 
 
 def layer_comparator(dset: MissingDigitSet, psi: ApproxFunction, radius: Iv, n: int,
@@ -446,7 +447,7 @@ def layer_table(dset: MissingDigitSet, psi: ApproxFunction, window: RatInterval,
     layers = {k: build_layer(dset, psi_value(psi, dset, k), k, window, coprime)
               for k in dict.fromkeys(levels)}
     measures = {k: layer_measure(v) for k, v in layers.items()}
-    pairs = {(m, n): pairwise_measure(layers[m], layers[n])
+    pairs = {(m, n): pairwise_measure(layers[m], layers[n], measures[m], measures[n])
              if measures[m].hi and measures[n].hi else None
              for m, n in combinations(levels, 2)}
     return layers, measures, pairs
@@ -587,20 +588,12 @@ def borel_cantelli_ratio(dset: MissingDigitSet, psi: ApproxFunction,
     den_lo = num_lo + 2 * sum(inter.lo for inter in pairs.values() if inter is not None)
     den_hi = num_hi + 2 * sum(inter.hi for inter in pairs.values() if inter is not None)
     ratio = iv_div((num_lo * num_lo, num_hi * num_hi), (den_lo, den_hi))
-    # the union's endpoints are endpoints of the layers' unions, so they
-    # carry their CDF numerators once every union is on the common grid and
-    # CDF denominator.  The outer unions' union is reported; it has the
-    # measure of the inner unions' union when every layer measure is exact,
-    # and must be shown to have it otherwise.
-    grid = lcm(*(l.grid for l in layers.values()))
-    den = lcm(*(l.unions[2] for l in layers.values()))
-
-    def union_of(i: int) -> Fraction:
-        return carried_measure(merge_pairs([p for l in layers.values()
-                                            for p in _rescaled(l, i, grid, den)]), den)
-
-    union = union_of(1)
-    if not all(m.exact for m in measures.values()) and union_of(0) != union:
+    # The outer unions' union is reported; it has the measure of the inner
+    # unions' union when every layer measure is exact, and must be shown to
+    # have it otherwise.
+    built = tuple(layers.values())
+    union = union_measure(built, 1)
+    if not all(m.exact for m in measures.values()) and union_measure(built, 0) != union:
         raise PrecisionError("union measure undecided: the inner and outer radius "
                              "bounds give unions of different measure")
     return BorelCantelliReport(q=q, ratio=ratio, union_measure=union,
@@ -639,8 +632,8 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
     RADIUS_BITS whatever L, decides every cell range at once when both its
     bounds give the same f.  The cells met form the runs of the union of
     the radius-(f + 1)/S balls, m^L times whose measure counts their
-    allowed cells, and `ball_unions` carries it at level n: a level-n
-    rank for each run end and a measure for each of its two offsets.
+    allowed cells: that union is the level-n layer of radius (f + 1)/S
+    over [0, 1], and the count is m^L times its `layer_measure`.
     """
     tau = Fraction(tau)
     if tau < 1:
@@ -653,11 +646,10 @@ def box_dimension_estimate(dset: MissingDigitSet, tau: Fraction, n: int,
     scale = b ** level  # the counting grid
     f, f_hi = (r.numerator // r.denominator
                for r in rational_pow(Fraction(b), level - tau * n, RADIUS_BITS))
-    _, centers, (runs,), den = ball_unions(dset, n, coprime, (_ZERO, _ONE),
-                                           [Fraction(f + 1, scale)])
-    if centers and f != f_hi:
+    layer = build_layer(dset, iv_exact(Fraction(f + 1, scale)), n, RatInterval.unit(), coprime)
+    if layer.center_numerators and f != f_hi:
         raise PrecisionError("counting boundary undecided; raise the radius precision")
-    count = int(carried_measure(runs, den) * dset.digit_count ** level)
+    count = int(layer_measure(layer).value * dset.digit_count ** level)
     if count == 0:
         raise InputError("layer misses every basic interval at the counting level")
     est = LogRatioSource(Fraction(count), Fraction(scale)).within(48)

@@ -3,11 +3,13 @@
 These deliberately use different mechanisms from the implementation:
 block counting instead of per-digit weights for the measure, integer
 power comparisons instead of log enclosures for exponent inequalities,
-a `Fraction` digit walk and a per-cell scan for membership, `Fraction`
-ball endpoints for the layer unions the library builds on an integer
-grid, merged and measured balls for the natural cover the library reads
-off the digits, a listing for the centers and a second one
-for the ranks of the union ends where `ball_unions` reads both off
+a `Fraction` digit walk, a per-cell scan and a depth-first search of the
+allowed cells for membership, `Fraction` ball endpoints for the layer
+unions the library builds on an integer grid, the intersection of two
+layers' unions for the pair measures the library reads off their union
+by inclusion-exclusion, merged and measured balls for the natural cover
+the library reads off the digits, a listing for the centers and a second
+one for the ranks of the union ends where `ball_unions` reads both off
 one, a per-cell `prefix_allowed` scan for the box count the library
 takes from prefix ranks, argparse for the command line the library
 parses from its option tables, floors and ceilings on the grid of the
@@ -32,14 +34,15 @@ from typing import Optional
 
 import pytest
 
-from cantorapprox import (AffineSource, InputError, Layer, MembershipResult, MissingDigitSet,
-                          PrecisionError, RatInterval, SqrtSource, cli, enumerate_centers,
-                          layers, measure_union)
-from cantorapprox.digitsets import _prefix_rank, cantor_cdf, measure_pair
-from cantorapprox.enclosures import BASE_BITS, Iv, _round_out, iv_div, ln_interval
+from cantorapprox import (AffineSource, CantorMeasureValue, InputError, Layer, MembershipResult,
+                          MissingDigitSet, PrecisionError, RatInterval, SqrtSource, cli,
+                          enumerate_centers, layers, measure_union)
+from cantorapprox.digitsets import _prefix_rank, cantor_cdf, carried_measure, measure_pair
+from cantorapprox.enclosures import (BASE_BITS, Iv, _round_out, iv_div, iv_is_exact,
+                                     ln_interval)
 from cantorapprox.errors import BUDGET, Budget
 from cantorapprox.records import Record
-from cantorapprox.intervals import clip_union, merge_pairs
+from cantorapprox.intervals import clip_union, intersect_unions, merge_pairs
 
 try:
     import mpmath
@@ -228,30 +231,37 @@ def rational_in_set(dset: MissingDigitSet, x: Fraction) -> bool:
     return True  # full cycle scanned without a bad digit
 
 
+def _meets_allowed_cell(dset: MissingDigitSet, lo: Fraction, hi: Fraction, depth: int,
+                        k: int = 0, level: int = 0) -> bool:
+    """Whether an allowed level-depth cell below the level-`level` cell k
+    meets [lo, hi], searched depth first through the allowed cells that do."""
+    if level == depth:
+        return True
+    scale = dset.base ** (level + 1)
+    return any(_meets_allowed_cell(dset, lo, hi, depth, c, level + 1)
+               for c in (k * dset.base + d for d in dset.digits)
+               if Fraction(c, scale) <= hi and Fraction(c + 1, scale) >= lo)
+
+
 def enclosure_status(dset: MissingDigitSet, lo: Fraction, hi: Fraction,
                      depth: int, cell_budget: int = 1 << 16) -> MembershipResult:
-    """Verdict shared by all points of [lo, hi] (lo < hi) up to `depth`,
-    scanning every cell that meets [lo, hi] one by one."""
+    """Verdict shared by all points of [lo, hi] (lo < hi) up to `depth`:
+    out when a search through the allowed cells finds none at `depth` that
+    meets [lo, hi], else from scanning every cell that meets [lo, hi] one
+    by one, level by level."""
+    if not _meets_allowed_cell(dset, lo, hi, depth):
+        return MembershipResult("out")
     scale = 1
     for level in range(1, depth + 1):
         scale *= dset.base
         k_start = (lo * scale).__floor__()
-        if lo * scale == k_start and k_start > 0:
-            k_start -= 1  # cell touching lo from the left
         k_end = min((hi * scale).__floor__(), scale - 1)
         if k_end - k_start + 1 > cell_budget:
             return MembershipResult("undetermined", level)
-        any_allowed = False
-        interior_bad = False
         for k in range(k_start, k_end + 1):
-            if dset.prefix_allowed(k, level):
-                any_allowed = True
-            elif max(lo, Fraction(k, scale)) < min(hi, Fraction(k + 1, scale)):
-                interior_bad = True
-        if not any_allowed:
-            return MembershipResult("out")
-        if interior_bad:
-            return MembershipResult("undetermined", level)
+            if (not dset.prefix_allowed(k, level)
+                    and max(lo, Fraction(k, scale)) < min(hi, Fraction(k + 1, scale))):
+                return MembershipResult("undetermined", level)
     return MembershipResult("in")
 
 
@@ -270,6 +280,30 @@ def layer_ball_pairs(layer: Layer, radius: Fraction) -> list[tuple[Fraction, Fra
 def layer_union_pairs(layer: Layer, radius: Fraction) -> list[tuple[Fraction, Fraction]]:
     """The merged union of `layer_ball_pairs`."""
     return merge_pairs(layer_ball_pairs(layer, radius))
+
+
+def pairwise_by_intersection(layer_m: Layer, layer_n: Layer) -> CantorMeasureValue:
+    """`layers.pairwise_measure` as it was before it read the union of the
+    two layers: both layers' carried unions rescaled to the lcm of their
+    grids and of their CDF denominators, intersected, and the intersection
+    measured, at the inner radius bounds and, when a radius is inexact,
+    the outer ones."""
+    if layer_m.dset != layer_n.dset or layer_m.window != layer_n.window:
+        raise InputError("layers must share their set and window")
+    grid = lcm(layer_m.grid, layer_n.grid)
+    den = lcm(layer_m.unions[2], layer_n.unions[2])
+
+    def rescaled(layer: Layer, i: int) -> list:
+        k, j = grid // layer.grid, den // layer.unions[2]
+        return [((lo * k, c_lo * j), (hi * k, c_hi * j))
+                for (lo, c_lo), (hi, c_hi) in layer.unions[i]]
+
+    def meet(i: int) -> Fraction:
+        return carried_measure(intersect_unions(rescaled(layer_m, i), rescaled(layer_n, i)), den)
+
+    lo = meet(0)
+    exact = iv_is_exact(layer_m.radius) and iv_is_exact(layer_n.radius)
+    return CantorMeasureValue(lo, lo if exact else meet(1))
 
 
 def sparse_power_sum(x, s: int) -> tuple[int, int]:

@@ -734,6 +734,13 @@ def test_pairwise_measures_each_layer_once_and_layer_parses_psi_once():
     assert parsed.call_count == 1
 
 
+def test_dim_estimate_counts_boxes_as_one_layer_measure():
+    with mock.patch.object(layers, "build_layer", wraps=layers.build_layer) as built, \
+            mock.patch.object(layers, "layer_measure", wraps=layers.layer_measure) as measured:
+        run_command(["dim-estimate", "--tau", "3/2", "--n", "7"])
+    assert (built.call_count, measured.call_count) == (1, 1)
+
+
 def test_pairwise_builds_a_level_met_twice_once():
     with mock.patch.object(layers, "build_layer", wraps=layers.build_layer) as built:
         text, _ = run_command(["pairwise", "--psi", "pow:2", "--m", "3", "--n", "3"])

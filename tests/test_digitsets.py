@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cantorapprox import (InputError, MissingDigitSet, RatInterval, RealEnclosure,
-                          ResourceBudgetError, cantor_cdf, cantor_measure,
+                          ResourceBudgetError, SqrtSource, cantor_cdf, cantor_measure,
                           center_count, enumerate_centers, full_cover_check,
                           measure_union, membership)
 from cantorapprox import digitsets
@@ -80,6 +80,15 @@ def test_membership_enclosure_verdicts():
     assert membership(RealEnclosure(F(-2), F(-1)), K).is_out
     assert membership(RealEnclosure(F(1, 2), F(3)), K) == digitsets.MembershipResult(
         "undetermined", 0)
+
+
+def test_membership_of_an_enclosure_out_below_its_first_split():
+    """[3/20, 1/4] splits at level 1 on 5:0,2, but K misses (1/10, 2/5) and
+    no allowed level-2 cell meets it: out at depth 2, undetermined at depth 1."""
+    dset = MissingDigitSet(5, (0, 2))
+    enclosure = RealEnclosure(F(3, 20), F(1, 4), SqrtSource(F(1, 25)))
+    assert membership(enclosure, dset, 2).is_out
+    assert membership(enclosure, dset, 1) == digitsets.MembershipResult("undetermined", 1)
 
 
 def test_enumerate_examples():

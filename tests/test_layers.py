@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cantorapprox import (ApproxFunction, DimensionFunction, HypothesisViolation,
@@ -25,7 +25,8 @@ from cantorapprox.enclosures import (exponent_enclosure, iv_div, iv_exact, iv_mu
 from cantorapprox.errors import Budget, PrecisionError
 
 from calibration import C_FIX, MU_RATIO_ENVELOPE
-from oracles import (layer_ball_pairs, layer_union_pairs, mp_interval, needs_mpmath, under_budget,
+from oracles import (layer_ball_pairs, layer_union_pairs, mp_interval, needs_mpmath,
+                     pairwise_by_intersection, under_budget,
                      power_series_converges, window_t0_by_division)
 
 K = MissingDigitSet.middle_thirds()
@@ -36,6 +37,11 @@ PSI2 = ApproxFunction.power(2)
 def psi_layer(dset, psi, n, window, coprime):
     """The level-n layer at the radius psi(b^n), built as `layers.layer_table` builds it."""
     return build_layer(dset, psi_value(psi, dset, n), n, window, coprime)
+
+
+def pair_measure(layer_m, layer_n):
+    """mu(A_m ∩ A_n) from the two layers and their measures, as `layers.layer_table` reads it."""
+    return pairwise_measure(layer_m, layer_n, layer_measure(layer_m), layer_measure(layer_n))
 
 
 def test_truncate_examples():
@@ -158,13 +164,13 @@ def test_disjointness_means_sum_of_ball_measures(unit_window):
 def test_pairwise_examples():
     l1 = psi_layer(K, PSI2, 1, UNIT, True)
     l2 = psi_layer(K, PSI2, 2, UNIT, True)
-    assert pairwise_measure(l1, l2).value == F(1, 8)
-    assert pairwise_measure(l2, l2).value == layer_measure(l2).value
+    assert pair_measure(l1, l2).value == F(1, 8)
+    assert pair_measure(l2, l2).value == layer_measure(l2).value
     tab = ApproxFunction.table({1: F(1, 100), 2: F(1, 200)})
     t1 = psi_layer(K, tab, 1, UNIT, True)
     t2 = psi_layer(K, tab, 2, UNIT, True)
     assert classify_pair_case(K.base, 1, t1.radius, 2) == "i"
-    assert pairwise_measure(t1, t2).value == 0
+    assert pair_measure(t1, t2).value == 0
 
 
 def test_case_split_compares_b_to_the_minus_n_with_twice_the_level_m_radius():
@@ -181,7 +187,7 @@ def test_case_split_compares_b_to_the_minus_n_with_twice_the_level_m_radius():
 def test_pairwise_requires_shared_window():
     other = RatInterval.make(0, F(1, 2))
     with pytest.raises(InputError):
-        pairwise_measure(psi_layer(K, PSI2, 1, UNIT, True),
+        pair_measure(psi_layer(K, PSI2, 1, UNIT, True),
                          psi_layer(K, PSI2, 2, other, True))
 
 
@@ -382,7 +388,7 @@ def test_borel_cantelli_ratio_is_read_off_the_scan_pairs(window, psi):
     null = tuple((m, n) for m in mus for n in mus if m < n and not mus[m].hi * mus[n].hi)
     assert scan.skipped == null
     for m, n in null:
-        assert pairwise_measure(psi_layer(K, psi, m, window, True),
+        assert pair_measure(psi_layer(K, psi, m, window, True),
                                 psi_layer(K, psi, n, window, True)).value == 0
     num = (sum(mu.lo for mu in mus.values()), sum(mu.hi for mu in mus.values()))
     den = (num[0] + 2 * sum(r.mu_mn.lo for r in scan.rows),
@@ -467,7 +473,7 @@ def test_pairwise_symmetric_bound(m, n):
     m, n = min(m, n), max(m, n)
     lm = psi_layer(K, PSI2, m, UNIT, True)
     ln_ = psi_layer(K, PSI2, n, UNIT, True)
-    inter = pairwise_measure(lm, ln_).value
+    inter = pair_measure(lm, ln_).value
     assert inter <= min(layer_measure(lm).value, layer_measure(ln_).value)
 
 
@@ -483,7 +489,7 @@ def test_layer_tables_match_fresh_union_measures(psi):
         assert mu.hi == measure_union(K, layer_union_pairs(layer, layer.radius[1]))
     for lm in layers:
         for ln_ in layers:
-            inter = pairwise_measure(lm, ln_)
+            inter = pair_measure(lm, ln_)
             assert [inter.lo, inter.hi] == [_oracle_pair_measure(lm, ln_, i) for i in (0, 1)]
 
 
@@ -525,7 +531,7 @@ def test_grid_measures_match_fraction_ball_oracle(dset, psi, data, a, b, coprime
     n = data.draw(st.integers(min_value=m + 1, max_value=top))
     lm, ln_ = layers[m - 1], layers[n - 1]
     for x, y in ((lm, ln_), (ln_, lm), (ln_, ln_)):
-        inter = pairwise_measure(x, y)
+        inter = pair_measure(x, y)
         assert (inter.lo, inter.hi) == (_oracle_pair_measure(x, y, 0),
                                         _oracle_pair_measure(x, y, 1))
     q = data.draw(st.integers(min_value=1, max_value=top))
@@ -633,7 +639,7 @@ def test_wide_radius_bounds_match_fraction_ball_oracle(dset):
         mu = layer_measure(layer)
         assert (mu.lo, mu.hi) == tuple(measure_union(dset, layer_union_pairs(layer, r))
                                        for r in layer.radius)
-    inters = [(pairwise_measure(lm, ln_), lm, ln_) for lm in built for ln_ in built]
+    inters = [(pair_measure(lm, ln_), lm, ln_) for lm in built for ln_ in built]
     assert any(inter.lo < inter.hi for inter, _, _ in inters)
     for inter, lm, ln_ in inters:
         assert (inter.lo, inter.hi) == (_oracle_pair_measure(lm, ln_, 0),
@@ -643,6 +649,52 @@ def test_wide_radius_bounds_match_fraction_ball_oracle(dset):
                                          for p in layer_union_pairs(l, l.radius[i])])
                     for i in (0, 1))
     assert inner < outer
+
+
+# the sets of the argv corpus, each with the highest level drawn for it
+PAIR_LEVELS = {K: 5, MissingDigitSet(4, (0, 3)): 4, MissingDigitSet(5, (0, 2, 3)): 4,
+               MissingDigitSet(5, (1, 3)): 4, MissingDigitSet(6, (1, 2, 4)): 3,
+               MissingDigitSet(9, (0, 2, 6, 8)): 3}
+# a psi of each kind (pow, powlog, *gamma, table, truncated), and "wide":
+# radius bounds 1/(8 b^n) and 1/b^n, as the wide-radius test builds them
+PAIR_PSIS = [PSI2, ApproxFunction.power(F(3, 2)), ApproxFunction.power_log(2, Scalar.of(1)),
+             ApproxFunction.power(2, 1),
+             ApproxFunction.table({1: F(1, 10), 2: F(1, 50), 3: F(1, 300), 4: F(1, 2000),
+                                   5: F(1, 10 ** 4)}),
+             truncate_psi(PSI2, F(1, 2)), "wide"]
+
+
+@st.composite
+def pair_case(draw):
+    """A corpus set, a window whose ends are 0 or 1, on a cell boundary, in
+    a gap of level 1 or 2, or anywhere, levels m <= n, a psi and the coprime
+    filter on or off."""
+    dset = draw(st.sampled_from(list(PAIR_LEVELS)))
+    b = dset.base
+    gaps = [F(2 * k + 1, 2 * b ** level) for level in (1, 2) for k in range(b ** level)
+            if not dset.prefix_allowed(k, level)]
+    end = st.one_of(st.sampled_from([F(0), F(1)]), st.sampled_from(gaps), window_end,
+                    st.builds(lambda level, k: F(k % (b ** level + 1), b ** level),
+                              st.integers(min_value=1, max_value=3), st.integers(min_value=0)))
+    lo, hi = sorted((draw(end), draw(end)))
+    assume(lo < hi)
+    m = draw(st.integers(min_value=1, max_value=PAIR_LEVELS[dset]))
+    n = draw(st.integers(min_value=m, max_value=PAIR_LEVELS[dset]))
+    return dset, draw(st.sampled_from(PAIR_PSIS)), RatInterval(lo, hi), m, n, draw(st.booleans())
+
+
+@given(pair_case())
+@example((K, PSI2, RatInterval.make(F(2, 5), F(3, 5)), 1, 2, True))  # null layers
+@example((K, "wide", RatInterval.make(F(1, 10007), F(9, 10)), 2, 2, False))  # m = n
+@settings(max_examples=150, deadline=None)
+def test_pairwise_measure_matches_the_intersection_of_the_unions(case):
+    """mu(A_m ∩ A_n) by inclusion-exclusion from one union measure equals the
+    measure of the intersection of the two layers' carried unions."""
+    dset, psi, window, m, n, coprime = case
+    built = [build_layer(dset, (F(1, 8 * dset.base ** k), F(1, dset.base ** k)), k, window,
+                         coprime) if psi == "wide" else psi_layer(dset, psi, k, window, coprime)
+             for k in (m, n)]
+    assert pair_measure(*built) == pairwise_by_intersection(*built)
 
 
 @pytest.mark.parametrize("dset", list(GRID_SETS), ids=str)
