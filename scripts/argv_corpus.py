@@ -231,6 +231,8 @@ LEVEL_EDGES = (
     "quasi-scan --set 5:0,2,3 --psi pow:200 --window 2/9:7/9 --no-coprime --nmax 11",
     "full-cover --n 20000", "layer --psi pow:0 --n 15000",
     "pairwise --psi pow:0 --m 1 --n 15000",
+    # a truncation cap c*b^-n over the bit budget
+    "layer --psi pow:0 --trunc 1 --n 6000000",
 )
 
 
