@@ -10,11 +10,13 @@ parse helpers more than one family uses, and the handlers of the
 commands that need only the digit set and rational intervals: measure,
 full-cover and cf-interval.  The other handlers live in one module per
 command family (`cli_layers`, `cli_contfrac` for cf and exponent on every
---x, `cli_sparse` for xi-build and `cli_xi` for xi-verify), which
-`run_command` imports on first use, so that a call compiles only the
-code of its command.  Each call runs in its own copy of the context,
-where --precision-budget sets the `steps` of `errors.BUDGET`, so a
-budget never reaches the next call.
+--x, and `cli_xi` for xi-build and xi-verify), which `run_command`
+imports on first use; `FAMILY_MODULES` names the handler module of every
+command.  So a call compiles no other family's code.  It does compile
+`cli`, `render`, `digitsets`, `intervals`, `errors` and `records` whole,
+and it runs about a third to two thirds of the code it compiles.  Each
+call runs in its own copy of the context, where --precision-budget sets
+the `steps` of `errors.BUDGET`, so a budget never reaches the next call.
 """
 
 from __future__ import annotations
@@ -123,23 +125,23 @@ def cmd_cf_interval(args, dset):
     return results, rows
 
 
-# the module of every other command's handler `cmd_<name>`
+# the module of every command's handler `cmd_<name>`: this one by its
+# __name__, so that `python -m cantorapprox.cli` finds these handlers in
+# the module it runs, or a family module relative to the package
 FAMILY_MODULES = {
-    "layer": "cli_layers", "pairwise": "cli_layers", "quasi-scan": "cli_layers",
-    "series": "cli_layers", "tail": "cli_layers", "bc-ratio": "cli_layers",
-    "dim-estimate": "cli_layers",
-    "xi-build": "cli_sparse", "xi-verify": "cli_xi",
-    "cf": "cli_contfrac", "exponent": "cli_contfrac",
+    "measure": __name__, "full-cover": __name__, "cf-interval": __name__,
+    "layer": ".cli_layers", "pairwise": ".cli_layers", "quasi-scan": ".cli_layers",
+    "series": ".cli_layers", "tail": ".cli_layers", "bc-ratio": ".cli_layers",
+    "dim-estimate": ".cli_layers",
+    "xi-build": ".cli_xi", "xi-verify": ".cli_xi",
+    "cf": ".cli_contfrac", "exponent": ".cli_contfrac",
 }
 
 
 def _handler_of(args):
-    """The handler of args.command, importing its family module on first use."""
-    name = "cmd_" + args.command.replace("-", "_")
-    module = FAMILY_MODULES.get(args.command)
-    if module is None:
-        return globals()[name]
-    return getattr(import_module(f".{module}", __package__), name)
+    """The handler of args.command, importing its module on first use."""
+    module = import_module(FAMILY_MODULES[args.command], __package__)
+    return getattr(module, "cmd_" + args.command.replace("-", "_"))
 
 
 # ---------------------------------------------------------------------------

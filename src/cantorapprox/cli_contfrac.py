@@ -2,7 +2,7 @@
 on every --x.
 
 `cli.run_command` imports this module on first use, and `parse_x` imports
-`cli_sparse` only for --x xi, so the other values of --x load no sparse
+`cli_xi` only for --x xi, so the other values of --x load no sparse
 numbers.  cf-interval runs in `cli` itself, since its prefix intervals
 need no continued-fraction expansion and no enclosures.
 Each handler takes the parsed arguments and the digit set and returns
@@ -26,7 +26,7 @@ def parse_x(args, dset):
     symbolic constant or of the sparse number xi, gamma's enclosure, or a rational."""
     t = args.x
     if t == "xi":
-        return import_module(".cli_sparse", __package__).build_xi(args, dset)
+        return import_module(".cli_xi", __package__).build_xi(args, dset)
     if t == "golden":
         return golden_ratio_source()
     if t == "gamma":

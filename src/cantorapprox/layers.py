@@ -208,6 +208,7 @@ def psi_value(psi: ApproxFunction, dset: MissingDigitSet, n: int) -> Iv:
                                      f"refinement level {level}")
             level += 1
     if psi.truncation is not None:
+        check_bits(power_bits(dset.base, n), "{}^{}", dset.base, n)
         cap = psi.truncation * Fraction(dset.base) ** (-n)
         val = (min(val[0], cap), min(val[1], cap))
     return val

@@ -10,7 +10,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from importlib import resources
+from importlib import import_module, resources
 from math import isqrt
 from pathlib import Path
 from unittest import mock
@@ -392,6 +392,16 @@ def test_a_power_over_the_bit_budget_exits_3_fast(argv, power):
                         r"8,388,608-bit budget\n", stderr)
 
 
+# the truncation cap c*b^-n of psi is held to the bit budget before b^n is built
+@pytest.mark.parametrize("argv", ["layer --psi pow:0 --trunc 1 --n 100000000",
+                                  "pairwise --psi pow:0 --trunc 1 --m 1 --n 100000000"])
+def test_a_truncation_cap_over_the_bit_budget_exits_3_fast(argv):
+    rc, seconds, stderr = _timed_main(argv)
+    assert rc == "3" and seconds < 1.0
+    assert stderr == ("error: operand of 159,375,001 bits (3^100000000) over the "
+                      "8,388,608-bit budget\n")
+
+
 # the radius b^(-tau n) is checked against the bit budget before b^ceil(tau n)
 # is built: 10^5000 has 16,611 bits
 @pytest.mark.parametrize("argv, power", [
@@ -749,8 +759,19 @@ def test_pairwise_builds_a_level_met_twice_once():
     assert res["mu_m"] == res["mu_n"] == res["mu_mn"]
 
 
+def test_every_command_has_one_handler_module_that_defines_its_handler_alone():
+    assert set(cli.FAMILY_MODULES) == set(SUBCOMMAND_OPTIONS)
+    commands = {}
+    for command, module in cli.FAMILY_MODULES.items():
+        commands.setdefault(module, set()).add("cmd_" + command.replace("-", "_"))
+    for module, handlers in commands.items():
+        defined = vars(import_module(module, "cantorapprox"))
+        assert {name for name in defined if name.startswith("cmd_")} == handlers
+
+
 def test_cf_and_exponent_have_one_handler_for_every_x_and_gamma_parses_the_set_once():
-    assert [name for name in vars(cli_xi) if name.startswith("cmd_")] == ["cmd_xi_verify"]
+    assert [name for name in vars(cli_xi) if name.startswith("cmd_")] == ["cmd_xi_build",
+                                                                         "cmd_xi_verify"]
     for command in ("cf", "exponent"):
         for x in ("xi", "golden"):
             handler = cli._handler_of(mock.NonCallableMock(command=command, x=x))

@@ -35,7 +35,7 @@ COMMANDS = {
              LAYERS),
     "bc-ratio": (["bc-ratio", "--psi", "pow:2", "--q", "3"], LAYERS),
     "dim-estimate": (["dim-estimate", "--tau", "2", "--n", "2"], LAYERS),
-    "xi-build": (["xi-build", *XI], SPARSE),
+    "xi-build": (["xi-build", *XI], CONTFRAC | SPARSE),
     "xi-verify": (["xi-verify", *XI], CONTFRAC | SPARSE),
     "cf": (["cf", "--x", "xi", *XI, "--depth", "10"], CONTFRAC | SPARSE),
     "cf --x golden": (["cf", "--x", "golden", "--depth", "10"], CONTFRAC),
@@ -49,8 +49,7 @@ COMMANDS = {
 # parser and the report writer, which are the package's own, and those behind
 # generated value types
 NEVER_LOADED = {"argparse", "json", "gettext", "locale", "dataclasses", "inspect"}
-HANDLERS = {"cantorapprox.cli_layers", "cantorapprox.cli_contfrac",
-            "cantorapprox.cli_sparse", "cantorapprox.cli_xi"}
+HANDLERS = {"cantorapprox.cli_layers", "cantorapprox.cli_contfrac", "cantorapprox.cli_xi"}
 # what neither the parser nor the set-only commands may load
 NOT_IN_SET_ONLY = FAMILIES | HANDLERS | {"cantorapprox.enclosures"}
 
@@ -86,6 +85,17 @@ def test_command_loads_only_its_family(name):
     assert loaded & FAMILIES == family
     library = {m for m in loaded if m.partition(".")[0] == "cantorapprox"}
     assert library - HANDLERS <= CORE | family
+
+
+# cf and exponent on --x xi build xi with `cli_xi.build_xi`
+@pytest.mark.parametrize("name, handlers", [
+    ("xi-build", {"cantorapprox.cli_xi"}), ("xi-verify", {"cantorapprox.cli_xi"}),
+    ("cf", {"cantorapprox.cli_contfrac", "cantorapprox.cli_xi"}),
+    ("exponent", {"cantorapprox.cli_contfrac", "cantorapprox.cli_xi"}),
+    ("cf --x golden", {"cantorapprox.cli_contfrac"})])
+def test_a_command_loads_only_its_handler_modules(name, handlers):
+    _, loaded = _run(COMMANDS[name][0])
+    assert {m for m in loaded if m.startswith("cantorapprox.cli_")} == handlers
 
 
 @pytest.mark.parametrize("name", ["measure", "measure --precision-budget", "full-cover",
