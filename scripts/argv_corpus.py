@@ -233,6 +233,11 @@ LEVEL_EDGES = (
     "pairwise --psi pow:0 --m 1 --n 15000",
     # a truncation cap c*b^-n over the bit budget
     "layer --psi pow:0 --trunc 1 --n 6000000",
+    # a level grid b^n over the bit budget, and a level the cells cap refuses
+    # before the levels below it are built, and the levels past it are read
+    "cf-interval --quotients 1,1 --depth 6000000", "full-cover --n 20000000",
+    "layer --psi table:10000000=1/2 --n 10000000", "bc-ratio --psi pow:0 --trunc 1 --q 23",
+    "bc-ratio --psi pow:0 --trunc 1 --q 100000000",
 )
 
 

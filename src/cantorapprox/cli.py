@@ -8,15 +8,16 @@ with decimal renderings).  Wall-clock timing is only included with
 This module holds the dispatch, the options every subcommand shares, the
 parse helpers more than one family uses, and the handlers of the
 commands that need only the digit set and rational intervals: measure,
-full-cover and cf-interval.  The other handlers live in one module per
-command family (`cli_layers`, `cli_contfrac` for cf and exponent on every
---x, and `cli_xi` for xi-build and xi-verify), which `run_command`
-imports on first use; `FAMILY_MODULES` names the handler module of every
-command.  So a call compiles no other family's code.  It does compile
-`cli`, `render`, `digitsets`, `intervals`, `errors` and `records` whole,
-and it runs about a third to two thirds of the code it compiles.  Each
-call runs in its own copy of the context, where --precision-budget sets
-the `steps` of `errors.BUDGET`, so a budget never reaches the next call.
+full-cover and cf-interval.  The others live in `cli_layers` (the layer
+commands) and `cli_contfrac` (cf, exponent, xi-build and xi-verify, so cf
+and exponent compile the sparse-number code on every --x), which
+`run_command` imports on first use; `FAMILY_MODULES` names the handler
+module of every command.  So a call compiles no other family's code.  It
+does compile `cli`, `render`, `digitsets`, `intervals`, `errors` and
+`records` whole, and it runs about a third to two thirds of the code it
+compiles.  Each call runs in its own copy of the context, where
+--precision-budget sets the `steps` of `errors.BUDGET`, so a budget never
+reaches the next call.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ FAMILY_MODULES = {
     "layer": ".cli_layers", "pairwise": ".cli_layers", "quasi-scan": ".cli_layers",
     "series": ".cli_layers", "tail": ".cli_layers", "bc-ratio": ".cli_layers",
     "dim-estimate": ".cli_layers",
-    "xi-build": ".cli_xi", "xi-verify": ".cli_xi",
     "cf": ".cli_contfrac", "exponent": ".cli_contfrac",
+    "xi-build": ".cli_contfrac", "xi-verify": ".cli_contfrac",
 }
 
 

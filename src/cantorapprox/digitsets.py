@@ -28,9 +28,10 @@ centers, whose balls it merges and clips, and the ranks of `grid_cdf`,
 the one CDF evaluator on a grid, that every union end carries.  Only
 `layers.build_layer` calls it, for the layers (radius psi(b^n)) and for
 the box count of `layers.box_dimension_estimate`, one layer of radius
-about b^(-tau n).  `full_cover_check`
-counts those cells and needs no ball: the natural cover (radius b^-n)
-holds the set when 0 or b - 1 is a digit, and is empty otherwise.
+about b^(-tau n).  Its refusals come first, from sizes, in `check_level`,
+which `layers.layer_table` also asks of every level before it builds one.
+`full_cover_check` counts those cells and needs no ball: the natural cover
+(radius b^-n) holds the set when 0 or b - 1 is a digit, and is empty otherwise.
 """
 
 from __future__ import annotations
@@ -133,19 +134,16 @@ class MissingDigitSet(Record):
         return below
 
     def _listing_range(self, level: int, first: int,
-                       last: Optional[int]) -> tuple[int, int]:
-        """[first, last] clipped to the level-n prefixes, once the allowed ones
-        in it, counted by two rank walks, are within the budget's `cells`."""
+                       last: Optional[int]) -> tuple[int, int, int]:
+        """[first, last] clipped to the level-n prefixes, and the count of the
+        allowed ones in it, by two rank walks, once within the budget's `cells`."""
         top = self.base ** level - 1
         first, last = max(first, 0), top if last is None else min(last, top)
         if (count := _cell_count(self, level, first, last)) > (cap := BUDGET.get().cells):
-            try:
-                cells = f"{count:,} level-{level} basic intervals in cells {first}..{last}"
-            except ValueError:  # past the int-to-str limit: sizes in bits
-                cells = (f"a {count.bit_length():,}-bit count of level-{level} basic intervals "
-                         f"in cells of up to {last.bit_length():,} bits")
-            raise ResourceBudgetError(f"{cells} over the {cap:,}-cell budget")
-        return first, last
+            raise ResourceBudgetError(f"{text(count, ',')} level-{level} basic intervals in "
+                                      f"cells {text(first)}..{text(last)} over the {cap:,}-cell "
+                                      "budget")
+        return first, last, count
 
     def allowed_prefixes(self, level: int, first: int = 0,
                          last: Optional[int] = None) -> list[int]:
@@ -155,7 +153,7 @@ class MissingDigitSet(Record):
         (`_listing_range`); the descent keeps a prefix while its block of
         cells meets [first, last].
         """
-        first, last = self._listing_range(level, first, last)
+        first, last, _ = self._listing_range(level, first, last)
         b = self.base
         out, block = [0], b ** level
         for _ in range(level):
@@ -489,6 +487,24 @@ def carried_measure(union: GridUnion, den: int) -> Fraction:
     return Fraction(sum(c_hi - c_lo for (_, c_lo), (_, c_hi) in union), den)
 
 
+def check_level(dset: MissingDigitSet, n: int, window: Pair,
+                radii: Sequence[Fraction]) -> tuple[int, int, int, int]:
+    """(b^n, grid, first, last) of the level-n balls of `radii` in `ball_unions`,
+    once b^n is within the bit budget, the allowed cells first..last within
+    `cells`, and their count times the bits of `grid`, the lcm of b^n and the
+    window's and radii's denominators, within BALL_END_BITS; no cell is listed."""
+    check_bits(power_bits(dset.base, n), "{}^{}", dset.base, n)
+    bn, r = dset.base ** n, max(radii)
+    first, last = _cells_meeting(window[0] - r, window[1] + r, bn, True, True)
+    count = dset._listing_range(n, first, last)[2]
+    grid = lcm(bn, *(x.denominator for x in (*window, *radii)))
+    if count * grid.bit_length() > BALL_END_BITS:
+        raise ResourceBudgetError(f"{count:,} level-{n} cells on a "
+                                  f"{grid.bit_length():,}-bit grid over the "
+                                  f"{BALL_END_BITS:,}-bit cap of their ball ends")
+    return bn, grid, first, last
+
+
 def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, window: Pair,
                 radii: Sequence[Fraction]) -> tuple[int, list[int], list[GridUnion], int]:
     """(grid, centers, unions, D): the p of the centers p/b^n in the set
@@ -503,17 +519,11 @@ def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, window: Pair,
     union end, whose cell lies in that range.  The ball ends p/b^n -+ r
     and the window ends are integers over `grid`, the lcm of b^n and their
     denominators; they take about as many bits as the listed cells times
-    the grid's bit length, which ResourceBudgetError holds to
-    BALL_END_BITS before any is built.
+    the grid's bit length.  `check_level` refuses the level before any
+    cell is listed.
     """
-    bn, r = dset.base ** n, max(radii)
-    first, last = _cells_meeting(window[0] - r, window[1] + r, bn, True, True)
+    bn, grid, first, last = check_level(dset, n, window, radii)
     listed = dset.allowed_prefixes(n, first, last)
-    grid = lcm(bn, *(x.denominator for x in (*window, *radii)))
-    if len(listed) * grid.bit_length() > BALL_END_BITS:
-        raise ResourceBudgetError(f"{len(listed):,} level-{n} cells on a "
-                                  f"{grid.bit_length():,}-bit grid over the "
-                                  f"{BALL_END_BITS:,}-bit cap of their ball ends")
     step, (wl, wh) = grid // bn, (on_grid(x, grid) for x in window)
     centers = enumerate_centers(dset, n, coprime, first + 1, last, listed)
     unions = [clip_union(merge_pairs([(p * step - u, p * step + u) for p in centers]), (wl, wh))
@@ -538,6 +548,7 @@ def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool
     """
     if n < 1:
         raise InputError("level must be >= 1")
+    check_bits(power_bits(dset.base, n), "{}^{}", dset.base, n)
     bn, (lo, hi) = dset.base ** n, window.pair()
     r = Fraction(1, bn)
     dset._listing_range(n, *_cells_meeting(lo - r, hi + r, bn, True, True))
@@ -551,6 +562,7 @@ def prefix_interval_disjoint_from(pi: PrefixInterval, dset: MissingDigitSet,
     """True when the prefix interval misses every level-depth basic interval."""
     if depth < 1:
         raise InputError("depth must be >= 1")
+    check_bits(power_bits(dset.base, depth), "{}^{}", dset.base, depth)
     first, last = _cells_meeting(pi.lo, pi.hi, dset.base ** depth,
                                  pi.lo_closed, pi.hi_closed)
     return _cell_count(dset, depth, first, last) == 0

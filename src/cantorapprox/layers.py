@@ -27,7 +27,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .digitsets import (CantorMeasureValue, GridUnion, MissingDigitSet, ball_unions,
-                        carried_measure, center_count, measure_union)
+                        carried_measure, center_count, check_level, measure_union)
 from .enclosures import (Iv, LogRatioSource, exponent_enclosure, iv_add,
                          iv_cmp, iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
@@ -444,9 +444,14 @@ def layer_table(dset: MissingDigitSet, psi: ApproxFunction, window: RatInterval,
     """(layers, measures, pairs) by level, the one path to the layer measures of
     `pairwise`, `quasi-scan` and `bc-ratio`: each level k of `levels` built from
     psi(b^k), evaluated once, and measured once, and mu(A_m ∩ A_n) for each pair
-    (m, n) of `levels` in order, or None when a layer is null: it is exactly 0."""
-    layers = {k: build_layer(dset, psi_value(psi, dset, k), k, window, coprime)
-              for k in dict.fromkeys(levels)}
+    (m, n) of `levels` in order, or None when a layer is null: it is exactly 0.
+    Each level's radius and `check_level` refusals come before any layer's build."""
+    radii = {}
+    for k in levels:
+        if k not in radii:
+            radii[k] = psi_value(psi, dset, k)
+            check_level(dset, k, window.pair(), radii[k])
+    layers = {k: build_layer(dset, r, k, window, coprime) for k, r in radii.items()}
     measures = {k: layer_measure(v) for k, v in layers.items()}
     pairs = {(m, n): pairwise_measure(layers[m], layers[n], measures[m], measures[n])
              if measures[m].hi and measures[n].hi else None

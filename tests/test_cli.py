@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cantorapprox import cli, cli_contfrac, cli_layers, cli_xi, layers, render, sparse
+from cantorapprox import cli, cli_contfrac, cli_layers, layers, render, sparse
 from cantorapprox.cli import SUBCOMMAND_OPTIONS, build_parser, main, run_command
 from cantorapprox.contfrac import continued_fraction_expand
 from cantorapprox.errors import BUDGET, Budget, InputError, PrecisionError, ResourceBudgetError
@@ -301,12 +301,12 @@ def test_exit_code_resource_error(capsys):
                                   "dim-estimate --tau 1 --n 9100",
                                   "quasi-scan --psi pow:2 --nmax 9100 --mmin 9099"])
 def test_a_level_past_the_print_limit_exits_3(argv, capsys):
-    # the cell range 0..3^n - 1 has more digits than int-to-str prints
+    # the last cell 3^n - 1 has more digits than int-to-str prints, the count 2^n fewer
     start = time.perf_counter()
     assert main(argv.split()) == 3
     assert time.perf_counter() - start < 2.0
-    assert re.fullmatch(r"error: a [\d,]+-bit count of level-\d+ basic intervals in cells of "
-                        r"up to [\d,]+ bits over the 4,194,304-cell budget\n",
+    assert re.fullmatch(r"error: [\d,]+ level-\d+ basic intervals in cells "
+                        r"0\.\.<[\d,]+-bit integer> over the 4,194,304-cell budget\n",
                         capsys.readouterr().err)
 
 
@@ -400,6 +400,28 @@ def test_a_truncation_cap_over_the_bit_budget_exits_3_fast(argv):
     assert rc == "3" and seconds < 1.0
     assert stderr == ("error: operand of 159,375,001 bits (3^100000000) over the "
                       "8,388,608-bit budget\n")
+
+
+# each level's radius and cells are checked before any layer is built: the
+# first level of 3:0,2 that the cells budget refuses is 23, whatever the
+# levels after it, and the 22 before it are never built
+@pytest.mark.parametrize("q", [23, 100000000])
+def test_a_refused_level_exits_3_before_any_layer_is_built(q):
+    rc, seconds, stderr = _timed_main(f"bc-ratio --psi pow:0 --trunc 1 --q {q}")
+    assert rc == "3" and seconds < 2.0
+    assert stderr == ("error: 8,388,608 level-23 basic intervals in cells 0..94143178826 "
+                      "over the 4,194,304-cell budget\n")
+
+
+# the level grid b^n is held to the bit budget before it is built
+@pytest.mark.parametrize("argv, power", [
+    ("cf-interval --quotients 1,1 --depth 6000000", "9,562,501 bits (3^6000000)"),
+    ("full-cover --n 20000000", "31,875,001 bits (3^20000000)"),
+    ("layer --psi table:10000000=1/2 --n 10000000", "15,937,501 bits (3^10000000)")])
+def test_a_level_grid_over_the_bit_budget_exits_3_fast(argv, power):
+    rc, seconds, stderr = _timed_main(argv)
+    assert rc == "3" and seconds < 1.0
+    assert stderr == f"error: operand of {power} over the 8,388,608-bit budget\n"
 
 
 # the radius b^(-tau n) is checked against the bit budget before b^ceil(tau n)
@@ -770,8 +792,8 @@ def test_every_command_has_one_handler_module_that_defines_its_handler_alone():
 
 
 def test_cf_and_exponent_have_one_handler_for_every_x_and_gamma_parses_the_set_once():
-    assert [name for name in vars(cli_xi) if name.startswith("cmd_")] == ["cmd_xi_build",
-                                                                         "cmd_xi_verify"]
+    assert [name for name in vars(cli_contfrac) if name.startswith("cmd_")] == [
+        "cmd_cf", "cmd_exponent", "cmd_xi_build", "cmd_xi_verify"]
     for command in ("cf", "exponent"):
         for x in ("xi", "golden"):
             handler = cli._handler_of(mock.NonCallableMock(command=command, x=x))
@@ -782,8 +804,8 @@ def test_cf_and_exponent_have_one_handler_for_every_x_and_gamma_parses_the_set_o
 
 
 def test_each_legendre_bound_and_case_split_radius_is_decided_once():
-    with mock.patch.object(cli_xi, "legendre_is_convergent",
-                           wraps=cli_xi.legendre_is_convergent) as decided:
+    with mock.patch.object(cli_contfrac, "legendre_is_convergent",
+                           wraps=cli_contfrac.legendre_is_convergent) as decided:
         run_command(["xi-verify", "--tau", "3", "--terms", "6"])
     assert decided.call_count == 5  # one per truncation s = 1..5
     with mock.patch.object(layers, "psi_value", wraps=layers.psi_value) as evaluated:

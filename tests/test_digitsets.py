@@ -345,12 +345,15 @@ def test_enumeration_budget_full_range_condition():
         under_budget(Budget(cells=2 ** 10), K.allowed_prefixes, 11)
 
 
-def test_enumeration_budget_error_states_sizes_in_bits_past_the_print_limit():
-    # 3^9100 - 1, the last cell, has more digits than int-to-str prints
-    with pytest.raises(ResourceBudgetError, match=r"^a 9,101-bit count of level-9100 basic "
-                       r"intervals in cells of up to 14,424 bits over the 4,194,304-cell "
-                       r"budget$"):
-        K.allowed_prefixes(9100)
+@pytest.mark.parametrize("level, count, last", [
+    (9100, r"2,360,263,781,966,[\d,]+", "<14,424-bit integer>"),
+    (20000, "<20,001-bit integer>", "<31,700-bit integer>")], ids=["9100", "20000"])
+def test_enumeration_budget_error_states_sizes_in_bits_past_the_print_limit(level, count, last):
+    # the last cell 3^n - 1 has more digits than int-to-str prints from n = 9013
+    # on, and the count 2^n from n = 14,285 on: each is written by its bit length
+    with pytest.raises(ResourceBudgetError, match=rf"^{count} level-{level} basic intervals in "
+                       rf"cells 0\.\.{last} over the 4,194,304-cell budget$"):
+        K.allowed_prefixes(level)
 
 
 @given(st.integers(min_value=3, max_value=10), st.integers(min_value=0, max_value=200),

@@ -75,6 +75,41 @@ def test_nested_import_is_detected():
     assert _nested_imports(tree) == ["f (line 4)", "g (line 4)"]
 
 
+# the one lazy import: `cli` loads a command's handler module on first use,
+# and the package its PEP 562 exports
+LAZY_IMPORTS = {"cli.py": {"_handler_of"}, "__init__.py": {"__getattr__"}}
+
+
+def _import_module_calls(tree: ast.Module) -> list[tuple[str, int]]:
+    """(function, line) of each call of `import_module`, the innermost
+    function that holds it or "<module>"."""
+    calls = {node: "<module>" for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "import_module"}
+    for fn in ast.walk(tree):  # outer functions first, so an inner one names its calls
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if node in calls:
+                    calls[node] = fn.name
+    return sorted((name, node.lineno) for node, name in calls.items())
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_import_module_is_called_only_by_the_lazy_loaders(path):
+    """A module imported inside a handler is a load path of its own, which
+    `tests/test_startup.py` pins only for the argvs it runs."""
+    calls = _import_module_calls(ast.parse(path.read_text(), filename=str(path)))
+    stray = [f"{name} (line {line})" for name, line in calls
+             if name not in LAZY_IMPORTS.get(path.name, ())]
+    assert not stray, f"{path.name} calls import_module outside its loader: {', '.join(stray)}"
+
+
+def test_import_module_call_is_detected():
+    tree = ast.parse("from importlib import import_module\nm = import_module('a')\n"
+                     "def f(x):\n    return importlib.import_module('.b', x).g\n"
+                     "def _handler_of(args):\n    return import_module(args)\n")
+    assert _import_module_calls(tree) == [("<module>", 2), ("_handler_of", 6), ("f", 4)]
+
+
 def _foreign_private_reads(tree: ast.Module) -> list[str]:
     """Reads of `obj._name` (obj not self or cls) of a private name the
     module does not define, as "_name (line N)"."""

@@ -22,7 +22,7 @@ from cantorapprox.cli_layers import parse_psi, parse_scalar
 from cantorapprox.layers import VALUE_BITS, classify_pair_case, f_of_psi, psi_value
 from cantorapprox.enclosures import (exponent_enclosure, iv_div, iv_exact, iv_mul, iv_scale,
                                      rational_pow)
-from cantorapprox.errors import Budget, PrecisionError
+from cantorapprox.errors import Budget, PrecisionError, ResourceBudgetError
 
 from calibration import C_FIX, MU_RATIO_ENVELOPE
 from oracles import (layer_ball_pairs, layer_union_pairs, mp_interval, needs_mpmath,
@@ -729,6 +729,18 @@ def test_a_level_is_listed_once(build, listings):
                            side_effect=MissingDigitSet.allowed_prefixes) as listed:
         build()
     assert listed.call_count == listings
+
+
+def test_every_level_is_checked_before_a_layer_is_built():
+    """Under a `cells` budget of 8, level 4 of the middle thirds (16 cells) is
+    refused before levels 1 to 3 are built, and no level past it is read."""
+    with mock.patch.object(layers, "build_layer") as built, \
+            mock.patch.object(layers, "psi_value", wraps=psi_value) as evaluated, \
+            pytest.raises(ResourceBudgetError, match=r"^16 level-4 basic intervals in cells "
+                                                     r"0\.\.80 over the 8-cell budget$"):
+        under_budget(Budget(cells=8), layers.layer_table, K, PSI2, UNIT, range(1, 100), True)
+    built.assert_not_called()
+    assert evaluated.call_count == 4
 
 
 def _radius_at_least_a_cell(dset: MissingDigitSet, top: int, data) -> ApproxFunction:

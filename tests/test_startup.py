@@ -38,10 +38,11 @@ COMMANDS = {
     "xi-build": (["xi-build", *XI], CONTFRAC | SPARSE),
     "xi-verify": (["xi-verify", *XI], CONTFRAC | SPARSE),
     "cf": (["cf", "--x", "xi", *XI, "--depth", "10"], CONTFRAC | SPARSE),
-    "cf --x golden": (["cf", "--x", "golden", "--depth", "10"], CONTFRAC),
-    "cf --x gamma": (["cf", "--x", "gamma", "--depth", "10"], CONTFRAC),
+    "cf --x golden": (["cf", "--x", "golden", "--depth", "10"], CONTFRAC | SPARSE),
+    "cf --x gamma": (["cf", "--x", "gamma", "--depth", "10"], CONTFRAC | SPARSE),
     "exponent": (["exponent", "--x", "xi", *XI, "--depth", "20"], CONTFRAC | SPARSE),
-    "exponent --x sqrt:1/2": (["exponent", "--x", "sqrt:1/2", "--depth", "20"], CONTFRAC),
+    "exponent --x sqrt:1/2": (["exponent", "--x", "sqrt:1/2", "--depth", "20"],
+                              CONTFRAC | SPARSE),
     "cf-interval": (["cf-interval", "--quotients", "1,1", "--depth", "4"], set()),
     "full-cover": (["full-cover", "--n", "3"], set()),
 }
@@ -49,7 +50,7 @@ COMMANDS = {
 # parser and the report writer, which are the package's own, and those behind
 # generated value types
 NEVER_LOADED = {"argparse", "json", "gettext", "locale", "dataclasses", "inspect"}
-HANDLERS = {"cantorapprox.cli_layers", "cantorapprox.cli_contfrac", "cantorapprox.cli_xi"}
+HANDLERS = {"cantorapprox.cli_layers", "cantorapprox.cli_contfrac"}
 # what neither the parser nor the set-only commands may load
 NOT_IN_SET_ONLY = FAMILIES | HANDLERS | {"cantorapprox.enclosures"}
 
@@ -87,15 +88,13 @@ def test_command_loads_only_its_family(name):
     assert library - HANDLERS <= CORE | family
 
 
-# cf and exponent on --x xi build xi with `cli_xi.build_xi`
-@pytest.mark.parametrize("name, handlers", [
-    ("xi-build", {"cantorapprox.cli_xi"}), ("xi-verify", {"cantorapprox.cli_xi"}),
-    ("cf", {"cantorapprox.cli_contfrac", "cantorapprox.cli_xi"}),
-    ("exponent", {"cantorapprox.cli_contfrac", "cantorapprox.cli_xi"}),
-    ("cf --x golden", {"cantorapprox.cli_contfrac"})])
-def test_a_command_loads_only_its_handler_modules(name, handlers):
+# the four commands of the continued-fraction family, cf and exponent on --x xi
+# and on --x golden, load one handler module
+@pytest.mark.parametrize("name", ["xi-build", "xi-verify", "cf", "exponent", "cf --x golden"])
+def test_a_command_loads_only_its_handler_modules(name):
     _, loaded = _run(COMMANDS[name][0])
-    assert {m for m in loaded if m.startswith("cantorapprox.cli_")} == handlers
+    assert {m for m in loaded if m.startswith("cantorapprox.cli_")} == {
+        "cantorapprox.cli_contfrac"}
 
 
 @pytest.mark.parametrize("name", ["measure", "measure --precision-budget", "full-cover",
