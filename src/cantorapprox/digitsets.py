@@ -22,14 +22,12 @@ grid's points fall in (`grid_cdf`).  The listing, `allowed_prefixes`, raises
 ResourceBudgetError past the `cells` of `errors.BUDGET`, which
 `_listing_range` checks on the count before anything is listed.
 
-`ball_unions` is the one level kernel: one listing, of the cells that
-`_cells_meeting` finds for the window widened by the radius, gives the
-centers, whose balls it merges and clips, and the ranks of `grid_cdf`,
-the one CDF evaluator on a grid, that every union end carries.  Only
-`layers.build_layer` calls it, for the layers (radius psi(b^n)) and for
-the box count of `layers.box_dimension_estimate`, one layer of radius
-about b^(-tau n).  Its refusals come first, from sizes, in `check_level`,
-which `layers.layer_table` also asks of every level before it builds one.
+`layers.build_layer` builds a level's balls from one listing, of the
+cells that `_cells_meeting` finds for the window widened by the radius:
+it reads the centers off it with `enumerate_centers`, and every union end
+its rank from it with `grid_cdf`, the one CDF evaluator on a grid.  Its
+refusals come first, from sizes, in `check_level`, which
+`layers.layer_table` also asks of every level before it builds one.
 `full_cover_check` counts those cells and needs no ball: the natural cover
 (radius b^-n) holds the set when 0 or b - 1 is a digit, and is empty otherwise.
 """
@@ -43,14 +41,14 @@ from math import gcd, lcm, log2
 from typing import Iterable, Optional, Sequence
 
 from .errors import BUDGET, InputError, ResourceBudgetError, check_bits, power_bits, text
-from .intervals import Pair, PrefixInterval, RatInterval, clip_union, merge_pairs
+from .intervals import Pair, PrefixInterval, RatInterval, merge_pairs
 from .records import Record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # cap on a level's listed cells times its grid's bit length, about the
-# bits of the ball ends `ball_unions` would build
+# bits of the ball ends `layers.build_layer` would build
 BALL_END_BITS = 1 << 29
 
 
@@ -489,10 +487,11 @@ def carried_measure(union: GridUnion, den: int) -> Fraction:
 
 def check_level(dset: MissingDigitSet, n: int, window: Pair,
                 radii: Sequence[Fraction]) -> tuple[int, int, int, int]:
-    """(b^n, grid, first, last) of the level-n balls of `radii` in `ball_unions`,
-    once b^n is within the bit budget, the allowed cells first..last within
-    `cells`, and their count times the bits of `grid`, the lcm of b^n and the
-    window's and radii's denominators, within BALL_END_BITS; no cell is listed."""
+    """(b^n, grid, first, last) of the level-n balls of `radii` in
+    `layers.build_layer`, once b^n is within the bit budget, the allowed
+    cells first..last within `cells`, and their count times the bits of
+    `grid`, the lcm of b^n and the window's and radii's denominators, within
+    BALL_END_BITS; no cell is listed."""
     check_bits(power_bits(dset.base, n), "{}^{}", dset.base, n)
     bn, r = dset.base ** n, max(radii)
     first, last = _cells_meeting(window[0] - r, window[1] + r, bn, True, True)
@@ -505,35 +504,6 @@ def check_level(dset: MissingDigitSet, n: int, window: Pair,
     return bn, grid, first, last
 
 
-def ball_unions(dset: MissingDigitSet, n: int, coprime: bool, window: Pair,
-                radii: Sequence[Fraction]) -> tuple[int, list[int], list[GridUnion], int]:
-    """(grid, centers, unions, D): the p of the centers p/b^n in the set
-    (prime to b with `coprime`) whose balls of the largest radius meet the
-    window, and for each radius the merged union of their balls clipped to
-    the window, carried over D.
-
-    The ball of radius r around p/b^n meets the window [lo, hi] when the
-    cell [p - 1, p]/b^n meets [lo - r, hi + r], so one listing of the
-    cells `_cells_meeting` gives for it, first..last (r the largest
-    radius), gives the centers in first + 1..last and the ranks of every
-    union end, whose cell lies in that range.  The ball ends p/b^n -+ r
-    and the window ends are integers over `grid`, the lcm of b^n and their
-    denominators; they take about as many bits as the listed cells times
-    the grid's bit length.  `check_level` refuses the level before any
-    cell is listed.
-    """
-    bn, grid, first, last = check_level(dset, n, window, radii)
-    listed = dset.allowed_prefixes(n, first, last)
-    step, (wl, wh) = grid // bn, (on_grid(x, grid) for x in window)
-    centers = enumerate_centers(dset, n, coprime, first + 1, last, listed)
-    unions = [clip_union(merge_pairs([(p * step - u, p * step + u) for p in centers]), (wl, wh))
-              for u in (on_grid(x, grid) for x in radii)]
-    cdf, den = grid_cdf(dset, n, grid, (x for union in unions for pair in union for x in pair),
-                        max(first, 0), listed)
-    return grid, centers, [tuple(((lo, cdf[lo]), (hi, cdf[hi])) for lo, hi in union)
-                           for union in unions], den
-
-
 def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool:
     """Whether the radius-b^-n balls around the centers p/b^n in the set
     cover the window in measure.
@@ -542,9 +512,9 @@ def full_cover_check(dset: MissingDigitSet, n: int, window: RatInterval) -> bool
     p/b^n, and with b - 1 a digit the center (p + 1)/b^n: either ball holds
     the cell, so the balls hold the set.  With neither, no p/b^n lies in
     the set, so there is no ball, and the window is covered exactly when
-    its measure is 0.  The cells `ball_unions` would list for these balls
-    (`_cells_meeting` on [lo - b^-n, hi + b^-n]) are held to the `cells`
-    budget first, with that listing's refusal, and none is listed.
+    its measure is 0.  The cells `layers.build_layer` would list for these
+    balls (`_cells_meeting` on [lo - b^-n, hi + b^-n]) are held to the
+    `cells` budget first, with that listing's refusal, and none is listed.
     """
     if n < 1:
         raise InputError("level must be >= 1")

@@ -7,8 +7,8 @@ endpoints, so they take (lo, hi) pairs of any totally ordered values:
 Fractions in `digitsets`, and integer numerators over one common
 denominator (a layer's grid), each paired with the integer numerator of
 its CDF value over the layer's CDF denominator as an (x, cdf) tuple that
-orders by x, in `ball_unions`, which merges and clips a level's balls,
-and in `layers.union_measure`, which merges the unions of several
+orders by x, in `layers.build_layer`, which merges and clips a level's
+balls, and in `layers.union_measure`, which merges the unions of several
 layers.  Single points carry no mass for any of the measures here, so
 merging intervals that merely touch is always measure-safe.
 

@@ -4,10 +4,10 @@ A layer at level n is the union of balls of radius psi(b^n) around the
 (optionally reduced) b-adic rationals p/b^n lying in the fractal,
 clipped to a window.  Everything here is computed with exact rationals;
 irrational radii or exponents degrade gracefully to certified two-sided
-bounds.  A layer's ball unions come from `digitsets.ball_unions`, which
-lists the level once, on one integer grid: every endpoint is an integer
-numerator over the layer's common denominator, carried with the integer
-numerator of its CDF value over one CDF denominator per layer.
+bounds.  `build_layer` lists the level's cells once and builds the ball
+unions on one integer grid: every endpoint is an integer numerator over
+the layer's common denominator, carried with the integer numerator of
+its CDF value over one CDF denominator per layer.
 Layers combine through `union_measure` alone, one merge of their unions
 on the lcm of their grids and of their CDF denominators: a pair's
 intersection by inclusion-exclusion, and the Borel-Cantelli union as it
@@ -26,13 +26,14 @@ from itertools import combinations
 from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
-from .digitsets import (CantorMeasureValue, GridUnion, MissingDigitSet, ball_unions,
-                        carried_measure, center_count, check_level, measure_union)
+from .digitsets import (CantorMeasureValue, GridUnion, MissingDigitSet, carried_measure,
+                        center_count, check_level, enumerate_centers, grid_cdf,
+                        measure_union, on_grid)
 from .enclosures import (Iv, LogRatioSource, exponent_enclosure, iv_add,
                          iv_cmp, iv_div, iv_exact, iv_intpow, iv_is_exact, iv_mul, iv_scale,
                          ln_interval, pow_interval, rational_pow)
 from .errors import BUDGET, HypothesisViolation, InputError, PrecisionError, check_bits, power_bits
-from .intervals import RatInterval, merge_pairs
+from .intervals import RatInterval, clip_union, merge_pairs
 from .records import Record
 
 _ZERO = Fraction(0)
@@ -318,7 +319,7 @@ class Layer(Record):
     are integers over `grid`, the lcm of b^n and their denominators.
     `unions` holds the merged ball unions at the inner and the outer
     radius (the same union when the radius is exact) on that grid, each
-    endpoint x carried with its CDF numerator by `ball_unions`, and their
+    endpoint x carried with its CDF numerator by `build_layer`, and their
     one CDF denominator.  Every offset of an endpoint from the level-n grid
     is that of a radius or of a window end, so a layer makes at most six
     `cantor_cdf` calls.  `build_layer` computes the unions, and every
@@ -342,14 +343,32 @@ class Layer(Record):
 
 def build_layer(dset: MissingDigitSet, radius: Iv, n: int,
                 window: RatInterval, coprime: bool) -> Layer:
-    """The level-n layer of balls whose radius psi(b^n) `radius` encloses."""
+    """The level-n layer of balls whose radius psi(b^n) `radius` encloses.
+
+    The ball of radius r around p/b^n meets the window [lo, hi] when the
+    cell [p - 1, p]/b^n meets [lo - r, hi + r], so one listing of the
+    cells first..last that `check_level` gives for the outer radius gives
+    the centers in first + 1..last and the ranks of every union end, whose
+    cell lies in that range.  The ball ends p/b^n -+ r and the window ends
+    are integers over `grid`, the lcm of b^n and their denominators; they
+    take about as many bits as the listed cells times the grid's bit
+    length.  `check_level` refuses the level before any cell is listed.
+    """
     if n < 1:
         raise InputError("level must be >= 1")
-    grid, centers, unions, den = ball_unions(dset, n, coprime, window.pair(),
-                                             radius[:1] if iv_is_exact(radius) else radius)
+    radii, ends = radius[:1] if iv_is_exact(radius) else radius, window.pair()
+    bn, grid, first, last = check_level(dset, n, ends, radii)
+    listed = dset.allowed_prefixes(n, first, last)
+    step, (wl, wh) = grid // bn, (on_grid(x, grid) for x in ends)
+    centers = enumerate_centers(dset, n, coprime, first + 1, last, listed)
+    unions = [clip_union(merge_pairs([(p * step - u, p * step + u) for p in centers]), (wl, wh))
+              for u in (on_grid(x, grid) for x in radii)]
+    cdf, den = grid_cdf(dset, n, grid, (x for union in unions for pair in union for x in pair),
+                        max(first, 0), listed)
+    unions = [tuple(((lo, cdf[lo]), (hi, cdf[hi])) for lo, hi in union) for union in unions]
     return Layer(n=n, dset=dset, window=window, radius=radius,
                  grid=grid, center_numerators=tuple(centers),
-                 disjoint=2 * dset.base ** n * radius[1] < 1,  # r < 1/(2 b^n)
+                 disjoint=2 * bn * radius[1] < 1,  # r < 1/(2 b^n)
                  unions=(unions[0], unions[-1], den))  # one union when r is exact
 
 

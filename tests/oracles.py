@@ -9,7 +9,7 @@ unions the library builds on an integer grid, the intersection of two
 layers' unions for the pair measures the library reads off their union
 by inclusion-exclusion, merged and measured balls for the natural cover
 the library reads off the digits, a listing for the centers and a second
-one for the ranks of the union ends where `ball_unions` reads both off
+one for the ranks of the union ends where `build_layer` reads both off
 one, a per-cell `prefix_allowed` scan for the box count the library
 takes from prefix ranks, argparse for the command line the library
 parses from its option tables, floors and ceilings on the grid of the
@@ -383,11 +383,11 @@ def window_t0_by_division(window: RatInterval, base: int) -> int:
 def listed_twice_ball_unions(dset: MissingDigitSet, n: int, coprime: bool, grid: int,
                              window: tuple[int, int], radii: list[int],
                              with_window: bool = False) -> tuple[list[int], list, int]:
-    """`digitsets.ball_unions` as it was composed before it ranked from its
-    own listing: `enumerate_centers` lists the centers near the window,
-    their balls are merged and clipped, and `grid_cdf` then lists the
-    cells its points fall in again, ranking them from one walk at the
-    least cell.  The same (centers, carried unions, CDF denominator);
+    """The ball unions of `layers.build_layer` as they were composed before
+    it ranked from its own listing: `enumerate_centers` lists the centers
+    near the window, their balls are merged and clipped, and `grid_cdf`
+    then lists the cells its points fall in again, ranking them from one
+    walk at the least cell.  The same (centers, carried unions, CDF denominator);
     `with_window` puts the window first, as `full_cover_check` had it."""
     step, u = grid // dset.base ** n, max(radii)
     centers = enumerate_centers(dset, n, coprime, -((u - window[0]) // step),
@@ -414,7 +414,7 @@ def listed_twice_ball_unions(dset: MissingDigitSet, n: int, coprime: bool, grid:
 
 def ball_cells_on_the_grid(dset: MissingDigitSet, n: int, window: tuple[Fraction, Fraction],
                            radii: list[Fraction]) -> tuple[int, int]:
-    """The cells `digitsets.ball_unions` listed before it asked
+    """The cells `layers.build_layer` listed before it asked
     `_cells_meeting`: on the integer grid of the ball ends, with step =
     grid / b^n and u the largest radius, the centers ceil((wl - u)/step)
     through floor((wh + u)/step), and the cell before the first."""
@@ -449,7 +449,7 @@ def full_cover_fraction_balls(dset: MissingDigitSet, n: int, window: RatInterval
 def full_cover_by_the_kernel(dset: MissingDigitSet, n: int, window: RatInterval) -> bool:
     """`digitsets.full_cover_check` as it was while it measured the balls:
     the radius-b^-n balls around the centers near the window merged and
-    clipped on the integer grid of `ball_unions`, the window carried with
+    clipped on the integer grid of `build_layer`, the window carried with
     them, and the two measured from one listing, whose `cells` check
     refuses what that one refused."""
     if n < 1:

@@ -13,10 +13,11 @@ from cantorapprox import (InputError, MissingDigitSet, RatInterval, RealEnclosur
                           ResourceBudgetError, SqrtSource, cantor_cdf, cantor_measure,
                           center_count, enumerate_centers, full_cover_check,
                           measure_union, membership)
-from cantorapprox import digitsets
-from cantorapprox.digitsets import ball_unions, grid_cdf, measure_pair, on_grid
+from cantorapprox import digitsets, layers
+from cantorapprox.digitsets import grid_cdf, measure_pair, on_grid
 from cantorapprox.errors import Budget, PrecisionError
 from cantorapprox.intervals import clip_union, merge_pairs
+from cantorapprox.layers import build_layer
 
 from oracles import (ball_cells_on_the_grid, digit_walk_by_digits, enclosure_status,
                      full_cover_by_the_kernel, full_cover_cells_by_floors,
@@ -565,30 +566,34 @@ def kernel_case(draw):
 @given(kernel_case())
 @settings(max_examples=300, deadline=None)
 def test_ball_unions_match_the_composition_that_listed_twice(case):
-    """The kernel's centers, carried unions and CDF denominator are those of
-    `ball_unions` followed by `grid_cdf` with a listing of its own, on the
-    kernel's grid, a divisor of the one drawn."""
+    """A layer's centers, carried unions and CDF denominator are those of
+    its balls merged and clipped, followed by `grid_cdf` with a listing of
+    its own, on the layer's grid, a divisor of the one drawn.  One radius
+    is an exact radius; two equal ones give one union, as it does."""
     dset, n, coprime, grid, window, radii = case
-    kernel_grid, centers, unions, den = ball_unions(
-        dset, n, coprime, tuple(F(x, grid) for x in window), [F(u, grid) for u in radii])
-    k, rest = divmod(grid, kernel_grid)
+    layer = build_layer(dset, (F(radii[0], grid), F(radii[-1], grid)), n,
+                        RatInterval.make(F(window[0], grid), F(window[1], grid)), coprime)
+    k, rest = divmod(grid, layer.grid)
     assert rest == 0
+    inner, outer, den = layer.unions
     unions = [tuple(((lo * k, c_lo), (hi * k, c_hi)) for (lo, c_lo), (hi, c_hi) in union)
-              for union in unions]
-    assert (centers, unions, den) == listed_twice_ball_unions(dset, n, coprime, grid, window,
-                                                              radii)
+              for union in (inner, outer)]
+    centers, listed_unions, listed_den = listed_twice_ball_unions(dset, n, coprime, grid,
+                                                                  window, radii)
+    assert (list(layer.center_numerators), unions, den) == (
+        centers, [listed_unions[0], listed_unions[-1]], listed_den)
 
 
 def test_ball_ends_past_their_bit_cap_are_refused_before_they_are_built(monkeypatch):
     """Level 3 of the middle-thirds set lists its 8 cells on the 5-bit grid 27."""
-    args = (K, 3, False, (F(0), F(1)), [F(1, 27)])
+    args = (K, (F(1, 27), F(1, 27)), 3, RatInterval.unit(), False)
     monkeypatch.setattr(digitsets, "BALL_END_BITS", 40)
-    assert ball_unions(*args)[1] == enumerate_centers(K, 3, False)
+    assert list(build_layer(*args).center_numerators) == enumerate_centers(K, 3, False)
     monkeypatch.setattr(digitsets, "BALL_END_BITS", 39)
-    with mock.patch.object(digitsets, "enumerate_centers") as centers, \
+    with mock.patch.object(layers, "enumerate_centers") as centers, \
             pytest.raises(ResourceBudgetError, match="^8 level-3 cells on a 5-bit grid over "
                                                      "the 39-bit cap of their ball ends$"):
-        ball_unions(*args)
+        build_layer(*args)
     centers.assert_not_called()
 
 
@@ -639,16 +644,17 @@ def _cells_asked(name, call, *args):
 @given(ball_cells_case())
 @settings(max_examples=300, deadline=None)
 def test_a_levels_balls_list_the_cells_that_cells_meeting_gives(case):
-    """`ball_unions` lists, and `full_cover_check` counts, the cells that
+    """`build_layer` lists, and `full_cover_check` counts, the cells that
     meet the window widened by the largest radius, by `_cells_meeting`,
     which gives the cells the grid floors gave."""
     dset, n, window, radii = case
     bn, r = dset.base ** n, max(radii)
     cells = digitsets._cells_meeting(window[0] - r, window[1] + r, bn, True, True)
     assert cells == ball_cells_on_the_grid(dset, n, window, radii)
-    assert _cells_asked("allowed_prefixes", ball_unions, dset, n, False, window,
-                        radii) == (n, *cells)
-    unit, r = RatInterval.make(*window), F(1, bn)
+    unit = RatInterval.make(*window)
+    assert _cells_asked("allowed_prefixes", build_layer, dset, (radii[0], radii[-1]), n, unit,
+                        False) == (n, *cells)
+    r = F(1, bn)
     cover = digitsets._cells_meeting(window[0] - r, window[1] + r, bn, True, True)
     assert cover == full_cover_cells_by_floors(dset, n, unit)
     assert _cells_asked("_listing_range", full_cover_check, dset, n, unit) == (n, *cover)
